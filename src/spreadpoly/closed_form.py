@@ -155,9 +155,7 @@ def _fisher_integrand(family: Family, n: int):
 
 
 def _float_zeros(family: Family, n: int):
-    if n < 1:
-        return []
-    return [float(z) for z in zeros_raw(family.kind, family.alpha, family.beta, n, 80)]
+    return zeros_raw(family.kind, family.alpha, family.beta, n, None)
 
 
 def fisher_information_numeric(family: Family, n: int, *, tol: float = 1e-10):

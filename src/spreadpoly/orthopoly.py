@@ -26,6 +26,7 @@ from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, agrees, cancellation_clamp
+from ._vec import poly_scaled, recurrence_float
 from .families import HERMITE, JACOBI, LAGUERRE, Family
 
 __all__ = [
@@ -58,6 +59,13 @@ class PolyCoeffs:
             raise ParameterError("leading coefficient must be nonzero")
 
 
+def _check_exponents(kind: str, alpha, beta) -> None:
+    if kind != HERMITE and not alpha > -1:
+        raise ParameterError("alpha must exceed -1")
+    if kind == JACOBI and not beta > -1:
+        raise ParameterError("beta must exceed -1")
+
+
 def raw_recurrence(kind: str, alpha, beta, count: int):
     """(a_k, b_k) for k < count, as mpf at the active precision.
 
@@ -67,10 +75,7 @@ def raw_recurrence(kind: str, alpha, beta, count: int):
     """
     a = mp.mpf(alpha)
     b = mp.mpf(beta)
-    if kind != HERMITE and not a > -1:
-        raise ParameterError("alpha must exceed -1")
-    if kind == JACOBI and not b > -1:
-        raise ParameterError("beta must exceed -1")
+    _check_exponents(kind, a, b)
     diag, off = [], []
     for k in range(count):
         km = mp.mpf(k)
@@ -284,23 +289,73 @@ def rakhmanov_density(family: Family, n: int, x):
     return v * v * w
 
 
-def zeros_raw(kind: str, alpha, beta, n: int, bits: int) -> list:
+#: Float64 Newton on the zeros stops once every step is at most this many
+#: ulps of max(1, max|z|); converged steps measured at most 0.5 of them
+#: (Hermite, Laguerre and Jacobi, n <= 3200), and two steps suffice there.
+_NEWTON_STEP_ULPS = 2.0
+_NEWTON_MAX_ITER = 8
+
+
+def _eigen_seeds(diag64, off64):
+    """Eigenvalues of the symmetric tridiagonal recurrence matrix."""
+    try:
+        return eigh_tridiagonal(diag64, off64, eigvals_only=True)
+    except Exception as exc:  # pragma: no cover - LAPACK failure surface
+        raise ParameterError(f"eigenvalue solve failed: {exc}") from exc
+
+
+def _mirrored_increasing(out: list, symmetric: bool, zero) -> list:
+    """Sorted zeros, mirrored exactly about ``zero`` for a symmetric weight,
+    checked to be strictly increasing."""
+    n = len(out)
+    if symmetric:
+        half = [(out[n - 1 - i] - out[i]) / 2 for i in range(n // 2)]
+        mirrored = [-h for h in half]
+        if n % 2:
+            mirrored.append(zero)
+        out = mirrored + [half[n // 2 - 1 - i] for i in range(n // 2)]
+    for lo, hi in zip(out, out[1:]):
+        if not lo < hi:
+            raise ParameterError("zero polish produced non-increasing nodes")
+    return out
+
+
+def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
     """Zeros of the degree-n orthonormal polynomial for a raw weight.
 
-    Float64 eigenvalues of the symmetric tridiagonal recurrence matrix
-    seed an mpf Newton polish; symmetric weights get exactly mirrored
-    nodes so parity cancellations are exact downstream.
+    Float64 eigenvalues of the symmetric tridiagonal recurrence matrix seed
+    a Newton polish; symmetric weights get exactly mirrored nodes so parity
+    cancellations are exact downstream.  With ``bits`` the polish runs in
+    mpf at ``bits + 20`` and the zeros are mpf.  With ``bits=None`` the
+    zeros are Python floats: all of them take float64 Newton steps together
+    until every step is at most 2 ulps of max(1, max|z|), which leaves
+    each zero within a few ulps of that scale; ParameterError if that takes
+    more than 8 steps.
     """
     if n < 1:
         return []
+    symmetric = kind == HERMITE or (kind == JACOBI and alpha == beta)
+    if bits is None:
+        _check_exponents(kind, alpha, beta)
+        diag, off = recurrence_float(kind, alpha, beta, n + 1)
+        z = _eigen_seeds(diag[:n], off[1:n])
+        for _ in range(_NEWTON_MAX_ITER):
+            p, dp = poly_scaled(kind, alpha, beta, n, z, derivative=True)[:2]
+            step = p / dp
+            z = z - step
+            scale = max(1.0, float(np.max(np.abs(z))))
+            if np.max(np.abs(step)) <= _NEWTON_STEP_ULPS * np.finfo(float).eps * scale:
+                break
+        else:
+            raise ParameterError(
+                f"float64 Newton on the {n} zeros did not settle in {_NEWTON_MAX_ITER} steps"
+            )
+        return _mirrored_increasing(np.sort(z).tolist(), symmetric, 0.0)
     with mp.workprec(bits + 20):
         diag, off = raw_recurrence(kind, alpha, beta, n + 1)
         d64 = np.array([float(v) for v in diag[:n]])
         e64 = np.array([float(v) for v in off[1:n]])
-        try:
-            seeds = eigh_tridiagonal(d64, e64, eigvals_only=True)
-        except Exception as exc:  # pragma: no cover - LAPACK failure surface
-            raise ParameterError(f"eigenvalue solve failed: {exc}") from exc
+        seeds = _eigen_seeds(d64, e64)
 
         def poly_pair(x):
             pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
@@ -322,16 +377,7 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits: int) -> list:
                     break
             out.append(z)
         out.sort()
-        symmetric = kind == HERMITE or (kind == JACOBI and alpha == beta)
-        if symmetric:
-            half = [(out[n - 1 - i] - out[i]) / 2 for i in range(n // 2)]
-            mirrored = [-h for h in half]
-            if n % 2:
-                mirrored.append(mp.mpf(0))
-            out = mirrored + [half[n // 2 - 1 - i] for i in range(n // 2)]
-        for lo, hi in zip(out, out[1:]):
-            if not lo < hi:
-                raise ParameterError("zero polish produced non-increasing nodes")
+        out = _mirrored_increasing(out, symmetric, mp.mpf(0))
         return [+z for z in out]
 
 

@@ -17,7 +17,10 @@ Two adaptive integrators serve the Shannon integrals:
   (mpmath), the contract-level routine;
 * :func:`tanh_sinh_panels` — a vectorized float64 tanh-sinh engine used
   as the throughput path for large-degree entropy sweeps with regular
-  (nonnegative-exponent) weights.
+  (nonnegative-exponent) weights.  At each refinement level it hands the
+  nodes of many panels to the integrand in one call, so a recurrence-based
+  integrand runs its n-step loop once per batch of panels rather than once
+  per panel; a non-finite integrand value raises :class:`QuadratureError`.
 """
 
 from __future__ import annotations
@@ -257,10 +260,15 @@ def integrate_log_singular(
 
 _TMAX = 4.0
 
+#: Most abscissas one ``fpanel`` call receives: finite panels are laid out
+#: side by side in batches of at most this many nodes (a batch holds at
+#: least one panel).  The cap bounds the memory of the integrand's
+#: temporaries, which grow with the batch.
+_BATCH_NODES = 2**15
+
 
 def _panel_nodes(level: int):
     """Abscissas t and level spacing h for the refinement level."""
-    h = 2.0 ** (1 - level) if level else 1.0
     if level == 0:
         k = np.arange(-int(_TMAX), int(_TMAX) + 1, dtype=float)
         return k, 1.0
@@ -270,56 +278,89 @@ def _panel_nodes(level: int):
     return np.concatenate([-k[::-1], k]), h
 
 
+def _batches(finite, per_batch: int):
+    """Panel-index ranges in order: each infinite panel alone, runs of
+    consecutive finite panels cut into ranges of at most ``per_batch``."""
+    i = 0
+    while i < len(finite):
+        j = i + 1
+        if finite[i]:
+            while j < len(finite) and finite[j] and j - i < per_batch:
+                j += 1
+        yield range(i, j)
+        i = j
+
+
 def tanh_sinh_panels(fpanel, points, *, tol=1e-10, max_level=9):
     """Integrate a panel-aware vectorized integrand over [points[0], points[-1]].
 
-    ``fpanel(i, a, b, x, dl, dr)`` receives the panel index, its endpoints
-    and float64 arrays of abscissas plus distances to the panel endpoints
-    (computed in a cancellation-free way, so ``a + dl == x == b - dr`` holds
-    to full relative accuracy even within 1e-300 of an endpoint).  It must
-    return the integrand values as a float64 array.
+    ``fpanel(i, a, b, x, dl, dr)`` receives ``i``, the ``range`` of panel
+    indices the call covers, and float64 arrays of equal length: the
+    abscissas ``x``, the endpoints ``a`` and ``b`` of each node's panel, and
+    the distances ``dl``/``dr`` to those endpoints (computed in a
+    cancellation-free way, so ``a + dl == x == b - dr`` holds to full
+    relative accuracy even within 1e-300 of an endpoint).  The nodes of
+    the panels in ``i`` come one panel after another.  At each level, each
+    infinite panel gets a call of its own and consecutive finite panels
+    share calls of at most ``_BATCH_NODES`` nodes.  ``fpanel`` must return
+    the integrand values as a float64 array; a non-finite value raises
+    :class:`QuadratureError` naming the panel.
 
     Returns ``(value, est_error)`` as floats.
     """
     pts = [float(p) for p in points]
     if len(pts) == 2 and np.isinf(pts[0]) and np.isinf(pts[1]):
         pts = [pts[0], 0.0, pts[1]]
-    panels = list(zip(pts[:-1], pts[1:]))
-    totals = np.zeros(len(panels))
-    prev_totals = np.full(len(panels), np.nan)
+    lo = np.array(pts[:-1])
+    hi = np.array(pts[1:])
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    totals = np.zeros(lo.size)
+    prev_totals = np.full(lo.size, np.nan)
     magnitude = 0.0
     est = np.inf
     for level in range(0, max_level + 1):
         t, h = _panel_nodes(level)
         u = 0.5 * np.pi * np.sinh(t)
         cosh_t = np.cosh(t)
-        contrib = np.zeros(len(panels))
-        for i, (a, b) in enumerate(panels):
-            if np.isinf(a) or np.isinf(b):
-                # exp-sinh map from the finite endpoint
-                d = np.exp(u)
-                w = 0.5 * np.pi * cosh_t * d
-                if np.isinf(b):
-                    x = a + d
-                    vals = fpanel(i, a, b, x, d, np.full_like(x, np.inf))
-                else:
-                    x = b - d
-                    vals = fpanel(i, a, b, x, np.full_like(x, np.inf), d)
-            else:
+        # 1 +- tanh(u), computed without cancellation
+        e2u = np.exp(-2.0 * np.abs(u))
+        near = 2.0 * e2u / (1.0 + e2u)      # 1 - |tanh u|
+        far = 2.0 / (1.0 + e2u)             # 1 + |tanh u|
+        sel_l = np.where(u < 0, near, far)
+        sel_r = np.where(u < 0, far, near)
+        sech2 = np.cosh(u) ** 2
+        d = np.exp(u)
+        contrib = np.zeros(lo.size)
+        for batch in _batches(finite, max(1, _BATCH_NODES // t.size)):
+            span = slice(batch.start, batch.stop)
+            a = lo[span, None]
+            b = hi[span, None]
+            if finite[batch.start]:
                 half = 0.5 * (b - a)
-                mid = 0.5 * (a + b)
-                # 1 +- tanh(u), computed without cancellation
-                e2u = np.exp(-2.0 * np.abs(u))
-                near = 2.0 * e2u / (1.0 + e2u)      # 1 - |tanh u|
-                far = 2.0 / (1.0 + e2u)             # 1 + |tanh u|
-                dl = half * np.where(u < 0, near, far)
-                dr = half * np.where(u < 0, far, near)
+                dl = half * sel_l
+                dr = half * sel_r
                 x = np.where(u < 0, a + dl, b - dr)
-                w = half * 0.5 * np.pi * cosh_t / np.cosh(u) ** 2
-                vals = fpanel(i, a, b, x, dl, dr)
-            vals = np.where(np.isfinite(vals), vals, 0.0)
-            contrib[i] = np.dot(w, vals)
-            magnitude += h * float(np.dot(w, np.abs(vals)))
+                w = half * 0.5 * np.pi * cosh_t / sech2
+            else:
+                # exp-sinh map from the finite endpoint
+                w = (0.5 * np.pi * cosh_t * d)[None, :]
+                far_end = np.full_like(w, np.inf)
+                if np.isinf(hi[batch.start]):
+                    x, dl, dr = a + d, d[None, :], far_end
+                else:
+                    x, dl, dr = b - d, far_end, d[None, :]
+            ends = (np.repeat(lo[span], t.size), np.repeat(hi[span], t.size))
+            vals = fpanel(batch, *ends, x.ravel(), dl.ravel(), dr.ravel())
+            vals = np.asarray(vals, dtype=float).reshape(x.shape)
+            bad = np.count_nonzero(~np.isfinite(vals), axis=1)
+            for j, i in enumerate(batch):
+                if bad[j]:
+                    raise QuadratureError(
+                        f"integrand returned {bad[j]} non-finite values on panel {i} "
+                        f"[{float(lo[i])!r}, {float(hi[i])!r}] at level {level}"
+                    )
+                contrib[i] = np.dot(w[j], vals[j])
+                magnitude += h * float(np.dot(w[j], np.abs(vals[j])))
         if level == 0:
             totals = contrib.copy()
         else:

@@ -20,6 +20,7 @@ from spreadpoly.orthopoly import (
     evaluate_with_derivative,
     orthonormal_coeffs,
     zeros,
+    zeros_raw,
 )
 
 CTX = PrecisionContext()
@@ -161,6 +162,39 @@ def test_zeros_interlace():
     z6 = zeros(Family.laguerre(2.0), 6, CTX)
     for i in range(5):
         assert z6[i] < z5[i] < z6[i + 1]
+
+
+#: The bounded families of the large-degree Shannon sweep.
+BOUNDED = [("hermite", 0.0, 0.0)] + [("laguerre", a, 0.0) for a in (0.0, 0.5, 2.0, 5.0)] + [
+    ("jacobi", a, b) for a in (0.0, 0.5, 2.0) for b in (0.0, 0.5, 2.0)
+]
+
+
+@pytest.mark.parametrize("kind,alpha,beta", BOUNDED)
+def test_float_zeros_match_mpf_zeros(kind, alpha, beta):
+    eps = np.finfo(float).eps
+    for n in (1, 2, 3, 24, 64, 112):
+        got = zeros_raw(kind, alpha, beta, n, None)
+        ref = zeros_raw(kind, alpha, beta, n, 256)
+        assert len(got) == n and all(type(z) is float for z in got)
+        scale = max(1.0, max(abs(float(z)) for z in ref))
+        with mp.workprec(300):
+            worst = max(abs(mp.mpf(z) - r) for z, r in zip(got, ref))
+        assert worst <= 4 * eps * scale, (n, float(worst) / (eps * scale))
+        assert all(lo < hi for lo, hi in zip(got, got[1:]))
+        if kind == "hermite" or (kind == "jacobi" and alpha == beta):
+            assert got == [-z for z in reversed(got)]
+
+
+def test_float_zeros_fail_loudly(monkeypatch):
+    with pytest.raises(ParameterError):
+        zeros_raw("laguerre", -1.0, 0.0, 3, None)
+    with pytest.raises(ParameterError):
+        zeros_raw("jacobi", 0.0, -1.5, 3, None)
+    # the first step from the eigenvalue seeds is above the stopping test
+    monkeypatch.setattr("spreadpoly.orthopoly._NEWTON_MAX_ITER", 1)
+    with pytest.raises(ParameterError, match="did not settle"):
+        zeros_raw("hermite", 0.0, 0.0, 24, None)
 
 
 def test_degree_validation():

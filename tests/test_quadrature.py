@@ -12,6 +12,7 @@ from spreadpoly.quadrature import (
     NonIntegrableError,
     QuadratureError,
     WeightSpec,
+    _BATCH_NODES,
     gauss_rule,
     integrate_density_power,
     integrate_log_singular,
@@ -127,11 +128,53 @@ def test_tanh_sinh_known_integrals():
     assert abs(val - 6.0) < 1e-11
 
 
+LEGENDRE_112 = list(special.roots_legendre(112)[0])
+
+
 def test_tanh_sinh_split_invariance():
     f = lambda i, a, b, x, dl, dr: np.exp(-x * x)
     v1, _ = tanh_sinh_panels(f, [-np.inf, np.inf])
     v2, _ = tanh_sinh_panels(f, [-np.inf, -0.7, 0.3, np.inf])
     assert abs(v1 - v2) < 5e-13
+    v3, _ = tanh_sinh_panels(f, [-np.inf] + LEGENDRE_112 + [np.inf])
+    assert abs(v1 - v3) < 5e-13
+    v4, _ = tanh_sinh_panels(f, [-1.0, 1.0])
+    v5, _ = tanh_sinh_panels(f, [-1.0] + LEGENDRE_112 + [1.0])
+    assert abs(v4 - v5) < 5e-13
+
+
+def test_tanh_sinh_batches_panels_per_level():
+    pts = [-1.0] + LEGENDRE_112 + [1.0]
+    calls = []
+
+    def f(i, a, b, x, dl, dr):
+        calls.append((i, x.size))
+        assert a.shape == b.shape == x.shape == dl.shape == dr.shape
+        per = x.size // len(i)
+        assert np.array_equal(a, np.repeat([pts[k] for k in i], per))
+        assert np.array_equal(b, np.repeat([pts[k + 1] for k in i], per))
+        return np.cos(x)
+
+    val, _ = tanh_sinh_panels(f, pts)
+    assert abs(val - 2 * np.sin(1.0)) < 5e-13
+    by_level = {}
+    for i, size in calls:
+        assert isinstance(i, range) and size <= _BATCH_NODES
+        by_level.setdefault(size // len(i), []).append(i)
+    for per_panel, ranges in by_level.items():
+        # every panel once per level, in the fewest batches the cap allows
+        assert [k for r in ranges for k in r] == list(range(len(pts) - 1))
+        assert len(ranges) == -(-(len(pts) - 1) // max(1, _BATCH_NODES // per_panel))
+    assert len(by_level) >= 4
+
+
+def test_tanh_sinh_rejects_non_finite_values():
+    f = lambda i, a, b, x, dl, dr: np.where(np.abs(x - 0.3) < 0.05, np.nan, 1.0)
+    with pytest.raises(QuadratureError, match=r"non-finite values on panel 1 "):
+        tanh_sinh_panels(f, [0.0, 0.2, 0.4, 1.0])
+    g = lambda i, a, b, x, dl, dr: np.where(x > 5.0, np.inf, np.exp(-x))
+    with pytest.raises(QuadratureError, match=r"on panel 0 \[0.0, inf\]"):
+        tanh_sinh_panels(g, [0.0, np.inf])
 
 
 def test_integrate_log_singular():
