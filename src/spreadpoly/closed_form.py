@@ -23,7 +23,7 @@ from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family
 from .hypergeom import hyp2f1_terminating
 from .orthopoly import zeros_raw
-from .quadrature import WeightSpec, gauss_rule, tanh_sinh_panels
+from .quadrature import QuadratureError, WeightSpec, gauss_rule, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -159,10 +159,24 @@ def _float_zeros(family: Family, n: int):
 
 
 def fisher_information_numeric(family: Family, n: int, *, tol: float = 1e-10):
-    """Adaptive-quadrature Fisher functional (independent check route)."""
+    """Adaptive-quadrature Fisher functional (independent check route).
+
+    Beside an end where the weight exponent e is nonzero the integrand
+    behaves like |x - end|^(e-2), so the engine's estimate counts the mass
+    beyond its outermost node there, which is infinite for e <= 1 (the
+    divergent branches).  QuadratureError when the estimate exceeds ``tol``.
+    """
     lo, hi = family.interval
     pts = [lo] + _float_zeros(family, n) + [hi]
-    val, err = tanh_sinh_panels(_fisher_integrand(family, n), pts, tol=tol)
+    edges = tuple(e - 2.0 if e != 0 else 0.0 for e in family.edge_exponents)
+    val, err = tanh_sinh_panels(
+        _fisher_integrand(family, n), pts, tol=tol, edge_exponents=edges
+    )
+    if not err <= tol:
+        raise QuadratureError(
+            f"numeric Fisher information of {family.describe()} at n={n}: "
+            f"error estimate {err:.3g} exceeds tol {tol:g}"
+        )
     return mp.mpf(val)
 
 

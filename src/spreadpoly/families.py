@@ -71,6 +71,16 @@ class Family:
             return (mp.mpf(0), mp.inf)
         return (mp.mpf(-1), mp.mpf(1))
 
+    @property
+    def edge_exponents(self):
+        """(left, right): the weight behaves like |x - e|^exponent at each
+        finite end e of the interval; 0 at an infinite end."""
+        if self.kind == HERMITE:
+            return (0.0, 0.0)
+        if self.kind == LAGUERRE:
+            return (self.alpha, 0.0)
+        return (self.beta, self.alpha)
+
     def weight(self, x):
         """Pointwise weight value at x (mpf arithmetic)."""
         x = mp.mpf(x)

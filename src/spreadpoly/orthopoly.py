@@ -18,6 +18,7 @@ audit the other.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -245,11 +246,20 @@ def evaluate(p: PolyCoeffs, x):
     return evaluate_recurrence(p.family, p.degree, x)
 
 
-def evaluate_recurrence(family: Family, n: int, x):
-    x = mp.mpf(x)
+@functools.lru_cache(maxsize=64)
+def _recurrence_table(family: Family, n: int, prec: int):
+    """Recurrence coefficients up to degree n and p_0 = 1/sqrt(mu_0), built
+    at the active precision, which the caller passes as ``prec`` so that a
+    table is never reused at another precision."""
     diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
+    return tuple(diag), tuple(off), 1 / mp.sqrt(_norm_constant(family))
+
+
+def evaluate_recurrence(family: Family, n: int, x):
+    """p_n(x) by the recurrence at the active precision."""
+    x = mp.mpf(x)
+    diag, off, pk = _recurrence_table(family, n, mp.prec)
     pkm1 = mp.mpf(0)
-    pk = 1 / mp.sqrt(_norm_constant(family))
     for k in range(n):
         pk, pkm1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1], pk
     return pk
@@ -258,9 +268,8 @@ def evaluate_recurrence(family: Family, n: int, x):
 def evaluate_with_derivative(family: Family, n: int, x):
     """(p_n(x), p_n'(x)), both by recurrence."""
     x = mp.mpf(x)
-    diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
+    diag, off, pk = _recurrence_table(family, n, mp.prec)
     pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
-    pk = 1 / mp.sqrt(_norm_constant(family))
     dk = mp.mpf(0)
     for k in range(n):
         pk1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1]

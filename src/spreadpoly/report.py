@@ -25,7 +25,7 @@ from .closed_form import (
 )
 from .bell import length_from_power_integral, renyi_length_bell
 from .lauricella import renyi_length_laguerre_lauricella
-from .quadrature import integrate_density_power
+from .quadrature import QuadratureError, integrate_density_power
 from .shannon import (
     jacobi_trivial_bound,
     optimize_bound,
@@ -114,10 +114,13 @@ def build_report(
         m1 = moment_quadrature(family, n, 1, ctx)
         m2 = moment_quadrature(family, n, 2, ctx)
         oracle["stddev"] = Tagged(mp.sqrt(m2 - m1 * m1), TAG_ORACLE)
-        F = fisher_information_numeric(family, n)
-        oracle["fisher_length"] = Tagged(
-            mp.inf if F == 0 else 1 / mp.sqrt(F), TAG_ORACLE
-        )
+        try:
+            F = fisher_information_numeric(family, n)
+            oracle["fisher_length"] = Tagged(
+                mp.inf if F == 0 else 1 / mp.sqrt(F), TAG_ORACLE
+            )
+        except QuadratureError:
+            oracle["fisher_length"] = Tagged(None, TAG_ORACLE)
         for two_q in two_q_list:
             try:
                 order = RenyiOrder(two_q)

@@ -7,10 +7,13 @@ The entropy of rho_n = p_n^2 w splits as
 where the weight-log expectation collapses onto exact moments (fully for
 Hermite, partially for Laguerre) and the polynomial-log term carries all
 the logarithmic singularities, located at the zeros of p_n.  Each
-expectation is integrated with panel splits at those zeros: a vectorized
-float64 tanh-sinh engine when the weight exponents are nonnegative (the
-density is then bounded), an adaptive arbitrary-precision integrator
-otherwise.
+expectation is integrated with panel splits at those zeros by a vectorized
+float64 tanh-sinh engine, first for every family.  Its error estimate
+counts the mass it leaves out beside an endpoint where a negative weight
+exponent makes the density blow up; when the estimate exceeds the
+tolerance (exponents near -1, or tolerances below 1e-12) an adaptive
+arbitrary-precision integrator takes over.  ``ShannonResult.path`` says
+which of the two ran.
 
 Also here: the large-n entropy formulas, the universal linear relation
 between the Shannon length N = exp(S) and the standard deviation, and
@@ -49,21 +52,32 @@ __all__ = [
 
 _DEFAULT_CTX = PrecisionContext()
 
+PATH_FLOAT64 = "float64"
+PATH_MPF = "mpf"
+
 
 @dataclass(frozen=True)
 class ShannonResult:
-    """Entropy S (nats), length N = exp(S), and how they were obtained."""
+    """Entropy S (nats), length N = exp(S), and how they were obtained.
+
+    ``path`` names the integrator of a numeric result: ``"float64"`` (the
+    tanh-sinh engine) or ``"mpf"`` (the arbitrary-precision fallback).
+    """
 
     entropy: object
     length: object
     method: str
     est_error: object
+    path: str | None = None
 
     def __post_init__(self) -> None:
         if not self.length > 0:
             raise ParameterError("Shannon length must be positive")
         if self.method == "numeric" and not self.est_error > 0:
             raise ParameterError("numeric results need a positive error estimate")
+        paths = (PATH_FLOAT64, PATH_MPF) if self.method == "numeric" else (None,)
+        if self.path not in paths:
+            raise ParameterError(f"path {self.path!r} does not fit method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -167,12 +181,25 @@ def _log_factor_panel(family: Family, n: int, which: str):
     return fpanel
 
 
+@mp.workprec(53)
 def _entropy_fast(family: Family, n: int, tol: float):
-    """Float64 engine; valid when the density is bounded (exponents >= 0)."""
+    """Float64 engine for any exponents > -1.
+
+    S is assembled in 53-bit mpf whatever the caller's ``mp.prec``, so the
+    value does not depend on it.  The estimate includes the engine's
+    endpoint-tail term wherever a weight exponent is negative (the density
+    is unbounded there), so it is compared with ``tol`` like any other; it
+    grows without bound as an exponent approaches -1.
+    """
     lo, hi = family.interval
     pts = [lo] + _float_zeros(family, n) + [hi]
     piece_tol = tol / 3.0
-    log_p2, err = tanh_sinh_panels(_log_poly_panel(family, n), pts, tol=piece_tol)
+    edges = family.edge_exponents
+
+    def integral(fpanel):
+        return tanh_sinh_panels(fpanel, pts, tol=piece_tol, edge_exponents=edges)
+
+    log_p2, err = integral(_log_poly_panel(family, n))
     S = mp.mpf(-log_p2)
     est = err
     diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 2)
@@ -182,17 +209,13 @@ def _entropy_fast(family: Family, n: int, tol: float):
     elif family.kind == LAGUERRE:
         S += diag[n]  # <x> exactly
         if family.alpha != 0:
-            lnx, err2 = tanh_sinh_panels(
-                _log_factor_panel(family, n, "x"), pts, tol=piece_tol
-            )
+            lnx, err2 = integral(_log_factor_panel(family, n, "x"))
             S -= mp.mpf(family.alpha) * lnx
             est += abs(family.alpha) * err2
     else:
         for expo, which in ((family.alpha, "om"), (family.beta, "op")):
             if expo != 0:
-                val, err2 = tanh_sinh_panels(
-                    _log_factor_panel(family, n, which), pts, tol=piece_tol
-                )
+                val, err2 = integral(_log_factor_panel(family, n, which))
                 S -= mp.mpf(expo) * val
                 est += abs(expo) * err2
     return S, est
@@ -251,21 +274,24 @@ def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
 def shannon_numeric(
     family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX, *, tol: float = 1e-9
 ) -> ShannonResult:
-    """S = -integral rho ln rho, split at the zeros of p_n; N = exp(S)."""
+    """S = -integral rho ln rho, split at the zeros of p_n; N = exp(S).
+
+    The float64 engine runs first when ``tol >= 1e-12``; the mpf integrator
+    takes over when its estimate exceeds ``tol``.  The result does not
+    depend on the caller's ``mp.prec``.
+    """
     if n < 0:
         raise ParameterError("degree must be nonnegative")
-    bounded = family.kind == HERMITE or (
-        family.alpha >= 0 and (family.kind == LAGUERRE or family.beta >= 0)
-    )
-    if bounded and tol >= 1e-12:
+    est = mp.inf
+    if tol >= 1e-12:
         S, est = _entropy_fast(family, n, tol)
-        if est > tol:
-            S, est = _entropy_mpf(family, n, ctx, tol)
-    else:
+        path = PATH_FLOAT64
+    if not est <= tol:
         S, est = _entropy_mpf(family, n, ctx, tol)
+        path = PATH_MPF
     with mp.workprec(ctx.bits):
         est = max(mp.mpf(est), mp.eps * (1 + abs(S)))
-        return ShannonResult(+S, +mp.exp(S), "numeric", +est)
+        return ShannonResult(+S, +mp.exp(S), "numeric", +est, path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Closed-form stddev, Fisher information/length, Cramer-Rao products,
 and moments, against hand-derived values and the numeric routes."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mpmath import mp
 
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
+from spreadpoly.quadrature import QuadratureError
 from spreadpoly.closed_form import (
     asymptotic_cramer_rao,
     cramer_rao_product,
@@ -92,6 +94,21 @@ def test_fisher_closed_matches_numeric(fam):
     F = fisher_information(fam, 4, CTX)
     Fn = fisher_information_numeric(fam, 4)
     assert abs(F - Fn) / F < 1e-9
+
+
+@pytest.mark.parametrize(
+    "fam, n",
+    [
+        (Family.laguerre(0.5), 0),  # F = inf: the integrand is x^-1.5 at 0
+        (Family.laguerre(1.0), 0),  # F = inf: x^-1
+        (Family.laguerre(1.5), 0),  # F = 2, but x^-0.5 leaves 1.6e-9 beyond the last node
+        (Family.jacobi(0.5, 0.5), 2),
+    ],
+)
+def test_fisher_numeric_fails_loudly(fam, n):
+    where = re.escape(f"{fam.describe()} at n={n}: error estimate")
+    with pytest.raises(QuadratureError, match=where):
+        fisher_information_numeric(fam, n)
 
 
 def test_cramer_rao_product_hermite_is_half():

@@ -16,6 +16,7 @@ from scipy import special
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
 from spreadpoly.orthopoly import (
+    _recurrence_table,
     evaluate_recurrence,
     evaluate_with_derivative,
     orthonormal_coeffs,
@@ -118,6 +119,21 @@ def test_chebyshev_case_has_no_pole():
     c = orthonormal_coeffs(Family.jacobi(-0.5, -0.5), 0, CTX).coeffs
     with mp.workprec(CTX.bits):
         assert abs(c[0] - 1 / mp.sqrt(mp.pi)) < mp.mpf(2) ** (20 - CTX.bits)
+
+
+def test_recurrence_tables_are_kept_per_precision():
+    fam = Family.jacobi(-0.25, 0.5)
+    _recurrence_table.cache_clear()
+    with mp.workprec(64):
+        low = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
+    with mp.workprec(512):
+        high = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
+        _, dhigh = evaluate_with_derivative(fam, 9, mp.mpf(1) / 3)
+    _recurrence_table.cache_clear()
+    with mp.workprec(512):
+        assert evaluate_recurrence(fam, 9, mp.mpf(1) / 3) == high
+        assert evaluate_with_derivative(fam, 9, mp.mpf(1) / 3) == (high, dhigh)
+    assert abs(high - low) > 0
 
 
 def test_derivative_consistent_with_difference_quotient():

@@ -177,6 +177,37 @@ def test_tanh_sinh_rejects_non_finite_values():
         tanh_sinh_panels(g, [0.0, np.inf])
 
 
+@pytest.mark.parametrize("gamma", [-0.9, -0.8])
+def test_tanh_sinh_edge_tail_covers_truncated_mass(gamma):
+    left = lambda i, a, b, x, dl, dr: x**gamma
+    right = lambda i, a, b, x, dl, dr: ((1.0 - b) + dr) ** gamma
+    laguerre = lambda i, a, b, x, dl, dr: x**gamma * np.exp(-x)
+    cases = [
+        (left, [0.0, 0.5, 1.0], 1 / (1 + gamma), (gamma, 0.0)),
+        (right, [0.0, 0.5, 1.0], 1 / (1 + gamma), (0.0, gamma)),
+        (laguerre, [0.0, np.inf], special.gamma(1 + gamma), (gamma, 0.0)),
+    ]
+    for f, pts, exact, edges in cases:
+        val, est = tanh_sinh_panels(f, pts, edge_exponents=edges)
+        assert abs(val - exact) <= est <= 4 * abs(val - exact)
+        # without the tail term, or with it on the wrong end, the estimate
+        # misses the mass beyond the outermost node
+        for wrong in ((0.0, 0.0), edges[::-1]):
+            if not np.isinf(pts[-1]) or wrong[1] == 0:
+                assert tanh_sinh_panels(f, pts, edge_exponents=wrong)[1] < abs(val - exact)
+
+
+def test_tanh_sinh_edge_tail_limits():
+    f = lambda i, a, b, x, dl, dr: x**-0.5
+    assert tanh_sinh_panels(f, [0.0, 1.0], edge_exponents=(-1.0, 0.0))[1] == np.inf
+    with pytest.raises(ParameterError, match="infinite end"):
+        tanh_sinh_panels(f, [0.0, np.inf], edge_exponents=(0.0, -0.5))
+    g = lambda i, a, b, x, dl, dr: np.exp(-x * x)
+    assert tanh_sinh_panels(g, [-1.0, 1.0], edge_exponents=(0.0, 0.5)) == tanh_sinh_panels(
+        g, [-1.0, 1.0]
+    )
+
+
 def test_integrate_log_singular():
     # integral_0^1 x^{-1/2} ln x dx = -4
     ctx = PrecisionContext(bits=128, rel_tol=1e-20)

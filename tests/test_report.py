@@ -62,6 +62,13 @@ def test_laguerre_report_includes_lauricella_cross_route():
     assert abs(lau.value - rep.renyi[4].value) < mp.mpf(1e-20)
 
 
+def test_divergent_oracle_fisher_length_is_undefined():
+    # F = inf on this branch; the numeric oracle raises instead of a finite value
+    rep = build_report(Family.laguerre(0.5), 0, (4,), FAST, include_oracle=True)
+    assert rep.oracle["fisher_length"] == Tagged(None, "oracle")
+    assert rep.fisher_length.value == 0
+
+
 def test_format_value_round_trip():
     for v in (1 / 3, 1.2345678901234567e-5, 2.0, -17.25):
         assert float(format_value(v)) == v

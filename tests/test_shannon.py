@@ -2,6 +2,8 @@
 against exactly known ground states, large-n displays, and entropy bounds."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from spreadpoly.context import ParameterError, PrecisionContext
@@ -75,10 +77,78 @@ def test_fast_and_mpf_paths_agree():
     assert abs(fast.entropy - slow.entropy) < mp.mpf(1e-9)
 
 
-def test_negative_exponent_uses_mpf_path():
+def test_negative_exponent_takes_float64_path():
     res = shannon_numeric(Family.jacobi(-0.5, -0.5), 2, CTX)
     assert mp.isfinite(res.entropy)
     assert res.est_error < mp.mpf(1e-8)
+    assert res.path == "float64"
+
+
+def _ground_state_entropy(fam):
+    """Closed-form S of rho_0 = w / mu_0 for Laguerre and Jacobi."""
+    a, b = mp.mpf(fam.alpha), mp.mpf(fam.beta)
+    if fam.kind == "laguerre":
+        return mp.loggamma(a + 1) - a * mp.digamma(a + 1) + a + 1
+    ln2, psi_ab = mp.log(2), mp.digamma(a + b + 2)
+    return (
+        (a + b + 1) * ln2
+        + mp.log(mp.beta(a + 1, b + 1))
+        - a * (ln2 + mp.digamma(a + 1) - psi_ab)
+        - b * (ln2 + mp.digamma(b + 1) - psi_ab)
+    )
+
+
+@pytest.mark.parametrize(
+    "fam, path",
+    [
+        (Family.laguerre(-0.4), "float64"),
+        (Family.laguerre(-0.25), "float64"),
+        (Family.jacobi(-0.5, 0.0), "float64"),
+        (Family.jacobi(-0.25, -0.25), "float64"),
+        # the mass beyond the outermost node is too large for tol = 1e-9
+        (Family.laguerre(-0.5), "mpf"),
+        # singular end on the right of the single n = 0 panel
+        (Family.jacobi(-0.7, 2.0), "mpf"),
+        (Family.jacobi(2.0, -0.7), "mpf"),
+    ],
+)
+def test_negative_exponent_ground_states(fam, path):
+    res = shannon_numeric(fam, 0, FAST, tol=1e-9)
+    assert res.path == path
+    with mp.workprec(CTX.bits):
+        err = abs(res.entropy - _ground_state_entropy(fam))
+    assert err <= 1e-9
+    if path == "float64":
+        assert err <= res.est_error <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "fam", [Family.laguerre(-0.7), Family.jacobi(-0.25, -0.25)]
+)
+def test_negative_exponent_float64_matches_mpf(fam):
+    fast = shannon_numeric(fam, 5, FAST, tol=1e-9)
+    slow = shannon_numeric(fam, 5, FAST, tol=1e-13)
+    assert (fast.path, slow.path) == ("float64", "mpf")
+    assert abs(fast.entropy - slow.entropy) <= fast.est_error <= 1e-9
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["laguerre", "jacobi"]),
+    alpha=st.floats(-0.4, 3.0),
+    beta=st.floats(-0.4, 3.0),
+    n=st.integers(0, 8),
+)
+def test_float64_path_ignores_ambient_precision(kind, alpha, beta, n):
+    fam = Family.laguerre(alpha) if kind == "laguerre" else Family.jacobi(alpha, beta)
+    with mp.workprec(53):
+        low = shannon_numeric(fam, n, CTX, tol=1e-9)
+    with mp.workprec(1024):
+        high = shannon_numeric(fam, n, CTX, tol=1e-9)
+    assert low.path == "float64"
+    assert (low.entropy, low.length, low.est_error) == (
+        high.entropy, high.length, high.est_error
+    )
 
 
 def test_reflection_invariance():
@@ -183,4 +253,8 @@ def test_result_validation():
     with pytest.raises(ParameterError):
         ShannonResult(mp.mpf(0), mp.mpf(0), "numeric", mp.mpf(1e-9))
     with pytest.raises(ParameterError):
-        ShannonResult(mp.mpf(1), mp.exp(1), "numeric", mp.mpf(0))
+        ShannonResult(mp.mpf(1), mp.exp(1), "numeric", mp.mpf(0), "float64")
+    with pytest.raises(ParameterError):
+        ShannonResult(mp.mpf(1), mp.exp(1), "numeric", mp.mpf(1e-9))
+    with pytest.raises(ParameterError):
+        ShannonResult(mp.mpf(1), mp.exp(1), "asymptotic", mp.inf, "mpf")
