@@ -21,7 +21,6 @@ combinatorial oracle.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from mpmath import mp
@@ -33,6 +32,7 @@ from .context import (
     with_escalation,
 )
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from ._mpkernels import bell_row
 from .hypergeom import hyp2f1_terminating
 from .orthopoly import orthonormal_coeffs
 
@@ -51,17 +51,8 @@ _DEFAULT_CTX = PrecisionContext()
 
 def _bell_row(args, max_m: int, l: int):
     """B_{m,l} for all m <= max_m, by the layered recurrence."""
-    prev = [mp.mpf(1)] + [mp.mpf(0)] * max_m  # l = 0 layer
-    for layer in range(1, l + 1):
-        cur = [mp.mpf(0)] * (max_m + 1)
-        for m in range(layer, max_m + 1):
-            acc = []
-            for i in range(1, m - layer + 2):
-                if i <= len(args) and args[i - 1] != 0:
-                    acc.append(math.comb(m - 1, i - 1) * args[i - 1] * prev[m - i])
-            cur[m] = mp.fsum(acc)
-        prev = cur
-    return prev
+    row = bell_row([a._mpf_ for a in args], max_m, l, mp.prec)
+    return [mp.make_mpf(v) for v in row]
 
 
 def partial_bell(m: int, l: int, args) -> object:
@@ -127,20 +118,28 @@ def polynomial_power_coeffs(coeffs, p: int) -> list:
     return out
 
 
+def _jacobi_moment_prefactor(a, b):
+    """2^{1+a+b} Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), the k=0 moment of
+    (1-x)^a (1+x)^b on [-1, 1]."""
+    return mp.power(2, 1 + a + b) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
+
+
+def _jacobi_moment(k: int, prefactor, a, b):
+    """Integral of x^k against (1-x)^a (1+x)^b, given the prefactor.
+
+    (-1)^k prefactor 2F1(-k, 1+b; 2+a+b; 2).  Negating a product rounds
+    to the negated product, so the sign may be applied last.
+    """
+    m = prefactor * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
+    return -m if k % 2 else m
+
+
 def jacobi_power_moment(k: int, q, alpha, beta):
     """Integral of x^k against (1-x)^{alpha q} (1+x)^{beta q} on [-1, 1]."""
     qf = mp.mpf(q)
     a = mp.mpf(alpha) * qf
     b = mp.mpf(beta) * qf
-    sign = -1 if k % 2 else 1
-    return (
-        sign
-        * mp.power(2, 1 + a + b)
-        * mp.gamma(a + 1)
-        * mp.gamma(b + 1)
-        / mp.gamma(a + b + 2)
-        * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
-    )
+    return _jacobi_moment(k, _jacobi_moment_prefactor(a, b), a, b)
 
 
 def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int, rel_tol: float):
@@ -160,9 +159,12 @@ def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int, rel
             for k, dk in enumerate(d):
                 terms.append(dk * mp.gamma(aq + k + 1) / mp.power(q, aq + k + 1))
         else:
+            a = mp.mpf(family.alpha) * q
+            b = mp.mpf(family.beta) * q
+            prefactor = _jacobi_moment_prefactor(a, b)
             for k, dk in enumerate(d):
                 if dk != 0:
-                    terms.append(dk * jacobi_power_moment(k, q, family.alpha, family.beta))
+                    terms.append(dk * _jacobi_moment(k, prefactor, a, b))
         return +cancellation_clamp(mp.fsum(terms), terms, bits)
 
 

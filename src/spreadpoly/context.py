@@ -89,7 +89,7 @@ def cancellation_clamp(total, terms, bits):
     """
     if not mp.isfinite(total) or total == 0:
         return total
-    scale = mp.fsum(abs(t) for t in terms)
+    scale = mp.fsum(terms, absolute=True)
     if abs(total) <= scale * mp.mpf(2) ** (12 - bits):
         return mp.mpf(0)
     return total

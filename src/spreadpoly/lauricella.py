@@ -29,7 +29,7 @@ from .context import (
     cancellation_clamp,
     with_escalation,
 )
-from .families import Family, RenyiOrder
+from .families import RenyiOrder
 from .bell import length_from_power_integral
 from .hypergeom import terminating_2f0
 
@@ -205,10 +205,3 @@ def renyi_length_laguerre_n1(alpha, q, ctx: PrecisionContext = _DEFAULT_CTX):
         )
         sign = -1 if order.two_q % 2 else 1  # classical -> leading-positive at n=1
         return +length_from_power_integral(sign * W, order)
-
-
-def renyi_power_integral_lauricella(family: Family, n: int, q, ctx=_DEFAULT_CTX):
-    """Family-typed convenience wrapper (Laguerre only)."""
-    if family.kind != "laguerre":
-        raise ParameterError("the linearization route exists for laguerre only")
-    return laguerre_power_integral_lauricella(n, family.alpha, q, ctx)

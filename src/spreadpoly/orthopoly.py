@@ -11,34 +11,36 @@ The recurrence coefficients of the three classical weights are standard
 Approximation", or the NIST DLMF chapter 18) after rescaling the
 classical normalizations to unit norm.
 
-Two evaluation routes are provided — the stable recurrence and direct
-monomial (Horner) summation over explicit coefficients — so each can
-audit the other.
+Two descriptions of p_n are kept, so each can audit the other: explicit
+monomial coefficients (:func:`orthonormal_coeffs`, the input of the Bell
+route) and the recurrence.  All mpf recurrence work goes through one
+evaluator, :func:`spreadpoly._mpkernels.recurrence`: p_n
+(:func:`evaluate_recurrence`), p_n with p_n' (:func:`evaluate_with_derivative`
+and the Newton polish of :func:`zeros_raw`), and the running sum of p_k^2
+(the Christoffel weights of the Gauss rules in ``quadrature``).  Its float64
+counterpart is ``_vec.poly_scaled``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, agrees, cancellation_clamp
+from ._mpkernels import recurrence
 from ._vec import poly_scaled, recurrence_float
 from .families import HERMITE, JACOBI, LAGUERRE, Family
 
 __all__ = [
     "PolyCoeffs",
-    "recurrence_coeffs",
     "orthonormal_coeffs",
-    "coeffs_from_recurrence",
     "evaluate",
-    "evaluate_monomial",
     "evaluate_with_derivative",
-    "rakhmanov_density",
     "zeros",
 ]
 
@@ -105,22 +107,22 @@ def raw_recurrence(kind: str, alpha, beta, count: int):
     return diag, off
 
 
-def recurrence_coeffs(family: Family, n: int) -> list:
-    """[(a_0, b_0), ..., (a_n, b_n)] for the orthonormal recurrence."""
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
-    diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    return list(zip(diag, off))
-
-
 def _leading_positive(coeffs: list) -> tuple:
     if coeffs[-1] < 0:
         coeffs = [-c for c in coeffs]
     return tuple(coeffs)
 
 
-def _explicit_coeffs(family: Family, n: int) -> tuple:
-    """Explicit monomial coefficients at the active precision."""
+@functools.lru_cache(maxsize=2)
+def _explicit_coeffs(family: Family, n: int, prec: int) -> tuple:
+    """Explicit monomial coefficients at the active precision, which the
+    caller passes as ``prec`` so that a set is never reused at another
+    precision.
+
+    :func:`orthonormal_coeffs` compares the sets at b and 2b bits, and a
+    Bell value escalates it through b, 2b, 4b, ...; with two entries kept,
+    each escalation step reuses the set its predecessor built last.
+    """
     kind = family.kind
     a = mp.mpf(family.alpha)
     b = mp.mpf(family.beta)
@@ -142,7 +144,7 @@ def _explicit_coeffs(family: Family, n: int) -> tuple:
     if kind == LAGUERRE:
         norm = mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n))
         c = [
-            (-1 if t % 2 else 1) * norm * mp.binomial(n, t) / mp.gamma(a + t + 1)
+            (-1 if t % 2 else 1) * norm * math.comb(n, t) / mp.gamma(a + t + 1)
             for t in range(n + 1)
         ]
         return _leading_positive(c)
@@ -163,16 +165,14 @@ def _explicit_coeffs(family: Family, n: int) -> tuple:
     poch = [mp.mpf(1)] * (n + 1)
     for i in range(n):
         poch[i + 1] = poch[i] * (s0 + i)
+    # C(n, i) and 2^i Gamma(a+i+1) do not depend on t
+    binom = [mp.mpf(math.comb(n, i)) for i in range(n + 1)]
+    den = [mp.power(2, i) * mp.gamma(a + i + 1) for i in range(n + 1)]
     c = []
     for t in range(n + 1):
         terms = []
         for i in range(t, n + 1):
-            term = (
-                mp.binomial(n, i)
-                * mp.binomial(i, t)
-                * poch[i]
-                / (mp.power(2, i) * mp.gamma(a + i + 1))
-            )
+            term = binom[i] * math.comb(i, t) * poch[i] / den[i]
             terms.append(-term if (i - t) % 2 else term)
         # a == b zeroes alternate coefficients exactly; snap the noise
         acc = cancellation_clamp(mp.fsum(terms), terms, mp.prec)
@@ -192,11 +192,11 @@ def orthonormal_coeffs(
         raise ParameterError("degree must be nonnegative")
     bits = ctx.bits
     with mp.workprec(bits):
-        prev = _explicit_coeffs(family, n)
+        prev = _explicit_coeffs(family, n, bits)
     for _ in range(ctx.max_escalations + 1):
         bits *= 2
         with mp.workprec(bits):
-            cur = _explicit_coeffs(family, n)
+            cur = _explicit_coeffs(family, n, bits)
         if all(agrees(p, c, ctx.rel_tol) for p, c in zip(prev, cur)):
             with mp.workprec(ctx.bits):
                 out = tuple(+c for c in cur)
@@ -205,27 +205,6 @@ def orthonormal_coeffs(
     raise ParameterError(
         f"coefficients failed to stabilise for {family.describe()}, n={n}"
     )
-
-
-def coeffs_from_recurrence(
-    family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX
-) -> PolyCoeffs:
-    """Monomial coefficients built by running the recurrence symbolically."""
-    with mp.workprec(ctx.bits):
-        diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-        mu0 = _norm_constant(family)
-        prev = [mp.mpf(0)] * (n + 1)
-        cur = [mp.mpf(0)] * (n + 1)
-        cur[0] = 1 / mp.sqrt(mu0)
-        for k in range(n):
-            nxt = [mp.mpf(0)] * (n + 1)
-            for j in range(k + 1):
-                nxt[j + 1] += cur[j]
-                nxt[j] -= diag[k] * cur[j]
-                nxt[j] -= off[k] * prev[j]
-            nxt = [v / off[k + 1] for v in nxt]
-            prev, cur = cur, nxt
-        return PolyCoeffs(family, n, tuple(cur[: n + 1]))
 
 
 def _norm_constant(family: Family):
@@ -248,54 +227,27 @@ def evaluate(p: PolyCoeffs, x):
 
 @functools.lru_cache(maxsize=64)
 def _recurrence_table(family: Family, n: int, prec: int):
-    """Recurrence coefficients up to degree n and p_0 = 1/sqrt(mu_0), built
-    at the active precision, which the caller passes as ``prec`` so that a
-    table is never reused at another precision."""
+    """Recurrence coefficients up to degree n and p_0 = 1/sqrt(mu_0), as
+    libmp tuples built at the active precision, which the caller passes as
+    ``prec`` so that a table is never reused at another precision."""
     diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    return tuple(diag), tuple(off), 1 / mp.sqrt(_norm_constant(family))
+    p0 = 1 / mp.sqrt(_norm_constant(family))
+    return tuple(v._mpf_ for v in diag), tuple(v._mpf_ for v in off), p0._mpf_
 
 
 def evaluate_recurrence(family: Family, n: int, x):
     """p_n(x) by the recurrence at the active precision."""
     x = mp.mpf(x)
-    diag, off, pk = _recurrence_table(family, n, mp.prec)
-    pkm1 = mp.mpf(0)
-    for k in range(n):
-        pk, pkm1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1], pk
-    return pk
+    diag, off, p0 = _recurrence_table(family, n, mp.prec)
+    return mp.make_mpf(recurrence(x._mpf_, diag, off, p0, n, mp.prec)[0])
 
 
 def evaluate_with_derivative(family: Family, n: int, x):
     """(p_n(x), p_n'(x)), both by recurrence."""
     x = mp.mpf(x)
-    diag, off, pk = _recurrence_table(family, n, mp.prec)
-    pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
-    dk = mp.mpf(0)
-    for k in range(n):
-        pk1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1]
-        dk1 = ((x - diag[k]) * dk + pk - off[k] * dkm1) / off[k + 1]
-        pk, pkm1 = pk1, pk
-        dk, dkm1 = dk1, dk
-    return pk, dk
-
-
-def evaluate_monomial(p: PolyCoeffs, x):
-    """Horner summation of the stored coefficients (audit route)."""
-    x = mp.mpf(x)
-    acc = mp.mpf(0)
-    for c in reversed(p.coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def rakhmanov_density(family: Family, n: int, x):
-    """Density p_n(x)^2 w(x); may be +inf at a singular endpoint."""
-    x = mp.mpf(x)
-    w = family.weight(x)
-    if not mp.isfinite(w):
-        return w
-    v = evaluate_recurrence(family, n, x)
-    return v * v * w
+    diag, off, p0 = _recurrence_table(family, n, mp.prec)
+    p, dp, _ = recurrence(x._mpf_, diag, off, p0, n, mp.prec, derivative=True)
+    return mp.make_mpf(p), mp.make_mpf(dp)
 
 
 #: Float64 Newton on the zeros stops once every step is at most this many
@@ -365,22 +317,16 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
         d64 = np.array([float(v) for v in diag[:n]])
         e64 = np.array([float(v) for v in off[1:n]])
         seeds = _eigen_seeds(d64, e64)
-
-        def poly_pair(x):
-            pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
-            pk, dk = mp.mpf(1), mp.mpf(0)
-            for k in range(n):
-                pk1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1]
-                dk1 = ((x - diag[k]) * dk + pk - off[k] * dkm1) / off[k + 1]
-                pk, pkm1, dk, dkm1 = pk1, pk, dk1, dk
-            return pk, dk
+        diag = [v._mpf_ for v in diag]
+        off = [v._mpf_ for v in off]
+        one = mp.mpf(1)._mpf_
 
         out = []
         for s in seeds:
             z = mp.mpf(float(s))
             for _ in range(64):
-                v, dv = poly_pair(z)
-                step = v / dv
+                v, dv, _ = recurrence(z._mpf_, diag, off, one, n, mp.prec, derivative=True)
+                step = mp.make_mpf(v) / mp.make_mpf(dv)
                 z -= step
                 if abs(step) <= mp.eps * (1 + abs(z)) * 4:
                     break

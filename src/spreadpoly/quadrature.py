@@ -10,6 +10,9 @@ Construction follows Golub–Welsch: nodes are the eigenvalues of the
 symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
 serve only as seeds; each node is polished by an mpf Newton iteration and
 weights come from the Christoffel function, ``w_i = 1 / sum_k p_k(x_i)^2``.
+Both run on the package's one mpf recurrence evaluator
+(``_mpkernels.recurrence``).  Built rules are kept in a bounded LRU cache
+keyed by weight, size and precision.
 
 Two adaptive integrators serve the Shannon integrals:
 
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
+from ._mpkernels import recurrence
 from .context import ParameterError, PrecisionContext, cancellation_clamp
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
 from .orthopoly import evaluate_recurrence, raw_recurrence, zeros_raw
@@ -116,23 +120,26 @@ class QuadratureRule:
         return mp.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
 
 
-@functools.lru_cache(maxsize=None)
+#: Rules kept by ``_standard_rule``.  The criterion 3 grid looks up fewer
+#: than 2% of its rules a second time, so the bound caps the memory of a
+#: long sweep at the cost of very few rebuilds.
+_RULE_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _standard_rule(kind: str, alpha: float, beta: float, m: int, bits: int):
     """Unit-scale rule: nodes/weights as mpf tuples at `bits` precision."""
     with mp.workprec(bits + 20):
         nodes = zeros_raw(kind, alpha, beta, m, bits)
         diag, off = raw_recurrence(kind, alpha, beta, m + 1)
+        diag = [v._mpf_ for v in diag]
+        off = [v._mpf_ for v in off]
         mu0 = _weight_moment_impl(WeightSpec(kind, alpha, beta), 0)
-        c0 = 1 / mp.sqrt(mu0)
+        c0 = (1 / mp.sqrt(mu0))._mpf_
         weights = []
         for x in nodes:
-            pkm1 = mp.mpf(0)
-            pk = c0
-            acc = pk * pk
-            for k in range(m - 1):
-                pk, pkm1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1], pk
-                acc += pk * pk
-            weights.append(1 / acc)
+            ssq = recurrence(x._mpf_, diag, off, c0, m - 1, mp.prec, sumsq=True)[2]
+            weights.append(1 / mp.make_mpf(ssq))
         return tuple(nodes), tuple(weights)
 
 

@@ -1,8 +1,25 @@
 import sys
 
 import pytest
+from mpmath import mp
 
 from spreadpoly.context import PrecisionContext
+
+
+@pytest.fixture(autouse=True)
+def _precision_is_restored():
+    """Fail any test that leaves ``mp.prec`` changed.
+
+    The libmp kernels read ``mp.prec`` directly, so a leaked precision
+    would silently change the values of every later test.  The precision
+    is restored before the failure is reported.
+    """
+    before = mp.prec
+    yield
+    after = mp.prec
+    if after != before:
+        mp.prec = before
+        pytest.fail(f"test left mp.prec at {after} bits (was {before})")
 
 
 @pytest.fixture(scope="session")

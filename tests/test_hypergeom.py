@@ -66,3 +66,9 @@ def test_rejects_non_terminating_input():
         hyp2f1_terminating(0.5, 1.5, 2.0, 0.3)
     with pytest.raises(ParameterError):
         terminating_2f0(0.5, 1.0, 0.1)
+
+
+def test_rejects_lower_parameter_pole():
+    # (c + j) hits 0 at j = 1 before the series terminates at j = 3
+    with pytest.raises(ParameterError):
+        hyp2f1_terminating(-3, 1.0, -1.0, 2.0)
