@@ -40,7 +40,6 @@ from .lauricella import (
 )
 from .shannon import (
     ShannonResult,
-    digamma,
     jacobi_trivial_bound,
     optimize_bound,
     ratio_check,
@@ -72,7 +71,6 @@ __all__ = [
     "build_report",
     "cramer_rao_product",
     "default_context",
-    "digamma",
     "evaluate_recurrence",
     "fisher_information",
     "fisher_length",

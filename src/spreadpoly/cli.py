@@ -43,7 +43,15 @@ from .shannon import (
     shannon_asymptotic,
     shannon_numeric,
 )
-from .report import TAG_ASYMPTOTIC, TAG_BELL, TAG_CLOSED, TAG_ORACLE, rows_to_csv, rows_to_json
+from .report import (
+    ABSENT,
+    TAG_ASYMPTOTIC,
+    TAG_BELL,
+    TAG_CLOSED,
+    TAG_ORACLE,
+    rows_to_csv,
+    rows_to_json,
+)
 from .verification import available_scopes, run_scope
 
 __all__ = ["main", "build_parser"]
@@ -128,8 +136,8 @@ def _context_from_args(args) -> PrecisionContext:
 
 
 def _family_columns(family: Family):
-    alpha = family.alpha if family.kind != "hermite" else None
-    beta = family.beta if family.kind == "jacobi" else None
+    alpha = family.alpha if family.kind != "hermite" else ABSENT
+    beta = family.beta if family.kind == "jacobi" else ABSENT
     return alpha, beta
 
 

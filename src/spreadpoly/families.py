@@ -93,15 +93,6 @@ class Family:
         one = mp.mpf(1)
         return (one - x) ** mp.mpf(self.alpha) * (one + x) ** mp.mpf(self.beta)
 
-    def log_weight(self, x):
-        """ln(weight) at x; -inf/+inf at singular endpoints."""
-        x = mp.mpf(x)
-        if self.kind == HERMITE:
-            return -x * x
-        if self.kind == LAGUERRE:
-            return mp.mpf(self.alpha) * mp.log(x) - x
-        return mp.mpf(self.alpha) * mp.log(1 - x) + mp.mpf(self.beta) * mp.log(1 + x)
-
     def describe(self) -> str:
         if self.kind == HERMITE:
             return "hermite"

@@ -19,8 +19,6 @@ package convention (even 2q is unaffected).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp
 
 from .context import (
@@ -34,9 +32,7 @@ from .bell import length_from_power_integral
 from .hypergeom import terminating_2f0
 
 __all__ = [
-    "ThetaCoefficient",
     "lauricella_fa_terminating",
-    "theta_coefficient",
     "laguerre_power_integral_lauricella",
     "renyi_length_laguerre_lauricella",
     "renyi_length_laguerre_n0",
@@ -45,17 +41,6 @@ __all__ = [
 ]
 
 _DEFAULT_CTX = PrecisionContext()
-
-
-@dataclass(frozen=True)
-class ThetaCoefficient:
-    """k-th linearization coefficient of a 2q-th Laguerre power."""
-
-    n: int
-    order: RenyiOrder
-    alpha: float
-    k: int
-    value: object
 
 
 def _poly_mul(p, c) -> list:
@@ -116,14 +101,17 @@ def lauricella_fa_terminating(a, upper, lower, z, budget: int = 40_000_000):
     return cancellation_clamp(mp.fdot(poch_a, prod), scale, mp.prec)
 
 
-def theta_coefficient(
-    n: int, q, alpha, k: int, ctx: PrecisionContext = _DEFAULT_CTX
-) -> ThetaCoefficient:
-    """Linearization coefficient Theta_k of the 2q-th Laguerre power.
+def laguerre_power_integral_lauricella(
+    n: int, alpha, q, ctx: PrecisionContext = _DEFAULT_CTX
+):
+    """W_q for Laguerre by the linearization route (package sign convention).
 
-    Gamma(alpha q + 1) * C(n+alpha, n)^{2q} *
-    F_A^{(2q+1)}(alpha q + 1; -n,...,-n, -k; alpha+1,...,alpha+1, 1;
-                 1/q,...,1/q, 1).
+    Orthogonality leaves the k=0 linearization coefficient of the 2q-th
+    power,
+        Theta_0 = Gamma(alpha q + 1) * C(n+alpha, n)^{2q} *
+        F_A^{(2q+1)}(alpha q + 1; -n,...,-n, 0; alpha+1,...,alpha+1, 1;
+                     1/q,...,1/q, 1),
+    evaluated under precision escalation.
     """
     order = RenyiOrder.from_q(q)
     two_q = order.two_q
@@ -136,30 +124,21 @@ def theta_coefficient(
             a = mp.mpf(alpha)
             fa = lauricella_fa_terminating(
                 a * qf + 1,
-                [-n] * two_q + [-k],
+                [-n] * two_q + [0],
                 [a + 1] * two_q + [1],
                 [1 / qf] * two_q + [1],
             )
             return +(mp.gamma(a * qf + 1) * mp.binomial(n + a, n) ** two_q * fa)
 
-    value = with_escalation(compute, ctx)
-    return ThetaCoefficient(n, order, float(alpha), k, value)
-
-
-def laguerre_power_integral_lauricella(
-    n: int, alpha, q, ctx: PrecisionContext = _DEFAULT_CTX
-):
-    """W_q for Laguerre by the linearization route (package sign convention)."""
-    order = RenyiOrder.from_q(q)
-    theta0 = theta_coefficient(n, order, alpha, 0, ctx)
+    theta0 = with_escalation(compute, ctx)
     with mp.workprec(ctx.bits):
         qf = order.q_mpf()
         a = mp.mpf(alpha)
         pref = mp.power(
             mp.factorial(n) / mp.gamma(a + n + 1), qf
         ) / mp.power(qf, a * qf + 1)
-        sign = -1 if (n * order.two_q) % 2 else 1
-        return +(sign * pref * theta0.value)
+        sign = -1 if (n * two_q) % 2 else 1
+        return +(sign * pref * theta0)
 
 
 def renyi_length_laguerre_lauricella(

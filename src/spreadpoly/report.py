@@ -49,6 +49,11 @@ TAG_LAURICELLA = "lauricella"
 TAG_ORACLE = "oracle"
 TAG_ASYMPTOTIC = "asymptotic"
 
+#: A field the row's family does not have (Hermite's alpha and beta): an
+#: empty CSV field and a JSON null whatever the null style, since it is
+#: absent rather than undefined or infinite.
+ABSENT = object()
+
 _DEFAULT_CTX = PrecisionContext()
 
 
@@ -185,6 +190,8 @@ def build_report(
 
 def format_value(v, null_style: str = "inf") -> str:
     """17-significant-digit decimal; undefined/non-finite per null_style."""
+    if v is ABSENT:
+        return ""
     if v is None:
         return "inf" if null_style == "inf" else ""
     if isinstance(v, str):
@@ -218,6 +225,8 @@ def rows_to_csv(header, rows, null_style: str = "inf", meta=None) -> str:
 
 
 def _json_value(v, null_style: str):
+    if v is ABSENT:
+        return None
     if v is None:
         return "inf" if null_style == "inf" else None
     if isinstance(v, (str, int, bool)):

@@ -4,16 +4,16 @@ The entropy of rho_n = p_n^2 w splits as
 
     S = -<ln p_n^2> - <ln w>
 
-where the weight-log expectation collapses onto exact moments (fully for
-Hermite, partially for Laguerre) and the polynomial-log term carries all
-the logarithmic singularities, located at the zeros of p_n.  Each
-expectation is integrated with panel splits at those zeros by a vectorized
-float64 tanh-sinh engine, first for every family.  Its error estimate
-counts the mass it leaves out beside an endpoint where a negative weight
-exponent makes the density blow up; when the estimate exceeds the
-tolerance (exponents near -1, or tolerances below 1e-12) an adaptive
-arbitrary-precision integrator takes over.  ``ShannonResult.path`` says
-which of the two ran.
+where the weight-log expectation <ln w> has a closed form for every
+family (digamma values; see ``_mean_log_weight``), so each value takes one
+numeric integral: the polynomial-log term, which carries all the
+logarithmic singularities, located at the zeros of p_n.  It is integrated
+with panel splits at those zeros by a vectorized float64 tanh-sinh engine,
+first for every family.  Its error estimate counts the mass it leaves out
+beside an endpoint where a negative weight exponent makes the density blow
+up; when the estimate exceeds the tolerance (exponents near -1, or
+tolerances below 1e-12) an adaptive arbitrary-precision integrator takes
+over.  ``ShannonResult.path`` says which of the two ran.
 
 Also here: the large-n entropy formulas, the universal linear relation
 between the Shannon length N = exp(S) and the standard deviation, and
@@ -30,7 +30,7 @@ from scipy.optimize import minimize_scalar
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family
-from .orthopoly import evaluate_recurrence, raw_recurrence, zeros
+from .orthopoly import evaluate_recurrence, zeros
 from .quadrature import integrate_log_singular, tanh_sinh_panels
 from .closed_form import _float_zeros, laguerre_real_moment, moment, stddev
 from ._vec import poly_scaled
@@ -38,7 +38,6 @@ from ._vec import poly_scaled
 __all__ = [
     "ShannonResult",
     "InequalityAudit",
-    "digamma",
     "shannon_numeric",
     "shannon_asymptotic",
     "ratio_constant",
@@ -93,44 +92,6 @@ class InequalityAudit:
         return self.ok
 
 
-def digamma(x):
-    """psi(x) for x > 0 at the active working precision.
-
-    The argument is lifted by the downward recurrence
-    psi(x) = psi(x+1) - 1/x until the large-argument series
-
-        psi(z) = ln z - 1/(2z) - sum_{k>=1} B_{2k} / (2k z^{2k})
-
-    can terminate below the target precision (the optimal-truncation tail
-    behaves like exp(-2 pi z), so the lift threshold scales with the bit
-    count).
-    """
-    with mp.extraprec(16):
-        z = mp.mpf(x)
-        if not z > 0:
-            raise ParameterError("digamma implemented for positive arguments")
-        thresh = 0.14 * mp.prec + 6
-        shifts = []
-        while z < thresh:
-            shifts.append(1 / z)
-            z += 1
-        acc = mp.log(z) - 1 / (2 * z)
-        z2 = z * z
-        zpow = z2
-        prev = mp.inf
-        for k in range(1, 8 * max(mp.prec, 53)):
-            term = mp.bernoulli(2 * k) / (2 * k * zpow)
-            if abs(term) >= prev:
-                break
-            acc -= term
-            prev = abs(term)
-            if prev <= mp.eps * abs(acc):
-                break
-            zpow *= z2
-        out = acc - mp.fsum(shifts)
-    return +out
-
-
 # ---------------------------------------------------------------------------
 # Numeric entropy
 # ---------------------------------------------------------------------------
@@ -159,66 +120,52 @@ def _log_poly_panel(family: Family, n: int):
     return fpanel
 
 
-def _log_factor_panel(family: Family, n: int, which: str):
-    """rho times one of ln x, ln(1-x), ln(1+x) (weight-log pieces)."""
-    kind, al, be = family.kind, family.alpha, family.beta
+def _mean_log_weight(family: Family, n: int):
+    """<ln w> under rho_n in closed form, at the working precision.
 
-    def fpanel(i, a, b, x, dl, dr):
-        p, logscale = poly_scaled(kind, al, be, n, x)
-        if kind == LAGUERRE:
-            xv = np.maximum(x, 1e-320)
-            logw = al * np.log(xv) - x
-            factor = np.log(xv)
-        else:
-            om = (1.0 - b) + dr
-            op = (1.0 + a) + dl
-            logw = al * np.log(om) + be * np.log(op)
-            factor = np.log(om) if which == "om" else np.log(op)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            rho = np.where(p == 0.0, 0.0, np.exp(2.0 * (np.log(np.abs(p)) + logscale) + logw))
-        return rho * factor
+    Hermite: -<x^2> = -(n + 1/2).  Laguerre: alpha psi(n+alpha+1) - <x>
+    with <x> = 2n+alpha+1.  Jacobi: alpha E(alpha, beta) + beta E(beta,
+    alpha), where E(a, b) = <ln(1-x)>
+        = ln 2 + psi(n+a+1) + psi(n+a+b+1) - 2 psi(s) - 1/s,  s = 2n+a+b+1,
+    and ln 2 + psi(a+1) - psi(a+b+2) at n = 0, where the general form has
+    a removable 0/0 at a+b = -1 (Dehesa, Martinez-Finkelshtein and
+    Sanchez-Ruiz, J. Comput. Appl. Math. 133, 2001).
+    """
+    if family.kind == HERMITE:
+        return -mp.mpf(2 * n + 1) / 2
+    a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+    if family.kind == LAGUERRE:
+        return a * mp.digamma(n + a + 1) - (2 * n + a + 1)
 
-    return fpanel
+    def mean_log_one_minus_x(a, b):
+        if n == 0:
+            return mp.log(2) + mp.digamma(a + 1) - mp.digamma(a + b + 2)
+        s = 2 * n + a + b + 1
+        return (
+            mp.log(2) + mp.digamma(n + a + 1) + mp.digamma(n + a + b + 1)
+            - 2 * mp.digamma(s) - 1 / s
+        )
+
+    return a * mean_log_one_minus_x(a, b) + b * mean_log_one_minus_x(b, a)
 
 
 @mp.workprec(53)
 def _entropy_fast(family: Family, n: int, tol: float):
-    """Float64 engine for any exponents > -1.
+    """Float64 engine for any exponents > -1: one integral, <ln p^2>.
 
-    S is assembled in 53-bit mpf whatever the caller's ``mp.prec``, so the
-    value does not depend on it.  The estimate includes the engine's
-    endpoint-tail term wherever a weight exponent is negative (the density
-    is unbounded there), so it is compared with ``tol`` like any other; it
-    grows without bound as an exponent approaches -1.
+    S = -<ln p^2> - <ln w> is assembled in 53-bit mpf whatever the
+    caller's ``mp.prec``, so the value does not depend on it; <ln w> is
+    the closed form.  The estimate includes the engine's endpoint-tail
+    term wherever a weight exponent is negative (the density is unbounded
+    there), so it is compared with ``tol`` like any other; it grows
+    without bound as an exponent approaches -1.
     """
     lo, hi = family.interval
     pts = [lo] + _float_zeros(family, n) + [hi]
-    piece_tol = tol / 3.0
-    edges = family.edge_exponents
-
-    def integral(fpanel):
-        return tanh_sinh_panels(fpanel, pts, tol=piece_tol, edge_exponents=edges)
-
-    log_p2, err = integral(_log_poly_panel(family, n))
-    S = mp.mpf(-log_p2)
-    est = err
-    diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 2)
-    if family.kind == HERMITE:
-        # <ln w> = -<x^2>, exact from the recurrence
-        S += diag[n] ** 2 + off[n] ** 2 + off[n + 1] ** 2
-    elif family.kind == LAGUERRE:
-        S += diag[n]  # <x> exactly
-        if family.alpha != 0:
-            lnx, err2 = integral(_log_factor_panel(family, n, "x"))
-            S -= mp.mpf(family.alpha) * lnx
-            est += abs(family.alpha) * err2
-    else:
-        for expo, which in ((family.alpha, "om"), (family.beta, "op")):
-            if expo != 0:
-                val, err2 = integral(_log_factor_panel(family, n, which))
-                S -= mp.mpf(expo) * val
-                est += abs(expo) * err2
-    return S, est
+    log_p2, est = tanh_sinh_panels(
+        _log_poly_panel(family, n), pts, tol=tol, edge_exponents=family.edge_exponents
+    )
+    return -mp.mpf(log_p2) - _mean_log_weight(family, n), est
 
 
 def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
@@ -233,42 +180,10 @@ def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
                 return mp.mpf(0)
             return p * p * family.weight(x) * mp.log(p * p)
 
-        val, err = integrate_log_singular(
+        val, est = integrate_log_singular(
             log_p2_term, (lo, hi), zs, ctx, abs_floor=tol / 4
         )
-        S = -val
-        est = err
-        diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 2)
-        if family.kind == HERMITE:
-            S += diag[n] ** 2 + off[n] ** 2 + off[n + 1] ** 2
-        elif family.kind == LAGUERRE:
-            S += diag[n]
-            if family.alpha != 0:
-
-                def lnx_term(x):
-                    p = evaluate_recurrence(family, n, x)
-                    return p * p * family.weight(x) * mp.log(x)
-
-                val, err = integrate_log_singular(
-                    lnx_term, (lo, hi), zs, ctx, abs_floor=tol / 4
-                )
-                S -= mp.mpf(family.alpha) * val
-                est += abs(family.alpha) * err
-        else:
-            for expo, side in ((family.alpha, 1), (family.beta, -1)):
-                if expo == 0:
-                    continue
-
-                def weight_log_term(x, side=side):
-                    p = evaluate_recurrence(family, n, x)
-                    return p * p * family.weight(x) * mp.log(1 - side * x)
-
-                val, err = integrate_log_singular(
-                    weight_log_term, (lo, hi), zs, ctx, abs_floor=tol / 4
-                )
-                S -= mp.mpf(expo) * val
-                est += abs(expo) * err
-        return +S, +est
+        return -val - _mean_log_weight(family, n), +est
 
 
 def shannon_numeric(
@@ -312,7 +227,7 @@ def shannon_asymptotic(family: Family, n: int) -> ShannonResult:
             a = mp.mpf(family.alpha)
             S = (
                 (a + 1) * mp.log(n)
-                - a * digamma(a + n + 1)
+                - a * mp.digamma(a + n + 1)
                 - 1
                 + mp.log(2 * mp.pi)
             )

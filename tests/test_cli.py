@@ -26,7 +26,7 @@ def test_measures_hermite_csv(capsys):
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "hermite"
-    assert first[1] == "inf" and first[2] == "inf"  # no alpha/beta for hermite
+    assert first[1] == "" and first[2] == ""  # hermite has no alpha/beta
     assert first[3] == "0"
     # Delta x = sqrt(1/2) for the Gaussian ground state, 17 digits
     assert first[4] == "0.70710678118654757"
@@ -75,6 +75,18 @@ def test_measures_json_with_provenance(capsys):
     assert data[0]["family"] == "jacobi"
     assert data[0]["provenance"]["stddev"] == "closed_form"
     assert data[0]["provenance"]["shannon_N"] == "oracle"
+
+
+def test_absent_parameter_is_json_null(capsys):
+    # under the default --null-style inf too: absent is neither inf nor undefined
+    rc, out, _ = run(
+        capsys,
+        "measures", "--family", "laguerre", "--alpha", "1", "--n", "0",
+        "--format", "json", "--bits", "128",
+    )
+    assert rc == 0
+    row = json.loads(out)[0]
+    assert row["alpha"] == 1.0 and row["beta"] is None
 
 
 def test_meta_lines_only_when_requested(capsys):

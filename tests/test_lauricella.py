@@ -14,7 +14,6 @@ from spreadpoly.lauricella import (
     renyi_length_laguerre_lauricella,
     renyi_length_laguerre_n0,
     renyi_length_laguerre_n1,
-    theta_coefficient,
 )
 
 CTX = PrecisionContext()
@@ -76,12 +75,6 @@ def test_power_integral_matches_bell_route(alpha, two_q, n):
         assert Wl == 0
     else:
         assert abs(Wl - Wb) < mp.mpf(1e-40) * abs(Wb)
-
-
-def test_theta_zero_coefficient_orders_match():
-    th = theta_coefficient(2, 2, 0.5, 0, CTX)
-    assert th.n == 2 and th.k == 0 and th.order.two_q == 4
-    assert mp.isfinite(th.value)
 
 
 def test_degree_zero_closed_bracket():

@@ -8,10 +8,11 @@ from mpmath import mp
 
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
+from spreadpoly.orthopoly import evaluate_recurrence, zeros
 from spreadpoly.shannon import (
     InequalityAudit,
     ShannonResult,
-    digamma,
+    _mean_log_weight,
     jacobi_trivial_bound,
     optimize_bound,
     ratio_check,
@@ -25,22 +26,6 @@ from spreadpoly.shannon import (
 
 CTX = PrecisionContext()
 FAST = PrecisionContext(bits=128, rel_tol=1e-18)
-
-
-@pytest.mark.parametrize("x", ["0.25", "1", "3.5", "17", "123.625"])
-def test_digamma_matches_mpmath(x):
-    for bits in (64, 128, 256):
-        with mp.workprec(bits):
-            got = digamma(mp.mpf(x))
-            want = mp.digamma(mp.mpf(x))
-            assert abs(got - want) < abs(want) * mp.eps * 8 + mp.eps * 8
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        digamma(0)
-    with pytest.raises(ParameterError):
-        digamma(-2.5)
 
 
 def test_gaussian_ground_state_entropy():
@@ -68,6 +53,32 @@ def test_uniform_ground_state_entropy():
     with mp.workprec(CTX.bits):
         assert abs(res.entropy - mp.log(2)) < mp.mpf(1e-7)
         assert abs(res.length - 2) < mp.mpf(1e-7)
+
+
+_MEAN_LOG_WEIGHT_CELLS = (
+    [(Family.laguerre(a), n) for a in (-0.5, 0.0, 2.0, 5.0) for n in (0, 1, 3, 7)]
+    + [
+        (Family.jacobi(a, b), n)
+        for a, b in ((0.0, 0.0), (-0.5, 0.5), (2.0, 0.5), (0.5, 3.0))
+        for n in (0, 1, 4, 7)
+    ]
+    # alpha + beta = -1: the removable 0/0 of the general form at n = 0
+    + [(Family.jacobi(a, b), n) for a, b in ((-0.5, -0.5), (0.5, -0.5)) for n in (0, 1, 2)]
+)
+
+
+@pytest.mark.parametrize("fam, n", _MEAN_LOG_WEIGHT_CELLS)
+def test_mean_log_weight_matches_quadrature(fam, n):
+    ctx = PrecisionContext(bits=160)
+    with mp.workprec(ctx.bits):
+
+        def weight_log_term(x):
+            w = fam.weight(x)
+            return evaluate_recurrence(fam, n, x) ** 2 * w * mp.log(w)
+
+        lo, hi = fam.interval
+        want = mp.quad(weight_log_term, [lo] + (zeros(fam, n, ctx) if n else []) + [hi])
+        assert abs(_mean_log_weight(fam, n) - want) <= mp.mpf(1e-20)
 
 
 def test_fast_and_mpf_paths_agree():
@@ -105,11 +116,13 @@ def _ground_state_entropy(fam):
         (Family.laguerre(-0.25), "float64"),
         (Family.jacobi(-0.5, 0.0), "float64"),
         (Family.jacobi(-0.25, -0.25), "float64"),
-        # the mass beyond the outermost node is too large for tol = 1e-9
-        (Family.laguerre(-0.5), "mpf"),
+        (Family.laguerre(-0.5), "float64"),
         # singular end on the right of the single n = 0 panel
-        (Family.jacobi(-0.7, 2.0), "mpf"),
-        (Family.jacobi(2.0, -0.7), "mpf"),
+        (Family.jacobi(-0.7, 2.0), "float64"),
+        (Family.jacobi(2.0, -0.7), "float64"),
+        # the mass beyond the outermost node is too large for tol = 1e-9
+        (Family.laguerre(-0.7), "mpf"),
+        (Family.jacobi(-0.9, 0.5), "mpf"),
     ],
 )
 def test_negative_exponent_ground_states(fam, path):

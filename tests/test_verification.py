@@ -23,6 +23,13 @@ def test_stddev_scope_all_pass():
     assert all(isinstance(c, Check) for c in checks)
 
 
+def test_shannon_scope_all_pass():
+    checks = run_scope("shannon", FAST)
+    closed = [c for c in checks if c.name.startswith("shannon/mean-log-weight/")]
+    assert len(closed) == 6
+    assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+
+
 def test_erratum_scope_documents_display_mismatch():
     checks = run_scope("erratum", FAST)
     assert all(c.ok for c in checks)
