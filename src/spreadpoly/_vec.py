@@ -4,7 +4,8 @@ Backs the throughput path of the adaptive integrators: the three-term
 recurrence runs on numpy arrays with per-node renormalization, carrying a
 log-scale so values far out in the weight tails (where p_n overflows
 float64 by hundreds of orders of magnitude) stay representable as
-``p = p_scaled * exp(logscale)``.
+``p = p_scaled * exp(logscale)``.  The coefficients are those of the mpf
+evaluators: ``families.recurrence_table`` run in float64 arithmetic.
 """
 
 from __future__ import annotations
@@ -13,49 +14,10 @@ import math
 
 import numpy as np
 
-from .families import HERMITE, JACOBI, LAGUERRE
+from .families import recurrence_table
 
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
-
-
-def recurrence_float(kind: str, alpha: float, beta: float, count: int):
-    """(a_k, b_k) arrays in float64 for k < count."""
-    ks = np.arange(count, dtype=float)
-    if kind == HERMITE:
-        return np.zeros(count), np.sqrt(ks / 2.0)
-    if kind == LAGUERRE:
-        return 2.0 * ks + alpha + 1.0, np.sqrt(ks * (ks + alpha))
-    a, b = alpha, beta
-    diag = np.empty(count)
-    off = np.empty(count)
-    for k in range(count):
-        s = 2.0 * k + a + b
-        if k == 0:
-            diag[k] = (b - a) / (a + b + 2.0)
-            off[k] = 0.0
-        else:
-            diag[k] = (b * b - a * a) / (s * (s + 2.0))
-            if k == 1:
-                off[k] = 2.0 * math.sqrt((1 + a) * (1 + b) / (3 + a + b)) / (2 + a + b)
-            else:
-                off[k] = (
-                    2.0 * math.sqrt(k * (k + a) * (k + b) * (k + a + b) / (s * s - 1.0)) / s
-                )
-    return diag, off
-
-
-def norm_constant_float(kind: str, alpha: float, beta: float) -> float:
-    if kind == HERMITE:
-        return math.sqrt(math.pi)
-    if kind == LAGUERRE:
-        return math.gamma(alpha + 1.0)
-    return (
-        2.0 ** (alpha + beta + 1.0)
-        * math.gamma(alpha + 1.0)
-        * math.gamma(beta + 1.0)
-        / math.gamma(alpha + beta + 2.0)
-    )
 
 
 def poly_scaled(kind, alpha, beta, n, x, derivative=False):
@@ -65,10 +27,10 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
     values are ``p * exp(logscale)`` elementwise.
     """
     x = np.asarray(x, dtype=float)
-    diag, off = recurrence_float(kind, alpha, beta, n + 1)
+    diag, off, p0 = recurrence_table(kind, alpha, beta, n + 1)
     logscale = np.zeros_like(x)
     pkm1 = np.zeros_like(x)
-    pk = np.full_like(x, 1.0 / math.sqrt(norm_constant_float(kind, alpha, beta)))
+    pk = np.full_like(x, p0)
     if derivative:
         dkm1 = np.zeros_like(x)
         dk = np.zeros_like(x)

@@ -273,40 +273,40 @@ def cmd_asymptotics(args) -> int:
     }
     alpha, beta = _family_columns(family)
     rate = asymptotic_cramer_rao(family, ctx)
+    rows = []
     with mp.workprec(ctx.bits):
         limit = ratio_constant()
-    rows = []
-    for n in degrees:
-        where = f"{family.describe()} n={n}"
-        sh = _cell(f"shannon {where}", lambda: shannon_numeric(family, n, ctx))
-        sa = _cell(f"shannon asymptotic {where}", lambda: shannon_asymptotic(family, n))
-        dx = _cell(f"stddev {where}", lambda: stddev(family, n, ctx))
-        cr = _cell(f"cramer_rao {where}", lambda: cramer_rao_product(family, n, ctx))
-        ratio = sh.length / dx
-        if n > 0 or rate.exponent == 0:
-            cr_at = rate.at(n)
-        else:
-            cr_at = None
-        if cr is None or cr_at is None or mp.isinf(cr):
-            cr_dev = None
-        else:
-            scale = max(abs(cr), abs(cr_at))
-            cr_dev = abs(cr - cr_at) / scale if scale else mp.mpf(0)
-        row = {
-            "family": family.kind, "alpha": alpha, "beta": beta, "n": n,
-            "S_num": sh.entropy,
-            "S_asym": None if sa is None else sa.entropy,
-            "N_num": sh.length,
-            "N_asym": None if sa is None else sa.length,
-            "ratio": ratio,
-            "ratio_dev": abs(ratio - limit),
-            "cr_product": cr,
-            "cr_asym": cr_at,
-            "cr_rel_dev": cr_dev,
-        }
-        if args.format == "json":
-            row["provenance"] = provenance
-        rows.append(row)
+        for n in degrees:
+            where = f"{family.describe()} n={n}"
+            sh = _cell(f"shannon {where}", lambda: shannon_numeric(family, n, ctx))
+            sa = _cell(f"shannon asymptotic {where}", lambda: shannon_asymptotic(family, n))
+            dx = _cell(f"stddev {where}", lambda: stddev(family, n, ctx))
+            cr = _cell(f"cramer_rao {where}", lambda: cramer_rao_product(family, n, ctx))
+            ratio = sh.length / dx
+            if n > 0 or rate.exponent == 0:
+                cr_at = rate.at(n)
+            else:
+                cr_at = None
+            if cr is None or cr_at is None or mp.isinf(cr):
+                cr_dev = None
+            else:
+                scale = max(abs(cr), abs(cr_at))
+                cr_dev = abs(cr - cr_at) / scale if scale else mp.mpf(0)
+            row = {
+                "family": family.kind, "alpha": alpha, "beta": beta, "n": n,
+                "S_num": sh.entropy,
+                "S_asym": None if sa is None else sa.entropy,
+                "N_num": sh.length,
+                "N_asym": None if sa is None else sa.length,
+                "ratio": ratio,
+                "ratio_dev": abs(ratio - limit),
+                "cr_product": cr,
+                "cr_asym": cr_at,
+                "cr_rel_dev": cr_dev,
+            }
+            if args.format == "json":
+                row["provenance"] = provenance
+            rows.append(row)
     meta = _base_meta(args, ctx)
     if meta is not None:
         meta.update({"command": "asymptotics", "family": family.describe(),
@@ -326,27 +326,28 @@ def cmd_bounds(args) -> int:
                   "margin": TAG_CLOSED}
     alpha, beta = _family_columns(family)
     rows = []
-    for n in degrees:
-        where = f"{family.describe()} n={n}"
-        sh = _cell(f"shannon_N {where}", lambda: shannon_numeric(family, n, ctx))
-        if family.kind == "jacobi":
-            bound, param = jacobi_trivial_bound(), None
-        else:
-            bound, param = _cell(
-                f"bound {where}", lambda: optimize_bound(family, n, None, ctx)
-            )
-        margin = bound - sh.length
-        row = {
-            "family": family.kind, "alpha": alpha, "beta": beta, "n": n,
-            "shannon_N": sh.length,
-            "bound": bound,
-            "bound_param": param,
-            "dominates": int(sh.length <= bound + sh.est_error * sh.length),
-            "margin": margin,
-        }
-        if args.format == "json":
-            row["provenance"] = provenance
-        rows.append(row)
+    with mp.workprec(ctx.bits):
+        for n in degrees:
+            where = f"{family.describe()} n={n}"
+            sh = _cell(f"shannon_N {where}", lambda: shannon_numeric(family, n, ctx))
+            if family.kind == "jacobi":
+                bound, param = jacobi_trivial_bound(), None
+            else:
+                bound, param = _cell(
+                    f"bound {where}", lambda: optimize_bound(family, n, None, ctx)
+                )
+            margin = bound - sh.length
+            row = {
+                "family": family.kind, "alpha": alpha, "beta": beta, "n": n,
+                "shannon_N": sh.length,
+                "bound": bound,
+                "bound_param": param,
+                "dominates": int(sh.length <= bound + sh.est_error * sh.length),
+                "margin": margin,
+            }
+            if args.format == "json":
+                row["provenance"] = provenance
+            rows.append(row)
     meta = _base_meta(args, ctx)
     if meta is not None:
         meta.update({"command": "bounds", "family": family.describe()})

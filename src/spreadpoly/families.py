@@ -1,4 +1,4 @@
-"""Classical weight families and the Rényi order type.
+"""Classical weight families, their recurrence tables, and the Rényi order type.
 
 A :class:`Family` names one of the three classical orthogonality weights
 
@@ -10,10 +10,17 @@ and is the key under which every other module looks up recurrence
 coefficients, quadrature rules and closed-form measures.  Parameters are
 stored as Python floats (exact binary values), so converting them to mpf
 at any working precision is deterministic.
+
+The recurrence coefficients (a_k, b_k) of the orthonormal polynomials and
+the weight's zeroth moment mu_0 are written here once, as formulas that run
+in mpf or in float64 arithmetic, and every table is read through one cache,
+:func:`recurrence_table`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +28,16 @@ from mpmath import mp
 
 from .context import ParameterError
 
-__all__ = ["Family", "RenyiOrder", "HERMITE", "LAGUERRE", "JACOBI"]
+__all__ = [
+    "Family",
+    "RenyiOrder",
+    "HERMITE",
+    "LAGUERRE",
+    "JACOBI",
+    "raw_recurrence",
+    "norm_constant",
+    "recurrence_table",
+]
 
 HERMITE = "hermite"
 LAGUERRE = "laguerre"
@@ -147,3 +163,87 @@ class RenyiOrder:
     def __str__(self) -> str:
         q = self.q
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+# ---------------------------------------------------------------------------
+# Recurrence coefficients
+# ---------------------------------------------------------------------------
+
+
+def _check_exponents(kind: str, alpha, beta) -> None:
+    if kind != HERMITE and not alpha > -1:
+        raise ParameterError("alpha must exceed -1")
+    if kind == JACOBI and not beta > -1:
+        raise ParameterError("beta must exceed -1")
+
+
+def raw_recurrence(kind: str, alpha, beta, count: int, lib=mp):
+    """(a_k, b_k) for k < count of the orthonormal recurrence
+
+        x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1},
+
+    in the arithmetic of ``lib``: ``mp`` gives mpf at the active precision,
+    ``math`` gives Python floats, by the same operations in the same order.
+    ``alpha``/``beta`` may be any reals > -1 (quadrature uses shifted,
+    non-integer parameters).  b_0 is returned as 0: it multiplies the
+    nonexistent p_{-1}.
+    """
+    num = getattr(lib, "mpf", float)  # math has no number type of its own
+    a = num(alpha)
+    b = num(beta)
+    _check_exponents(kind, a, b)
+    diag, off = [], []
+    for k in range(count):
+        km = num(k)
+        if kind == HERMITE:
+            diag.append(num(0))
+            off.append(lib.sqrt(km / 2))
+        elif kind == LAGUERRE:
+            diag.append(2 * km + a + 1)
+            off.append(lib.sqrt(km * (km + a)))
+        else:
+            s = 2 * km + a + b
+            if k == 0:
+                diag.append((b - a) / (a + b + 2))
+                off.append(num(0))
+            else:
+                diag.append((b * b - a * a) / (s * (s + 2)))
+                if k == 1:
+                    # limit form: the generic b_1^2 is 0/0 at alpha+beta = -1
+                    off.append(2 * lib.sqrt((1 + a) * (1 + b) / (3 + a + b)) / (2 + a + b))
+                else:
+                    off.append(
+                        2
+                        * lib.sqrt(km * (km + a) * (km + b) * (km + a + b) / (s * s - 1))
+                        / s
+                    )
+    return diag, off
+
+
+def norm_constant(kind: str, alpha, beta, lib=mp):
+    """mu_0, the integral of the bare weight over its interval, in the
+    arithmetic of ``lib`` (as in :func:`raw_recurrence`)."""
+    num = getattr(lib, "mpf", float)
+    a = num(alpha)
+    b = num(beta)
+    if kind == HERMITE:
+        return lib.sqrt(lib.pi)
+    if kind == LAGUERRE:
+        return lib.gamma(a + 1)
+    return 2 ** (a + b + 1) * lib.gamma(a + 1) * lib.gamma(b + 1) / lib.gamma(a + b + 2)
+
+
+@functools.lru_cache(maxsize=64)
+def recurrence_table(kind: str, alpha, beta, count: int, prec=None):
+    """((a_k), (b_k), p_0) for k < count, with p_0 = 1/sqrt(mu_0).
+
+    With ``prec=None`` the entries are Python floats.  Otherwise they are
+    libmp tuples built at ``prec`` bits, whatever the active precision.
+    """
+    if prec is None:
+        diag, off = raw_recurrence(kind, alpha, beta, count, math)
+        return tuple(diag), tuple(off), 1 / math.sqrt(norm_constant(kind, alpha, beta, math))
+    with mp.workprec(prec):
+        diag, off = raw_recurrence(kind, alpha, beta, count)
+        p0 = 1 / mp.sqrt(norm_constant(kind, alpha, beta))
+    return tuple(v._mpf_ for v in diag), tuple(v._mpf_ for v in off), p0._mpf_

@@ -9,7 +9,10 @@ recurrence
 The recurrence coefficients of the three classical weights are standard
 (see e.g. Gautschi, "Orthogonal Polynomials: Computation and
 Approximation", or the NIST DLMF chapter 18) after rescaling the
-classical normalizations to unit norm.
+classical normalizations to unit norm.  They and p_0 = 1/sqrt(mu_0) are
+written once, in ``families``, and every evaluator here reads them through
+:func:`spreadpoly.families.recurrence_table`: libmp tuples at the working
+precision for the mpf evaluators, floats for the float64 zeros.
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
 monomial coefficients (:func:`orthonormal_coeffs`, the input of the Bell
@@ -18,7 +21,7 @@ evaluator, :func:`spreadpoly._mpkernels.recurrence`: p_n
 (:func:`evaluate_recurrence`), p_n with p_n' (:func:`evaluate_with_derivative`
 and the Newton polish of :func:`zeros_raw`), and the running sum of p_k^2
 (the Christoffel weights of the Gauss rules in ``quadrature``).  Its float64
-counterpart is ``_vec.poly_scaled``.
+counterpart is ``_vec.poly_scaled``, which reads the same table in floats.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, agrees, cancellation_clamp
 from ._mpkernels import recurrence
-from ._vec import poly_scaled, recurrence_float
-from .families import HERMITE, JACOBI, LAGUERRE, Family
+from ._vec import poly_scaled
+from .families import HERMITE, JACOBI, LAGUERRE, Family, recurrence_table
+from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.py traces it here
 
 __all__ = [
     "PolyCoeffs",
@@ -60,51 +64,6 @@ class PolyCoeffs:
             raise ParameterError("coefficient vector must have length degree+1")
         if self.coeffs[-1] == 0:
             raise ParameterError("leading coefficient must be nonzero")
-
-
-def _check_exponents(kind: str, alpha, beta) -> None:
-    if kind != HERMITE and not alpha > -1:
-        raise ParameterError("alpha must exceed -1")
-    if kind == JACOBI and not beta > -1:
-        raise ParameterError("beta must exceed -1")
-
-
-def raw_recurrence(kind: str, alpha, beta, count: int):
-    """(a_k, b_k) for k < count, as mpf at the active precision.
-
-    ``alpha``/``beta`` may be any reals > -1 (quadrature uses shifted,
-    non-integer parameters).  b_0 is returned as 0: it multiplies the
-    nonexistent p_{-1}.
-    """
-    a = mp.mpf(alpha)
-    b = mp.mpf(beta)
-    _check_exponents(kind, a, b)
-    diag, off = [], []
-    for k in range(count):
-        km = mp.mpf(k)
-        if kind == HERMITE:
-            diag.append(mp.mpf(0))
-            off.append(mp.sqrt(km / 2))
-        elif kind == LAGUERRE:
-            diag.append(2 * km + a + 1)
-            off.append(mp.sqrt(km * (km + a)))
-        else:
-            s = 2 * km + a + b
-            if k == 0:
-                diag.append((b - a) / (a + b + 2))
-                off.append(mp.mpf(0))
-            else:
-                diag.append((b * b - a * a) / (s * (s + 2)))
-                if k == 1:
-                    # limit form: the generic b_1^2 is 0/0 at alpha+beta = -1
-                    off.append(2 * mp.sqrt((1 + a) * (1 + b) / (3 + a + b)) / (2 + a + b))
-                else:
-                    off.append(
-                        2
-                        * mp.sqrt(km * (km + a) * (km + b) * (km + a + b) / (s * s - 1))
-                        / s
-                    )
-    return diag, off
 
 
 def _leading_positive(coeffs: list) -> tuple:
@@ -207,45 +166,22 @@ def orthonormal_coeffs(
     )
 
 
-def _norm_constant(family: Family):
-    """Zeroth weight moment (integral of the bare weight over the interval)."""
-    a = mp.mpf(family.alpha)
-    b = mp.mpf(family.beta)
-    if family.kind == HERMITE:
-        return mp.sqrt(mp.pi)
-    if family.kind == LAGUERRE:
-        return mp.gamma(a + 1)
-    return (
-        mp.power(2, a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
-    )
-
-
 def evaluate(p: PolyCoeffs, x):
     """p_n(x) by the stable recurrence (coefficients are not used)."""
     return evaluate_recurrence(p.family, p.degree, x)
 
 
-@functools.lru_cache(maxsize=64)
-def _recurrence_table(family: Family, n: int, prec: int):
-    """Recurrence coefficients up to degree n and p_0 = 1/sqrt(mu_0), as
-    libmp tuples built at the active precision, which the caller passes as
-    ``prec`` so that a table is never reused at another precision."""
-    diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    p0 = 1 / mp.sqrt(_norm_constant(family))
-    return tuple(v._mpf_ for v in diag), tuple(v._mpf_ for v in off), p0._mpf_
-
-
 def evaluate_recurrence(family: Family, n: int, x):
     """p_n(x) by the recurrence at the active precision."""
     x = mp.mpf(x)
-    diag, off, p0 = _recurrence_table(family, n, mp.prec)
+    diag, off, p0 = recurrence_table(family.kind, family.alpha, family.beta, n + 1, mp.prec)
     return mp.make_mpf(recurrence(x._mpf_, diag, off, p0, n, mp.prec)[0])
 
 
 def evaluate_with_derivative(family: Family, n: int, x):
     """(p_n(x), p_n'(x)), both by recurrence."""
     x = mp.mpf(x)
-    diag, off, p0 = _recurrence_table(family, n, mp.prec)
+    diag, off, p0 = recurrence_table(family.kind, family.alpha, family.beta, n + 1, mp.prec)
     p, dp, _ = recurrence(x._mpf_, diag, off, p0, n, mp.prec, derivative=True)
     return mp.make_mpf(p), mp.make_mpf(dp)
 
@@ -297,9 +233,8 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
         return []
     symmetric = kind == HERMITE or (kind == JACOBI and alpha == beta)
     if bits is None:
-        _check_exponents(kind, alpha, beta)
-        diag, off = recurrence_float(kind, alpha, beta, n + 1)
-        z = _eigen_seeds(diag[:n], off[1:n])
+        diag, off, _ = recurrence_table(kind, alpha, beta, n + 1)
+        z = _eigen_seeds(np.array(diag[:n]), np.array(off[1:n]))
         for _ in range(_NEWTON_MAX_ITER):
             p, dp = poly_scaled(kind, alpha, beta, n, z, derivative=True)[:2]
             step = p / dp
@@ -313,12 +248,10 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
             )
         return _mirrored_increasing(np.sort(z).tolist(), symmetric, 0.0)
     with mp.workprec(bits + 20):
-        diag, off = raw_recurrence(kind, alpha, beta, n + 1)
-        d64 = np.array([float(v) for v in diag[:n]])
-        e64 = np.array([float(v) for v in off[1:n]])
+        diag, off, _ = recurrence_table(kind, alpha, beta, n + 1, mp.prec)
+        d64 = np.array([float(mp.make_mpf(v)) for v in diag[:n]])
+        e64 = np.array([float(mp.make_mpf(v)) for v in off[1:n]])
         seeds = _eigen_seeds(d64, e64)
-        diag = [v._mpf_ for v in diag]
-        off = [v._mpf_ for v in off]
         one = mp.mpf(1)._mpf_
 
         out = []

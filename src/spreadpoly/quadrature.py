@@ -11,8 +11,10 @@ symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
 serve only as seeds; each node is polished by an mpf Newton iteration and
 weights come from the Christoffel function, ``w_i = 1 / sum_k p_k(x_i)^2``.
 Both run on the package's one mpf recurrence evaluator
-(``_mpkernels.recurrence``).  Built rules are kept in a bounded LRU cache
-keyed by weight, size and precision.
+(``_mpkernels.recurrence``) and read one recurrence table
+(``families.recurrence_table``, with p_0 = 1/sqrt(mu_0)), built once per
+rule.  Built rules are kept in a bounded LRU cache keyed by weight, size
+and precision.
 
 Two adaptive integrators serve the Shannon integrals:
 
@@ -40,8 +42,8 @@ from mpmath import mp
 
 from ._mpkernels import recurrence
 from .context import ParameterError, PrecisionContext, cancellation_clamp
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
-from .orthopoly import evaluate_recurrence, raw_recurrence, zeros_raw
+from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder, recurrence_table
+from .orthopoly import evaluate_recurrence, zeros_raw
 
 __all__ = [
     "WeightSpec",
@@ -131,11 +133,8 @@ def _standard_rule(kind: str, alpha: float, beta: float, m: int, bits: int):
     """Unit-scale rule: nodes/weights as mpf tuples at `bits` precision."""
     with mp.workprec(bits + 20):
         nodes = zeros_raw(kind, alpha, beta, m, bits)
-        diag, off = raw_recurrence(kind, alpha, beta, m + 1)
-        diag = [v._mpf_ for v in diag]
-        off = [v._mpf_ for v in off]
-        mu0 = _weight_moment_impl(WeightSpec(kind, alpha, beta), 0)
-        c0 = (1 / mp.sqrt(mu0))._mpf_
+        # the table zeros_raw just built, read from the cache
+        diag, off, c0 = recurrence_table(kind, alpha, beta, m + 1, mp.prec)
         weights = []
         for x in nodes:
             ssq = recurrence(x._mpf_, diag, off, c0, m - 1, mp.prec, sumsq=True)[2]

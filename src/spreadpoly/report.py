@@ -107,12 +107,13 @@ def build_report(
     fl = Tagged(fisher_length(family, n, ctx), TAG_CLOSED)
     renyi = {two_q: _renyi_entry(family, n, two_q, ctx) for two_q in two_q_list}
     sn = Tagged(shannon_numeric(family, n, ctx, tol=shannon_tol), TAG_ORACLE)
-    try:
-        sa = Tagged(shannon_asymptotic(family, n), TAG_ASYMPTOTIC)
-    except ParameterError:
-        sa = Tagged(None, TAG_ASYMPTOTIC)
-    if not include_asymptotic:
-        sa = Tagged(None, TAG_ASYMPTOTIC)
+    sa = Tagged(None, TAG_ASYMPTOTIC)
+    if include_asymptotic:
+        try:
+            with mp.workprec(ctx.bits):
+                sa = Tagged(shannon_asymptotic(family, n), TAG_ASYMPTOTIC)
+        except ParameterError:
+            pass
 
     oracle = {}
     if include_oracle:

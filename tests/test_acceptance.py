@@ -13,8 +13,7 @@ import pytest
 from mpmath import mp
 
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, RenyiOrder
-from spreadpoly.orthopoly import raw_recurrence
+from spreadpoly.families import Family, RenyiOrder, raw_recurrence
 from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
 from spreadpoly.closed_form import (
     cramer_rao_product,
@@ -59,8 +58,8 @@ def _poly_sq_sums(fam, rule, nmax, powers, ctx):
     One recurrence sweep per node; the rule must integrate degree
     2*nmax + max(powers) exactly.
     """
-    diag, off = raw_recurrence(fam.kind, fam.alpha, fam.beta, nmax + 2)
     with mp.workprec(ctx.bits):
+        diag, off = raw_recurrence(fam.kind, fam.alpha, fam.beta, nmax + 2)
         p0 = 1 / mp.sqrt(mp.fsum(rule.weights))
         sums = {j: [mp.mpf(0)] * (nmax + 1) for j in powers}
         absums = {j: [mp.mpf(0)] * (nmax + 1) for j in powers}

@@ -3,9 +3,13 @@
 import json
 
 import pytest
+from mpmath import mp
 
 import spreadpoly.cli as cli
 from spreadpoly.cli import main
+from spreadpoly.families import Family
+from spreadpoly.report import format_value
+from spreadpoly.shannon import shannon_asymptotic
 
 HEADER = "family,alpha,beta,n,stddev,fisher_length,L2,shannon_N"
 
@@ -191,6 +195,20 @@ def test_asymptotics_columns(capsys):
     ratio_col = lines[0].split(",").index("ratio_dev")
     devs = [float(r.split(",")[ratio_col]) for r in lines[1:]]
     assert devs[1] < devs[0]  # approach to the universal ratio
+
+
+def test_asymptotics_derived_columns_run_at_bits(capsys):
+    # the CLI leaves the ambient mp.prec alone, so a column computed at it
+    # would print the 53-bit value 2.6936423187731924
+    rc, out, _ = run(
+        capsys,
+        "asymptotics", "--family", "laguerre", "--alpha", "2", "--n", "10", "--bits", "512",
+    )
+    assert rc == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    with mp.workprec(512):
+        want = shannon_asymptotic(Family.laguerre(2.0), 10).entropy
+    assert row[header.index("S_asym")] == format_value(want) == "2.6936423187731919"
 
 
 def test_bounds_dominance_column(capsys):

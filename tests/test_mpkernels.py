@@ -19,25 +19,26 @@ from spreadpoly.bell import (
     renyi_power_integral_bell,
 )
 from spreadpoly.context import ParameterError, cancellation_clamp
-from spreadpoly.families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from spreadpoly.families import (
+    HERMITE,
+    JACOBI,
+    LAGUERRE,
+    Family,
+    RenyiOrder,
+    norm_constant,
+    raw_recurrence,
+)
 from spreadpoly.hypergeom import hyp2f1_terminating, nonpositive_int_bound
 from spreadpoly.orthopoly import (
     _eigen_seeds,
     _explicit_coeffs,
     _leading_positive,
     _mirrored_increasing,
-    _norm_constant,
     evaluate_recurrence,
     evaluate_with_derivative,
-    raw_recurrence,
     zeros_raw,
 )
-from spreadpoly.quadrature import (
-    WeightSpec,
-    _RULE_CACHE_SIZE,
-    _standard_rule,
-    _weight_moment_impl,
-)
+from spreadpoly.quadrature import _RULE_CACHE_SIZE, _standard_rule
 
 FAMILIES = [
     Family.hermite(),
@@ -63,7 +64,7 @@ def _ids(fam):
 def _ref_evaluate(family, n, x):
     x = mp.mpf(x)
     diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    pk = 1 / mp.sqrt(_norm_constant(family))
+    pk = 1 / mp.sqrt(norm_constant(family.kind, family.alpha, family.beta))
     pkm1 = mp.mpf(0)
     for k in range(n):
         pk, pkm1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1], pk
@@ -73,7 +74,7 @@ def _ref_evaluate(family, n, x):
 def _ref_evaluate_with_derivative(family, n, x):
     x = mp.mpf(x)
     diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    pk = 1 / mp.sqrt(_norm_constant(family))
+    pk = 1 / mp.sqrt(norm_constant(family.kind, family.alpha, family.beta))
     pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
     dk = mp.mpf(0)
     for k in range(n):
@@ -120,7 +121,7 @@ def _ref_zeros_raw(kind, alpha, beta, n, bits):
 def _ref_christoffel_weights(kind, alpha, beta, m, bits, nodes):
     with mp.workprec(bits + 20):
         diag, off = raw_recurrence(kind, alpha, beta, m + 1)
-        c0 = 1 / mp.sqrt(_weight_moment_impl(WeightSpec(kind, alpha, beta), 0))
+        c0 = 1 / mp.sqrt(norm_constant(kind, alpha, beta))
         weights = []
         for x in nodes:
             pkm1 = mp.mpf(0)
@@ -243,8 +244,11 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
                 assert got == _ref_evaluate_with_derivative(family, n, x), (n, xs)
 
 
+#: For Jacobi(2, 0.5) the general weight moment at j = 0 rounds mu_0 apart
+#: from ``norm_constant`` at the rule precision of 53, 113 and 1024 bits, so
+#: this case pins the Christoffel weights to ``norm_constant``.
 @pytest.mark.parametrize("bits", BITS)
-@pytest.mark.parametrize("family", FAMILIES, ids=_ids)
+@pytest.mark.parametrize("family", FAMILIES + [Family.jacobi(2.0, 0.5)], ids=_ids)
 def test_zeros_and_gauss_rules_are_bit_identical(family, bits):
     kind, alpha, beta = family.kind, family.alpha, family.beta
     for n in DEGREES[1:]:

@@ -7,16 +7,18 @@ closed Chebyshev form.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family
+from spreadpoly.families import Family, norm_constant, recurrence_table
 from spreadpoly.orthopoly import (
-    _recurrence_table,
     evaluate_recurrence,
     evaluate_with_derivative,
     orthonormal_coeffs,
@@ -123,17 +125,49 @@ def test_chebyshev_case_has_no_pole():
 
 def test_recurrence_tables_are_kept_per_precision():
     fam = Family.jacobi(-0.25, 0.5)
-    _recurrence_table.cache_clear()
+    recurrence_table.cache_clear()
     with mp.workprec(64):
         low = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
     with mp.workprec(512):
         high = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
         _, dhigh = evaluate_with_derivative(fam, 9, mp.mpf(1) / 3)
-    _recurrence_table.cache_clear()
+    recurrence_table.cache_clear()
     with mp.workprec(512):
         assert evaluate_recurrence(fam, 9, mp.mpf(1) / 3) == high
         assert evaluate_with_derivative(fam, 9, mp.mpf(1) / 3) == (high, dhigh)
     assert abs(high - low) > 0
+
+
+EXPONENT = st.floats(min_value=-1.0, max_value=6.0, exclude_min=True)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    alpha=EXPONENT,
+    beta=EXPONENT,
+    count=st.integers(min_value=1, max_value=200),
+)
+def test_float_table_is_the_53_bit_mpf_table(kind, alpha, beta, count):
+    # IEEE doubles and 53-bit mpf round +, -, *, / and sqrt alike, and both
+    # tables run one formula in one order.  Below the smallest normal double
+    # (a tiny alpha or beta makes a_k subnormal) IEEE keeps fewer bits than
+    # mpf, so there the entries agree to one subnormal spacing.
+    alpha = 0.0 if kind == "hermite" else alpha
+    beta = beta if kind == "jacobi" else 0.0
+    table = recurrence_table(kind, alpha, beta, count)
+    mtable = recurrence_table(kind, alpha, beta, count, 53)
+    assert all(type(v) is float for v in table[0] + table[1] + table[2:])
+    for got, ref in zip(table[0] + table[1], mtable[0] + mtable[1]):
+        ref = float(mp.make_mpf(ref))
+        if abs(ref) >= sys.float_info.min:
+            assert got == ref
+        else:
+            assert abs(got - ref) <= math.ulp(0.0)
+    mu0 = norm_constant(kind, alpha, beta, math)
+    with mp.workprec(200):
+        ref = norm_constant(kind, alpha, beta)
+        assert abs(mu0 - ref) <= 1e-14 * ref
 
 
 def test_derivative_consistent_with_difference_quotient():

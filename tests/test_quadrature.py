@@ -7,12 +7,13 @@ from mpmath import mp
 from scipy import special
 
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, RenyiOrder
+from spreadpoly.families import Family, RenyiOrder, recurrence_table
 from spreadpoly.quadrature import (
     NonIntegrableError,
     QuadratureError,
     WeightSpec,
     _BATCH_NODES,
+    _standard_rule,
     gauss_rule,
     integrate_density_power,
     integrate_log_singular,
@@ -21,6 +22,13 @@ from spreadpoly.quadrature import (
 )
 
 CTX = PrecisionContext()
+
+
+def test_gauss_rule_builds_its_recurrence_table_once():
+    # the Christoffel weights read the table the zeros were polished with
+    recurrence_table.cache_clear()
+    _standard_rule.__wrapped__("jacobi", 2.0, 0.5, 9, 113)
+    assert recurrence_table.cache_info().misses == 1
 
 
 def test_gauss_nodes_match_scipy():
