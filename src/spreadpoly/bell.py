@@ -7,9 +7,12 @@ of the weight gives the signed power integral
 
     W_q = integral p_n^{2q}(x) w(x)^q dx,
 
-and the Rényi length is W_q^{-1/(q-1)}.  Everything here is a finite sum;
-the enemy is cancellation (the coefficient sequences alternate), handled
-by the context's precision-doubling acceptance.
+and the Rényi length is W_q^{-1/(q-1)}.  The moments m_0..m_{2qn} of w^q
+come from one first-order (Laguerre, Hermite) or two-term (Jacobi)
+recurrence started at a Gamma closed form, O(1) operations per moment.
+Everything here is a finite sum; the enemy is cancellation (the
+coefficient sequences alternate), handled by the context's
+precision-doubling acceptance.
 
 B_{m,l} is computed by the standard recurrence
 
@@ -124,47 +127,68 @@ def _jacobi_moment_prefactor(a, b):
     return mp.power(2, 1 + a + b) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
 
 
-def _jacobi_moment(k: int, prefactor, a, b):
-    """Integral of x^k against (1-x)^a (1+x)^b, given the prefactor.
-
-    (-1)^k prefactor 2F1(-k, 1+b; 2+a+b; 2).  Negating a product rounds
-    to the negated product, so the sign may be applied last.
-    """
-    m = prefactor * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
-    return -m if k % 2 else m
-
-
 def jacobi_power_moment(k: int, q, alpha, beta):
-    """Integral of x^k against (1-x)^{alpha q} (1+x)^{beta q} on [-1, 1]."""
+    """Integral of x^k against (1-x)^{alpha q} (1+x)^{beta q} on [-1, 1].
+
+    The closed form (-1)^k m_0 2F1(-k, 1+b; 2+a+b; 2) with a = alpha q,
+    b = beta q; it is the test oracle of the moment recurrence the Bell
+    route runs.  Negating a product rounds to the negated product, so the
+    sign may be applied last.
+    """
     qf = mp.mpf(q)
     a = mp.mpf(alpha) * qf
     b = mp.mpf(beta) * qf
-    return _jacobi_moment(k, _jacobi_moment_prefactor(a, b), a, b)
+    m = _jacobi_moment_prefactor(a, b) * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
+    return -m if k % 2 else m
+
+
+def _weight_power_moments(family: Family, q, count: int) -> list:
+    """m_k = integral x^k w(x)^q for k < count, at the active precision.
+
+    Each moment follows from its predecessors in O(1) operations, A = alpha q
+    and B = beta q:
+
+    * Jacobi: integrating d/dx[x^k (1-x^2) w^q] over [-1, 1] gives 0 (A, B > -1),
+      so (k+2+A+B) m_{k+1} = k m_{k-1} + (B-A) m_k from m_0 =
+      2^{1+A+B} Gamma(A+1) Gamma(B+1) / Gamma(A+B+2); odd moments are
+      exactly 0 when A = B;
+    * Laguerre: m_0 = Gamma(A+1)/q^{A+1} and m_{k+1} = m_k (A+k+1)/q;
+    * Hermite: m_0 = sqrt(pi/q), m_{2j+2} = m_{2j} (j+1/2)/q, odd moments 0.
+
+    No recurrence coefficient or Gauss node of w^q is used, so the Bell route
+    stays independent of the Gauss route.
+    """
+    m = [mp.mpf(0)] * count
+    if family.kind == HERMITE:
+        mk = mp.sqrt(mp.pi / q)
+        for k in range(0, count, 2):
+            m[k] = mk
+            mk = mk * (k // 2 + mp.mpf(1) / 2) / q
+    elif family.kind == LAGUERRE:
+        a = mp.mpf(family.alpha) * q
+        mk = mp.gamma(a + 1) / mp.power(q, a + 1)
+        for k in range(count):
+            m[k] = mk
+            mk = mk * (a + k + 1) / q
+    else:
+        a = mp.mpf(family.alpha) * q
+        b = mp.mpf(family.beta) * q
+        shift = (a + 1) + (b + 1)
+        slope = b - a
+        prev, mk = mp.mpf(0), _jacobi_moment_prefactor(a, b)
+        for k in range(count):
+            m[k] = mk
+            prev, mk = mk, (k * prev + slope * mk) / (k + shift)
+    return m
 
 
 def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int, rel_tol: float):
-    two_q = order.two_q
     with mp.workprec(bits):
-        q = order.q_mpf()
         ctx = PrecisionContext(bits=bits, rel_tol=rel_tol)
         coeffs = orthonormal_coeffs(family, n, ctx).coeffs
-        d = polynomial_power_coeffs(coeffs, two_q)
-        terms = []
-        if family.kind == HERMITE:
-            for t in range(0, len(d), 2):
-                j = t // 2
-                terms.append(d[t] * mp.gamma(j + mp.mpf(1) / 2) / mp.power(q, j + mp.mpf(1) / 2))
-        elif family.kind == LAGUERRE:
-            aq = mp.mpf(family.alpha) * q
-            for k, dk in enumerate(d):
-                terms.append(dk * mp.gamma(aq + k + 1) / mp.power(q, aq + k + 1))
-        else:
-            a = mp.mpf(family.alpha) * q
-            b = mp.mpf(family.beta) * q
-            prefactor = _jacobi_moment_prefactor(a, b)
-            for k, dk in enumerate(d):
-                if dk != 0:
-                    terms.append(dk * _jacobi_moment(k, prefactor, a, b))
+        d = polynomial_power_coeffs(coeffs, order.two_q)
+        moments = _weight_power_moments(family, order.q_mpf(), len(d))
+        terms = [dk * mk for dk, mk in zip(d, moments)]
         return +cancellation_clamp(mp.fsum(terms), terms, bits)
 
 

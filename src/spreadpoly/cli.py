@@ -153,11 +153,17 @@ def _emit(args, header, rows, meta):
         sys.stdout.write(text)
 
 
-def _cell(quantity, fn):
-    """Evaluate one table cell; undefined -> None, numeric error -> exit-3."""
+def _cell(quantity, fn, required=False):
+    """Evaluate one table cell; undefined -> None, numeric error -> exit-3.
+
+    A ``required`` cell is one the rest of the row is computed from: there
+    an undefined value is a usage error (exit 2) that names the quantity.
+    """
     try:
         return fn()
-    except ParameterError:
+    except ParameterError as exc:
+        if required:
+            raise ParameterError(f"{quantity} is undefined: {exc}") from exc
         return None
     except ArithmeticError as exc:
         raise NumericFailure(f"{quantity}: {exc}") from exc
@@ -278,9 +284,11 @@ def cmd_asymptotics(args) -> int:
         limit = ratio_constant()
         for n in degrees:
             where = f"{family.describe()} n={n}"
-            sh = _cell(f"shannon {where}", lambda: shannon_numeric(family, n, ctx))
+            sh = _cell(
+                f"shannon {where}", lambda: shannon_numeric(family, n, ctx), required=True
+            )
             sa = _cell(f"shannon asymptotic {where}", lambda: shannon_asymptotic(family, n))
-            dx = _cell(f"stddev {where}", lambda: stddev(family, n, ctx))
+            dx = _cell(f"stddev {where}", lambda: stddev(family, n, ctx), required=True)
             cr = _cell(f"cramer_rao {where}", lambda: cramer_rao_product(family, n, ctx))
             ratio = sh.length / dx
             if n > 0 or rate.exponent == 0:
@@ -329,12 +337,16 @@ def cmd_bounds(args) -> int:
     with mp.workprec(ctx.bits):
         for n in degrees:
             where = f"{family.describe()} n={n}"
-            sh = _cell(f"shannon_N {where}", lambda: shannon_numeric(family, n, ctx))
+            sh = _cell(
+                f"shannon_N {where}", lambda: shannon_numeric(family, n, ctx), required=True
+            )
             if family.kind == "jacobi":
                 bound, param = jacobi_trivial_bound(), None
             else:
                 bound, param = _cell(
-                    f"bound {where}", lambda: optimize_bound(family, n, None, ctx)
+                    f"bound {where}",
+                    lambda: optimize_bound(family, n, None, ctx),
+                    required=True,
                 )
             margin = bound - sh.length
             row = {

@@ -192,6 +192,10 @@ def raw_recurrence(kind: str, alpha, beta, count: int, lib=mp):
     a = num(alpha)
     b = num(beta)
     _check_exponents(kind, a, b)
+    # alpha+beta+2 as (alpha+1)+(beta+1): alpha+1 and beta+1 are exact for
+    # exponents in (-1, -1/2] and their sum rounds once, so the Jacobi
+    # entries keep full relative accuracy as alpha+beta -> -2
+    c = (a + 1) + (b + 1)
     diag, off = [], []
     for k in range(count):
         km = num(k)
@@ -202,21 +206,18 @@ def raw_recurrence(kind: str, alpha, beta, count: int, lib=mp):
             diag.append(2 * km + a + 1)
             off.append(lib.sqrt(km * (km + a)))
         else:
-            s = 2 * km + a + b
             if k == 0:
-                diag.append((b - a) / (a + b + 2))
+                diag.append((b - a) / c)
                 off.append(num(0))
+                continue
+            s = 2 * (km - 1) + c  # 2k + alpha + beta
+            diag.append((b - a) * (b + a) / (s * (s + 2)))
+            if k == 1:
+                # limit form: the generic b_1^2 is 0/0 at alpha+beta = -1
+                off.append(2 * lib.sqrt((1 + a) * (1 + b) / (3 + a + b)) / c)
             else:
-                diag.append((b * b - a * a) / (s * (s + 2)))
-                if k == 1:
-                    # limit form: the generic b_1^2 is 0/0 at alpha+beta = -1
-                    off.append(2 * lib.sqrt((1 + a) * (1 + b) / (3 + a + b)) / (2 + a + b))
-                else:
-                    off.append(
-                        2
-                        * lib.sqrt(km * (km + a) * (km + b) * (km + a + b) / (s * s - 1))
-                        / s
-                    )
+                kab = (km - 2) + c  # k + alpha + beta
+                off.append(2 * lib.sqrt(km * (km + a) * (km + b) * kab / (s * s - 1)) / s)
     return diag, off
 
 
@@ -230,7 +231,7 @@ def norm_constant(kind: str, alpha, beta, lib=mp):
         return lib.sqrt(lib.pi)
     if kind == LAGUERRE:
         return lib.gamma(a + 1)
-    return 2 ** (a + b + 1) * lib.gamma(a + 1) * lib.gamma(b + 1) / lib.gamma(a + b + 2)
+    return 2 ** (a + b + 1) * lib.gamma(a + 1) * lib.gamma(b + 1) / lib.gamma((a + 1) + (b + 1))
 
 
 @functools.lru_cache(maxsize=64)

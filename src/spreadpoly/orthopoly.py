@@ -72,15 +72,18 @@ def _leading_positive(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=3)
 def _explicit_coeffs(family: Family, n: int, prec: int) -> tuple:
     """Explicit monomial coefficients at the active precision, which the
     caller passes as ``prec`` so that a set is never reused at another
     precision.
 
     :func:`orthonormal_coeffs` compares the sets at b and 2b bits, and a
-    Bell value escalates it through b, 2b, 4b, ...; with two entries kept,
-    each escalation step reuses the set its predecessor built last.
+    Bell value escalates it through b, 2b, 4b, ...; each escalation step
+    reuses the set its predecessor built last.  A value that escalates once
+    needs the sets at b, 2b and 4b bits; with three entries kept, the next
+    value of the same (family, n), such as the L_q after the L2 of one
+    ``measures`` row, builds none of them again.
     """
     kind = family.kind
     a = mp.mpf(family.alpha)

@@ -2,11 +2,14 @@
 polynomial powers, frozen point values, signs, and exact zeros."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import (
+    _weight_power_moments,
     jacobi_power_moment,
     length_from_power_integral,
     partial_bell,
@@ -18,7 +21,13 @@ from spreadpoly.bell import (
 from spreadpoly.quadrature import integrate_density_power
 
 CTX = PrecisionContext()
+FAST = PrecisionContext(bits=128, rel_tol=1e-18)
 TIGHT = mp.mpf(1e-65)
+#: Criterion 3's pairwise route-agreement gate.
+RENYI_GATE = 1e-10
+#: Exponent grid and orders of acceptance criterion 3.
+GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
+QS = (1, 1.5, 2, 3)
 
 
 def test_partial_bell_frozen_values():
@@ -69,6 +78,112 @@ def test_jacobi_power_moment_against_quadrature():
             )
             # mp.quad stalls near 1e-19 on the singular-exponent cell
             assert abs(got - direct) < mp.mpf(1e-15) * max(1, abs(direct))
+
+
+@pytest.mark.parametrize("q", QS)
+def test_jacobi_moment_recurrence_matches_closed_form(q):
+    # the 256-bit recurrence against the 2F1 closed form at 1400 bits; an
+    # error is measured on the larger of the two moments the step combines,
+    # since m_k itself may be small beside them
+    prec, count = 256, 73
+    for a in GRID:
+        for b in GRID:
+            if not (a * q > -1 and b * q > -1):
+                continue
+            with mp.workprec(prec):
+                m = _weight_power_moments(Family.jacobi(a, b), mp.mpf(q), count)
+            with mp.workprec(1400):
+                for k in range(count):
+                    want = jacobi_power_moment(k, q, a, b)
+                    scale = max(abs(m[k]), abs(m[k - 1]) if k else 0)
+                    assert abs(m[k] - want) <= mp.mpf(2) ** (8 - prec) * scale, (a, b, k)
+
+
+def test_symmetric_jacobi_odd_moments_are_exact_zeros():
+    with mp.workprec(256):
+        for a in GRID:
+            for q in QS:
+                if a * q > -1:
+                    m = _weight_power_moments(Family.jacobi(a, a), mp.mpf(q), 73)
+                    assert all(v == 0 for v in m[1::2])
+                    assert all(v > 0 for v in m[0::2])
+
+
+@pytest.mark.parametrize(
+    "family", [Family.hermite()] + [Family.laguerre(a) for a in GRID], ids=Family.describe
+)
+def test_laguerre_and_hermite_moments_match_gamma_forms(family):
+    # m_k = Gamma(A+k+1)/q^(A+k+1) with A = alpha q, and Hermite's
+    # m_2j = Gamma(j+1/2)/q^(j+1/2) with odd moments 0
+    prec, count = 256, 73
+    for q in QS:
+        if family.alpha * q <= -1:
+            continue
+        with mp.workprec(prec):
+            m = _weight_power_moments(family, mp.mpf(q), count)
+        with mp.workprec(2 * prec):
+            qf = mp.mpf(q)
+            for k in range(count):
+                if family.kind == "hermite":
+                    if k % 2:
+                        assert m[k] == 0
+                        continue
+                    e = mp.mpf(k + 1) / 2
+                else:
+                    e = mp.mpf(family.alpha) * qf + k + 1
+                want = mp.gamma(e) / mp.power(qf, e)
+                assert abs(m[k] - want) <= mp.mpf(2) ** (8 - prec) * want, (q, k)
+
+
+#: W_3 = integral p_8^6 w^3 for Jacobi(alpha, 5), from the closed-form 2F1
+#: moments and from the recurrence, both at 2048 bits (they agree in all
+#: 150 digits).  The 2F1 sum at z=2 loses about k bits to cancellation in
+#: each moment; the default 256-bit context has to stay within 1e-125.
+W3_JACOBI_5_N8 = {
+    0.0: "4.36187808558923344985175322650935772944819373696605755338652689003456975939"
+    "31473259792755898615934193621419374175202580946710852804008601330449641941",
+    0.5: "2.26589328195755270538666724329583186162367819577547659298842194606389779958"
+    "808691350209620684288881945004666910847778343413644433911578571257550760288",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(W3_JACOBI_5_N8))
+def test_bell_power_integral_against_2048_bits(alpha):
+    got = renyi_power_integral_bell(Family.jacobi(alpha, 5.0), 8, RenyiOrder(6), CTX)
+    with mp.workprec(600):
+        want = mp.mpf(W3_JACOBI_5_N8[alpha])
+        assert abs(got - want) <= mp.mpf(1e-125) * want
+
+
+EXPONENT = st.floats(min_value=-0.45, max_value=6.0, exclude_min=True)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    alpha=EXPONENT,
+    beta=EXPONENT,
+    n=st.integers(min_value=0, max_value=10),
+)
+def test_bell_route_properties(kind, alpha, beta, n):
+    # W_1 = 1 (normalization), and the Bell and Gauss routes agree on the
+    # signed power integral to criterion 3's route gate; the weight moments
+    # of the one and the Gauss rules of the other share no code.  The Gauss
+    # route rounds alpha q and beta q to doubles, so where those products
+    # are not exact doubles the routes integrate exponents 1e-16 apart.
+    family = Family(
+        kind,
+        0.0 if kind == "hermite" else alpha,
+        beta if kind == "jacobi" else 0.0,
+    )
+    one = renyi_power_integral_bell(family, n, RenyiOrder(2), FAST)
+    assert abs(one - 1) <= mp.mpf(1e-30)
+    for two_q in (3, 4):
+        order = RenyiOrder(two_q)
+        bell = renyi_power_integral_bell(family, n, order, FAST)
+        gauss = integrate_density_power(family, n, order, FAST)
+        scale = max(abs(bell), abs(gauss), mp.mpf(1e-30))
+        assert abs(bell - gauss) <= mp.mpf(RENYI_GATE) * scale, two_q
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from mpmath import mp
 
 import spreadpoly.cli as cli
 from spreadpoly.cli import main
+from spreadpoly.context import ParameterError
 from spreadpoly.families import Family
 from spreadpoly.report import format_value
 from spreadpoly.shannon import shannon_asymptotic
@@ -163,6 +164,27 @@ def test_numeric_failure_exit_3_names_quantity(capsys, monkeypatch):
     rc, _, err = run(capsys, "measures", "--family", "hermite", "--n", "0", "--bits", "128")
     assert rc == 3
     assert "numeric failure" in err and "stddev" in err
+
+
+@pytest.mark.parametrize(
+    "command,target,quantity",
+    [
+        ("asymptotics", "shannon_numeric", "shannon hermite n=1"),
+        ("asymptotics", "stddev", "stddev hermite n=1"),
+        ("bounds", "shannon_numeric", "shannon_N hermite n=1"),
+        ("bounds", "optimize_bound", "bound hermite n=1"),
+    ],
+)
+def test_undefined_row_input_exits_2_naming_it(capsys, monkeypatch, command, target, quantity):
+    # the rest of the row is computed from these cells, so an undefined one
+    # cannot become an empty field
+    def undefined(*a, **k):
+        raise ParameterError("synthetic undefined value")
+
+    monkeypatch.setattr(cli, target, undefined)
+    rc, out, err = run(capsys, command, "--family", "hermite", "--n", "1", "--bits", "128")
+    assert rc == 2 and out == ""
+    assert f"{quantity} is undefined" in err and "Traceback" not in err
 
 
 def test_verify_scope_passes(capsys):

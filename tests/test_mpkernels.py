@@ -16,6 +16,7 @@ from mpmath import mp
 from spreadpoly.bell import (
     jacobi_power_moment,
     polynomial_power_coeffs,
+    renyi_length_bell,
     renyi_power_integral_bell,
 )
 from spreadpoly.context import ParameterError, cancellation_clamp
@@ -322,6 +323,17 @@ def test_coefficient_memo_serves_the_nested_escalation():
         with mp.workprec(bits):
             _explicit_coeffs(fam, 6, bits)
     assert renyi_power_integral_bell(fam, 6, order) == warm
+
+
+def test_coefficient_memo_serves_a_whole_measures_row():
+    # L2 escalates once and leaves the sets at 256, 512 and 1024 bits; the
+    # row's L_3 of the same (family, n) needs exactly those three
+    fam = Family.jacobi(0.5, 2.0)
+    _explicit_coeffs.cache_clear()
+    renyi_length_bell(fam, 6, 2)
+    assert _explicit_coeffs.cache_info().misses == 3
+    renyi_length_bell(fam, 6, 3)
+    assert _explicit_coeffs.cache_info().misses == 3
 
 
 def test_rule_cache_is_bounded():

@@ -11,13 +11,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, norm_constant, recurrence_table
+from spreadpoly.families import Family, norm_constant, raw_recurrence, recurrence_table
 from spreadpoly.orthopoly import (
     evaluate_recurrence,
     evaluate_with_derivative,
@@ -148,6 +148,7 @@ EXPONENT = st.floats(min_value=-1.0, max_value=6.0, exclude_min=True)
     beta=EXPONENT,
     count=st.integers(min_value=1, max_value=200),
 )
+@example(kind="jacobi", alpha=-0.999999, beta=-0.9999993, count=12)
 def test_float_table_is_the_53_bit_mpf_table(kind, alpha, beta, count):
     # IEEE doubles and 53-bit mpf round +, -, *, / and sqrt alike, and both
     # tables run one formula in one order.  Below the smallest normal double
@@ -167,6 +168,21 @@ def test_float_table_is_the_53_bit_mpf_table(kind, alpha, beta, count):
     mu0 = norm_constant(kind, alpha, beta, math)
     with mp.workprec(200):
         ref = norm_constant(kind, alpha, beta)
+        assert abs(mu0 - ref) <= 1e-14 * ref
+
+
+def test_float_jacobi_table_is_accurate_near_alpha_plus_beta_minus_2():
+    # alpha+beta+2 = 1.7e-6 here: formed as a+b+2, it cancels in float64
+    # before the divisions and Gamma see it (entries up to 1.2e-10 off, mu_0
+    # 6.5e-11)
+    alpha, beta, count = -0.999999, -0.9999993, 12
+    diag, off, _ = recurrence_table("jacobi", alpha, beta, count)
+    mu0 = norm_constant("jacobi", alpha, beta, math)
+    with mp.workprec(200):
+        mdiag, moff = raw_recurrence("jacobi", alpha, beta, count)
+        for got, ref in zip(diag + off, mdiag + moff):
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+        ref = norm_constant("jacobi", alpha, beta)
         assert abs(mu0 - ref) <= 1e-14 * ref
 
 

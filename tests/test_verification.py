@@ -30,6 +30,14 @@ def test_shannon_scope_all_pass():
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
+def test_renyi_scope_all_pass():
+    checks = run_scope("renyi", FAST)
+    assert len(checks) == 165
+    bell = [c for c in checks if c.name.endswith("/bell-vs-oracle")]
+    assert len(bell) == 60
+    assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+
+
 def test_erratum_scope_documents_display_mismatch():
     checks = run_scope("erratum", FAST)
     assert all(c.ok for c in checks)
