@@ -16,12 +16,18 @@ precision for the mpf evaluators, floats for the float64 zeros.
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
 monomial coefficients (:func:`orthonormal_coeffs`, the input of the Bell
-route) and the recurrence.  All mpf recurrence work goes through one
-evaluator, :func:`spreadpoly._mpkernels.recurrence`: p_n
-(:func:`evaluate_recurrence`), p_n with p_n' (:func:`evaluate_with_derivative`
-and the Newton polish of :func:`zeros_raw`), and the running sum of p_k^2
-(the Christoffel weights of the Gauss rules in ``quadrature``).  Its float64
-counterpart is ``_vec.poly_scaled``, which reads the same table in floats.
+route) and the recurrence.  The mpf values of p_n (:func:`evaluate_recurrence`)
+and of p_n with p_n' (:func:`evaluate_with_derivative`) go through one
+evaluator, :func:`spreadpoly._mpkernels.recurrence`; its float64 counterpart
+is ``_vec.poly_scaled``, which reads the same table in floats.
+
+The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros_raw` and the
+rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
+monic recurrence, :func:`spreadpoly._mpkernels.monic_recurrence`.  The
+classical ODE bounds the next Newton error, so a node stops without a
+confirming pass, and Christoffel–Darboux turns the last pass into the
+weight (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
+OUP 2004, sections 1.3 and 3.1; Golub and Welsch, Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, agrees, cancellation_clamp
-from ._mpkernels import recurrence
+from ._mpkernels import log2_abs, monic_recurrence, recurrence
 from ._vec import poly_scaled
 from .families import HERMITE, JACOBI, LAGUERRE, Family, recurrence_table
 from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.py traces it here
@@ -185,7 +191,7 @@ def evaluate_with_derivative(family: Family, n: int, x):
     """(p_n(x), p_n'(x)), both by recurrence."""
     x = mp.mpf(x)
     diag, off, p0 = recurrence_table(family.kind, family.alpha, family.beta, n + 1, mp.prec)
-    p, dp, _ = recurrence(x._mpf_, diag, off, p0, n, mp.prec, derivative=True)
+    p, dp = recurrence(x._mpf_, diag, off, p0, n, mp.prec, derivative=True)
     return mp.make_mpf(p), mp.make_mpf(dp)
 
 
@@ -204,6 +210,18 @@ def _eigen_seeds(diag64, off64):
         raise ParameterError(f"eigenvalue solve failed: {exc}") from exc
 
 
+def _is_symmetric(kind: str, alpha, beta) -> bool:
+    """Whether the weight is even about 0 (its zeros mirror exactly)."""
+    return kind == HERMITE or (kind == JACOBI and alpha == beta)
+
+
+def _check_increasing(out: list) -> list:
+    for lo, hi in zip(out, out[1:]):
+        if not lo < hi:
+            raise ParameterError("zero polish produced non-increasing nodes")
+    return out
+
+
 def _mirrored_increasing(out: list, symmetric: bool, zero) -> list:
     """Sorted zeros, mirrored exactly about ``zero`` for a symmetric weight,
     checked to be strictly increasing."""
@@ -214,10 +232,113 @@ def _mirrored_increasing(out: list, symmetric: bool, zero) -> list:
         if n % 2:
             mirrored.append(zero)
         out = mirrored + [half[n // 2 - 1 - i] for i in range(n // 2)]
-    for lo, hi in zip(out, out[1:]):
-        if not lo < hi:
-            raise ParameterError("zero polish produced non-increasing nodes")
-    return out
+    return _check_increasing(out)
+
+
+#: Newton passes one node of an mpf Gauss rule may take.  From float64 seeds
+#: a node settles in about log2(bits / 50) + 2 passes (3 at 256 bits).
+_POLISH_MAX_PASSES = 64
+
+
+def _ode(kind: str, a, b, z):
+    """(A(z), B(z)) of the classical differential equation
+
+        A(z) y'' = B(z) y' - K_m y
+
+    that p_m, and its monic form, satisfy for the weight with exponents
+    (a, b); in the arithmetic of the arguments (floats or mpf)."""
+    if kind == HERMITE:
+        return 1, 2 * z
+    if kind == LAGUERRE:
+        return z, z - (a + 1)
+    return (1 - z) * (1 + z), (a + b + 2) * z - (b - a)
+
+
+def _ode_k(kind: str, a, b, m: int):
+    """K_m of :func:`_ode`."""
+    if kind == HERMITE:
+        return 2 * m
+    if kind == LAGUERRE:
+        return m
+    return m * (m + a + b + 1)
+
+
+def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
+    """Nodes and Christoffel weights of the m-point Gauss rule of a raw
+    weight, as mpf at ``bits + 20``.
+
+    Float64 eigenvalues of the recurrence matrix seed a Newton polish on the
+    monic recurrence (:func:`spreadpoly._mpkernels.monic_recurrence`), which
+    reads one recurrence table per rule, with b_k^2 squared once.
+
+    * Stop: after a step u = pi/pi', the next error is about C u^2 with
+      C = |p''/(2p')|, and p'' comes from the classical ODE (:func:`_ode`).
+      A node is accepted, step applied, once C u^2 <= eps (1 + |z|) / 4;
+      no pass only confirms the last step.  C is a float estimate taken at
+      the seed, so the test costs no mpf operation.
+    * Weight: by Christoffel–Darboux, sum_{k<m} p_k^2 = S / h_{m-1} with
+      S = pi_m' pi_{m-1} - pi_{m-1}' pi_m and h_{m-1} = mu_0 b_1^2 ...
+      b_{m-1}^2, so the weight is h_{m-1} / S at the node z - u.  One Taylor
+      step carries S there from the last pass at z, with S' = (B S - (K_m -
+      K_{m-1}) pi_m pi_{m-1}) / A from the ODE at degrees m and m-1.
+    * Symmetric weights (Hermite, Jacobi with alpha = beta): only the
+      nonpositive half is polished, the middle node of an odd rule is
+      exactly 0, and nodes and weights are mirrored exactly.
+
+    ParameterError if a node takes more than ``_POLISH_MAX_PASSES`` passes.
+    """
+    with mp.workprec(bits + 20):
+        prec = mp.prec
+        diag, off, p0 = recurrence_table(kind, alpha, beta, m + 1, prec)
+        d64 = np.array([float(mp.make_mpf(v)) for v in diag[:m]])
+        e64 = np.array([float(mp.make_mpf(v)) for v in off[1:m]])
+        seeds = [float(s) for s in _eigen_seeds(d64, e64)]
+        bsq = [mp.make_mpf(v) ** 2 for v in off[:m]]
+        offsq = tuple(v._mpf_ for v in bsq)
+        h = 1 / mp.make_mpf(p0) ** 2  # mu_0
+        for v in bsq[1:]:
+            h *= v
+        symmetric = _is_symmetric(kind, alpha, beta)
+        if symmetric:
+            seeds = seeds[: (m + 1) // 2]
+            if m % 2:
+                seeds[-1] = 0.0  # pi_m(0) = 0 exactly: one pass, step 0
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        af, bf = float(alpha), float(beta)
+        k_m = _ode_k(kind, af, bf, m)
+        dk = _ode_k(kind, a, b, m) - _ode_k(kind, a, b, m - 1)
+        nodes, weights = [], []
+        for s in seeds:
+            a_s, b_s = _ode(kind, af, bf, s)
+            # log2 of 2 |A| eps (1 + |z|) / 4, the bound on |B - K u| u^2
+            log2_tol = math.log2(abs(a_s) * (1 + abs(s)) / 2) + 1 - prec
+            z = mp.mpf(s)
+            for _ in range(_POLISH_MAX_PASSES):
+                pm, dpm, pm1, dpm1 = monic_recurrence(z._mpf_, diag, offsq, m, prec)
+                u = mp.make_mpf(pm) / mp.make_mpf(dpm)
+                if not u:
+                    break
+                c2 = abs(b_s - k_m * float(u))  # 2 C |A|
+                if c2 == 0 or math.log2(c2) + 2 * log2_abs(u._mpf_) <= log2_tol:
+                    break
+                z -= u
+            else:
+                raise ParameterError(
+                    f"Newton polish of the {m}-point {kind} rule (alpha={alpha}, "
+                    f"beta={beta}) did not settle in {_POLISH_MAX_PASSES} passes "
+                    f"at {bits} bits"
+                )
+            pm, dpm, pm1, dpm1 = (mp.make_mpf(v) for v in (pm, dpm, pm1, dpm1))
+            big_s = dpm * pm1 - dpm1 * pm
+            a_z, b_z = _ode(kind, a, b, z)
+            big_s -= u * (b_z * big_s - dk * pm * pm1) / a_z
+            nodes.append(z - u)
+            weights.append(h / big_s)
+        if symmetric:
+            half = m // 2
+            nodes += [-x for x in reversed(nodes[:half])]
+            weights += reversed(weights[:half])
+        return _check_increasing(nodes), weights
 
 
 def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
@@ -225,16 +346,16 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
 
     Float64 eigenvalues of the symmetric tridiagonal recurrence matrix seed
     a Newton polish; symmetric weights get exactly mirrored nodes so parity
-    cancellations are exact downstream.  With ``bits`` the polish runs in
-    mpf at ``bits + 20`` and the zeros are mpf.  With ``bits=None`` the
-    zeros are Python floats: all of them take float64 Newton steps together
-    until every step is at most 2 ulps of max(1, max|z|), which leaves
-    each zero within a few ulps of that scale; ParameterError if that takes
-    more than 8 steps.
+    cancellations are exact downstream.  With ``bits`` the zeros are mpf
+    at ``bits + 20``, the nodes of :func:`_gauss_polish`.  With
+    ``bits=None`` the zeros are Python floats: all of them take float64
+    Newton steps together until every step is at most 2 ulps of
+    max(1, max|z|), which leaves each zero within a few ulps of that scale;
+    ParameterError if that takes more than 8 steps.
     """
     if n < 1:
         return []
-    symmetric = kind == HERMITE or (kind == JACOBI and alpha == beta)
+    symmetric = _is_symmetric(kind, alpha, beta)
     if bits is None:
         diag, off, _ = recurrence_table(kind, alpha, beta, n + 1)
         z = _eigen_seeds(np.array(diag[:n]), np.array(off[1:n]))
@@ -250,26 +371,7 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
                 f"float64 Newton on the {n} zeros did not settle in {_NEWTON_MAX_ITER} steps"
             )
         return _mirrored_increasing(np.sort(z).tolist(), symmetric, 0.0)
-    with mp.workprec(bits + 20):
-        diag, off, _ = recurrence_table(kind, alpha, beta, n + 1, mp.prec)
-        d64 = np.array([float(mp.make_mpf(v)) for v in diag[:n]])
-        e64 = np.array([float(mp.make_mpf(v)) for v in off[1:n]])
-        seeds = _eigen_seeds(d64, e64)
-        one = mp.mpf(1)._mpf_
-
-        out = []
-        for s in seeds:
-            z = mp.mpf(float(s))
-            for _ in range(64):
-                v, dv, _ = recurrence(z._mpf_, diag, off, one, n, mp.prec, derivative=True)
-                step = mp.make_mpf(v) / mp.make_mpf(dv)
-                z -= step
-                if abs(step) <= mp.eps * (1 + abs(z)) * 4:
-                    break
-            out.append(z)
-        out.sort()
-        out = _mirrored_increasing(out, symmetric, mp.mpf(0))
-        return [+z for z in out]
+    return _gauss_polish(kind, alpha, beta, n, bits)[0]
 
 
 def zeros(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX) -> list:

@@ -8,13 +8,15 @@ oracle carries no truncation error — only rounding at working precision.
 
 Construction follows Golub–Welsch: nodes are the eigenvalues of the
 symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
-serve only as seeds; each node is polished by an mpf Newton iteration and
-weights come from the Christoffel function, ``w_i = 1 / sum_k p_k(x_i)^2``.
-Both run on the package's one mpf recurrence evaluator
-(``_mpkernels.recurrence``) and read one recurrence table
-(``families.recurrence_table``, with p_0 = 1/sqrt(mu_0)), built once per
-rule.  Built rules are kept in a bounded LRU cache keyed by weight, size
-and precision.
+serve only as seeds; each node is polished by mpf Newton passes on the
+monic recurrence (``orthopoly._gauss_polish``), and its weight
+``w_i = 1 / sum_k p_k(x_i)^2`` comes from the last pass by the
+Christoffel–Darboux formula, ``h_{m-1} / (pi_m' pi_{m-1} - pi_{m-1}' pi_m)``.
+One recurrence table (``families.recurrence_table``, with
+mu_0 = 1/p_0^2) is built per rule.  Symmetric rules polish half their
+nodes and mirror them exactly.  Built rules are kept in a bounded LRU
+cache keyed by weight, size and precision; the shifted exponents of w^q
+are exact mpf values (:meth:`WeightSpec.power`).
 
 Two adaptive integrators serve the Shannon integrals:
 
@@ -40,10 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from ._mpkernels import recurrence
 from .context import ParameterError, PrecisionContext, cancellation_clamp
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder, recurrence_table
-from .orthopoly import evaluate_recurrence, zeros_raw
+from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from .orthopoly import _gauss_polish, evaluate_recurrence
 
 __all__ = [
     "WeightSpec",
@@ -101,14 +102,23 @@ class WeightSpec:
 
     @classmethod
     def power(cls, family: Family, q) -> "WeightSpec":
-        """Spec for w^q: Gaussian scale q / Laguerre (alpha q, rate q) /
-        Jacobi (alpha q, beta q)."""
-        qf = float(q)
+        """Spec for w^q, 2q a positive integer: Gaussian scale q / Laguerre
+        (alpha q, rate q) / Jacobi (alpha q, beta q).
+
+        The shifted exponents are exact mpf values: a double times 2q fits
+        in 53 + bit_length(2q) bits, and halving it is exact.  They compare
+        and hash by value, so they key the rule cache like floats do.
+        """
+        two_q = RenyiOrder.from_q(q).two_q
+        qf = two_q / 2
         if family.kind == HERMITE:
             return cls(HERMITE, scale=qf)
+        with mp.workprec(53 + two_q.bit_length()):
+            alpha = mp.mpf(family.alpha) * two_q / 2
+            beta = mp.mpf(family.beta) * two_q / 2
         if family.kind == LAGUERRE:
-            return cls(LAGUERRE, alpha=family.alpha * qf, scale=qf)
-        return cls(JACOBI, alpha=family.alpha * qf, beta=family.beta * qf)
+            return cls(LAGUERRE, alpha=alpha, scale=qf)
+        return cls(JACOBI, alpha=alpha, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -129,17 +139,10 @@ _RULE_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _standard_rule(kind: str, alpha: float, beta: float, m: int, bits: int):
-    """Unit-scale rule: nodes/weights as mpf tuples at `bits` precision."""
-    with mp.workprec(bits + 20):
-        nodes = zeros_raw(kind, alpha, beta, m, bits)
-        # the table zeros_raw just built, read from the cache
-        diag, off, c0 = recurrence_table(kind, alpha, beta, m + 1, mp.prec)
-        weights = []
-        for x in nodes:
-            ssq = recurrence(x._mpf_, diag, off, c0, m - 1, mp.prec, sumsq=True)[2]
-            weights.append(1 / mp.make_mpf(ssq))
-        return tuple(nodes), tuple(weights)
+def _standard_rule(kind: str, alpha, beta, m: int, bits: int):
+    """Unit-scale rule: nodes/weights as mpf tuples at ``bits + 20``."""
+    nodes, weights = _gauss_polish(kind, alpha, beta, m, bits)
+    return tuple(nodes), tuple(weights)
 
 
 def gauss_rule(

@@ -23,8 +23,6 @@ from spreadpoly.quadrature import integrate_density_power
 CTX = PrecisionContext()
 FAST = PrecisionContext(bits=128, rel_tol=1e-18)
 TIGHT = mp.mpf(1e-65)
-#: Criterion 3's pairwise route-agreement gate.
-RENYI_GATE = 1e-10
 #: Exponent grid and orders of acceptance criterion 3.
 GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
 QS = (1, 1.5, 2, 3)
@@ -167,10 +165,9 @@ EXPONENT = st.floats(min_value=-0.45, max_value=6.0, exclude_min=True)
 )
 def test_bell_route_properties(kind, alpha, beta, n):
     # W_1 = 1 (normalization), and the Bell and Gauss routes agree on the
-    # signed power integral to criterion 3's route gate; the weight moments
-    # of the one and the Gauss rules of the other share no code.  The Gauss
-    # route rounds alpha q and beta q to doubles, so where those products
-    # are not exact doubles the routes integrate exponents 1e-16 apart.
+    # signed power integral to 1e-30 at 128 bits; the weight moments of the
+    # one and the Gauss rules of the other share no code.  Both carry alpha q
+    # and beta q exactly (rounded to doubles, they put the routes 1e-14 apart).
     family = Family(
         kind,
         0.0 if kind == "hermite" else alpha,
@@ -183,7 +180,7 @@ def test_bell_route_properties(kind, alpha, beta, n):
         bell = renyi_power_integral_bell(family, n, order, FAST)
         gauss = integrate_density_power(family, n, order, FAST)
         scale = max(abs(bell), abs(gauss), mp.mpf(1e-30))
-        assert abs(bell - gauss) <= mp.mpf(RENYI_GATE) * scale, two_q
+        assert abs(bell - gauss) <= mp.mpf(1e-30) * scale, two_q
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,13 @@
 Each ``_ref_*`` function below is the operator form of a loop that now
 runs in ``spreadpoly._mpkernels`` (or, for the explicit coefficients and
 the Jacobi moments, the form before their invariants were hoisted).  The
-kernels promise the same libmp operations in the same order, so every
-comparison here is ``==`` on the mpf values, not a tolerance.
+kernels promise the same libmp operations in the same order, so those
+comparisons are ``==`` on the mpf values, not a tolerance.
+
+The Gauss rules are the exception: their polish now stops on an ODE
+bound and takes its weights from Christoffel–Darboux, so the former
+Newton loop and Christoffel sum (``_ref_zeros_raw``,
+``_ref_christoffel_weights``) serve as an oracle at twice the precision.
 """
 
 import math
@@ -19,6 +24,7 @@ from spreadpoly.bell import (
     renyi_length_bell,
     renyi_power_integral_bell,
 )
+from spreadpoly._mpkernels import monic_recurrence
 from spreadpoly.context import ParameterError, cancellation_clamp
 from spreadpoly.families import (
     HERMITE,
@@ -86,8 +92,19 @@ def _ref_evaluate_with_derivative(family, n, x):
     return pk, dk
 
 
+def _ref_monic_recurrence(x, diag, offsq, m):
+    pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
+    pk, dk = mp.mpf(1), mp.mpf(0)
+    for k in range(m):
+        pk1 = (x - diag[k]) * pk - offsq[k] * pkm1
+        dk1 = (x - diag[k]) * dk + pk - offsq[k] * dkm1
+        pk, pkm1, dk, dkm1 = pk1, pk, dk1, dk
+    return pk, dk, pkm1, dkm1
+
+
 def _ref_zeros_raw(kind, alpha, beta, n, bits):
-    """The mpf branch of ``zeros_raw``, Newton polish in operator form."""
+    """The former mpf branch of ``zeros_raw``: a Newton polish in operator
+    form that stops one pass after its step falls below 4 eps (1 + |z|)."""
     with mp.workprec(bits + 20):
         diag, off = raw_recurrence(kind, alpha, beta, n + 1)
         d64 = np.array([float(v) for v in diag[:n]])
@@ -245,6 +262,24 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
                 assert got == _ref_evaluate_with_derivative(family, n, x), (n, xs)
 
 
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("family", FAMILIES, ids=_ids)
+def test_monic_recurrence_is_bit_identical(family, bits):
+    with mp.workprec(bits):
+        diag, off = raw_recurrence(family.kind, family.alpha, family.beta, DEGREES[-1] + 1)
+        offsq = [b * b for b in off]
+        raw_diag = tuple(v._mpf_ for v in diag)
+        raw_offsq = tuple(v._mpf_ for v in offsq)
+        for n in DEGREES[1:]:
+            for xs in XS:
+                x = mp.mpf(xs)
+                got = monic_recurrence(x._mpf_, raw_diag, raw_offsq, n, mp.prec)
+                want = _ref_monic_recurrence(x, diag, offsq, n)
+                assert tuple(mp.make_mpf(v) for v in got) == want, (n, xs)
+
+
+#: The zeros are the rule's nodes bit for bit; nodes and weights are checked
+#: against the former Newton loop and Christoffel sum run at 2 bits + 64.
 #: For Jacobi(2, 0.5) the general weight moment at j = 0 rounds mu_0 apart
 #: from ``norm_constant`` at the rule precision of 53, 113 and 1024 bits, so
 #: this case pins the Christoffel weights to ``norm_constant``.
@@ -252,12 +287,19 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
 @pytest.mark.parametrize("family", FAMILIES + [Family.jacobi(2.0, 0.5)], ids=_ids)
 def test_zeros_and_gauss_rules_are_bit_identical(family, bits):
     kind, alpha, beta = family.kind, family.alpha, family.beta
+    oracle_bits = 2 * bits + 64
     for n in DEGREES[1:]:
         zs = zeros_raw(kind, alpha, beta, n, bits)
-        assert zs == _ref_zeros_raw(kind, alpha, beta, n, bits)
         nodes, weights = _standard_rule.__wrapped__(kind, alpha, beta, n, bits)
         assert list(nodes) == zs
-        assert list(weights) == _ref_christoffel_weights(kind, alpha, beta, n, bits, nodes)
+        ref_nodes = _ref_zeros_raw(kind, alpha, beta, n, oracle_bits)
+        ref_weights = _ref_christoffel_weights(kind, alpha, beta, n, oracle_bits, ref_nodes)
+        with mp.workprec(oracle_bits):
+            ulp = mp.mpf(2) ** -bits
+            for x, ref in zip(nodes, ref_nodes):
+                assert abs(x - ref) <= ulp * max(1, abs(ref)), (n, x)
+            for w, ref in zip(weights, ref_weights):
+                assert abs(w - ref) <= ulp * ref, (n, w)
 
 
 @pytest.mark.parametrize("bits", BITS)

@@ -19,6 +19,7 @@ from scipy import special
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, norm_constant, raw_recurrence, recurrence_table
 from spreadpoly.orthopoly import (
+    _gauss_polish,
     evaluate_recurrence,
     evaluate_with_derivative,
     orthonormal_coeffs,
@@ -261,6 +262,33 @@ def test_float_zeros_fail_loudly(monkeypatch):
     monkeypatch.setattr("spreadpoly.orthopoly._NEWTON_MAX_ITER", 1)
     with pytest.raises(ParameterError, match="did not settle"):
         zeros_raw("hermite", 0.0, 0.0, 24, None)
+
+
+#: Symmetric weights, one of them with exponents shifted to exact mpf values
+#: as the Rényi rules of w^q have them.
+SYMMETRIC = [("hermite", 0.0, 0.0), ("jacobi", 0.5, 0.5), ("jacobi", mp.mpf(-0.75), mp.mpf(-0.75))]
+
+
+@pytest.mark.parametrize("kind,alpha,beta", SYMMETRIC)
+def test_symmetric_gauss_rules_are_exactly_mirrored(kind, alpha, beta):
+    for m in (1, 2, 7, 40):
+        for bits in (53, 256):
+            nodes, weights = _gauss_polish(kind, alpha, beta, m, bits)
+            with mp.workprec(bits + 20):  # negation rounds to the active precision
+                assert nodes == [-x for x in reversed(nodes)]
+            assert weights == weights[::-1]
+            if m % 2:
+                assert nodes[m // 2] == 0
+            assert all(w > 0 for w in weights)
+
+
+def test_gauss_polish_fails_loudly(monkeypatch):
+    # at 256 bits no node of this rule settles in one pass from its seed
+    monkeypatch.setattr("spreadpoly.orthopoly._POLISH_MAX_PASSES", 1)
+    with pytest.raises(ParameterError, match=r"5-point jacobi rule \(alpha=2.0, beta=0.5\).* 256 bits"):
+        _gauss_polish("jacobi", 2.0, 0.5, 5, 256)
+    with pytest.raises(ParameterError, match="did not settle in 1 passes"):
+        zeros_raw("laguerre", 1.5, 0.0, 4, 256)
 
 
 def test_degree_validation():

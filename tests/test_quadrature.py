@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 from scipy import special
 
+from spreadpoly import orthopoly
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder, recurrence_table
 from spreadpoly.quadrature import (
@@ -29,6 +30,33 @@ def test_gauss_rule_builds_its_recurrence_table_once():
     recurrence_table.cache_clear()
     _standard_rule.__wrapped__("jacobi", 2.0, 0.5, 9, 113)
     assert recurrence_table.cache_info().misses == 1
+
+
+#: Exponents of the acceptance criterion 3 grid.
+GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
+
+
+def test_gauss_polish_takes_at_most_three_passes_per_node(monkeypatch):
+    # one pass is one monic_recurrence call; the weights come from the last
+    # pass and the polish stops on the ODE bound of its next error, where the
+    # former loop took 4.95 passes per node, weight sums included
+    kernel = orthopoly.monic_recurrence
+    passes = []
+    monkeypatch.setattr(orthopoly, "monic_recurrence", lambda *a: passes.append(1) or kernel(*a))
+    fams = [Family.hermite()] + [Family.laguerre(a) for a in GRID]
+    fams += [Family.jacobi(a, b) for a in GRID for b in GRID]
+    polished = 0
+    for fam in fams:
+        for two_q in (2, 3, 4, 6):
+            try:
+                spec = WeightSpec.power(fam, RenyiOrder(two_q).q)
+            except NonIntegrableError:
+                continue
+            m = 4 * two_q // 2 + 1  # the n = 4 cells
+            _standard_rule.__wrapped__(spec.kind, spec.alpha, spec.beta, m, CTX.bits)
+            symmetric = orthopoly._is_symmetric(spec.kind, spec.alpha, spec.beta)
+            polished += (m + 1) // 2 if symmetric else m
+    assert len(passes) <= 3.0 * polished, len(passes) / polished
 
 
 def test_gauss_nodes_match_scipy():
