@@ -50,7 +50,7 @@ from .shannon import (
     shannon_inequality_check,
     shannon_numeric,
 )
-from .report import MeasureReport, Tagged, build_report
+from .report import measures_table
 from .verification import Check, run_scope
 
 __version__ = "0.1.0"
@@ -59,16 +59,13 @@ __all__ = [
     "AsymptoticRate",
     "Check",
     "Family",
-    "MeasureReport",
     "ParameterError",
     "PrecisionContext",
     "PrecisionError",
     "QuadratureError",
     "RenyiOrder",
     "ShannonResult",
-    "Tagged",
     "asymptotic_cramer_rao",
-    "build_report",
     "cramer_rao_product",
     "default_context",
     "evaluate_recurrence",
@@ -79,6 +76,7 @@ __all__ = [
     "jacobi_trivial_bound",
     "lauricella_fa_terminating",
     "length_from_power_integral",
+    "measures_table",
     "moment",
     "moment_quadrature",
     "optimize_bound",

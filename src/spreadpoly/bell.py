@@ -189,7 +189,13 @@ def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int, rel
         d = polynomial_power_coeffs(coeffs, order.two_q)
         moments = _weight_power_moments(family, order.q_mpf(), len(d))
         terms = [dk * mk for dk, mk in zip(d, moments)]
-        return +cancellation_clamp(mp.fsum(terms), terms, bits)
+        total = mp.fsum(terms)
+        if order.two_q % 2:
+            # odd 2q has exact zeros (parity, alpha = (q-3)/(2q)); an even
+            # 2q integrates rho^q > 0, so a sum at the roundoff floor is a
+            # precision shortfall that must escalate, never a zero
+            total = cancellation_clamp(total, terms, bits)
+        return +total
 
 
 def _check_integrable(family: Family, order: RenyiOrder) -> None:

@@ -49,7 +49,6 @@ from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.p
 __all__ = [
     "PolyCoeffs",
     "orthonormal_coeffs",
-    "evaluate",
     "evaluate_with_derivative",
     "zeros",
 ]
@@ -173,11 +172,6 @@ def orthonormal_coeffs(
     raise ParameterError(
         f"coefficients failed to stabilise for {family.describe()}, n={n}"
     )
-
-
-def evaluate(p: PolyCoeffs, x):
-    """p_n(x) by the stable recurrence (coefficients are not used)."""
-    return evaluate_recurrence(p.family, p.degree, x)
 
 
 def evaluate_recurrence(family: Family, n: int, x):

@@ -1,43 +1,52 @@
-"""Measure reports: one record per (family, n) with per-value provenance.
+"""Spreading-measure tables: every table row is assembled here.
 
-Each numeric field is wrapped in :class:`Tagged`, naming the route that
-produced it (closed_form | bell | lauricella | oracle | asymptotic), so a
-table row can always be traced back to the producing formula or
-integrator.  Formatting helpers render rows as CSV (17 significant
+One function per table, each taking a family and a list of degrees:
+
+measures_table     stddev, Fisher length, Renyi lengths (L2 and any extra
+                   orders, Bell route) and the Shannon length N
+asymptotics_table  numeric vs large-n S and N, N/stddev vs the reference
+                   constant, Cramer-Rao products vs their rates
+bounds_table       optimized entropy upper bound vs the numeric N
+
+Each returns ``(header, rows, provenance)``: the column names, one dict
+per degree, and the route that produced each computed column
+(closed_form | bell | oracle | asymptotic), which is the same down the
+column.  An undefined cell is None; a cell the rest of the row is
+computed from raises :class:`ParameterError` instead, and an arithmetic
+failure raises :class:`NumericFailure`, both naming the quantity.  The
+arithmetic between cells runs at ``ctx.bits``, whatever the caller's
+``mp.prec``.  Formatting helpers render rows as CSV (17 significant
 digits, round-trippable) or JSON.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from .families import HERMITE, JACOBI, Family, RenyiOrder
 from .closed_form import (
+    asymptotic_cramer_rao,
     cramer_rao_product,
-    fisher_information_numeric,
     fisher_length,
-    moment_quadrature,
     stddev,
 )
-from .bell import length_from_power_integral, renyi_length_bell
-from .lauricella import renyi_length_laguerre_lauricella
-from .quadrature import QuadratureError, integrate_density_power
+from .bell import renyi_length_bell
 from .shannon import (
     jacobi_trivial_bound,
     optimize_bound,
+    ratio_constant,
     shannon_asymptotic,
-    shannon_inequality_check,
     shannon_numeric,
 )
 
 __all__ = [
-    "Tagged",
-    "MeasureReport",
-    "build_report",
+    "NumericFailure",
+    "measures_table",
+    "asymptotics_table",
+    "bounds_table",
     "format_value",
     "rows_to_csv",
     "rows_to_json",
@@ -45,143 +54,172 @@ __all__ = [
 
 TAG_CLOSED = "closed_form"
 TAG_BELL = "bell"
-TAG_LAURICELLA = "lauricella"
 TAG_ORACLE = "oracle"
 TAG_ASYMPTOTIC = "asymptotic"
 
-#: A field the row's family does not have (Hermite's alpha and beta): an
-#: empty CSV field and a JSON null whatever the null style, since it is
-#: absent rather than undefined or infinite.
+#: A field the row's family does not have (Hermite's alpha and beta, the
+#: parameter of the Jacobi bound): an empty CSV field and a JSON null
+#: whatever the null style, since it is absent rather than undefined or
+#: infinite.
 ABSENT = object()
+
+_LEAD = ["family", "alpha", "beta", "n"]
 
 _DEFAULT_CTX = PrecisionContext()
 
 
-@dataclass(frozen=True)
-class Tagged:
-    """A value plus the route that produced it (None marks undefined)."""
-
-    value: object
-    provenance: str
+class NumericFailure(ArithmeticError):
+    """An arithmetic failure, carrying the name of the failing quantity."""
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    """All requested spreading measures of one Rakhmanov density."""
+def _cell(quantity, fn, required=False):
+    """Evaluate one table cell; undefined -> None, numeric error -> raise.
 
-    family: str
-    alpha: float
-    beta: float
-    n: int
-    stddev: Tagged
-    fisher_length: Tagged
-    renyi: dict
-    shannon_numeric: Tagged
-    shannon_asymptotic: Tagged
-    oracle: dict
-    bounds: dict
-    audits: dict
-
-
-def _renyi_entry(family: Family, n: int, two_q: int, ctx: PrecisionContext) -> Tagged:
+    A ``required`` cell is one the rest of the row is computed from: there
+    an undefined value is a usage error that names the quantity.
+    """
     try:
-        return Tagged(renyi_length_bell(family, n, RenyiOrder(two_q), ctx), TAG_BELL)
-    except ParameterError:
-        return Tagged(None, TAG_BELL)
+        return fn()
+    except ParameterError as exc:
+        if required:
+            raise ParameterError(f"{quantity} is undefined: {exc}") from exc
+        return None
+    except ArithmeticError as exc:
+        raise NumericFailure(f"{quantity}: {exc}") from exc
 
 
-def build_report(
-    family: Family,
-    n: int,
-    two_q_list=(4,),
-    ctx: PrecisionContext = _DEFAULT_CTX,
-    *,
-    include_oracle: bool = False,
-    include_bounds: bool = False,
-    include_asymptotic: bool = False,
-    include_audits: bool = False,
-    shannon_tol: float = 1e-9,
-) -> MeasureReport:
-    """Assemble one fully tagged record; optional blocks stay empty dicts."""
-    sd = Tagged(stddev(family, n, ctx), TAG_CLOSED)
-    fl = Tagged(fisher_length(family, n, ctx), TAG_CLOSED)
-    renyi = {two_q: _renyi_entry(family, n, two_q, ctx) for two_q in two_q_list}
-    sn = Tagged(shannon_numeric(family, n, ctx, tol=shannon_tol), TAG_ORACLE)
-    sa = Tagged(None, TAG_ASYMPTOTIC)
-    if include_asymptotic:
-        try:
-            with mp.workprec(ctx.bits):
-                sa = Tagged(shannon_asymptotic(family, n), TAG_ASYMPTOTIC)
-        except ParameterError:
-            pass
+def _row(family: Family, n: int, **cells) -> dict:
+    """The family columns and the degree, followed by the row's cells."""
+    alpha = family.alpha if family.kind != HERMITE else ABSENT
+    beta = family.beta if family.kind == JACOBI else ABSENT
+    return {"family": family.kind, "alpha": alpha, "beta": beta, "n": n, **cells}
 
-    oracle = {}
-    if include_oracle:
-        m1 = moment_quadrature(family, n, 1, ctx)
-        m2 = moment_quadrature(family, n, 2, ctx)
-        oracle["stddev"] = Tagged(mp.sqrt(m2 - m1 * m1), TAG_ORACLE)
-        try:
-            F = fisher_information_numeric(family, n)
-            oracle["fisher_length"] = Tagged(
-                mp.inf if F == 0 else 1 / mp.sqrt(F), TAG_ORACLE
+
+def measures_table(family: Family, degrees, orders=(), ctx: PrecisionContext = _DEFAULT_CTX):
+    """stddev, Fisher length, L2 and the Shannon length N for each degree.
+
+    ``orders`` adds one Renyi-length column ``L_<q>`` per order (a
+    :class:`RenyiOrder` or anything ``RenyiOrder.from_q`` takes) other
+    than q = 2, which is always present as ``L2``.  q = 1 has no Renyi
+    length and is rejected.
+    """
+    orders = [RenyiOrder.from_q(q) for q in orders]
+    if any(o.is_unit for o in orders):
+        raise ParameterError("q=1 has no Renyi length (Shannon limit); drop it")
+    extra = [o for o in orders if o.two_q != 4]
+    header = _LEAD + ["stddev", "fisher_length", "L2", "shannon_N"]
+    header += [f"L_{o.q}" for o in extra]
+    provenance = {
+        "stddev": TAG_CLOSED,
+        "fisher_length": TAG_CLOSED,
+        "L2": TAG_BELL,
+        "shannon_N": TAG_ORACLE,
+    }
+    provenance.update({f"L_{o.q}": TAG_BELL for o in extra})
+
+    rows = []
+    for n in degrees:
+        where = f"{family.describe()} n={n}"
+        row = _row(
+            family, n,
+            stddev=_cell(f"stddev {where}", lambda: stddev(family, n, ctx)),
+            fisher_length=_cell(
+                f"fisher_length {where}", lambda: fisher_length(family, n, ctx)
+            ),
+            L2=_cell(
+                f"L2 {where}", lambda: renyi_length_bell(family, n, RenyiOrder(4), ctx)
+            ),
+            shannon_N=_cell(
+                f"shannon_N {where}", lambda: shannon_numeric(family, n, ctx).length
+            ),
+        )
+        for o in extra:
+            row[f"L_{o.q}"] = _cell(
+                f"L_{o.q} {where}", lambda o=o: renyi_length_bell(family, n, o, ctx)
             )
-        except QuadratureError:
-            oracle["fisher_length"] = Tagged(None, TAG_ORACLE)
-        for two_q in two_q_list:
-            try:
-                order = RenyiOrder(two_q)
-                W = integrate_density_power(family, n, order, ctx)
-                oracle[f"L_{two_q}/2"] = Tagged(
-                    length_from_power_integral(W, order), TAG_ORACLE
+        rows.append(row)
+    return header, rows, provenance
+
+
+def asymptotics_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_CTX):
+    """Numeric vs large-n S and N, N/stddev vs ratio_constant(), and the
+    Cramer-Rao product vs its large-n rate, for each degree."""
+    header = _LEAD + [
+        "S_num", "S_asym", "N_num", "N_asym",
+        "ratio", "ratio_dev", "cr_product", "cr_asym", "cr_rel_dev",
+    ]
+    provenance = {
+        "S_num": TAG_ORACLE, "N_num": TAG_ORACLE,
+        "S_asym": TAG_ASYMPTOTIC, "N_asym": TAG_ASYMPTOTIC,
+        "ratio": TAG_ORACLE, "ratio_dev": TAG_ORACLE,
+        "cr_product": TAG_CLOSED, "cr_asym": TAG_ASYMPTOTIC,
+        "cr_rel_dev": TAG_CLOSED,
+    }
+    rate = asymptotic_cramer_rao(family, ctx)
+    rows = []
+    with mp.workprec(ctx.bits):
+        limit = ratio_constant()
+        for n in degrees:
+            where = f"{family.describe()} n={n}"
+            sh = _cell(
+                f"shannon {where}", lambda: shannon_numeric(family, n, ctx), required=True
+            )
+            sa = _cell(f"shannon asymptotic {where}", lambda: shannon_asymptotic(family, n))
+            dx = _cell(f"stddev {where}", lambda: stddev(family, n, ctx), required=True)
+            cr = _cell(f"cramer_rao {where}", lambda: cramer_rao_product(family, n, ctx))
+            ratio = sh.length / dx
+            cr_at = rate.at(n) if n > 0 or rate.exponent == 0 else None
+            if cr is None or cr_at is None or mp.isinf(cr):
+                cr_dev = None
+            else:
+                scale = max(abs(cr), abs(cr_at))
+                cr_dev = abs(cr - cr_at) / scale if scale else mp.mpf(0)
+            rows.append(_row(
+                family, n,
+                S_num=sh.entropy,
+                S_asym=None if sa is None else sa.entropy,
+                N_num=sh.length,
+                N_asym=None if sa is None else sa.length,
+                ratio=ratio,
+                ratio_dev=abs(ratio - limit),
+                cr_product=cr,
+                cr_asym=cr_at,
+                cr_rel_dev=cr_dev,
+            ))
+    return header, rows, provenance
+
+
+def bounds_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_CTX):
+    """The tightest entropy upper bound on N, its free parameter (absent for
+    Jacobi's N <= 2), and whether it dominates the numeric N."""
+    header = _LEAD + ["shannon_N", "bound", "bound_param", "dominates", "margin"]
+    provenance = {"shannon_N": TAG_ORACLE, "bound": TAG_CLOSED,
+                  "bound_param": TAG_CLOSED, "dominates": TAG_CLOSED,
+                  "margin": TAG_CLOSED}
+    rows = []
+    with mp.workprec(ctx.bits):
+        for n in degrees:
+            where = f"{family.describe()} n={n}"
+            sh = _cell(
+                f"shannon_N {where}", lambda: shannon_numeric(family, n, ctx), required=True
+            )
+            if family.kind == JACOBI:
+                bound, param = jacobi_trivial_bound(), ABSENT
+            else:
+                bound, param = _cell(
+                    f"bound {where}",
+                    lambda: optimize_bound(family, n, None, ctx),
+                    required=True,
                 )
-            except ParameterError:
-                oracle[f"L_{two_q}/2"] = Tagged(None, TAG_ORACLE)
-        if family.kind == LAGUERRE:
-            for two_q in two_q_list:
-                try:
-                    oracle[f"L_{two_q}/2_lauricella"] = Tagged(
-                        renyi_length_laguerre_lauricella(
-                            n, family.alpha, RenyiOrder(two_q), ctx
-                        ),
-                        TAG_LAURICELLA,
-                    )
-                except ParameterError:
-                    oracle[f"L_{two_q}/2_lauricella"] = Tagged(None, TAG_LAURICELLA)
-
-    bounds = {}
-    if include_bounds:
-        if family.kind == JACOBI:
-            bounds["upper"] = Tagged(jacobi_trivial_bound(), TAG_CLOSED)
-            bounds["param"] = Tagged(None, TAG_CLOSED)
-        else:
-            val, par = optimize_bound(family, n, None, ctx)
-            bounds["upper"] = Tagged(val, TAG_CLOSED)
-            bounds["param"] = Tagged(par, TAG_CLOSED)
-
-    audits = {}
-    if include_audits:
-        dx = sd.value
-        audits["cramer_rao"] = bool(fl.value <= dx * (1 + mp.mpf(10) ** -20))
-        audits["shannon_inequality"] = bool(shannon_inequality_check(family, n, ctx))
-        if bounds:
-            N = sn.value.length
-            slack = sn.value.est_error * N
-            audits["bound_dominance"] = bool(N <= bounds["upper"].value + slack)
-
-    return MeasureReport(
-        family=family.kind,
-        alpha=float(family.alpha),
-        beta=float(family.beta),
-        n=n,
-        stddev=sd,
-        fisher_length=fl,
-        renyi=renyi,
-        shannon_numeric=sn,
-        shannon_asymptotic=sa,
-        oracle=oracle,
-        bounds=bounds,
-        audits=audits,
-    )
+            rows.append(_row(
+                family, n,
+                shannon_N=sh.length,
+                bound=bound,
+                bound_param=param,
+                dominates=int(sh.length <= bound + sh.est_error * sh.length),
+                margin=bound - sh.length,
+            ))
+    return header, rows, provenance
 
 
 # ---------------------------------------------------------------------------

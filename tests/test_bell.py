@@ -1,12 +1,13 @@
 """Bell-route power integrals and Renyi lengths: partition identities,
-polynomial powers, frozen point values, signs, and exact zeros."""
+polynomial powers, frozen point values, signs, exact zeros, and
+precision shortfalls that must escalate."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from spreadpoly.context import ParameterError, PrecisionContext
+from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import (
     _weight_power_moments,
@@ -271,3 +272,21 @@ def test_divergent_parameters_rejected():
         renyi_length_bell(Family.laguerre(-0.5), 2, 2, CTX)   # alpha q = -1
     with pytest.raises(ParameterError):
         renyi_length_bell(Family.jacobi(-0.5, 0.0), 1, 3, CTX)
+
+
+@pytest.mark.parametrize(
+    "family,n", [(Family.laguerre(5.0), 80), (Family.jacobi(2.0, 2.0), 120)]
+)
+def test_even_order_shortfall_escalates_instead_of_zero(family, n):
+    # W = integral rho^2 > 0: the sum reaches its true value only at 1024
+    # bits, and the cells below must escalate rather than snap to 0
+    order = RenyiOrder(4)
+    W = renyi_power_integral_bell(family, n, order, CTX)
+    ref = integrate_density_power(family, n, order, CTX)
+    assert W > 0 and abs(W - ref) <= mp.mpf(1e-10) * ref
+
+
+def test_even_order_shortfall_out_of_budget_fails_loudly():
+    short = PrecisionContext(bits=128, max_escalations=1)
+    with pytest.raises(PrecisionError):
+        renyi_power_integral_bell(Family.laguerre(5.0), 80, RenyiOrder(4), short)

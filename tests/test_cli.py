@@ -1,18 +1,23 @@
 """Command-line interface: subcommands, formats, ranges, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-import spreadpoly.cli as cli
+import spreadpoly.report as report
 from spreadpoly.cli import main
-from spreadpoly.context import ParameterError
+from spreadpoly.context import ENV_RTOL, ParameterError
 from spreadpoly.families import Family
 from spreadpoly.report import format_value
 from spreadpoly.shannon import shannon_asymptotic
 
 HEADER = "family,alpha,beta,n,stddev,fisher_length,L2,shannon_N"
+
+#: Exact stdout of one invocation (argv without ``--bits 128``) per table
+#: kind, format and null style.
+GOLDEN = json.loads((Path(__file__).parent / "golden_tables.json").read_text())
 
 
 def run(capsys, *argv):
@@ -35,6 +40,15 @@ def test_measures_hermite_csv(capsys):
     assert first[3] == "0"
     # Delta x = sqrt(1/2) for the Gaussian ground state, 17 digits
     assert first[4] == "0.70710678118654757"
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_tables_are_byte_identical_to_golden(capsys, monkeypatch, command):
+    # a Jacobi bound (N <= 2) has no parameter: its bound_param is a JSON null
+    monkeypatch.delenv(ENV_RTOL, raising=False)
+    rc, out, err = run(capsys, *command.split(), "--bits", "128")
+    assert rc == 0 and err == ""
+    assert out == GOLDEN[command]
 
 
 def test_measures_mixed_range_and_row_count(capsys):
@@ -160,7 +174,7 @@ def test_numeric_failure_exit_3_names_quantity(capsys, monkeypatch):
     def boom(*a, **k):
         raise ArithmeticError("synthetic overflow")
 
-    monkeypatch.setattr(cli, "stddev", boom)
+    monkeypatch.setattr(report, "stddev", boom)
     rc, _, err = run(capsys, "measures", "--family", "hermite", "--n", "0", "--bits", "128")
     assert rc == 3
     assert "numeric failure" in err and "stddev" in err
@@ -181,7 +195,7 @@ def test_undefined_row_input_exits_2_naming_it(capsys, monkeypatch, command, tar
     def undefined(*a, **k):
         raise ParameterError("synthetic undefined value")
 
-    monkeypatch.setattr(cli, target, undefined)
+    monkeypatch.setattr(report, target, undefined)
     rc, out, err = run(capsys, command, "--family", "hermite", "--n", "1", "--bits", "128")
     assert rc == 2 and out == ""
     assert f"{quantity} is undefined" in err and "Traceback" not in err
@@ -231,6 +245,17 @@ def test_asymptotics_derived_columns_run_at_bits(capsys):
     with mp.workprec(512):
         want = shannon_asymptotic(Family.laguerre(2.0), 10).entropy
     assert row[header.index("S_asym")] == format_value(want) == "2.6936423187731919"
+
+
+def test_even_order_shortfall_prints_finite_l2(capsys):
+    # the Bell sum of this row cancels below 1024 bits; L2 must not be inf
+    rc, out, _ = run(
+        capsys, "measures", "--family", "laguerre", "--alpha", "5", "--n", "80",
+        "--bits", "512",
+    )
+    assert rc == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert row[header.index("L2")] == "136.90452661069344"
 
 
 def test_bounds_dominance_column(capsys):

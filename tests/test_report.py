@@ -1,72 +1,60 @@
-"""Tagged measure records and the CSV/JSON renderers built on them."""
+"""The table assemblers and the CSV/JSON renderers of their rows."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
-from spreadpoly.context import PrecisionContext
+from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
 from spreadpoly.report import (
-    MeasureReport,
-    Tagged,
-    build_report,
+    ABSENT,
+    asymptotics_table,
+    bounds_table,
     format_value,
+    measures_table,
     rows_to_csv,
     rows_to_json,
 )
+from spreadpoly.closed_form import stddev
 
 FAST = PrecisionContext(bits=128, rel_tol=1e-18)
 
 
-def test_build_report_structure_and_provenance():
-    rep = build_report(Family.laguerre(2.0), 3, (4, 3), FAST)
-    assert isinstance(rep, MeasureReport)
-    assert rep.family == "laguerre" and rep.alpha == 2.0 and rep.n == 3
-    assert rep.stddev.provenance == "closed_form"
-    assert rep.fisher_length.provenance == "closed_form"
-    assert set(rep.renyi) == {4, 3}
-    assert rep.renyi[4].provenance == "bell"
-    assert rep.shannon_numeric.provenance == "oracle"
-    assert rep.shannon_numeric.value.entropy > 0
-    # optional blocks default to empty
-    assert rep.oracle == {} and rep.bounds == {} and rep.audits == {}
-    assert rep.shannon_asymptotic.value is None
-
-
-def test_build_report_optional_blocks():
-    rep = build_report(
-        Family.hermite(),
-        2,
-        (4,),
-        FAST,
-        include_oracle=True,
-        include_bounds=True,
-        include_asymptotic=True,
-        include_audits=True,
+def test_measures_table_columns_rows_and_provenance():
+    header, rows, provenance = measures_table(
+        Family.hermite(), [0, 2], (Fraction(3, 2), 2, "3"), FAST
     )
-    assert abs(rep.oracle["stddev"].value - rep.stddev.value) < mp.mpf(1e-12)
-    assert abs(rep.oracle["L_4/2"].value - rep.renyi[4].value) < mp.mpf(1e-12)
-    assert rep.oracle["stddev"].provenance == "oracle"
-    assert rep.bounds["upper"].value >= rep.shannon_numeric.value.length
-    assert rep.bounds["param"].value in range(2, 13)
-    assert rep.shannon_asymptotic.provenance == "asymptotic"
-    assert rep.audits["cramer_rao"] and rep.audits["shannon_inequality"]
-    assert rep.audits["bound_dominance"]
+    # q = 2 is the L2 column already; the other orders follow in turn
+    assert header == ["family", "alpha", "beta", "n", "stddev", "fisher_length",
+                      "L2", "shannon_N", "L_3/2", "L_3"]
+    assert [r["n"] for r in rows] == [0, 2]
+    assert rows[0]["alpha"] is ABSENT and rows[0]["beta"] is ABSENT
+    assert rows[1]["stddev"] == stddev(Family.hermite(), 2, FAST)
+    assert provenance == {"stddev": "closed_form", "fisher_length": "closed_form",
+                          "L2": "bell", "shannon_N": "oracle",
+                          "L_3/2": "bell", "L_3": "bell"}
 
 
-def test_laguerre_report_includes_lauricella_cross_route():
-    rep = build_report(Family.laguerre(0.0), 1, (4,), FAST, include_oracle=True)
-    lau = rep.oracle["L_4/2_lauricella"]
-    assert lau.provenance == "lauricella"
-    assert abs(lau.value - rep.renyi[4].value) < mp.mpf(1e-20)
+def test_measures_table_rejects_unit_order():
+    with pytest.raises(ParameterError, match="q=1"):
+        measures_table(Family.hermite(), [0], [1], FAST)
 
 
-def test_divergent_oracle_fisher_length_is_undefined():
-    # F = inf on this branch; the numeric oracle raises instead of a finite value
-    rep = build_report(Family.laguerre(0.5), 0, (4,), FAST, include_oracle=True)
-    assert rep.oracle["fisher_length"] == Tagged(None, "oracle")
-    assert rep.fisher_length.value == 0
+def test_jacobi_bound_param_is_absent():
+    _, rows, _ = bounds_table(Family.jacobi(2.0, 2.0), [0, 3], FAST)
+    assert all(r["bound"] == 2 and r["bound_param"] is ABSENT for r in rows)
+    assert all(r["dominates"] == 1 for r in rows)
+
+
+@pytest.mark.parametrize("table", [asymptotics_table, bounds_table])
+def test_row_arithmetic_ignores_ambient_precision(table):
+    family = Family.laguerre(2.0)
+    want = table(family, [1, 10], FAST)
+    with mp.workprec(20):
+        got = table(family, [1, 10], FAST)
+    assert got == want
 
 
 def test_format_value_round_trip():
