@@ -10,9 +10,11 @@ expressions they stand for (each is quoted in a comment).  Every result is
 therefore bit-identical to the operator form.
 
 Two recurrence kernels share the table of ``families.recurrence_table``:
-:func:`recurrence` evaluates the orthonormal p_n (with p_n'), and
-:func:`monic_recurrence`, the Newton pass of the Gauss rules, evaluates the
-monic pi_m and pi_{m-1} with their derivatives and divides nowhere.
+:func:`recurrence` evaluates the orthonormal p_n, and
+:func:`monic_recurrence`, the Newton pass of the Gauss rules and the only
+source of mpf derivatives, evaluates the monic pi_m and pi_{m-1} with their
+derivatives and divides nowhere.  :func:`bell_row` is the partial-Bell row
+of the Bell route.
 
 Callers unwrap arguments with ``x._mpf_`` and wrap results with
 ``mp.make_mpf``.  This module holds all of the package's tuple arithmetic.
@@ -24,7 +26,6 @@ import math
 
 from mpmath.libmp import (
     fone,
-    from_int,
     fzero,
     mpf_add,
     mpf_div,
@@ -35,20 +36,17 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .context import ParameterError
-
 _RND = round_nearest
 
 
-def recurrence(x, diag, off, p0, steps: int, prec: int, *, derivative=False):
-    """``steps`` steps of the orthonormal three-term recurrence at ``x``.
+def recurrence(x, diag, off, p0, steps: int, prec: int):
+    """p_steps(x) by the orthonormal three-term recurrence.
 
     Starts from p_{-1} = 0 and p_0 = ``p0`` with the coefficient tuples
-    ``diag``/``off`` (a_k, b_k).  Returns ``(p, dp)``: p_steps(x), and its
-    derivative when ``derivative`` (else None).
+    ``diag``/``off`` (a_k, b_k).
     """
-    add, sub, mul, div, rnd = mpf_add, mpf_sub, mpf_mul, mpf_div, _RND
-    pkm1 = dk = dkm1 = fzero
+    sub, mul, div, rnd = mpf_sub, mpf_mul, mpf_div, _RND
+    pkm1 = fzero
     pk = p0
     for k in range(steps):
         t = sub(x, diag[k], prec, rnd)  # x - diag[k]
@@ -56,17 +54,8 @@ def recurrence(x, diag, off, p0, steps: int, prec: int, *, derivative=False):
         bk1 = off[k + 1]
         # ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1]
         pk1 = div(sub(mul(t, pk, prec, rnd), mul(bk, pkm1, prec, rnd), prec, rnd), bk1, prec, rnd)
-        if derivative:
-            # ((x - diag[k]) * dk + pk - off[k] * dkm1) / off[k + 1]
-            dk1 = div(
-                sub(add(mul(t, dk, prec, rnd), pk, prec, rnd), mul(bk, dkm1, prec, rnd), prec, rnd),
-                bk1,
-                prec,
-                rnd,
-            )
-            dk, dkm1 = dk1, dk
         pk, pkm1 = pk1, pk
-    return pk, (dk if derivative else None)
+    return pk
 
 
 def monic_recurrence(x, diag, offsq, steps: int, prec: int):
@@ -122,21 +111,3 @@ def bell_row(args, max_m: int, l: int, prec: int) -> list:
             cur[m] = mpf_sum(acc, prec, rnd)
         prev = cur
     return prev
-
-
-def hyp2f1_terms(a, b, c, z, m: int, prec: int) -> list:
-    """The m+1 terms of a terminating 2F1(a, b; c; z), built by term ratio."""
-    add, mul, rnd = mpf_add, mpf_mul, _RND
-    term = fone
-    acc = [term]
-    for j in range(m):
-        fj = from_int(j)
-        denom = mpf_mul_int(add(c, fj, prec, rnd), j + 1, prec, rnd)  # (c + j) * (j + 1)
-        if denom == fzero:
-            raise ParameterError("lower parameter hits a nonpositive integer")
-        # term * (a + j) * (b + j) * z / denom
-        term = mul(term, add(a, fj, prec, rnd), prec, rnd)
-        term = mul(term, add(b, fj, prec, rnd), prec, rnd)
-        term = mpf_div(mul(term, z, prec, rnd), denom, prec, rnd)
-        acc.append(term)
-    return acc

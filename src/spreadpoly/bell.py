@@ -12,7 +12,9 @@ come from one first-order (Laguerre, Hermite) or two-term (Jacobi)
 recurrence started at a Gamma closed form, O(1) operations per moment.
 Everything here is a finite sum; the enemy is cancellation (the
 coefficient sequences alternate), handled by the context's
-precision-doubling acceptance.
+precision-doubling acceptance.  Each precision step builds the monomial
+coefficients at its own bits, so the one agreement test on W also covers
+their error.
 
 B_{m,l} is computed by the standard recurrence
 
@@ -37,7 +39,7 @@ from .context import (
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
 from ._mpkernels import bell_row
 from .hypergeom import hyp2f1_terminating
-from .orthopoly import orthonormal_coeffs
+from .orthopoly import _explicit_coeffs
 
 __all__ = [
     "partial_bell",
@@ -182,11 +184,9 @@ def _weight_power_moments(family: Family, q, count: int) -> list:
     return m
 
 
-def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int, rel_tol: float):
+def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int):
     with mp.workprec(bits):
-        ctx = PrecisionContext(bits=bits, rel_tol=rel_tol)
-        coeffs = orthonormal_coeffs(family, n, ctx).coeffs
-        d = polynomial_power_coeffs(coeffs, order.two_q)
+        d = polynomial_power_coeffs(_explicit_coeffs(family, n, bits), order.two_q)
         moments = _weight_power_moments(family, order.q_mpf(), len(d))
         terms = [dk * mk for dk, mk in zip(d, moments)]
         total = mp.fsum(terms)
@@ -214,9 +214,7 @@ def renyi_power_integral_bell(
     """W_q by the Bell-expansion route; equals 1 at q=1 (normalization)."""
     order = RenyiOrder.from_q(q)
     _check_integrable(family, order)
-    return with_escalation(
-        lambda bits: _power_integral_at(family, n, order, bits, ctx.rel_tol), ctx
-    )
+    return with_escalation(lambda bits: _power_integral_at(family, n, order, bits), ctx)
 
 
 def length_from_power_integral(W, order: RenyiOrder):

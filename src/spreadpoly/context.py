@@ -4,8 +4,10 @@ All quantities are computed with mpmath arbitrary-precision floats.  A
 :class:`PrecisionContext` fixes the number of mantissa bits, the relative
 tolerance used to decide that two computations of the same quantity agree,
 and how many times the precision may be doubled before giving up.  The
-doubling loop is the package-wide acceptance rule for cancellation-prone
-sums: a value is trusted once two consecutive precisions agree.
+doubling loop, :func:`with_escalation`, is the package-wide acceptance rule
+for cancellation-prone sums, and the only one: a value (or every element of
+a tuple of values) is trusted once two consecutive precisions agree, and
+:class:`PrecisionError` reports one that never does.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class ParameterError(ValueError):
 
 
 class PrecisionError(ArithmeticError):
-    """Raised when repeated precision doubling fails to stabilise a value."""
+    """Raised when a computed value fails to converge or stabilise."""
 
 
 @dataclass(frozen=True)
@@ -99,17 +101,17 @@ def with_escalation(compute: Callable[[int], object], ctx: PrecisionContext):
     """Run ``compute(bits)`` at doubling precision until two runs agree.
 
     ``compute`` must evaluate the full quantity from scratch at the given
-    number of bits and return an mpf (or a tuple whose first element is the
-    mpf that must stabilise).  Returns the highest-precision result.
+    number of bits and return an mpf, or a tuple of mpf every element of
+    which must agree.  Returns the highest-precision result;
+    :class:`PrecisionError` once the escalations run out.
     """
     bits = ctx.bits
     prev = compute(bits)
     for _ in range(ctx.max_escalations + 1):
         bits *= 2
         cur = compute(bits)
-        a = prev[0] if isinstance(prev, tuple) else prev
-        b = cur[0] if isinstance(cur, tuple) else cur
-        if agrees(a, b, ctx.rel_tol):
+        pairs = zip(prev, cur) if isinstance(cur, tuple) else ((prev, cur),)
+        if all(agrees(a, b, ctx.rel_tol) for a, b in pairs):
             return cur
         prev = cur
     raise PrecisionError(

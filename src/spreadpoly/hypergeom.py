@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from mpmath import mp
 
-from ._mpkernels import hyp2f1_terms
 from .context import ParameterError, cancellation_clamp
 
 __all__ = ["hyp2f1_terminating", "terminating_2f0", "nonpositive_int_bound"]
@@ -31,8 +30,15 @@ def nonpositive_int_bound(*params) -> int:
 def hyp2f1_terminating(a, b, c, z):
     """2F1(a, b; c; z) where a or b is a nonpositive integer."""
     m = nonpositive_int_bound(a, b)
-    a, b, c, z = (mp.mpf(v)._mpf_ for v in (a, b, c, z))
-    acc = [mp.make_mpf(t) for t in hyp2f1_terms(a, b, c, z, m, mp.prec)]
+    a, b, c, z = mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpf(z)
+    term = mp.mpf(1)
+    acc = [term]
+    for j in range(m):
+        denom = (c + j) * (j + 1)
+        if denom == 0:
+            raise ParameterError("lower parameter hits a nonpositive integer")
+        term = term * (a + j) * (b + j) * z / denom
+        acc.append(term)
     return cancellation_clamp(mp.fsum(acc), acc, mp.prec)
 
 

@@ -15,11 +15,12 @@ written once, in ``families``, and every evaluator here reads them through
 precision for the mpf evaluators, floats for the float64 zeros.
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
-monomial coefficients (:func:`orthonormal_coeffs`, the input of the Bell
-route) and the recurrence.  The mpf values of p_n (:func:`evaluate_recurrence`)
-and of p_n with p_n' (:func:`evaluate_with_derivative`) go through one
-evaluator, :func:`spreadpoly._mpkernels.recurrence`; its float64 counterpart
-is ``_vec.poly_scaled``, which reads the same table in floats.
+monomial coefficients (:func:`_explicit_coeffs`, the input of the Bell
+route, accepted on their own by :func:`orthonormal_coeffs`) and the
+recurrence.  The mpf values of p_n (:func:`evaluate_recurrence`) go through
+one evaluator, :func:`spreadpoly._mpkernels.recurrence`; its float64
+counterpart is ``_vec.poly_scaled``, which reads the same table in floats
+and also returns p_n'.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros_raw` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
@@ -40,7 +41,13 @@ import numpy as np
 from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
-from .context import ParameterError, PrecisionContext, agrees, cancellation_clamp
+from .context import (
+    ParameterError,
+    PrecisionContext,
+    PrecisionError,
+    cancellation_clamp,
+    with_escalation,
+)
 from ._mpkernels import log2_abs, monic_recurrence, recurrence
 from ._vec import poly_scaled
 from .families import HERMITE, JACOBI, LAGUERRE, Family, recurrence_table
@@ -49,7 +56,6 @@ from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.p
 __all__ = [
     "PolyCoeffs",
     "orthonormal_coeffs",
-    "evaluate_with_derivative",
     "zeros",
 ]
 
@@ -77,19 +83,18 @@ def _leading_positive(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=2)
 def _explicit_coeffs(family: Family, n: int, prec: int) -> tuple:
     """Explicit monomial coefficients at the active precision, which the
     caller passes as ``prec`` so that a set is never reused at another
     precision.
 
-    :func:`orthonormal_coeffs` compares the sets at b and 2b bits, and a
-    Bell value escalates it through b, 2b, 4b, ...; each escalation step
-    reuses the set its predecessor built last.  A value that escalates once
-    needs the sets at b, 2b and 4b bits; with three entries kept, the next
-    value of the same (family, n), such as the L_q after the L2 of one
-    ``measures`` row, builds none of them again.
+    Two sets are kept, b and 2b bits, so that the next value of the same
+    (family, n) escalated from b bits, such as the L_q after the L2 of one
+    ``measures`` row, builds none again.
     """
+    if n < 0:
+        raise ParameterError("degree must be nonnegative")
     kind = family.kind
     a = mp.mpf(family.alpha)
     b = mp.mpf(family.beta)
@@ -150,43 +155,30 @@ def _explicit_coeffs(family: Family, n: int, prec: int) -> tuple:
 def orthonormal_coeffs(
     family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX
 ) -> PolyCoeffs:
-    """Explicit coefficients, accepted once two precisions agree.
+    """Explicit coefficients, accepted once every one agrees at two
+    precisions, rounded to ``ctx.bits``.
 
     The alternating inner sum of the Jacobi display cancels severely at
-    large n, hence the escalation loop.
+    large n, hence the escalation.
     """
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
-    bits = ctx.bits
-    with mp.workprec(bits):
-        prev = _explicit_coeffs(family, n, bits)
-    for _ in range(ctx.max_escalations + 1):
-        bits *= 2
+
+    def compute(bits):
         with mp.workprec(bits):
-            cur = _explicit_coeffs(family, n, bits)
-        if all(agrees(p, c, ctx.rel_tol) for p, c in zip(prev, cur)):
-            with mp.workprec(ctx.bits):
-                out = tuple(+c for c in cur)
-            return PolyCoeffs(family, n, out)
-        prev = cur
-    raise ParameterError(
-        f"coefficients failed to stabilise for {family.describe()}, n={n}"
-    )
+            return _explicit_coeffs(family, n, bits)
+
+    try:
+        cur = with_escalation(compute, ctx)
+    except PrecisionError as exc:
+        raise PrecisionError(f"coefficients of {family.describe()}, n={n}: {exc}") from exc
+    with mp.workprec(ctx.bits):
+        return PolyCoeffs(family, n, tuple(+c for c in cur))
 
 
 def evaluate_recurrence(family: Family, n: int, x):
     """p_n(x) by the recurrence at the active precision."""
     x = mp.mpf(x)
     diag, off, p0 = recurrence_table(family.kind, family.alpha, family.beta, n + 1, mp.prec)
-    return mp.make_mpf(recurrence(x._mpf_, diag, off, p0, n, mp.prec)[0])
-
-
-def evaluate_with_derivative(family: Family, n: int, x):
-    """(p_n(x), p_n'(x)), both by recurrence."""
-    x = mp.mpf(x)
-    diag, off, p0 = recurrence_table(family.kind, family.alpha, family.beta, n + 1, mp.prec)
-    p, dp = recurrence(x._mpf_, diag, off, p0, n, mp.prec, derivative=True)
-    return mp.make_mpf(p), mp.make_mpf(dp)
+    return mp.make_mpf(recurrence(x._mpf_, diag, off, p0, n, mp.prec))
 
 
 #: Float64 Newton on the zeros stops once every step is at most this many
@@ -201,7 +193,7 @@ def _eigen_seeds(diag64, off64):
     try:
         return eigh_tridiagonal(diag64, off64, eigvals_only=True)
     except Exception as exc:  # pragma: no cover - LAPACK failure surface
-        raise ParameterError(f"eigenvalue solve failed: {exc}") from exc
+        raise PrecisionError(f"eigenvalue solve failed: {exc}") from exc
 
 
 def _is_symmetric(kind: str, alpha, beta) -> bool:
@@ -212,7 +204,7 @@ def _is_symmetric(kind: str, alpha, beta) -> bool:
 def _check_increasing(out: list) -> list:
     for lo, hi in zip(out, out[1:]):
         if not lo < hi:
-            raise ParameterError("zero polish produced non-increasing nodes")
+            raise PrecisionError("zero polish produced non-increasing nodes")
     return out
 
 
@@ -279,7 +271,7 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
       nonpositive half is polished, the middle node of an odd rule is
       exactly 0, and nodes and weights are mirrored exactly.
 
-    ParameterError if a node takes more than ``_POLISH_MAX_PASSES`` passes.
+    PrecisionError if a node takes more than ``_POLISH_MAX_PASSES`` passes.
     """
     with mp.workprec(bits + 20):
         prec = mp.prec
@@ -317,7 +309,7 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
                     break
                 z -= u
             else:
-                raise ParameterError(
+                raise PrecisionError(
                     f"Newton polish of the {m}-point {kind} rule (alpha={alpha}, "
                     f"beta={beta}) did not settle in {_POLISH_MAX_PASSES} passes "
                     f"at {bits} bits"
@@ -345,7 +337,7 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
     ``bits=None`` the zeros are Python floats: all of them take float64
     Newton steps together until every step is at most 2 ulps of
     max(1, max|z|), which leaves each zero within a few ulps of that scale;
-    ParameterError if that takes more than 8 steps.
+    PrecisionError if that takes more than 8 steps.
     """
     if n < 1:
         return []
@@ -361,7 +353,7 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
             if np.max(np.abs(step)) <= _NEWTON_STEP_ULPS * np.finfo(float).eps * scale:
                 break
         else:
-            raise ParameterError(
+            raise PrecisionError(
                 f"float64 Newton on the {n} zeros did not settle in {_NEWTON_MAX_ITER} steps"
             )
         return _mirrored_increasing(np.sort(z).tolist(), symmetric, 0.0)
@@ -376,5 +368,5 @@ def zeros(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX) -> list:
         zs = zeros_raw(family.kind, family.alpha, family.beta, n, ctx.bits)
         lo, hi = family.interval
         if zs and not (lo < zs[0] and zs[-1] < hi):
-            raise ParameterError("computed zeros escaped the interval")
+            raise PrecisionError("computed zeros escaped the interval")
         return zs

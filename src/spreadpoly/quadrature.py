@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .context import ParameterError, PrecisionContext, cancellation_clamp
+from .context import ParameterError, PrecisionContext, PrecisionError, cancellation_clamp
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
 from .orthopoly import _gauss_polish, evaluate_recurrence
 
@@ -165,10 +165,10 @@ def gauss_rule(
                 weights = tuple(w * factor for w in weights)
         for w in weights:
             if not w > 0:
-                raise ParameterError("nonpositive quadrature weight")
+                raise PrecisionError("nonpositive quadrature weight")
         for lo, hi in zip(nodes, nodes[1:]):
             if not lo < hi:
-                raise ParameterError("nodes not strictly increasing")
+                raise PrecisionError("nodes not strictly increasing")
     return QuadratureRule(spec, nodes, weights, 2 * m - 1)
 
 

@@ -180,6 +180,24 @@ def test_numeric_failure_exit_3_names_quantity(capsys, monkeypatch):
     assert "numeric failure" in err and "stddev" in err
 
 
+def test_unsettled_zeros_exit_3_naming_shannon(capsys, monkeypatch):
+    # the float64 Newton on the zeros of the Shannon panels may take no step
+    monkeypatch.setattr("spreadpoly.orthopoly._NEWTON_MAX_ITER", 0)
+    rc, out, err = run(capsys, "measures", "--family", "hermite", "--n", "3", "--bits", "128")
+    assert rc == 3 and out == ""
+    assert "numeric failure: shannon_N" in err and "did not settle" in err
+
+
+def test_exhausted_bell_escalation_exits_3_naming_l2(capsys):
+    # 424 and 848 bits cannot agree to 1e-200: the Bell value runs out of
+    # escalations, which is a numeric failure, not an undefined cell
+    rc, out, err = run(
+        capsys, "measures", "--family", "hermite", "--n", "2", "--bits", "53", "--rtol", "1e-200"
+    )
+    assert rc == 3 and out == ""
+    assert "numeric failure: L2" in err and "failed to stabilise" in err
+
+
 @pytest.mark.parametrize(
     "command,target,quantity",
     [

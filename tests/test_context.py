@@ -42,6 +42,16 @@ def test_with_escalation_raises_on_chaos():
         with_escalation(f, PrecisionContext(bits=64, rel_tol=1e-15))
 
 
+def test_with_escalation_checks_every_tuple_element():
+    # element 0 settles at once; element 1 never does
+    def f(bits):
+        with mp.workprec(bits):
+            return +(mp.mpf(1) / 3), mp.mpf(bits)
+
+    with pytest.raises(PrecisionError):
+        with_escalation(f, PrecisionContext(bits=64, rel_tol=1e-15))
+
+
 def test_cancellation_clamp_snaps_roundoff():
     terms = [mp.mpf(1), mp.mpf(-1), mp.mpf("3e-77")]
     assert cancellation_clamp(mp.fsum(terms), terms, 256) == 0

@@ -1,10 +1,11 @@
 """The libmp kernels against the mpf operator loops they replaced.
 
 Each ``_ref_*`` function below is the operator form of a loop that now
-runs in ``spreadpoly._mpkernels`` (or, for the explicit coefficients and
-the Jacobi moments, the form before their invariants were hoisted).  The
-kernels promise the same libmp operations in the same order, so those
-comparisons are ``==`` on the mpf values, not a tolerance.
+runs in ``spreadpoly._mpkernels`` (or, for the explicit coefficients, the
+form before their invariants were hoisted, and for the Jacobi moment
+oracle, the form with its sign applied first).  The kernels promise the
+same libmp operations in the same order, so those comparisons are ``==``
+on the mpf values, not a tolerance.
 
 The Gauss rules are the exception: their polish now stops on an ODE
 bound and takes its weights from Christoffel–Darboux, so the former
@@ -22,27 +23,24 @@ from spreadpoly.bell import (
     jacobi_power_moment,
     polynomial_power_coeffs,
     renyi_length_bell,
-    renyi_power_integral_bell,
 )
 from spreadpoly._mpkernels import monic_recurrence
-from spreadpoly.context import ParameterError, cancellation_clamp
+from spreadpoly.context import cancellation_clamp
 from spreadpoly.families import (
     HERMITE,
     JACOBI,
     LAGUERRE,
     Family,
-    RenyiOrder,
     norm_constant,
     raw_recurrence,
 )
-from spreadpoly.hypergeom import hyp2f1_terminating, nonpositive_int_bound
+from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.orthopoly import (
     _eigen_seeds,
     _explicit_coeffs,
     _leading_positive,
     _mirrored_increasing,
     evaluate_recurrence,
-    evaluate_with_derivative,
     zeros_raw,
 )
 from spreadpoly.quadrature import _RULE_CACHE_SIZE, _standard_rule
@@ -76,20 +74,6 @@ def _ref_evaluate(family, n, x):
     for k in range(n):
         pk, pkm1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1], pk
     return pk
-
-
-def _ref_evaluate_with_derivative(family, n, x):
-    x = mp.mpf(x)
-    diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    pk = 1 / mp.sqrt(norm_constant(family.kind, family.alpha, family.beta))
-    pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
-    dk = mp.mpf(0)
-    for k in range(n):
-        pk1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1]
-        dk1 = ((x - diag[k]) * dk + pk - off[k] * dkm1) / off[k + 1]
-        pk, pkm1 = pk1, pk
-        dk, dkm1 = dk1, dk
-    return pk, dk
 
 
 def _ref_monic_recurrence(x, diag, offsq, m):
@@ -179,21 +163,8 @@ def _ref_power_coeffs(coeffs, p):
     return out
 
 
-def _ref_hyp2f1(a, b, c, z):
-    m = nonpositive_int_bound(a, b)
-    a, b, c, z = mp.mpf(a), mp.mpf(b), mp.mpf(c), mp.mpf(z)
-    term = mp.mpf(1)
-    acc = [term]
-    for j in range(m):
-        denom = (c + j) * (j + 1)
-        if denom == 0:
-            raise ParameterError("lower parameter hits a nonpositive integer")
-        term = term * (a + j) * (b + j) * z / denom
-        acc.append(term)
-    return cancellation_clamp(mp.fsum(acc), acc, mp.prec)
-
-
 def _ref_jacobi_power_moment(k, q, alpha, beta):
+    """The Jacobi moment with its sign applied first."""
     qf = mp.mpf(q)
     a = mp.mpf(alpha) * qf
     b = mp.mpf(beta) * qf
@@ -204,7 +175,7 @@ def _ref_jacobi_power_moment(k, q, alpha, beta):
         * mp.gamma(a + 1)
         * mp.gamma(b + 1)
         / mp.gamma(a + b + 2)
-        * _ref_hyp2f1(-k, 1 + b, 2 + a + b, 2)
+        * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
     )
 
 
@@ -257,9 +228,7 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
         for n in DEGREES:
             for xs in XS:
                 x = mp.mpf(xs)
-                assert evaluate_recurrence(family, n, x) == _ref_evaluate(family, n, x)
-                got = evaluate_with_derivative(family, n, x)
-                assert got == _ref_evaluate_with_derivative(family, n, x), (n, xs)
+                assert evaluate_recurrence(family, n, x) == _ref_evaluate(family, n, x), (n, xs)
 
 
 @pytest.mark.parametrize("bits", BITS)
@@ -314,6 +283,7 @@ def test_coefficients_and_powers_are_bit_identical(family, bits):
                 assert polynomial_power_coeffs(coeffs, p) == _ref_power_coeffs(coeffs, p)
 
 
+#: ``jacobi_power_moment`` applies the sign of its 2F1 closed form last.
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("family", FAMILIES, ids=_ids)
 def test_hypergeometric_terms_are_bit_identical(family, bits):
@@ -321,13 +291,7 @@ def test_hypergeometric_terms_are_bit_identical(family, bits):
         for q in (1, 1.5, 2, 3):
             if not (family.alpha * q > -1 and family.beta * q > -1):
                 continue
-            a = mp.mpf(family.alpha) * q
-            b = mp.mpf(family.beta) * q
             for k in DEGREES:
-                args = (-k, 1 + b, 2 + a + b, 2)
-                assert hyp2f1_terminating(*args) == _ref_hyp2f1(*args)
-                args = (-k, a + mp.mpf(1) / 3, b + mp.mpf(7) / 4, mp.mpf("0.3"))
-                assert hyp2f1_terminating(*args) == _ref_hyp2f1(*args)
                 got = jacobi_power_moment(k, q, family.alpha, family.beta)
                 assert got == _ref_jacobi_power_moment(k, q, family.alpha, family.beta)
 
@@ -352,30 +316,15 @@ def test_coefficient_memo_is_kept_per_precision():
     assert low != high
 
 
-def test_coefficient_memo_serves_the_nested_escalation():
-    fam = Family.jacobi(0.5, 2.0)
-    order = RenyiOrder(4)
-    _explicit_coeffs.cache_clear()
-    warm = renyi_power_integral_bell(fam, 6, order)
-    info = _explicit_coeffs.cache_info()
-    # two escalation steps need the sets at 256, 512 and 1024 bits: the
-    # second step reuses the first step's 512-bit set
-    assert (info.misses, info.hits) == (3, 1)
-    for bits in (64, 1024, 128):
-        with mp.workprec(bits):
-            _explicit_coeffs(fam, 6, bits)
-    assert renyi_power_integral_bell(fam, 6, order) == warm
-
-
 def test_coefficient_memo_serves_a_whole_measures_row():
-    # L2 escalates once and leaves the sets at 256, 512 and 1024 bits; the
-    # row's L_3 of the same (family, n) needs exactly those three
+    # the Bell steps of L2 at 256 and 512 bits build one set each; the row's
+    # L_3 of the same (family, n) builds none
     fam = Family.jacobi(0.5, 2.0)
     _explicit_coeffs.cache_clear()
     renyi_length_bell(fam, 6, 2)
-    assert _explicit_coeffs.cache_info().misses == 3
+    assert _explicit_coeffs.cache_info().misses == 2
     renyi_length_bell(fam, 6, 3)
-    assert _explicit_coeffs.cache_info().misses == 3
+    assert _explicit_coeffs.cache_info().misses == 2
 
 
 def test_rule_cache_is_bounded():

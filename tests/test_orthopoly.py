@@ -16,12 +16,11 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
-from spreadpoly.context import ParameterError, PrecisionContext
+from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant, raw_recurrence, recurrence_table
 from spreadpoly.orthopoly import (
     _gauss_polish,
     evaluate_recurrence,
-    evaluate_with_derivative,
     orthonormal_coeffs,
     zeros,
     zeros_raw,
@@ -131,11 +130,9 @@ def test_recurrence_tables_are_kept_per_precision():
         low = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
     with mp.workprec(512):
         high = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
-        _, dhigh = evaluate_with_derivative(fam, 9, mp.mpf(1) / 3)
     recurrence_table.cache_clear()
     with mp.workprec(512):
         assert evaluate_recurrence(fam, 9, mp.mpf(1) / 3) == high
-        assert evaluate_with_derivative(fam, 9, mp.mpf(1) / 3) == (high, dhigh)
     assert abs(high - low) > 0
 
 
@@ -185,16 +182,6 @@ def test_float_jacobi_table_is_accurate_near_alpha_plus_beta_minus_2():
             assert abs(got - ref) <= 1e-14 * abs(ref)
         ref = norm_constant("jacobi", alpha, beta)
         assert abs(mu0 - ref) <= 1e-14 * ref
-
-
-def test_derivative_consistent_with_difference_quotient():
-    fam = Family.jacobi(0.5, 2.0)
-    with mp.workprec(200):
-        x = mp.mpf("0.3")
-        h = mp.mpf(2) ** -60
-        p, dp = evaluate_with_derivative(fam, 5, x)
-        fd = (evaluate_recurrence(fam, 5, x + h) - evaluate_recurrence(fam, 5, x - h)) / (2 * h)
-        assert abs(dp - fd) < mp.mpf(1e-30)
 
 
 def test_zeros_count_interval_and_symmetry():
@@ -260,7 +247,7 @@ def test_float_zeros_fail_loudly(monkeypatch):
         zeros_raw("jacobi", 0.0, -1.5, 3, None)
     # the first step from the eigenvalue seeds is above the stopping test
     monkeypatch.setattr("spreadpoly.orthopoly._NEWTON_MAX_ITER", 1)
-    with pytest.raises(ParameterError, match="did not settle"):
+    with pytest.raises(PrecisionError, match="did not settle"):
         zeros_raw("hermite", 0.0, 0.0, 24, None)
 
 
@@ -285,12 +272,19 @@ def test_symmetric_gauss_rules_are_exactly_mirrored(kind, alpha, beta):
 def test_gauss_polish_fails_loudly(monkeypatch):
     # at 256 bits no node of this rule settles in one pass from its seed
     monkeypatch.setattr("spreadpoly.orthopoly._POLISH_MAX_PASSES", 1)
-    with pytest.raises(ParameterError, match=r"5-point jacobi rule \(alpha=2.0, beta=0.5\).* 256 bits"):
+    with pytest.raises(PrecisionError, match=r"5-point jacobi rule \(alpha=2.0, beta=0.5\).* 256 bits"):
         _gauss_polish("jacobi", 2.0, 0.5, 5, 256)
-    with pytest.raises(ParameterError, match="did not settle in 1 passes"):
+    with pytest.raises(PrecisionError, match="did not settle in 1 passes"):
         zeros_raw("laguerre", 1.5, 0.0, 4, 256)
 
 
 def test_degree_validation():
     with pytest.raises(ParameterError):
         orthonormal_coeffs(Family.hermite(), -1, CTX)
+
+
+def test_coefficients_fail_loudly():
+    # 53 and 106 bits cannot agree to 1e-25, and no escalation is left
+    ctx = PrecisionContext(bits=53, max_escalations=0)
+    with pytest.raises(PrecisionError, match=r"coefficients of hermite, n=2: .*escalations"):
+        orthonormal_coeffs(Family.hermite(), 2, ctx)
