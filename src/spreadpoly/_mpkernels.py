@@ -1,20 +1,20 @@
 """The hot mpf loops, run on raw libmp tuples.
 
 Each mpmath ``mpf`` operator is a thin object wrapper around one libmp call
-(``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_mul_int``, ``mpf_div``,
-``mpf_sum``), and on the pure-Python backend the wrapper costs about a third
-of the operation.  The loops below make those libmp calls directly, on the
-``_mpf_`` tuples, at the precision the caller passes (``mp.prec``) with
-round-to-nearest, in exactly the operations and order of the operator
-expressions they stand for (each is quoted in a comment).  Every result is
+(``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_div``), and on the
+pure-Python backend the wrapper costs about a third of the operation.  The
+loops below make those libmp calls directly, on the ``_mpf_`` tuples, at
+the precision the caller passes (``mp.prec``) with round-to-nearest, in
+exactly the operations and order of the operator expressions they stand
+for (each is quoted in a comment).  Every result is
 therefore bit-identical to the operator form.
 
 Two recurrence kernels share the table of ``families.recurrence_table``:
 :func:`recurrence` evaluates the orthonormal p_n, and
 :func:`monic_recurrence`, the Newton pass of the Gauss rules and the only
 source of mpf derivatives, evaluates the monic pi_m and pi_{m-1} with their
-derivatives and divides nowhere.  :func:`bell_row` is the partial-Bell row
-of the Bell route.
+derivatives and divides nowhere.  The Bell route needs no kernel here: it
+runs on exact integers.
 
 Callers unwrap arguments with ``x._mpf_`` and wrap results with
 ``mp.make_mpf``.  This module holds all of the package's tuple arithmetic.
@@ -30,9 +30,7 @@ from mpmath.libmp import (
     mpf_add,
     mpf_div,
     mpf_mul,
-    mpf_mul_int,
     mpf_sub,
-    mpf_sum,
     round_nearest,
 )
 
@@ -86,28 +84,3 @@ def log2_abs(x) -> float:
     """log2|x| of a nonzero tuple as a float, at any exponent (a float
     conversion of x itself would underflow below 2^-1074)."""
     return math.log2(x[1]) + x[2]
-
-
-def bell_row(args, max_m: int, l: int, prec: int) -> list:
-    """Partial Bell polynomials B_{m,l}(args) for all m <= max_m.
-
-    Layered recurrence B_{m,l} = sum_i C(m-1, i-1) x_i B_{m-i, l-1}: each
-    term is ``(math.comb(m - 1, i - 1) * x_i) * B_{m-i,l-1}``, the sum one
-    ``mpf_sum`` (``mp.fsum``), and terms with x_i == 0 are left out.  The
-    scaled x_i depend on m and i only, so every layer reuses them.
-    """
-    mul, rnd = mpf_mul, _RND
-    nonzero = [i for i in range(1, len(args) + 1) if args[i - 1] != fzero]
-    scaled = [
-        [(i, mpf_mul_int(args[i - 1], math.comb(m - 1, i - 1), prec, rnd)) for i in nonzero if i <= m]
-        for m in range(max_m + 1)
-    ]
-    prev = [fone] + [fzero] * max_m  # l = 0 layer
-    for layer in range(1, l + 1):
-        cur = [fzero] * (max_m + 1)
-        for m in range(layer, max_m + 1):
-            top = m - layer + 1
-            acc = [mul(c, prev[m - i], prec, rnd) for i, c in scaled[m] if i <= top]
-            cur[m] = mpf_sum(acc, prec, rnd)
-        prev = cur
-    return prev

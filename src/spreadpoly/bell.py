@@ -7,45 +7,42 @@ of the weight gives the signed power integral
 
     W_q = integral p_n^{2q}(x) w(x)^q dx,
 
-and the Rényi length is W_q^{-1/(q-1)}.  The moments m_0..m_{2qn} of w^q
-come from one first-order (Laguerre, Hermite) or two-term (Jacobi)
-recurrence started at a Gamma closed form, O(1) operations per moment.
-Everything here is a finite sum; the enemy is cancellation (the
-coefficient sequences alternate), handled by the context's
-precision-doubling acceptance.  Each precision step builds the monomial
-coefficients at its own bits, so the one agreement test on W also covers
-their error.
+and the Rényi length is W_q^{-1/(q-1)}.
 
-B_{m,l} is computed by the standard recurrence
+alpha and beta are doubles, so exact dyadic rationals, and the whole sum is
+exact: p_n = K/L sum_t R_t x^t with integers R_t, L
+(``orthopoly._explicit_coeffs``) and one positive constant K
+(``orthopoly._coeff_scale``), and the moments of w^q are m_k = m_0 M_k / M
+with integers M_k, M.  Hence
 
-    B_{m,l} = sum_i C(m-1, i-1) x_i B_{m-i, l-1},
+    W_q = K^{2q} m_0 S / (L^{2q} M),   S = sum_k D_k M_k,
 
-with a direct partition-enumeration evaluator kept alongside as the
-combinatorial oracle.
+where D_k are the integer coefficients of (sum_t R_t x^t)^{2q}.  S is one
+Python integer: nothing cancels, so W_q is exactly 0 iff S is (parity, or
+the coincidence alpha = (q-3)/(2q) at odd 2q), and otherwise rounding
+enters only through the closed-form constant K^{2q} m_0 and one division.
+No precision escalation is needed, so the context's ``rel_tol`` and ``max_escalations`` do not
+apply to this route.
+
+B_{m,l} is computed by the standard layered recurrence
+
+    B_{m,l} = sum_i C(m-1, i-1) x_i B_{m-i, l-1}.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp
 
-from .context import (
-    ParameterError,
-    PrecisionContext,
-    cancellation_clamp,
-    with_escalation,
-)
+from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
-from ._mpkernels import bell_row
-from .hypergeom import hyp2f1_terminating
-from .orthopoly import _explicit_coeffs
+from .orthopoly import _coeff_scale, _explicit_coeffs
 
 __all__ = [
     "partial_bell",
-    "partial_bell_enumerated",
     "polynomial_power_coeffs",
-    "jacobi_power_moment",
     "renyi_power_integral_bell",
     "renyi_length_bell",
     "length_from_power_integral",
@@ -53,11 +50,31 @@ __all__ = [
 
 _DEFAULT_CTX = PrecisionContext()
 
+#: Extra bits at which the constant K^{2q} m_0 S / (L^{2q} M) is formed;
+#: W is returned at twice the context's bits.
+_GUARD_BITS = 32
 
-def _bell_row(args, max_m: int, l: int):
-    """B_{m,l} for all m <= max_m, by the layered recurrence."""
-    row = bell_row([a._mpf_ for a in args], max_m, l, mp.prec)
-    return [mp.make_mpf(v) for v in row]
+
+def _bell_rows(args, max_m: int, l: int) -> list:
+    """B_{m,l}(args) for all m <= max_m, by the layered recurrence.
+
+    Exact for integer (or Fraction) arguments.  The scaled
+    C(m-1, i-1) x_i depend on m and i only, so every layer reuses them, and
+    terms with x_i == 0 are left out.
+    """
+    nonzero = [i for i in range(1, len(args) + 1) if args[i - 1]]
+    scaled = [
+        [(i, math.comb(m - 1, i - 1) * args[i - 1]) for i in nonzero if i <= m]
+        for m in range(max_m + 1)
+    ]
+    prev = [1] + [0] * max_m  # l = 0 layer
+    for layer in range(1, l + 1):
+        cur = [0] * (max_m + 1)
+        for m in range(layer, max_m + 1):
+            top = m - layer + 1
+            cur[m] = sum(c * prev[m - i] for i, c in scaled[m] if i <= top)
+        prev = cur
+    return prev
 
 
 def partial_bell(m: int, l: int, args) -> object:
@@ -65,61 +82,27 @@ def partial_bell(m: int, l: int, args) -> object:
     if m < 0 or l < 0:
         raise ParameterError("indices must be nonnegative")
     if l > m:
-        return mp.mpf(0)
-    args = tuple(mp.mpf(a) for a in args)
-    return _bell_row(args, m, l)[m]
-
-
-def _partitions(m: int, l: int, max_part: int):
-    """Yield part-multiplicity tuples (j_1..j_max) with sum j = l, sum i*j = m."""
-    def rec(i, rem_l, rem_m, acc):
-        if i == max_part:
-            if rem_m == rem_l * max_part and 0 <= rem_l:
-                yield acc + (rem_l,)
-            return
-        for j in range(min(rem_l, rem_m // i) + 1):
-            yield from rec(i + 1, rem_l - j, rem_m - i * j, acc + (j,))
-
-    if max_part >= 1:
-        yield from rec(1, l, m, ())
-
-
-def partial_bell_enumerated(m: int, l: int, args) -> object:
-    """B_{m,l} by explicit summation over partitions (test oracle)."""
-    if l > m:
-        return mp.mpf(0)
-    if m == 0:
-        return mp.mpf(1 if l == 0 else 0)
-    width = m - l + 1
-    args = tuple(mp.mpf(a) for a in args) + (mp.mpf(0),) * width
-    total = []
-    for js in _partitions(m, l, width):
-        coeff = mp.factorial(m)
-        term = mp.mpf(1)
-        for i, j in enumerate(js, start=1):
-            if j:
-                term *= (args[i - 1] / mp.factorial(i)) ** j
-            coeff /= mp.factorial(j)
-        total.append(coeff * term)
-    return mp.fsum(total)
+        return 0
+    return _bell_rows(tuple(args), m, l)[m]
 
 
 def polynomial_power_coeffs(coeffs, p: int) -> list:
-    """Monomial coefficients of (sum_t c_t x^t)^p, degree-n input.
+    """Integer monomial coefficients of (sum_t c_t x^t)^p, integer c_t.
 
-    Entry t equals  p!/(t+p)! * B_{t+p, p}(1! c_0, 2! c_1, ..., (t+1)! c_t).
+    Entry t equals  p!/(t+p)! * B_{t+p, p}(1! c_0, 2! c_1, ..., (t+1)! c_t),
+    an exact division.
     """
     if p < 0:
         raise ParameterError("power must be nonnegative")
     n = len(coeffs) - 1
     top = n * p
-    args = [mp.factorial(i + 1) * mp.mpf(c) for i, c in enumerate(coeffs)]
-    rows = _bell_row(tuple(args), top + p, p)
+    args = [math.factorial(i + 1) * c for i, c in enumerate(coeffs)]
+    rows = _bell_rows(args, top + p, p)
     out = []
-    ratio = mp.mpf(1)  # p!/(t+p)! built incrementally
+    ratio = 1  # (t+p)!/p! built incrementally
     for t in range(top + 1):
-        out.append(ratio * rows[t + p])
-        ratio /= t + p + 1
+        out.append(rows[t + p] // ratio)
+        ratio *= t + p + 1
     return out
 
 
@@ -129,73 +112,73 @@ def _jacobi_moment_prefactor(a, b):
     return mp.power(2, 1 + a + b) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
 
 
-def jacobi_power_moment(k: int, q, alpha, beta):
-    """Integral of x^k against (1-x)^{alpha q} (1+x)^{beta q} on [-1, 1].
-
-    The closed form (-1)^k m_0 2F1(-k, 1+b; 2+a+b; 2) with a = alpha q,
-    b = beta q; it is the test oracle of the moment recurrence the Bell
-    route runs.  Negating a product rounds to the negated product, so the
-    sign may be applied last.
-    """
-    qf = mp.mpf(q)
-    a = mp.mpf(alpha) * qf
-    b = mp.mpf(beta) * qf
-    m = _jacobi_moment_prefactor(a, b) * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
-    return -m if k % 2 else m
+def _weight_power_mass(family: Family, two_q: int):
+    """m_0 = integral w(x)^q, q = two_q/2, at the active precision."""
+    q = mp.mpf(two_q) / 2
+    if family.kind == HERMITE:
+        return mp.sqrt(mp.pi / q)
+    a = mp.mpf(family.alpha) * q
+    if family.kind == LAGUERRE:
+        return mp.gamma(a + 1) / mp.power(q, a + 1)
+    return _jacobi_moment_prefactor(a, mp.mpf(family.beta) * q)
 
 
-def _weight_power_moments(family: Family, q, count: int) -> list:
-    """m_k = integral x^k w(x)^q for k < count, at the active precision.
+def _weight_power_moments(family: Family, two_q: int, count: int) -> tuple:
+    """``(M, den)``: m_k / m_0 = M[k] / den for k < count, exactly, where
+    m_k = integral x^k w(x)^q and q = two_q/2.
 
-    Each moment follows from its predecessors in O(1) operations, A = alpha q
-    and B = beta q:
+    Each ratio follows from its predecessors in O(1) integer operations,
+    with A = alpha q and B = beta q:
 
     * Jacobi: integrating d/dx[x^k (1-x^2) w^q] over [-1, 1] gives 0 (A, B > -1),
-      so (k+2+A+B) m_{k+1} = k m_{k-1} + (B-A) m_k from m_0 =
-      2^{1+A+B} Gamma(A+1) Gamma(B+1) / Gamma(A+B+2); odd moments are
-      exactly 0 when A = B;
-    * Laguerre: m_0 = Gamma(A+1)/q^{A+1} and m_{k+1} = m_k (A+k+1)/q;
-    * Hermite: m_0 = sqrt(pi/q), m_{2j+2} = m_{2j} (j+1/2)/q, odd moments 0.
+      so (k+2+A+B) m_{k+1} = k m_{k-1} + (B-A) m_k; odd moments are exactly
+      0 when A = B;
+    * Laguerre: m_{k+1} = m_k (A+k+1)/q;
+    * Hermite: m_{2j+2} = m_{2j} (j+1/2)/q, odd moments 0.
 
     No recurrence coefficient or Gauss node of w^q is used, so the Bell route
     stays independent of the Gauss route.
     """
-    m = [mp.mpf(0)] * count
+    top = count - 1
     if family.kind == HERMITE:
-        mk = mp.sqrt(mp.pi / q)
+        # m_{2j}/m_0 = (2j-1)!! / two_q^j
+        M = [0] * count
+        num = 1
         for k in range(0, count, 2):
-            m[k] = mk
-            mk = mk * (k // 2 + mp.mpf(1) / 2) / q
-    elif family.kind == LAGUERRE:
-        a = mp.mpf(family.alpha) * q
-        mk = mp.gamma(a + 1) / mp.power(q, a + 1)
+            M[k] = num * two_q ** ((top - k) // 2)
+            num *= k + 1
+        return M, two_q ** (top // 2)
+    if family.kind == LAGUERRE:
+        # m_k/m_0 = prod_{j<k} (2A + 2(j+1)) / two_q^k, 2A = anum/aden
+        anum, aden = (Fraction(family.alpha) * two_q).as_integer_ratio()
+        step = aden * two_q
+        M = []
+        num = 1
         for k in range(count):
-            m[k] = mk
-            mk = mk * (a + k + 1) / q
-    else:
-        a = mp.mpf(family.alpha) * q
-        b = mp.mpf(family.beta) * q
-        shift = (a + 1) + (b + 1)
-        slope = b - a
-        prev, mk = mp.mpf(0), _jacobi_moment_prefactor(a, b)
-        for k in range(count):
-            m[k] = mk
-            prev, mk = mk, (k * prev + slope * mk) / (k + shift)
-    return m
-
-
-def _power_integral_at(family: Family, n: int, order: RenyiOrder, bits: int):
-    with mp.workprec(bits):
-        d = polynomial_power_coeffs(_explicit_coeffs(family, n, bits), order.two_q)
-        moments = _weight_power_moments(family, order.q_mpf(), len(d))
-        terms = [dk * mk for dk, mk in zip(d, moments)]
-        total = mp.fsum(terms)
-        if order.two_q % 2:
-            # odd 2q has exact zeros (parity, alpha = (q-3)/(2q)); an even
-            # 2q integrates rho^q > 0, so a sum at the roundoff floor is a
-            # precision shortfall that must escalate, never a zero
-            total = cancellation_clamp(total, terms, bits)
-        return +total
+            M.append(num * step ** (top - k))
+            num *= anum + 2 * aden * (k + 1)
+        return M, step**top
+    # m_k/m_0 = N_k / Q_k with Q_k = prod_{j<k} (j d + s), s = d (A+B+2) and
+    # d the common denominator of A and B:
+    # N_{k+1} = k d ((k-1) d + s) N_{k-1} + d (B-A) N_k
+    a = Fraction(family.alpha) * two_q / 2
+    b = Fraction(family.beta) * two_q / 2
+    d = max(a.denominator, b.denominator)  # both powers of 2
+    s = int((a + b + 2) * d)
+    slope = int((b - a) * d)
+    N = [1]
+    prev = 0
+    for k in range(top):
+        N.append(k * d * ((k - 1) * d + s) * prev + slope * N[k])
+        prev = N[k]
+    # over the common denominator Q_top: M_k = N_k Q_top / Q_k
+    M = [0] * count
+    tail = 1
+    for k in range(top, -1, -1):
+        M[k] = N[k] * tail
+        if k:
+            tail *= (k - 1) * d + s
+    return M, tail
 
 
 def _check_integrable(family: Family, order: RenyiOrder) -> None:
@@ -211,10 +194,24 @@ def _check_integrable(family: Family, order: RenyiOrder) -> None:
 def renyi_power_integral_bell(
     family: Family, n: int, q, ctx: PrecisionContext = _DEFAULT_CTX
 ):
-    """W_q by the Bell-expansion route; equals 1 at q=1 (normalization)."""
+    """W_q by the Bell-expansion route; equals 1 at q=1 (normalization).
+
+    Exactly 0 iff the integer sum S is; otherwise K^{2q} m_0 S / (L^{2q} M)
+    is formed at twice ``ctx.bits`` plus guard bits and returned at twice
+    ``ctx.bits``.
+    """
     order = RenyiOrder.from_q(q)
     _check_integrable(family, order)
-    return with_escalation(lambda bits: _power_integral_at(family, n, order, bits), ctx)
+    p = order.two_q
+    coeffs, den = _explicit_coeffs(family, n)
+    d = polynomial_power_coeffs(coeffs, p)
+    moments, mden = _weight_power_moments(family, p, len(d))
+    total = sum(dk * mk for dk, mk in zip(d, moments))
+    bits = 2 * ctx.bits
+    with mp.workprec(bits + _GUARD_BITS):
+        W = _coeff_scale(family, n) ** p * _weight_power_mass(family, p) * total / (den**p * mden)
+    with mp.workprec(bits):
+        return +W
 
 
 def length_from_power_integral(W, order: RenyiOrder):

@@ -4,10 +4,13 @@ All quantities are computed with mpmath arbitrary-precision floats.  A
 :class:`PrecisionContext` fixes the number of mantissa bits, the relative
 tolerance used to decide that two computations of the same quantity agree,
 and how many times the precision may be doubled before giving up.  The
-doubling loop, :func:`with_escalation`, is the package-wide acceptance rule
-for cancellation-prone sums, and the only one: a value (or every element of
-a tuple of values) is trusted once two consecutive precisions agree, and
-:class:`PrecisionError` reports one that never does.
+doubling loop, :func:`with_escalation`, is the acceptance rule for the one
+cancellation-prone sum left, the Lauricella F_A route: a value (or every
+element of a tuple of values) is trusted once two consecutive precisions
+agree, and :class:`PrecisionError` reports one that never does.  The Bell
+route sums exact integers and the explicit coefficients are exact, so
+neither escalates, and ``rel_tol`` and ``max_escalations`` do not apply to
+them.
 """
 
 from __future__ import annotations

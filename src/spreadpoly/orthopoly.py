@@ -15,12 +15,15 @@ written once, in ``families``, and every evaluator here reads them through
 precision for the mpf evaluators, floats for the float64 zeros.
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
-monomial coefficients (:func:`_explicit_coeffs`, the input of the Bell
-route, accepted on their own by :func:`orthonormal_coeffs`) and the
-recurrence.  The mpf values of p_n (:func:`evaluate_recurrence`) go through
-one evaluator, :func:`spreadpoly._mpkernels.recurrence`; its float64
-counterpart is ``_vec.poly_scaled``, which reads the same table in floats
-and also returns p_n'.
+monomial coefficients and the recurrence.  The coefficients are exact:
+:func:`_explicit_coeffs` gives integers R_t over one integer L, and
+:func:`_coeff_scale` the one constant K with c_t = K R_t / L, so the Bell
+route runs on integers and :func:`orthonormal_coeffs` rounds each c_t once,
+with no precision escalation.  The mpf values of p_n
+(:func:`evaluate_recurrence`) go through one evaluator,
+:func:`spreadpoly._mpkernels.recurrence`; its float64 counterpart is
+``_vec.poly_scaled``, which reads the same table in floats and also
+returns p_n'.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros_raw` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
@@ -36,18 +39,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
 from scipy.linalg import eigh_tridiagonal
 
-from .context import (
-    ParameterError,
-    PrecisionContext,
-    PrecisionError,
-    cancellation_clamp,
-    with_escalation,
-)
+from .context import ParameterError, PrecisionContext, PrecisionError
 from ._mpkernels import log2_abs, monic_recurrence, recurrence
 from ._vec import poly_scaled
 from .families import HERMITE, JACOBI, LAGUERRE, Family, recurrence_table
@@ -77,101 +75,106 @@ class PolyCoeffs:
             raise ParameterError("leading coefficient must be nonzero")
 
 
-def _leading_positive(coeffs: list) -> tuple:
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
-    return tuple(coeffs)
+@functools.lru_cache(maxsize=4)
+def _explicit_coeffs(family: Family, n: int) -> tuple:
+    """Exact monomial coefficients of p_n: ``(R, L)`` with p_n = K/L *
+    sum_t R_t x^t, the integers R_t and L > 0 free of a common factor and
+    R_n > 0; K is :func:`_coeff_scale`.
 
+    alpha and beta are doubles, hence dyadic rationals, so every ratio in
+    the explicit displays is rational once the Gamma values and the norm
+    are gathered into K:
 
-@functools.lru_cache(maxsize=2)
-def _explicit_coeffs(family: Family, n: int, prec: int) -> tuple:
-    """Explicit monomial coefficients at the active precision, which the
-    caller passes as ``prec`` so that a set is never reused at another
-    precision.
+    * Hermite: r_t = (-1)^((n-t)/2) n! 2^t / (((n-t)/2)! t!) for n - t even;
+    * Laguerre: r_t = (-1)^t C(n, t) / (alpha+1)_t;
+    * Jacobi: r_t = sum_{i>=t} (-1)^(i-t) C(n, i) C(i, t) (s0)_i / (2^i (alpha+1)_i)
+      with s0 = alpha + beta + n + 1.
 
-    Two sets are kept, b and 2b bits, so that the next value of the same
-    (family, n) escalated from b bits, such as the L_q after the L2 of one
-    ``measures`` row, builds none again.
+    Exact integers leave nothing to cancel: the parity zeros of Hermite and
+    of Jacobi with alpha = beta are exact zeros.  Memoised on (family, n),
+    so the L2 and L_q of one ``measures`` row build one set.
     """
     if n < 0:
         raise ParameterError("degree must be nonnegative")
-    kind = family.kind
+    if family.kind == HERMITE:
+        R = [0] * (n + 1)
+        for t in range(n % 2, n + 1, 2):
+            m = (n - t) // 2
+            R[t] = (-1) ** m * math.factorial(n) * 2**t // (math.factorial(m) * math.factorial(t))
+        return _reduced(R, 1)
+    num, den = family.alpha.as_integer_ratio()
+    # (alpha+1)_i = P_i / den^i with P_i = prod_{j<i} (num + den (j+1)) > 0;
+    # tail[i] = P_n / P_i
+    tail = [1] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        tail[i] = tail[i + 1] * (num + den * (i + 1))
+    if family.kind == LAGUERRE:
+        R = [(-1) ** t * math.comb(n, t) * den**t * tail[t] for t in range(n + 1)]
+        L = tail[0]
+    else:
+        s0 = Fraction(family.alpha) + Fraction(family.beta) + n + 1
+        snum, sden = s0.numerator, s0.denominator
+        # common denominator L = (2 sden)^n P_n; g_i is the i-th term over it
+        # less its C(i, t), with (s0)_i = prod_{j<i} (snum + sden j) / sden^i
+        g, poch = [], 1
+        for i in range(n + 1):
+            g.append(math.comb(n, i) * poch * den**i * (2 * sden) ** (n - i) * tail[i])
+            poch *= snum + sden * i
+        # R_t = sum_i (-1)^(i-t) C(i, t) g_i are the coefficients of
+        # sum_i g_i (x - 1)^i: a Taylor shift by -1, additions only
+        R = g
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                R[j] -= R[j + 1]
+        L = (2 * sden) ** n * tail[0]
+    return _reduced(R, L)
+
+
+def _reduced(R: list, L: int) -> tuple:
+    """``(R, L)`` with the leading R positive and no common factor."""
+    if R[-1] < 0:
+        R = [-r for r in R]
+    common = math.gcd(L, *R)
+    return tuple(r // common for r in R), L // common
+
+
+def _coeff_scale(family: Family, n: int):
+    """K of :func:`_explicit_coeffs`, at the active precision: the norm of
+    p_n and the Gamma values of the displays."""
     a = mp.mpf(family.alpha)
     b = mp.mpf(family.beta)
-    if kind == HERMITE:
-        norm = mp.sqrt(mp.power(2, n) * mp.factorial(n) * mp.sqrt(mp.pi))
-        c = []
-        for t in range(n + 1):
-            if (n - t) % 2:
-                c.append(mp.mpf(0))
-            else:
-                sign = -1 if ((3 * n - t) // 2) % 2 else 1
-                c.append(
-                    sign
-                    * mp.factorial(n)
-                    * mp.power(2, t)
-                    / (norm * mp.factorial((n - t) // 2) * mp.factorial(t))
-                )
-        return _leading_positive(c)
-    if kind == LAGUERRE:
-        norm = mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n))
-        c = [
-            (-1 if t % 2 else 1) * norm * math.comb(n, t) / mp.gamma(a + t + 1)
-            for t in range(n + 1)
-        ]
-        return _leading_positive(c)
-    # Group Gamma(a+b+n+1+i)/Gamma(a+b+n+1) as the rising factorial
-    # (s0)_i so the n=0, a+b=-1 cell (Gamma(0)/Gamma(0), finite limit)
-    # never evaluates a pole.  At n=0 the leftover (2n+a+b+1)*Gamma(s0)
-    # collapses exactly to Gamma(a+b+2).
-    s0 = a + b + n + 1
+    if family.kind == HERMITE:
+        return 1 / mp.sqrt(mp.power(2, n) * mp.factorial(n) * mp.sqrt(mp.pi))
+    if family.kind == LAGUERRE:
+        return mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n)) / mp.gamma(a + 1)
+    # At n=0 the display's (2n+a+b+1) Gamma(a+b+n+1) collapses exactly to
+    # Gamma(a+b+2), so the Chebyshev cell a+b = -1 never evaluates a pole.
     if n == 0:
         front = mp.gamma(a + b + 2)
     else:
-        front = (2 * n + a + b + 1) * mp.gamma(s0)
+        front = (2 * n + a + b + 1) * mp.gamma(a + b + n + 1)
     norm = mp.sqrt(
         mp.gamma(a + n + 1)
         * front
         / (mp.factorial(n) * mp.power(2, a + b + 1) * mp.gamma(n + b + 1))
     )
-    poch = [mp.mpf(1)] * (n + 1)
-    for i in range(n):
-        poch[i + 1] = poch[i] * (s0 + i)
-    # C(n, i) and 2^i Gamma(a+i+1) do not depend on t
-    binom = [mp.mpf(math.comb(n, i)) for i in range(n + 1)]
-    den = [mp.power(2, i) * mp.gamma(a + i + 1) for i in range(n + 1)]
-    c = []
-    for t in range(n + 1):
-        terms = []
-        for i in range(t, n + 1):
-            term = binom[i] * math.comb(i, t) * poch[i] / den[i]
-            terms.append(-term if (i - t) % 2 else term)
-        # a == b zeroes alternate coefficients exactly; snap the noise
-        acc = cancellation_clamp(mp.fsum(terms), terms, mp.prec)
-        c.append(norm * acc)
-    return _leading_positive(c)
+    return norm / mp.gamma(a + 1)
+
+
+#: Extra bits at which K R_t / L is formed before its one rounding.
+_COEFF_GUARD = 64
 
 
 def orthonormal_coeffs(
     family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX
 ) -> PolyCoeffs:
-    """Explicit coefficients, accepted once every one agrees at two
-    precisions, rounded to ``ctx.bits``.
-
-    The alternating inner sum of the Jacobi display cancels severely at
-    large n, hence the escalation.
-    """
-
-    def compute(bits):
-        with mp.workprec(bits):
-            return _explicit_coeffs(family, n, bits)
-
-    try:
-        cur = with_escalation(compute, ctx)
-    except PrecisionError as exc:
-        raise PrecisionError(f"coefficients of {family.describe()}, n={n}: {exc}") from exc
+    """Explicit coefficients c_t = K R_t / L, rounded once to ``ctx.bits``."""
+    R, L = _explicit_coeffs(family, n)
+    with mp.workprec(ctx.bits + _COEFF_GUARD):
+        k = _coeff_scale(family, n)
+        coeffs = [k * r / L for r in R]
     with mp.workprec(ctx.bits):
-        return PolyCoeffs(family, n, tuple(+c for c in cur))
+        return PolyCoeffs(family, n, tuple(+c for c in coeffs))
 
 
 def evaluate_recurrence(family: Family, n: int, x):

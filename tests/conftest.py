@@ -1,9 +1,14 @@
 import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from spreadpoly.context import PrecisionContext
+
+# test modules import the shared oracles as ``oracles`` under any pytest
+# import mode, including ``--import-mode=importlib``
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 @pytest.fixture(autouse=True)

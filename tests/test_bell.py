@@ -1,25 +1,28 @@
 """Bell-route power integrals and Renyi lengths: partition identities,
-polynomial powers, frozen point values, signs, exact zeros, and
-precision shortfalls that must escalate."""
+exact polynomial powers and weight moments, frozen point values, signs,
+exact zeros, and large degrees that need no precision escalation."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
+from oracles import jacobi_power_moment, partial_bell_enumerated
+from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import (
+    _weight_power_mass,
     _weight_power_moments,
-    jacobi_power_moment,
     length_from_power_integral,
     partial_bell,
-    partial_bell_enumerated,
     polynomial_power_coeffs,
     renyi_length_bell,
     renyi_power_integral_bell,
 )
-from spreadpoly.quadrature import integrate_density_power
+from spreadpoly.orthopoly import evaluate_recurrence
+from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
 
 CTX = PrecisionContext()
 FAST = PrecisionContext(bits=128, rel_tol=1e-18)
@@ -40,31 +43,27 @@ def test_partial_bell_frozen_values():
 
 @pytest.mark.parametrize("m,l", [(4, 2), (6, 3), (7, 2), (8, 5)])
 def test_partial_bell_matches_enumeration(m, l):
-    args = [mp.mpf(v) for v in (1.5, -0.25, 2.0, 0.5, -1.0, 3.0, 0.75)]
-    a = partial_bell(m, l, args)
-    b = partial_bell_enumerated(m, l, args)
-    assert abs(a - b) <= TIGHT * max(1, abs(b))
+    # exact in Fraction on both sides
+    args = [Fraction(v) for v in (1.5, -0.25, 2.0, 0.5, -1.0, 3.0, 0.75)]
+    assert partial_bell(m, l, args) == partial_bell_enumerated(m, l, args)
 
 
 def test_polynomial_power_coeffs():
     # (1 + 2x)^3 = 1 + 6x + 12x^2 + 8x^3
-    got = polynomial_power_coeffs([mp.mpf(1), mp.mpf(2)], 3)
-    assert [int(c) for c in got] == [1, 6, 12, 8]
+    assert polynomial_power_coeffs([1, 2], 3) == [1, 6, 12, 8]
     # p^1 is the identity, p^0 is 1
-    got = polynomial_power_coeffs([mp.mpf(3), mp.mpf(-1), mp.mpf(4)], 1)
-    assert [float(c) for c in got] == [3.0, -1.0, 4.0]
-    assert [float(c) for c in polynomial_power_coeffs([mp.mpf(3), mp.mpf(2)], 0)] == [1.0]
+    assert polynomial_power_coeffs([3, -1, 4], 1) == [3, -1, 4]
+    assert polynomial_power_coeffs([3, 2], 0) == [1]
 
 
 def test_polynomial_power_matches_numpy():
     import numpy.polynomial.polynomial as npoly
 
-    cs = [0.3, -1.2, 0.0, 2.5]
-    want = npoly.polypow(cs, 4)
-    got = polynomial_power_coeffs([mp.mpf(c) for c in cs], 4)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert abs(float(g) - w) < 1e-10 * max(1.0, abs(w))
+    # every coefficient of the fourth power stays below 2^53, so numpy's
+    # float64 power is exact too
+    cs = [3, -12, 0, 25]
+    want = npoly.polypow([float(c) for c in cs], 4)
+    assert polynomial_power_coeffs(cs, 4) == [int(w) for w in want]
 
 
 def test_jacobi_power_moment_against_quadrature():
@@ -79,33 +78,39 @@ def test_jacobi_power_moment_against_quadrature():
             assert abs(got - direct) < mp.mpf(1e-15) * max(1, abs(direct))
 
 
+def _moments(family, q, count):
+    """m_k = m_0 M_k / M at the active precision."""
+    two_q = int(2 * q)
+    M, den = _weight_power_moments(family, two_q, count)
+    m0 = _weight_power_mass(family, two_q)
+    return [m0 * v / den for v in M]
+
+
 @pytest.mark.parametrize("q", QS)
 def test_jacobi_moment_recurrence_matches_closed_form(q):
-    # the 256-bit recurrence against the 2F1 closed form at 1400 bits; an
-    # error is measured on the larger of the two moments the step combines,
-    # since m_k itself may be small beside them
-    prec, count = 256, 73
+    # the exact ratios times m_0 against the 2F1 closed form, both at 1400
+    # bits; the closed form loses about k bits to cancellation, and every
+    # moment is at most m_0 in magnitude
+    count = 73
     for a in GRID:
         for b in GRID:
             if not (a * q > -1 and b * q > -1):
                 continue
-            with mp.workprec(prec):
-                m = _weight_power_moments(Family.jacobi(a, b), mp.mpf(q), count)
             with mp.workprec(1400):
+                m = _moments(Family.jacobi(a, b), q, count)
                 for k in range(count):
                     want = jacobi_power_moment(k, q, a, b)
-                    scale = max(abs(m[k]), abs(m[k - 1]) if k else 0)
-                    assert abs(m[k] - want) <= mp.mpf(2) ** (8 - prec) * scale, (a, b, k)
+                    assert abs(m[k] - want) <= mp.mpf(2) ** -1200 * m[0], (a, b, k)
 
 
 def test_symmetric_jacobi_odd_moments_are_exact_zeros():
-    with mp.workprec(256):
-        for a in GRID:
-            for q in QS:
-                if a * q > -1:
-                    m = _weight_power_moments(Family.jacobi(a, a), mp.mpf(q), 73)
-                    assert all(v == 0 for v in m[1::2])
-                    assert all(v > 0 for v in m[0::2])
+    for a in GRID:
+        for q in QS:
+            if a * q > -1:
+                M, den = _weight_power_moments(Family.jacobi(a, a), int(2 * q), 73)
+                assert den > 0
+                assert all(v == 0 for v in M[1::2])
+                assert all(v > 0 for v in M[0::2])
 
 
 @pytest.mark.parametrize(
@@ -114,13 +119,12 @@ def test_symmetric_jacobi_odd_moments_are_exact_zeros():
 def test_laguerre_and_hermite_moments_match_gamma_forms(family):
     # m_k = Gamma(A+k+1)/q^(A+k+1) with A = alpha q, and Hermite's
     # m_2j = Gamma(j+1/2)/q^(j+1/2) with odd moments 0
-    prec, count = 256, 73
+    prec, count = 512, 73
     for q in QS:
         if family.alpha * q <= -1:
             continue
         with mp.workprec(prec):
-            m = _weight_power_moments(family, mp.mpf(q), count)
-        with mp.workprec(2 * prec):
+            m = _moments(family, q, count)
             qf = mp.mpf(q)
             for k in range(count):
                 if family.kind == "hermite":
@@ -286,7 +290,54 @@ def test_even_order_shortfall_escalates_instead_of_zero(family, n):
     assert W > 0 and abs(W - ref) <= mp.mpf(1e-10) * ref
 
 
-def test_even_order_shortfall_out_of_budget_fails_loudly():
+def test_large_degree_needs_no_escalation_budget():
+    # the integer sum cannot fall short, so neither the start precision nor
+    # the escalation budget decides whether the value is right
     short = PrecisionContext(bits=128, max_escalations=1)
-    with pytest.raises(PrecisionError):
-        renyi_power_integral_bell(Family.laguerre(5.0), 80, RenyiOrder(4), short)
+    order = RenyiOrder(4)
+    W = renyi_power_integral_bell(Family.laguerre(5.0), 80, order, short)
+    ref = integrate_density_power(Family.laguerre(5.0), 80, order, short)
+    assert W > 0 and abs(W - ref) <= mp.mpf(1e-10) * ref
+
+
+def _gauss_abs_scale(family, n, order, ctx):
+    """Sum of |terms| of the Gauss route's rule for W_q."""
+    rule = gauss_rule(WeightSpec.power(family, order.q), n * order.two_q // 2 + 1, ctx)
+    with mp.workprec(ctx.bits + 20):
+        return mp.fsum(
+            w * abs(evaluate_recurrence(family, n, x)) ** order.two_q
+            for x, w in zip(rule.nodes, rule.weights)
+        )
+
+
+# alpha q, beta q > -1 for every q <= 3
+INTEGRABLE = st.floats(min_value=-0.3, max_value=6.0)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    alpha=INTEGRABLE,
+    beta=INTEGRABLE,
+    n=st.integers(min_value=0, max_value=10),
+    two_q=st.integers(min_value=3, max_value=6),
+)
+def test_bell_value_is_exact_in_sign_and_free_of_ambient_precision(kind, alpha, beta, n, two_q):
+    # W does not depend on the caller's mp.prec; W = integral rho^q > 0 for
+    # even 2q; and an exact 0 at odd 2q is a zero of the Gauss route too
+    family = Family(
+        kind,
+        0.0 if kind == "hermite" else alpha,
+        beta if kind == "jacobi" else 0.0,
+    )
+    order = RenyiOrder(two_q)
+    with mp.workprec(53):
+        low = renyi_power_integral_bell(family, n, order, FAST)
+    with mp.workprec(400):
+        high = renyi_power_integral_bell(family, n, order, FAST)
+    assert low._mpf_ == high._mpf_
+    if two_q % 2 == 0:
+        assert low > 0
+    elif low == 0:
+        gauss = integrate_density_power(family, n, order, FAST)
+        assert abs(gauss) <= mp.mpf(1e-30) * _gauss_abs_scale(family, n, order, FAST)

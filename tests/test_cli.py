@@ -8,8 +8,10 @@ from mpmath import mp
 
 import spreadpoly.report as report
 from spreadpoly.cli import main
-from spreadpoly.context import ENV_RTOL, ParameterError
-from spreadpoly.families import Family
+from spreadpoly.bell import length_from_power_integral
+from spreadpoly.context import ENV_RTOL, ParameterError, PrecisionContext
+from spreadpoly.families import Family, RenyiOrder
+from spreadpoly.quadrature import integrate_density_power
 from spreadpoly.report import format_value
 from spreadpoly.shannon import shannon_asymptotic
 
@@ -188,14 +190,18 @@ def test_unsettled_zeros_exit_3_naming_shannon(capsys, monkeypatch):
     assert "numeric failure: shannon_N" in err and "did not settle" in err
 
 
-def test_exhausted_bell_escalation_exits_3_naming_l2(capsys):
-    # 424 and 848 bits cannot agree to 1e-200: the Bell value runs out of
-    # escalations, which is a numeric failure, not an undefined cell
+def test_bell_row_ignores_rtol_and_matches_gauss_l2(capsys):
+    # the Bell value is one exact integer sum, so no agreement tolerance
+    # applies: even 1e-200 at 53 bits gives the Gauss route's L2
     rc, out, err = run(
         capsys, "measures", "--family", "hermite", "--n", "2", "--bits", "53", "--rtol", "1e-200"
     )
-    assert rc == 3 and out == ""
-    assert "numeric failure: L2" in err and "failed to stabilise" in err
+    assert rc == 0 and err == ""
+    row = dict(zip(HEADER.split(","), out.splitlines()[1].split(",")))
+    ctx = PrecisionContext(bits=53, rel_tol=1e-200)
+    W = integrate_density_power(Family.hermite(), 2, RenyiOrder(4), ctx)
+    with mp.workprec(ctx.bits):
+        assert row["L2"] == format_value(+length_from_power_integral(W, RenyiOrder(4)))
 
 
 @pytest.mark.parametrize(

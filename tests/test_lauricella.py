@@ -4,7 +4,7 @@ built on them, cross-checked against the series route and hand values."""
 import pytest
 from mpmath import mp
 
-from spreadpoly.context import ParameterError, PrecisionContext
+from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import renyi_length_bell, renyi_power_integral_bell
 from spreadpoly.hypergeom import hyp2f1_terminating
@@ -126,3 +126,10 @@ def test_coincidence_zero_cell():
 def test_divergent_alpha_q_rejected():
     with pytest.raises(ParameterError):
         laguerre_power_integral_lauricella(2, -0.5, RenyiOrder(4), CTX)
+
+
+def test_exhausted_escalation_fails_loudly():
+    # 53 and 106 bits cannot agree to 1e-200 and no escalation is left
+    short = PrecisionContext(bits=53, rel_tol=1e-200, max_escalations=0)
+    with pytest.raises(PrecisionError, match="failed to stabilise after 0 escalations"):
+        laguerre_power_integral_lauricella(2, 0.5, RenyiOrder(4), short)

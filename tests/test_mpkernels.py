@@ -1,11 +1,12 @@
-"""The libmp kernels against the mpf operator loops they replaced.
+"""The libmp kernels against the mpf operator loops they replaced, and
+the exact-integer Bell route against naive arithmetic.
 
 Each ``_ref_*`` function below is the operator form of a loop that now
-runs in ``spreadpoly._mpkernels`` (or, for the explicit coefficients, the
-form before their invariants were hoisted, and for the Jacobi moment
-oracle, the form with its sign applied first).  The kernels promise the
-same libmp operations in the same order, so those comparisons are ``==``
-on the mpf values, not a tolerance.
+runs in ``spreadpoly._mpkernels`` (or, for the Jacobi moment oracle, the
+form with its sign applied first).  The kernels promise the same libmp
+operations in the same order, so those comparisons are ``==`` on the mpf
+values, not a tolerance.  The Bell route's coefficients and powers are
+integers, checked ``==`` against Fraction sums and schoolbook products.
 
 The Gauss rules are the exception: their polish now stops on an ODE
 bound and takes its weights from Christoffel–Darboux, so the former
@@ -13,37 +14,35 @@ Newton loop and Christoffel sum (``_ref_zeros_raw``,
 ``_ref_christoffel_weights``) serve as an oracle at twice the precision.
 """
 
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from spreadpoly.bell import (
-    jacobi_power_moment,
-    polynomial_power_coeffs,
-    renyi_length_bell,
-)
+from oracles import explicit_ratios, jacobi_power_moment, naive_power
+from spreadpoly.bell import polynomial_power_coeffs
 from spreadpoly._mpkernels import monic_recurrence
-from spreadpoly.context import cancellation_clamp
+from spreadpoly.context import PrecisionContext
 from spreadpoly.families import (
     HERMITE,
     JACOBI,
-    LAGUERRE,
     Family,
     norm_constant,
     raw_recurrence,
 )
 from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.orthopoly import (
+    _coeff_scale,
     _eigen_seeds,
     _explicit_coeffs,
-    _leading_positive,
     _mirrored_increasing,
     evaluate_recurrence,
+    orthonormal_coeffs,
     zeros_raw,
 )
 from spreadpoly.quadrature import _RULE_CACHE_SIZE, _standard_rule
+from spreadpoly.report import measures_table
 
 FAMILIES = [
     Family.hermite(),
@@ -136,33 +135,6 @@ def _ref_christoffel_weights(kind, alpha, beta, m, bits, nodes):
         return weights
 
 
-def _ref_bell_row(args, max_m, l):
-    prev = [mp.mpf(1)] + [mp.mpf(0)] * max_m
-    for layer in range(1, l + 1):
-        cur = [mp.mpf(0)] * (max_m + 1)
-        for m in range(layer, max_m + 1):
-            acc = []
-            for i in range(1, m - layer + 2):
-                if i <= len(args) and args[i - 1] != 0:
-                    acc.append(math.comb(m - 1, i - 1) * args[i - 1] * prev[m - i])
-            cur[m] = mp.fsum(acc)
-        prev = cur
-    return prev
-
-
-def _ref_power_coeffs(coeffs, p):
-    n = len(coeffs) - 1
-    top = n * p
-    args = [mp.factorial(i + 1) * mp.mpf(c) for i, c in enumerate(coeffs)]
-    rows = _ref_bell_row(tuple(args), top + p, p)
-    out = []
-    ratio = mp.mpf(1)
-    for t in range(top + 1):
-        out.append(ratio * rows[t + p])
-        ratio /= t + p + 1
-    return out
-
-
 def _ref_jacobi_power_moment(k, q, alpha, beta):
     """The Jacobi moment with its sign applied first."""
     qf = mp.mpf(q)
@@ -177,43 +149,6 @@ def _ref_jacobi_power_moment(k, q, alpha, beta):
         / mp.gamma(a + b + 2)
         * hyp2f1_terminating(-k, 1 + b, 2 + a + b, 2)
     )
-
-
-def _ref_explicit_coeffs(family, n):
-    """Laguerre and Jacobi branches with mp.binomial and no hoisting."""
-    a = mp.mpf(family.alpha)
-    b = mp.mpf(family.beta)
-    if family.kind == LAGUERRE:
-        norm = mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n))
-        c = [
-            (-1 if t % 2 else 1) * norm * mp.binomial(n, t) / mp.gamma(a + t + 1)
-            for t in range(n + 1)
-        ]
-        return _leading_positive(c)
-    s0 = a + b + n + 1
-    front = mp.gamma(a + b + 2) if n == 0 else (2 * n + a + b + 1) * mp.gamma(s0)
-    norm = mp.sqrt(
-        mp.gamma(a + n + 1)
-        * front
-        / (mp.factorial(n) * mp.power(2, a + b + 1) * mp.gamma(n + b + 1))
-    )
-    poch = [mp.mpf(1)] * (n + 1)
-    for i in range(n):
-        poch[i + 1] = poch[i] * (s0 + i)
-    c = []
-    for t in range(n + 1):
-        terms = []
-        for i in range(t, n + 1):
-            term = (
-                mp.binomial(n, i)
-                * mp.binomial(i, t)
-                * poch[i]
-                / (mp.power(2, i) * mp.gamma(a + i + 1))
-            )
-            terms.append(-term if (i - t) % 2 else term)
-        acc = cancellation_clamp(mp.fsum(terms), terms, mp.prec)
-        c.append(norm * acc)
-    return _leading_positive(c)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +206,24 @@ def test_zeros_and_gauss_rules_are_bit_identical(family, bits):
                 assert abs(w - ref) <= ulp * ref, (n, w)
 
 
+#: The coefficients are exact integers: R_t / L equals the display summed in
+#: Fraction, the powers equal schoolbook products, and the mpf coefficients
+#: at ``bits`` are K R_t / L rounded once (equal to the value formed at
+#: 4 bits and rounded to ``bits``).
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("family", FAMILIES, ids=_ids)
 def test_coefficients_and_powers_are_bit_identical(family, bits):
-    with mp.workprec(bits):
-        for n in DEGREES:
-            coeffs = _explicit_coeffs(family, n, bits)
-            if family.kind != HERMITE:
-                assert coeffs == _ref_explicit_coeffs(family, n), n
-            for p in (1, 2, 3) if n == 40 else (1, 2, 3, 6):
-                assert polynomial_power_coeffs(coeffs, p) == _ref_power_coeffs(coeffs, p)
+    for n in DEGREES:
+        R, L = _explicit_coeffs(family, n)
+        assert [Fraction(r, L) for r in R] == explicit_ratios(family, n), n
+        for p in (1, 2, 3) if n == 40 else (1, 2, 3, 6):
+            assert polynomial_power_coeffs(R, p) == naive_power(R, p), (n, p)
+        got = orthonormal_coeffs(family, n, PrecisionContext(bits=bits)).coeffs
+        with mp.workprec(4 * bits):
+            k = _coeff_scale(family, n)
+            fine = [k * r / L for r in R]
+        with mp.workprec(bits):
+            assert got == tuple(+c for c in fine), n
 
 
 #: ``jacobi_power_moment`` applies the sign of its 2F1 closed form last.
@@ -302,29 +245,26 @@ def test_hypergeometric_terms_are_bit_identical(family, bits):
 
 
 def test_coefficient_memo_is_kept_per_precision():
+    # the memo holds exact integers, so one entry serves every precision and
+    # each precision's rounding is the same with the memo warm or cold
     fam = Family.jacobi(-0.25, 0.5)
     _explicit_coeffs.cache_clear()
-    with mp.workprec(64):
-        low = _explicit_coeffs(fam, 9, 64)
-    with mp.workprec(512):
-        high = _explicit_coeffs(fam, 9, 512)
+    low = orthonormal_coeffs(fam, 9, PrecisionContext(bits=64)).coeffs
+    high = orthonormal_coeffs(fam, 9, PrecisionContext(bits=512)).coeffs
+    assert _explicit_coeffs.cache_info().misses == 1
     _explicit_coeffs.cache_clear()
-    with mp.workprec(512):
-        assert _explicit_coeffs(fam, 9, 512) == high
-    with mp.workprec(64):
-        assert _explicit_coeffs(fam, 9, 64) == low
+    assert orthonormal_coeffs(fam, 9, PrecisionContext(bits=512)).coeffs == high
+    assert orthonormal_coeffs(fam, 9, PrecisionContext(bits=64)).coeffs == low
     assert low != high
 
 
 def test_coefficient_memo_serves_a_whole_measures_row():
-    # the Bell steps of L2 at 256 and 512 bits build one set each; the row's
-    # L_3 of the same (family, n) builds none
+    # the row's L2 and L_3 of one (family, n) build one coefficient set
     fam = Family.jacobi(0.5, 2.0)
     _explicit_coeffs.cache_clear()
-    renyi_length_bell(fam, 6, 2)
-    assert _explicit_coeffs.cache_info().misses == 2
-    renyi_length_bell(fam, 6, 3)
-    assert _explicit_coeffs.cache_info().misses == 2
+    measures_table(fam, [6], orders=[3])
+    assert _explicit_coeffs.cache_info().misses == 1
+    assert _explicit_coeffs.cache_info().hits == 1
 
 
 def test_rule_cache_is_bounded():

@@ -283,8 +283,11 @@ def test_degree_validation():
         orthonormal_coeffs(Family.hermite(), -1, CTX)
 
 
-def test_coefficients_fail_loudly():
-    # 53 and 106 bits cannot agree to 1e-25, and no escalation is left
-    ctx = PrecisionContext(bits=53, max_escalations=0)
-    with pytest.raises(PrecisionError, match=r"coefficients of hermite, n=2: .*escalations"):
-        orthonormal_coeffs(Family.hermite(), 2, ctx)
+def test_coefficients_round_once_to_context_bits():
+    # exact integers times one constant: no escalation, one rounding
+    for family in (Family.hermite(), Family.laguerre(0.3), Family.jacobi(-0.7, 2.0)):
+        for n in (2, 9, 30):
+            low = orthonormal_coeffs(family, n, PrecisionContext(bits=53)).coeffs
+            high = orthonormal_coeffs(family, n, PrecisionContext(bits=512)).coeffs
+            with mp.workprec(53):
+                assert low == tuple(+c for c in high), (family, n)

@@ -1,0 +1,43 @@
+"""The benchmark's per-layer tracer finds every function it traces.
+
+``bench/tracing.py`` wraps the functions in its ``LAYERS`` by module and
+name, and its ``_HOOKS`` read named parameters of some of them.  A
+function that is renamed, moved or loses such a parameter turns its
+metrics into nulls in a traced run; this test fails first instead.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _tracing()
+
+
+@pytest.mark.parametrize(
+    "module,function", [(m, f) for m, f, _ in tracing.LAYERS], ids=lambda v: v
+)
+def test_traced_function_exists_with_hooked_parameters(module, function):
+    fn = getattr(importlib.import_module(f"spreadpoly.{module}"), function, None)
+    assert callable(fn), f"spreadpoly.{module}.{function} is gone"
+    params, _ = tracing._HOOKS.get(tracing.layer_name(module, function), ((), None))
+    missing = set(params) - set(inspect.signature(fn).parameters)
+    assert not missing, f"{module}.{function} lost hooked parameters {sorted(missing)}"
+
+
+def test_rule_cache_is_observable():
+    from spreadpoly import quadrature
+
+    assert callable(quadrature._standard_rule.cache_info)
