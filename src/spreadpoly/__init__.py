@@ -35,14 +35,11 @@ from .bell import (
 from .lauricella import (
     lauricella_fa_terminating,
     renyi_length_laguerre_lauricella,
-    renyi_length_laguerre_n0,
-    renyi_length_laguerre_n1,
 )
 from .shannon import (
     ShannonResult,
     jacobi_trivial_bound,
     optimize_bound,
-    ratio_check,
     ratio_constant,
     shannon_asymptotic,
     shannon_bound_hermite,
@@ -81,12 +78,9 @@ __all__ = [
     "moment_quadrature",
     "optimize_bound",
     "orthonormal_coeffs",
-    "ratio_check",
     "ratio_constant",
     "renyi_length_bell",
     "renyi_length_laguerre_lauricella",
-    "renyi_length_laguerre_n0",
-    "renyi_length_laguerre_n1",
     "renyi_power_integral_bell",
     "shannon_asymptotic",
     "shannon_bound_hermite",

@@ -211,7 +211,7 @@ def _add_precision_flags(p):
     p.add_argument("--bits", type=int, default=None,
                    help=f"working precision bits (default: env {ENV_BITS} or 256)")
     p.add_argument("--rtol", type=float, default=None,
-                   help=f"escalation agreement tolerance (default: env {ENV_RTOL})")
+                   help=f"mpf Shannon integrator tolerance (default: env {ENV_RTOL})")
 
 
 def build_parser() -> argparse.ArgumentParser:

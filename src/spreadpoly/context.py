@@ -3,14 +3,15 @@
 All quantities are computed with mpmath arbitrary-precision floats.  A
 :class:`PrecisionContext` fixes the number of mantissa bits, the relative
 tolerance used to decide that two computations of the same quantity agree,
-and how many times the precision may be doubled before giving up.  The
-doubling loop, :func:`with_escalation`, is the acceptance rule for the one
-cancellation-prone sum left, the Lauricella F_A route: a value (or every
-element of a tuple of values) is trusted once two consecutive precisions
-agree, and :class:`PrecisionError` reports one that never does.  The Bell
-route sums exact integers and the explicit coefficients are exact, so
-neither escalates, and ``rel_tol`` and ``max_escalations`` do not apply to
-them.
+and how many times the precision may be doubled before giving up; the
+mpf integrator (``quadrature.integrate_log_singular``) is what reads them.
+The Bell and Lauricella routes sum exact integers and the explicit
+coefficients are exact, so none of them escalates, and ``rel_tol`` and
+``max_escalations`` do not apply to them.  The doubling loop
+:func:`with_escalation` (a value, or every element of a tuple of values,
+is trusted once two consecutive precisions agree, and
+:class:`PrecisionError` reports one that never does) has no caller in the
+package; ``bench/tracing.py`` still wraps it by name.
 """
 
 from __future__ import annotations

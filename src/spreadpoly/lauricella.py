@@ -3,13 +3,18 @@
 The 2q-th power of a Laguerre polynomial linearizes over the Laguerre
 basis itself (with rate-q argument); orthogonality then collapses the
 power integral to the k=0 linearization coefficient, a terminating
-Lauricella F_A sum of 2q+1 variables.  The n=0 and n=1 cases compress to
-a Gamma quotient and a terminating 2F0.
+Lauricella F_A sum of 2q+1 variables.
 
 All sums are finite: every numerator parameter along a summed variable is
 a nonpositive integer.  The F_A sum is regrouped by total degree into a
 product of one terminating polynomial per variable, so its cost is
 polynomial in the degrees rather than the number of multi-index terms.
+
+alpha is a double, so every F_A parameter (alpha q + 1, alpha + 1, 1/q) is
+an exact rational, and the sum runs on Python integers: it is exactly 0
+iff the F_A sum is, and otherwise it is rounded once.  Nothing cancels at
+a working precision, so this route needs no precision escalation and the
+context's ``rel_tol`` and ``max_escalations`` do not apply to it.
 
 Sign convention: the linearization is native to polynomials with leading
 coefficient of sign (-1)^n; this package normalizes leading-positive, so
@@ -19,40 +24,80 @@ package convention (even 2q is unaffected).
 
 from __future__ import annotations
 
-from mpmath import mp
+from fractions import Fraction
 
-from .context import (
-    ParameterError,
-    PrecisionContext,
-    cancellation_clamp,
-    with_escalation,
-)
+from mpmath import libmp, mp
+
+from .context import ParameterError, PrecisionContext
 from .families import RenyiOrder
 from .bell import length_from_power_integral
-from .hypergeom import terminating_2f0
 
 __all__ = [
     "lauricella_fa_terminating",
     "laguerre_power_integral_lauricella",
     "renyi_length_laguerre_lauricella",
-    "renyi_length_laguerre_n0",
-    "renyi_length_laguerre_n1",
-    "terminating_2f0",
 ]
 
 _DEFAULT_CTX = PrecisionContext()
 
+#: Extra bits at which the Gamma/binomial prefactor is formed; W is
+#: returned at the context's bits.
+_GUARD_BITS = 32
 
-def _poly_mul(p, c) -> list:
-    """Coefficients of the product of two polynomials, each rounded once."""
-    out = []
-    for s in range(len(p) + len(c) - 1):
-        js = range(max(0, s - len(c) + 1), min(s, len(p) - 1) + 1)
-        out.append(mp.fdot([p[j] for j in js], [c[s - j] for j in js]))
+
+def _rational(x) -> Fraction:
+    """x (int, float, Fraction or mpf) as an exact rational.
+
+    An mpf is the dyadic rational (-1)^sign * man * 2^exp; its ``man``
+    attribute is unsigned, so the sign comes from the raw tuple.
+    """
+    if isinstance(x, mp.mpf):
+        if not mp.isfinite(x):
+            raise ParameterError("parameters must be finite")
+        sign, man, exp, _ = x._mpf_
+        value = Fraction(-man if sign else man)
+        return value * 2**exp if exp >= 0 else value / 2**-exp
+    return Fraction(x)
+
+
+def _term_polynomial(u: int, lower: Fraction, z: Fraction) -> tuple:
+    """``(N, D)`` with  sum_{m<=u} (-u)_m z^m x^m / ((lower)_m m!)
+    = sum_m N[m] x^m / D  for integers N[m] and D.
+
+    Built from the term ratio  c_{m+1}/c_m = (m-u) z / ((lower+m)(m+1)):
+    N[m] is the product of the first m ratio numerators and the last u-m
+    ratio denominators, D the product of all u denominators.
+    """
+    ln, ld = lower.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    num = [(m - u) * zn * ld for m in range(u)]
+    den = [zd * (ln + m * ld) * (m + 1) for m in range(u)]
+    if 0 in den:
+        raise ParameterError(
+            f"lower parameter {lower} reaches 0 before the series terminates"
+        )
+    tail = [1] * (u + 1)
+    for m in range(u - 1, -1, -1):
+        tail[m] = tail[m + 1] * den[m]
+    coeffs, head = [], 1
+    for m in range(u + 1):
+        coeffs.append(head * tail[m])
+        if m < u:
+            head *= num[m]
+    return coeffs, tail[0]
+
+
+def _poly_mul(p: list, c: list) -> list:
+    """Integer coefficients of the product of two integer polynomials."""
+    out = [0] * (len(p) + len(c) - 1)
+    for i, pi in enumerate(p):
+        if pi:
+            for j, cj in enumerate(c):
+                out[i + j] += pi * cj
     return out
 
 
-def lauricella_fa_terminating(a, upper, lower, z, budget: int = 40_000_000):
+def lauricella_fa_terminating(a, upper, lower, z):
     """F_A(a; upper; lower; z) with every upper parameter a nonpositive int.
 
     Multi-index sum over m_i <= -upper_i of
@@ -62,43 +107,38 @@ def lauricella_fa_terminating(a, upper, lower, z, budget: int = 40_000_000):
     regroups as  sum_s (a)_s [x^s] prod_i C_i(x)  with the polynomials
         C_i(x) = sum_m (upper_i)_m z_i^m x^m / ((lower_i)_m m!)
     (Srivastava & Karlsson, Multiple Gaussian Hypergeometric Series,
-    1985).  Multiplying out the C_i costs O(r * S * max_i(-upper_i))
-    operations for r variables and S = sum_i (-upper_i).  The cancellation
-    clamp is scaled by sum_s |(a)_s| [x^s] prod_i |C_i|, which is the sum
-    of the absolute values of the multi-index terms.
-
-    ``budget`` caps the size of the series, prod_i (-upper_i + 1)
-    multi-index terms (~4e7 by default); larger requests raise
-    ParameterError.
+    1985).  Every parameter (int, float, Fraction or mpf) is taken as the
+    exact rational it holds, each C_i as integer numerators over one
+    integer denominator, and the product and the contraction with (a)_s
+    run on integers, so the sum is exact: the result is exactly 0 iff the
+    F_A sum is, and otherwise the exact sum rounded once to the active
+    precision.  A lower parameter that reaches 0 before its series
+    terminates raises ParameterError.
     """
     uppers = []
     for u in upper:
-        uf = mp.mpf(u)
-        if not (uf <= 0 and mp.isint(uf)):
+        u = _rational(u)
+        if u > 0 or u.denominator != 1:
             raise ParameterError("upper parameters must be nonpositive integers")
-        uppers.append(int(-uf))
+        uppers.append(-int(u))
     if len(uppers) != len(lower) or len(uppers) != len(z):
         raise ParameterError("parameter sequences must have equal length")
-    total = 1
-    for u in uppers:
-        total *= u + 1
-    if total > budget:
-        raise ParameterError(f"terminating sum has {total} terms (budget {budget})")
-    a = mp.mpf(a)
-    prod, abs_prod = [mp.mpf(1)], [mp.mpf(1)]
+    prod, den = [1], 1
     for u, l, zz in zip(uppers, lower, z):
-        l, zz = mp.mpf(l), mp.mpf(zz)
-        c = [mp.mpf(1)]
-        for m in range(u):
-            c.append(c[m] * (-u + m) * zz / ((l + m) * (m + 1)))
+        c, d = _term_polynomial(u, _rational(l), _rational(zz))
         prod = _poly_mul(prod, c)
-        abs_prod = _poly_mul(abs_prod, [abs(v) for v in c])
-    smax = sum(uppers)
-    poch_a = [mp.mpf(1)] * (smax + 1)
-    for s in range(smax):
-        poch_a[s + 1] = poch_a[s] * (a + s)
-    scale = [abs(p) * v for p, v in zip(poch_a, abs_prod)]
-    return cancellation_clamp(mp.fdot(poch_a, prod), scale, mp.prec)
+        den *= d
+    # sum_s (a)_s prod[s], a = an/ad, by Horner over s in integers:
+    # G_s = prod[s] ad^(smax-s) + (an + s ad) G_{s+1},  the sum = G_0 / ad^smax
+    an, ad = _rational(a).as_integer_ratio()
+    smax = len(prod) - 1
+    total, scale = 0, 1
+    for s in range(smax, -1, -1):
+        total = prod[s] * scale + (an + s * ad) * total
+        scale *= ad
+    return mp.make_mpf(
+        libmp.from_rational(total, den * ad**smax, mp.prec, libmp.round_nearest)
+    )
 
 
 def laguerre_power_integral_lauricella(
@@ -110,35 +150,33 @@ def laguerre_power_integral_lauricella(
     power,
         Theta_0 = Gamma(alpha q + 1) * C(n+alpha, n)^{2q} *
         F_A^{(2q+1)}(alpha q + 1; -n,...,-n, 0; alpha+1,...,alpha+1, 1;
-                     1/q,...,1/q, 1),
-    evaluated under precision escalation.
+                     1/q,...,1/q, 1).
+    The F_A sum is exact (exactly 0 iff W is); it and the prefactor are
+    formed at ``ctx.bits`` plus guard bits, and W is returned at
+    ``ctx.bits``.
     """
     order = RenyiOrder.from_q(q)
     two_q = order.two_q
     if not float(alpha) * float(order.q) > -1:
         raise ParameterError("alpha*q must exceed -1")
-
-    def compute(bits):
-        with mp.workprec(bits):
-            qf = order.q_mpf()
-            a = mp.mpf(alpha)
-            fa = lauricella_fa_terminating(
-                a * qf + 1,
-                [-n] * two_q + [0],
-                [a + 1] * two_q + [1],
-                [1 / qf] * two_q + [1],
-            )
-            return +(mp.gamma(a * qf + 1) * mp.binomial(n + a, n) ** two_q * fa)
-
-    theta0 = with_escalation(compute, ctx)
-    with mp.workprec(ctx.bits):
+    with mp.workprec(ctx.bits + _GUARD_BITS):
+        am = mp.mpf(alpha)
+        a = _rational(am)
+        fa = lauricella_fa_terminating(
+            a * order.q + 1,
+            [-n] * two_q + [0],
+            [a + 1] * two_q + [1],
+            [Fraction(2, two_q)] * two_q + [1],
+        )
         qf = order.q_mpf()
-        a = mp.mpf(alpha)
+        theta0 = mp.gamma(am * qf + 1) * mp.binomial(n + am, n) ** two_q * fa
         pref = mp.power(
-            mp.factorial(n) / mp.gamma(a + n + 1), qf
-        ) / mp.power(qf, a * qf + 1)
+            mp.factorial(n) / mp.gamma(am + n + 1), qf
+        ) / mp.power(qf, am * qf + 1)
         sign = -1 if (n * two_q) % 2 else 1
-        return +(sign * pref * theta0)
+        W = sign * pref * theta0
+    with mp.workprec(ctx.bits):
+        return +W
 
 
 def renyi_length_laguerre_lauricella(
@@ -149,38 +187,3 @@ def renyi_length_laguerre_lauricella(
     W = laguerre_power_integral_lauricella(n, alpha, order, ctx)
     with mp.workprec(ctx.bits):
         return +length_from_power_integral(W, order)
-
-
-def renyi_length_laguerre_n0(alpha, q, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Closed form at n=0: [Gamma(alpha q+1) / (Gamma(alpha+1)^q q^{alpha q+1})]^(-1/(q-1))."""
-    order = RenyiOrder.from_q(q)
-    with mp.workprec(ctx.bits):
-        qf = order.q_mpf()
-        a = mp.mpf(alpha)
-        W = mp.gamma(a * qf + 1) / (
-            mp.power(mp.gamma(a + 1), qf) * mp.power(qf, a * qf + 1)
-        )
-        return +length_from_power_integral(W, order)
-
-
-def renyi_length_laguerre_n1(alpha, q, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Closed form at n=1, via the terminating 2F0 (length-level value).
-
-    The bracket is
-        Gamma(alpha q+1) (1+alpha)^{2q} / (Gamma(alpha+2)^q q^{alpha q+1})
-        * 2F0(-2q, alpha q+1; ; 1/(q(1+alpha))),
-    raised to -1/(q-1).  For odd 2q the bracket carries the classical
-    sign convention; the even length exponent makes the length identical.
-    """
-    order = RenyiOrder.from_q(q)
-    with mp.workprec(ctx.bits):
-        qf = order.q_mpf()
-        a = mp.mpf(alpha)
-        W = (
-            mp.gamma(a * qf + 1)
-            * mp.power(1 + a, order.two_q)
-            / (mp.power(mp.gamma(a + 2), qf) * mp.power(qf, a * qf + 1))
-            * terminating_2f0(-order.two_q, a * qf + 1, 1 / (qf * (1 + a)))
-        )
-        sign = -1 if order.two_q % 2 else 1  # classical -> leading-positive at n=1
-        return +length_from_power_integral(sign * W, order)

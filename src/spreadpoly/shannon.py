@@ -41,7 +41,6 @@ __all__ = [
     "shannon_numeric",
     "shannon_asymptotic",
     "ratio_constant",
-    "ratio_check",
     "shannon_bound_hermite",
     "shannon_bound_laguerre",
     "optimize_bound",
@@ -237,13 +236,6 @@ def shannon_asymptotic(family: Family, n: int) -> ShannonResult:
 def ratio_constant():
     """pi*sqrt(2)/e, the universal large-n value of N / stddev."""
     return +(mp.pi * mp.sqrt(2) / mp.e)
-
-
-def ratio_check(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Finite-n quotient N_numeric / stddev (tends to ratio_constant())."""
-    N = shannon_numeric(family, n, ctx).length
-    with mp.workprec(ctx.bits):
-        return +(N / stddev(family, n, ctx))
 
 
 # ---------------------------------------------------------------------------

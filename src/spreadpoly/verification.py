@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from mpmath import mp
 
-from .context import PrecisionContext, agrees
+from .context import PrecisionContext
 from .families import Family, RenyiOrder
 from .orthopoly import evaluate_recurrence, zeros
 from .quadrature import integrate_density_power, integrate_log_singular

@@ -2,8 +2,9 @@
 
 None of these is on a computing path of the package: the partition sum
 for partial Bell polynomials, the terminating 2F1 closed form of a Jacobi
-moment of w^q, naive polynomial powers, and the explicit coefficient
-displays summed in ``Fraction``.
+moment of w^q, naive polynomial powers, the explicit coefficient
+displays summed in ``Fraction``, and the closed Laguerre Rényi lengths at
+n = 0 and n = 1.
 """
 
 import math
@@ -11,9 +12,9 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from spreadpoly.bell import _jacobi_moment_prefactor
-from spreadpoly.families import HERMITE, LAGUERRE
-from spreadpoly.hypergeom import hyp2f1_terminating
+from spreadpoly.bell import _jacobi_moment_prefactor, length_from_power_integral
+from spreadpoly.families import HERMITE, LAGUERRE, RenyiOrder
+from spreadpoly.hypergeom import hyp2f1_terminating, terminating_2f0
 
 
 def _partitions(m: int, l: int, max_part: int):
@@ -104,3 +105,38 @@ def explicit_ratios(family, n: int) -> list:
             for t in range(n + 1)
         ]
     return [-v for v in r] if r[-1] < 0 else r
+
+
+def renyi_length_laguerre_n0(alpha, q, ctx):
+    """Closed form at n=0: [Gamma(alpha q+1) / (Gamma(alpha+1)^q q^{alpha q+1})]^(-1/(q-1))."""
+    order = RenyiOrder.from_q(q)
+    with mp.workprec(ctx.bits):
+        qf = order.q_mpf()
+        a = mp.mpf(alpha)
+        W = mp.gamma(a * qf + 1) / (
+            mp.power(mp.gamma(a + 1), qf) * mp.power(qf, a * qf + 1)
+        )
+        return +length_from_power_integral(W, order)
+
+
+def renyi_length_laguerre_n1(alpha, q, ctx):
+    """Closed form at n=1, via the terminating 2F0 (length-level value).
+
+    The bracket is
+        Gamma(alpha q+1) (1+alpha)^{2q} / (Gamma(alpha+2)^q q^{alpha q+1})
+        * 2F0(-2q, alpha q+1; ; 1/(q(1+alpha))),
+    raised to -1/(q-1).  For odd 2q the bracket carries the classical
+    sign convention; the even length exponent makes the length identical.
+    """
+    order = RenyiOrder.from_q(q)
+    with mp.workprec(ctx.bits):
+        qf = order.q_mpf()
+        a = mp.mpf(alpha)
+        W = (
+            mp.gamma(a * qf + 1)
+            * mp.power(1 + a, order.two_q)
+            / (mp.power(mp.gamma(a + 2), qf) * mp.power(qf, a * qf + 1))
+            * terminating_2f0(-order.two_q, a * qf + 1, 1 / (qf * (1 + a)))
+        )
+        sign = -1 if order.two_q % 2 else 1  # classical -> leading-positive at n=1
+        return +length_from_power_integral(sign * W, order)

@@ -1,10 +1,15 @@
 """Terminating Lauricella F_A sums and the Laguerre power-integral route
 built on them, cross-checked against the series route and hand values."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
+from oracles import renyi_length_laguerre_n0, renyi_length_laguerre_n1
+from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import renyi_length_bell, renyi_power_integral_bell
 from spreadpoly.hypergeom import hyp2f1_terminating
@@ -12,8 +17,6 @@ from spreadpoly.lauricella import (
     laguerre_power_integral_lauricella,
     lauricella_fa_terminating,
     renyi_length_laguerre_lauricella,
-    renyi_length_laguerre_n0,
-    renyi_length_laguerre_n1,
 )
 
 CTX = PrecisionContext()
@@ -60,8 +63,24 @@ def test_fa_rejects_bad_parameters():
         lauricella_fa_terminating(0.5, [-1.5], [1.0], [0.3])
     with pytest.raises(ParameterError):
         lauricella_fa_terminating(0.5, [-1, -1], [1.0], [0.3, 0.4])
-    with pytest.raises(ParameterError):
-        lauricella_fa_terminating(0.5, [-100] * 5, [1.0] * 5, [0.5] * 5, budget=1000)
+    # (lower)_m vanishes at m = 2, before the series ends at m = 3
+    with pytest.raises(ParameterError, match="reaches 0"):
+        lauricella_fa_terminating(0.5, [-3], [-1.0], [0.3])
+    with pytest.raises(ParameterError, match="finite"):
+        lauricella_fa_terminating(0.5, [-1], [mp.inf], [0.3])
+
+
+def test_fa_is_exact_in_its_rational_parameters():
+    # 1 - a z / c with a z = c: exactly 0, at any precision
+    assert lauricella_fa_terminating(Fraction(3, 4), [-1], [1], [Fraction(4, 3)]) == 0
+    # the rounded 4/3 is another rational: a tiny nonzero value, not snapped to 0
+    with mp.workprec(128):
+        near = lauricella_fa_terminating(Fraction(3, 4), [-1], [1], [mp.mpf(4) / 3])
+    assert near != 0
+    assert abs(near) < mp.mpf(2) ** -120
+    # a negative mpf keeps its sign: F_A(1; -1; 1; z) = 1 - z
+    with mp.workprec(128):
+        assert lauricella_fa_terminating(1, [-1], [1], [mp.mpf(-3) / 8]) == mp.mpf(11) / 8
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, 5.0])
@@ -128,8 +147,32 @@ def test_divergent_alpha_q_rejected():
         laguerre_power_integral_lauricella(2, -0.5, RenyiOrder(4), CTX)
 
 
-def test_exhausted_escalation_fails_loudly():
-    # 53 and 106 bits cannot agree to 1e-200 and no escalation is left
-    short = PrecisionContext(bits=53, rel_tol=1e-200, max_escalations=0)
-    with pytest.raises(PrecisionError, match="failed to stabilise after 0 escalations"):
-        laguerre_power_integral_lauricella(2, 0.5, RenyiOrder(4), short)
+@pytest.mark.parametrize("alpha", [2.0, 5.0])
+def test_large_degree_matches_bell_route(alpha):
+    # a series of 41^6 multi-index terms, summed exactly in milliseconds
+    order = RenyiOrder(6)
+    Wl = laguerre_power_integral_lauricella(40, alpha, order, CTX)
+    Wb = renyi_power_integral_bell(Family.laguerre(alpha), 40, order, CTX)
+    assert Wb > 0
+    assert abs(Wl - Wb) < mp.mpf(1e-30) * Wb
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.floats(min_value=-0.45, max_value=6.0, exclude_min=True),
+    n=st.integers(min_value=0, max_value=8),
+    two_q=st.sampled_from([2, 3, 4, 6]),
+)
+def test_lauricella_value_is_exact_and_free_of_ambient_precision(alpha, n, two_q):
+    # W does not depend on the caller's mp.prec, is 0 exactly where the Bell
+    # route's exact sum is, and otherwise matches it
+    assume(alpha * two_q / 2 > -1)
+    order = RenyiOrder(two_q)
+    with mp.workprec(53):
+        low = laguerre_power_integral_lauricella(n, alpha, order, CTX)
+    with mp.workprec(400):
+        high = laguerre_power_integral_lauricella(n, alpha, order, CTX)
+    assert low._mpf_ == high._mpf_
+    bell = renyi_power_integral_bell(Family.laguerre(alpha), n, order, CTX)
+    assert (low == 0) == (bell == 0)
+    assert abs(low - bell) <= mp.mpf(1e-30) * abs(bell)

@@ -15,7 +15,6 @@ from spreadpoly.shannon import (
     _mean_log_weight,
     jacobi_trivial_bound,
     optimize_bound,
-    ratio_check,
     ratio_constant,
     shannon_asymptotic,
     shannon_bound_hermite,
@@ -196,13 +195,6 @@ def test_ratio_constant_value():
     with mp.workprec(CTX.bits):
         assert abs(ratio_constant() - mp.pi * mp.sqrt(2) / mp.e) == 0
         assert abs(ratio_constant() - mp.mpf("1.63444529")) < mp.mpf(1e-8)
-
-
-def test_ratio_approaches_constant_from_below():
-    r10 = ratio_check(Family.hermite(), 10, FAST)
-    r40 = ratio_check(Family.hermite(), 40, FAST)
-    c = ratio_constant()
-    assert abs(r40 - c) < abs(r10 - c)
 
 
 def test_hermite_bound_saturated_by_gaussian():
