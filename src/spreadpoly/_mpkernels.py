@@ -1,40 +1,39 @@
-"""The hot mpf loops, run on raw libmp tuples.
+"""The hot recurrence loops, run below the mpf object layer.
 
 Each mpmath ``mpf`` operator is a thin object wrapper around one libmp call
 (``mpf_add``, ``mpf_sub``, ``mpf_mul``, ``mpf_div``), and on the
-pure-Python backend the wrapper costs about a third of the operation.  The
-loops below make those libmp calls directly, on the ``_mpf_`` tuples, at
-the precision the caller passes (``mp.prec``) with round-to-nearest, in
-exactly the operations and order of the operator expressions they stand
-for (each is quoted in a comment).  Every result is
-therefore bit-identical to the operator form.
+pure-Python backend the wrapper costs about a third of the operation.
 
-Two recurrence kernels share the table of ``families.recurrence_table``:
-:func:`recurrence` evaluates the orthonormal p_n, and
-:func:`monic_recurrence`, the Newton pass of the Gauss rules and the only
-source of mpf derivatives, evaluates the monic pi_m and pi_{m-1} with their
-derivatives and divides nowhere.  The Bell route needs no kernel here: it
-runs on exact integers.
+* :func:`recurrence` evaluates the orthonormal p_n on raw libmp tuples, at
+  the precision the caller passes (``mp.prec``) with round-to-nearest, in
+  exactly the operations and order of the operator expression quoted in
+  its comment, so its value is bit-identical to the operator form.
+  Callers unwrap arguments with ``x._mpf_`` and wrap the result with
+  ``mp.make_mpf``.
+* :func:`monic_fixed` runs the monic recurrence, with its derivative, on
+  plain Python integers in block floating point: x, a_k and b_k^2 enter
+  as integers v 2^prec (:func:`to_fixed`), and pi_k, pi_{k-1} and their
+  derivatives share one binary exponent.  Each step rounds down by one
+  shift, so a value is good to about 2^-prec of the larger of pi_k and
+  pi_{k-1} per step, not bit for bit; callers pass the working precision
+  plus guard bits.  It is the Newton pass of the Gauss rules and the
+  evaluator of p_n at their nodes, and makes no libmp call.
 
-Callers unwrap arguments with ``x._mpf_`` and wrap results with
-``mp.make_mpf``.  This module holds all of the package's tuple arithmetic.
+The Bell and Lauricella routes need no kernel here: they run on exact
+integers.
 """
 
 from __future__ import annotations
 
-import math
-
-from mpmath.libmp import (
-    fone,
-    fzero,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_sub,
-    round_nearest,
-)
+from mpmath.libmp import fzero, mpf_div, mpf_mul, mpf_sub, round_nearest
 
 _RND = round_nearest
+
+#: Bits by which the larger of pi_k and pi_{k-1} may exceed ``prec`` in
+#: :func:`monic_fixed`.  A block that leaves the window is shifted back to
+#: its middle; a step changes the size by about log2|x - a_k| bits, so that
+#: happens every few steps at most.
+_SLACK = 64
 
 
 def recurrence(x, diag, off, p0, steps: int, prec: int):
@@ -56,31 +55,57 @@ def recurrence(x, diag, off, p0, steps: int, prec: int):
     return pk
 
 
-def monic_recurrence(x, diag, offsq, steps: int, prec: int):
-    """``steps`` >= 1 steps of the monic three-term recurrence at ``x``.
+def to_fixed(x, prec: int) -> int:
+    """The libmp tuple ``x`` as the integer nearest x 2^prec."""
+    sign, man, exp, _ = x
+    shift = exp + prec
+    if shift >= 0:
+        v = man << shift
+    else:
+        v = ((man >> (-shift - 1)) + 1) >> 1
+    return -v if sign else v
 
-    pi_{k+1} = (x - a_k) pi_k - b_k^2 pi_{k-1}, from pi_{-1} = 0 and
-    pi_0 = 1, with the coefficient tuples ``diag``/``offsq`` (a_k, b_k^2);
-    the derivative runs alongside.  Returns ``(pi_m, pi_m', pi_{m-1},
-    pi_{m-1}')`` for m = ``steps``.  No step divides: the zeros and the
-    ratios a Gauss rule needs do not depend on the normalization.
+
+def monic_fixed(x, diag, offsq, steps: int, prec: int, derivative: bool = True):
+    """``steps`` steps of the monic three-term recurrence at ``x``.
+
+    pi_{k+1} = (x - a_k) pi_k - b_k^2 pi_{k-1} from pi_{-1} = 0 and
+    pi_0 = 1, with x and the ``diag``/``offsq`` entries (a_k, b_k^2) given
+    as integers v 2^prec.  Returns ``(pi_m, pi_m', pi_{m-1}, pi_{m-1}', e)``
+    for m = ``steps``, each value the integer times 2^e; with
+    ``derivative=False``, ``(pi_m, e)``.  The larger of |pi_k| and
+    |pi_{k-1}| keeps between prec and prec + ``_SLACK`` bits.  No step
+    divides: the zeros and the ratios a Gauss rule needs do not depend on
+    the normalization.
     """
-    add, sub, mul, rnd = mpf_add, mpf_sub, mpf_mul, _RND
-    pkm1 = dk = dkm1 = fzero
-    pk = fone
+    lo, mid, hi = prec, prec + _SLACK // 2, prec + _SLACK
+    e = -prec
+    pk = 1 << prec
+    pkm1 = dk = dkm1 = 0
     for k in range(steps):
-        t = sub(x, diag[k], prec, rnd)  # x - diag[k]
+        t = x - diag[k]
         bsq = offsq[k]
-        # (x - diag[k]) * pk - offsq[k] * pkm1
-        pk1 = sub(mul(t, pk, prec, rnd), mul(bsq, pkm1, prec, rnd), prec, rnd)
-        # (x - diag[k]) * dk + pk - offsq[k] * dkm1
-        dk1 = sub(add(mul(t, dk, prec, rnd), pk, prec, rnd), mul(bsq, dkm1, prec, rnd), prec, rnd)
-        pk, pkm1 = pk1, pk
-        dk, dkm1 = dk1, dk
-    return pk, dk, pkm1, dkm1
-
-
-def log2_abs(x) -> float:
-    """log2|x| of a nonzero tuple as a float, at any exponent (a float
-    conversion of x itself would underflow below 2^-1074)."""
-    return math.log2(x[1]) + x[2]
+        if derivative:
+            dk, dkm1 = ((t * dk - bsq * dkm1) >> prec) + pk, dk
+        pk, pkm1 = (t * pk - bsq * pkm1) >> prec, pk
+        bl = pk.bit_length()
+        if lo <= bl <= hi:
+            continue
+        bl = max(bl, pkm1.bit_length())
+        if lo <= bl <= hi:
+            continue
+        s = bl - mid
+        if s > 0:
+            pk >>= s
+            pkm1 >>= s
+            dk >>= s
+            dkm1 >>= s
+        else:
+            pk <<= -s
+            pkm1 <<= -s
+            dk <<= -s
+            dkm1 <<= -s
+        e += s
+    if derivative:
+        return pk, dk, pkm1, dkm1, e
+    return pk, e

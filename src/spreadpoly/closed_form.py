@@ -23,7 +23,7 @@ from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family
 from .hypergeom import hyp2f1_terminating
 from .orthopoly import zeros_raw
-from .quadrature import QuadratureError, WeightSpec, gauss_rule, tanh_sinh_panels
+from .quadrature import QuadratureError, WeightSpec, _node_values, gauss_rule, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -288,16 +288,12 @@ def moment(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX)
 
 def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """Oracle moment: exact Gauss rule applied to x^k p_n^2 w."""
-    from .orthopoly import evaluate_recurrence
-
     spec = WeightSpec.from_family(family)
     m = (2 * n + k) // 2 + 1
     rule = gauss_rule(spec, m, ctx)
     with mp.workprec(ctx.bits + 20):
-        acc = []
-        for x, w in zip(rule.nodes, rule.weights):
-            v = evaluate_recurrence(family, n, x)
-            acc.append(w * v * v * mp.power(x, k))
+        values = _node_values(family, n, rule)
+        acc = [w * v * v * mp.power(x, k) for x, w, v in zip(rule.nodes, rule.weights, values)]
         return +mp.fsum(acc)
 
 
@@ -306,13 +302,8 @@ def laguerre_real_moment(n: int, alpha: float, b, ctx: PrecisionContext = _DEFAU
     bf = float(b)
     if not alpha + bf > -1:
         raise ParameterError("shifted exponent alpha+b must exceed -1")
-    from .orthopoly import evaluate_recurrence
-
     family = Family.laguerre(alpha)
     rule = gauss_rule(WeightSpec(LAGUERRE, alpha + bf), n + 1, ctx)
     with mp.workprec(ctx.bits + 20):
-        acc = []
-        for x, w in zip(rule.nodes, rule.weights):
-            v = evaluate_recurrence(family, n, x)
-            acc.append(w * v * v)
-        return +mp.fsum(acc)
+        values = _node_values(family, n, rule)
+        return +mp.fsum(w * v * v for w, v in zip(rule.weights, values))

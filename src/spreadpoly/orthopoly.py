@@ -19,19 +19,24 @@ monomial coefficients and the recurrence.  The coefficients are exact:
 :func:`_explicit_coeffs` gives integers R_t over one integer L, and
 :func:`_coeff_scale` the one constant K with c_t = K R_t / L, so the Bell
 route runs on integers and :func:`orthonormal_coeffs` rounds each c_t once,
-with no precision escalation.  The mpf values of p_n
-(:func:`evaluate_recurrence`) go through one evaluator,
+with no precision escalation.  The mpf values of p_n at a point
+(:func:`evaluate_recurrence`) go through
 :func:`spreadpoly._mpkernels.recurrence`; its float64 counterpart is
 ``_vec.poly_scaled``, which reads the same table in floats and also
 returns p_n'.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros_raw` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
-monic recurrence, :func:`spreadpoly._mpkernels.monic_recurrence`.  The
-classical ODE bounds the next Newton error, so a node stops without a
-confirming pass, and Christoffel–Darboux turns the last pass into the
-weight (Gautschi, *Orthogonal Polynomials: Computation and Approximation*,
-OUP 2004, sections 1.3 and 3.1; Golub and Welsch, Math. Comp. 23, 1969).
+monic recurrence, run in fixed point by
+:func:`spreadpoly._mpkernels.monic_fixed`: the table is turned once per
+rule into integers v 2^P (:func:`_fixed_table`), P the rule's precision
+plus ``_FIXED_GUARD`` bits, and the node and the Newton step are such
+integers too.  The classical ODE bounds the next Newton error, so a node
+stops without a confirming pass, and Christoffel–Darboux turns the last
+pass into the weight (Gautschi, *Orthogonal Polynomials: Computation and
+Approximation*, OUP 2004, sections 1.3 and 3.1; Golub and Welsch, Math.
+Comp. 23, 1969).  The rules agree with an mpf Newton loop run at twice
+the precision to within 2^-bits, not bit for bit.
 """
 
 from __future__ import annotations
@@ -43,10 +48,11 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, PrecisionError
-from ._mpkernels import log2_abs, monic_recurrence, recurrence
+from ._mpkernels import monic_fixed, recurrence, to_fixed
 from ._vec import poly_scaled
 from .families import HERMITE, JACOBI, LAGUERRE, Family, recurrence_table
 from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.py traces it here
@@ -252,13 +258,35 @@ def _ode_k(kind: str, a, b, m: int):
     return m * (m + a + b + 1)
 
 
+#: Guard bits of the fixed-point recurrence (:func:`monic_fixed`) over the
+#: working precision: its integers carry x, a_k and b_k^2 to 2^-(prec + 32).
+_FIXED_GUARD = 32
+
+
+def _fixed_table(diag, off, count: int, prec: int):
+    """a_k and b_k^2 for k < ``count``, from the libmp tuples of
+    :func:`recurrence_table`, as the integers nearest v 2^prec (b_k^2 is
+    squared exactly and rounded once)."""
+    return (
+        [to_fixed(v, prec) for v in diag[:count]],
+        [to_fixed(mpf_mul(v, v), prec) for v in off[:count]],
+    )
+
+
+def _from_fixed(v: int, e: int, prec: int):
+    """The mpf v 2^e rounded to ``prec`` bits."""
+    return mp.make_mpf(from_man_exp(v, e, prec, round_nearest))
+
+
 def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
     """Nodes and Christoffel weights of the m-point Gauss rule of a raw
     weight, as mpf at ``bits + 20``.
 
     Float64 eigenvalues of the recurrence matrix seed a Newton polish on the
-    monic recurrence (:func:`spreadpoly._mpkernels.monic_recurrence`), which
-    reads one recurrence table per rule, with b_k^2 squared once.
+    monic recurrence (:func:`spreadpoly._mpkernels.monic_fixed`).  One
+    recurrence table is read per rule and turned once into integers v 2^P,
+    P = bits + 20 + ``_FIXED_GUARD``; the node z and the step u =
+    pi_m/pi_m' are such integers too, so a pass makes no mpf operation.
 
     * Stop: after a step u = pi/pi', the next error is about C u^2 with
       C = |p''/(2p')|, and p'' comes from the classical ODE (:func:`_ode`).
@@ -269,7 +297,9 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
       S = pi_m' pi_{m-1} - pi_{m-1}' pi_m and h_{m-1} = mu_0 b_1^2 ...
       b_{m-1}^2, so the weight is h_{m-1} / S at the node z - u.  One Taylor
       step carries S there from the last pass at z, with S' = (B S - (K_m -
-      K_{m-1}) pi_m pi_{m-1}) / A from the ODE at degrees m and m-1.
+      K_{m-1}) pi_m pi_{m-1}) / A from the ODE at degrees m and m-1.  S is
+      formed exactly from the pass's integers; the rest is mpf, once per
+      node.
     * Symmetric weights (Hermite, Jacobi with alpha = beta): only the
       nonpositive half is polished, the middle node of an odd rule is
       exactly 0, and nodes and weights are mirrored exactly.
@@ -278,15 +308,16 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
     """
     with mp.workprec(bits + 20):
         prec = mp.prec
+        fixed = prec + _FIXED_GUARD
+        one = 1 << fixed
         diag, off, p0 = recurrence_table(kind, alpha, beta, m + 1, prec)
         d64 = np.array([float(mp.make_mpf(v)) for v in diag[:m]])
         e64 = np.array([float(mp.make_mpf(v)) for v in off[1:m]])
         seeds = [float(s) for s in _eigen_seeds(d64, e64)]
-        bsq = [mp.make_mpf(v) ** 2 for v in off[:m]]
-        offsq = tuple(v._mpf_ for v in bsq)
+        fdiag, foffsq = _fixed_table(diag, off, m, fixed)
         h = 1 / mp.make_mpf(p0) ** 2  # mu_0
-        for v in bsq[1:]:
-            h *= v
+        for v in off[1:m]:
+            h *= mp.make_mpf(v) ** 2
         symmetric = _is_symmetric(kind, alpha, beta)
         if symmetric:
             seeds = seeds[: (m + 1) // 2]
@@ -301,14 +332,15 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
             a_s, b_s = _ode(kind, af, bf, s)
             # log2 of 2 |A| eps (1 + |z|) / 4, the bound on |B - K u| u^2
             log2_tol = math.log2(abs(a_s) * (1 + abs(s)) / 2) + 1 - prec
-            z = mp.mpf(s)
+            num, den = s.as_integer_ratio()
+            z = (num << fixed) // den
             for _ in range(_POLISH_MAX_PASSES):
-                pm, dpm, pm1, dpm1 = monic_recurrence(z._mpf_, diag, offsq, m, prec)
-                u = mp.make_mpf(pm) / mp.make_mpf(dpm)
+                pm, dpm, pm1, dpm1, e = monic_fixed(z, fdiag, foffsq, m, fixed)
+                u = (pm << fixed) // dpm
                 if not u:
                     break
-                c2 = abs(b_s - k_m * float(u))  # 2 C |A|
-                if c2 == 0 or math.log2(c2) + 2 * log2_abs(u._mpf_) <= log2_tol:
+                c2 = abs(b_s - k_m * (u / one))  # 2 C |A|
+                if c2 == 0 or math.log2(c2) + 2 * (math.log2(abs(u)) - fixed) <= log2_tol:
                     break
                 z -= u
             else:
@@ -317,11 +349,11 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
                     f"beta={beta}) did not settle in {_POLISH_MAX_PASSES} passes "
                     f"at {bits} bits"
                 )
-            pm, dpm, pm1, dpm1 = (mp.make_mpf(v) for v in (pm, dpm, pm1, dpm1))
-            big_s = dpm * pm1 - dpm1 * pm
-            a_z, b_z = _ode(kind, a, b, z)
-            big_s -= u * (b_z * big_s - dk * pm * pm1) / a_z
-            nodes.append(z - u)
+            big_s = _from_fixed(dpm * pm1 - dpm1 * pm, 2 * e, prec)
+            a_z, b_z = _ode(kind, a, b, _from_fixed(z, -fixed, prec))
+            taylor = (b_z * big_s - dk * _from_fixed(pm * pm1, 2 * e, prec)) / a_z
+            big_s -= _from_fixed(u, -fixed, prec) * taylor
+            nodes.append(_from_fixed(z - u, -fixed, prec))
             weights.append(h / big_s)
         if symmetric:
             half = m // 2

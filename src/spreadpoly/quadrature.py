@@ -8,15 +8,22 @@ oracle carries no truncation error — only rounding at working precision.
 
 Construction follows Golub–Welsch: nodes are the eigenvalues of the
 symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
-serve only as seeds; each node is polished by mpf Newton passes on the
-monic recurrence (``orthopoly._gauss_polish``), and its weight
+serve only as seeds; each node is polished by Newton passes on the monic
+recurrence (``orthopoly._gauss_polish``), run on block-scaled Python
+integers with 32 guard bits over the rule's precision
+(``_mpkernels.monic_fixed``), and its weight
 ``w_i = 1 / sum_k p_k(x_i)^2`` comes from the last pass by the
 Christoffel–Darboux formula, ``h_{m-1} / (pi_m' pi_{m-1} - pi_{m-1}' pi_m)``.
 One recurrence table (``families.recurrence_table``, with
 mu_0 = 1/p_0^2) is built per rule.  Symmetric rules polish half their
-nodes and mirror them exactly.  Built rules are kept in a bounded LRU
-cache keyed by weight, size and precision; the shifted exponents of w^q
-are exact mpf values (:meth:`WeightSpec.power`).
+nodes and mirror them exactly.  Nodes and weights agree with an mpf
+oracle at twice the precision to within 2^-bits.  Built rules are kept in
+a bounded LRU cache keyed by weight, size and precision; the shifted
+exponents of w^q are exact mpf values (:meth:`WeightSpec.power`).
+
+The rule oracles (:func:`integrate_density_power`, and the moment oracles
+of ``closed_form``) take p_n at the nodes from the same integer kernel
+(:func:`_node_values`), as c_n pi_n with c_n = p_0 / (b_1 ... b_n).
 
 Two adaptive integrators serve the Shannon integrals:
 
@@ -43,8 +50,9 @@ import numpy as np
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext, PrecisionError, cancellation_clamp
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
-from .orthopoly import _gauss_polish, evaluate_recurrence
+from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder, recurrence_table
+from ._mpkernels import monic_fixed, to_fixed
+from .orthopoly import _FIXED_GUARD, _fixed_table, _from_fixed, _gauss_polish, _is_symmetric
 
 __all__ = [
     "WeightSpec",
@@ -203,6 +211,38 @@ def weight_moment(spec: WeightSpec, j: int, ctx: PrecisionContext = _DEFAULT_CTX
         return +_weight_moment_impl(spec, j)
 
 
+def _node_values(family: Family, n: int, rule: QuadratureRule) -> list:
+    """p_n at every node of ``rule``, as mpf at the active precision.
+
+    p_n = c_n pi_n with c_n = p_0 / (b_1 ... b_n), and the monic pi_n comes
+    from the fixed-point kernel (:func:`spreadpoly._mpkernels.monic_fixed`)
+    at the active precision plus ``orthopoly._FIXED_GUARD`` bits.  When the
+    family and the rule's weight are both symmetric, the nodes mirror
+    exactly: p_n is evaluated on the nonpositive half and mirrored with the
+    sign (-1)^n, so a sum that vanishes by parity is exactly 0.
+    """
+    prec = mp.prec
+    fixed = prec + _FIXED_GUARD
+    kind, alpha, beta = family.kind, family.alpha, family.beta
+    diag, off, p0 = recurrence_table(kind, alpha, beta, n + 1, prec)
+    fdiag, foffsq = _fixed_table(diag, off, n, fixed)
+    c = mp.make_mpf(p0)
+    for v in off[1 : n + 1]:
+        c /= mp.make_mpf(v)
+    nodes = rule.nodes
+    m = len(nodes)
+    spec = rule.spec
+    mirrored = _is_symmetric(kind, alpha, beta) and _is_symmetric(spec.kind, spec.alpha, spec.beta)
+    out = []
+    for x in nodes[: (m + 1) // 2] if mirrored else nodes:
+        v, e = monic_fixed(to_fixed(x._mpf_, fixed), fdiag, foffsq, n, fixed, derivative=False)
+        out.append(c * _from_fixed(v, e, prec))
+    if mirrored:
+        tail = reversed(out[: m // 2])
+        out += [-v for v in tail] if n % 2 else tail
+    return out
+
+
 def integrate_density_power(
     family: Family, n: int, q, ctx: PrecisionContext = _DEFAULT_CTX
 ):
@@ -211,17 +251,17 @@ def integrate_density_power(
     2q must be a positive integer; the integrand p^{2q} w^q is then a
     polynomial of degree 2nq against the shifted weight w^q, integrated
     with a rule of covering exactness.  Equals integral rho^q whenever 2q
-    is even, and returns 1 at q=1.
+    is even, and returns 1 at q=1.  A parity zero (Hermite or Jacobi with
+    alpha = beta, n 2q odd) is exactly 0: the node values mirror exactly
+    (:func:`_node_values`), so the terms cancel in pairs.
     """
     order = RenyiOrder.from_q(q) if not isinstance(q, RenyiOrder) else q
     spec = WeightSpec.power(family, order.q)
     deg = n * order.two_q
     rule = gauss_rule(spec, deg // 2 + 1, ctx)
     with mp.workprec(ctx.bits + 20):
-        total = []
-        for x, w in zip(rule.nodes, rule.weights):
-            v = evaluate_recurrence(family, n, x)
-            total.append(w * mp.power(v, order.two_q))
+        values = _node_values(family, n, rule)
+        total = [w * mp.power(v, order.two_q) for v, w in zip(values, rule.weights)]
         return +cancellation_clamp(mp.fsum(total), total, ctx.bits + 20)
 
 

@@ -3,15 +3,18 @@ the exact-integer Bell route against naive arithmetic.
 
 Each ``_ref_*`` function below is the operator form of a loop that now
 runs in ``spreadpoly._mpkernels`` (or, for the Jacobi moment oracle, the
-form with its sign applied first).  The kernels promise the same libmp
-operations in the same order, so those comparisons are ``==`` on the mpf
-values, not a tolerance.  The Bell route's coefficients and powers are
+form with its sign applied first).  The libmp kernel promises the same
+libmp operations in the same order, so those comparisons are ``==`` on the
+mpf values, not a tolerance.  The Bell route's coefficients and powers are
 integers, checked ``==`` against Fraction sums and schoolbook products.
 
-The Gauss rules are the exception: their polish now stops on an ODE
-bound and takes its weights from Christoffel–Darboux, so the former
-Newton loop and Christoffel sum (``_ref_zeros_raw``,
-``_ref_christoffel_weights``) serve as an oracle at twice the precision.
+The fixed-point monic kernel and the Gauss rules are the exceptions.  The
+kernel rounds each step down on plain integers, so it is checked against
+``_ref_monic_recurrence`` at 2 bits + 64 within a stated bound.  The rules'
+polish stops on an ODE bound and takes its weights from
+Christoffel–Darboux, so the former Newton loop and Christoffel sum
+(``_ref_zeros_raw``, ``_ref_christoffel_weights``) serve as an oracle at
+twice the precision.
 """
 
 from fractions import Fraction
@@ -22,7 +25,7 @@ from mpmath import mp
 
 from oracles import explicit_ratios, jacobi_power_moment, naive_power
 from spreadpoly.bell import polynomial_power_coeffs
-from spreadpoly._mpkernels import monic_recurrence
+from spreadpoly._mpkernels import monic_fixed, to_fixed
 from spreadpoly.context import PrecisionContext
 from spreadpoly.families import (
     HERMITE,
@@ -81,6 +84,19 @@ def _ref_monic_recurrence(x, diag, offsq, m):
     for k in range(m):
         pk1 = (x - diag[k]) * pk - offsq[k] * pkm1
         dk1 = (x - diag[k]) * dk + pk - offsq[k] * dkm1
+        pk, pkm1, dk, dkm1 = pk1, pk, dk1, dk
+    return pk, dk, pkm1, dkm1
+
+
+def _ref_abs_monic_recurrence(x, diag, offsq, m):
+    """The monic recurrence on |x - a_k| and b_k^2 with every sign +: it
+    bounds every term the kernel forms, and how fast an error grows."""
+    pkm1, dkm1 = mp.mpf(0), mp.mpf(0)
+    pk, dk = mp.mpf(1), mp.mpf(0)
+    for k in range(m):
+        t = abs(x - diag[k])
+        pk1 = t * pk + offsq[k] * pkm1
+        dk1 = t * dk + pk + offsq[k] * dkm1
         pk, pkm1, dk, dkm1 = pk1, pk, dk1, dk
     return pk, dk, pkm1, dkm1
 
@@ -166,20 +182,38 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
                 assert evaluate_recurrence(family, n, x) == _ref_evaluate(family, n, x), (n, xs)
 
 
+#: The fixed-point kernel runs on x, a_k and b_k^2 as integers v 2^bits
+#: (each within half a unit of its value) and rounds down once per step and
+#: once per renormalization, each time by under 2^(1 - bits) of the block; an
+#: error grows no faster than ``_ref_abs_monic_recurrence``.  So each of
+#: pi_m, pi_m', pi_{m-1}, pi_{m-1}' lies within m 2^(2 - bits) times that
+#: recurrence's value of the exact value on the kernel's inputs, which
+#: ``_ref_monic_recurrence`` gives at 2 bits + 64 (measured: under
+#: 0.6 m 2^-bits).
+#: The ``derivative=False`` form returns pi_m bit for bit.
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("family", FAMILIES, ids=_ids)
 def test_monic_recurrence_is_bit_identical(family, bits):
     with mp.workprec(bits):
         diag, off = raw_recurrence(family.kind, family.alpha, family.beta, DEGREES[-1] + 1)
         offsq = [b * b for b in off]
-        raw_diag = tuple(v._mpf_ for v in diag)
-        raw_offsq = tuple(v._mpf_ for v in offsq)
+        xs = [mp.mpf(x) for x in XS]
+    fdiag = [to_fixed(v._mpf_, bits) for v in diag]
+    foffsq = [to_fixed(v._mpf_, bits) for v in offsq]
+    for x in xs:
+        fx = to_fixed(x._mpf_, bits)
+        with mp.workprec(2 * bits + 64):
+            assert abs(mp.ldexp(fx, -bits) - x) <= mp.ldexp(1, -bits - 1)
+            args = [mp.ldexp(fx, -bits), [mp.ldexp(v, -bits) for v in fdiag],
+                    [mp.ldexp(v, -bits) for v in foffsq]]
         for n in DEGREES[1:]:
-            for xs in XS:
-                x = mp.mpf(xs)
-                got = monic_recurrence(x._mpf_, raw_diag, raw_offsq, n, mp.prec)
-                want = _ref_monic_recurrence(x, diag, offsq, n)
-                assert tuple(mp.make_mpf(v) for v in got) == want, (n, xs)
+            *got, e = monic_fixed(fx, fdiag, foffsq, n, bits)
+            assert monic_fixed(fx, fdiag, foffsq, n, bits, derivative=False) == (got[0], e)
+            with mp.workprec(2 * bits + 64):
+                want = _ref_monic_recurrence(*args, n)
+                bound = _ref_abs_monic_recurrence(*args, n)
+                for g, w, b in zip(got, want, bound):
+                    assert abs(mp.ldexp(g, e) - w) <= n * mp.ldexp(b, 2 - bits), (n, x)
 
 
 #: The zeros are the rule's nodes bit for bit; nodes and weights are checked

@@ -3,10 +3,12 @@ adaptive integrators, checked against scipy nodes and closed integrals."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
-from spreadpoly import orthopoly
+from spreadpoly import orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder, recurrence_table
 from spreadpoly.quadrature import (
@@ -14,6 +16,7 @@ from spreadpoly.quadrature import (
     QuadratureError,
     WeightSpec,
     _BATCH_NODES,
+    _node_values,
     _standard_rule,
     gauss_rule,
     integrate_density_power,
@@ -37,12 +40,12 @@ GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
 
 
 def test_gauss_polish_takes_at_most_three_passes_per_node(monkeypatch):
-    # one pass is one monic_recurrence call; the weights come from the last
+    # one pass is one monic_fixed call; the weights come from the last
     # pass and the polish stops on the ODE bound of its next error, where the
     # former loop took 4.95 passes per node, weight sums included
-    kernel = orthopoly.monic_recurrence
+    kernel = orthopoly.monic_fixed
     passes = []
-    monkeypatch.setattr(orthopoly, "monic_recurrence", lambda *a: passes.append(1) or kernel(*a))
+    monkeypatch.setattr(orthopoly, "monic_fixed", lambda *a: passes.append(1) or kernel(*a))
     fams = [Family.hermite()] + [Family.laguerre(a) for a in GRID]
     fams += [Family.jacobi(a, b) for a in GRID for b in GRID]
     polished = 0
@@ -144,6 +147,71 @@ def test_density_power_gaussian_ground_state():
 def test_density_power_parity_zero_is_exact():
     assert integrate_density_power(Family.hermite(), 1, RenyiOrder(3), CTX) == 0
     assert integrate_density_power(Family.jacobi(0.5, 0.5), 3, RenyiOrder(3), CTX) == 0
+
+
+@pytest.mark.parametrize(
+    "family,n",
+    [(Family.hermite(), 3), (Family.jacobi(0.5, 0.5), 3), (Family.jacobi(2.0, 2.0), 1)],
+    ids=lambda v: v.describe() if isinstance(v, Family) else str(v),
+)
+def test_parity_zero_needs_no_clamp(monkeypatch, family, n):
+    # a symmetric rule's nodes mirror exactly, and p_n is evaluated on the
+    # nonpositive half and mirrored with (-1)^n, so at n 2q odd the terms
+    # cancel in pairs to exactly 0 before the clamp sees the sum
+    monkeypatch.setattr(quadrature, "cancellation_clamp", lambda total, terms, bits: total)
+    order = RenyiOrder(3)
+    assert integrate_density_power(family, n, order, CTX) == 0
+    rule = gauss_rule(WeightSpec.power(family, order.q), 3 * n // 2 + 1, CTX)
+    with mp.workprec(CTX.bits + 20):
+        values = _node_values(family, n, rule)
+        assert values == [-v for v in reversed(values)]
+
+
+#: 128 bits keep the properties quick; the Gauss route runs at bits + 20.
+FAST = PrecisionContext(bits=128)
+#: alpha q, beta q > -1 for every 2q <= 6
+INTEGRABLE = st.floats(min_value=-0.3, max_value=6.0)
+PROPERTY = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    alpha=INTEGRABLE,
+    beta=INTEGRABLE,
+    n=st.integers(min_value=0, max_value=8),
+    two_q=st.integers(min_value=1, max_value=6),
+)
+def test_gauss_route_is_free_of_ambient_precision(kind, alpha, beta, n, two_q):
+    # the rule and the node values run at ctx.bits + 20 whatever mp.prec
+    # the caller holds; the rule cache is cleared so each run builds it
+    family = Family(kind, 0.0 if kind == "hermite" else alpha, beta if kind == "jacobi" else 0.0)
+    values = []
+    for prec in (53, 400):
+        _standard_rule.cache_clear()
+        with mp.workprec(prec):
+            values.append(integrate_density_power(family, n, RenyiOrder(two_q), FAST))
+    assert values[0]._mpf_ == values[1]._mpf_
+
+
+@PROPERTY
+@given(
+    alpha=INTEGRABLE,
+    beta=INTEGRABLE,
+    n=st.integers(min_value=0, max_value=8),
+    two_q=st.integers(min_value=1, max_value=6),
+)
+def test_gauss_route_jacobi_reflection(alpha, beta, n, two_q):
+    # p_n^(beta, alpha)(-x) = (-1)^n p_n^(alpha, beta)(x), so
+    # W_q(alpha, beta; n) = (-1)^(n 2q) W_q(beta, alpha; n)
+    assume(alpha != beta)
+    order = RenyiOrder(two_q)
+    w = integrate_density_power(Family.jacobi(alpha, beta), n, order, FAST)
+    w_reflected = integrate_density_power(Family.jacobi(beta, alpha), n, order, FAST)
+    sign = -1 if n * two_q % 2 else 1
+    with mp.workprec(2 * FAST.bits):
+        tol = mp.mpf(2) ** (8 - FAST.bits) * max(1, abs(w))
+        assert abs(w - sign * w_reflected) <= tol
 
 
 def test_tanh_sinh_known_integrals():

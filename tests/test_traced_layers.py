@@ -3,12 +3,17 @@
 ``bench/tracing.py`` wraps the functions in its ``LAYERS`` by module and
 name, and its ``_HOOKS`` read named parameters of some of them.  A
 function that is renamed, moved or loses such a parameter turns its
-metrics into nulls in a traced run; this test fails first instead.
+metrics into nulls in a traced run; this test fails first instead.  One
+short traced run of ``renyi-crosscheck`` checks that such a run still ends
+with its result line.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +46,21 @@ def test_rule_cache_is_observable():
     from spreadpoly import quadrature
 
     assert callable(quadrature._standard_rule.cache_info)
+
+
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_traced_renyi_run_ends_with_a_strict_json_result():
+    # the traced benchmark run of the Gauss-route workload exits 0 and its
+    # last line is the result object, in JSON with no NaN or Infinity
+    root = TRACING.parent.parent
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "renyi-crosscheck",
+         "--seed", "1", "--trace", "1", "--cells", "5"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_no_constant)
+    assert result["correct"] is True
