@@ -4,8 +4,9 @@ Backs the throughput path of the adaptive integrators: the three-term
 recurrence runs on numpy arrays with per-node renormalization, carrying a
 log-scale so values far out in the weight tails (where p_n overflows
 float64 by hundreds of orders of magnitude) stay representable as
-``p = p_scaled * exp(logscale)``.  The coefficients are those of the mpf
-evaluators: ``families.recurrence_table`` run in float64 arithmetic.
+``p = p_scaled * exp(logscale)``.  The coefficients come from
+``families.recurrence_table``: the formulas of ``families.raw_recurrence``
+run in float64 arithmetic.
 """
 
 from __future__ import annotations

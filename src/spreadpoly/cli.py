@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -164,6 +165,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
+        raise ParameterError(f"--tol-scale must be finite and > 0; got {args.tol_scale!r}")
     ctx = _context_from_args(args)
     checks = run_scope(args.scope, ctx, args.tol_scale)
     failures = [c for c in checks if not c.ok]
@@ -177,7 +180,7 @@ def cmd_verify(args) -> int:
         "passed": not failures,
         "checks": [c.as_dict() for c in checks],
     }
-    _write(args, json.dumps(payload, indent=2) + "\n")
+    _write(args, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0 if not failures else 1
 
 

@@ -13,8 +13,12 @@ at any working precision is deterministic.
 
 The recurrence coefficients (a_k, b_k) of the orthonormal polynomials and
 the weight's zeroth moment mu_0 are written here once, as formulas that run
-in mpf or in float64 arithmetic, and every table is read through one cache,
-:func:`recurrence_table`.
+in mpf or in float64 arithmetic (:func:`raw_recurrence`).  The float64
+paths read them through one cache, :func:`recurrence_table`.  The mpf
+paths read a_k and b_k^2 from :func:`exact_recurrence`: the exponents are
+doubles or exact mpf values, hence dyadic rationals (:func:`_rational`),
+so every a_k and b_k^2 is an exact rational, written as one integer over
+another.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "raw_recurrence",
     "norm_constant",
     "recurrence_table",
+    "exact_recurrence",
 ]
 
 HERMITE = "hermite"
@@ -170,6 +175,21 @@ class RenyiOrder:
 # ---------------------------------------------------------------------------
 
 
+def _rational(x) -> Fraction:
+    """x (int, float, Fraction or mpf) as an exact rational.
+
+    An mpf is the dyadic rational (-1)^sign * man * 2^exp; its ``man``
+    attribute is unsigned, so the sign comes from the raw tuple.
+    """
+    if isinstance(x, mp.mpf):
+        if not mp.isfinite(x):
+            raise ParameterError("parameters must be finite")
+        sign, man, exp, _ = x._mpf_
+        value = Fraction(-man if sign else man)
+        return value * 2**exp if exp >= 0 else value / 2**-exp
+    return Fraction(x)
+
+
 def _check_exponents(kind: str, alpha, beta) -> None:
     if kind != HERMITE and not alpha > -1:
         raise ParameterError("alpha must exceed -1")
@@ -235,16 +255,41 @@ def norm_constant(kind: str, alpha, beta, lib=mp):
 
 
 @functools.lru_cache(maxsize=64)
-def recurrence_table(kind: str, alpha, beta, count: int, prec=None):
-    """((a_k), (b_k), p_0) for k < count, with p_0 = 1/sqrt(mu_0).
+def recurrence_table(kind: str, alpha, beta, count: int):
+    """((a_k), (b_k), p_0) for k < count as Python floats, with
+    p_0 = 1/sqrt(mu_0)."""
+    diag, off = raw_recurrence(kind, alpha, beta, count, math)
+    return tuple(diag), tuple(off), 1 / math.sqrt(norm_constant(kind, alpha, beta, math))
 
-    With ``prec=None`` the entries are Python floats.  Otherwise they are
-    libmp tuples built at ``prec`` bits, whatever the active precision.
+
+@functools.lru_cache(maxsize=64)
+def exact_recurrence(kind: str, alpha, beta, count: int):
+    """((a_k), (b_k^2)) for k < count as exact ``(num, den)`` integer pairs,
+    den > 0, with b_0^2 = 0.
+
+    With alpha = A/D and beta = B/D over one denominator D (a power of two
+    for doubles and mpf values), the entries of :func:`raw_recurrence` are
+    ratios of integer polynomials in k, A, B and D; they are left unreduced.
+    b_1^2 takes the limit form, so alpha + beta = -1 needs no 0/0.
     """
-    if prec is None:
-        diag, off = raw_recurrence(kind, alpha, beta, count, math)
-        return tuple(diag), tuple(off), 1 / math.sqrt(norm_constant(kind, alpha, beta, math))
-    with mp.workprec(prec):
-        diag, off = raw_recurrence(kind, alpha, beta, count)
-        p0 = 1 / mp.sqrt(norm_constant(kind, alpha, beta))
-    return tuple(v._mpf_ for v in diag), tuple(v._mpf_ for v in off), p0._mpf_
+    ra, rb = _rational(alpha), _rational(beta)
+    _check_exponents(kind, ra, rb)
+    d = math.lcm(ra.denominator, rb.denominator)
+    a = ra.numerator * (d // ra.denominator)
+    b = rb.numerator * (d // rb.denominator)
+    if kind == HERMITE:
+        return ((0, 1),) * count, tuple((k, 2) for k in range(count))
+    if kind == LAGUERRE:
+        diag = tuple(((2 * k + 1) * d + a, d) for k in range(count))
+        return diag, tuple((k * (k * d + a), d) for k in range(count))
+    c = 2 * d + a + b  # D (alpha + beta + 2)
+    diag, offsq = [(b - a, c)], [(0, 1)]
+    for k in range(1, count):
+        s = 2 * (k - 1) * d + c  # D (2k + alpha + beta)
+        diag.append(((b - a) * (b + a), s * (s + 2 * d)))
+        if k == 1:
+            offsq.append((4 * d * (d + a) * (d + b), (3 * d + a + b) * c * c))
+        else:
+            kd = k * d
+            offsq.append((4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s * s - d * d)))
+    return tuple(diag[:count]), tuple(offsq[:count])

@@ -12,7 +12,7 @@ from mpmath import mp
 
 from .context import ParameterError, cancellation_clamp
 
-__all__ = ["hyp2f1_terminating", "terminating_2f0", "nonpositive_int_bound"]
+__all__ = ["hyp2f1_terminating", "nonpositive_int_bound"]
 
 
 def nonpositive_int_bound(*params) -> int:
@@ -41,14 +41,3 @@ def hyp2f1_terminating(a, b, c, z):
         acc.append(term)
     return cancellation_clamp(mp.fsum(acc), acc, mp.prec)
 
-
-def terminating_2f0(neg_int_a, b, z):
-    """2F0(-m, b; ; z) = sum_{j<=m} (-m)_j (b)_j z^j / j!."""
-    m = nonpositive_int_bound(neg_int_a)
-    a, b, z = mp.mpf(neg_int_a), mp.mpf(b), mp.mpf(z)
-    term = mp.mpf(1)
-    acc = [term]
-    for j in range(m):
-        term = term * (a + j) * (b + j) * z / (j + 1)
-        acc.append(term)
-    return cancellation_clamp(mp.fsum(acc), acc, mp.prec)

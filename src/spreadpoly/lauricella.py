@@ -11,7 +11,9 @@ product of one terminating polynomial per variable, so its cost is
 polynomial in the degrees rather than the number of multi-index terms.
 
 alpha is a double, so every F_A parameter (alpha q + 1, alpha + 1, 1/q) is
-an exact rational, and the sum runs on Python integers: it is exactly 0
+an exact rational (read by ``families._rational``, the package's one
+exact-rational conversion, which also feeds the exact recurrence table),
+and the sum runs on Python integers: it is exactly 0
 iff the F_A sum is, and otherwise it is rounded once.  Nothing cancels at
 a working precision, so this route needs no precision escalation and the
 context's ``rel_tol`` and ``max_escalations`` do not apply to it.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from mpmath import libmp, mp
 
 from .context import ParameterError, PrecisionContext
-from .families import RenyiOrder
+from .families import RenyiOrder, _rational
 from .bell import length_from_power_integral
 
 __all__ = [
@@ -43,21 +45,6 @@ _DEFAULT_CTX = PrecisionContext()
 #: Extra bits at which the Gamma/binomial prefactor is formed; W is
 #: returned at the context's bits.
 _GUARD_BITS = 32
-
-
-def _rational(x) -> Fraction:
-    """x (int, float, Fraction or mpf) as an exact rational.
-
-    An mpf is the dyadic rational (-1)^sign * man * 2^exp; its ``man``
-    attribute is unsigned, so the sign comes from the raw tuple.
-    """
-    if isinstance(x, mp.mpf):
-        if not mp.isfinite(x):
-            raise ParameterError("parameters must be finite")
-        sign, man, exp, _ = x._mpf_
-        value = Fraction(-man if sign else man)
-        return value * 2**exp if exp >= 0 else value / 2**-exp
-    return Fraction(x)
 
 
 def _term_polynomial(u: int, lower: Fraction, z: Fraction) -> tuple:

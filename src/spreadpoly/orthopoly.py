@@ -9,29 +9,30 @@ recurrence
 The recurrence coefficients of the three classical weights are standard
 (see e.g. Gautschi, "Orthogonal Polynomials: Computation and
 Approximation", or the NIST DLMF chapter 18) after rescaling the
-classical normalizations to unit norm.  They and p_0 = 1/sqrt(mu_0) are
-written once, in ``families``, and every evaluator here reads them through
-:func:`spreadpoly.families.recurrence_table`: libmp tuples at the working
-precision for the mpf evaluators, floats for the float64 zeros.
+classical normalizations to unit norm.  They and mu_0 are written once,
+in ``families``.  The float64 zeros read them as floats
+(:func:`spreadpoly.families.recurrence_table`); every mpf route reads a_k
+and b_k^2 as exact integer ratios
+(:func:`spreadpoly.families.exact_recurrence`), each rounded once to the
+fixed-point format of :func:`monic_fixed`, integers v 2^P with P the
+working precision plus ``_FIXED_GUARD`` bits (:func:`_fixed_table`).
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
 monomial coefficients and the recurrence.  The coefficients are exact:
 :func:`_explicit_coeffs` gives integers R_t over one integer L, and
 :func:`_coeff_scale` the one constant K with c_t = K R_t / L, so the Bell
 route runs on integers and :func:`orthonormal_coeffs` rounds each c_t once,
-with no precision escalation.  The mpf values of p_n at a point
-(:func:`evaluate_recurrence`) go through
-:func:`spreadpoly._mpkernels.recurrence`; its float64 counterpart is
-``_vec.poly_scaled``, which reads the same table in floats and also
-returns p_n'.
+with no precision escalation.  The mpf values of p_n at points, for
+:func:`evaluate_recurrence` and the Gauss oracles of ``quadrature`` and
+``closed_form``, come from one evaluator, :func:`_recurrence_values`:
+p_n = pi_n / sqrt(h_n), with the monic pi_n from :func:`monic_fixed` and
+h_n = mu_0 b_1^2 ... b_n^2.  Its float64 counterpart is
+``_vec.poly_scaled``, which reads the float table and also returns p_n'.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros_raw` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
-monic recurrence, run in fixed point by
-:func:`spreadpoly._mpkernels.monic_fixed`: the table is turned once per
-rule into integers v 2^P (:func:`_fixed_table`), P the rule's precision
-plus ``_FIXED_GUARD`` bits, and the node and the Newton step are such
-integers too.  The classical ODE bounds the next Newton error, so a node
+monic recurrence in the same fixed point: the node and the Newton step are
+integers v 2^P too.  The classical ODE bounds the next Newton error, so a node
 stops without a confirming pass, and Christoffel–Darboux turns the last
 pass into the weight (Gautschi, *Orthogonal Polynomials: Computation and
 Approximation*, OUP 2004, sections 1.3 and 3.1; Golub and Welsch, Math.
@@ -48,13 +49,20 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, PrecisionError
-from ._mpkernels import monic_fixed, recurrence, to_fixed
 from ._vec import poly_scaled
-from .families import HERMITE, JACOBI, LAGUERRE, Family, recurrence_table
+from .families import (
+    HERMITE,
+    JACOBI,
+    LAGUERRE,
+    Family,
+    exact_recurrence,
+    norm_constant,
+    recurrence_table,
+)
 from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.py traces it here
 
 __all__ = [
@@ -183,11 +191,132 @@ def orthonormal_coeffs(
         return PolyCoeffs(family, n, tuple(+c for c in coeffs))
 
 
+# ---------------------------------------------------------------------------
+# Fixed-point recurrence
+# ---------------------------------------------------------------------------
+
+#: Guard bits of the fixed-point recurrence (:func:`monic_fixed`) over the
+#: working precision: its integers carry x, a_k and b_k^2 to 2^-(prec + 32).
+_FIXED_GUARD = 32
+
+#: Bits by which the larger of pi_k and pi_{k-1} may exceed ``prec`` in
+#: :func:`monic_fixed`.  A block that leaves the window is shifted back to
+#: its middle; a step changes the size by about log2|x - a_k| bits, so that
+#: happens every few steps at most.
+_SLACK = 64
+
+
+def to_fixed(x, prec: int) -> int:
+    """The libmp tuple ``x`` as the integer nearest x 2^prec."""
+    sign, man, exp, _ = x
+    shift = exp + prec
+    if shift >= 0:
+        v = man << shift
+    else:
+        v = ((man >> (-shift - 1)) + 1) >> 1
+    return -v if sign else v
+
+
+def _from_fixed(v: int, e: int, prec: int):
+    """The mpf v 2^e rounded to ``prec`` bits."""
+    return mp.make_mpf(from_man_exp(v, e, prec, round_nearest))
+
+
+def monic_fixed(x, diag, offsq, steps: int, prec: int, derivative: bool = True):
+    """``steps`` steps of the monic three-term recurrence at ``x``.
+
+    pi_{k+1} = (x - a_k) pi_k - b_k^2 pi_{k-1} from pi_{-1} = 0 and
+    pi_0 = 1, with x and the ``diag``/``offsq`` entries (a_k, b_k^2) given
+    as integers v 2^prec.  Returns ``(pi_m, pi_m', pi_{m-1}, pi_{m-1}', e)``
+    for m = ``steps``, each value the integer times 2^e; with
+    ``derivative=False``, ``(pi_m, e)``.  The larger of |pi_k| and
+    |pi_{k-1}| keeps between prec and prec + ``_SLACK`` bits, and each step
+    rounds down by one shift, so a value is good to about 2^-prec of the
+    larger of pi_k and pi_{k-1} per step, not bit for bit.  No step
+    divides: the zeros and the ratios a Gauss rule needs do not depend on
+    the normalization.
+    """
+    lo, mid, hi = prec, prec + _SLACK // 2, prec + _SLACK
+    e = -prec
+    pk = 1 << prec
+    pkm1 = dk = dkm1 = 0
+    for k in range(steps):
+        t = x - diag[k]
+        bsq = offsq[k]
+        if derivative:
+            dk, dkm1 = ((t * dk - bsq * dkm1) >> prec) + pk, dk
+        pk, pkm1 = (t * pk - bsq * pkm1) >> prec, pk
+        bl = pk.bit_length()
+        if lo <= bl <= hi:
+            continue
+        bl = max(bl, pkm1.bit_length())
+        if lo <= bl <= hi:
+            continue
+        s = bl - mid
+        if s > 0:
+            pk >>= s
+            pkm1 >>= s
+            dk >>= s
+            dkm1 >>= s
+        else:
+            pk <<= -s
+            pkm1 <<= -s
+            dk <<= -s
+            dkm1 <<= -s
+        e += s
+    if derivative:
+        return pk, dk, pkm1, dkm1, e
+    return pk, e
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_table(kind: str, alpha, beta, count: int, prec: int):
+    """The recurrence table of the mpf routes at ``prec`` bits.
+
+    Returns ``(diag, offsq, h)``: a_k and b_k^2 for k < ``count``, each
+    exact entry of :func:`spreadpoly.families.exact_recurrence` rounded once
+    to the integer nearest v 2^(prec + ``_FIXED_GUARD``), and
+    h = mu_0 b_1^2 ... b_{count-1}^2, the squared norm of pi_{count-1},
+    as an mpf at ``prec`` bits from the entries rounded to ``prec``.
+    """
+    diag, offsq = exact_recurrence(kind, alpha, beta, count)
+    fixed = prec + _FIXED_GUARD
+    with mp.workprec(prec):
+        h = norm_constant(kind, alpha, beta)
+        for num, den in offsq[1:]:
+            h *= mp.make_mpf(from_rational(num, den, prec, round_nearest))
+
+    def nearest(num, den):
+        return ((num << (fixed + 1)) + den) // (2 * den)
+
+    return (
+        tuple(nearest(*v) for v in diag),
+        tuple(nearest(*v) for v in offsq),
+        h,
+    )
+
+
+def _recurrence_values(family: Family, n: int, xs) -> list:
+    """p_n = pi_n / sqrt(h_n) at each mpf point of ``xs``, as mpf at the
+    active precision: the monic pi_n from :func:`monic_fixed` on the table
+    of :func:`_fixed_table`, good to about 2^-prec of the larger of
+    pi_n and pi_{n-1} at each point."""
+    prec = mp.prec
+    fixed = prec + _FIXED_GUARD
+    diag, offsq, h = _fixed_table(family.kind, family.alpha, family.beta, n + 1, prec)
+    c = 1 / mp.sqrt(h)
+    out = []
+    for x in xs:
+        v, e = monic_fixed(to_fixed(x._mpf_, fixed), diag, offsq, n, fixed, derivative=False)
+        out.append(c * _from_fixed(v, e, prec))
+    return out
+
+
 def evaluate_recurrence(family: Family, n: int, x):
-    """p_n(x) by the recurrence at the active precision."""
-    x = mp.mpf(x)
-    diag, off, p0 = recurrence_table(family.kind, family.alpha, family.beta, n + 1, mp.prec)
-    return mp.make_mpf(recurrence(x._mpf_, diag, off, p0, n, mp.prec))
+    """p_n(x) by the recurrence at the active precision (see
+    :func:`_recurrence_values`: near a zero of p_n the accuracy is absolute,
+    so x closer to 0 than 2^-(prec + 32) reads as 0)."""
+    return _recurrence_values(family, n, [mp.mpf(x)])[0]
 
 
 #: Float64 Newton on the zeros stops once every step is at most this many
@@ -258,34 +387,15 @@ def _ode_k(kind: str, a, b, m: int):
     return m * (m + a + b + 1)
 
 
-#: Guard bits of the fixed-point recurrence (:func:`monic_fixed`) over the
-#: working precision: its integers carry x, a_k and b_k^2 to 2^-(prec + 32).
-_FIXED_GUARD = 32
-
-
-def _fixed_table(diag, off, count: int, prec: int):
-    """a_k and b_k^2 for k < ``count``, from the libmp tuples of
-    :func:`recurrence_table`, as the integers nearest v 2^prec (b_k^2 is
-    squared exactly and rounded once)."""
-    return (
-        [to_fixed(v, prec) for v in diag[:count]],
-        [to_fixed(mpf_mul(v, v), prec) for v in off[:count]],
-    )
-
-
-def _from_fixed(v: int, e: int, prec: int):
-    """The mpf v 2^e rounded to ``prec`` bits."""
-    return mp.make_mpf(from_man_exp(v, e, prec, round_nearest))
-
-
 def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
     """Nodes and Christoffel weights of the m-point Gauss rule of a raw
     weight, as mpf at ``bits + 20``.
 
-    Float64 eigenvalues of the recurrence matrix seed a Newton polish on the
-    monic recurrence (:func:`spreadpoly._mpkernels.monic_fixed`).  One
-    recurrence table is read per rule and turned once into integers v 2^P,
-    P = bits + 20 + ``_FIXED_GUARD``; the node z and the step u =
+    Float64 eigenvalues of the recurrence matrix, built from the exact
+    entries of :func:`spreadpoly.families.exact_recurrence`, seed a Newton
+    polish on the monic recurrence (:func:`monic_fixed`).  The same entries,
+    rounded once to integers v 2^P with P = bits + 20 + ``_FIXED_GUARD``
+    (:func:`_fixed_table`), are its table; the node z and the step u =
     pi_m/pi_m' are such integers too, so a pass makes no mpf operation.
 
     * Stop: after a step u = pi/pi', the next error is about C u^2 with
@@ -295,7 +405,8 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
       the seed, so the test costs no mpf operation.
     * Weight: by Christoffel–Darboux, sum_{k<m} p_k^2 = S / h_{m-1} with
       S = pi_m' pi_{m-1} - pi_{m-1}' pi_m and h_{m-1} = mu_0 b_1^2 ...
-      b_{m-1}^2, so the weight is h_{m-1} / S at the node z - u.  One Taylor
+      b_{m-1}^2 (formed from the entries at the working precision), so the
+      weight is h_{m-1} / S at the node z - u.  One Taylor
       step carries S there from the last pass at z, with S' = (B S - (K_m -
       K_{m-1}) pi_m pi_{m-1}) / A from the ODE at degrees m and m-1.  S is
       formed exactly from the pass's integers; the rest is mpf, once per
@@ -310,14 +421,11 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
         prec = mp.prec
         fixed = prec + _FIXED_GUARD
         one = 1 << fixed
-        diag, off, p0 = recurrence_table(kind, alpha, beta, m + 1, prec)
-        d64 = np.array([float(mp.make_mpf(v)) for v in diag[:m]])
-        e64 = np.array([float(mp.make_mpf(v)) for v in off[1:m]])
+        diag, offsq = exact_recurrence(kind, alpha, beta, m)
+        d64 = np.array([num / den for num, den in diag])
+        e64 = np.array([math.sqrt(num / den) for num, den in offsq[1:]])
         seeds = [float(s) for s in _eigen_seeds(d64, e64)]
-        fdiag, foffsq = _fixed_table(diag, off, m, fixed)
-        h = 1 / mp.make_mpf(p0) ** 2  # mu_0
-        for v in off[1:m]:
-            h *= mp.make_mpf(v) ** 2
+        fdiag, foffsq, h = _fixed_table(kind, alpha, beta, m, prec)
         symmetric = _is_symmetric(kind, alpha, beta)
         if symmetric:
             seeds = seeds[: (m + 1) // 2]

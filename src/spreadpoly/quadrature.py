@@ -11,19 +11,19 @@ symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
 serve only as seeds; each node is polished by Newton passes on the monic
 recurrence (``orthopoly._gauss_polish``), run on block-scaled Python
 integers with 32 guard bits over the rule's precision
-(``_mpkernels.monic_fixed``), and its weight
+(``orthopoly.monic_fixed``), and its weight
 ``w_i = 1 / sum_k p_k(x_i)^2`` comes from the last pass by the
 Christoffel–Darboux formula, ``h_{m-1} / (pi_m' pi_{m-1} - pi_{m-1}' pi_m)``.
-One recurrence table (``families.recurrence_table``, with
-mu_0 = 1/p_0^2) is built per rule.  Symmetric rules polish half their
-nodes and mirror them exactly.  Nodes and weights agree with an mpf
+One exact recurrence table (``families.exact_recurrence``) is built per
+rule and rounded once to that fixed point.  Symmetric rules polish half
+their nodes and mirror them exactly.  Nodes and weights agree with an mpf
 oracle at twice the precision to within 2^-bits.  Built rules are kept in
 a bounded LRU cache keyed by weight, size and precision; the shifted
 exponents of w^q are exact mpf values (:meth:`WeightSpec.power`).
 
 The rule oracles (:func:`integrate_density_power`, and the moment oracles
 of ``closed_form``) take p_n at the nodes from the same integer kernel
-(:func:`_node_values`), as c_n pi_n with c_n = p_0 / (b_1 ... b_n).
+(:func:`_node_values`), as pi_n / sqrt(h_n) with h_n = mu_0 b_1^2 ... b_n^2.
 
 Two adaptive integrators serve the Shannon integrals:
 
@@ -50,9 +50,8 @@ import numpy as np
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext, PrecisionError, cancellation_clamp
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder, recurrence_table
-from ._mpkernels import monic_fixed, to_fixed
-from .orthopoly import _FIXED_GUARD, _fixed_table, _from_fixed, _gauss_polish, _is_symmetric
+from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from .orthopoly import _gauss_polish, _is_symmetric, _recurrence_values
 
 __all__ = [
     "WeightSpec",
@@ -60,7 +59,6 @@ __all__ = [
     "NonIntegrableError",
     "QuadratureError",
     "gauss_rule",
-    "weight_moment",
     "integrate_density_power",
     "integrate_log_singular",
     "tanh_sinh_panels",
@@ -136,9 +134,6 @@ class QuadratureRule:
     weights: tuple
     exact_degree: int
 
-    def apply(self, f):
-        return mp.fsum(w * f(x) for x, w in zip(self.nodes, self.weights))
-
 
 #: Rules kept by ``_standard_rule``.  The criterion 3 grid looks up fewer
 #: than 2% of its rules a second time, so the bound caps the memory of a
@@ -180,63 +175,21 @@ def gauss_rule(
     return QuadratureRule(spec, nodes, weights, 2 * m - 1)
 
 
-def _weight_moment_impl(spec: WeightSpec, j: int):
-    a = mp.mpf(spec.alpha)
-    b = mp.mpf(spec.beta)
-    s = mp.mpf(spec.scale)
-    if spec.kind == HERMITE:
-        if j % 2:
-            return mp.mpf(0)
-        return mp.gamma((j + 1) / mp.mpf(2)) / mp.power(s, (j + 1) / mp.mpf(2))
-    if spec.kind == LAGUERRE:
-        return mp.gamma(a + j + 1) / mp.power(s, a + j + 1)
-    acc = mp.mpf(0)
-    for i in range(j + 1):
-        term = (
-            mp.binomial(j, i)
-            * mp.power(-2, i)
-            * mp.gamma(a + i + 1)
-            * mp.gamma(b + 1)
-            / mp.gamma(a + b + i + 2)
-        )
-        acc += term
-    return mp.power(2, a + b + 1) * acc
-
-
-def weight_moment(spec: WeightSpec, j: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Closed-form integral of x^j against the weight (Gamma expressions)."""
-    if j < 0:
-        raise ParameterError("moment order must be nonnegative")
-    with mp.workprec(ctx.bits):
-        return +_weight_moment_impl(spec, j)
-
-
 def _node_values(family: Family, n: int, rule: QuadratureRule) -> list:
-    """p_n at every node of ``rule``, as mpf at the active precision.
-
-    p_n = c_n pi_n with c_n = p_0 / (b_1 ... b_n), and the monic pi_n comes
-    from the fixed-point kernel (:func:`spreadpoly._mpkernels.monic_fixed`)
-    at the active precision plus ``orthopoly._FIXED_GUARD`` bits.  When the
-    family and the rule's weight are both symmetric, the nodes mirror
-    exactly: p_n is evaluated on the nonpositive half and mirrored with the
-    sign (-1)^n, so a sum that vanishes by parity is exactly 0.
+    """p_n at every node of ``rule``, as mpf at the active precision, from
+    the recurrence evaluator of the mpf routes
+    (:func:`spreadpoly.orthopoly._recurrence_values`).  When the family and
+    the rule's weight are both symmetric, the nodes mirror exactly: p_n is
+    evaluated on the nonpositive half and mirrored with the sign (-1)^n, so
+    a sum that vanishes by parity is exactly 0.
     """
-    prec = mp.prec
-    fixed = prec + _FIXED_GUARD
-    kind, alpha, beta = family.kind, family.alpha, family.beta
-    diag, off, p0 = recurrence_table(kind, alpha, beta, n + 1, prec)
-    fdiag, foffsq = _fixed_table(diag, off, n, fixed)
-    c = mp.make_mpf(p0)
-    for v in off[1 : n + 1]:
-        c /= mp.make_mpf(v)
     nodes = rule.nodes
     m = len(nodes)
     spec = rule.spec
-    mirrored = _is_symmetric(kind, alpha, beta) and _is_symmetric(spec.kind, spec.alpha, spec.beta)
-    out = []
-    for x in nodes[: (m + 1) // 2] if mirrored else nodes:
-        v, e = monic_fixed(to_fixed(x._mpf_, fixed), fdiag, foffsq, n, fixed, derivative=False)
-        out.append(c * _from_fixed(v, e, prec))
+    mirrored = _is_symmetric(family.kind, family.alpha, family.beta) and _is_symmetric(
+        spec.kind, spec.alpha, spec.beta
+    )
+    out = _recurrence_values(family, n, nodes[: (m + 1) // 2] if mirrored else nodes)
     if mirrored:
         tail = reversed(out[: m // 2])
         out += [-v for v in tail] if n % 2 else tail

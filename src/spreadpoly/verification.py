@@ -9,6 +9,7 @@ the full registry in a fixed order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from mpmath import mp
@@ -55,10 +56,12 @@ class Check:
     detail: str = ""
 
     def as_dict(self) -> dict:
+        """The check as strict-JSON values: a non-finite ``measured`` is
+        the string "inf", as in ``report.rows_to_json``."""
         return {
             "name": self.name,
             "ok": self.ok,
-            "measured": self.measured,
+            "measured": self.measured if math.isfinite(self.measured) else "inf",
             "tolerance": self.tolerance,
             "detail": self.detail,
         }

@@ -3,8 +3,9 @@
 None of these is on a computing path of the package: the partition sum
 for partial Bell polynomials, the terminating 2F1 closed form of a Jacobi
 moment of w^q, naive polynomial powers, the explicit coefficient
-displays summed in ``Fraction``, and the closed Laguerre Rényi lengths at
-n = 0 and n = 1.
+displays summed in ``Fraction``, the closed Laguerre Rényi lengths at
+n = 0 and n = 1 (with the terminating 2F0 they need), and the Gamma
+closed forms of the weights' moments with a rule's sum to check them on.
 """
 
 import math
@@ -13,8 +14,9 @@ from fractions import Fraction
 from mpmath import mp
 
 from spreadpoly.bell import _jacobi_moment_prefactor, length_from_power_integral
+from spreadpoly.context import ParameterError, cancellation_clamp
 from spreadpoly.families import HERMITE, LAGUERRE, RenyiOrder
-from spreadpoly.hypergeom import hyp2f1_terminating, terminating_2f0
+from spreadpoly.hypergeom import hyp2f1_terminating, nonpositive_int_bound
 
 
 def _partitions(m: int, l: int, max_part: int):
@@ -140,3 +142,47 @@ def renyi_length_laguerre_n1(alpha, q, ctx):
         )
         sign = -1 if order.two_q % 2 else 1  # classical -> leading-positive at n=1
         return +length_from_power_integral(sign * W, order)
+
+
+def terminating_2f0(neg_int_a, b, z):
+    """2F0(-m, b; ; z) = sum_{j<=m} (-m)_j (b)_j z^j / j!."""
+    m = nonpositive_int_bound(neg_int_a)
+    a, b, z = mp.mpf(neg_int_a), mp.mpf(b), mp.mpf(z)
+    term = mp.mpf(1)
+    acc = [term]
+    for j in range(m):
+        term = term * (a + j) * (b + j) * z / (j + 1)
+        acc.append(term)
+    return cancellation_clamp(mp.fsum(acc), acc, mp.prec)
+
+
+def weight_moment(spec, j: int, ctx):
+    """Integral of x^j against the weight of a ``quadrature.WeightSpec``,
+    from Gamma closed forms at ``ctx.bits``."""
+    if j < 0:
+        raise ParameterError("moment order must be nonnegative")
+    with mp.workprec(ctx.bits):
+        a = mp.mpf(spec.alpha)
+        b = mp.mpf(spec.beta)
+        s = mp.mpf(spec.scale)
+        if spec.kind == HERMITE:
+            if j % 2:
+                return mp.mpf(0)
+            return +(mp.gamma((j + 1) / mp.mpf(2)) / mp.power(s, (j + 1) / mp.mpf(2)))
+        if spec.kind == LAGUERRE:
+            return +(mp.gamma(a + j + 1) / mp.power(s, a + j + 1))
+        acc = mp.mpf(0)
+        for i in range(j + 1):
+            acc += (
+                mp.binomial(j, i)
+                * mp.power(-2, i)
+                * mp.gamma(a + i + 1)
+                * mp.gamma(b + 1)
+                / mp.gamma(a + b + i + 2)
+            )
+        return +(mp.power(2, a + b + 1) * acc)
+
+
+def rule_sum(rule, f):
+    """sum_i w_i f(x_i) over a ``quadrature.QuadratureRule``."""
+    return mp.fsum(w * f(x) for x, w in zip(rule.nodes, rule.weights))

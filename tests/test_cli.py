@@ -244,6 +244,33 @@ def test_verify_tol_scale_failure_exit_1(capsys):
     assert payload["failures"] > 0
 
 
+def _no_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+def test_verify_rejects_a_tol_scale_that_is_not_finite_and_positive(capsys, scale):
+    # NaN or a negative scale used to fail every check and print
+    # "tolerance": NaN, which no strict JSON parser reads
+    rc, out, err = run(capsys, "verify", "--scope", "stddev", "--tol-scale", scale)
+    assert rc == 2 and out == ""
+    assert "--tol-scale must be finite and > 0" in err
+
+
+def test_verify_writes_strict_json_for_a_non_finite_deviation(capsys, monkeypatch):
+    # a deviation of inf (one side infinite) is written as "inf", as the
+    # tables write it, and the report parses with no NaN or Infinity
+    import spreadpoly.cli as cli
+    from spreadpoly.verification import Check
+
+    checks = [Check("demo/inf", False, float("inf"), 1e-12), Check("demo/ok", True, 0.0, 1e-12)]
+    monkeypatch.setattr(cli, "run_scope", lambda scope, ctx, tol_scale: checks)
+    rc, out, _ = run(capsys, "verify", "--scope", "stddev")
+    assert rc == 1
+    payload = json.loads(out, parse_constant=_no_constant)
+    assert [c["measured"] for c in payload["checks"]] == ["inf", 0.0]
+
+
 def test_asymptotics_columns(capsys):
     rc, out, _ = run(
         capsys,

@@ -1,14 +1,12 @@
-"""Terminating hypergeometric sums against mpmath and hand expansions."""
+"""Terminating hypergeometric sums against mpmath and hand expansions,
+and the 2F0 oracle of the n = 1 Laguerre lengths (``tests/oracles.py``)."""
 
 import pytest
 from mpmath import mp
 
+from oracles import terminating_2f0
 from spreadpoly.context import ParameterError
-from spreadpoly.hypergeom import (
-    hyp2f1_terminating,
-    nonpositive_int_bound,
-    terminating_2f0,
-)
+from spreadpoly.hypergeom import hyp2f1_terminating, nonpositive_int_bound
 
 
 def test_nonpositive_int_bound():

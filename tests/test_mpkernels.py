@@ -1,20 +1,19 @@
-"""The libmp kernels against the mpf operator loops they replaced, and
+"""The recurrence kernels against the mpf operator loops they replaced, and
 the exact-integer Bell route against naive arithmetic.
 
 Each ``_ref_*`` function below is the operator form of a loop that now
-runs in ``spreadpoly._mpkernels`` (or, for the Jacobi moment oracle, the
-form with its sign applied first).  The libmp kernel promises the same
-libmp operations in the same order, so those comparisons are ``==`` on the
-mpf values, not a tolerance.  The Bell route's coefficients and powers are
-integers, checked ``==`` against Fraction sums and schoolbook products.
+runs on integers in ``spreadpoly.orthopoly`` (or, for the Jacobi moment
+oracle, the form with its sign applied first).  The Bell route's
+coefficients and powers are integers, checked ``==`` against Fraction sums
+and schoolbook products, and the Jacobi moments ``==`` against the 2F1
+form.
 
-The fixed-point monic kernel and the Gauss rules are the exceptions.  The
-kernel rounds each step down on plain integers, so it is checked against
-``_ref_monic_recurrence`` at 2 bits + 64 within a stated bound.  The rules'
-polish stops on an ODE bound and takes its weights from
-Christoffel–Darboux, so the former Newton loop and Christoffel sum
-(``_ref_zeros_raw``, ``_ref_christoffel_weights``) serve as an oracle at
-twice the precision.
+The fixed-point recurrence rounds each step down on plain integers, so the
+monic kernel and ``evaluate_recurrence`` are checked against the operator
+form at 2 bits + 64 within stated bounds.  The Gauss rules' polish stops
+on an ODE bound and takes its weights from Christoffel–Darboux, so the
+former Newton loop and Christoffel sum (``_ref_zeros_raw``,
+``_ref_christoffel_weights``) serve as an oracle at twice the precision.
 """
 
 from fractions import Fraction
@@ -25,7 +24,6 @@ from mpmath import mp
 
 from oracles import explicit_ratios, jacobi_power_moment, naive_power
 from spreadpoly.bell import polynomial_power_coeffs
-from spreadpoly._mpkernels import monic_fixed, to_fixed
 from spreadpoly.context import PrecisionContext
 from spreadpoly.families import (
     HERMITE,
@@ -41,7 +39,9 @@ from spreadpoly.orthopoly import (
     _explicit_coeffs,
     _mirrored_increasing,
     evaluate_recurrence,
+    monic_fixed,
     orthonormal_coeffs,
+    to_fixed,
     zeros_raw,
 )
 from spreadpoly.quadrature import _RULE_CACHE_SIZE, _standard_rule
@@ -99,6 +99,20 @@ def _ref_abs_monic_recurrence(x, diag, offsq, m):
         dk1 = t * dk + pk + offsq[k] * dkm1
         pk, pkm1, dk, dkm1 = pk1, pk, dk1, dk
     return pk, dk, pkm1, dkm1
+
+
+def _ref_error_majorant(x, diag, offsq, m, eps):
+    """A bound on how far pi_m moves when each step of the monic recurrence
+    adds an error of at most eps (|pi_k| + |pi_{k-1}|): the recurrence on
+    |x - a_k| and b_k^2 run on the errors, driven by that source."""
+    akm1, ak = mp.mpf(0), mp.mpf(1)
+    ekm1 = ek = mp.mpf(0)
+    for k in range(m):
+        t = abs(x - diag[k])
+        source = eps * (ak + akm1 + ek + ekm1)
+        ak, akm1 = t * ak + offsq[k] * akm1, ak
+        ek, ekm1 = t * ek + offsq[k] * ekm1 + source, ek
+    return ek
 
 
 def _ref_zeros_raw(kind, alpha, beta, n, bits):
@@ -172,14 +186,36 @@ def _ref_jacobi_power_moment(k, q, alpha, beta):
 # ---------------------------------------------------------------------------
 
 
+#: ``evaluate_recurrence`` runs the fixed-point kernel at P = bits + 32 on
+#: x and the exact table, each rounded once to 2^-(P + 1), and scales pi_n
+#: by 1/sqrt(h_n) formed at ``bits``.  At each step the rounded x - a_k and
+#: b_k^2, the step's shift and a renormalization add under
+#: 2^(3 - P) (|pi_k| + |pi_{k-1}|), so pi_n is within
+#: ``_ref_error_majorant`` of its exact value; the n + 1 roundings of h_n,
+#: its square root and the two products add (n + 8) 2^-bits of |p_n|.  The
+#: reference is the operator form at 2 bits + 64.  Besides ``XS``, x runs
+#: over a zero of p_n, where p_n cancels and the first term is the one that
+#: counts.
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("family", FAMILIES, ids=_ids)
 def test_recurrence_evaluation_is_bit_identical(family, bits):
-    with mp.workprec(bits):
-        for n in DEGREES:
-            for xs in XS:
-                x = mp.mpf(xs)
-                assert evaluate_recurrence(family, n, x) == _ref_evaluate(family, n, x), (n, xs)
+    kind, alpha, beta = family.kind, family.alpha, family.beta
+    for n in DEGREES:
+        with mp.workprec(2 * bits + 64):
+            diag, off = raw_recurrence(kind, alpha, beta, n + 1)
+            offsq = [b * b for b in off]
+            c = 1 / mp.sqrt(norm_constant(kind, alpha, beta) * mp.fprod(offsq[1:]))
+        zs = zeros_raw(kind, alpha, beta, n, bits)
+        for xs in XS + tuple(zs[n // 2 : n // 2 + 1]):
+            with mp.workprec(bits):
+                x = +mp.mpf(xs)
+                got = evaluate_recurrence(family, n, x)
+            with mp.workprec(2 * bits + 64):
+                ref = _ref_evaluate(family, n, x)
+                eps = mp.mpf(2) ** (3 - bits - 32)
+                bound = c * _ref_error_majorant(x, diag, offsq, n, eps)
+                bound += (n + 8) * mp.mpf(2) ** -bits * abs(ref)
+                assert abs(got - ref) <= bound, (n, xs)
 
 
 #: The fixed-point kernel runs on x, a_k and b_k^2 as integers v 2^bits

@@ -11,20 +11,30 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
-from spreadpoly.families import Family, norm_constant, raw_recurrence, recurrence_table
+from spreadpoly.families import (
+    Family,
+    RenyiOrder,
+    exact_recurrence,
+    norm_constant,
+    raw_recurrence,
+    recurrence_table,
+)
 from spreadpoly.orthopoly import (
+    _FIXED_GUARD,
+    _fixed_table,
     _gauss_polish,
     evaluate_recurrence,
     orthonormal_coeffs,
     zeros,
     zeros_raw,
 )
+from spreadpoly.quadrature import WeightSpec
 
 CTX = PrecisionContext()
 
@@ -125,12 +135,13 @@ def test_chebyshev_case_has_no_pole():
 
 def test_recurrence_tables_are_kept_per_precision():
     fam = Family.jacobi(-0.25, 0.5)
-    recurrence_table.cache_clear()
+    _fixed_table.cache_clear()
     with mp.workprec(64):
         low = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
     with mp.workprec(512):
         high = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
-    recurrence_table.cache_clear()
+    assert _fixed_table.cache_info().misses == 2
+    _fixed_table.cache_clear()
     with mp.workprec(512):
         assert evaluate_recurrence(fam, 9, mp.mpf(1) / 3) == high
     assert abs(high - low) > 0
@@ -155,10 +166,11 @@ def test_float_table_is_the_53_bit_mpf_table(kind, alpha, beta, count):
     alpha = 0.0 if kind == "hermite" else alpha
     beta = beta if kind == "jacobi" else 0.0
     table = recurrence_table(kind, alpha, beta, count)
-    mtable = recurrence_table(kind, alpha, beta, count, 53)
+    with mp.workprec(53):
+        mtable = raw_recurrence(kind, alpha, beta, count)
     assert all(type(v) is float for v in table[0] + table[1] + table[2:])
     for got, ref in zip(table[0] + table[1], mtable[0] + mtable[1]):
-        ref = float(mp.make_mpf(ref))
+        ref = float(ref)
         if abs(ref) >= sys.float_info.min:
             assert got == ref
         else:
@@ -167,6 +179,50 @@ def test_float_table_is_the_53_bit_mpf_table(kind, alpha, beta, count):
     with mp.workprec(200):
         ref = norm_constant(kind, alpha, beta)
         assert abs(mu0 - ref) <= 1e-14 * ref
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    alpha=EXPONENT,
+    beta=EXPONENT,
+    two_q=st.integers(min_value=1, max_value=6),
+    count=st.integers(min_value=1, max_value=80),
+)
+@example(kind="jacobi", alpha=-0.999999, beta=-0.9999993, two_q=2, count=12)
+@example(kind="jacobi", alpha=-0.5, beta=-0.5, two_q=2, count=12)
+@example(kind="jacobi", alpha=-0.25, beta=-0.75, two_q=2, count=12)
+@example(kind="laguerre", alpha=5.676273374965172, beta=0.0, two_q=3, count=30)
+@example(kind="laguerre", alpha=1e-300, beta=0.0, two_q=4, count=81)
+def test_exact_table_is_the_recurrence(kind, alpha, beta, two_q, count):
+    # the exponents of w^q as quadrature hands them over (exact mpf values
+    # alpha q, beta q); each exact a_k and b_k^2 against the 1024-bit table,
+    # each fixed-point entry the nearest integer to v 2^P, and h_{count-1}
+    # against mu_0 b_1^2 ... b_{count-1}^2 at 1024 bits
+    alpha = 0.0 if kind == "hermite" else alpha
+    beta = beta if kind == "jacobi" else 0.0
+    assume(alpha * two_q > -2 and beta * two_q > -2)
+    family = Family(kind, alpha, beta)
+    spec = WeightSpec.power(family, RenyiOrder(two_q).q)
+    a, b = spec.alpha, spec.beta
+    diag, offsq = exact_recurrence(kind, a, b, count)
+    assert len(diag) == len(offsq) == count and offsq[0][0] == 0
+    assert all(den > 0 for _, den in diag + offsq)
+    with mp.workprec(1024):
+        mdiag, moff = raw_recurrence(kind, a, b, count)
+        tol = mp.mpf(2) ** -1000
+        for (num, den), ref in zip(diag, mdiag):
+            assert abs(mp.mpf(num) / den - ref) <= tol * abs(ref)
+        for (num, den), ref in zip(offsq, moff):
+            assert abs(mp.mpf(num) / den - ref**2) <= tol * ref**2
+        h_ref = norm_constant(kind, a, b) * mp.fprod(v**2 for v in moff[1:])
+    prec = 200
+    fixed = prec + _FIXED_GUARD
+    fdiag, foffsq, h = _fixed_table(kind, a, b, count, prec)
+    for v, (num, den) in zip(fdiag + foffsq, diag + offsq):
+        assert abs(2 * v * den - (num << (fixed + 1))) <= den
+    with mp.workprec(1024):
+        assert abs(h - h_ref) <= (2 * count + 8) * mp.mpf(2) ** -prec * h_ref
 
 
 def test_float_jacobi_table_is_accurate_near_alpha_plus_beta_minus_2():

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
+from oracles import rule_sum, weight_moment
 from spreadpoly import orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, RenyiOrder, recurrence_table
+from spreadpoly.families import Family, RenyiOrder, exact_recurrence
 from spreadpoly.quadrature import (
     NonIntegrableError,
     QuadratureError,
@@ -22,17 +23,19 @@ from spreadpoly.quadrature import (
     integrate_density_power,
     integrate_log_singular,
     tanh_sinh_panels,
-    weight_moment,
 )
 
 CTX = PrecisionContext()
 
 
 def test_gauss_rule_builds_its_recurrence_table_once():
-    # the Christoffel weights read the table the zeros were polished with
-    recurrence_table.cache_clear()
+    # the seeds, the fixed-point table and the Christoffel weights' h all
+    # read one exact table
+    exact_recurrence.cache_clear()
+    orthopoly._fixed_table.cache_clear()
     _standard_rule.__wrapped__("jacobi", 2.0, 0.5, 9, 113)
-    assert recurrence_table.cache_info().misses == 1
+    assert exact_recurrence.cache_info().misses == 1
+    assert orthopoly._fixed_table.cache_info().misses == 1
 
 
 #: Exponents of the acceptance criterion 3 grid.
@@ -96,7 +99,7 @@ def test_rule_polynomial_exactness():
     assert rule.exact_degree == 11
     with mp.workprec(CTX.bits):
         for j in range(0, 12):
-            direct = rule.apply(lambda x, j=j: mp.power(x, j))
+            direct = rule_sum(rule, lambda x, j=j: mp.power(x, j))
             closed = weight_moment(spec, j, CTX)
             assert abs(direct - closed) <= mp.mpf(1e-65) * max(1, abs(closed))
 

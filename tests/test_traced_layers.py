@@ -4,8 +4,8 @@
 name, and its ``_HOOKS`` read named parameters of some of them.  A
 function that is renamed, moved or loses such a parameter turns its
 metrics into nulls in a traced run; this test fails first instead.  One
-short traced run of ``renyi-crosscheck`` checks that such a run still ends
-with its result line.
+traced run of ``renyi-crosscheck`` at its default cell count checks that
+such a run still ends with its result line, and has no other.
 """
 
 import importlib
@@ -52,15 +52,27 @@ def _no_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
+def _is_result(line):
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        return False
+    return isinstance(obj, dict) and "correct" in obj
+
+
 def test_traced_renyi_run_ends_with_a_strict_json_result():
-    # the traced benchmark run of the Gauss-route workload exits 0 and its
-    # last line is the result object, in JSON with no NaN or Infinity
+    # the traced benchmark run of the Gauss-route workload, at its default
+    # cell count, exits 0; exactly one stdout line is a result object, it is
+    # the last line, and it is JSON with no NaN or Infinity
     root = TRACING.parent.parent
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "renyi-crosscheck",
-         "--seed", "1", "--trace", "1", "--cells", "5"],
-        cwd=root, capture_output=True, text=True, timeout=300,
+         "--seed", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600,
     )
     assert run.returncode == 0, run.stderr[-2000:]
-    result = json.loads(run.stdout.splitlines()[-1], parse_constant=_no_constant)
+    lines = run.stdout.splitlines()
+    results = [i for i, line in enumerate(lines) if _is_result(line)]
+    assert results == [len(lines) - 1], lines[-3:]
+    result = json.loads(lines[-1], parse_constant=_no_constant)
     assert result["correct"] is True
