@@ -12,15 +12,16 @@ integrals for exhibiting the divergent branches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
+from mpmath import libmp, mp
 
 from ._vec import poly_scaled
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, JACOBI, LAGUERRE, Family
+from .families import HERMITE, JACOBI, LAGUERRE, Family, _rational
 from .hypergeom import hyp2f1_terminating
 from .orthopoly import zeros_raw
 from .quadrature import QuadratureError, WeightSpec, _node_values, gauss_rule, tanh_sinh_panels
@@ -263,27 +264,38 @@ def asymptotic_cramer_rao(family: Family, ctx: PrecisionContext = _DEFAULT_CTX) 
 
 
 def moment(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Ordinary moment <x^k> in closed form (Hermite and Laguerre only)."""
+    """Ordinary moment <x^k> in closed form (Hermite and Laguerre only).
+
+    alpha is a double, so the closed form is an exact rational, rounded
+    once at ``ctx.bits``: for Hermite (k = 2h) (k-1)!!/2^h times the integer
+    2F1(-n, -h; 1; 2) = sum_j C(n,j) C(h,j) 2^j, for Laguerre
+    n! Gamma(k+alpha+1)/Gamma(n+alpha+1) sum_r C(k,n-r)^2 C(k+alpha+r, r).
+    """
     if k < 0:
         raise ParameterError("moment order must be nonnegative")
-    with mp.workprec(ctx.bits):
-        if family.kind == HERMITE:
-            if k % 2:
-                return mp.mpf(0)
-            half = k // 2
-            return +(
-                mp.factorial(k)
-                / (mp.power(2, k) * mp.gamma(half + 1))
-                * hyp2f1_terminating(-n, -half, 1, 2)
-            )
-        if family.kind == LAGUERRE:
-            a = mp.mpf(family.alpha)
-            pref = mp.factorial(n) * mp.gamma(k + a + 1) / mp.gamma(n + a + 1)
-            acc = mp.mpf(0)
-            for r in range(n + 1):
-                acc += mp.binomial(k, n - r) ** 2 * mp.binomial(k + a + r, r)
-            return +(pref * acc)
-    raise ParameterError("closed-form moments cover hermite and laguerre only")
+    if family.kind == HERMITE:
+        if k % 2:
+            return mp.mpf(0)
+        half = k // 2
+        # the 2F1 is an integer below 3^n 2^h, so at these bits it is exact
+        with mp.workprec(ctx.bits + 2 * n + half):
+            fa = int(hyp2f1_terminating(-n, -half, 1, 2))
+        exact = Fraction(fa * math.prod(range(1, k, 2)), 2**half)
+    elif family.kind == LAGUERRE:
+        a = _rational(family.alpha)
+        ratio = Fraction(1)  # the Gamma ratio, a Pochhammer product
+        for j in range(min(k, n) + 1, max(k, n) + 1):
+            ratio *= j + a
+        acc, binom = Fraction(0), Fraction(1)  # binom = C(k+a+r, r)
+        for r in range(n + 1):
+            acc += math.comb(k, n - r) ** 2 * binom
+            binom = binom * (k + a + r + 1) / (r + 1)
+        exact = math.factorial(n) * (ratio if k >= n else 1 / ratio) * acc
+    else:
+        raise ParameterError("closed-form moments cover hermite and laguerre only")
+    return mp.make_mpf(
+        libmp.from_rational(exact.numerator, exact.denominator, ctx.bits, libmp.round_nearest)
+    )
 
 
 def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
@@ -298,12 +310,16 @@ def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _D
 
 
 def laguerre_real_moment(n: int, alpha: float, b, ctx: PrecisionContext = _DEFAULT_CTX):
-    """<x^b> for real b > -1-alpha, via the exponent-shifted Gauss rule."""
-    bf = float(b)
-    if not alpha + bf > -1:
+    """<x^b> for real b > -1-alpha, via the exponent-shifted Gauss rule.
+
+    The shifted exponent alpha + b is the exact mpf sum, as
+    :meth:`WeightSpec.power` forms alpha q.
+    """
+    shifted = mp.fadd(alpha, b, exact=True)
+    if not shifted > -1:
         raise ParameterError("shifted exponent alpha+b must exceed -1")
     family = Family.laguerre(alpha)
-    rule = gauss_rule(WeightSpec(LAGUERRE, alpha + bf), n + 1, ctx)
+    rule = gauss_rule(WeightSpec(LAGUERRE, shifted), n + 1, ctx)
     with mp.workprec(ctx.bits + 20):
         values = _node_values(family, n, rule)
         return +mp.fsum(w * v * v for w, v in zip(rule.weights, values))

@@ -12,6 +12,10 @@ coefficients are exact, so none of them escalates, and ``rel_tol`` and
 is trusted once two consecutive precisions agree, and
 :class:`PrecisionError` reports one that never does) has no caller in the
 package; ``bench/tracing.py`` still wraps it by name.
+
+No routine rounds a small value to zero: an exact zero comes only from
+the Bell and Lauricella integer sums and, at a parity zero, from the
+Gauss route's mirrored nodes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ __all__ = [
     "ParameterError",
     "default_context",
     "agrees",
-    "cancellation_clamp",
     "with_escalation",
 ]
 
@@ -81,24 +84,6 @@ def agrees(a, b, rel_tol) -> bool:
     if scale == 0:
         return True
     return abs(a - b) <= rel_tol * scale
-
-
-def cancellation_clamp(total, terms, bits):
-    """Snap an alternating sum to exact zero when it is pure roundoff.
-
-    ``total`` is ``fsum(terms)``.  When the summands cancel so completely
-    that the result sits at the roundoff floor of the working precision
-    (|total| below ~2**-bits times the magnitude scale of the terms) the
-    digits are meaningless and the mathematically exact value is taken to
-    be zero.  A genuinely tiny nonzero value re-emerges above the floor
-    once the precision is escalated, so nothing real is ever discarded.
-    """
-    if not mp.isfinite(total) or total == 0:
-        return total
-    scale = mp.fsum(terms, absolute=True)
-    if abs(total) <= scale * mp.mpf(2) ** (12 - bits):
-        return mp.mpf(0)
-    return total
 
 
 def with_escalation(compute: Callable[[int], object], ctx: PrecisionContext):

@@ -62,6 +62,9 @@ class Family:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
+        for name in ("alpha", "beta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite")
         if self.kind == HERMITE and (self.alpha != 0.0 or self.beta != 0.0):
             raise ParameterError("hermite takes no parameters")
         if self.kind in (LAGUERRE, JACOBI) and not self.alpha > -1:

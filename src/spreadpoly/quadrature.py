@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath import mp
 
-from .context import ParameterError, PrecisionContext, PrecisionError, cancellation_clamp
+from .context import ParameterError, PrecisionContext, PrecisionError
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
 from .orthopoly import _gauss_polish, _is_symmetric, _recurrence_values
 
@@ -206,7 +206,9 @@ def integrate_density_power(
     with a rule of covering exactness.  Equals integral rho^q whenever 2q
     is even, and returns 1 at q=1.  A parity zero (Hermite or Jacobi with
     alpha = beta, n 2q odd) is exactly 0: the node values mirror exactly
-    (:func:`_node_values`), so the terms cancel in pairs.
+    (:func:`_node_values`), so the terms cancel in pairs.  Any other sum
+    is returned as rounded, so a zero without parity (Laguerre(-1/2) n=1,
+    q=3/2) comes out at the rounding floor of the terms, not as 0.
     """
     order = RenyiOrder.from_q(q) if not isinstance(q, RenyiOrder) else q
     spec = WeightSpec.power(family, order.q)
@@ -215,7 +217,7 @@ def integrate_density_power(
     with mp.workprec(ctx.bits + 20):
         values = _node_values(family, n, rule)
         total = [w * mp.power(v, order.two_q) for v, w in zip(values, rule.weights)]
-        return +cancellation_clamp(mp.fsum(total), total, ctx.bits + 20)
+        return +mp.fsum(total)
 
 
 def merge_points(points, tol=1e-12):

@@ -3,20 +3,24 @@
 None of these is on a computing path of the package: the partition sum
 for partial Bell polynomials, the terminating 2F1 closed form of a Jacobi
 moment of w^q, naive polynomial powers, the explicit coefficient
-displays summed in ``Fraction``, the closed Laguerre Rényi lengths at
-n = 0 and n = 1 (with the terminating 2F0 they need), and the Gamma
-closed forms of the weights' moments with a rule's sum to check them on.
+displays and the Hermite and Laguerre moment displays summed in
+``Fraction``, the closed Laguerre Rényi lengths at n = 0 and n = 1, and
+the Gamma closed forms of the weights' moments with a rule's sum to
+check them on.  The n = 1 length needs a terminating 2F0;
+it is summed exactly in ``Fraction`` from the exact rationals its
+parameters hold, so it is exactly 0 iff the sum is (the
+Laguerre(-1/2), q = 3/2 cell), and otherwise rounded once.
 """
 
 import math
 from fractions import Fraction
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 from spreadpoly.bell import _jacobi_moment_prefactor, length_from_power_integral
-from spreadpoly.context import ParameterError, cancellation_clamp
-from spreadpoly.families import HERMITE, LAGUERRE, RenyiOrder
-from spreadpoly.hypergeom import hyp2f1_terminating, nonpositive_int_bound
+from spreadpoly.context import ParameterError
+from spreadpoly.families import HERMITE, LAGUERRE, RenyiOrder, _rational
+from spreadpoly.hypergeom import hyp2f1_terminating
 
 
 def _partitions(m: int, l: int, max_part: int):
@@ -109,6 +113,24 @@ def explicit_ratios(family, n: int) -> list:
     return [-v for v in r] if r[-1] < 0 else r
 
 
+def moment_display(family, n: int, k: int) -> Fraction:
+    """<x^k> of the degree-n density as an exact rational: Hermite
+    k!/(2^k (k/2)!) sum_j C(n,j) C(k/2,j) 2^j, Laguerre
+    n! (alpha+1)_k/(alpha+1)_n sum_r C(k,n-r)^2 (alpha+k+1)_r/r!."""
+    if family.kind == HERMITE:
+        if k % 2:
+            return Fraction(0)
+        h = k // 2
+        fa = sum(math.comb(n, j) * math.comb(h, j) * 2**j for j in range(min(n, h) + 1))
+        return Fraction(math.factorial(k) * fa, 2**k * math.factorial(h))
+    a = Fraction(family.alpha)
+    acc = sum(
+        math.comb(k, n - r) ** 2 * _rising(a + k + 1, r) / math.factorial(r)
+        for r in range(n + 1)
+    )
+    return math.factorial(n) * _rising(a + 1, k) / _rising(a + 1, n) * acc
+
+
 def renyi_length_laguerre_n0(alpha, q, ctx):
     """Closed form at n=0: [Gamma(alpha q+1) / (Gamma(alpha+1)^q q^{alpha q+1})]^(-1/(q-1))."""
     order = RenyiOrder.from_q(q)
@@ -131,6 +153,7 @@ def renyi_length_laguerre_n1(alpha, q, ctx):
     sign convention; the even length exponent makes the length identical.
     """
     order = RenyiOrder.from_q(q)
+    ra = _rational(alpha)
     with mp.workprec(ctx.bits):
         qf = order.q_mpf()
         a = mp.mpf(alpha)
@@ -138,22 +161,32 @@ def renyi_length_laguerre_n1(alpha, q, ctx):
             mp.gamma(a * qf + 1)
             * mp.power(1 + a, order.two_q)
             / (mp.power(mp.gamma(a + 2), qf) * mp.power(qf, a * qf + 1))
-            * terminating_2f0(-order.two_q, a * qf + 1, 1 / (qf * (1 + a)))
+            * terminating_2f0(-order.two_q, ra * order.q + 1, 1 / (order.q * (1 + ra)))
         )
         sign = -1 if order.two_q % 2 else 1  # classical -> leading-positive at n=1
         return +length_from_power_integral(sign * W, order)
 
 
+def nonpositive_int_bound(*params) -> int:
+    """Termination length from the nonpositive-integer numerator params."""
+    bounds = [-p for p in map(_rational, params) if p <= 0 and p.denominator == 1]
+    if not bounds:
+        raise ParameterError("series does not terminate (no nonpositive integer)")
+    return int(min(bounds))
+
+
 def terminating_2f0(neg_int_a, b, z):
-    """2F0(-m, b; ; z) = sum_{j<=m} (-m)_j (b)_j z^j / j!."""
+    """2F0(-m, b; ; z) = sum_{j<=m} (-m)_j (b)_j z^j / j!, summed exactly
+    in Fraction and rounded once to the active precision."""
     m = nonpositive_int_bound(neg_int_a)
-    a, b, z = mp.mpf(neg_int_a), mp.mpf(b), mp.mpf(z)
-    term = mp.mpf(1)
-    acc = [term]
+    b, z = _rational(b), _rational(z)
+    term = total = Fraction(1)
     for j in range(m):
-        term = term * (a + j) * (b + j) * z / (j + 1)
-        acc.append(term)
-    return cancellation_clamp(mp.fsum(acc), acc, mp.prec)
+        term = term * (j - m) * (b + j) * z / (j + 1)
+        total += term
+    return mp.make_mpf(
+        libmp.from_rational(total.numerator, total.denominator, mp.prec, libmp.round_nearest)
+    )
 
 
 def weight_moment(spec, j: int, ctx):

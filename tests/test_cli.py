@@ -166,6 +166,19 @@ def test_bad_range_rejected(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (("--family", "laguerre", "--alpha", "inf"), "alpha"),
+        (("--family", "jacobi", "--alpha", "0.5", "--beta", "inf"), "beta"),
+    ],
+)
+def test_non_finite_exponent_is_a_usage_error(capsys, argv, name):
+    rc, out, err = run(capsys, "measures", *argv, "--n", "0", "--bits", "128")
+    assert rc == 2 and out == ""
+    assert f"{name} must be finite" in err and "Traceback" not in err
+
+
 def test_argparse_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["measures", "--family", "tchebyshev", "--n", "0"])

@@ -5,8 +5,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
+from oracles import moment_display
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
 from spreadpoly.quadrature import QuadratureError
@@ -167,6 +168,24 @@ def test_laguerre_moments_closed():
         assert abs(moment(Family.laguerre(0.0), 1, 2, CTX) - 14) < TIGHT
 
 
+@pytest.mark.parametrize(
+    "family",
+    [Family.hermite()] + [Family.laguerre(a) for a in (-0.5, 0.0, 2.5, 1e-300)],
+    ids=lambda f: f.describe(),
+)
+def test_moment_is_the_exact_display_rounded_once(family):
+    bits = CTX.bits
+    for n in range(13):
+        for k in range(9):
+            exact = moment_display(family, n, k)
+            want = mp.make_mpf(libmp.from_rational(
+                exact.numerator, exact.denominator, bits, libmp.round_nearest))
+            for prec in (53, 400):
+                with mp.workprec(prec):
+                    got = moment(family, n, k, CTX)
+                assert got._mpf_ == want._mpf_, (n, k, prec)
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_moments_match_quadrature(k):
     for fam, n in ((Family.hermite(), 6), (Family.laguerre(2.5), 5)):
@@ -194,6 +213,15 @@ def test_laguerre_real_moment_interpolates_integer_orders():
             [0, 2, mp.inf],
         )
         assert abs(got - direct) < mp.mpf(1e-20)
+
+
+@pytest.mark.parametrize("alpha,b", [(5.0, 1 / 3), (2.0, 0.7), (-0.5, 0.25), (0.0, mp.mpf(2) / 3)])
+def test_laguerre_real_moment_ground_state_is_a_gamma_ratio(alpha, b):
+    # n = 0: <x^b> = Gamma(alpha+b+1)/Gamma(alpha+1), with alpha + b exact
+    got = laguerre_real_moment(0, alpha, b, CTX)
+    with mp.workprec(2 * CTX.bits):
+        want = mp.gamma(mp.fadd(alpha, b, exact=True) + 1) / mp.gamma(mp.mpf(alpha) + 1)
+        assert abs(got - want) <= mp.mpf(2) ** (8 - CTX.bits) * want
 
 
 def test_moment_rejects_bad_orders():

@@ -5,7 +5,6 @@ from spreadpoly.context import (
     PrecisionContext,
     PrecisionError,
     agrees,
-    cancellation_clamp,
     default_context,
     with_escalation,
 )
@@ -50,22 +49,6 @@ def test_with_escalation_checks_every_tuple_element():
 
     with pytest.raises(PrecisionError):
         with_escalation(f, PrecisionContext(bits=64, rel_tol=1e-15))
-
-
-def test_cancellation_clamp_snaps_roundoff():
-    terms = [mp.mpf(1), mp.mpf(-1), mp.mpf("3e-77")]
-    assert cancellation_clamp(mp.fsum(terms), terms, 256) == 0
-
-
-def test_cancellation_clamp_keeps_genuine_small_values():
-    terms = [mp.mpf("1e-50")]
-    out = cancellation_clamp(mp.fsum(terms), terms, 256)
-    assert out == mp.mpf("1e-50")
-
-
-def test_cancellation_clamp_keeps_ordinary_sums():
-    terms = [mp.mpf(2), mp.mpf(3)]
-    assert cancellation_clamp(mp.fsum(terms), terms, 256) == 5
 
 
 def test_default_context_env_override(monkeypatch):

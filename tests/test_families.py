@@ -32,6 +32,19 @@ def test_jacobi_rejects_bad_exponents():
         Family.jacobi(0.0, -2.0)
 
 
+@pytest.mark.parametrize(
+    "kind,alpha,beta,name",
+    [
+        ("laguerre", float("inf"), 0.0, "alpha"),
+        ("jacobi", 0.5, float("inf"), "beta"),
+        ("jacobi", float("inf"), 0.0, "alpha"),
+    ],
+)
+def test_rejects_non_finite_exponents(kind, alpha, beta, name):
+    with pytest.raises(ParameterError, match=f"{name} must be finite"):
+        Family(kind, alpha, beta)
+
+
 def test_describe_is_stable():
     assert Family.hermite().describe() == "hermite"
     assert "alpha=5" in Family.laguerre(5.0).describe()

@@ -1,12 +1,14 @@
 """Terminating hypergeometric sums against mpmath and hand expansions,
 and the 2F0 oracle of the n = 1 Laguerre lengths (``tests/oracles.py``)."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
-from oracles import terminating_2f0
+from oracles import nonpositive_int_bound, terminating_2f0
 from spreadpoly.context import ParameterError
-from spreadpoly.hypergeom import hyp2f1_terminating, nonpositive_int_bound
+from spreadpoly.hypergeom import hyp2f1_terminating
 
 
 def test_nonpositive_int_bound():
@@ -40,6 +42,16 @@ def test_hyp2f1_short_expansions():
         assert abs(got - (1 - mp.mpf(3) * mp.mpf("0.6") / 4)) < mp.mpf(1e-35)
 
 
+def test_hyp2f1_ends_at_the_nonpositive_numerator_nearer_zero():
+    # 2F1(-5, -2; -3; z) = 1 - 10z/3 + 10z^2/3: the series ends at j = 2,
+    # before c + j reaches 0 at j = 3, whichever order the numerators take
+    with mp.workprec(128):
+        z = mp.mpf("0.7")
+        want = 1 - 10 * z / 3 + 10 * z * z / 3
+        for a, b in ((-5, -2), (-2, -5)):
+            assert abs(hyp2f1_terminating(a, b, -3, z) - want) < mp.mpf(1e-35)
+
+
 def test_terminating_2f0_expansions():
     with mp.workprec(128):
         # 2F0(-1, b; ; z) = 1 - b z
@@ -55,7 +67,7 @@ def test_terminating_2f0_expansions():
 def test_terminating_2f0_exact_cancellation():
     # 2F0(-3, 1/4; ; 4/3) = 1 - 1 + 5/3 - 5/3 = 0, term by term
     with mp.workprec(256):
-        got = terminating_2f0(-3, mp.mpf(1) / 4, mp.mpf(4) / 3)
+        got = terminating_2f0(-3, Fraction(1, 4), Fraction(4, 3))
         assert got == 0
 
 

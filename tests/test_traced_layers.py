@@ -4,14 +4,18 @@
 name, and its ``_HOOKS`` read named parameters of some of them.  A
 function that is renamed, moved or loses such a parameter turns its
 metrics into nulls in a traced run; this test fails first instead.  One
-traced run of ``renyi-crosscheck`` at its default cell count checks that
-such a run still ends with its result line, and has no other.
+traced run of each workload at its default cell count checks that such a
+run still ends with its result line, has no other, and reports every
+layer's metrics as finite numbers.  A layer whose module ``import
+spreadpoly`` no longer loads is reported absent with null metrics while
+the run still exits 0, so the result line alone does not show it.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -60,13 +64,14 @@ def _is_result(line):
     return isinstance(obj, dict) and "correct" in obj
 
 
-def test_traced_renyi_run_ends_with_a_strict_json_result():
-    # the traced benchmark run of the Gauss-route workload, at its default
-    # cell count, exits 0; exactly one stdout line is a result object, it is
-    # the last line, and it is JSON with no NaN or Infinity
+def _check_traced_run(workload):
+    """The traced benchmark run of ``workload``, at its default cell count,
+    exits 0; exactly one stdout line is a result object, it is the last
+    line, and it is JSON with no NaN or Infinity; no layer is absent and
+    every metric is a finite number."""
     root = TRACING.parent.parent
     run = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "renyi-crosscheck",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--trace", "1"],
         cwd=root, capture_output=True, text=True, timeout=600,
     )
@@ -76,3 +81,22 @@ def test_traced_renyi_run_ends_with_a_strict_json_result():
     assert results == [len(lines) - 1], lines[-3:]
     result = json.loads(lines[-1], parse_constant=_no_constant)
     assert result["correct"] is True
+    info = next(json.loads(line[len("# run "):]) for line in lines if line.startswith("# run "))
+    assert info["absent"] == []
+    bad = {
+        name: m["value"]
+        for name, m in result["metrics"].items()
+        if isinstance(m["value"], bool)
+        or not isinstance(m["value"], (int, float))
+        or not math.isfinite(m["value"])
+    }
+    assert not bad, bad
+
+
+def test_traced_renyi_run_ends_with_a_strict_json_result():
+    _check_traced_run("renyi-crosscheck")
+
+
+@pytest.mark.parametrize("workload", ["shannon-large-n", "measures-rows"])
+def test_traced_run_ends_with_a_strict_json_result(workload):
+    _check_traced_run(workload)
