@@ -24,9 +24,10 @@ enters only through the closed-form constant K^{2q} m_0 and one division.
 No precision escalation is needed, so the context's ``rel_tol`` and ``max_escalations`` do not
 apply to this route.
 
-B_{m,l} is computed by the standard layered recurrence
-
-    B_{m,l} = sum_i C(m-1, i-1) x_i B_{m-i, l-1}.
+D_k is the partial Bell value (2q)!/(k+2q)! B_{k+2q,2q}(1! R_0, 2! R_1, ...);
+it and B_{m,l} itself come from one integer polynomial product by
+Kronecker substitution (``_kronecker_product``), which the Lauricella
+route uses too.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational, power_integrable
 from .orthopoly import _coeff_scale, _explicit_coeffs
 
 __all__ = [
@@ -55,55 +56,69 @@ _DEFAULT_CTX = PrecisionContext()
 _GUARD_BITS = 32
 
 
-def _bell_rows(args, max_m: int, l: int) -> list:
-    """B_{m,l}(args) for all m <= max_m, by the layered recurrence.
+def _pack(coeffs, width: int) -> int:
+    """sum_t c_t 2^(8 width t) for integers |c_t| < 2^(8 width - 1)."""
+    pos, neg = (
+        b"".join(max(sign * c, 0).to_bytes(width, "little") for c in coeffs) for sign in (1, -1)
+    )
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    Exact for integer (or Fraction) arguments.  The scaled
-    C(m-1, i-1) x_i depend on m and i only, so every layer reuses them, and
-    terms with x_i == 0 are left out.
+
+def _kronecker_product(factors) -> list:
+    """Integer coefficients of prod (sum_t c_t x^t)^power over ``factors``,
+    a sequence of ``(coeffs, power)`` with integer coeffs.
+
+    Kronecker substitution: no output coefficient exceeds
+    prod (sum_t |c_t|)^power in magnitude, so with digits of B bits above
+    that bound each polynomial packs into one integer sum_t c_t 2^(Bt), the
+    packed product (one ``**`` per factor) is the packed result, and its
+    signed B-bit digits are the coefficients.  Adding 2^(B-1) to every
+    digit makes them all nonnegative, so one ``to_bytes`` pass reads them.
     """
-    nonzero = [i for i in range(1, len(args) + 1) if args[i - 1]]
-    scaled = [
-        [(i, math.comb(m - 1, i - 1) * args[i - 1]) for i in nonzero if i <= m]
-        for m in range(max_m + 1)
-    ]
-    prev = [1] + [0] * max_m  # l = 0 layer
-    for layer in range(1, l + 1):
-        cur = [0] * (max_m + 1)
-        for m in range(layer, max_m + 1):
-            top = m - layer + 1
-            cur[m] = sum(c * prev[m - i] for i, c in scaled[m] if i <= top)
-        prev = cur
-    return prev
+    factors = [(c, p) for c, p in factors if p]  # c^0 = 1 need not fit a digit
+    length = 1 + sum(p * (len(c) - 1) for c, p in factors)
+    bound = math.prod(sum(map(abs, c)) ** p for c, p in factors)
+    if not bound:
+        return [0] * length
+    width = bound.bit_length() // 8 + 1  # bytes per digit, B = 8 width
+    packed = math.prod(_pack(c, width) ** p for c, p in factors)
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+    raw = (packed + offset).to_bytes(width * length, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
 
 
-def partial_bell(m: int, l: int, args) -> object:
-    """Partial Bell polynomial B_{m,l}(x_1, ..., x_{m-l+1})."""
+def partial_bell(m: int, l: int, args):
+    """Partial Bell polynomial B_{m,l}(x_1, ..., x_{m-l+1}), exactly.
+
+    B_{m,l} = m!/l! [t^m] (sum_i x_i t^i / i!)^l.  Each argument is read as
+    the exact rational it holds (int, float, Fraction or mpf); the value is
+    an int when it is an integer and a Fraction otherwise.
+    """
     if m < 0 or l < 0:
         raise ParameterError("indices must be nonnegative")
-    if l > m:
-        return 0
-    return _bell_rows(tuple(args), m, l)[m]
+    if l == 0 or l > m:
+        return int(m == l)  # B_{0,0} = 1; B_{m,0} = 0 for m > 0, and B_{m,l} = 0 for l > m
+    width = m - l + 1  # x_i with i > width cannot reach t^m; missing ones are 0
+    args = tuple(args)[:width]
+    ys = [_rational(x) / math.factorial(i) for i, x in enumerate(args, 1)]
+    ys += [0] * (width - len(ys))
+    # (sum_i y_i t^i)^l = t^l (sum_j y_{j+1} t^j)^l, over one denominator
+    den = math.lcm(*(y.denominator for y in ys))
+    coeffs = [y.numerator * (den // y.denominator) for y in ys]
+    top = _kronecker_product([(coeffs, l)])[m - l]
+    value = Fraction(math.factorial(m) * top, math.factorial(l) * den**l)
+    return value.numerator if value.denominator == 1 else value
 
 
 def polynomial_power_coeffs(coeffs, p: int) -> list:
     """Integer monomial coefficients of (sum_t c_t x^t)^p, integer c_t.
 
-    Entry t equals  p!/(t+p)! * B_{t+p, p}(1! c_0, 2! c_1, ..., (t+1)! c_t),
-    an exact division.
+    Entry t equals  p!/(t+p)! * B_{t+p, p}(1! c_0, 2! c_1, ..., (t+1)! c_t).
     """
     if p < 0:
         raise ParameterError("power must be nonnegative")
-    n = len(coeffs) - 1
-    top = n * p
-    args = [math.factorial(i + 1) * c for i, c in enumerate(coeffs)]
-    rows = _bell_rows(args, top + p, p)
-    out = []
-    ratio = 1  # (t+p)!/p! built incrementally
-    for t in range(top + 1):
-        out.append(rows[t + p] // ratio)
-        ratio *= t + p + 1
-    return out
+    return _kronecker_product([(coeffs, p)])
 
 
 def _jacobi_moment_prefactor(a, b):
@@ -181,16 +196,6 @@ def _weight_power_moments(family: Family, two_q: int, count: int) -> tuple:
     return M, tail
 
 
-def _check_integrable(family: Family, order: RenyiOrder) -> None:
-    q = float(Fraction(order.two_q, 2))
-    if family.kind == LAGUERRE and not family.alpha * q > -1:
-        raise ParameterError(f"alpha*q={family.alpha * q} not integrable")
-    if family.kind == JACOBI and not (
-        family.alpha * q > -1 and family.beta * q > -1
-    ):
-        raise ParameterError("alpha*q and beta*q must exceed -1")
-
-
 def renyi_power_integral_bell(
     family: Family, n: int, q, ctx: PrecisionContext = _DEFAULT_CTX
 ):
@@ -201,7 +206,8 @@ def renyi_power_integral_bell(
     ``ctx.bits``.
     """
     order = RenyiOrder.from_q(q)
-    _check_integrable(family, order)
+    if not power_integrable(order.q, family.alpha, family.beta):
+        raise ParameterError(f"w^q is not integrable for {family.describe()} at q={order}")
     p = order.two_q
     coeffs, den = _explicit_coeffs(family, n)
     d = polynomial_power_coeffs(coeffs, p)
@@ -231,8 +237,11 @@ def length_from_power_integral(W, order: RenyiOrder):
 
 
 def renyi_length_bell(family: Family, n: int, q, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Rényi length L_q via the Bell route (2q a positive integer, q != 1)."""
+    """Rényi length L_q via the Bell route (2q a positive integer, q != 1);
+    0 where w^q is not integrable, so that the integral of rho^q diverges."""
     order = RenyiOrder.from_q(q)
+    if not power_integrable(order.q, family.alpha, family.beta):
+        return mp.mpf(0)
     W = renyi_power_integral_bell(family, n, order, ctx)
     with mp.workprec(ctx.bits):
         return +length_from_power_integral(W, order)

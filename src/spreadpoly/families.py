@@ -42,6 +42,7 @@ __all__ = [
     "norm_constant",
     "recurrence_table",
     "exact_recurrence",
+    "power_integrable",
 ]
 
 HERMITE = "hermite"
@@ -67,12 +68,9 @@ class Family:
                 raise ParameterError(f"{name} must be finite")
         if self.kind == HERMITE and (self.alpha != 0.0 or self.beta != 0.0):
             raise ParameterError("hermite takes no parameters")
-        if self.kind in (LAGUERRE, JACOBI) and not self.alpha > -1:
-            raise ParameterError("alpha must exceed -1")
+        _check_exponents(self.kind, self.alpha, self.beta)
         if self.kind == LAGUERRE and self.beta != 0.0:
             raise ParameterError("laguerre takes a single parameter alpha")
-        if self.kind == JACOBI and not self.beta > -1:
-            raise ParameterError("beta must exceed -1")
 
     @classmethod
     def hermite(cls) -> "Family":
@@ -162,12 +160,6 @@ class RenyiOrder:
     def q_mpf(self):
         return mp.mpf(self.two_q) / 2
 
-    def length_exponent(self):
-        """-1/(q-1), the power turning the integral into a length."""
-        if self.is_unit:
-            raise ParameterError("Renyi length undefined at q=1")
-        return mp.mpf(-2) / (self.two_q - 2)
-
     def __str__(self) -> str:
         q = self.q
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -191,6 +183,14 @@ def _rational(x) -> Fraction:
         value = Fraction(-man if sign else man)
         return value * 2**exp if exp >= 0 else value / 2**-exp
     return Fraction(x)
+
+
+def power_integrable(q, *exponents) -> bool:
+    """True when e q > -1 for every weight exponent e, compared exactly
+    (through :func:`_rational`): then w^q is integrable at the ends where
+    w behaves like |x - end|^e."""
+    q = _rational(q)
+    return all(_rational(e) * q > -1 for e in exponents)
 
 
 def _check_exponents(kind: str, alpha, beta) -> None:

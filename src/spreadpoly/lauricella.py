@@ -9,6 +9,9 @@ All sums are finite: every numerator parameter along a summed variable is
 a nonpositive integer.  The F_A sum is regrouped by total degree into a
 product of one terminating polynomial per variable, so its cost is
 polynomial in the degrees rather than the number of multi-index terms.
+The product runs on integers by Kronecker substitution
+(``bell._kronecker_product``); the 2q equal polynomials of the Laguerre
+route are raised with one integer power.
 
 alpha is a double, so every F_A parameter (alpha q + 1, alpha + 1, 1/q) is
 an exact rational (read by ``families._rational``, the package's one
@@ -26,13 +29,15 @@ package convention (even 2q is unaffected).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 from mpmath import libmp, mp
 
 from .context import ParameterError, PrecisionContext
-from .families import RenyiOrder, _rational
-from .bell import length_from_power_integral
+from .families import RenyiOrder, _rational, power_integrable
+from .bell import _kronecker_product, length_from_power_integral
 
 __all__ = [
     "lauricella_fa_terminating",
@@ -74,16 +79,6 @@ def _term_polynomial(u: int, lower: Fraction, z: Fraction) -> tuple:
     return coeffs, tail[0]
 
 
-def _poly_mul(p: list, c: list) -> list:
-    """Integer coefficients of the product of two integer polynomials."""
-    out = [0] * (len(p) + len(c) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, cj in enumerate(c):
-                out[i + j] += pi * cj
-    return out
-
-
 def lauricella_fa_terminating(a, upper, lower, z):
     """F_A(a; upper; lower; z) with every upper parameter a nonpositive int.
 
@@ -110,11 +105,11 @@ def lauricella_fa_terminating(a, upper, lower, z):
         uppers.append(-int(u))
     if len(uppers) != len(lower) or len(uppers) != len(z):
         raise ParameterError("parameter sequences must have equal length")
-    prod, den = [1], 1
-    for u, l, zz in zip(uppers, lower, z):
-        c, d = _term_polynomial(u, _rational(l), _rational(zz))
-        prod = _poly_mul(prod, c)
-        den *= d
+    # equal variables give equal polynomials, raised once to their count
+    counts = Counter(zip(uppers, map(_rational, lower), map(_rational, z)))
+    terms = [(_term_polynomial(*key), count) for key, count in counts.items()]
+    prod = _kronecker_product([(c, count) for (c, _), count in terms])
+    den = math.prod(d**count for (_, d), count in terms)
     # sum_s (a)_s prod[s], a = an/ad, by Horner over s in integers:
     # G_s = prod[s] ad^(smax-s) + (an + s ad) G_{s+1},  the sum = G_0 / ad^smax
     an, ad = _rational(a).as_integer_ratio()
@@ -144,8 +139,8 @@ def laguerre_power_integral_lauricella(
     """
     order = RenyiOrder.from_q(q)
     two_q = order.two_q
-    if not float(alpha) * float(order.q) > -1:
-        raise ParameterError("alpha*q must exceed -1")
+    if not power_integrable(order.q, alpha):
+        raise ParameterError(f"alpha*q must exceed -1 (alpha={alpha}, q={order})")
     with mp.workprec(ctx.bits + _GUARD_BITS):
         am = mp.mpf(alpha)
         a = _rational(am)
@@ -169,8 +164,11 @@ def laguerre_power_integral_lauricella(
 def renyi_length_laguerre_lauricella(
     n: int, alpha, q, ctx: PrecisionContext = _DEFAULT_CTX
 ):
-    """Rényi length of the Laguerre density via the linearization route."""
+    """Rényi length of the Laguerre density via the linearization route;
+    0 where alpha q <= -1, so that the integral of rho^q diverges."""
     order = RenyiOrder.from_q(q)
+    if not power_integrable(order.q, alpha):
+        return mp.mpf(0)
     W = laguerre_power_integral_lauricella(n, alpha, order, ctx)
     with mp.workprec(ctx.bits):
         return +length_from_power_integral(W, order)

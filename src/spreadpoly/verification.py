@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from mpmath import mp
 
 from .context import PrecisionContext
-from .families import Family, RenyiOrder
+from .families import Family, RenyiOrder, power_integrable
 from .orthopoly import evaluate_recurrence, zeros
 from .quadrature import integrate_density_power, integrate_log_singular
 from .closed_form import (
@@ -162,6 +163,26 @@ def _scope_fisher(ctx, tol_scale):
     return out
 
 
+def _renyi_cell_checks(fam, n, order, ctx, tol) -> list:
+    """Every pair of routes to W_q on one cell (and W_1 against 1), by
+    criterion 3's rule: relative, absolute where both are below 1e-30."""
+    vals = {
+        "bell": renyi_power_integral_bell(fam, n, order, ctx),
+        "oracle": integrate_density_power(fam, n, order, ctx),
+    }
+    if fam.kind == "laguerre":
+        vals["lauricella"] = laguerre_power_integral_lauricella(n, fam.alpha, order, ctx)
+    if order.is_unit:
+        vals["unit"] = mp.mpf(1)
+    out = []
+    for ki, kj in combinations(sorted(vals), 2):
+        scale = max(abs(vals[ki]), abs(vals[kj]))
+        d = float(abs(vals[ki] - vals[kj]) / (scale if scale > 1e-30 else 1))
+        name = f"renyi/{fam.describe()}/2q={order.two_q}/n={n}/{ki}-vs-{kj}"
+        out.append(Check(name, d <= tol, d, tol))
+    return out
+
+
 def _scope_renyi(ctx, tol_scale):
     tol = 1e-10 * tol_scale
     out = []
@@ -177,40 +198,10 @@ def _scope_renyi(ctx, tol_scale):
     for fam in fams:
         for two_q in (2, 3, 4):
             order = RenyiOrder(two_q)
-            q = order.q
-            if fam.kind == "laguerre" and not fam.alpha * q > -1:
-                continue
-            if fam.kind == "jacobi" and not (
-                fam.alpha * q > -1 and fam.beta * q > -1
-            ):
+            if not power_integrable(order.q, fam.alpha, fam.beta):
                 continue
             for n in (0, 1, 3):
-                Wb = renyi_power_integral_bell(fam, n, order, ctx)
-                Wo = integrate_density_power(fam, n, order, ctx)
-                vals = {"bell": Wb, "oracle": Wo}
-                if fam.kind == "laguerre":
-                    vals["lauricella"] = laguerre_power_integral_lauricella(
-                        n, fam.alpha, order, ctx
-                    )
-                if order.is_unit:
-                    cmp = {k: v for k, v in vals.items()}
-                    cmp["unit"] = mp.mpf(1)
-                else:
-                    cmp = {
-                        k: length_from_power_integral(v, order)
-                        for k, v in vals.items()
-                    }
-                keys = sorted(cmp)
-                for i, ki in enumerate(keys):
-                    for kj in keys[i + 1 :]:
-                        out.append(
-                            _deviation_check(
-                                f"renyi/{fam.describe()}/2q={two_q}/n={n}/{ki}-vs-{kj}",
-                                cmp[ki],
-                                cmp[kj],
-                                tol,
-                            )
-                        )
+                out.extend(_renyi_cell_checks(fam, n, order, ctx, tol))
     return out
 
 

@@ -1,10 +1,10 @@
 """Independent oracles the tests check the package against.
 
 None of these is on a computing path of the package: the partition sum
-for partial Bell polynomials, the terminating 2F1 closed form of a Jacobi
-moment of w^q, naive polynomial powers, the explicit coefficient
-displays and the Hermite and Laguerre moment displays summed in
-``Fraction``, the closed Laguerre Rényi lengths at n = 0 and n = 1, and
+and the layered recurrence for partial Bell polynomials, schoolbook
+polynomial products and powers, the terminating 2F1 closed form of a
+Jacobi moment of w^q, the explicit coefficient displays and the Hermite
+and Laguerre moment displays summed in ``Fraction``, the closed Laguerre Rényi lengths at n = 0 and n = 1, and
 the Gamma closed forms of the weights' moments with a rule's sum to
 check them on.  The n = 1 length needs a terminating 2F0;
 it is summed exactly in ``Fraction`` from the exact rationals its
@@ -68,16 +68,40 @@ def jacobi_power_moment(k: int, q, alpha, beta):
     return -m if k % 2 else m
 
 
+def schoolbook_product(p: list, c: list) -> list:
+    """Coefficients of the product of two polynomials, term by term."""
+    out = [0] * (len(p) + len(c) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(c):
+            out[i + j] += a * b
+    return out
+
+
 def naive_power(coeffs, p: int) -> list:
-    """Coefficients of (sum_t c_t x^t)^p by p - 1 schoolbook products."""
+    """Coefficients of (sum_t c_t x^t)^p by p schoolbook products."""
     out = [1]
     for _ in range(p):
-        prod = [0] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            for j, c in enumerate(coeffs):
-                prod[i + j] += a * c
-        out = prod
+        out = schoolbook_product(out, coeffs)
     return out
+
+
+def partial_bell_layered(m: int, l: int, args):
+    """B_{m,l} by the layered recurrence
+    B_{m,l} = sum_i C(m-1, i-1) x_i B_{m-i, l-1}, in the arguments' own
+    arithmetic (exact for int and Fraction)."""
+    if l > m:
+        return 0
+    args = tuple(args)
+    prev = [1] + [0] * m  # l = 0 layer
+    for layer in range(1, l + 1):
+        prev = [0] * layer + [
+            sum(
+                math.comb(k - 1, i - 1) * args[i - 1] * prev[k - i]
+                for i in range(1, min(k - layer + 1, len(args)) + 1)
+            )
+            for k in range(layer, m + 1)
+        ]
+    return prev[m]
 
 
 def _rising(x: Fraction, k: int) -> Fraction:

@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from oracles import jacobi_power_moment, partial_bell_enumerated
+from oracles import (
+    jacobi_power_moment,
+    naive_power,
+    partial_bell_enumerated,
+    partial_bell_layered,
+    schoolbook_product,
+)
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import (
+    _kronecker_product,
     _weight_power_mass,
     _weight_power_moments,
     length_from_power_integral,
@@ -21,6 +28,7 @@ from spreadpoly.bell import (
     renyi_length_bell,
     renyi_power_integral_bell,
 )
+from spreadpoly.lauricella import laguerre_power_integral_lauricella
 from spreadpoly.orthopoly import evaluate_recurrence
 from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
 
@@ -41,11 +49,55 @@ def test_partial_bell_frozen_values():
     assert partial_bell(4, 4, [3]) == 81  # x1^4
 
 
-@pytest.mark.parametrize("m,l", [(4, 2), (6, 3), (7, 2), (8, 5)])
+#: Arguments of each type the package accepts; the floats are read exactly.
+BELL_ARGS = {
+    "int": [3, -2, 0, 5, -1, 4, 7],
+    "fraction": [Fraction(3, 7), Fraction(-5, 2), 0, Fraction(1, 3), 2, Fraction(-9, 4), 1],
+    "float": [1.5, -0.25, 2.0, 0.1, -1.0, 3.0, 0.75],
+}
+
+
+@pytest.mark.parametrize("m,l", [(4, 2), (6, 3), (7, 2), (8, 5), (9, 1), (7, 7)])
 def test_partial_bell_matches_enumeration(m, l):
-    # exact in Fraction on both sides
-    args = [Fraction(v) for v in (1.5, -0.25, 2.0, 0.5, -1.0, 3.0, 0.75)]
-    assert partial_bell(m, l, args) == partial_bell_enumerated(m, l, args)
+    # exact on both sides: an int for int arguments, else the exact rational
+    for kind, args in BELL_ARGS.items():
+        got = partial_bell(m, l, args)
+        assert got == partial_bell_enumerated(m, l, args), kind
+        if kind == "int":
+            assert type(got) is int
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        [(-1) ** i * (i % 5) * 7**i for i in range(40)],
+        [Fraction((-1) ** i * (i % 4), i + 3) for i in range(40)],
+    ],
+    ids=["int", "fraction"],
+)
+def test_partial_bell_matches_layered_recurrence(args):
+    for m in range(41):
+        for l in {1, 2, 3, m // 2, max(m - 1, 0), m}:
+            assert partial_bell(m, l, args) == partial_bell_layered(m, l, args), (m, l)
+
+
+def test_partial_bell_edge_cases():
+    assert partial_bell(0, 0, []) == 1
+    assert partial_bell(3, 0, [1, 2, 3]) == 0
+    assert partial_bell(2, 3, [1, 2, 3]) == 0  # l > m
+    assert partial_bell(4, 2, []) == 0
+    assert partial_bell(4, 2, [0, 0, 0]) == 0
+    # only x_1 .. x_{m-l+1} enter; missing ones are 0
+    assert partial_bell(4, 2, [2]) == 0
+    assert partial_bell(4, 2, [2, 5]) == 3 * 25
+    assert partial_bell(4, 2, [2, 5, 1, 99, 99]) == 4 * 2 * 1 + 3 * 25
+    # a non-integer value comes back as a Fraction
+    assert partial_bell(2, 1, [0, Fraction(1, 3)]) == Fraction(1, 3)
+    assert partial_bell(2, 2, [0.5]) == Fraction(1, 4)
+    with pytest.raises(ParameterError):
+        partial_bell(-1, 0, [1])
+    with pytest.raises(ParameterError):
+        partial_bell(2, -1, [1])
 
 
 def test_polynomial_power_coeffs():
@@ -54,6 +106,32 @@ def test_polynomial_power_coeffs():
     # p^1 is the identity, p^0 is 1
     assert polynomial_power_coeffs([3, -1, 4], 1) == [3, -1, 4]
     assert polynomial_power_coeffs([3, 2], 0) == [1]
+
+
+COEFF = st.one_of(st.just(0), st.integers(min_value=-(2**200), max_value=2**200))
+POLY = st.lists(COEFF, min_size=1, max_size=13)  # degree <= 12
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(coeffs=POLY, p=st.integers(min_value=0, max_value=6))
+def test_polynomial_power_matches_naive_power(coeffs, p):
+    assert polynomial_power_coeffs(coeffs, p) == naive_power(coeffs, p)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    polys=st.lists(POLY, min_size=1, max_size=3),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), min_size=2, max_size=3),
+)
+def test_kronecker_product_matches_schoolbook(polys, picks):
+    # two or three factors drawn from at most three polynomials, so the same
+    # polynomial may appear as several factors and with a power above 1
+    factors = [(polys[i % len(polys)], p) for i, p in picks]
+    want = [1]
+    for c, p in factors:
+        for _ in range(p):
+            want = schoolbook_product(want, c)
+    assert _kronecker_product(factors) == want
 
 
 def test_polynomial_power_matches_numpy():
@@ -286,10 +364,31 @@ def test_length_from_power_integral_contract():
 
 
 def test_divergent_parameters_rejected():
-    with pytest.raises(ParameterError):
-        renyi_length_bell(Family.laguerre(-0.5), 2, 2, CTX)   # alpha q = -1
-    with pytest.raises(ParameterError):
-        renyi_length_bell(Family.jacobi(-0.5, 0.0), 1, 3, CTX)
+    # w^q is not integrable, so the power integral is refused, while the
+    # integral of rho^q diverges and the length is 0
+    for family, n, q in ((Family.laguerre(-0.5), 2, 2), (Family.jacobi(-0.5, 0.0), 1, 3)):
+        with pytest.raises(ParameterError):
+            renyi_power_integral_bell(family, n, q, CTX)
+        assert renyi_length_bell(family, n, q, CTX) == 0
+
+
+@pytest.mark.parametrize(
+    "family", [Family.laguerre(-2 / 3), Family.jacobi(0.0, -2 / 3)], ids=Family.describe
+)
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_integrability_is_decided_exactly(family, n):
+    # the double -2/3 times 3/2 is -0.99999999999999994 > -1, while the float
+    # product rounds to -1.0: every route gives W, and they agree within
+    # criterion 3's gate (relative, W is about 1e15 here)
+    order = RenyiOrder(3)
+    vals = [
+        renyi_power_integral_bell(family, n, order, CTX),
+        integrate_density_power(family, n, order, CTX),
+    ]
+    if family.kind == "laguerre":
+        vals.append(laguerre_power_integral_lauricella(n, family.alpha, order, CTX))
+    for v in vals[1:]:
+        assert abs(v - vals[0]) <= mp.mpf(1e-10) * abs(vals[0])
 
 
 @pytest.mark.parametrize(

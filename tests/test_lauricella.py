@@ -142,8 +142,11 @@ def test_coincidence_zero_cell():
 
 
 def test_divergent_alpha_q_rejected():
+    # alpha q = -1: the power integral is refused, and the length of a
+    # density whose q-th power diverges is 0
     with pytest.raises(ParameterError):
         laguerre_power_integral_lauricella(2, -0.5, RenyiOrder(4), CTX)
+    assert renyi_length_laguerre_lauricella(2, -0.5, RenyiOrder(4), CTX) == 0
 
 
 @pytest.mark.parametrize("alpha", [2.0, 5.0])

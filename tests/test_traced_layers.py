@@ -8,7 +8,9 @@ traced run of each workload at its default cell count checks that such a
 run still ends with its result line, has no other, and reports every
 layer's metrics as finite numbers.  A layer whose module ``import
 spreadpoly`` no longer loads is reported absent with null metrics while
-the run still exits 0, so the result line alone does not show it.
+the run still exits 0, so the result line alone does not show it; and a
+layer that the package no longer calls on its workload reads 0 calls, so
+the layers each workload must reach are checked by name.
 """
 
 import importlib
@@ -64,11 +66,20 @@ def _is_result(line):
     return isinstance(obj, dict) and "correct" in obj
 
 
+#: Layers a workload must reach: a refactor that routes around a traced
+#: name leaves its layer present but reading 0 calls.
+REACHED = {
+    "renyi-crosscheck": ("bell.polynomial_power_coeffs", "lauricella.lauricella_fa_terminating"),
+    "measures-rows": ("bell.polynomial_power_coeffs",),
+}
+
+
 def _check_traced_run(workload):
     """The traced benchmark run of ``workload``, at its default cell count,
     exits 0; exactly one stdout line is a result object, it is the last
-    line, and it is JSON with no NaN or Infinity; no layer is absent and
-    every metric is a finite number."""
+    line, and it is JSON with no NaN or Infinity; no layer is absent,
+    every metric is a finite number, and every layer in ``REACHED`` was
+    called."""
     root = TRACING.parent.parent
     run = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
@@ -91,6 +102,10 @@ def _check_traced_run(workload):
         or not math.isfinite(m["value"])
     }
     assert not bad, bad
+    unreached = [
+        layer for layer in REACHED.get(workload, ()) if not result["metrics"][f"{layer}.calls"]["value"]
+    ]
+    assert not unreached, unreached
 
 
 def test_traced_renyi_run_ends_with_a_strict_json_result():

@@ -4,7 +4,8 @@ quantity and reports machine-readable results."""
 import pytest
 
 from spreadpoly.context import PrecisionContext
-from spreadpoly.verification import Check, available_scopes, run_scope
+from spreadpoly.families import Family, RenyiOrder
+from spreadpoly.verification import Check, _renyi_cell_checks, available_scopes, run_scope
 
 FAST = PrecisionContext(bits=128, rel_tol=1e-18)
 
@@ -36,6 +37,23 @@ def test_renyi_scope_all_pass():
     bell = [c for c in checks if c.name.endswith("/bell-vs-oracle")]
     assert len(bell) == 60
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+
+
+def test_renyi_cell_compares_power_integrals_not_lengths():
+    # the coincidence cell: Bell and Lauricella give W = 0 exactly, the Gauss
+    # sum keeps its rounding (1.2e-83 at 256 bits); both lie below criterion
+    # 3's 1e-30 floor, so they agree, although their lengths are inf and 6.6e165
+    checks = _renyi_cell_checks(Family.laguerre(-0.5), 1, RenyiOrder(3), PrecisionContext(), 1e-10)
+    assert [c.name.rsplit("/", 1)[1] for c in checks] == [
+        "bell-vs-lauricella", "bell-vs-oracle", "lauricella-vs-oracle"
+    ]
+    assert all(c.ok for c in checks), [(c.name, c.measured) for c in checks]
+    # at q = 1 every route is compared with 1 as well
+    unit = _renyi_cell_checks(Family.hermite(), 3, RenyiOrder(2), FAST, 1e-10)
+    assert [c.name.rsplit("/", 1)[1] for c in unit] == [
+        "bell-vs-oracle", "bell-vs-unit", "oracle-vs-unit"
+    ]
+    assert all(c.ok for c in unit)
 
 
 def test_erratum_scope_documents_display_mismatch():
