@@ -11,14 +11,13 @@ coefficients, quadrature rules and closed-form measures.  Parameters are
 stored as Python floats (exact binary values), so converting them to mpf
 at any working precision is deterministic.
 
-The recurrence coefficients (a_k, b_k) of the orthonormal polynomials and
-the weight's zeroth moment mu_0 are written here once, as formulas that run
-in mpf or in float64 arithmetic (:func:`raw_recurrence`).  The float64
-paths read them through one cache, :func:`recurrence_table`.  The mpf
-paths read a_k and b_k^2 from :func:`exact_recurrence`: the exponents are
-doubles or exact mpf values, hence dyadic rationals (:func:`_rational`),
-so every a_k and b_k^2 is an exact rational, written as one integer over
-another.
+The recurrence coefficients (a_k, b_k) of the orthonormal polynomials are
+written here once, in :func:`exact_recurrence`: the exponents are doubles
+or exact mpf values, hence dyadic rationals (:func:`_rational`), so every
+a_k and b_k^2 is an exact rational, written as one integer over another.
+The mpf routes read those pairs; the float64 paths read them rounded once
+(:func:`raw_recurrence`).  The weight's zeroth moment mu_0 is
+:func:`norm_constant`, in mpf.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "JACOBI",
     "raw_recurrence",
     "norm_constant",
-    "recurrence_table",
     "exact_recurrence",
     "power_integrable",
 ]
@@ -200,69 +198,16 @@ def _check_exponents(kind: str, alpha, beta) -> None:
         raise ParameterError("beta must exceed -1")
 
 
-def raw_recurrence(kind: str, alpha, beta, count: int, lib=mp):
-    """(a_k, b_k) for k < count of the orthonormal recurrence
-
-        x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1},
-
-    in the arithmetic of ``lib``: ``mp`` gives mpf at the active precision,
-    ``math`` gives Python floats, by the same operations in the same order.
-    ``alpha``/``beta`` may be any reals > -1 (quadrature uses shifted,
-    non-integer parameters).  b_0 is returned as 0: it multiplies the
-    nonexistent p_{-1}.
-    """
-    num = getattr(lib, "mpf", float)  # math has no number type of its own
-    a = num(alpha)
-    b = num(beta)
-    _check_exponents(kind, a, b)
-    # alpha+beta+2 as (alpha+1)+(beta+1): alpha+1 and beta+1 are exact for
-    # exponents in (-1, -1/2] and their sum rounds once, so the Jacobi
-    # entries keep full relative accuracy as alpha+beta -> -2
-    c = (a + 1) + (b + 1)
-    diag, off = [], []
-    for k in range(count):
-        km = num(k)
-        if kind == HERMITE:
-            diag.append(num(0))
-            off.append(lib.sqrt(km / 2))
-        elif kind == LAGUERRE:
-            diag.append(2 * km + a + 1)
-            off.append(lib.sqrt(km * (km + a)))
-        else:
-            if k == 0:
-                diag.append((b - a) / c)
-                off.append(num(0))
-                continue
-            s = 2 * (km - 1) + c  # 2k + alpha + beta
-            diag.append((b - a) * (b + a) / (s * (s + 2)))
-            if k == 1:
-                # limit form: the generic b_1^2 is 0/0 at alpha+beta = -1
-                off.append(2 * lib.sqrt((1 + a) * (1 + b) / (3 + a + b)) / c)
-            else:
-                kab = (km - 2) + c  # k + alpha + beta
-                off.append(2 * lib.sqrt(km * (km + a) * (km + b) * kab / (s * s - 1)) / s)
-    return diag, off
-
-
-def norm_constant(kind: str, alpha, beta, lib=mp):
-    """mu_0, the integral of the bare weight over its interval, in the
-    arithmetic of ``lib`` (as in :func:`raw_recurrence`)."""
-    num = getattr(lib, "mpf", float)
-    a = num(alpha)
-    b = num(beta)
+def norm_constant(kind: str, alpha, beta):
+    """mu_0, the integral of the bare weight over its interval, as an mpf
+    at the active precision."""
+    a = mp.mpf(alpha)
+    b = mp.mpf(beta)
     if kind == HERMITE:
-        return lib.sqrt(lib.pi)
+        return mp.sqrt(mp.pi)
     if kind == LAGUERRE:
-        return lib.gamma(a + 1)
-    return 2 ** (a + b + 1) * lib.gamma(a + 1) * lib.gamma(b + 1) / lib.gamma((a + 1) + (b + 1))
-
-
-@functools.lru_cache(maxsize=64)
-def recurrence_table(kind: str, alpha, beta, count: int):
-    """((a_k), (b_k), p_0) for k < count as Python floats, with
-    p_0 = 1/sqrt(mu_0)."""
-    diag, off = raw_recurrence(kind, alpha, beta, count, math)
-    return tuple(diag), tuple(off), 1 / math.sqrt(norm_constant(kind, alpha, beta, math))
+        return mp.gamma(a + 1)
+    return 2 ** (a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma((a + 1) + (b + 1))
 
 
 @functools.lru_cache(maxsize=64)
@@ -271,9 +216,13 @@ def exact_recurrence(kind: str, alpha, beta, count: int):
     den > 0, with b_0^2 = 0.
 
     With alpha = A/D and beta = B/D over one denominator D (a power of two
-    for doubles and mpf values), the entries of :func:`raw_recurrence` are
-    ratios of integer polynomials in k, A, B and D; they are left unreduced.
-    b_1^2 takes the limit form, so alpha + beta = -1 needs no 0/0.
+    for doubles and mpf values), a_k and b_k^2 of the orthonormal recurrence
+
+        x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1}
+
+    are ratios of integer polynomials in k, A, B and D; they are left
+    unreduced.  b_1^2 takes the limit form, so alpha + beta = -1 needs no
+    0/0.
     """
     ra, rb = _rational(alpha), _rational(beta)
     _check_exponents(kind, ra, rb)
@@ -296,3 +245,13 @@ def exact_recurrence(kind: str, alpha, beta, count: int):
             kd = k * d
             offsq.append((4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s * s - d * d)))
     return tuple(diag[:count]), tuple(offsq[:count])
+
+
+@functools.lru_cache(maxsize=64)
+def raw_recurrence(kind: str, alpha, beta, count: int):
+    """((a_k), (b_k)) for k < count as Python floats, b_0 = 0: the float64
+    table.  Each a_k is the exact entry of :func:`exact_recurrence` rounded
+    once (int / int is correctly rounded), and each b_k the square root of
+    b_k^2 so rounded."""
+    diag, offsq = exact_recurrence(kind, alpha, beta, count)
+    return tuple(num / den for num, den in diag), tuple(math.sqrt(num / den) for num, den in offsq)

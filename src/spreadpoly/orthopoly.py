@@ -9,13 +9,14 @@ recurrence
 The recurrence coefficients of the three classical weights are standard
 (see e.g. Gautschi, "Orthogonal Polynomials: Computation and
 Approximation", or the NIST DLMF chapter 18) after rescaling the
-classical normalizations to unit norm.  They and mu_0 are written once,
-in ``families``.  The float64 zeros read them as floats
-(:func:`spreadpoly.families.recurrence_table`); every mpf route reads a_k
-and b_k^2 as exact integer ratios
-(:func:`spreadpoly.families.exact_recurrence`), each rounded once to the
-fixed-point format of :func:`monic_fixed`, integers v 2^P with P the
-working precision plus ``_FIXED_GUARD`` bits (:func:`_fixed_table`).
+classical normalizations to unit norm.  They are written once, in
+``families``, as exact integer ratios
+(:func:`spreadpoly.families.exact_recurrence`).  The float64 zeros and the
+seeds of the Gauss rules read them rounded once to floats
+(:func:`spreadpoly.families.raw_recurrence`); every mpf route reads them
+rounded once to the fixed-point format of :func:`monic_fixed`, integers
+v 2^P with P the working precision plus ``_FIXED_GUARD`` bits
+(:func:`_fixed_table`).
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
 monomial coefficients and the recurrence.  The coefficients are exact:
@@ -61,9 +62,8 @@ from .families import (
     Family,
     exact_recurrence,
     norm_constant,
-    recurrence_table,
+    raw_recurrence,
 )
-from .families import raw_recurrence  # noqa: F401  re-exported; bench/tracing.py traces it here
 
 __all__ = [
     "PolyCoeffs",
@@ -391,9 +391,9 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
     """Nodes and Christoffel weights of the m-point Gauss rule of a raw
     weight, as mpf at ``bits + 20``.
 
-    Float64 eigenvalues of the recurrence matrix, built from the exact
-    entries of :func:`spreadpoly.families.exact_recurrence`, seed a Newton
-    polish on the monic recurrence (:func:`monic_fixed`).  The same entries,
+    Float64 eigenvalues of the recurrence matrix, the float64 table of
+    :func:`spreadpoly.families.raw_recurrence`, seed a Newton polish on the
+    monic recurrence (:func:`monic_fixed`).  The exact entries behind it,
     rounded once to integers v 2^P with P = bits + 20 + ``_FIXED_GUARD``
     (:func:`_fixed_table`), are its table; the node z and the step u =
     pi_m/pi_m' are such integers too, so a pass makes no mpf operation.
@@ -421,10 +421,8 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
         prec = mp.prec
         fixed = prec + _FIXED_GUARD
         one = 1 << fixed
-        diag, offsq = exact_recurrence(kind, alpha, beta, m)
-        d64 = np.array([num / den for num, den in diag])
-        e64 = np.array([math.sqrt(num / den) for num, den in offsq[1:]])
-        seeds = [float(s) for s in _eigen_seeds(d64, e64)]
+        diag, off = raw_recurrence(kind, alpha, beta, m)
+        seeds = [float(s) for s in _eigen_seeds(np.array(diag), np.array(off[1:]))]
         fdiag, foffsq, h = _fixed_table(kind, alpha, beta, m, prec)
         symmetric = _is_symmetric(kind, alpha, beta)
         if symmetric:
@@ -486,7 +484,7 @@ def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
         return []
     symmetric = _is_symmetric(kind, alpha, beta)
     if bits is None:
-        diag, off, _ = recurrence_table(kind, alpha, beta, n + 1)
+        diag, off = raw_recurrence(kind, alpha, beta, n + 1)
         z = _eigen_seeds(np.array(diag[:n]), np.array(off[1:n]))
         for _ in range(_NEWTON_MAX_ITER):
             p, dp = poly_scaled(kind, alpha, beta, n, z, derivative=True)[:2]

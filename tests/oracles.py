@@ -3,13 +3,14 @@
 None of these is on a computing path of the package: the partition sum
 and the layered recurrence for partial Bell polynomials, schoolbook
 polynomial products and powers, the terminating 2F1 closed form of a
-Jacobi moment of w^q, the explicit coefficient displays and the Hermite
-and Laguerre moment displays summed in ``Fraction``, the closed Laguerre Rényi lengths at n = 0 and n = 1, and
-the Gamma closed forms of the weights' moments with a rule's sum to
-check them on.  The n = 1 length needs a terminating 2F0;
-it is summed exactly in ``Fraction`` from the exact rationals its
-parameters hold, so it is exactly 0 iff the sum is (the
-Laguerre(-1/2), q = 3/2 cell), and otherwise rounded once.
+Jacobi moment of w^q, the textbook recurrence formulas in mpf, the
+explicit coefficient displays and the Hermite and Laguerre moment displays
+summed in ``Fraction``, the closed Laguerre Rényi lengths at n = 0 and
+n = 1, and the Gamma closed forms of the weights' moments with a rule's sum
+to check them on.  The n = 1 length needs a terminating 2F0; it is summed
+exactly in ``Fraction`` from the exact rationals its parameters hold, so it
+is exactly 0 iff the sum is (the Laguerre(-1/2), q = 3/2 cell), and
+otherwise rounded once.
 """
 
 import math
@@ -102,6 +103,46 @@ def partial_bell_layered(m: int, l: int, args):
             for k in range(layer, m + 1)
         ]
     return prev[m]
+
+
+def raw_recurrence(kind: str, alpha, beta, count: int):
+    """(a_k, b_k) for k < count of the orthonormal recurrence
+
+        x p_k = b_{k+1} p_{k+1} + a_k p_k + b_k p_{k-1},
+
+    by the textbook formulas (Gautschi, *Orthogonal Polynomials:
+    Computation and Approximation*, OUP 2004; NIST DLMF chapter 18),
+    rescaled to unit norm, in mpf at the active precision; b_0 = 0.  The
+    package writes these coefficients only as exact integer pairs
+    (``families.exact_recurrence``); this is the table they are checked
+    against.  alpha + beta + 2 is formed as (alpha + 1) + (beta + 1), so
+    the Jacobi entries keep their relative accuracy as alpha + beta -> -2,
+    and b_1 takes its limit form at alpha + beta = -1.
+    """
+    a = mp.mpf(alpha)
+    b = mp.mpf(beta)
+    c = (a + 1) + (b + 1)
+    diag, off = [], []
+    for k in range(count):
+        km = mp.mpf(k)
+        if kind == HERMITE:
+            diag.append(mp.mpf(0))
+            off.append(mp.sqrt(km / 2))
+        elif kind == LAGUERRE:
+            diag.append(2 * km + a + 1)
+            off.append(mp.sqrt(km * (km + a)))
+        elif k == 0:
+            diag.append((b - a) / c)
+            off.append(mp.mpf(0))
+        else:
+            s = 2 * (km - 1) + c  # 2k + alpha + beta
+            diag.append((b - a) * (b + a) / (s * (s + 2)))
+            if k == 1:
+                off.append(2 * mp.sqrt((1 + a) * (1 + b) / (3 + a + b)) / c)
+            else:
+                kab = (km - 2) + c  # k + alpha + beta
+                off.append(2 * mp.sqrt(km * (km + a) * (km + b) * kab / (s * s - 1)) / s)
+    return diag, off
 
 
 def _rising(x: Fraction, k: int) -> Fraction:

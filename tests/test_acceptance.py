@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oracles import raw_recurrence
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, RenyiOrder, raw_recurrence
+from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
 from spreadpoly.closed_form import (
     cramer_rao_product,

@@ -203,6 +203,30 @@ def test_unsettled_zeros_exit_3_naming_shannon(capsys, monkeypatch):
     assert "numeric failure: shannon_N" in err and "did not settle" in err
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        ("--family", "laguerre", "--alpha", "200"),
+        ("--family", "jacobi", "--alpha", "100", "--beta", "100"),
+    ],
+    ids=["laguerre-200", "jacobi-100-100"],
+)
+def test_large_exponent_rows_compute(capsys, params):
+    # mu_0 overflows a double here (Gamma(201), Gamma(202)); p_0 does not
+    rc, out, err = run(capsys, "measures", *params, "--n", "0..2", "--bits", "128")
+    assert rc == 0 and err == ""
+    assert len(out.splitlines()) == 4
+
+
+def test_p0_outside_the_doubles_exits_3_naming_it(capsys):
+    # p_0 = 1/sqrt(Gamma(401)) is about 1e-434: the float64 engine refuses it
+    rc, out, err = run(
+        capsys, "measures", "--family", "laguerre", "--alpha", "400", "--n", "0..2", "--bits", "128"
+    )
+    assert rc == 3 and out == ""
+    assert "numeric failure: shannon_N" in err and "p_0" in err
+
+
 def test_bell_row_ignores_rtol_and_matches_gauss_l2(capsys):
     # the Bell value is one exact integer sum, so no agreement tolerance
     # applies: even 1e-200 at 53 bits gives the Gauss route's L2

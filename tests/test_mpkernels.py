@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from oracles import explicit_ratios, jacobi_power_moment, naive_power
+from oracles import explicit_ratios, jacobi_power_moment, naive_power, raw_recurrence
 from spreadpoly.bell import polynomial_power_coeffs
 from spreadpoly.context import PrecisionContext
 from spreadpoly.families import (
@@ -30,7 +30,6 @@ from spreadpoly.families import (
     JACOBI,
     Family,
     norm_constant,
-    raw_recurrence,
 )
 from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.orthopoly import (

@@ -7,7 +7,6 @@ closed Chebyshev form.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
+import oracles
+from spreadpoly._vec import _p0
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import (
     Family,
@@ -23,7 +24,6 @@ from spreadpoly.families import (
     exact_recurrence,
     norm_constant,
     raw_recurrence,
-    recurrence_table,
 )
 from spreadpoly.orthopoly import (
     _FIXED_GUARD,
@@ -150,6 +150,11 @@ def test_recurrence_tables_are_kept_per_precision():
 EXPONENT = st.floats(min_value=-1.0, max_value=6.0, exclude_min=True)
 
 
+def _within_ulp(got: float, ref) -> bool:
+    """|got - ref| is at most one ulp of ``ref`` rounded to a double."""
+    return abs(got - ref) <= math.ulp(float(ref))
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
@@ -158,27 +163,27 @@ EXPONENT = st.floats(min_value=-1.0, max_value=6.0, exclude_min=True)
     count=st.integers(min_value=1, max_value=200),
 )
 @example(kind="jacobi", alpha=-0.999999, beta=-0.9999993, count=12)
-def test_float_table_is_the_53_bit_mpf_table(kind, alpha, beta, count):
-    # IEEE doubles and 53-bit mpf round +, -, *, / and sqrt alike, and both
-    # tables run one formula in one order.  Below the smallest normal double
-    # (a tiny alpha or beta makes a_k subnormal) IEEE keeps fewer bits than
-    # mpf, so there the entries agree to one subnormal spacing.
+def test_float_table_is_the_exact_table_rounded_once(kind, alpha, beta, count):
+    # Each a_k is num/den bit for bit (int / int rounds once), each b_k the
+    # root of b_k^2 so rounded: within 1 ulp of the 1024-bit root and of the
+    # 1024-bit textbook table; p_0 within 1 ulp of the 200-bit value.  The
+    # example has alpha + beta + 2 = 1.7e-6, where float formulas that form
+    # alpha + beta + 2 cancel before the divisions see it.
     alpha = 0.0 if kind == "hermite" else alpha
     beta = beta if kind == "jacobi" else 0.0
-    table = recurrence_table(kind, alpha, beta, count)
-    with mp.workprec(53):
-        mtable = raw_recurrence(kind, alpha, beta, count)
-    assert all(type(v) is float for v in table[0] + table[1] + table[2:])
-    for got, ref in zip(table[0] + table[1], mtable[0] + mtable[1]):
-        ref = float(ref)
-        if abs(ref) >= sys.float_info.min:
-            assert got == ref
-        else:
-            assert abs(got - ref) <= math.ulp(0.0)
-    mu0 = norm_constant(kind, alpha, beta, math)
+    diag, off = raw_recurrence(kind, alpha, beta, count)
+    ediag, eoffsq = exact_recurrence(kind, alpha, beta, count)
+    assert len(diag) == len(off) == count
+    assert all(type(v) is float for v in diag + off)
+    assert all(got == num / den for got, (num, den) in zip(diag, ediag))
+    p0 = _p0(kind, alpha, beta)
+    with mp.workprec(1024):
+        roots = [mp.sqrt(mp.mpf(num) / den) for num, den in eoffsq]
+        assert all(_within_ulp(got, ref) for got, ref in zip(off, roots))
+        mdiag, moff = oracles.raw_recurrence(kind, alpha, beta, count)
+        assert all(_within_ulp(got, ref) for got, ref in zip(diag + off, mdiag + moff))
     with mp.workprec(200):
-        ref = norm_constant(kind, alpha, beta)
-        assert abs(mu0 - ref) <= 1e-14 * ref
+        assert _within_ulp(p0, 1 / mp.sqrt(norm_constant(kind, alpha, beta)))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -209,7 +214,7 @@ def test_exact_table_is_the_recurrence(kind, alpha, beta, two_q, count):
     assert len(diag) == len(offsq) == count and offsq[0][0] == 0
     assert all(den > 0 for _, den in diag + offsq)
     with mp.workprec(1024):
-        mdiag, moff = raw_recurrence(kind, a, b, count)
+        mdiag, moff = oracles.raw_recurrence(kind, a, b, count)
         tol = mp.mpf(2) ** -1000
         for (num, den), ref in zip(diag, mdiag):
             assert abs(mp.mpf(num) / den - ref) <= tol * abs(ref)
@@ -223,21 +228,6 @@ def test_exact_table_is_the_recurrence(kind, alpha, beta, two_q, count):
         assert abs(2 * v * den - (num << (fixed + 1))) <= den
     with mp.workprec(1024):
         assert abs(h - h_ref) <= (2 * count + 8) * mp.mpf(2) ** -prec * h_ref
-
-
-def test_float_jacobi_table_is_accurate_near_alpha_plus_beta_minus_2():
-    # alpha+beta+2 = 1.7e-6 here: formed as a+b+2, it cancels in float64
-    # before the divisions and Gamma see it (entries up to 1.2e-10 off, mu_0
-    # 6.5e-11)
-    alpha, beta, count = -0.999999, -0.9999993, 12
-    diag, off, _ = recurrence_table("jacobi", alpha, beta, count)
-    mu0 = norm_constant("jacobi", alpha, beta, math)
-    with mp.workprec(200):
-        mdiag, moff = raw_recurrence("jacobi", alpha, beta, count)
-        for got, ref in zip(diag + off, mdiag + moff):
-            assert abs(got - ref) <= 1e-14 * abs(ref)
-        ref = norm_constant("jacobi", alpha, beta)
-        assert abs(mu0 - ref) <= 1e-14 * ref
 
 
 def test_zeros_count_interval_and_symmetry():

@@ -80,11 +80,41 @@ def test_mean_log_weight_matches_quadrature(fam, n):
         assert abs(_mean_log_weight(fam, n) - want) <= mp.mpf(1e-20)
 
 
-def test_fast_and_mpf_paths_agree():
-    fam = Family.laguerre(1.5)
-    fast = shannon_numeric(fam, 3, CTX, tol=1e-9)   # float64 path
-    slow = shannon_numeric(fam, 3, CTX, tol=1e-13)  # forced mpf path
-    assert abs(fast.entropy - slow.entropy) < mp.mpf(1e-9)
+#: Float64 Shannon cells, among them every one the golden tables pin.
+FAST_CELLS = [
+    (Family.laguerre(1.5), 3),
+    (Family.laguerre(2.0), 10),
+    (Family.jacobi(0.5, -0.25), 2),
+    (Family.jacobi(0.5, -0.25), 3),
+    (Family.jacobi(0.5, -0.25), 4),
+    (Family.jacobi(0.0, 0.0), 0),
+    (Family.jacobi(0.0, 0.0), 5),
+    (Family.jacobi(2.0, 2.0), 0),
+    (Family.jacobi(2.0, 2.0), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "fam,n", FAST_CELLS, ids=[f"{fam.describe()}-n{n}" for fam, n in FAST_CELLS]
+)
+def test_fast_and_mpf_paths_agree(fam, n):
+    # the float64 value is within its own estimate of the mpf one
+    fast = shannon_numeric(fam, n, CTX, tol=1e-9)
+    slow = shannon_numeric(fam, n, CTX, tol=1e-13)
+    assert fast.path == "float64" and slow.path == "mpf"
+    assert abs(fast.entropy - slow.entropy) <= fast.est_error
+
+
+@pytest.mark.parametrize("n", range(3))
+@pytest.mark.parametrize(
+    "fam", [Family.laguerre(200.0), Family.jacobi(100.0, 100.0)], ids=lambda f: f.describe()
+)
+def test_large_exponent_fast_path_matches_mpf(fam, n):
+    # mu_0 is past the largest double; the float64 engine starts from p_0
+    fast = shannon_numeric(fam, n, CTX, tol=1e-9)
+    slow = shannon_numeric(fam, n, CTX, tol=1e-13)
+    assert fast.path == "float64"
+    assert abs(fast.entropy - slow.entropy) <= mp.mpf(1e-9)
 
 
 def test_negative_exponent_takes_float64_path():

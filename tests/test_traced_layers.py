@@ -69,8 +69,13 @@ def _is_result(line):
 #: Layers a workload must reach: a refactor that routes around a traced
 #: name leaves its layer present but reading 0 calls.
 REACHED = {
-    "renyi-crosscheck": ("bell.polynomial_power_coeffs", "lauricella.lauricella_fa_terminating"),
-    "measures-rows": ("bell.polynomial_power_coeffs",),
+    "renyi-crosscheck": (
+        "bell.polynomial_power_coeffs",
+        "lauricella.lauricella_fa_terminating",
+        "orthopoly.raw_recurrence",
+    ),
+    "shannon-large-n": ("orthopoly.raw_recurrence",),
+    "measures-rows": ("bell.polynomial_power_coeffs", "orthopoly.raw_recurrence"),
 }
 
 
