@@ -32,7 +32,7 @@ from spreadpoly import (
     stddev,
 )
 
-CTX = PrecisionContext(bits=128, rel_tol=1e-18)
+CTX = PrecisionContext(bits=128)
 
 
 def track(family, label, degrees):

@@ -27,7 +27,7 @@ from spreadpoly import (
     shannon_numeric,
 )
 
-CTX = PrecisionContext(bits=128, rel_tol=1e-18)
+CTX = PrecisionContext(bits=128)
 
 
 def table(family, label, degrees):

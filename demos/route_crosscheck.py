@@ -12,9 +12,10 @@ W_q = integral p_n(x)^{2q} w(x)^q dx is computed here three ways:
 
 The routes share no code beyond the recurrence coefficients, so agreement
 to ~70 digits at 256-bit precision is a genuine cross-check.  Two kinds
-of exact zeros also surface: parity zeros (odd n, odd 2q on a symmetric
-weight) and a parameter coincidence at alpha=-1/2, q=3/2, n=1 — both
-snap to exact 0 on every route instead of leaving roundoff dust.
+of zeros also surface: parity zeros (odd n, odd 2q on a symmetric
+weight), exactly 0 on every route, and a parameter coincidence at
+alpha=-1/2, q=3/2, n=1, exactly 0 on the series and Laguerre routes and
+at the rounding floor of its terms on the quadrature route.
 
 Run:  python3 demos/route_crosscheck.py
 """
@@ -61,12 +62,13 @@ def main():
     show(Family.laguerre(0.0), "laguerre alpha=0", 1, 5)
     show(Family.jacobi(0.0, 2.0), "jacobi (0, 2)", 1, 3)
 
-    print("\nExact zeros:")
+    print("\nZeros of the signed integral (parity, coincidence):")
     show(Family.hermite(), "hermite (parity)", 1, 3)
     show(Family.laguerre(-0.5), "laguerre (coincidence)", 1, 3)
     print(
-        "\nA zero power integral means the corresponding Renyi length is"
-        "\ninfinite; the snap-to-zero keeps all routes consistent about it."
+        "\nFor odd 2q the routes compute the signed integral, which is the"
+        "\nintegral of rho^q only at n=0, so no Renyi length is read from"
+        "\nthese cells: spreadpoly refuses an odd-2q length at n >= 1."
     )
 
 

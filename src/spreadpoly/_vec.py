@@ -6,7 +6,8 @@ log-scale so values far out in the weight tails (where p_n overflows
 float64 by hundreds of orders of magnitude) stay representable as
 ``p = p_scaled * exp(logscale)``.  The coefficients come from
 ``families.raw_recurrence``, the exact table rounded once to float64, and
-the start p_0 = 1/sqrt(mu_0) from :func:`_p0`.
+the start p_0 = 1/sqrt(mu_0) from :func:`_p0`.  :func:`log_weight` gives
+ln w (and (ln w)') at the nodes of the float64 tanh-sinh engine.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from mpmath import mp
 
 from .context import PrecisionError
-from .families import norm_constant, raw_recurrence
+from .families import HERMITE, LAGUERRE, norm_constant, raw_recurrence
 
 _RESCALE = 1e100
 _LOG_RESCALE = math.log(_RESCALE)
@@ -74,3 +75,23 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
     if derivative:
         return pk, dk, logscale
     return pk, logscale
+
+
+def log_weight(kind, alpha, beta, a, b, x, dl, dr, derivative=False):
+    """ln w at tanh-sinh nodes, or ``(ln w, (ln w)')`` with ``derivative``.
+
+    Takes the node arguments of a ``quadrature.tanh_sinh_panels``
+    integrand: the Jacobi factors 1 - x and 1 + x come from the distances
+    to the panel ends, without cancellation near +-1, and the Laguerre
+    logarithm reads max(x, 1e-320), so the node at 0 stays finite.
+    """
+    if kind == HERMITE:
+        return (-x * x, -2.0 * x) if derivative else -x * x
+    if kind == LAGUERRE:
+        xv = np.maximum(x, 1e-320)
+        logw = alpha * np.log(xv) - x
+        return (logw, alpha / xv - 1.0) if derivative else logw
+    om = (1.0 - b) + dr   # 1 - x, stable near +1
+    op = (1.0 + a) + dl   # 1 + x, stable near -1
+    logw = alpha * np.log(om) + beta * np.log(op)
+    return (logw, -alpha / om + beta / op) if derivative else logw

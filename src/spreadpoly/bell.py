@@ -21,8 +21,8 @@ where D_k are the integer coefficients of (sum_t R_t x^t)^{2q}.  S is one
 Python integer: nothing cancels, so W_q is exactly 0 iff S is (parity, or
 the coincidence alpha = (q-3)/(2q) at odd 2q), and otherwise rounding
 enters only through the closed-form constant K^{2q} m_0 and one division.
-No precision escalation is needed, so the context's ``rel_tol`` and ``max_escalations`` do not
-apply to this route.
+No precision escalation is needed: the context sets only the bits at
+which W is returned.
 
 D_k is the partial Bell value (2q)!/(k+2q)! B_{k+2q,2q}(1! R_0, 2! R_1, ...);
 it and B_{m,l} itself come from one integer polynomial product by
@@ -221,27 +221,39 @@ def renyi_power_integral_bell(
 
 
 def length_from_power_integral(W, order: RenyiOrder):
-    """Map a signed power integral to the Rényi length W^{-1/(q-1)}."""
+    """Map a positive power integral W = integral rho^q to the Rényi length
+    W^{-1/(q-1)}; ParameterError at q=1 and for W <= 0, which is no such
+    integral."""
     if order.is_unit:
         raise ParameterError("Renyi length undefined at q=1")
+    if not W > 0:
+        raise ParameterError(f"power integral {mp.nstr(W, 5)} is not positive")
     expo = Fraction(-2, order.two_q - 2)
-    if W == 0:
-        return mp.inf if expo < 0 else mp.mpf(0)
-    if W < 0:
-        if expo.denominator == 1 and expo.numerator % 2 == 0:
-            return mp.power(-W, int(expo))
-        raise ParameterError(
-            f"negative power integral with non-even length exponent {expo}"
-        )
     return mp.power(W, mp.mpf(expo.numerator) / expo.denominator)
+
+
+def _refuse_signed_length(n: int, order: RenyiOrder) -> None:
+    """ParameterError for an odd-2q length at n >= 1.
+
+    For odd 2q the exact routes compute the signed W = integral p_n^{2q}
+    w^q, which equals integral rho^q only where p_n keeps one sign, i.e.
+    at n = 0; elsewhere W^{-1/(q-1)} is not the Rényi length.
+    """
+    if order.two_q % 2 and n:
+        raise ParameterError(
+            f"L_{order.q} at n={n} is not computed: for odd 2q the exact routes give "
+            "the signed integral of p_n^(2q) w^q, not the integral of rho^q"
+        )
 
 
 def renyi_length_bell(family: Family, n: int, q, ctx: PrecisionContext = _DEFAULT_CTX):
     """Rényi length L_q via the Bell route (2q a positive integer, q != 1);
-    0 where w^q is not integrable, so that the integral of rho^q diverges."""
+    0 where w^q is not integrable, so that the integral of rho^q diverges.
+    ParameterError for odd 2q at n >= 1 (:func:`_refuse_signed_length`)."""
     order = RenyiOrder.from_q(q)
     if not power_integrable(order.q, family.alpha, family.beta):
         return mp.mpf(0)
+    _refuse_signed_length(n, order)
     W = renyi_power_integral_bell(family, n, order, ctx)
     with mp.workprec(ctx.bits):
         return +length_from_power_integral(W, order)

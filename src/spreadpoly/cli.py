@@ -27,13 +27,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .context import (
-    ENV_BITS,
-    ENV_RTOL,
-    ParameterError,
-    PrecisionContext,
-    default_context,
-)
+from .context import ENV_BITS, ParameterError, PrecisionContext, default_context
 from .families import Family, RenyiOrder
 from .shannon import ratio_constant
 from .report import (
@@ -117,10 +111,7 @@ def _family_from_args(args) -> Family:
 
 
 def _context_from_args(args) -> PrecisionContext:
-    base = default_context()
-    bits = args.bits if args.bits is not None else base.bits
-    rtol = args.rtol if args.rtol is not None else base.rel_tol
-    return PrecisionContext(bits=bits, rel_tol=rtol)
+    return default_context() if args.bits is None else PrecisionContext(bits=args.bits)
 
 
 def _write(args, text):
@@ -150,8 +141,8 @@ def cmd_table(args) -> int:
     header, rows, provenance = table
     meta = None
     if args.meta:
-        meta = {"bits": ctx.bits, "rtol": repr(ctx.rel_tol), "format": args.format,
-                "command": args.command, "family": family.describe()}
+        meta = {"bits": ctx.bits, "format": args.format, "command": args.command,
+                "family": family.describe()}
         if args.command == "asymptotics":
             with mp.workprec(ctx.bits):
                 meta["reference_ratio"] = float(ratio_constant())
@@ -173,7 +164,6 @@ def cmd_verify(args) -> int:
     payload = {
         "scope": args.scope,
         "bits": ctx.bits,
-        "rtol": repr(ctx.rel_tol),
         "tol_scale": args.tol_scale,
         "total": len(checks),
         "failures": len(failures),
@@ -213,8 +203,6 @@ def _add_output_flags(p):
 def _add_precision_flags(p):
     p.add_argument("--bits", type=int, default=None,
                    help=f"working precision bits (default: env {ENV_BITS} or 256)")
-    p.add_argument("--rtol", type=float, default=None,
-                   help=f"mpf Shannon integrator tolerance (default: env {ENV_RTOL})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import libmp, mp
 
-from ._vec import poly_scaled
+from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, _rational
 from .hypergeom import hyp2f1_terminating
@@ -134,18 +134,7 @@ def _fisher_integrand(family: Family, n: int):
 
     def fpanel(i, a, b, x, dl, dr):
         p, dp, logscale = poly_scaled(kind, al, be, n, x, derivative=True)
-        if kind == HERMITE:
-            u = -2.0 * x
-            logw = -x * x
-        elif kind == LAGUERRE:
-            xv = np.maximum(x, 1e-320)
-            u = al / xv - 1.0
-            logw = al * np.log(xv) - x
-        else:
-            om = (1.0 - b) + dr   # 1 - x, stable near +1
-            op = (1.0 + a) + dl   # 1 + x, stable near -1
-            u = -al / om + be / op
-            logw = al * np.log(om) + be * np.log(op)
+        logw, u = log_weight(kind, al, be, a, b, x, dl, dr, derivative=True)
         core = 2.0 * dp + p * u
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mag = 2.0 * np.log(np.abs(core)) + 2.0 * logscale + logw

@@ -1,17 +1,15 @@
 """Working-precision policy shared by every numeric routine in the package.
 
 All quantities are computed with mpmath arbitrary-precision floats.  A
-:class:`PrecisionContext` fixes the number of mantissa bits, the relative
-tolerance used to decide that two computations of the same quantity agree,
-and how many times the precision may be doubled before giving up; the
-mpf integrator (``quadrature.integrate_log_singular``) is what reads them.
+:class:`PrecisionContext` fixes one setting, the number of mantissa bits.
 The Bell and Lauricella routes sum exact integers and the explicit
-coefficients are exact, so none of them escalates, and ``rel_tol`` and
-``max_escalations`` do not apply to them.  The doubling loop
-:func:`with_escalation` (a value, or every element of a tuple of values,
-is trusted once two consecutive precisions agree, and
-:class:`PrecisionError` reports one that never does) has no caller in the
-package; ``bench/tracing.py`` still wraps it by name.
+coefficients are exact, so none of them escalates; the mpf integrator
+(``quadrature.integrate_log_singular``) takes its absolute tolerance from
+its caller.  The doubling loop :func:`with_escalation` (a value, or every
+element of a tuple of values, is trusted once two consecutive precisions
+agree to the tolerance it is given, and :class:`PrecisionError` reports
+one that never does) has no caller in the package; ``bench/tracing.py``
+still wraps it by name.
 
 No routine rounds a small value to zero: an exact zero comes only from
 the Bell and Lauricella integer sums and, at a parity zero, from the
@@ -36,7 +34,9 @@ __all__ = [
 ]
 
 ENV_BITS = "SPREADPOLY_BITS"
-ENV_RTOL = "SPREADPOLY_RTOL"
+
+#: Precision doublings :func:`with_escalation` tries before giving up.
+_ESCALATIONS = 3
 
 
 class ParameterError(ValueError):
@@ -49,31 +49,19 @@ class PrecisionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Numeric policy: mantissa bits, agreement tolerance, escalation budget."""
+    """Numeric policy: the working precision in mantissa bits."""
 
     bits: int = 256
-    rel_tol: float = 1e-25
-    max_escalations: int = 3
 
     def __post_init__(self) -> None:
         if self.bits < 53:
             raise ParameterError("working precision must be at least 53 bits")
-        if not (0 < self.rel_tol < 1):
-            raise ParameterError("rel_tol must lie in (0, 1)")
-        if self.max_escalations < 0:
-            raise ParameterError("max_escalations must be non-negative")
 
 
 def default_context() -> PrecisionContext:
-    """Context built from ``SPREADPOLY_BITS`` / ``SPREADPOLY_RTOL`` if set."""
-    kwargs = {}
+    """Context built from ``SPREADPOLY_BITS`` if set."""
     bits = os.environ.get(ENV_BITS)
-    if bits is not None:
-        kwargs["bits"] = int(bits)
-    rtol = os.environ.get(ENV_RTOL)
-    if rtol is not None:
-        kwargs["rel_tol"] = float(rtol)
-    return PrecisionContext(**kwargs)
+    return PrecisionContext() if bits is None else PrecisionContext(bits=int(bits))
 
 
 def agrees(a, b, rel_tol) -> bool:
@@ -86,24 +74,25 @@ def agrees(a, b, rel_tol) -> bool:
     return abs(a - b) <= rel_tol * scale
 
 
-def with_escalation(compute: Callable[[int], object], ctx: PrecisionContext):
+def with_escalation(compute: Callable[[int], object], ctx: PrecisionContext, rel_tol):
     """Run ``compute(bits)`` at doubling precision until two runs agree.
 
     ``compute`` must evaluate the full quantity from scratch at the given
     number of bits and return an mpf, or a tuple of mpf every element of
-    which must agree.  Returns the highest-precision result;
-    :class:`PrecisionError` once the escalations run out.
+    which must agree to ``rel_tol``.  Returns the highest-precision result;
+    :class:`PrecisionError` after ``_ESCALATIONS`` doublings past the
+    first comparison.
     """
     bits = ctx.bits
     prev = compute(bits)
-    for _ in range(ctx.max_escalations + 1):
+    for _ in range(_ESCALATIONS + 1):
         bits *= 2
         cur = compute(bits)
         pairs = zip(prev, cur) if isinstance(cur, tuple) else ((prev, cur),)
-        if all(agrees(a, b, ctx.rel_tol) for a, b in pairs):
+        if all(agrees(a, b, rel_tol) for a, b in pairs):
             return cur
         prev = cur
     raise PrecisionError(
-        f"value failed to stabilise after {ctx.max_escalations} escalations "
+        f"value failed to stabilise after {_ESCALATIONS} escalations "
         f"(started at {ctx.bits} bits)"
     )

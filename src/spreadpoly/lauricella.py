@@ -18,8 +18,8 @@ an exact rational (read by ``families._rational``, the package's one
 exact-rational conversion, which also feeds the exact recurrence table),
 and the sum runs on Python integers: it is exactly 0
 iff the F_A sum is, and otherwise it is rounded once.  Nothing cancels at
-a working precision, so this route needs no precision escalation and the
-context's ``rel_tol`` and ``max_escalations`` do not apply to it.
+a working precision, so this route needs no precision escalation: the
+context sets only the bits at which W is returned.
 
 Sign convention: the linearization is native to polynomials with leading
 coefficient of sign (-1)^n; this package normalizes leading-positive, so
@@ -37,7 +37,7 @@ from mpmath import libmp, mp
 
 from .context import ParameterError, PrecisionContext
 from .families import RenyiOrder, _rational, power_integrable
-from .bell import _kronecker_product, length_from_power_integral
+from .bell import _kronecker_product, _refuse_signed_length, length_from_power_integral
 
 __all__ = [
     "lauricella_fa_terminating",
@@ -165,10 +165,12 @@ def renyi_length_laguerre_lauricella(
     n: int, alpha, q, ctx: PrecisionContext = _DEFAULT_CTX
 ):
     """Rényi length of the Laguerre density via the linearization route;
-    0 where alpha q <= -1, so that the integral of rho^q diverges."""
+    0 where alpha q <= -1, so that the integral of rho^q diverges.
+    ParameterError for odd 2q at n >= 1, as on the Bell route."""
     order = RenyiOrder.from_q(q)
     if not power_integrable(order.q, alpha):
         return mp.mpf(0)
+    _refuse_signed_length(n, order)
     W = laguerre_power_integral_lauricella(n, alpha, order, ctx)
     with mp.workprec(ctx.bits):
         return +length_from_power_integral(W, order)

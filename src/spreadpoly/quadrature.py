@@ -220,41 +220,42 @@ def integrate_density_power(
         return +mp.fsum(total)
 
 
-def merge_points(points, tol=1e-12):
-    """Sort and deduplicate panel boundaries (gap <= tol collapses)."""
+#: Panel boundaries closer than this collapse into one (:func:`merge_points`).
+_MERGE_GAP = 1e-12
+
+#: Precision doublings :func:`integrate_log_singular` tries past the
+#: context's bits, and the tanh-sinh degree of each attempt.
+_ESCALATIONS = 3
+_MAX_DEGREE = 8
+
+
+def merge_points(points):
+    """Sort and deduplicate panel boundaries (a gap <= ``_MERGE_GAP`` collapses)."""
     pts = sorted(mp.mpf(p) for p in points)
     out = [pts[0]]
     for p in pts[1:]:
-        if p - out[-1] > tol:
+        if p - out[-1] > _MERGE_GAP:
             out.append(p)
     return out
 
 
-def integrate_log_singular(
-    f,
-    interval,
-    split_points,
-    ctx: PrecisionContext = _DEFAULT_CTX,
-    *,
-    abs_floor=0,
-    max_degree: int = 8,
-):
+def integrate_log_singular(f, interval, split_points, ctx: PrecisionContext, *, tol):
     """Adaptive tanh-sinh integration with panel splits at singular points.
 
-    Returns ``(value, est_error)``.  Acceptance: est_error <=
-    rel_tol*|value| + abs_floor, retried at doubled precision up to the
-    context's escalation budget before raising :class:`QuadratureError`.
-    Infinite endpoints are handled by the double-exponential variable
-    transform of the underlying integrator.
+    Returns ``(value, est_error)``.  Acceptance: est_error <= ``tol``, an
+    absolute tolerance, retried at doubled precision ``_ESCALATIONS``
+    times before raising :class:`QuadratureError`.  Infinite endpoints are
+    handled by the double-exponential variable transform of the
+    underlying integrator.
     """
     lo, hi = interval
     inner = [p for p in split_points if lo < p < hi]
     pts = [lo] + merge_points(inner) + [hi] if inner else [lo, hi]
     bits = ctx.bits
-    for _ in range(ctx.max_escalations + 1):
+    for _ in range(_ESCALATIONS + 1):
         with mp.workprec(bits):
-            val, err = mp.quad(f, pts, error=True, maxdegree=max_degree)
-            if err <= ctx.rel_tol * abs(val) + abs_floor:
+            val, err = mp.quad(f, pts, error=True, maxdegree=_MAX_DEGREE)
+            if err <= tol:
                 return +val, +err
         bits *= 2
     raise QuadratureError(
@@ -321,9 +322,11 @@ def _edge_tail(f_edge: float, dist: float, gamma: float) -> float:
     return _TAIL_SAFETY * abs(f_edge) * dist / g1 * log_factor
 
 
-def tanh_sinh_panels(
-    fpanel, points, *, tol=1e-10, max_level=9, edge_exponents=(0.0, 0.0)
-):
+#: Deepest refinement level of :func:`tanh_sinh_panels` (spacing 2^-9).
+_MAX_LEVEL = 9
+
+
+def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     """Integrate a panel-aware vectorized integrand over [points[0], points[-1]].
 
     ``fpanel(i, a, b, x, dl, dr)`` receives ``i``, the ``range`` of panel
@@ -336,7 +339,11 @@ def tanh_sinh_panels(
     infinite panel gets a call of its own and consecutive finite panels
     share calls of at most ``_BATCH_NODES`` nodes.  ``fpanel`` must return
     the integrand values as a float64 array; a non-finite value raises
-    :class:`QuadratureError` naming the panel.
+    :class:`QuadratureError` naming the panel.  It may return a pair
+    ``(values, rounding)`` instead: ``rounding`` bounds, value by value,
+    the rounding error that the difference between refinement levels does
+    not show (an error common to many nodes, say), and the estimate adds
+    its quadrature sum over the final grid.
 
     ``edge_exponents`` = (gamma_lo, gamma_hi) declares that the integrand
     behaves like |x - e|^gamma, up to a log factor, at the ends
@@ -361,9 +368,10 @@ def tanh_sinh_panels(
     totals = np.zeros(lo.size)
     prev_totals = np.full(lo.size, np.nan)
     magnitude = 0.0
+    carried = 0.0
     est = np.inf
     tail = 0.0
-    for level in range(0, max_level + 1):
+    for level in range(0, _MAX_LEVEL + 1):
         t, h = _panel_nodes(level)
         u = 0.5 * np.pi * np.sinh(t)
         cosh_t = np.cosh(t)
@@ -396,6 +404,9 @@ def tanh_sinh_panels(
                     x, dl, dr = b - d, far_end, d[None, :]
             ends = (np.repeat(lo[span], t.size), np.repeat(hi[span], t.size))
             vals = fpanel(batch, *ends, x.ravel(), dl.ravel(), dr.ravel())
+            if isinstance(vals, tuple):
+                vals, rounding = vals
+                carried += float(np.vdot(np.broadcast_to(w, x.shape), rounding))
             vals = np.asarray(vals, dtype=float).reshape(x.shape)
             bad = np.count_nonzero(~np.isfinite(vals), axis=1)
             for j, i in enumerate(batch):
@@ -423,4 +434,4 @@ def tanh_sinh_panels(
             if level >= 3 and est <= tol / 8.0:
                 break
     floor = 5e-16 * magnitude
-    return float(np.sum(totals)), max(est, floor) + tail
+    return float(np.sum(totals)), max(est, floor) + tail + h * carried

@@ -12,11 +12,12 @@ Each returns ``(header, rows, provenance)``: the column names, one dict
 per degree, and the route that produced each computed column
 (closed_form | bell | oracle | asymptotic), which is the same down the
 column.  An undefined cell is None; a cell the rest of the row is
-computed from raises :class:`ParameterError` instead, and an arithmetic
-failure raises :class:`NumericFailure`, both naming the quantity.  The
-arithmetic between cells runs at ``ctx.bits``, whatever the caller's
-``mp.prec``.  Formatting helpers render rows as CSV (17 significant
-digits, round-trippable) or JSON.
+computed from, and an odd-2q Renyi length at n >= 1, raise
+:class:`ParameterError` instead, and an arithmetic failure raises
+:class:`NumericFailure`, both naming the quantity.  The arithmetic
+between cells runs at ``ctx.bits``, whatever the caller's ``mp.prec``.
+Formatting helpers render rows as CSV (17 significant digits,
+round-trippable) or JSON.
 """
 
 from __future__ import annotations
@@ -75,8 +76,10 @@ class NumericFailure(ArithmeticError):
 def _cell(quantity, fn, required=False):
     """Evaluate one table cell; undefined -> None, numeric error -> raise.
 
-    A ``required`` cell is one the rest of the row is computed from: there
-    an undefined value is a usage error that names the quantity.
+    In a ``required`` cell an undefined value is a usage error that names
+    the quantity: a cell the rest of the row is computed from, or an extra
+    Renyi length, whose routes refuse an odd 2q at n >= 1 rather than
+    return a wrong number.
     """
     try:
         return fn()
@@ -101,7 +104,8 @@ def measures_table(family: Family, degrees, orders=(), ctx: PrecisionContext = _
     ``orders`` adds one Renyi-length column ``L_<q>`` per order (a
     :class:`RenyiOrder` or anything ``RenyiOrder.from_q`` takes) other
     than q = 2, which is always present as ``L2``.  q = 1 has no Renyi
-    length and is rejected.
+    length and is rejected, and so is an odd 2q at any degree n >= 1: the
+    ParameterError names the column and the degree.
     """
     orders = [RenyiOrder.from_q(q) for q in orders]
     if any(o.is_unit for o in orders):
@@ -135,7 +139,8 @@ def measures_table(family: Family, degrees, orders=(), ctx: PrecisionContext = _
         )
         for o in extra:
             row[f"L_{o.q}"] = _cell(
-                f"L_{o.q} {where}", lambda o=o: renyi_length_bell(family, n, o, ctx)
+                f"L_{o.q} {where}", lambda o=o: renyi_length_bell(family, n, o, ctx),
+                required=True,
             )
         rows.append(row)
     return header, rows, provenance

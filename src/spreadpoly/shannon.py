@@ -22,6 +22,7 @@ variational upper bounds on N built from ordinary moments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .families import HERMITE, JACOBI, LAGUERRE, Family
 from .orthopoly import evaluate_recurrence, zeros
 from .quadrature import integrate_log_singular, tanh_sinh_panels
 from .closed_form import _float_zeros, laguerre_real_moment, moment, stddev
-from ._vec import poly_scaled
+from ._vec import log_weight, poly_scaled
 
 __all__ = [
     "ShannonResult",
@@ -96,31 +97,54 @@ class InequalityAudit:
 # ---------------------------------------------------------------------------
 
 
+#: Unit roundoff of float64 and of 53-bit mpf.
+_U = 2.0**-53
+
+
 def _log_poly_panel(family: Family, n: int):
-    """rho * ln p^2, overflow-safe; zero exactly at the zeros of p."""
+    """rho * ln p^2, overflow-safe; zero exactly at the zeros of p.
+
+    Returns the values with a bound on their rounding error (the
+    ``(values, rounding)`` pair of ``tanh_sinh_panels``).  An error d in
+    ln p^2 moves rho ln p^2 by rho |ln p^2 + 1| d.  Rounding that differs
+    from node to node (that of ln w, and of ln|p| at n >= 1) shows in the
+    difference between refinement levels, which is the engine's estimate.
+    The bound counts what does not average out that way:
+
+    * the log-scale of ``poly_scaled``, one float sum per number of
+      rescalings shared by every node with that number, is within
+      1.2u of its size of the true scale for up to 19 rescalings;
+    * at n = 0, p = p_0 at every node, so the rounding of ln|p_0|, at
+      most 2u of its size, is common to all of them;
+    * the recurrence carries p to a relative error that grows like the
+      square root of its steps, counted as 16 sqrt(n+1) u.
+    """
     kind, al, be = family.kind, family.alpha, family.beta
+    recurrence = 32.0 * math.sqrt(n + 1) * _U
 
     def fpanel(i, a, b, x, dl, dr):
         p, logscale = poly_scaled(kind, al, be, n, x)
-        if kind == HERMITE:
-            logw = -x * x
-        elif kind == LAGUERRE:
-            xv = np.maximum(x, 1e-320)
-            logw = al * np.log(xv) - x
-        else:
-            om = (1.0 - b) + dr
-            op = (1.0 + a) + dl
-            logw = al * np.log(om) + be * np.log(op)
+        logw = log_weight(kind, al, be, a, b, x, dl, dr)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            logp2 = 2.0 * (np.log(np.abs(p)) + logscale)
-            vals = np.where(p == 0.0, 0.0, np.exp(logp2 + logw) * logp2)
-        return vals
+            logp = np.log(np.abs(p))
+            logp2 = 2.0 * (logp + logscale)
+            rho = np.exp(logp2 + logw)
+            vals = np.where(p == 0.0, 0.0, rho * logp2)
+        shared = recurrence
+        if n == 0:
+            shared = shared + 4.0 * _U * np.abs(logp)
+        if logscale.any():
+            shared = shared + 2.4 * _U * logscale
+        # rho |ln p^2 + 1| is |vals + rho|, which is 0, not nan, at a zero of p
+        return vals, np.abs(vals + rho) * shared
 
     return fpanel
 
 
 def _mean_log_weight(family: Family, n: int):
-    """<ln w> under rho_n in closed form, at the working precision.
+    """<ln w> under rho_n in closed form, at the working precision, and the
+    sum of the magnitudes of its terms: each term and partial sum is
+    rounded once, so at p bits the value is within 2^(3-p) of that size.
 
     Hermite: -<x^2> = -(n + 1/2).  Laguerre: alpha psi(n+alpha+1) - <x>
     with <x> = 2n+alpha+1.  Jacobi: alpha E(alpha, beta) + beta E(beta,
@@ -131,21 +155,26 @@ def _mean_log_weight(family: Family, n: int):
     Sanchez-Ruiz, J. Comput. Appl. Math. 133, 2001).
     """
     if family.kind == HERMITE:
-        return -mp.mpf(2 * n + 1) / 2
+        value = -mp.mpf(2 * n + 1) / 2
+        return value, abs(value)
     a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
     if family.kind == LAGUERRE:
-        return a * mp.digamma(n + a + 1) - (2 * n + a + 1)
+        term = a * mp.digamma(n + a + 1)
+        return term - (2 * n + a + 1), abs(term) + 2 * n + abs(a) + 1
 
     def mean_log_one_minus_x(a, b):
         if n == 0:
-            return mp.log(2) + mp.digamma(a + 1) - mp.digamma(a + b + 2)
-        s = 2 * n + a + b + 1
-        return (
-            mp.log(2) + mp.digamma(n + a + 1) + mp.digamma(n + a + b + 1)
-            - 2 * mp.digamma(s) - 1 / s
-        )
+            t = (mp.digamma(a + 1), mp.digamma(a + b + 2))
+            value = mp.log(2) + t[0] - t[1]
+        else:
+            s = 2 * n + a + b + 1
+            t = (mp.digamma(n + a + 1), mp.digamma(n + a + b + 1), 2 * mp.digamma(s), 1 / s)
+            value = mp.log(2) + t[0] + t[1] - t[2] - t[3]
+        return value, mp.log(2) + sum(abs(v) for v in t)
 
-    return a * mean_log_one_minus_x(a, b) + b * mean_log_one_minus_x(b, a)
+    ea, size_a = mean_log_one_minus_x(a, b)
+    eb, size_b = mean_log_one_minus_x(b, a)
+    return a * ea + b * eb, abs(a) * size_a + abs(b) * size_b
 
 
 @mp.workprec(53)
@@ -157,14 +186,19 @@ def _entropy_fast(family: Family, n: int, tol: float):
     the closed form.  The estimate includes the engine's endpoint-tail
     term wherever a weight exponent is negative (the density is unbounded
     there), so it is compared with ``tol`` like any other; it grows
-    without bound as an exponent approaches -1.
+    without bound as an exponent approaches -1.  It also counts the
+    rounding of the integrand (:func:`_log_poly_panel`), of the 53-bit
+    <ln w> and of S, so it bounds the error of S, not only that of the
+    quadrature.
     """
     lo, hi = family.interval
     pts = [lo] + _float_zeros(family, n) + [hi]
     log_p2, est = tanh_sinh_panels(
         _log_poly_panel(family, n), pts, tol=tol, edge_exponents=family.edge_exponents
     )
-    return -mp.mpf(log_p2) - _mean_log_weight(family, n), est
+    mean_log_w, size = _mean_log_weight(family, n)
+    S = -mp.mpf(log_p2) - mean_log_w
+    return S, est + 8 * _U * float(size) + _U * abs(float(S))
 
 
 def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
@@ -179,10 +213,8 @@ def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
                 return mp.mpf(0)
             return p * p * family.weight(x) * mp.log(p * p)
 
-        val, est = integrate_log_singular(
-            log_p2_term, (lo, hi), zs, ctx, abs_floor=tol / 4
-        )
-        return -val - _mean_log_weight(family, n), +est
+        val, est = integrate_log_singular(log_p2_term, (lo, hi), zs, ctx, tol=tol / 4)
+        return -val - _mean_log_weight(family, n)[0], +est
 
 
 def shannon_numeric(

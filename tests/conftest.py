@@ -35,7 +35,7 @@ def ctx():
 @pytest.fixture(scope="session")
 def fast_ctx():
     """Lower-precision context for sweeps where 1e-12-ish checks suffice."""
-    return PrecisionContext(bits=128, rel_tol=1e-18)
+    return PrecisionContext(bits=128)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

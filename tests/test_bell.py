@@ -33,7 +33,7 @@ from spreadpoly.orthopoly import evaluate_recurrence
 from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
 
 CTX = PrecisionContext()
-FAST = PrecisionContext(bits=128, rel_tol=1e-18)
+FAST = PrecisionContext(bits=128)
 TIGHT = mp.mpf(1e-65)
 #: Exponent grid and orders of acceptance criterion 3.
 GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
@@ -320,16 +320,20 @@ def test_signed_power_integral_negative_cell():
     assert W < 0
     Wo = integrate_density_power(Family.jacobi(0.0, 2.0), 1, RenyiOrder(3), CTX)
     assert abs(W - Wo) < mp.mpf(1e-40) * abs(W)
-    # even length exponent: the length stays real and positive
-    L = length_from_power_integral(W, RenyiOrder(3))
-    assert L > 0
-    assert abs(L - abs(W) ** mp.mpf(-2)) < mp.mpf(1e-40) * L
+    # a negative signed integral is no integral of rho^q: no length is read
+    # from it, and the length route refuses the cell
+    with pytest.raises(ParameterError, match="not positive"):
+        length_from_power_integral(W, RenyiOrder(3))
+    with pytest.raises(ParameterError, match="L_3/2 at n=1"):
+        renyi_length_bell(Family.jacobi(0.0, 2.0), 1, "3/2", CTX)
 
 
 def test_parity_zero_cells_are_exact():
     assert renyi_power_integral_bell(Family.hermite(), 3, RenyiOrder(3), CTX) == 0
     assert renyi_power_integral_bell(Family.jacobi(2.0, 2.0), 1, RenyiOrder(3), CTX) == 0
-    assert renyi_length_bell(Family.hermite(), 3, "3/2", CTX) == mp.inf
+    # the signed W vanishes, but integral rho^q does not: no length
+    with pytest.raises(ParameterError, match="L_3/2 at n=3"):
+        renyi_length_bell(Family.hermite(), 3, "3/2", CTX)
 
 
 def test_coincidence_zero_cell_alpha_half():
@@ -339,7 +343,16 @@ def test_coincidence_zero_cell_alpha_half():
     assert renyi_power_integral_bell(fam, 1, order, CTX) == 0
     # no parity cancels the Gauss terms, so that sum keeps its rounding
     assert abs(integrate_density_power(fam, 1, order, CTX)) <= mp.mpf(2) ** -CTX.bits
-    assert renyi_length_bell(fam, 1, "3/2", CTX) == mp.inf
+    with pytest.raises(ParameterError, match="L_3/2 at n=1"):
+        renyi_length_bell(fam, 1, "3/2", CTX)
+
+
+def test_odd_order_length_only_at_degree_zero():
+    # p_0 keeps one sign, so at n = 0 the signed W is integral rho^q:
+    # (2^(3/2) (3/2)^4 / 3!)^2 = 5.6953125 exactly
+    assert abs(renyi_length_bell(Family.laguerre(2.0), 0, "3/2", CTX) - 5.6953125) < TIGHT
+    # integrability is decided first: a divergent integral rho^q gives 0
+    assert renyi_length_bell(Family.laguerre(-0.8), 1, "3/2", CTX) == 0
 
 
 def test_small_gauss_value_keeps_its_digits():
@@ -355,11 +368,11 @@ def test_small_gauss_value_keeps_its_digits():
 def test_length_from_power_integral_contract():
     with pytest.raises(ParameterError):
         length_from_power_integral(mp.mpf(1), RenyiOrder(2))  # q = 1
-    assert length_from_power_integral(mp.mpf(0), RenyiOrder(4)) == mp.inf
-    with pytest.raises(ParameterError):
-        # negative integral with odd length exponent has no real power
-        length_from_power_integral(mp.mpf(-0.5), RenyiOrder(4))
-    got = length_from_power_integral(mp.mpf(-0.5), RenyiOrder(3))
+    # only a positive W is an integral of rho^q
+    for W, two_q in ((0, 4), (0, 3), (-0.5, 4), (-0.5, 3)):
+        with pytest.raises(ParameterError, match="not positive"):
+            length_from_power_integral(mp.mpf(W), RenyiOrder(two_q))
+    got = length_from_power_integral(mp.mpf(0.5), RenyiOrder(3))
     assert abs(got - 4) < TIGHT
 
 
@@ -404,9 +417,9 @@ def test_even_order_shortfall_escalates_instead_of_zero(family, n):
 
 
 def test_large_degree_needs_no_escalation_budget():
-    # the integer sum cannot fall short, so neither the start precision nor
-    # the escalation budget decides whether the value is right
-    short = PrecisionContext(bits=128, max_escalations=1)
+    # the integer sum cannot fall short, so the start precision does not
+    # decide whether the value is right, and no budget of doublings exists
+    short = PrecisionContext(bits=128)
     order = RenyiOrder(4)
     W = renyi_power_integral_bell(Family.laguerre(5.0), 80, order, short)
     ref = integrate_density_power(Family.laguerre(5.0), 80, order, short)

@@ -9,7 +9,7 @@ from mpmath import mp
 import spreadpoly.report as report
 from spreadpoly.cli import main
 from spreadpoly.bell import length_from_power_integral
-from spreadpoly.context import ENV_RTOL, ParameterError, PrecisionContext
+from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.quadrature import integrate_density_power
 from spreadpoly.report import format_value
@@ -45,9 +45,8 @@ def test_measures_hermite_csv(capsys):
 
 
 @pytest.mark.parametrize("command", list(GOLDEN))
-def test_tables_are_byte_identical_to_golden(capsys, monkeypatch, command):
+def test_tables_are_byte_identical_to_golden(capsys, command):
     # a Jacobi bound (N <= 2) has no parameter: its bound_param is a JSON null
-    monkeypatch.delenv(ENV_RTOL, raising=False)
     rc, out, err = run(capsys, *command.split(), "--bits", "128")
     assert rc == 0 and err == ""
     assert out == GOLDEN[command]
@@ -67,11 +66,19 @@ def test_measures_mixed_range_and_row_count(capsys):
 def test_measures_extra_q_column(capsys):
     rc, out, _ = run(
         capsys,
-        "measures", "--family", "hermite", "--n", "1",
+        "measures", "--family", "hermite", "--n", "0",
         "--q", "3/2", "--bits", "128",
     )
     assert rc == 0
     assert out.splitlines()[0] == HEADER + ",L_3/2"
+    # at n = 1 the signed W vanishes by parity, and no length is printed
+    rc, out, err = run(
+        capsys,
+        "measures", "--family", "hermite", "--n", "1",
+        "--q", "3/2", "--bits", "128",
+    )
+    assert rc == 2 and out == ""
+    assert "L_3/2 hermite n=1" in err
 
 
 def test_measures_null_style_empty(capsys):
@@ -179,6 +186,45 @@ def test_non_finite_exponent_is_a_usage_error(capsys, argv, name):
     assert f"{name} must be finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measures", "--family", "hermite", "--n", "0"],
+        ["verify", "--scope", "erratum"],
+        ["asymptotics", "--family", "hermite", "--n", "1"],
+        ["bounds", "--family", "hermite", "--n", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_rtol_is_a_usage_error(capsys, argv):
+    # the working precision is the one numeric setting
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--rtol", "1e-20"])
+    assert info.value.code == 2
+    assert "--rtol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,q", [(3, "3/2"), (1, "3/2"), (3, "1/2"), (1, "5/2")])
+def test_odd_order_length_exits_2_naming_it(capsys, n, q):
+    # for odd 2q the routes give the signed integral of p_n^2q w^q, which
+    # is not integral rho^q at n >= 1: no number is printed
+    rc, out, err = run(
+        capsys, "measures", "--family", "laguerre", "--alpha", "2", "--n", str(n),
+        "--q", q, "--bits", "128",
+    )
+    assert rc == 2 and out == ""
+    assert f"L_{q} laguerre(alpha=2) n={n}" in err and "Traceback" not in err
+
+
+def test_odd_order_length_at_degree_zero(capsys):
+    # p_0 keeps one sign, so the signed integral is integral rho^q there
+    rc, out, err = run(
+        capsys, "measures", "--family", "laguerre", "--alpha", "2", "--n", "0", "--q", "3/2"
+    )
+    assert rc == 0 and err == ""
+    assert out.splitlines()[1].split(",")[-1] == "5.6953125"
+
+
 def test_argparse_usage_error_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["measures", "--family", "tchebyshev", "--n", "0"])
@@ -228,14 +274,12 @@ def test_p0_outside_the_doubles_exits_3_naming_it(capsys):
 
 
 def test_bell_row_ignores_rtol_and_matches_gauss_l2(capsys):
-    # the Bell value is one exact integer sum, so no agreement tolerance
-    # applies: even 1e-200 at 53 bits gives the Gauss route's L2
-    rc, out, err = run(
-        capsys, "measures", "--family", "hermite", "--n", "2", "--bits", "53", "--rtol", "1e-200"
-    )
+    # the Bell value is one exact integer sum rounded once, so no agreement
+    # tolerance exists to set: at 53 bits it gives the Gauss route's L2
+    rc, out, err = run(capsys, "measures", "--family", "hermite", "--n", "2", "--bits", "53")
     assert rc == 0 and err == ""
     row = dict(zip(HEADER.split(","), out.splitlines()[1].split(",")))
-    ctx = PrecisionContext(bits=53, rel_tol=1e-200)
+    ctx = PrecisionContext(bits=53)
     W = integrate_density_power(Family.hermite(), 2, RenyiOrder(4), ctx)
     with mp.workprec(ctx.bits):
         assert row["L2"] == format_value(+length_from_power_integral(W, RenyiOrder(4)))

@@ -1,7 +1,11 @@
+import inspect
+from dataclasses import fields
+
 from mpmath import mp
 import pytest
 
 from spreadpoly.context import (
+    ParameterError,
     PrecisionContext,
     PrecisionError,
     agrees,
@@ -26,8 +30,7 @@ def test_with_escalation_stabilises():
         with mp.workprec(bits):
             return +(mp.mpf(1) / 3)
 
-    ctx = PrecisionContext(bits=64, rel_tol=1e-15)
-    val = with_escalation(f, ctx)
+    val = with_escalation(f, PrecisionContext(bits=64), 1e-15)
     assert agrees(val, mp.mpf(1) / 3, 1e-15)
     assert calls[0] == 64 and calls[1] == 128
 
@@ -38,7 +41,7 @@ def test_with_escalation_raises_on_chaos():
         return mp.mpf(bits)
 
     with pytest.raises(PrecisionError):
-        with_escalation(f, PrecisionContext(bits=64, rel_tol=1e-15))
+        with_escalation(f, PrecisionContext(bits=64), 1e-15)
 
 
 def test_with_escalation_checks_every_tuple_element():
@@ -48,15 +51,33 @@ def test_with_escalation_checks_every_tuple_element():
             return +(mp.mpf(1) / 3), mp.mpf(bits)
 
     with pytest.raises(PrecisionError):
-        with_escalation(f, PrecisionContext(bits=64, rel_tol=1e-15))
+        with_escalation(f, PrecisionContext(bits=64), 1e-15)
 
 
 def test_default_context_env_override(monkeypatch):
+    # SPREADPOLY_BITS is the one setting read from the environment
     monkeypatch.setenv("SPREADPOLY_BITS", "128")
     monkeypatch.setenv("SPREADPOLY_RTOL", "1e-12")
-    ctx = default_context()
-    assert ctx.bits == 128
-    assert ctx.rel_tol == 1e-12
+    assert default_context() == PrecisionContext(bits=128)
     monkeypatch.delenv("SPREADPOLY_BITS")
-    monkeypatch.delenv("SPREADPOLY_RTOL")
-    assert default_context().bits == 256
+    assert default_context() == PrecisionContext() == PrecisionContext(bits=256)
+
+
+def test_context_has_bits_alone():
+    assert [f.name for f in fields(PrecisionContext)] == ["bits"]
+    with pytest.raises(ParameterError):
+        PrecisionContext(bits=52)
+    with pytest.raises(TypeError):
+        PrecisionContext(bits=128, rel_tol=1e-18)
+
+
+def test_with_escalation_takes_its_tolerance_as_an_argument():
+    # consecutive runs differ by 1/(2 bits): within 1e-2 at once, never
+    # within 1e-4 before the budget of doublings runs out
+    def f(bits):
+        return mp.mpf(1) + mp.mpf(1) / bits
+
+    assert with_escalation(f, PrecisionContext(bits=64), 1e-2) == f(128)
+    with pytest.raises(PrecisionError):
+        with_escalation(f, PrecisionContext(bits=64), 1e-4)
+    assert list(inspect.signature(with_escalation).parameters) == ["compute", "ctx", "rel_tol"]

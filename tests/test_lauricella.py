@@ -119,26 +119,29 @@ def test_degree_one_closed_bracket():
 def test_length_route_agreement_including_odd_orders():
     for n in (0, 1, 2):
         for q in (2, "5/2"):
-            try:
-                a = renyi_length_laguerre_lauricella(n, 1.5, RenyiOrder.from_q(q), CTX)
-            except ParameterError:
-                # negative power integral with a non-even exponent: the length
-                # is undefined, and both routes must agree on that too
-                with pytest.raises(ParameterError):
-                    renyi_length_bell(Family.laguerre(1.5), n, q, CTX)
+            if RenyiOrder.from_q(q).two_q % 2 and n:
+                # the signed W is not integral rho^q: both routes refuse
+                for route in (
+                    lambda: renyi_length_laguerre_lauricella(n, 1.5, RenyiOrder.from_q(q), CTX),
+                    lambda: renyi_length_bell(Family.laguerre(1.5), n, q, CTX),
+                ):
+                    with pytest.raises(ParameterError, match=f"L_5/2 at n={n}"):
+                        route()
                 continue
+            a = renyi_length_laguerre_lauricella(n, 1.5, RenyiOrder.from_q(q), CTX)
             b = renyi_length_bell(Family.laguerre(1.5), n, q, CTX)
-            if a == mp.inf:
-                assert b == mp.inf
-            else:
-                assert abs(a - b) < mp.mpf(1e-35) * a
+            assert abs(a - b) < mp.mpf(1e-35) * a
 
 
 def test_coincidence_zero_cell():
     order = RenyiOrder(3)
     assert laguerre_power_integral_lauricella(1, -0.5, order, CTX) == 0
-    assert renyi_length_laguerre_lauricella(1, -0.5, order, CTX) == mp.inf
-    assert renyi_length_laguerre_n1(-0.5, "3/2", CTX) == mp.inf
+    # the signed W vanishes, the closed-form bracket too, and no length is
+    # read from either
+    with pytest.raises(ParameterError, match="L_3/2 at n=1"):
+        renyi_length_laguerre_lauricella(1, -0.5, order, CTX)
+    with pytest.raises(ParameterError, match="not positive"):
+        renyi_length_laguerre_n1(-0.5, "3/2", CTX)
 
 
 def test_divergent_alpha_q_rejected():

@@ -314,12 +314,30 @@ def test_tanh_sinh_edge_tail_limits():
     )
 
 
+def test_tanh_sinh_counts_the_integrand_rounding():
+    # a (values, rounding) pair leaves the value alone and adds the
+    # quadrature sum of the rounding bound to the estimate
+    f = lambda i, a, b, x, dl, dr: np.cos(x)
+    g = lambda i, a, b, x, dl, dr: (np.cos(x), np.full_like(x, 1e-6))
+    for pts in ([0.0, 1.0], [0.0, 0.3, 1.0]):
+        val, est = tanh_sinh_panels(f, pts)
+        val2, est2 = tanh_sinh_panels(g, pts)
+        assert val2 == val
+        assert abs((est2 - est) - 1e-6) <= 1e-12
+    val, est = tanh_sinh_panels(
+        lambda i, a, b, x, dl, dr: (np.exp(-x), 1e-6 * np.exp(-x)), [0.0, np.inf]
+    )
+    assert abs(val - 1.0) < 1e-13 and 1e-6 <= est <= 1.01e-6
+
+
 def test_integrate_log_singular():
-    # integral_0^1 x^{-1/2} ln x dx = -4
-    ctx = PrecisionContext(bits=128, rel_tol=1e-20)
+    # integral_0^1 x^{-1/2} ln x dx = -4; the tolerance is absolute
+    ctx = PrecisionContext(bits=128)
     with mp.workprec(ctx.bits):
         val, err = integrate_log_singular(
-            lambda x: mp.log(x) / mp.sqrt(x), (mp.mpf(0), mp.mpf(1)), [], ctx
+            lambda x: mp.log(x) / mp.sqrt(x), (mp.mpf(0), mp.mpf(1)), [], ctx, tol=4e-20
         )
         assert abs(val + 4) < mp.mpf(1e-25)
-        assert err <= mp.mpf(1e-20) * 4 + mp.mpf(1e-30)
+        assert err <= 4e-20
+    with pytest.raises(TypeError):
+        integrate_log_singular(lambda x: x, (0, 1), [], ctx)  # no default tolerance

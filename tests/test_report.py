@@ -19,22 +19,30 @@ from spreadpoly.report import (
 )
 from spreadpoly.closed_form import stddev
 
-FAST = PrecisionContext(bits=128, rel_tol=1e-18)
+FAST = PrecisionContext(bits=128)
 
 
 def test_measures_table_columns_rows_and_provenance():
     header, rows, provenance = measures_table(
-        Family.hermite(), [0, 2], (Fraction(3, 2), 2, "3"), FAST
+        Family.hermite(), [0, 2], (Fraction(4), 2, "3"), FAST
     )
     # q = 2 is the L2 column already; the other orders follow in turn
     assert header == ["family", "alpha", "beta", "n", "stddev", "fisher_length",
-                      "L2", "shannon_N", "L_3/2", "L_3"]
+                      "L2", "shannon_N", "L_4", "L_3"]
     assert [r["n"] for r in rows] == [0, 2]
     assert rows[0]["alpha"] is ABSENT and rows[0]["beta"] is ABSENT
     assert rows[1]["stddev"] == stddev(Family.hermite(), 2, FAST)
     assert provenance == {"stddev": "closed_form", "fisher_length": "closed_form",
                           "L2": "bell", "shannon_N": "oracle",
-                          "L_3/2": "bell", "L_3": "bell"}
+                          "L_4": "bell", "L_3": "bell"}
+
+
+def test_measures_table_refuses_odd_order_lengths_past_degree_zero():
+    # for odd 2q the routes give a signed integral, integral rho^q only at n = 0
+    header, rows, _ = measures_table(Family.hermite(), [0], [Fraction(3, 2)], FAST)
+    assert header[-1] == "L_3/2" and rows[0]["L_3/2"] > 0
+    with pytest.raises(ParameterError, match="L_3/2 hermite n=2"):
+        measures_table(Family.hermite(), [0, 2], [Fraction(3, 2)], FAST)
 
 
 def test_measures_table_rejects_unit_order():
@@ -81,10 +89,10 @@ def test_csv_rendering_and_quoting():
 
 
 def test_csv_meta_lines_sorted_and_commented():
-    text = rows_to_csv(["x"], [{"x": 1.0}], meta={"rtol": "1e-30", "bits": 256})
+    text = rows_to_csv(["x"], [{"x": 1.0}], meta={"format": "csv", "bits": 256})
     lines = text.splitlines()
     assert lines[0] == "# bits: 256"
-    assert lines[1] == "# rtol: 1e-30"
+    assert lines[1] == "# format: csv"
     assert lines[2] == "x"
 
 

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family
+from spreadpoly.families import Family, norm_constant
+from spreadpoly._vec import _LOG_RESCALE, _RESCALE
 from spreadpoly.orthopoly import evaluate_recurrence, zeros
 from spreadpoly.shannon import (
     InequalityAudit,
@@ -24,7 +25,7 @@ from spreadpoly.shannon import (
 )
 
 CTX = PrecisionContext()
-FAST = PrecisionContext(bits=128, rel_tol=1e-18)
+FAST = PrecisionContext(bits=128)
 
 
 def test_gaussian_ground_state_entropy():
@@ -77,7 +78,7 @@ def test_mean_log_weight_matches_quadrature(fam, n):
 
         lo, hi = fam.interval
         want = mp.quad(weight_log_term, [lo] + (zeros(fam, n, ctx) if n else []) + [hi])
-        assert abs(_mean_log_weight(fam, n) - want) <= mp.mpf(1e-20)
+        assert abs(_mean_log_weight(fam, n)[0] - want) <= mp.mpf(1e-20)
 
 
 #: Float64 Shannon cells, among them every one the golden tables pin.
@@ -115,6 +116,46 @@ def test_large_exponent_fast_path_matches_mpf(fam, n):
     slow = shannon_numeric(fam, n, CTX, tol=1e-13)
     assert fast.path == "float64"
     assert abs(fast.entropy - slow.entropy) <= mp.mpf(1e-9)
+
+
+#: S by the mpf route at tol=1e-14 and 256 bits (n > 0), frozen; at n = 0,
+#: rho_0 = w / mu_0 gives S_0 = ln mu_0 - <ln w>_0.  Before the float64
+#: estimate counted the rounding of ln rho and of <ln w>, its error here
+#: was 1.5 to 15 times the estimate.
+ROUNDING_CELLS = [
+    (Family.jacobi(0.0, 0.5), 48, "0.150894219084441326081433998776"),
+    (Family.jacobi(0.0, 0.0), 24, "0.14895681435967002602279495452"),
+    (Family.laguerre(5.0), 112, "5.71171255807770707713034686608"),
+    (Family.laguerre(200.0), 0, None),
+    (Family.jacobi(100.0, 100.0), 0, None),
+]
+
+
+@pytest.mark.parametrize(
+    "fam,n,ref", ROUNDING_CELLS, ids=[f"{fam.describe()}-n{n}" for fam, n, _ in ROUNDING_CELLS]
+)
+def test_float64_estimate_bounds_the_error(fam, n, ref):
+    res = shannon_numeric(fam, n, CTX)
+    assert res.path == "float64"
+    with mp.workprec(256):
+        if ref is None:
+            mu0 = norm_constant(fam.kind, fam.alpha, fam.beta)
+            want = mp.log(mu0) - _mean_log_weight(fam, 0)[0]
+        else:
+            want = mp.mpf(ref)
+        assert abs(res.entropy - want) <= res.est_error
+
+
+def test_log_scale_error_is_within_its_counted_share():
+    # poly_scaled adds _LOG_RESCALE once per rescaling by 1/_RESCALE; the
+    # float sum after k of them, shared by every node rescaled k times, is
+    # within 1.2u of its size of the scale the values carry
+    total = 0.0
+    with mp.workprec(200):
+        step = -mp.log(mp.mpf(1.0 / _RESCALE))
+        for k in range(1, 20):
+            total += _LOG_RESCALE
+            assert abs(mp.mpf(total) - k * step) <= 1.2 * 2.0**-53 * total
 
 
 def test_negative_exponent_takes_float64_path():

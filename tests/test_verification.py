@@ -7,7 +7,7 @@ from spreadpoly.context import PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.verification import Check, _renyi_cell_checks, available_scopes, run_scope
 
-FAST = PrecisionContext(bits=128, rel_tol=1e-18)
+FAST = PrecisionContext(bits=128)
 
 
 def test_scope_catalogue():
