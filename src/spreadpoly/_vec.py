@@ -1,8 +1,8 @@
 """Float64 vectorized evaluation of orthonormal polynomials.
 
 Backs the throughput path of the adaptive integrators: the three-term
-recurrence runs on numpy arrays with per-node renormalization, carrying a
-log-scale so values far out in the weight tails (where p_n overflows
+recurrence runs on numpy arrays with per-node renormalization, counting
+the rescalings so values far out in the weight tails (where p_n overflows
 float64 by hundreds of orders of magnitude) stay representable as
 ``p = p_scaled * exp(logscale)``.  The coefficients come from
 ``families.raw_recurrence``, the exact table rounded once to float64, and
@@ -13,7 +13,6 @@ ln w (and (ln w)') at the nodes of the float64 tanh-sinh engine.
 from __future__ import annotations
 
 import functools
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,11 @@ from .context import PrecisionError
 from .families import HERMITE, LAGUERRE, norm_constant, raw_recurrence
 
 _RESCALE = 1e100
-_LOG_RESCALE = math.log(_RESCALE)
+#: ln(1 / fl(1e-100)), the log of one rescaling, as a two-double constant:
+#: the high part has 32 significant bits, so count * _LN_RESCALE_HI is exact
+#: for fewer than 2^21 rescalings, and the low part holds the rest to 3e-24.
+_LN_RESCALE_HI = float.fromhex("0x1.cc845b56p+7")
+_LN_RESCALE_LO = -3.849750070998963e-08
 
 
 @functools.lru_cache(maxsize=64)
@@ -46,12 +49,18 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
     """Evaluate p_n (and optionally p_n') with overflow-safe scaling.
 
     Returns ``(p, logscale)`` or ``(p, dp, logscale)`` where the true
-    values are ``p * exp(logscale)`` elementwise.
+    values are ``p * exp(logscale)`` elementwise.  Each node counts its
+    rescalings by 1/_RESCALE as an integer; the scale is formed once, as
+    ``count * _LN_RESCALE_HI``, which is exact, and the low part
+    ``exp(count * _LN_RESCALE_LO)`` multiplies p (and p').  So the scale
+    that nodes with the same count share carries no rounding, and the
+    factor they share in p is within an ulp, u relative, of its exact value
+    (it is just below 1).
     """
     x = np.asarray(x, dtype=float)
     diag, off = raw_recurrence(kind, alpha, beta, n + 1)
     p0 = _p0(kind, alpha, beta)
-    logscale = np.zeros_like(x)
+    count = np.zeros(x.shape, dtype=np.int64)
     pkm1 = np.zeros_like(x)
     pk = np.full_like(x, p0)
     if derivative:
@@ -71,7 +80,13 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
             if derivative:
                 dk = dk * factor
                 dkm1 = dkm1 * factor
-            logscale = logscale + np.where(big, _LOG_RESCALE, 0.0)
+            count += big
+    logscale = count * _LN_RESCALE_HI
+    if count.any():
+        low = np.exp(count * _LN_RESCALE_LO)
+        pk = pk * low
+        if derivative:
+            dk = dk * low
     if derivative:
         return pk, dk, logscale
     return pk, logscale

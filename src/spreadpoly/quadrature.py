@@ -30,10 +30,12 @@ Two adaptive integrators serve the Shannon integrals:
 * :func:`integrate_log_singular` — arbitrary-precision tanh-sinh panels
   (mpmath), the contract-level routine;
 * :func:`tanh_sinh_panels` — a vectorized float64 tanh-sinh engine, the
-  throughput path of the Shannon and Fisher integrals.  At each refinement
-  level it hands the nodes of many panels to the integrand in one call, so
-  a recurrence-based integrand runs its n-step loop once per batch of
-  panels rather than once per panel; a non-finite integrand value raises
+  throughput path of the Shannon and Fisher integrals.  It hands the nodes
+  of many panels, finite and infinite, to the integrand in one call (levels
+  0 to 3 together, then one level per round), so a recurrence-based
+  integrand runs its n-step loop once per batch of panels rather than once
+  per panel and level; a panel whose own level difference has converged
+  stops refining, and a non-finite integrand value raises
   :class:`QuadratureError`.  Its node map stops at t = +-_TMAX, so at an
   endpoint where the integrand blows up like |x - e|^gamma (gamma < 0) the
   error estimate also counts the mass beyond the outermost node.  When that
@@ -269,9 +271,9 @@ def integrate_log_singular(f, interval, split_points, ctx: PrecisionContext, *, 
 
 _TMAX = 4.0
 
-#: Most abscissas one ``fpanel`` call receives: finite panels are laid out
-#: side by side in batches of at most this many nodes (a batch holds at
-#: least one panel).  The cap bounds the memory of the integrand's
+#: Most abscissas one ``fpanel`` call receives: the panels of a round are
+#: laid out side by side in batches of at most this many nodes (a batch
+#: holds at least one panel).  The cap bounds the memory of the integrand's
 #: temporaries, which grow with the batch.
 _BATCH_NODES = 2**15
 
@@ -287,17 +289,75 @@ def _panel_nodes(level: int):
     return np.concatenate([-k[::-1], k]), h
 
 
-def _batches(finite, per_batch: int):
-    """Panel-index ranges in order: each infinite panel alone, runs of
-    consecutive finite panels cut into ranges of at most ``per_batch``."""
-    i = 0
-    while i < len(finite):
-        j = i + 1
-        if finite[i]:
-            while j < len(finite) and finite[j] and j - i < per_batch:
-                j += 1
-        yield range(i, j)
-        i = j
+@dataclass(frozen=True)
+class _Round:
+    """Node quantities of the levels of one round, side by side: ``parts``
+    lists (level, slice of the nodes, h); the arrays are the node map's
+    factors (read-only, the rounds are cached)."""
+
+    parts: tuple
+    u: np.ndarray
+    sel_l: np.ndarray
+    sel_r: np.ndarray
+    cosh_t: np.ndarray
+    sech2: np.ndarray
+    d: np.ndarray
+    w_exp: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _round(levels: tuple) -> _Round:
+    """The round of ``levels``; seven occur (levels 0-3, then 4 to 9)."""
+    ts, parts, start = [], [], 0
+    for level in levels:
+        t, h = _panel_nodes(level)
+        parts.append((level, slice(start, start + t.size), h))
+        ts.append(t)
+        start += t.size
+    t = np.concatenate(ts)
+    u = 0.5 * np.pi * np.sinh(t)
+    cosh_t = np.cosh(t)
+    # 1 +- tanh(u), computed without cancellation
+    e2u = np.exp(-2.0 * np.abs(u))
+    near = 2.0 * e2u / (1.0 + e2u)      # 1 - |tanh u|
+    far = 2.0 / (1.0 + e2u)             # 1 + |tanh u|
+    d = np.exp(u)
+    arrays = (
+        u,
+        np.where(u < 0, near, far),
+        np.where(u < 0, far, near),
+        cosh_t,
+        np.cosh(u) ** 2,
+        d,
+        0.5 * np.pi * cosh_t * d,
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return _Round(tuple(parts), *arrays)
+
+
+def _round_nodes(rnd: _Round, a, b):
+    """Abscissas, distances to the panel ends and weights of the panels
+    [a_j, b_j] at the nodes of a round, as (panels, nodes) arrays: the
+    tanh-sinh map on a finite panel, the exp-sinh map from the finite end
+    of an infinite one."""
+    shape = (a.size, rnd.u.size)
+    x, dl, dr, w = (np.empty(shape) for _ in range(4))
+    fin = np.isfinite(a) & np.isfinite(b)
+    lo, hi = a[fin, None], b[fin, None]
+    half = 0.5 * (hi - lo)
+    dl_fin = half * rnd.sel_l
+    dr_fin = half * rnd.sel_r
+    x[fin] = np.where(rnd.u < 0, lo + dl_fin, hi - dr_fin)
+    dl[fin], dr[fin] = dl_fin, dr_fin
+    w[fin] = half * 0.5 * np.pi * rnd.cosh_t / rnd.sech2
+    for j in np.flatnonzero(~fin):
+        w[j] = rnd.w_exp
+        if np.isinf(b[j]):
+            x[j], dl[j], dr[j] = a[j] + rnd.d, rnd.d, np.inf
+        else:
+            x[j], dl[j], dr[j] = b[j] - rnd.d, np.inf, rnd.d
+    return x, dl, dr, w
 
 
 #: The tail term is doubled: it is the leading term of the mass beyond the
@@ -322,6 +382,10 @@ def _edge_tail(f_edge: float, dist: float, gamma: float) -> float:
     return _TAIL_SAFETY * abs(f_edge) * dist / g1 * log_factor
 
 
+#: Levels 0 to _FIRST_LEVEL form the first round, one integrand call per
+#: batch: the stop rules need a level >= 3, so every panel reaches it.
+_FIRST_LEVEL = 3
+
 #: Deepest refinement level of :func:`tanh_sinh_panels` (spacing 2^-9).
 _MAX_LEVEL = 9
 
@@ -329,21 +393,32 @@ _MAX_LEVEL = 9
 def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     """Integrate a panel-aware vectorized integrand over [points[0], points[-1]].
 
-    ``fpanel(i, a, b, x, dl, dr)`` receives ``i``, the ``range`` of panel
-    indices the call covers, and float64 arrays of equal length: the
-    abscissas ``x``, the endpoints ``a`` and ``b`` of each node's panel, and
-    the distances ``dl``/``dr`` to those endpoints (computed in a
-    cancellation-free way, so ``a + dl == x == b - dr`` holds to full
-    relative accuracy even within 1e-300 of an endpoint).  The nodes of
-    the panels in ``i`` come one panel after another.  At each level, each
-    infinite panel gets a call of its own and consecutive finite panels
-    share calls of at most ``_BATCH_NODES`` nodes.  ``fpanel`` must return
-    the integrand values as a float64 array; a non-finite value raises
-    :class:`QuadratureError` naming the panel.  It may return a pair
+    ``fpanel(i, a, b, x, dl, dr)`` receives ``i``, the tuple of panel
+    indices the call covers (in increasing order), and float64 arrays of
+    equal length: the abscissas ``x``, the endpoints ``a`` and ``b`` of
+    each node's panel, and the distances ``dl``/``dr`` to those endpoints
+    (computed in a cancellation-free way, so ``a + dl == x == b - dr``
+    holds to full relative accuracy even within 1e-300 of an endpoint).
+    The nodes of the panels in ``i`` come one panel after another, the same
+    number for each.  Refinement runs in rounds: the first gives every
+    panel the nodes of levels 0 to 3 (65 nodes), each later round gives
+    the panels still refining the nodes of the next level.  The panels of
+    a round, finite and infinite alike, share calls of at most
+    ``_BATCH_NODES`` nodes.  ``fpanel`` must return the integrand values
+    as a float64 array; a non-finite value raises :class:`QuadratureError`
+    naming the panel and the level.  It may return a pair
     ``(values, rounding)`` instead: ``rounding`` bounds, value by value,
     the rounding error that the difference between refinement levels does
     not show (an error common to many nodes, say), and the estimate adds
-    its quadrature sum over the final grid.
+    its quadrature sum over each panel's final grid.
+
+    Each panel's sum at a level is the previous level's halved plus h
+    times the new nodes' weighted values, and its difference is the
+    change.  From level 3 on the loop stops when the differences sum to at
+    most tol/8, and a panel whose own difference is at most tol/(8P), with
+    P panels, stops refining: it keeps its sum, and its last difference
+    counts in that sum.  The estimate is that sum of differences, at least
+    5e-16 times the weighted sum of |values| over the levels run.
 
     ``edge_exponents`` = (gamma_lo, gamma_hi) declares that the integrand
     behaves like |x - e|^gamma, up to a log factor, at the ends
@@ -364,74 +439,64 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
         pts = [pts[0], 0.0, pts[1]]
     lo = np.array(pts[:-1])
     hi = np.array(pts[1:])
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    totals = np.zeros(lo.size)
-    prev_totals = np.full(lo.size, np.nan)
+    panels = lo.size
+    totals = np.zeros(panels)
+    diffs = np.full(panels, np.inf)
+    last_h = np.ones(panels)
+    carried = np.zeros(panels)
     magnitude = 0.0
-    carried = 0.0
-    est = np.inf
     tail = 0.0
-    for level in range(0, _MAX_LEVEL + 1):
-        t, h = _panel_nodes(level)
-        u = 0.5 * np.pi * np.sinh(t)
-        cosh_t = np.cosh(t)
-        # 1 +- tanh(u), computed without cancellation
-        e2u = np.exp(-2.0 * np.abs(u))
-        near = 2.0 * e2u / (1.0 + e2u)      # 1 - |tanh u|
-        far = 2.0 / (1.0 + e2u)             # 1 + |tanh u|
-        sel_l = np.where(u < 0, near, far)
-        sel_r = np.where(u < 0, far, near)
-        sech2 = np.cosh(u) ** 2
-        d = np.exp(u)
-        contrib = np.zeros(lo.size)
-        for batch in _batches(finite, max(1, _BATCH_NODES // t.size)):
-            span = slice(batch.start, batch.stop)
-            a = lo[span, None]
-            b = hi[span, None]
-            if finite[batch.start]:
-                half = 0.5 * (b - a)
-                dl = half * sel_l
-                dr = half * sel_r
-                x = np.where(u < 0, a + dl, b - dr)
-                w = half * 0.5 * np.pi * cosh_t / sech2
-            else:
-                # exp-sinh map from the finite endpoint
-                w = (0.5 * np.pi * cosh_t * d)[None, :]
-                far_end = np.full_like(w, np.inf)
-                if np.isinf(hi[batch.start]):
-                    x, dl, dr = a + d, d[None, :], far_end
-                else:
-                    x, dl, dr = b - d, far_end, d[None, :]
-            ends = (np.repeat(lo[span], t.size), np.repeat(hi[span], t.size))
-            vals = fpanel(batch, *ends, x.ravel(), dl.ravel(), dr.ravel())
+    active = np.arange(panels)
+    levels = tuple(range(_FIRST_LEVEL + 1))
+    while True:
+        rnd = _round(levels)
+        size = rnd.u.size
+        per_call = max(1, _BATCH_NODES // size)
+        for start in range(0, active.size, per_call):
+            idx = active[start : start + per_call]
+            x, dl, dr, w = _round_nodes(rnd, lo[idx], hi[idx])
+            ends = (np.repeat(lo[idx], size), np.repeat(hi[idx], size))
+            vals = fpanel(tuple(idx.tolist()), *ends, x.ravel(), dl.ravel(), dr.ravel())
             if isinstance(vals, tuple):
                 vals, rounding = vals
-                carried += float(np.vdot(np.broadcast_to(w, x.shape), rounding))
-            vals = np.asarray(vals, dtype=float).reshape(x.shape)
-            bad = np.count_nonzero(~np.isfinite(vals), axis=1)
-            for j, i in enumerate(batch):
-                if bad[j]:
-                    raise QuadratureError(
-                        f"integrand returned {bad[j]} non-finite values on panel {i} "
-                        f"[{float(lo[i])!r}, {float(hi[i])!r}] at level {level}"
-                    )
-                contrib[i] = np.dot(w[j], vals[j])
-                magnitude += h * float(np.dot(w[j], np.abs(vals[j])))
-            if level == 0:
-                # the outermost nodes are level-0 nodes (t = +-_TMAX)
+                carried[idx] += np.einsum("ij,ij->i", w, np.reshape(rounding, w.shape))
+            vals = np.asarray(vals, dtype=float).reshape(w.shape)
+            bad = ~np.isfinite(vals)
+            if bad.any():
+                # name the lowest level, and on it the first panel
+                level, part, _ = next(p for p in rnd.parts if bad[:, p[1]].any())
+                j = int(np.argmax(bad[:, part].any(axis=1)))
+                i = int(idx[j])
+                raise QuadratureError(
+                    f"integrand returned {np.count_nonzero(bad[j, part])} non-finite values "
+                    f"on panel {i} [{float(lo[i])!r}, {float(hi[i])!r}] at level {level}"
+                )
+            for level, part, h in rnd.parts:
+                wp, vp = w[:, part], vals[:, part]
+                contrib = np.array([np.dot(wr, vr) for wr, vr in zip(wp, vp)])
+                magnitude += h * float(np.einsum("ij,ij->", wp, np.abs(vp)))
+                if level == 0:
+                    totals[idx] = contrib
+                else:
+                    new = totals[idx] / 2.0 + h * contrib
+                    diffs[idx] = np.abs(new - totals[idx])
+                    totals[idx] = new
+                last_h[idx] = h
+            if levels[0] == 0:
+                # the outermost nodes are level-0 nodes (t = +-_TMAX); the
+                # first round holds every panel, in order
+                part = rnd.parts[0][1]
                 gamma_lo, gamma_hi = edge_exponents
-                for i, dist, gamma in ((0, dl, gamma_lo), (lo.size - 1, dr, gamma_hi)):
-                    if gamma < 0 and i in batch:
-                        row = np.broadcast_to(dist, x.shape)[i - batch.start]
+                for i, dist, gamma in ((0, dl, gamma_lo), (panels - 1, dr, gamma_hi)):
+                    if gamma < 0 and idx[0] <= i <= idx[-1]:
+                        row = dist[i - idx[0], part]
                         k = int(np.argmin(row))
-                        tail += _edge_tail(vals[i - batch.start, k], row[k], gamma)
-        if level == 0:
-            totals = contrib.copy()
-        else:
-            prev_totals = totals.copy()
-            totals = totals / 2.0 + h * contrib
-            est = float(np.sum(np.abs(totals - prev_totals)))
-            if level >= 3 and est <= tol / 8.0:
-                break
+                        tail += _edge_tail(vals[i - idx[0], part][k], row[k], gamma)
+        level = levels[-1]
+        est = float(np.sum(diffs))
+        if est <= tol / 8.0 or level == _MAX_LEVEL:
+            break
+        active = active[~(diffs[active] <= tol / (8.0 * panels))]
+        levels = (level + 1,)
     floor = 5e-16 * magnitude
-    return float(np.sum(totals)), max(est, floor) + tail + h * carried
+    return float(np.sum(totals)), max(est, floor) + tail + float(np.dot(last_h, carried))

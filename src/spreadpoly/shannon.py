@@ -111,9 +111,9 @@ def _log_poly_panel(family: Family, n: int):
     difference between refinement levels, which is the engine's estimate.
     The bound counts what does not average out that way:
 
-    * the log-scale of ``poly_scaled``, one float sum per number of
-      rescalings shared by every node with that number, is within
-      1.2u of its size of the true scale for up to 19 rescalings;
+    * the log-scale of ``poly_scaled`` is exact, but the low part of the
+      scale that it folds into p, shared by every node with the same
+      number of rescalings, is within u of its value, so 2u in ln p^2;
     * at n = 0, p = p_0 at every node, so the rounding of ln|p_0|, at
       most 2u of its size, is common to all of them;
     * the recurrence carries p to a relative error that grows like the
@@ -134,7 +134,7 @@ def _log_poly_panel(family: Family, n: int):
         if n == 0:
             shared = shared + 4.0 * _U * np.abs(logp)
         if logscale.any():
-            shared = shared + 2.4 * _U * logscale
+            shared = shared + 2.0 * _U
         # rho |ln p^2 + 1| is |vals + rho|, which is 0, not nan, at a zero of p
         return vals, np.abs(vals + rho) * shared
 

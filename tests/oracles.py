@@ -6,8 +6,9 @@ polynomial products and powers, the terminating 2F1 closed form of a
 Jacobi moment of w^q, the textbook recurrence formulas in mpf, the
 explicit coefficient displays and the Hermite and Laguerre moment displays
 summed in ``Fraction``, the closed Laguerre Rényi lengths at n = 0 and
-n = 1, and the Gamma closed forms of the weights' moments with a rule's sum
-to check them on.  The n = 1 length needs a terminating 2F0; it is summed
+n = 1, the Gamma closed forms of the weights' moments with a rule's sum
+to check them on, and the float64 tanh-sinh loop that refines every panel
+to the same level.  The n = 1 length needs a terminating 2F0; it is summed
 exactly in ``Fraction`` from the exact rationals its parameters hold, so it
 is exactly 0 iff the sum is (the Laguerre(-1/2), q = 3/2 cell), and
 otherwise rounded once.
@@ -16,12 +17,20 @@ otherwise rounded once.
 import math
 from fractions import Fraction
 
+import numpy as np
 from mpmath import libmp, mp
 
 from spreadpoly.bell import _jacobi_moment_prefactor, length_from_power_integral
 from spreadpoly.context import ParameterError
 from spreadpoly.families import HERMITE, LAGUERRE, RenyiOrder, _rational
 from spreadpoly.hypergeom import hyp2f1_terminating
+from spreadpoly.quadrature import (
+    _BATCH_NODES,
+    _MAX_LEVEL,
+    QuadratureError,
+    _edge_tail,
+    _panel_nodes,
+)
 
 
 def _partitions(m: int, l: int, max_part: int):
@@ -284,3 +293,95 @@ def weight_moment(spec, j: int, ctx):
 def rule_sum(rule, f):
     """sum_i w_i f(x_i) over a ``quadrature.QuadratureRule``."""
     return mp.fsum(w * f(x) for x, w in zip(rule.nodes, rule.weights))
+
+
+def _panel_batches(finite, per_batch: int):
+    """Panel-index ranges in order: each infinite panel alone, runs of
+    consecutive finite panels cut into ranges of at most ``per_batch``."""
+    i = 0
+    while i < len(finite):
+        j = i + 1
+        if finite[i]:
+            while j < len(finite) and finite[j] and j - i < per_batch:
+                j += 1
+        yield range(i, j)
+        i = j
+
+
+def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
+    """The float64 tanh-sinh loop with one refinement level for all panels:
+    every panel is evaluated at every level, one integrand call per level
+    for each infinite panel and per batch of finite ones, until the level
+    differences of all panels sum to at most tol/8 (from level 3 on).
+    Same call contract, node maps, estimate terms and errors as
+    ``quadrature.tanh_sinh_panels``, whose per-panel stops leave every
+    panel's sums up to its stop level unchanged."""
+    pts = [float(p) for p in points]
+    if len(pts) == 2 and np.isinf(pts[0]) and np.isinf(pts[1]):
+        pts = [pts[0], 0.0, pts[1]]
+    lo = np.array(pts[:-1])
+    hi = np.array(pts[1:])
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    totals = np.zeros(lo.size)
+    magnitude = 0.0
+    carried = 0.0
+    est = np.inf
+    tail = 0.0
+    for level in range(0, _MAX_LEVEL + 1):
+        t, h = _panel_nodes(level)
+        u = 0.5 * np.pi * np.sinh(t)
+        cosh_t = np.cosh(t)
+        e2u = np.exp(-2.0 * np.abs(u))
+        near = 2.0 * e2u / (1.0 + e2u)
+        far = 2.0 / (1.0 + e2u)
+        sel_l = np.where(u < 0, near, far)
+        sel_r = np.where(u < 0, far, near)
+        sech2 = np.cosh(u) ** 2
+        d = np.exp(u)
+        contrib = np.zeros(lo.size)
+        for batch in _panel_batches(finite, max(1, _BATCH_NODES // t.size)):
+            span = slice(batch.start, batch.stop)
+            a = lo[span, None]
+            b = hi[span, None]
+            if finite[batch.start]:
+                half = 0.5 * (b - a)
+                dl = half * sel_l
+                dr = half * sel_r
+                x = np.where(u < 0, a + dl, b - dr)
+                w = half * 0.5 * np.pi * cosh_t / sech2
+            else:
+                w = (0.5 * np.pi * cosh_t * d)[None, :]
+                far_end = np.full_like(w, np.inf)
+                if np.isinf(hi[batch.start]):
+                    x, dl, dr = a + d, d[None, :], far_end
+                else:
+                    x, dl, dr = b - d, far_end, d[None, :]
+            ends = (np.repeat(lo[span], t.size), np.repeat(hi[span], t.size))
+            vals = fpanel(batch, *ends, x.ravel(), dl.ravel(), dr.ravel())
+            if isinstance(vals, tuple):
+                vals, rounding = vals
+                carried += float(np.vdot(np.broadcast_to(w, x.shape), rounding))
+            vals = np.asarray(vals, dtype=float).reshape(x.shape)
+            bad = np.count_nonzero(~np.isfinite(vals), axis=1)
+            for j, i in enumerate(batch):
+                if bad[j]:
+                    raise QuadratureError(f"non-finite values on panel {i} at level {level}")
+                contrib[i] = np.dot(w[j], vals[j])
+                magnitude += h * float(np.dot(w[j], np.abs(vals[j])))
+            if level == 0:
+                gamma_lo, gamma_hi = edge_exponents
+                for i, dist, gamma in ((0, dl, gamma_lo), (lo.size - 1, dr, gamma_hi)):
+                    if gamma < 0 and i in batch:
+                        row = np.broadcast_to(dist, x.shape)[i - batch.start]
+                        k = int(np.argmin(row))
+                        tail += _edge_tail(vals[i - batch.start, k], row[k], gamma)
+        if level == 0:
+            totals = contrib.copy()
+        else:
+            prev_totals = totals.copy()
+            totals = totals / 2.0 + h * contrib
+            est = float(np.sum(np.abs(totals - prev_totals)))
+            if level >= 3 and est <= tol / 8.0:
+                break
+    floor = 5e-16 * magnitude
+    return float(np.sum(totals)), max(est, floor) + tail + h * carried

@@ -249,29 +249,90 @@ def test_tanh_sinh_split_invariance():
     assert abs(v4 - v5) < 5e-13
 
 
-def test_tanh_sinh_batches_panels_per_level():
-    pts = [-1.0] + LEGENDRE_112 + [1.0]
-    calls = []
+def _recording(f, pts, calls, levels):
+    """Integrand f(x) on the panels of ``pts`` that checks the call contract
+    and records each call's panels and the levels each panel receives."""
 
-    def f(i, a, b, x, dl, dr):
-        calls.append((i, x.size))
+    def g(i, a, b, x, dl, dr):
+        hash(i)
+        assert list(i) == sorted(set(i))
         assert a.shape == b.shape == x.shape == dl.shape == dr.shape
         per = x.size // len(i)
+        assert x.size == per * len(i) <= _BATCH_NODES
         assert np.array_equal(a, np.repeat([pts[k] for k in i], per))
         assert np.array_equal(b, np.repeat([pts[k + 1] for k in i], per))
-        return np.cos(x)
+        # levels 0-3 come together (9 + 8 + 16 + 32 nodes), level L >= 4 alone (2^(L+2))
+        got = list(range(4)) if per == 65 else [int(np.log2(per)) - 2]
+        assert per == 65 or per == 2 ** (got[0] + 2)
+        calls.append((i, got))
+        for k in i:
+            levels.setdefault(k, []).extend(got)
+        return f(x)
 
-    val, _ = tanh_sinh_panels(f, pts)
-    assert abs(val - 2 * np.sin(1.0)) < 5e-13
-    by_level = {}
-    for i, size in calls:
-        assert isinstance(i, range) and size <= _BATCH_NODES
-        by_level.setdefault(size // len(i), []).append(i)
-    for per_panel, ranges in by_level.items():
-        # every panel once per level, in the fewest batches the cap allows
-        assert [k for r in ranges for k in r] == list(range(len(pts) - 1))
-        assert len(ranges) == -(-(len(pts) - 1) // max(1, _BATCH_NODES // per_panel))
-    assert len(by_level) >= 4
+    return g
+
+
+LEGENDRE_600 = list(special.roots_legendre(600)[0])
+
+
+def test_tanh_sinh_batches_panels_per_level():
+    cases = [
+        ([-1.0] + LEGENDRE_112 + [1.0], np.cos, 2 * np.sin(1.0)),
+        # 601 panels of 65 nodes: the first round takes two calls
+        ([-1.0] + LEGENDRE_600 + [1.0], np.cos, 2 * np.sin(1.0)),
+        # the infinite panels refine past the first round
+        ([-np.inf] + LEGENDRE_112 + [np.inf], lambda x: np.exp(-x * x), np.sqrt(np.pi)),
+    ]
+    for pts, f, exact in cases:
+        calls, levels = [], {}
+        val, _ = tanh_sinh_panels(_recording(f, pts, calls, levels), pts)
+        assert abs(val - exact) < 5e-13
+        # every panel gets levels 0 up to its own stop level, none missing or repeated
+        assert sorted(levels) == list(range(len(pts) - 1))
+        for got in levels.values():
+            assert got == list(range(len(got))) and len(got) >= 4
+        # a round takes the fewest calls the cap allows, finite and infinite panels together
+        for got in {tuple(got) for _, got in calls}:
+            rnd = [i for i, g in calls if tuple(g) == got]
+            per = 65 if len(got) == 4 else 2 ** (got[0] + 2)
+            assert len(rnd) == -(-sum(map(len, rnd)) // max(1, _BATCH_NODES // per))
+        first = [i for i, got in calls if got == [0, 1, 2, 3]]
+        assert [k for i in first for k in i] == list(range(len(pts) - 1))
+        if np.isinf(pts[0]):
+            assert len(levels[0]) > 4 and set(first[0]) >= {0, len(pts) - 2}
+
+
+GAUSS_COS = lambda x: np.exp(-x * x) * np.cos(3 * x)
+
+
+@pytest.mark.parametrize(
+    "pts, tol",
+    [
+        ([-np.inf] + list(special.roots_legendre(24)[0]) + [np.inf], 1e-12),
+        ([-np.inf, -1.0, 0.0, 1.0, np.inf], 1e-8),
+        # the global stop comes before some panel's own
+        ([-np.inf, -3.0, -1.0, 0.0, 1.0, 3.0, np.inf], 1e-13),
+    ],
+)
+def test_tanh_sinh_panel_stops_at_its_own_difference(pts, tol):
+    # A panel's sums do not depend on the other panels, so alone, at
+    # tol/P, it stops where its own difference first is <= tol/(8P).  With
+    # the others it stops there too, unless the sum of all differences
+    # stops the loop first: none refines past its own stop, and none whose
+    # difference is above tol/(8P) is stopped before the loop ends.
+    panels = len(pts) - 1
+
+    def stop_levels(pts, tol):
+        levels = {}
+        tanh_sinh_panels(_recording(GAUSS_COS, pts, [], levels), pts, tol=tol)
+        return [levels[k][-1] for k in range(len(pts) - 1)]
+
+    together = stop_levels(pts, tol)
+    alone = [stop_levels(pts[k : k + 2], tol / panels)[0] for k in range(panels)]
+    last = max(together)
+    assert together == [min(s, last) for s in alone]
+    # each case has a panel that stops early or one that the loop cuts
+    assert min(together) < last or max(alone) > last
 
 
 def test_tanh_sinh_rejects_non_finite_values():

@@ -1,18 +1,27 @@
 """Shannon entropy of the squared-polynomial densities: numeric values
 against exactly known ground states, large-n displays, and entropy bounds."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import oracles
+from spreadpoly import shannon
+from spreadpoly.closed_form import _float_zeros
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, norm_constant
-from spreadpoly._vec import _LOG_RESCALE, _RESCALE
+from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, poly_scaled
 from spreadpoly.orthopoly import evaluate_recurrence, zeros
+from spreadpoly.quadrature import tanh_sinh_panels
 from spreadpoly.shannon import (
     InequalityAudit,
     ShannonResult,
+    _entropy_fast,
+    _log_poly_panel,
     _mean_log_weight,
     jacobi_trivial_bound,
     optimize_bound,
@@ -147,15 +156,78 @@ def test_float64_estimate_bounds_the_error(fam, n, ref):
 
 
 def test_log_scale_error_is_within_its_counted_share():
-    # poly_scaled adds _LOG_RESCALE once per rescaling by 1/_RESCALE; the
-    # float sum after k of them, shared by every node rescaled k times, is
-    # within 1.2u of its size of the scale the values carry
-    total = 0.0
+    # poly_scaled counts the rescalings by 1/_RESCALE (a double) and returns
+    # the scale count * _LN_RESCALE_HI, exact, with the low part of
+    # count * ln(1/fl(1e-100)) folded into p as a factor within u
     with mp.workprec(200):
         step = -mp.log(mp.mpf(1.0 / _RESCALE))
-        for k in range(1, 20):
-            total += _LOG_RESCALE
-            assert abs(mp.mpf(total) - k * step) <= 1.2 * 2.0**-53 * total
+        assert abs(mp.mpf(_LN_RESCALE_HI) + _LN_RESCALE_LO - step) < 3e-24
+        for count in [1, 2, 3, 19, 20, 1000, 2**20, 2**21 - 1]:
+            scale = count * _LN_RESCALE_HI
+            assert mp.mpf(scale) == count * mp.mpf(_LN_RESCALE_HI)
+            low = mp.mpf(float(np.exp(count * _LN_RESCALE_LO)))
+            assert abs(scale + mp.log(low) - count * step) <= 2.0**-53
+    # so ln|p_n| at nodes far out, rescaled up to 112 times, is within the
+    # recurrence share 16 sqrt(n+1) u that _log_poly_panel counts, plus u
+    # for the low factor, and the error does not grow with the scale
+    for fam, n, xs in [
+        (Family.laguerre(5.0), 1200, [3000.0, 4500.0, 1e5, 1e12]),
+        (Family.hermite(), 112, [30.0, 1e3, 1e8]),
+    ]:
+        p, logscale = poly_scaled(fam.kind, fam.alpha, fam.beta, n, np.array(xs))
+        assert logscale.max() > 1e3
+        share = (16 * math.sqrt(n + 1) + 1) * 2.0**-53
+        with mp.workprec(200):
+            for x, pk, scale in zip(xs, p, logscale):
+                want = mp.log(abs(evaluate_recurrence(fam, n, mp.mpf(x))))
+                assert abs(mp.log(abs(mp.mpf(pk))) + scale - want) <= share
+
+
+def test_large_degree_laguerre_stays_on_float64():
+    # past tol the cell goes to the mpf route, which takes minutes at this n
+    S, est = _entropy_fast(Family.laguerre(5.0), 1200, 1e-9)
+    assert est <= 1e-9
+
+
+def test_converged_panels_stop_refining():
+    # Laguerre(2) n=48: every interior panel's level-4 difference is below
+    # tol/(8P), so they stop there while the infinite panel goes on to 6
+    fam, n, tol = Family.laguerre(2.0), 48, 1e-9
+    f = _log_poly_panel(fam, n)
+    nodes = {}
+
+    def counted(i, a, b, x, dl, dr):
+        for k in i:
+            nodes[k] = nodes.get(k, 0) + x.size // len(i)
+        return f(i, a, b, x, dl, dr)
+
+    pts = [0.0] + _float_zeros(fam, n) + [np.inf]
+    val, est = tanh_sinh_panels(counted, pts, tol=tol, edge_exponents=fam.edge_exponents)
+    # levels 0..L hold 2^(L+3) + 1 nodes
+    assert [nodes[k] for k in range(n)] == [2**7 + 1] * n
+    assert nodes[n] == 2**9 + 1
+    assert est <= tol
+
+
+#: The bounded Jacobi cells of the shannon-large-n benchmark workload.
+LARGE_N_JACOBI = [
+    (a, b, n)
+    for a, b in [(0.0, 0.0), (0.0, 0.5), (0.0, 2.0), (0.5, 0.0), (2.0, 0.0),
+                 (0.5, 0.5), (0.5, 2.0), (2.0, 0.5), (2.0, 2.0)]
+    for n in (24, 28, 32, 36, 40, 48, 56, 64, 72, 84, 96, 112)
+]
+
+
+def test_per_panel_stop_keeps_jacobi_cells_bit_identical(monkeypatch):
+    # every panel of these cells stops at level 4, where the loop does, and
+    # the sums up to a level do not change, so S is the one that the loop
+    # refining all panels to the same level gives, bit for bit
+    cells = [(Family.jacobi(a, b), n) for a, b, n in LARGE_N_JACOBI]
+    new = [_entropy_fast(fam, n, 1e-9) for fam, n in cells]
+    monkeypatch.setattr(shannon, "tanh_sinh_panels", oracles.tanh_sinh_panels_global)
+    old = [_entropy_fast(fam, n, 1e-9) for fam, n in cells]
+    assert [S for S, _ in new] == [S for S, _ in old]
+    assert all(est <= 1e-9 for _, est in new)
 
 
 def test_negative_exponent_takes_float64_path():
