@@ -22,9 +22,8 @@ from mpmath import libmp, mp
 from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, _rational
-from .hypergeom import hyp2f1_terminating
 from .orthopoly import zeros_raw
-from .quadrature import QuadratureError, WeightSpec, _node_values, gauss_rule, tanh_sinh_panels
+from .quadrature import QuadratureError, WeightSpec, _rule_sum, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -145,7 +144,7 @@ def _fisher_integrand(family: Family, n: int):
 
 
 def _float_zeros(family: Family, n: int):
-    return zeros_raw(family.kind, family.alpha, family.beta, n, None)
+    return zeros_raw(family.kind, family.alpha, family.beta, n)
 
 
 def fisher_information_numeric(family: Family, n: int, *, tol: float = 1e-10):
@@ -266,9 +265,7 @@ def moment(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX)
         if k % 2:
             return mp.mpf(0)
         half = k // 2
-        # the 2F1 is an integer below 3^n 2^h, so at these bits it is exact
-        with mp.workprec(ctx.bits + 2 * n + half):
-            fa = int(hyp2f1_terminating(-n, -half, 1, 2))
+        fa = sum((math.comb(n, j) * math.comb(half, j)) << j for j in range(min(n, half) + 1))
         exact = Fraction(fa * math.prod(range(1, k, 2)), 2**half)
     elif family.kind == LAGUERRE:
         a = _rational(family.alpha)
@@ -289,13 +286,10 @@ def moment(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX)
 
 def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """Oracle moment: exact Gauss rule applied to x^k p_n^2 w."""
-    spec = WeightSpec.from_family(family)
-    m = (2 * n + k) // 2 + 1
-    rule = gauss_rule(spec, m, ctx)
-    with mp.workprec(ctx.bits + 20):
-        values = _node_values(family, n, rule)
-        acc = [w * v * v * mp.power(x, k) for x, w, v in zip(rule.nodes, rule.weights, values)]
-        return +mp.fsum(acc)
+    return _rule_sum(
+        family, n, WeightSpec.from_family(family), (2 * n + k) // 2 + 1, ctx,
+        lambda x, w, v: w * v * v * mp.power(x, k),
+    )
 
 
 def laguerre_real_moment(n: int, alpha: float, b, ctx: PrecisionContext = _DEFAULT_CTX):
@@ -307,8 +301,7 @@ def laguerre_real_moment(n: int, alpha: float, b, ctx: PrecisionContext = _DEFAU
     shifted = mp.fadd(alpha, b, exact=True)
     if not shifted > -1:
         raise ParameterError("shifted exponent alpha+b must exceed -1")
-    family = Family.laguerre(alpha)
-    rule = gauss_rule(WeightSpec(LAGUERRE, shifted), n + 1, ctx)
-    with mp.workprec(ctx.bits + 20):
-        values = _node_values(family, n, rule)
-        return +mp.fsum(w * v * v for w, v in zip(rule.weights, values))
+    return _rule_sum(
+        Family.laguerre(alpha), n, WeightSpec(LAGUERRE, shifted), n + 1, ctx,
+        lambda x, w, v: w * v * v,
+    )

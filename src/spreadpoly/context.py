@@ -59,9 +59,16 @@ class PrecisionContext:
 
 
 def default_context() -> PrecisionContext:
-    """Context built from ``SPREADPOLY_BITS`` if set."""
+    """Context built from ``SPREADPOLY_BITS`` if set; ParameterError when it
+    is not an integer."""
     bits = os.environ.get(ENV_BITS)
-    return PrecisionContext() if bits is None else PrecisionContext(bits=int(bits))
+    if bits is None:
+        return PrecisionContext()
+    try:
+        value = int(bits)
+    except ValueError:
+        raise ParameterError(f"{ENV_BITS} must be an integer; got {bits!r}") from None
+    return PrecisionContext(bits=value)
 
 
 def agrees(a, b, rel_tol) -> bool:

@@ -30,7 +30,7 @@ p_n = pi_n / sqrt(h_n), with the monic pi_n from :func:`monic_fixed` and
 h_n = mu_0 b_1^2 ... b_n^2.  Its float64 counterpart is
 ``_vec.poly_scaled``, which reads the float table and also returns p_n'.
 
-The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros_raw` and the
+The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
 monic recurrence in the same fixed point: the node and the Newton step are
 integers v 2^P too.  The classical ODE bounds the next Newton error, so a node
@@ -346,18 +346,26 @@ def _check_increasing(out: list) -> list:
     return out
 
 
-def _mirrored_increasing(out: list, symmetric: bool, zero) -> list:
-    """Sorted zeros, mirrored exactly about ``zero`` for a symmetric weight,
+def _mirror(half: list, m: int, sign: int) -> list:
+    """m values on a symmetric rule from ``half``, those at its nonpositive
+    nodes: then the first m // 2 reversed, times ``sign`` (1 or -1)."""
+    tail = reversed(half[: m // 2])
+    return half + ([-v for v in tail] if sign < 0 else list(tail))
+
+
+def _mirrored_increasing(out: list, symmetric: bool) -> list:
+    """Sorted float zeros, mirrored exactly about 0 for a symmetric weight,
     checked to be strictly increasing."""
     n = len(out)
     if symmetric:
-        half = [(out[n - 1 - i] - out[i]) / 2 for i in range(n // 2)]
-        mirrored = [-h for h in half]
-        if n % 2:
-            mirrored.append(zero)
-        out = mirrored + [half[n // 2 - 1 - i] for i in range(n // 2)]
+        half = [(out[i] - out[n - 1 - i]) / 2 for i in range(n // 2)]
+        out = _mirror(half + [0.0] * (n % 2), n, -1)
     return _check_increasing(out)
 
+
+#: Guard bits over the working precision of the mpf Gauss rules
+#: (:func:`_gauss_polish`) and of the Gauss sums of ``quadrature``.
+_RULE_GUARD = 20
 
 #: Newton passes one node of an mpf Gauss rule may take.  From float64 seeds
 #: a node settles in about log2(bits / 50) + 2 passes (3 at 256 bits).
@@ -389,12 +397,12 @@ def _ode_k(kind: str, a, b, m: int):
 
 def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
     """Nodes and Christoffel weights of the m-point Gauss rule of a raw
-    weight, as mpf at ``bits + 20``.
+    weight, as mpf at ``bits + _RULE_GUARD``.
 
     Float64 eigenvalues of the recurrence matrix, the float64 table of
     :func:`spreadpoly.families.raw_recurrence`, seed a Newton polish on the
     monic recurrence (:func:`monic_fixed`).  The exact entries behind it,
-    rounded once to integers v 2^P with P = bits + 20 + ``_FIXED_GUARD``
+    rounded once to integers v 2^P with P = bits + ``_RULE_GUARD + _FIXED_GUARD``
     (:func:`_fixed_table`), are its table; the node z and the step u =
     pi_m/pi_m' are such integers too, so a pass makes no mpf operation.
 
@@ -417,7 +425,7 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
 
     PrecisionError if a node takes more than ``_POLISH_MAX_PASSES`` passes.
     """
-    with mp.workprec(bits + 20):
+    with mp.workprec(bits + _RULE_GUARD):
         prec = mp.prec
         fixed = prec + _FIXED_GUARD
         one = 1 << fixed
@@ -462,52 +470,44 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
             nodes.append(_from_fixed(z - u, -fixed, prec))
             weights.append(h / big_s)
         if symmetric:
-            half = m // 2
-            nodes += [-x for x in reversed(nodes[:half])]
-            weights += reversed(weights[:half])
+            nodes, weights = _mirror(nodes, m, -1), _mirror(weights, m, 1)
         return _check_increasing(nodes), weights
 
 
-def zeros_raw(kind: str, alpha, beta, n: int, bits=None) -> list:
-    """Zeros of the degree-n orthonormal polynomial for a raw weight.
+def zeros_raw(kind: str, alpha, beta, n: int) -> list:
+    """Zeros of the degree-n orthonormal polynomial for a raw weight, as floats.
 
     Float64 eigenvalues of the symmetric tridiagonal recurrence matrix seed
-    a Newton polish; symmetric weights get exactly mirrored nodes so parity
-    cancellations are exact downstream.  With ``bits`` the zeros are mpf
-    at ``bits + 20``, the nodes of :func:`_gauss_polish`.  With
-    ``bits=None`` the zeros are Python floats: all of them take float64
-    Newton steps together until every step is at most 2 ulps of
-    max(1, max|z|), which leaves each zero within a few ulps of that scale;
-    PrecisionError if that takes more than 8 steps.
+    float64 Newton steps, taken by all zeros together until every step is
+    at most 2 ulps of max(1, max|z|), which leaves each zero within a few
+    ulps of that scale; PrecisionError if that takes more than 8 steps.
+    Symmetric weights get exactly mirrored zeros.
     """
     if n < 1:
         return []
-    symmetric = _is_symmetric(kind, alpha, beta)
-    if bits is None:
-        diag, off = raw_recurrence(kind, alpha, beta, n + 1)
-        z = _eigen_seeds(np.array(diag[:n]), np.array(off[1:n]))
-        for _ in range(_NEWTON_MAX_ITER):
-            p, dp = poly_scaled(kind, alpha, beta, n, z, derivative=True)[:2]
-            step = p / dp
-            z = z - step
-            scale = max(1.0, float(np.max(np.abs(z))))
-            if np.max(np.abs(step)) <= _NEWTON_STEP_ULPS * np.finfo(float).eps * scale:
-                break
-        else:
-            raise PrecisionError(
-                f"float64 Newton on the {n} zeros did not settle in {_NEWTON_MAX_ITER} steps"
-            )
-        return _mirrored_increasing(np.sort(z).tolist(), symmetric, 0.0)
-    return _gauss_polish(kind, alpha, beta, n, bits)[0]
+    diag, off = raw_recurrence(kind, alpha, beta, n + 1)
+    z = _eigen_seeds(np.array(diag[:n]), np.array(off[1:n]))
+    for _ in range(_NEWTON_MAX_ITER):
+        p, dp = poly_scaled(kind, alpha, beta, n, z, derivative=True)[:2]
+        step = p / dp
+        z = z - step
+        scale = max(1.0, float(np.max(np.abs(z))))
+        if np.max(np.abs(step)) <= _NEWTON_STEP_ULPS * np.finfo(float).eps * scale:
+            break
+    else:
+        raise PrecisionError(
+            f"float64 Newton on the {n} zeros did not settle in {_NEWTON_MAX_ITER} steps"
+        )
+    return _mirrored_increasing(np.sort(z).tolist(), _is_symmetric(kind, alpha, beta))
 
 
 def zeros(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX) -> list:
-    """The n simple zeros of p_n, strictly increasing, inside the interval."""
+    """The n simple zeros of p_n, strictly increasing, inside the interval:
+    the mpf nodes of the n-point rule of :func:`_gauss_polish`."""
     if n < 1:
         raise ParameterError("zeros need degree >= 1")
-    with mp.workprec(ctx.bits):
-        zs = zeros_raw(family.kind, family.alpha, family.beta, n, ctx.bits)
-        lo, hi = family.interval
-        if zs and not (lo < zs[0] and zs[-1] < hi):
-            raise PrecisionError("computed zeros escaped the interval")
-        return zs
+    zs = _gauss_polish(family.kind, family.alpha, family.beta, n, ctx.bits)[0]
+    lo, hi = family.interval
+    if not (lo < zs[0] and zs[-1] < hi):
+        raise PrecisionError("computed zeros escaped the interval")
+    return zs

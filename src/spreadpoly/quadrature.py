@@ -21,14 +21,17 @@ oracle at twice the precision to within 2^-bits.  Built rules are kept in
 a bounded LRU cache keyed by weight, size and precision; the shifted
 exponents of w^q are exact mpf values (:meth:`WeightSpec.power`).
 
-The rule oracles (:func:`integrate_density_power`, and the moment oracles
-of ``closed_form``) take p_n at the nodes from the same integer kernel
-(:func:`_node_values`), as pi_n / sqrt(h_n) with h_n = mu_0 b_1^2 ... b_n^2.
+The mpf oracles against rho_n = p_n^2 w live here, each written once:
+the Gauss sum :func:`_rule_sum` (W_q and the moment oracles of
+``closed_form``), with p_n at the nodes from the same integer kernel, and
+the integral :func:`_split_integral` split at the zeros of p_n (the Shannon
+fallback and the ``<ln w>`` check of ``verification``).
 
 Two adaptive integrators serve the Shannon integrals:
 
 * :func:`integrate_log_singular` — arbitrary-precision tanh-sinh panels
-  (mpmath), the contract-level routine;
+  (mpmath), the contract-level routine, split at strictly increasing
+  points that it takes as given;
 * :func:`tanh_sinh_panels` — a vectorized float64 tanh-sinh engine, the
   throughput path of the Shannon and Fisher integrals.  It hands the nodes
   of many panels, finite and infinite, to the integrand in one call (levels
@@ -53,7 +56,8 @@ from mpmath import mp
 
 from .context import ParameterError, PrecisionContext, PrecisionError
 from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
-from .orthopoly import _gauss_polish, _is_symmetric, _recurrence_values
+from .orthopoly import _RULE_GUARD, _gauss_polish, _is_symmetric, _mirror, _recurrence_values
+from .orthopoly import evaluate_recurrence, zeros
 
 __all__ = [
     "WeightSpec",
@@ -64,7 +68,6 @@ __all__ = [
     "integrate_density_power",
     "integrate_log_singular",
     "tanh_sinh_panels",
-    "merge_points",
 ]
 
 _DEFAULT_CTX = PrecisionContext()
@@ -145,20 +148,24 @@ _RULE_CACHE_SIZE = 128
 
 @functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _standard_rule(kind: str, alpha, beta, m: int, bits: int):
-    """Unit-scale rule: nodes/weights as mpf tuples at ``bits + 20``."""
+    """Unit-scale rule: nodes/weights as mpf tuples at ``bits + _RULE_GUARD``,
+    checked once: increasing nodes (:func:`_gauss_polish`), positive weights."""
     nodes, weights = _gauss_polish(kind, alpha, beta, m, bits)
+    if not all(w > 0 for w in weights):
+        raise PrecisionError("nonpositive quadrature weight")
     return tuple(nodes), tuple(weights)
 
 
 def gauss_rule(
     spec: WeightSpec, m: int, ctx: PrecisionContext = _DEFAULT_CTX
 ) -> QuadratureRule:
-    """m-node Gauss rule for the given weight, exact to degree 2m-1."""
+    """m-node Gauss rule for the given weight, exact to degree 2m-1 (the
+    checked unit-scale rule; a positive rate keeps its properties)."""
     if m < 1:
         raise ParameterError("rule needs at least one node")
     nodes, weights = _standard_rule(spec.kind, spec.alpha, spec.beta, m, ctx.bits)
-    with mp.workprec(ctx.bits + 20):
-        if spec.scale != 1.0:
+    if spec.scale != 1.0:
+        with mp.workprec(ctx.bits + _RULE_GUARD):
             s = mp.mpf(spec.scale)
             if spec.kind == HERMITE:
                 r = mp.sqrt(s)
@@ -168,34 +175,27 @@ def gauss_rule(
                 factor = mp.power(s, -(mp.mpf(spec.alpha) + 1))
                 nodes = tuple(x / s for x in nodes)
                 weights = tuple(w * factor for w in weights)
-        for w in weights:
-            if not w > 0:
-                raise PrecisionError("nonpositive quadrature weight")
-        for lo, hi in zip(nodes, nodes[1:]):
-            if not lo < hi:
-                raise PrecisionError("nodes not strictly increasing")
     return QuadratureRule(spec, nodes, weights, 2 * m - 1)
 
 
-def _node_values(family: Family, n: int, rule: QuadratureRule) -> list:
-    """p_n at every node of ``rule``, as mpf at the active precision, from
-    the recurrence evaluator of the mpf routes
-    (:func:`spreadpoly.orthopoly._recurrence_values`).  When the family and
+def _rule_sum(family: Family, n: int, spec: WeightSpec, m: int, ctx: PrecisionContext, term):
+    """sum_i term(x_i, lambda_i, p_n(x_i)) over the m-node rule of ``spec``,
+    by ``fsum`` at ``ctx.bits + _RULE_GUARD``, with p_n from
+    :func:`spreadpoly.orthopoly._recurrence_values`.  When the family and
     the rule's weight are both symmetric, the nodes mirror exactly: p_n is
     evaluated on the nonpositive half and mirrored with the sign (-1)^n, so
     a sum that vanishes by parity is exactly 0.
     """
+    rule = gauss_rule(spec, m, ctx)
     nodes = rule.nodes
-    m = len(nodes)
-    spec = rule.spec
     mirrored = _is_symmetric(family.kind, family.alpha, family.beta) and _is_symmetric(
         spec.kind, spec.alpha, spec.beta
     )
-    out = _recurrence_values(family, n, nodes[: (m + 1) // 2] if mirrored else nodes)
-    if mirrored:
-        tail = reversed(out[: m // 2])
-        out += [-v for v in tail] if n % 2 else tail
-    return out
+    with mp.workprec(ctx.bits + _RULE_GUARD):
+        values = _recurrence_values(family, n, nodes[: (m + 1) // 2] if mirrored else nodes)
+        if mirrored:
+            values = _mirror(values, m, -1 if n % 2 else 1)
+        return +mp.fsum(term(x, w, v) for x, w, v in zip(nodes, rule.weights, values))
 
 
 def integrate_density_power(
@@ -208,22 +208,17 @@ def integrate_density_power(
     with a rule of covering exactness.  Equals integral rho^q whenever 2q
     is even, and returns 1 at q=1.  A parity zero (Hermite or Jacobi with
     alpha = beta, n 2q odd) is exactly 0: the node values mirror exactly
-    (:func:`_node_values`), so the terms cancel in pairs.  Any other sum
+    (:func:`_rule_sum`), so the terms cancel in pairs.  Any other sum
     is returned as rounded, so a zero without parity (Laguerre(-1/2) n=1,
     q=3/2) comes out at the rounding floor of the terms, not as 0.
     """
-    order = RenyiOrder.from_q(q) if not isinstance(q, RenyiOrder) else q
-    spec = WeightSpec.power(family, order.q)
-    deg = n * order.two_q
-    rule = gauss_rule(spec, deg // 2 + 1, ctx)
-    with mp.workprec(ctx.bits + 20):
-        values = _node_values(family, n, rule)
-        total = [w * mp.power(v, order.two_q) for v, w in zip(values, rule.weights)]
-        return +mp.fsum(total)
+    order = RenyiOrder.from_q(q)
+    two_q = order.two_q
+    spec = WeightSpec.power(family, order)
+    return _rule_sum(
+        family, n, spec, n * two_q // 2 + 1, ctx, lambda x, w, v: w * mp.power(v, two_q)
+    )
 
-
-#: Panel boundaries closer than this collapse into one (:func:`merge_points`).
-_MERGE_GAP = 1e-12
 
 #: Precision doublings :func:`integrate_log_singular` tries past the
 #: context's bits, and the tanh-sinh degree of each attempt.
@@ -231,28 +226,20 @@ _ESCALATIONS = 3
 _MAX_DEGREE = 8
 
 
-def merge_points(points):
-    """Sort and deduplicate panel boundaries (a gap <= ``_MERGE_GAP`` collapses)."""
-    pts = sorted(mp.mpf(p) for p in points)
-    out = [pts[0]]
-    for p in pts[1:]:
-        if p - out[-1] > _MERGE_GAP:
-            out.append(p)
-    return out
-
-
 def integrate_log_singular(f, interval, split_points, ctx: PrecisionContext, *, tol):
     """Adaptive tanh-sinh integration with panel splits at singular points.
 
-    Returns ``(value, est_error)``.  Acceptance: est_error <= ``tol``, an
-    absolute tolerance, retried at doubled precision ``_ESCALATIONS``
-    times before raising :class:`QuadratureError`.  Infinite endpoints are
-    handled by the double-exponential variable transform of the
-    underlying integrator.
+    The panels are ``[lo, *split_points, hi]`` as given, not sorted, merged
+    or rounded; ParameterError unless strictly increasing.  Returns
+    ``(value, est_error)``.  Acceptance: est_error <= ``tol``, an absolute
+    tolerance, retried at doubled precision ``_ESCALATIONS`` times before
+    raising :class:`QuadratureError`.  Infinite endpoints are handled by
+    the double-exponential variable transform of the underlying integrator.
     """
     lo, hi = interval
-    inner = [p for p in split_points if lo < p < hi]
-    pts = [lo] + merge_points(inner) + [hi] if inner else [lo, hi]
+    pts = [lo, *split_points, hi]
+    if not all(a < b for a, b in zip(pts, pts[1:])):
+        raise ParameterError(f"panel points are not strictly increasing: {pts}")
     bits = ctx.bits
     for _ in range(_ESCALATIONS + 1):
         with mp.workprec(bits):
@@ -263,6 +250,19 @@ def integrate_log_singular(f, interval, split_points, ctx: PrecisionContext, *, 
     raise QuadratureError(
         f"integral failed to reach tolerance (last estimate {mp.nstr(err)})"
     )
+
+
+def _split_integral(family: Family, n: int, f, ctx: PrecisionContext, *, tol):
+    """(value, est_error) of the integral of f(p_n(x), w(x)) over the interval
+    by :func:`integrate_log_singular`, split at the zeros of p_n rounded once
+    to ``ctx.bits``."""
+    with mp.workprec(ctx.bits):
+        zs = [+z for z in zeros(family, n, ctx)] if n else []
+
+        def integrand(x):
+            return f(evaluate_recurrence(family, n, x), family.weight(x))
+
+        return integrate_log_singular(integrand, family.interval, zs, ctx, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from scipy.optimize import minimize_scalar
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family
-from .orthopoly import evaluate_recurrence, zeros
-from .quadrature import integrate_log_singular, tanh_sinh_panels
+from .quadrature import _split_integral, tanh_sinh_panels
 from .closed_form import _float_zeros, laguerre_real_moment, moment, stddev
 from ._vec import log_weight, poly_scaled
 
@@ -203,17 +202,14 @@ def _entropy_fast(family: Family, n: int, tol: float):
 
 def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
     """Arbitrary-precision route; handles singular (negative-exponent) densities."""
-    lo, hi = family.interval
+
+    def log_p2_term(p, w):
+        if p == 0:
+            return mp.mpf(0)
+        return p * p * w * mp.log(p * p)
+
+    val, est = _split_integral(family, n, log_p2_term, ctx, tol=tol / 4)
     with mp.workprec(ctx.bits):
-        zs = list(zeros(family, n, ctx)) if n else []
-
-        def log_p2_term(x):
-            p = evaluate_recurrence(family, n, x)
-            if p == 0:
-                return mp.mpf(0)
-            return p * p * family.weight(x) * mp.log(p * p)
-
-        val, est = integrate_log_singular(log_p2_term, (lo, hi), zs, ctx, tol=tol / 4)
         return -val - _mean_log_weight(family, n)[0], +est
 
 

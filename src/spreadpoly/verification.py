@@ -17,8 +17,7 @@ from mpmath import mp
 
 from .context import PrecisionContext
 from .families import Family, RenyiOrder, power_integrable
-from .orthopoly import evaluate_recurrence, zeros
-from .quadrature import integrate_density_power, integrate_log_singular
+from .quadrature import _split_integral, integrate_density_power
 from .closed_form import (
     cramer_rao_product,
     fisher_information,
@@ -269,14 +268,8 @@ def _mean_log_weight_checks(tol_scale):
     out = []
     with mp.workprec(wctx.bits):
         for fam, n in cells:
-
-            def weight_log_term(x, fam=fam, n=n):
-                p = evaluate_recurrence(fam, n, x)
-                w = fam.weight(x)
-                return p * p * w * mp.log(w)
-
-            val, _ = integrate_log_singular(
-                weight_log_term, fam.interval, zeros(fam, n, wctx), wctx, tol=1e-18
+            val, _ = _split_integral(
+                fam, n, lambda p, w: p * p * w * mp.log(w), wctx, tol=1e-18
             )
             d = float(abs(val - _mean_log_weight(fam, n)[0]))
             out.append(

@@ -407,3 +407,11 @@ def test_env_bits_override(capsys, monkeypatch):
     rc, out, _ = run(capsys, "measures", "--family", "hermite", "--n", "0", "--meta")
     assert rc == 0
     assert out.startswith("# bits: 128")
+
+
+def test_malformed_env_bits_exits_2_naming_it(capsys, monkeypatch):
+    monkeypatch.setenv("SPREADPOLY_BITS", "abc")
+    rc, out, err = run(capsys, "measures", "--family", "hermite", "--n", "0")
+    assert rc == 2
+    assert out == ""
+    assert "SPREADPOLY_BITS" in err and "'abc'" in err

@@ -63,6 +63,13 @@ def test_default_context_env_override(monkeypatch):
     assert default_context() == PrecisionContext() == PrecisionContext(bits=256)
 
 
+@pytest.mark.parametrize("value", ["abc", "", "12.5"])
+def test_malformed_env_bits_is_a_parameter_error(monkeypatch, value):
+    monkeypatch.setenv("SPREADPOLY_BITS", value)
+    with pytest.raises(ParameterError, match=f"SPREADPOLY_BITS must be an integer; got {value!r}"):
+        default_context()
+
+
 def test_context_has_bits_alone():
     assert [f.name for f in fields(PrecisionContext)] == ["bits"]
     with pytest.raises(ParameterError):

@@ -41,7 +41,7 @@ from spreadpoly.orthopoly import (
     monic_fixed,
     orthonormal_coeffs,
     to_fixed,
-    zeros_raw,
+    zeros,
 )
 from spreadpoly.quadrature import _RULE_CACHE_SIZE, _standard_rule
 from spreadpoly.report import measures_table
@@ -144,7 +144,7 @@ def _ref_zeros_raw(kind, alpha, beta, n, bits):
             out.append(z)
         out.sort()
         symmetric = kind == HERMITE or (kind == JACOBI and alpha == beta)
-        out = _mirrored_increasing(out, symmetric, mp.mpf(0))
+        out = _mirrored_increasing(out, symmetric)
         return [+z for z in out]
 
 
@@ -204,7 +204,7 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
             diag, off = raw_recurrence(kind, alpha, beta, n + 1)
             offsq = [b * b for b in off]
             c = 1 / mp.sqrt(norm_constant(kind, alpha, beta) * mp.fprod(offsq[1:]))
-        zs = zeros_raw(kind, alpha, beta, n, bits)
+        zs = zeros(family, n, PrecisionContext(bits=bits)) if n else []
         for xs in XS + tuple(zs[n // 2 : n // 2 + 1]):
             with mp.workprec(bits):
                 x = +mp.mpf(xs)
@@ -262,7 +262,7 @@ def test_zeros_and_gauss_rules_are_bit_identical(family, bits):
     kind, alpha, beta = family.kind, family.alpha, family.beta
     oracle_bits = 2 * bits + 64
     for n in DEGREES[1:]:
-        zs = zeros_raw(kind, alpha, beta, n, bits)
+        zs = zeros(family, n, PrecisionContext(bits=bits))
         nodes, weights = _standard_rule.__wrapped__(kind, alpha, beta, n, bits)
         assert list(nodes) == zs
         ref_nodes = _ref_zeros_raw(kind, alpha, beta, n, oracle_bits)

@@ -274,8 +274,8 @@ BOUNDED = [("hermite", 0.0, 0.0)] + [("laguerre", a, 0.0) for a in (0.0, 0.5, 2.
 def test_float_zeros_match_mpf_zeros(kind, alpha, beta):
     eps = np.finfo(float).eps
     for n in (1, 2, 3, 24, 64, 112):
-        got = zeros_raw(kind, alpha, beta, n, None)
-        ref = zeros_raw(kind, alpha, beta, n, 256)
+        got = zeros_raw(kind, alpha, beta, n)
+        ref = _gauss_polish(kind, alpha, beta, n, 256)[0]
         assert len(got) == n and all(type(z) is float for z in got)
         scale = max(1.0, max(abs(float(z)) for z in ref))
         with mp.workprec(300):
@@ -288,13 +288,13 @@ def test_float_zeros_match_mpf_zeros(kind, alpha, beta):
 
 def test_float_zeros_fail_loudly(monkeypatch):
     with pytest.raises(ParameterError):
-        zeros_raw("laguerre", -1.0, 0.0, 3, None)
+        zeros_raw("laguerre", -1.0, 0.0, 3)
     with pytest.raises(ParameterError):
-        zeros_raw("jacobi", 0.0, -1.5, 3, None)
+        zeros_raw("jacobi", 0.0, -1.5, 3)
     # the first step from the eigenvalue seeds is above the stopping test
     monkeypatch.setattr("spreadpoly.orthopoly._NEWTON_MAX_ITER", 1)
     with pytest.raises(PrecisionError, match="did not settle"):
-        zeros_raw("hermite", 0.0, 0.0, 24, None)
+        zeros_raw("hermite", 0.0, 0.0, 24)
 
 
 #: Symmetric weights, one of them with exponents shifted to exact mpf values
@@ -321,7 +321,7 @@ def test_gauss_polish_fails_loudly(monkeypatch):
     with pytest.raises(PrecisionError, match=r"5-point jacobi rule \(alpha=2.0, beta=0.5\).* 256 bits"):
         _gauss_polish("jacobi", 2.0, 0.5, 5, 256)
     with pytest.raises(PrecisionError, match="did not settle in 1 passes"):
-        zeros_raw("laguerre", 1.5, 0.0, 4, 256)
+        zeros(Family.laguerre(1.5), 4, PrecisionContext(bits=256))
 
 
 def test_degree_validation():

@@ -17,7 +17,7 @@ from spreadpoly.quadrature import (
     QuadratureError,
     WeightSpec,
     _BATCH_NODES,
-    _node_values,
+    _rule_sum,
     _standard_rule,
     gauss_rule,
     integrate_density_power,
@@ -163,9 +163,14 @@ def test_parity_zero_needs_no_clamp(family, n):
     # cancel in pairs to exactly 0 in the plain sum
     order = RenyiOrder(3)
     assert integrate_density_power(family, n, order, CTX) == 0
-    rule = gauss_rule(WeightSpec.power(family, order.q), 3 * n // 2 + 1, CTX)
-    with mp.workprec(CTX.bits + 20):
-        values = _node_values(family, n, rule)
+    values = []
+
+    def term(x, w, v):
+        values.append(v)
+        return w * v**3
+
+    assert _rule_sum(family, n, WeightSpec.power(family, order.q), 3 * n // 2 + 1, CTX, term) == 0
+    with mp.workprec(CTX.bits + orthopoly._RULE_GUARD):
         assert values == [-v for v in reversed(values)]
 
 
@@ -402,3 +407,13 @@ def test_integrate_log_singular():
         assert err <= 4e-20
     with pytest.raises(TypeError):
         integrate_log_singular(lambda x: x, (0, 1), [], ctx)  # no default tolerance
+
+
+@pytest.mark.parametrize(
+    "points", [[0.6, 0.3], [0.3, 0.3], [0.0], [1.0], [-0.5], [0.3, 1.5]],
+    ids=["unsorted", "repeated", "at-lo", "at-hi", "below", "above"],
+)
+def test_integrate_log_singular_rejects_bad_split_points(points):
+    # the panels are [lo, *points, hi] as given: nothing is sorted or merged
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        integrate_log_singular(lambda x: x, (mp.mpf(0), mp.mpf(1)), points, CTX, tol=1e-20)
