@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,7 +206,11 @@ def _add_precision_flags(p):
                    help=f"working precision bits (default: env {ENV_BITS} or 256)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged
+    (each call gets a fresh namespace, and ``--q`` appends to a fresh list),
+    so every :func:`main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="spreadpoly",
         description="Spreading measures of Rakhmanov densities of "

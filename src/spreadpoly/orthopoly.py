@@ -16,7 +16,8 @@ seeds of the Gauss rules read them rounded once to floats
 (:func:`spreadpoly.families.raw_recurrence`); every mpf route reads them
 rounded once to the fixed-point format of :func:`monic_fixed`, integers
 v 2^P with P the working precision plus ``_FIXED_GUARD`` bits
-(:func:`_fixed_table`).
+(:func:`_fixed_table`), and the squared norms h_n = mu_0 b_1^2 ... b_n^2
+are mu_0 times the exact product of the b_k^2, rounded once.
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
 monomial coefficients and the recurrence.  The coefficients are exact:
@@ -31,14 +32,18 @@ h_n = mu_0 b_1^2 ... b_n^2.  Its float64 counterpart is
 ``_vec.poly_scaled``, which reads the float table and also returns p_n'.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros` and the
-rules of ``quadrature``) polish float64 eigenvalue seeds by Newton on the
-monic recurrence in the same fixed point: the node and the Newton step are
-integers v 2^P too.  The classical ODE bounds the next Newton error, so a node
-stops without a confirming pass, and Christoffel–Darboux turns the last
-pass into the weight (Gautschi, *Orthogonal Polynomials: Computation and
-Approximation*, OUP 2004, sections 1.3 and 3.1; Golub and Welsch, Math.
-Comp. 23, 1969).  The rules agree with an mpf Newton loop run at twice
-the precision to within 2^-bits, not bit for bit.
+rules of ``quadrature``) polish float64 eigenvalue seeds by Halley passes on
+the monic recurrence in the same fixed point: the node, the step and the
+classical ODE's coefficients are integers v 2^P too.  The ODE gives p'' and
+p''' from pi_m/pi_m', so each pass is cubic and the ODE bounds its next
+error: a node stops without a confirming pass, 2 passes at 256 bits.
+Christoffel–Darboux turns the last pass into the weight, carried to the
+node by a Taylor step whose derivatives come from the ODE too, so a node
+makes two mpf values, itself and its weight, each rounded once (Gautschi,
+*Orthogonal Polynomials: Computation and Approximation*, OUP 2004, sections
+1.3 and 3.1; Golub and Welsch, Math. Comp. 23, 1969; Hale and Townsend,
+SIAM J. Sci. Comput. 35, 2013).  The rules agree with an mpf Newton loop
+run at twice the precision to within 2^-bits, not bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import from_man_exp, from_rational, mpf_div, mpf_shift, round_nearest
 from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, PrecisionError
@@ -60,6 +65,7 @@ from .families import (
     JACOBI,
     LAGUERRE,
     Family,
+    _rational,
     exact_recurrence,
     norm_constant,
     raw_recurrence,
@@ -269,6 +275,23 @@ def monic_fixed(x, diag, offsq, steps: int, prec: int, derivative: bool = True):
     return pk, e
 
 
+def _nearest(num: int, den: int, prec: int) -> int:
+    """The integer nearest num / den 2^prec, for den > 0."""
+    return ((num << (prec + 1)) + den) // (2 * den)
+
+
+#: Bits over ``prec`` at which :func:`_fixed_table` forms mu_0 and h.
+_NORM_GUARD = 10
+
+
+@functools.lru_cache(maxsize=64)
+def _norm_constant(kind: str, alpha, beta, prec: int):
+    """mu_0 (:func:`spreadpoly.families.norm_constant`) at ``prec`` bits,
+    memoised: the rules of one weight at many sizes form it once."""
+    with mp.workprec(prec):
+        return norm_constant(kind, alpha, beta)
+
+
 @functools.lru_cache(maxsize=64)
 def _fixed_table(kind: str, alpha, beta, count: int, prec: int):
     """The recurrence table of the mpf routes at ``prec`` bits.
@@ -276,22 +299,20 @@ def _fixed_table(kind: str, alpha, beta, count: int, prec: int):
     Returns ``(diag, offsq, h)``: a_k and b_k^2 for k < ``count``, each
     exact entry of :func:`spreadpoly.families.exact_recurrence` rounded once
     to the integer nearest v 2^(prec + ``_FIXED_GUARD``), and
-    h = mu_0 b_1^2 ... b_{count-1}^2, the squared norm of pi_{count-1},
-    as an mpf at ``prec`` bits from the entries rounded to ``prec``.
+    h = mu_0 b_1^2 ... b_{count-1}^2, the squared norm of pi_{count-1}:
+    mu_0 at ``prec + _NORM_GUARD`` bits times the exact product of the
+    b_k^2, rounded once to that precision.
     """
     diag, offsq = exact_recurrence(kind, alpha, beta, count)
     fixed = prec + _FIXED_GUARD
-    with mp.workprec(prec):
-        h = norm_constant(kind, alpha, beta)
-        for num, den in offsq[1:]:
-            h *= mp.make_mpf(from_rational(num, den, prec, round_nearest))
-
-    def nearest(num, den):
-        return ((num << (fixed + 1)) + den) // (2 * den)
-
+    hprec = prec + _NORM_GUARD
+    _, man, exp, _ = _norm_constant(kind, alpha, beta, hprec)._mpf_
+    num = math.prod(v for v, _ in offsq[1:])
+    den = math.prod(v for _, v in offsq[1:])
+    h = mp.make_mpf(mpf_shift(from_rational(man * num, den, hprec, round_nearest), exp))
     return (
-        tuple(nearest(*v) for v in diag),
-        tuple(nearest(*v) for v in offsq),
+        tuple(_nearest(num, den, fixed) for num, den in diag),
+        tuple(_nearest(num, den, fixed) for num, den in offsq),
         h,
     )
 
@@ -367,23 +388,26 @@ def _mirrored_increasing(out: list, symmetric: bool) -> list:
 #: (:func:`_gauss_polish`) and of the Gauss sums of ``quadrature``.
 _RULE_GUARD = 20
 
-#: Newton passes one node of an mpf Gauss rule may take.  From float64 seeds
-#: a node settles in about log2(bits / 50) + 2 passes (3 at 256 bits).
+#: Halley passes one node of an mpf Gauss rule may take.  A float64 seed is
+#: about 2^-50 off and pass k leaves about 2^(-50 3^k), so a node settles in
+#: the first pass with 50 3^k >= bits: about 1 at 113 bits, 2 at 256, 3 at 1024.
 _POLISH_MAX_PASSES = 64
 
 
-def _ode(kind: str, a, b, z):
-    """(A(z), B(z)) of the classical differential equation
+def _ode(kind: str, a, b):
+    """The classical differential equation
 
         A(z) y'' = B(z) y' - K_m y
 
     that p_m, and its monic form, satisfy for the weight with exponents
-    (a, b); in the arithmetic of the arguments (floats or mpf)."""
+    (a, b), as ``((A_0, A_1, A_2), (B_0, B_1))``: A(z) = A_0 + A_1 z + A_2 z^2
+    and B(z) = B_0 + B_1 z, in the arithmetic of a and b (the A_i are
+    integers)."""
     if kind == HERMITE:
-        return 1, 2 * z
+        return (1, 0, 0), (0, 2)
     if kind == LAGUERRE:
-        return z, z - (a + 1)
-    return (1 - z) * (1 + z), (a + b + 2) * z - (b - a)
+        return (0, 1, 0), (-(a + 1), 1)
+    return (1, 0, -1), (a - b, a + b + 2)
 
 
 def _ode_k(kind: str, a, b, m: int):
@@ -400,78 +424,108 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
     weight, as mpf at ``bits + _RULE_GUARD``.
 
     Float64 eigenvalues of the recurrence matrix, the float64 table of
-    :func:`spreadpoly.families.raw_recurrence`, seed a Newton polish on the
+    :func:`spreadpoly.families.raw_recurrence`, seed Halley passes on the
     monic recurrence (:func:`monic_fixed`).  The exact entries behind it,
     rounded once to integers v 2^P with P = bits + ``_RULE_GUARD + _FIXED_GUARD``
-    (:func:`_fixed_table`), are its table; the node z and the step u =
-    pi_m/pi_m' are such integers too, so a pass makes no mpf operation.
+    (:func:`_fixed_table`), are its table; the node z, the step and the
+    classical ODE's A(z), B(z), K_m and K_{m-1} (:func:`_ode`) are such
+    integers too, so a node makes no mpf value but its own and its weight's,
+    each rounded once.
 
-    * Stop: after a step u = pi/pi', the next error is about C u^2 with
-      C = |p''/(2p')|, and p'' comes from the classical ODE (:func:`_ode`).
-      A node is accepted, step applied, once C u^2 <= eps (1 + |z|) / 4;
-      no pass only confirms the last step.  C is a float estimate taken at
-      the seed, so the test costs no mpf operation.
+    * Pass: with u = pi_m/pi_m', the ODE gives c = p''/(2p') = (B - K_m u)/(2A),
+      and the Halley step is u/(1 - u c); its next error is about C_3 u^3,
+      C_3 = |c^2 - p'''/(6p')|, where at a zero p'''/p' = ((B - A') B/A +
+      B' - K_m)/A.  A node is accepted, step applied, once C_3 |u|^3 <=
+      eps (1 + |z|) / 4; no pass only confirms the last step.  C_3 is a
+      float taken at the seed, so the test costs no mpf operation.
     * Weight: by Christoffel–Darboux, sum_{k<m} p_k^2 = S / h_{m-1} with
-      S = pi_m' pi_{m-1} - pi_{m-1}' pi_m and h_{m-1} = mu_0 b_1^2 ...
-      b_{m-1}^2 (formed from the entries at the working precision), so the
-      weight is h_{m-1} / S at the node z - u.  One Taylor
-      step carries S there from the last pass at z, with S' = (B S - (K_m -
-      K_{m-1}) pi_m pi_{m-1}) / A from the ODE at degrees m and m-1.  S is
-      formed exactly from the pass's integers; the rest is mpf, once per
-      node.
+      S = pi_m' pi_{m-1} - pi_{m-1}' pi_m, so the weight is h_{m-1} / S at
+      the node z - u.  From the ODE at degrees m and m-1, with
+      dK = K_m - K_{m-1}, T = pi_m pi_{m-1} and pi'' = (B pi' - K pi)/A,
+
+          S'   = (B S - dK T) / A,
+          S''  = ((B - A') S' + B' S - dK T') / A,
+          S''' = ((B - 2A') S'' + (2B' - A'') S' - dK T'') / A,
+
+      all formed from the last pass's integers, and a third-order Taylor
+      step carries S to z - u.  After a single pass u is near 2^-50, so u^2
+      counts at 113 bits, and near an end where A is small so does u^3:
+      S'''/S grows like (B/A)^3 there, C_3 only like (B/A)^2 (a second-order
+      step leaves Jacobi(-0.9999, 60) weights 2^-113 off at 113 bits).
+      h_{m-1} is mu_0 times the exact product of the b_k^2
+      (:func:`_fixed_table`), and the weight h_{m-1} / S is one division.
     * Symmetric weights (Hermite, Jacobi with alpha = beta): only the
       nonpositive half is polished, the middle node of an odd rule is
       exactly 0, and nodes and weights are mirrored exactly.
 
     PrecisionError if a node takes more than ``_POLISH_MAX_PASSES`` passes.
     """
-    with mp.workprec(bits + _RULE_GUARD):
-        prec = mp.prec
-        fixed = prec + _FIXED_GUARD
-        one = 1 << fixed
-        diag, off = raw_recurrence(kind, alpha, beta, m)
-        seeds = [float(s) for s in _eigen_seeds(np.array(diag), np.array(off[1:]))]
-        fdiag, foffsq, h = _fixed_table(kind, alpha, beta, m, prec)
-        symmetric = _is_symmetric(kind, alpha, beta)
-        if symmetric:
-            seeds = seeds[: (m + 1) // 2]
-            if m % 2:
-                seeds[-1] = 0.0  # pi_m(0) = 0 exactly: one pass, step 0
-        a, b = mp.mpf(alpha), mp.mpf(beta)
-        af, bf = float(alpha), float(beta)
-        k_m = _ode_k(kind, af, bf, m)
-        dk = _ode_k(kind, a, b, m) - _ode_k(kind, a, b, m - 1)
-        nodes, weights = [], []
-        for s in seeds:
-            a_s, b_s = _ode(kind, af, bf, s)
-            # log2 of 2 |A| eps (1 + |z|) / 4, the bound on |B - K u| u^2
-            log2_tol = math.log2(abs(a_s) * (1 + abs(s)) / 2) + 1 - prec
-            num, den = s.as_integer_ratio()
-            z = (num << fixed) // den
-            for _ in range(_POLISH_MAX_PASSES):
-                pm, dpm, pm1, dpm1, e = monic_fixed(z, fdiag, foffsq, m, fixed)
-                u = (pm << fixed) // dpm
-                if not u:
-                    break
-                c2 = abs(b_s - k_m * (u / one))  # 2 C |A|
-                if c2 == 0 or math.log2(c2) + 2 * (math.log2(abs(u)) - fixed) <= log2_tol:
-                    break
-                z -= u
-            else:
-                raise PrecisionError(
-                    f"Newton polish of the {m}-point {kind} rule (alpha={alpha}, "
-                    f"beta={beta}) did not settle in {_POLISH_MAX_PASSES} passes "
-                    f"at {bits} bits"
-                )
-            big_s = _from_fixed(dpm * pm1 - dpm1 * pm, 2 * e, prec)
-            a_z, b_z = _ode(kind, a, b, _from_fixed(z, -fixed, prec))
-            taylor = (b_z * big_s - dk * _from_fixed(pm * pm1, 2 * e, prec)) / a_z
-            big_s -= _from_fixed(u, -fixed, prec) * taylor
-            nodes.append(_from_fixed(z - u, -fixed, prec))
-            weights.append(h / big_s)
-        if symmetric:
+    prec = bits + _RULE_GUARD
+    fixed = prec + _FIXED_GUARD
+    diag, off = raw_recurrence(kind, alpha, beta, m)
+    seeds = [float(s) for s in _eigen_seeds(np.array(diag), np.array(off[1:]))]
+    fdiag, foffsq, h = _fixed_table(kind, alpha, beta, m, prec)
+    symmetric = _is_symmetric(kind, alpha, beta)
+    if symmetric:
+        seeds = seeds[: (m + 1) // 2]
+        if m % 2:
+            seeds[-1] = 0.0  # pi_m(0) = 0 exactly: one pass, step 0
+    a, b = _rational(alpha), _rational(beta)
+    (a0, a1, a2), (b0, b1) = _ode(kind, a, b)
+    k_m, k_m1 = (_ode_k(kind, a, b, k) for k in (m, m - 1))
+    ib0, ib1, ik, ik1 = (
+        _nearest(v.numerator, v.denominator, fixed) for v in map(Fraction, (b0, b1, k_m, k_m1))
+    )
+    idk = ik - ik1
+    fb0, fb1, fk = float(b0), float(b1), float(k_m)
+    nodes, weights = [], []
+    for s in seeds:
+        # C_3 in floats at the seed, from A(s) and B(s)
+        sa, sb = a0 + s * (a1 + s * a2), fb0 + fb1 * s
+        c = sb / (2 * sa)
+        c3 = abs(c * c - ((sb - a1 - 2 * a2 * s) * sb / sa + fb1 - fk) / (6 * sa))
+        # log2 of eps (1 + |z|) / (4 C_3), the bound on |u|^3
+        log2_tol = math.log2((1 + abs(s)) / 4) - prec - math.log2(c3) if c3 else math.inf
+        num, den = s.as_integer_ratio()
+        z = (num << fixed) // den
+        for _ in range(_POLISH_MAX_PASSES):
+            pm, dpm, pm1, dpm1, e = monic_fixed(z, fdiag, foffsq, m, fixed)
+            big_a = (a0 << fixed) + a1 * z + a2 * ((z * z) >> fixed)
+            big_b = ib0 + ((ib1 * z) >> fixed)
+            u = (pm << fixed) // dpm
+            u = (2 * big_a * u) // (2 * big_a - ((u * (big_b - ((ik * u) >> fixed))) >> fixed))
+            if not u or 3 * (math.log2(abs(u)) - fixed) <= log2_tol:
+                break
+            z -= u
+        else:
+            raise PrecisionError(
+                f"Halley polish of the {m}-point {kind} rule (alpha={alpha}, "
+                f"beta={beta}) did not settle in {_POLISH_MAX_PASSES} passes "
+                f"at {bits} bits"
+            )
+        # S and its derivatives as integers v 2^(2e), pi'' v 2^e
+        big_s = dpm * pm1 - dpm1 * pm
+        d2pm = (big_b * dpm - ik * pm) // big_a
+        d2pm1 = (big_b * dpm1 - ik1 * pm1) // big_a
+        dbig_a = (a1 << fixed) + 2 * a2 * z
+        ds = (big_b * big_s - idk * pm * pm1) // big_a
+        d2s = ((big_b - dbig_a) * ds + ib1 * big_s - idk * (dpm * pm1 + pm * dpm1)) // big_a
+        d3s = (
+            (big_b - 2 * dbig_a) * d2s
+            + ((2 * ib1 - (2 * a2 << fixed)) * ds)
+            - idk * (d2pm * pm1 + 2 * dpm * dpm1 + pm * d2pm1)
+        ) // big_a
+        # S(z - u) = S - u (S' - u (S'' - u S'''/3) / 2)
+        taylor = d2s - ((u * d3s) >> fixed) // 3
+        taylor = ds - ((u * taylor) >> fixed) // 2
+        big_s -= (u * taylor) >> fixed
+        nodes.append(_from_fixed(z - u, -fixed, prec))
+        weight = mpf_div(h._mpf_, from_man_exp(big_s, 2 * e), prec, round_nearest)
+        weights.append(mp.make_mpf(weight))
+    if symmetric:
+        with mp.workprec(prec):  # negation rounds to the active precision
             nodes, weights = _mirror(nodes, m, -1), _mirror(weights, m, 1)
-        return _check_increasing(nodes), weights
+    return _check_increasing(nodes), weights
 
 
 def zeros_raw(kind: str, alpha, beta, n: int) -> list:

@@ -8,16 +8,19 @@ oracle carries no truncation error — only rounding at working precision.
 
 Construction follows Golub–Welsch: nodes are the eigenvalues of the
 symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
-serve only as seeds; each node is polished by Newton passes on the monic
+serve only as seeds; each node is polished by Halley passes on the monic
 recurrence (``orthopoly._gauss_polish``), run on block-scaled Python
 integers with 32 guard bits over the rule's precision
-(``orthopoly.monic_fixed``), and its weight
-``w_i = 1 / sum_k p_k(x_i)^2`` comes from the last pass by the
-Christoffel–Darboux formula, ``h_{m-1} / (pi_m' pi_{m-1} - pi_{m-1}' pi_m)``.
+(``orthopoly.monic_fixed``), with p'' and p''' from the classical ODE, and
+its weight ``w_i = 1 / sum_k p_k(x_i)^2`` comes from the last pass by the
+Christoffel–Darboux formula, ``h_{m-1} / (pi_m' pi_{m-1} - pi_{m-1}' pi_m)``,
+carried to the node by a Taylor step in the same integers.
 One exact recurrence table (``families.exact_recurrence``) is built per
-rule and rounded once to that fixed point.  Symmetric rules polish half
-their nodes and mirror them exactly.  Nodes and weights agree with an mpf
-oracle at twice the precision to within 2^-bits.  Built rules are kept in
+rule and rounded once to that fixed point, and h_{m-1} is mu_0 times the
+exact product of its b_k^2, rounded once.  Each node and each weight is
+rounded once; symmetric rules polish half their nodes and mirror them
+exactly.  Nodes and weights agree with an mpf oracle at twice the
+precision to within 2^-bits.  Built rules are kept in
 a bounded LRU cache keyed by weight, size and precision; the shifted
 exponents of w^q are exact mpf values (:meth:`WeightSpec.power`).
 

@@ -7,13 +7,16 @@ The entropy of rho_n = p_n^2 w splits as
 where the weight-log expectation <ln w> has a closed form for every
 family (digamma values; see ``_mean_log_weight``), so each value takes one
 numeric integral: the polynomial-log term, which carries all the
-logarithmic singularities, located at the zeros of p_n.  It is integrated
+logarithmic singularities, located at the zeros of p_n.  At n = 0 there is
+none: p_0^2 = 1/mu_0, so S_0 = ln mu_0 - <ln w>_0 takes no integral.  At
+n >= 1 the term is integrated
 with panel splits at those zeros by a vectorized float64 tanh-sinh engine,
 first for every family.  Its error estimate counts the mass it leaves out
 beside an endpoint where a negative weight exponent makes the density blow
 up; when the estimate exceeds the tolerance (exponents near -1, or
 tolerances below 1e-12) an adaptive arbitrary-precision integrator takes
-over.  ``ShannonResult.path`` says which of the two ran.
+over.  ``ShannonResult.path`` says which of the two ran, or ``"exact"`` at
+n = 0.
 
 Also here: the large-n entropy formulas, the universal linear relation
 between the Shannon length N = exp(S) and the standard deviation, and
@@ -30,7 +33,7 @@ from mpmath import mp
 from scipy.optimize import minimize_scalar
 
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, JACOBI, LAGUERRE, Family
+from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
 from .quadrature import _split_integral, tanh_sinh_panels
 from .closed_form import _float_zeros, laguerre_real_moment, moment, stddev
 from ._vec import log_weight, poly_scaled
@@ -52,6 +55,7 @@ _DEFAULT_CTX = PrecisionContext()
 
 PATH_FLOAT64 = "float64"
 PATH_MPF = "mpf"
+PATH_EXACT = "exact"
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,8 @@ class ShannonResult:
     """Entropy S (nats), length N = exp(S), and how they were obtained.
 
     ``path`` names the integrator of a numeric result: ``"float64"`` (the
-    tanh-sinh engine) or ``"mpf"`` (the arbitrary-precision fallback).
+    tanh-sinh engine) or ``"mpf"`` (the arbitrary-precision fallback), or
+    ``"exact"`` for the ground state, which takes no integral.
     """
 
     entropy: object
@@ -73,7 +78,7 @@ class ShannonResult:
             raise ParameterError("Shannon length must be positive")
         if self.method == "numeric" and not self.est_error > 0:
             raise ParameterError("numeric results need a positive error estimate")
-        paths = (PATH_FLOAT64, PATH_MPF) if self.method == "numeric" else (None,)
+        paths = (PATH_FLOAT64, PATH_MPF, PATH_EXACT) if self.method == "numeric" else (None,)
         if self.path not in paths:
             raise ParameterError(f"path {self.path!r} does not fit method {self.method!r}")
 
@@ -213,24 +218,42 @@ def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
         return -val - _mean_log_weight(family, n)[0], +est
 
 
+def _entropy_ground_state(family: Family, ctx: PrecisionContext):
+    """S_0 = ln mu_0 - <ln w>_0 at ``ctx.bits``, with a bound on its rounding:
+    rho_0 = w / mu_0, so there is no integral.  mu_0 is a few Gamma values,
+    powers and quotients, each rounded once, and <ln w>_0 is within 2^(3-p)
+    of the size of its terms (:func:`_mean_log_weight`), so at p bits S_0 is
+    within 2^(4-p) (2 + |ln mu_0| + that size + |S_0|)."""
+    with mp.workprec(ctx.bits):
+        log_mu0 = mp.log(norm_constant(family.kind, family.alpha, family.beta))
+        mean_log_w, size = _mean_log_weight(family, 0)
+        S = log_mu0 - mean_log_w
+        return S, mp.ldexp(2 + abs(log_mu0) + size + abs(S), 4 - ctx.bits)
+
+
 def shannon_numeric(
     family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX, *, tol: float = 1e-9
 ) -> ShannonResult:
     """S = -integral rho ln rho, split at the zeros of p_n; N = exp(S).
 
-    The float64 engine runs first when ``tol >= 1e-12``; the mpf integrator
-    takes over when its estimate exceeds ``tol``.  The result does not
-    depend on the caller's ``mp.prec``.
+    At n = 0 S is the closed form of :func:`_entropy_ground_state`, at
+    ``ctx.bits`` whatever ``tol``.  Otherwise the float64 engine runs first
+    when ``tol >= 1e-12``; the mpf integrator takes over when its estimate
+    exceeds ``tol``.  The result does not depend on the caller's ``mp.prec``.
     """
     if n < 0:
         raise ParameterError("degree must be nonnegative")
-    est = mp.inf
-    if tol >= 1e-12:
-        S, est = _entropy_fast(family, n, tol)
-        path = PATH_FLOAT64
-    if not est <= tol:
-        S, est = _entropy_mpf(family, n, ctx, tol)
-        path = PATH_MPF
+    if n == 0:
+        S, est = _entropy_ground_state(family, ctx)
+        path = PATH_EXACT
+    else:
+        est = mp.inf
+        if tol >= 1e-12:
+            S, est = _entropy_fast(family, n, tol)
+            path = PATH_FLOAT64
+        if not est <= tol:
+            S, est = _entropy_mpf(family, n, ctx, tol)
+            path = PATH_MPF
     with mp.workprec(ctx.bits):
         est = max(mp.mpf(est), mp.eps * (1 + abs(S)))
         return ShannonResult(+S, +mp.exp(S), "numeric", +est, path)

@@ -336,11 +336,15 @@ def test_criterion_8_bounds_dominate_and_saturate(fast_ctx):
         for n in range(21):
             res = shannon_numeric(fam, n, ctx)
             bound, _ = optimize_bound(fam, n, None, ctx)
-            if not res.length <= bound + res.est_error * res.length:
+            with mp.workprec(ctx.bits):  # the slack is below 2^-53 at n = 0
+                ok = res.length <= bound + res.est_error * res.length
+            if not ok:
                 problems.append(f"{label} n={n}: bound {bound} < length {res.length}")
     for n in (0, 5, 10, 15, 20):
         res = shannon_numeric(Family.jacobi(2.0, 2.0), n, ctx)
-        if not res.length <= jacobi_trivial_bound() + res.est_error * res.length:
+        with mp.workprec(ctx.bits):
+            ok = res.length <= jacobi_trivial_bound() + res.est_error * res.length
+        if not ok:
             problems.append(f"jacobi(2,2) n={n}: support bound 2 exceeded")
 
     with mp.workprec(ctx.bits):

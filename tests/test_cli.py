@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 import spreadpoly.report as report
-from spreadpoly.cli import main
+from spreadpoly.cli import build_parser, main
 from spreadpoly.bell import length_from_power_integral
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
@@ -79,6 +79,19 @@ def test_measures_extra_q_column(capsys):
     )
     assert rc == 2 and out == ""
     assert "L_3/2 hermite n=1" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    # main reuses one parser per process; a second call with fewer --q flags
+    # gets neither the first call's appended orders nor its other options
+    assert build_parser() is build_parser()
+    argv = ["measures", "--family", "hermite", "--n", "0", "--bits", "128"]
+    rc, first, _ = run(capsys, *argv, "--q", "3", "--q", "4", "--format", "json")
+    assert rc == 0 and '"L_3"' in first and '"L_4"' in first
+    rc, second, _ = run(capsys, *argv, "--q", "3")
+    assert rc == 0 and second.splitlines()[0] == HEADER + ",L_3"
+    args = build_parser().parse_args(argv)
+    assert args.q is None and args.format == "csv"
 
 
 def test_measures_null_style_empty(capsys):

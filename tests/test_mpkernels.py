@@ -20,6 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from oracles import explicit_ratios, jacobi_power_moment, naive_power, raw_recurrence
@@ -29,6 +31,7 @@ from spreadpoly.families import (
     HERMITE,
     JACOBI,
     Family,
+    RenyiOrder,
     norm_constant,
 )
 from spreadpoly.hypergeom import hyp2f1_terminating
@@ -36,6 +39,8 @@ from spreadpoly.orthopoly import (
     _coeff_scale,
     _eigen_seeds,
     _explicit_coeffs,
+    _gauss_polish,
+    _is_symmetric,
     _mirrored_increasing,
     evaluate_recurrence,
     monic_fixed,
@@ -43,7 +48,7 @@ from spreadpoly.orthopoly import (
     to_fixed,
     zeros,
 )
-from spreadpoly.quadrature import _RULE_CACHE_SIZE, _standard_rule
+from spreadpoly.quadrature import _RULE_CACHE_SIZE, WeightSpec, _standard_rule
 from spreadpoly.report import measures_table
 
 FAMILIES = [
@@ -273,6 +278,47 @@ def test_zeros_and_gauss_rules_are_bit_identical(family, bits):
                 assert abs(x - ref) <= ulp * max(1, abs(ref)), (n, x)
             for w, ref in zip(weights, ref_weights):
                 assert abs(w - ref) <= ulp * ref, (n, w)
+
+
+#: Dyadic exponents above -1, in steps of 1/16.
+DYADIC = st.integers(min_value=-15, max_value=96).map(lambda k: k / 16)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    alpha=DYADIC,
+    beta=DYADIC,
+    two_q=st.integers(min_value=2, max_value=6),
+    m=st.integers(min_value=1, max_value=40),
+    bits=st.sampled_from([53, 113, 256]),
+)
+@example(kind="jacobi", alpha=-0.9999, beta=60.0, two_q=2, m=35, bits=113)
+def test_gauss_polish_matches_the_oracle(kind, alpha, beta, two_q, m, bits):
+    # the rule of w^q, whose exponents alpha q and beta q are exact mpf
+    # values at 2q > 2, against the former Newton loop and Christoffel sum
+    # at 2 bits + 64: nodes within 2^-bits of max(1, |x|), weights within
+    # 2^-bits relative; a symmetric rule is mirrored exactly.  The example
+    # stops after one pass at 113 bits next to an end where A is small: a
+    # second-order Taylor step for the weight left it 11.6 2^-bits off
+    alpha = 0.0 if kind == "hermite" else alpha
+    beta = beta if kind == "jacobi" else 0.0
+    assume(alpha * two_q > -2 and beta * two_q > -2)
+    spec = WeightSpec.power(Family(kind, alpha, beta), RenyiOrder(two_q).q)
+    a, b = spec.alpha, spec.beta
+    nodes, weights = _gauss_polish(kind, a, b, m, bits)
+    oracle_bits = 2 * bits + 64
+    ref_nodes = _ref_zeros_raw(kind, a, b, m, oracle_bits)
+    ref_weights = _ref_christoffel_weights(kind, a, b, m, oracle_bits, ref_nodes)
+    with mp.workprec(oracle_bits):
+        ulp = mp.mpf(2) ** -bits
+        for x, ref in zip(nodes, ref_nodes):
+            assert abs(x - ref) <= ulp * max(1, abs(ref)), x
+        for w, ref in zip(weights, ref_weights):
+            assert abs(w - ref) <= ulp * ref, w
+        if _is_symmetric(kind, a, b):
+            assert nodes == [-x for x in reversed(nodes)]
+            assert weights == weights[::-1]
 
 
 #: The coefficients are exact integers: R_t / L equals the display summed in

@@ -42,10 +42,11 @@ def test_gauss_rule_builds_its_recurrence_table_once():
 GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
 
 
-def test_gauss_polish_takes_at_most_three_passes_per_node(monkeypatch):
+def test_gauss_polish_takes_at_most_two_passes_per_node(monkeypatch):
     # one pass is one monic_fixed call; the weights come from the last
-    # pass and the polish stops on the ODE bound of its next error, where the
-    # former loop took 4.95 passes per node, weight sums included
+    # pass and the polish stops on the ODE bound of its next error.  Halley
+    # steps from float64 seeds settle at 256 bits in two passes, where Newton
+    # steps took 2.94 and the former loop 4.95, weight sums included
     kernel = orthopoly.monic_fixed
     passes = []
     monkeypatch.setattr(orthopoly, "monic_fixed", lambda *a: passes.append(1) or kernel(*a))
@@ -62,7 +63,7 @@ def test_gauss_polish_takes_at_most_three_passes_per_node(monkeypatch):
             _standard_rule.__wrapped__(spec.kind, spec.alpha, spec.beta, m, CTX.bits)
             symmetric = orthopoly._is_symmetric(spec.kind, spec.alpha, spec.beta)
             polished += (m + 1) // 2 if symmetric else m
-    assert len(passes) <= 3.0 * polished, len(passes) / polished
+    assert len(passes) <= 2.0 * polished, len(passes) / polished
 
 
 def test_gauss_nodes_match_scipy():

@@ -21,6 +21,7 @@ from spreadpoly.shannon import (
     InequalityAudit,
     ShannonResult,
     _entropy_fast,
+    _entropy_mpf,
     _log_poly_panel,
     _mean_log_weight,
     jacobi_trivial_bound,
@@ -97,9 +98,7 @@ FAST_CELLS = [
     (Family.jacobi(0.5, -0.25), 2),
     (Family.jacobi(0.5, -0.25), 3),
     (Family.jacobi(0.5, -0.25), 4),
-    (Family.jacobi(0.0, 0.0), 0),
     (Family.jacobi(0.0, 0.0), 5),
-    (Family.jacobi(2.0, 2.0), 0),
     (Family.jacobi(2.0, 2.0), 3),
 ]
 
@@ -115,16 +114,33 @@ def test_fast_and_mpf_paths_agree(fam, n):
     assert abs(fast.entropy - slow.entropy) <= fast.est_error
 
 
+@pytest.mark.parametrize(
+    "fam",
+    [Family.jacobi(0.0, 0.0), Family.jacobi(2.0, 2.0), Family.hermite(), Family.laguerre(1.5)],
+    ids=lambda f: f.describe(),
+)
+def test_fast_and_mpf_engines_agree_at_the_ground_state(fam):
+    # shannon_numeric takes no integral at n = 0; both engines still run
+    # there, and each is within its estimate of the exact value
+    exact = shannon_numeric(fam, 0, CTX)
+    fast = _entropy_fast(fam, 0, 1e-9)
+    slow = _entropy_mpf(fam, 0, CTX, 1e-13)
+    assert exact.path == "exact" and fast[1] <= 1e-9
+    with mp.workprec(CTX.bits):
+        for S, est in (fast, slow):
+            assert abs(S - exact.entropy) <= est + exact.est_error
+
+
 @pytest.mark.parametrize("n", range(3))
 @pytest.mark.parametrize(
     "fam", [Family.laguerre(200.0), Family.jacobi(100.0, 100.0)], ids=lambda f: f.describe()
 )
 def test_large_exponent_fast_path_matches_mpf(fam, n):
     # mu_0 is past the largest double; the float64 engine starts from p_0
-    fast = shannon_numeric(fam, n, CTX, tol=1e-9)
-    slow = shannon_numeric(fam, n, CTX, tol=1e-13)
-    assert fast.path == "float64"
-    assert abs(fast.entropy - slow.entropy) <= mp.mpf(1e-9)
+    fast, est = _entropy_fast(fam, n, 1e-9)
+    slow, _ = _entropy_mpf(fam, n, CTX, 1e-13)
+    assert est <= 1e-9
+    assert abs(fast - slow) <= mp.mpf(1e-9)
 
 
 #: S by the mpf route at tol=1e-14 and 256 bits (n > 0), frozen; at n = 0,
@@ -144,15 +160,15 @@ ROUNDING_CELLS = [
     "fam,n,ref", ROUNDING_CELLS, ids=[f"{fam.describe()}-n{n}" for fam, n, _ in ROUNDING_CELLS]
 )
 def test_float64_estimate_bounds_the_error(fam, n, ref):
-    res = shannon_numeric(fam, n, CTX)
-    assert res.path == "float64"
+    S, est = _entropy_fast(fam, n, 1e-9)
+    assert est <= 1e-9
     with mp.workprec(256):
         if ref is None:
             mu0 = norm_constant(fam.kind, fam.alpha, fam.beta)
             want = mp.log(mu0) - _mean_log_weight(fam, 0)[0]
         else:
             want = mp.mpf(ref)
-        assert abs(res.entropy - want) <= res.est_error
+        assert abs(S - want) <= est
 
 
 def test_log_scale_error_is_within_its_counted_share():
@@ -268,13 +284,44 @@ def _ground_state_entropy(fam):
     ],
 )
 def test_negative_exponent_ground_states(fam, path):
-    res = shannon_numeric(fam, 0, FAST, tol=1e-9)
-    assert res.path == path
+    # the engines at n = 0, where shannon_numeric takes no integral: the
+    # float64 one first, and the mpf one where its estimate exceeds tol
+    S, est = _entropy_fast(fam, 0, 1e-9)
+    assert (est <= 1e-9) == (path == "float64")
+    if path == "mpf":
+        S, est = _entropy_mpf(fam, 0, FAST, 1e-9)
     with mp.workprec(CTX.bits):
-        err = abs(res.entropy - _ground_state_entropy(fam))
+        err = abs(S - _ground_state_entropy(fam))
     assert err <= 1e-9
     if path == "float64":
-        assert err <= res.est_error <= 1e-9
+        assert err <= est <= 1e-9
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize(
+    "fam",
+    [
+        Family.laguerre(-0.99),
+        Family.laguerre(300.0),
+        Family.jacobi(-0.9, 0.5),
+        Family.jacobi(100.0, 100.0),
+        Family.jacobi(-0.5, -0.5),
+        Family.jacobi(1e-300, 5.0),
+    ],
+    ids=lambda f: f.describe(),
+)
+def test_ground_state_takes_no_integral(fam, bits):
+    # S_0 = ln mu_0 - <ln w>_0 at ctx.bits, within its rounding-level
+    # estimate of the 512-bit closed form, whatever tol; these exponents
+    # took the mpf fallback, or failed in it, when n = 0 was integrated.
+    # The estimate scales with the terms, up to 2000 at Laguerre(300).
+    ctx = PrecisionContext(bits=bits)
+    res = shannon_numeric(fam, 0, ctx, tol=1e-13)
+    assert res.path == "exact"
+    assert res.est_error <= mp.ldexp(1, 16 - bits) * 2000
+    with mp.workprec(512):
+        assert abs(res.entropy - _ground_state_entropy(fam)) <= res.est_error
+        assert abs(res.length - mp.exp(_ground_state_entropy(fam))) <= 2 * res.est_error * res.length
 
 
 @pytest.mark.parametrize(
@@ -300,7 +347,7 @@ def test_float64_path_ignores_ambient_precision(kind, alpha, beta, n):
         low = shannon_numeric(fam, n, CTX, tol=1e-9)
     with mp.workprec(1024):
         high = shannon_numeric(fam, n, CTX, tol=1e-9)
-    assert low.path == "float64"
+    assert low.path == ("exact" if n == 0 else "float64")
     assert (low.entropy, low.length, low.est_error) == (
         high.entropy, high.length, high.est_error
     )
