@@ -38,7 +38,7 @@ def table(family, label, degrees):
         if family.kind == "jacobi":
             bound, par = jacobi_trivial_bound(), "-"
         else:
-            bound, par = optimize_bound(family, n, None, CTX)
+            bound, par = optimize_bound(family, n, CTX)
             par = f"{par:.3g}" if family.kind == "laguerre" else str(par)
         print(
             f"{n:>3} {mp.nstr(N, 10):>14} {mp.nstr(bound, 10):>14} {par:>8} "

@@ -8,12 +8,7 @@ independent closed-form, series, and quadrature routes that cross-check
 one another.
 """
 
-from .context import (
-    ParameterError,
-    PrecisionContext,
-    PrecisionError,
-    default_context,
-)
+from .context import ParameterError, PrecisionContext, PrecisionError
 from .families import Family, RenyiOrder
 from .orthopoly import evaluate_recurrence, orthonormal_coeffs, zeros
 from .closed_form import (
@@ -69,7 +64,6 @@ __all__ = [
     "ShannonResult",
     "asymptotic_cramer_rao",
     "cramer_rao_product",
-    "default_context",
     "evaluate_recurrence",
     "fisher_information",
     "fisher_length",

@@ -215,7 +215,8 @@ def renyi_power_integral_bell(
     total = sum(dk * mk for dk, mk in zip(d, moments))
     bits = 2 * ctx.bits
     with mp.workprec(bits + _GUARD_BITS):
-        W = _coeff_scale(family, n) ** p * _weight_power_mass(family, p) * total / (den**p * mden)
+        K = _coeff_scale(family, n, bits + _GUARD_BITS)
+        W = K**p * _weight_power_mass(family, p) * total / (den**p * mden)
     with mp.workprec(bits):
         return +W
 

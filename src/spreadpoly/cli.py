@@ -22,13 +22,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
 from mpmath import mp
 
-from .context import ENV_BITS, ParameterError, PrecisionContext, default_context
+from .context import ParameterError, PrecisionContext
 from .families import Family, RenyiOrder
 from .shannon import ratio_constant
 from .report import (
@@ -111,10 +110,6 @@ def _family_from_args(args) -> Family:
     return Family.jacobi(args.alpha, args.beta)
 
 
-def _context_from_args(args) -> PrecisionContext:
-    return default_context() if args.bits is None else PrecisionContext(bits=args.bits)
-
-
 def _write(args, text):
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
@@ -130,7 +125,7 @@ def _write(args, text):
 
 def cmd_table(args) -> int:
     """measures / asymptotics / bounds: build the table in report, emit it."""
-    ctx = _context_from_args(args)
+    ctx = PrecisionContext(bits=args.bits)
     family = _family_from_args(args)
     degrees = _parse_n_range(args.n)
     if args.command == "measures":
@@ -157,15 +152,12 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.tol_scale) and args.tol_scale > 0):
-        raise ParameterError(f"--tol-scale must be finite and > 0; got {args.tol_scale!r}")
-    ctx = _context_from_args(args)
-    checks = run_scope(args.scope, ctx, args.tol_scale)
+    ctx = PrecisionContext(bits=args.bits)
+    checks = run_scope(args.scope, ctx)
     failures = [c for c in checks if not c.ok]
     payload = {
         "scope": args.scope,
         "bits": ctx.bits,
-        "tol_scale": args.tol_scale,
         "total": len(checks),
         "failures": len(failures),
         "passed": not failures,
@@ -202,8 +194,8 @@ def _add_output_flags(p):
 
 
 def _add_precision_flags(p):
-    p.add_argument("--bits", type=int, default=None,
-                   help=f"working precision bits (default: env {ENV_BITS} or 256)")
+    p.add_argument("--bits", type=int, default=256,
+                   help="working precision in mantissa bits (default 256)")
 
 
 @functools.cache
@@ -229,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run self-checks, emit a JSON report")
     p.add_argument("--scope", default="all", choices=available_scopes())
-    p.add_argument("--tol-scale", type=float, default=1.0,
-                   help="multiply every check tolerance by this factor")
     p.add_argument("--output", default=None)
     _add_precision_flags(p)
     p.set_defaults(func=cmd_verify)

@@ -147,14 +147,15 @@ def _float_zeros(family: Family, n: int):
     return zeros_raw(family.kind, family.alpha, family.beta, n)
 
 
-def fisher_information_numeric(family: Family, n: int, *, tol: float = 1e-10):
+def fisher_information_numeric(family: Family, n: int):
     """Adaptive-quadrature Fisher functional (independent check route).
 
     Beside an end where the weight exponent e is nonzero the integrand
     behaves like |x - end|^(e-2), so the engine's estimate counts the mass
     beyond its outermost node there, which is infinite for e <= 1 (the
-    divergent branches).  QuadratureError when the estimate exceeds ``tol``.
+    divergent branches).  QuadratureError when the estimate exceeds 1e-10.
     """
+    tol = 1e-10
     lo, hi = family.interval
     pts = [lo] + _float_zeros(family, n) + [hi]
     edges = tuple(e - 2.0 if e != 0 else 0.0 for e in family.edge_exponents)

@@ -1,7 +1,9 @@
 """Working-precision policy shared by every numeric routine in the package.
 
 All quantities are computed with mpmath arbitrary-precision floats.  A
-:class:`PrecisionContext` fixes one setting, the number of mantissa bits.
+:class:`PrecisionContext` fixes one setting, the number of mantissa bits
+(256 unless the caller passes another; nothing is read from the
+environment, so a value depends on its arguments alone).
 The Bell and Lauricella routes sum exact integers and the explicit
 coefficients are exact, so none of them escalates; the mpf integrator
 (``quadrature.integrate_log_singular``) takes its absolute tolerance from
@@ -18,7 +20,6 @@ Gauss route's mirrored nodes.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,12 +29,9 @@ __all__ = [
     "PrecisionContext",
     "PrecisionError",
     "ParameterError",
-    "default_context",
     "agrees",
     "with_escalation",
 ]
-
-ENV_BITS = "SPREADPOLY_BITS"
 
 #: Precision doublings :func:`with_escalation` tries before giving up.
 _ESCALATIONS = 3
@@ -56,19 +54,6 @@ class PrecisionContext:
     def __post_init__(self) -> None:
         if self.bits < 53:
             raise ParameterError("working precision must be at least 53 bits")
-
-
-def default_context() -> PrecisionContext:
-    """Context built from ``SPREADPOLY_BITS`` if set; ParameterError when it
-    is not an integer."""
-    bits = os.environ.get(ENV_BITS)
-    if bits is None:
-        return PrecisionContext()
-    try:
-        value = int(bits)
-    except ValueError:
-        raise ParameterError(f"{ENV_BITS} must be an integer; got {bits!r}") from None
-    return PrecisionContext(bits=value)
 
 
 def agrees(a, b, rel_tol) -> bool:

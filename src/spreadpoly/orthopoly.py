@@ -158,27 +158,31 @@ def _reduced(R: list, L: int) -> tuple:
     return tuple(r // common for r in R), L // common
 
 
-def _coeff_scale(family: Family, n: int):
-    """K of :func:`_explicit_coeffs`, at the active precision: the norm of
-    p_n and the Gamma values of the displays."""
-    a = mp.mpf(family.alpha)
-    b = mp.mpf(family.beta)
-    if family.kind == HERMITE:
-        return 1 / mp.sqrt(mp.power(2, n) * mp.factorial(n) * mp.sqrt(mp.pi))
-    if family.kind == LAGUERRE:
-        return mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n)) / mp.gamma(a + 1)
-    # At n=0 the display's (2n+a+b+1) Gamma(a+b+n+1) collapses exactly to
-    # Gamma(a+b+2), so the Chebyshev cell a+b = -1 never evaluates a pole.
-    if n == 0:
-        front = mp.gamma(a + b + 2)
-    else:
-        front = (2 * n + a + b + 1) * mp.gamma(a + b + n + 1)
-    norm = mp.sqrt(
-        mp.gamma(a + n + 1)
-        * front
-        / (mp.factorial(n) * mp.power(2, a + b + 1) * mp.gamma(n + b + 1))
-    )
-    return norm / mp.gamma(a + 1)
+@functools.lru_cache(maxsize=512)
+def _coeff_scale(family: Family, n: int, prec: int):
+    """K of :func:`_explicit_coeffs` at ``prec`` bits: the norm of p_n and
+    the Gamma values of the displays.  Memoised on (family, n, prec); 512
+    entries hold the 279 cells of the Rényi cross-check grid (31 weights,
+    n = 0..8), so its Rényi orders form each K once."""
+    with mp.workprec(prec):
+        a = mp.mpf(family.alpha)
+        b = mp.mpf(family.beta)
+        if family.kind == HERMITE:
+            return 1 / mp.sqrt(mp.power(2, n) * mp.factorial(n) * mp.sqrt(mp.pi))
+        if family.kind == LAGUERRE:
+            return mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n)) / mp.gamma(a + 1)
+        # At n=0 the display's (2n+a+b+1) Gamma(a+b+n+1) collapses exactly to
+        # Gamma(a+b+2), so the Chebyshev cell a+b = -1 never evaluates a pole.
+        if n == 0:
+            front = mp.gamma(a + b + 2)
+        else:
+            front = (2 * n + a + b + 1) * mp.gamma(a + b + n + 1)
+        norm = mp.sqrt(
+            mp.gamma(a + n + 1)
+            * front
+            / (mp.factorial(n) * mp.power(2, a + b + 1) * mp.gamma(n + b + 1))
+        )
+        return norm / mp.gamma(a + 1)
 
 
 #: Extra bits at which K R_t / L is formed before its one rounding.
@@ -191,7 +195,7 @@ def orthonormal_coeffs(
     """Explicit coefficients c_t = K R_t / L, rounded once to ``ctx.bits``."""
     R, L = _explicit_coeffs(family, n)
     with mp.workprec(ctx.bits + _COEFF_GUARD):
-        k = _coeff_scale(family, n)
+        k = _coeff_scale(family, n, ctx.bits + _COEFF_GUARD)
         coeffs = [k * r / L for r in R]
     with mp.workprec(ctx.bits):
         return PolyCoeffs(family, n, tuple(+c for c in coeffs))

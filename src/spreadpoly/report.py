@@ -196,7 +196,9 @@ def asymptotics_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_
 
 def bounds_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_CTX):
     """The tightest entropy upper bound on N, its free parameter (absent for
-    Jacobi's N <= 2), and whether it dominates the numeric N."""
+    Jacobi's N <= 2), its margin bound - N, and whether it dominates the
+    numeric N (``dominates`` is 1 exactly when ``margin`` >= 0).  A margin
+    within N's error estimate plus a few ulps of the bound reads 0."""
     header = _LEAD + ["shannon_N", "bound", "bound_param", "dominates", "margin"]
     provenance = {"shannon_N": TAG_ORACLE, "bound": TAG_CLOSED,
                   "bound_param": TAG_CLOSED, "dominates": TAG_CLOSED,
@@ -213,16 +215,19 @@ def bounds_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_CTX):
             else:
                 bound, param = _cell(
                     f"bound {where}",
-                    lambda: optimize_bound(family, n, None, ctx),
+                    lambda: optimize_bound(family, n, ctx),
                     required=True,
                 )
+            margin = bound - sh.length
+            if abs(margin) <= sh.est_error * sh.length + mp.ldexp(abs(bound), 3 - ctx.bits):
+                margin = mp.mpf(0)
             rows.append(_row(
                 family, n,
                 shannon_N=sh.length,
                 bound=bound,
                 bound_param=param,
-                dominates=int(sh.length <= bound + sh.est_error * sh.length),
-                margin=bound - sh.length,
+                dominates=int(margin >= 0),
+                margin=margin,
             ))
     return header, rows, provenance
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
-from scipy.optimize import minimize_scalar
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
@@ -322,37 +321,27 @@ def shannon_bound_laguerre(
         )
 
 
-def optimize_bound(
-    family: Family, n: int, params=None, ctx: PrecisionContext = _DEFAULT_CTX
-):
+#: The even k and the bracket of b that :func:`optimize_bound` searches.
+_HERMITE_KS = range(2, 13, 2)
+_LAGUERRE_B = (0.05, 20.0)
+
+
+def optimize_bound(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """Tightest bound over the free parameter: (best value, best k or b).
 
-    Hermite scans an even-k grid (``params``: iterable of even k, or the
-    largest k as an int; default up to 12).  Laguerre minimizes over b in
-    a bracket (``params``: (b_lo, b_hi); default (0.05, 20)).
+    Hermite scans the even k of ``_HERMITE_KS`` (2 to 12); Laguerre
+    minimizes over b in the bracket ``_LAGUERRE_B`` (0.05 to 20).
     """
     if family.kind == HERMITE:
-        if params is None:
-            ks = range(2, 13, 2)
-        elif isinstance(params, int):
-            ks = range(2, params + 1, 2)
-        else:
-            ks = list(params)
-        best = None
-        for k in ks:
-            val = shannon_bound_hermite(n, k, ctx)
-            if best is None or val < best[0]:
-                best = (val, k)
-        if best is None:
-            raise ParameterError("empty k grid")
-        return best
+        return min(((shannon_bound_hermite(n, k, ctx), k) for k in _HERMITE_KS),
+                   key=lambda pair: pair[0])
     if family.kind == LAGUERRE:
-        lo, hi = params if params is not None else (0.05, 20.0)
+        from scipy.optimize import minimize_scalar  # loaded by this route alone
 
         def objective(b):
             return float(shannon_bound_laguerre(n, family.alpha, b, ctx))
 
-        res = minimize_scalar(objective, bounds=(lo, hi), method="bounded")
+        res = minimize_scalar(objective, bounds=_LAGUERRE_B, method="bounded")
         b_best = float(res.x)
         return shannon_bound_laguerre(n, family.alpha, b_best, ctx), b_best
     raise ParameterError("parametrized bounds exist for hermite and laguerre only")

@@ -30,6 +30,7 @@ from .closed_form import (
 from .bell import length_from_power_integral, renyi_power_integral_bell
 from .lauricella import laguerre_power_integral_lauricella
 from .shannon import (
+    PATH_FLOAT64,
     _mean_log_weight,
     jacobi_trivial_bound,
     optimize_bound,
@@ -84,8 +85,7 @@ def _deviation_check(name, a, b, tol, detail="") -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _scope_stddev(ctx, tol_scale):
-    tol = 1e-12 * tol_scale
+def _scope_stddev(ctx):
     out = []
     fams = [
         Family.hermite(),
@@ -104,15 +104,14 @@ def _scope_stddev(ctx, tol_scale):
                 orc = mp.sqrt(m2 - m1 * m1)
             out.append(
                 _deviation_check(
-                    f"stddev/{fam.describe()}/n={n}", closed, orc, tol
+                    f"stddev/{fam.describe()}/n={n}", closed, orc, 1e-12
                 )
             )
     return out
 
 
-def _scope_fisher(ctx, tol_scale):
+def _scope_fisher(ctx):
     out = []
-    tol = 1e-8 * tol_scale
     fams = [
         Family.hermite(),
         Family.laguerre(0.0),
@@ -128,13 +127,12 @@ def _scope_fisher(ctx, tol_scale):
                 continue
             Fn = fisher_information_numeric(fam, n)
             out.append(
-                _deviation_check(f"fisher/{fam.describe()}/n={n}", F, Fn, tol)
+                _deviation_check(f"fisher/{fam.describe()}/n={n}", F, Fn, 1e-8)
             )
-    tol_cr = 1e-14 * tol_scale
     for n in (0, 3, 10):
         cr = cramer_rao_product(Family.hermite(), n, ctx)
         out.append(
-            _deviation_check(f"fisher/cramer-rao-product/n={n}", cr, mp.mpf(1) / 2, tol_cr)
+            _deviation_check(f"fisher/cramer-rao-product/n={n}", cr, mp.mpf(1) / 2, 1e-14)
         )
     for fam, n in ((Family.laguerre(-0.5), 1), (Family.jacobi(0.25, 0.25), 1)):
         lo = fisher_truncated(fam, n, 1e-3)
@@ -182,8 +180,7 @@ def _renyi_cell_checks(fam, n, order, ctx, tol) -> list:
     return out
 
 
-def _scope_renyi(ctx, tol_scale):
-    tol = 1e-10 * tol_scale
+def _scope_renyi(ctx):
     out = []
     fams = [
         Family.hermite(),
@@ -200,11 +197,11 @@ def _scope_renyi(ctx, tol_scale):
             if not power_integrable(order.q, fam.alpha, fam.beta):
                 continue
             for n in (0, 1, 3):
-                out.extend(_renyi_cell_checks(fam, n, order, ctx, tol))
+                out.extend(_renyi_cell_checks(fam, n, order, ctx, 1e-10))
     return out
 
 
-def _scope_erratum(ctx, tol_scale):
+def _scope_erratum(ctx):
     """Onicescu length displays for the lowest Laguerre degrees.
 
     The printed n=0 and n=1 displays carry a spurious outer square root:
@@ -212,7 +209,6 @@ def _scope_erratum(ctx, tol_scale):
     length.  Both comparisons are recorded; the check passes when the
     squared display matches the oracle.
     """
-    tol = 1e-12 * tol_scale
     out = []
     order = RenyiOrder(4)  # q = 2
     with mp.workprec(ctx.bits):
@@ -237,7 +233,7 @@ def _scope_erratum(ctx, tol_scale):
                         f"erratum/onicescu-display-squared/alpha={alpha}/n={n}",
                         d * d,
                         oracle,
-                        tol,
+                        1e-12,
                         detail=(
                             f"display={mp.nstr(d, 17)} squared={mp.nstr(d * d, 17)} "
                             f"oracle={mp.nstr(oracle, 17)} "
@@ -248,7 +244,7 @@ def _scope_erratum(ctx, tol_scale):
     return out
 
 
-def _mean_log_weight_checks(tol_scale):
+def _mean_log_weight_checks():
     """Closed-form <ln w> against the mpf integral of p^2 w ln w.
 
     The numeric weight-log integral is the independent route, over cells
@@ -256,7 +252,7 @@ def _mean_log_weight_checks(tol_scale):
     tolerance of 1e-18 are ample for the check's absolute tolerance of 1e-15.
     """
     wctx = PrecisionContext(bits=128)
-    tol = 1e-15 * tol_scale
+    tol = 1e-15
     cells = [
         (Family.laguerre(-0.5), 1),
         (Family.laguerre(-0.5), 4),
@@ -278,9 +274,35 @@ def _mean_log_weight_checks(tol_scale):
     return out
 
 
-def _scope_shannon(ctx, tol_scale):
+def _float64_anchor_checks(ctx):
+    """Closed-form entropies at n >= 1, which the float64 engine must meet
+    within its own estimate: ln pi - 1 - 1/(2n), ln pi - 1 + 1/(2n+2) and
+    ln pi - 1 on the Chebyshev weights of Jacobi (x = cos t makes rho_n a
+    squared cosine or sine in t), and ln(sqrt(pi)/2) - psi(3/2) + 3/2 for
+    Hermite n = 1, where x^2 is Gamma(3/2)-distributed."""
+    cheb = mp.log(mp.pi) - 1
+    cells = [(Family.hermite(), 1, mp.log(mp.sqrt(mp.pi) / 2) - mp.digamma(1.5) + 1.5)]
+    for n in (1, 2, 3, 7, 40):
+        cells += [
+            (Family.jacobi(-0.5, -0.5), n, cheb - mp.mpf(1) / (2 * n)),
+            (Family.jacobi(0.5, 0.5), n, cheb + mp.mpf(1) / (2 * n + 2)),
+            (Family.jacobi(-0.5, 0.5), n, cheb),
+            (Family.jacobi(0.5, -0.5), n, cheb),
+        ]
     out = []
-    tol = 1e-7 * tol_scale
+    for fam, n, S_exact in cells:
+        r = shannon_numeric(fam, n, ctx)
+        d, est = float(abs(r.entropy - S_exact)), float(r.est_error)
+        out.append(
+            Check(f"shannon/anchor/{fam.describe()}/n={n}", r.path == PATH_FLOAT64 and d <= est,
+                  d, est, detail=f"path {r.path}")
+        )
+    return out
+
+
+def _scope_shannon(ctx):
+    out = []
+    tol = 1e-7
     with mp.workprec(ctx.bits):
         anchors = [
             (Family.hermite(), mp.log(mp.sqrt(mp.pi)) + mp.mpf(1) / 2),
@@ -293,13 +315,14 @@ def _scope_shannon(ctx, tol_scale):
             out.append(
                 Check(f"shannon/anchor/{fam.describe()}/n=0", d <= tol, d, tol)
             )
-        out.extend(_mean_log_weight_checks(tol_scale))
+        out.extend(_float64_anchor_checks(ctx))
+        out.extend(_mean_log_weight_checks())
         # reflection invariance of the Jacobi entropy
         r1 = shannon_numeric(Family.jacobi(2.0, 5.0), 6, ctx)
         r2 = shannon_numeric(Family.jacobi(5.0, 2.0), 6, ctx)
         d = float(abs(r1.entropy - r2.entropy))
         out.append(
-            Check("shannon/reflection-invariance/jacobi(2,5)/n=6", d <= 1e-12 * tol_scale, d, 1e-12 * tol_scale)
+            Check("shannon/reflection-invariance/jacobi(2,5)/n=6", d <= 1e-12, d, 1e-12)
         )
         # the deviation from the universal ratio shrinks with n
         c = ratio_constant()
@@ -331,8 +354,7 @@ def _scope_shannon(ctx, tol_scale):
     return out
 
 
-def _scope_moments(ctx, tol_scale):
-    tol = 1e-12 * tol_scale
+def _scope_moments(ctx):
     out = []
     for fam in (Family.hermite(), Family.laguerre(0.0), Family.laguerre(2.5)):
         for n in (0, 2, 7):
@@ -352,15 +374,15 @@ def _scope_moments(ctx, tol_scale):
                 orc = moment_quadrature(fam, n, k, ctx)
                 out.append(
                     _deviation_check(
-                        f"moments/{fam.describe()}/n={n}/k={k}", closed, orc, tol
+                        f"moments/{fam.describe()}/n={n}/k={k}", closed, orc, 1e-12
                     )
                 )
     return out
 
 
-def _scope_bounds(ctx, tol_scale):
+def _scope_bounds(ctx):
     out = []
-    sat_tol = 1e-9 * tol_scale
+    sat_tol = 1e-9
     with mp.workprec(ctx.bits):
         d = float(
             abs(
@@ -379,7 +401,7 @@ def _scope_bounds(ctx, tol_scale):
         for fam in (Family.hermite(), Family.laguerre(0.0), Family.laguerre(5.0)):
             for n in (0, 3, 10):
                 N = shannon_numeric(fam, n, ctx).length
-                val, par = optimize_bound(fam, n, None, ctx)
+                val, par = optimize_bound(fam, n, ctx)
                 margin = float(val - N)
                 out.append(
                     Check(
@@ -419,13 +441,13 @@ def available_scopes():
     return list(SCOPES) + ["all"]
 
 
-def run_scope(scope: str, ctx: PrecisionContext = _DEFAULT_CTX, tol_scale: float = 1.0):
+def run_scope(scope: str, ctx: PrecisionContext = _DEFAULT_CTX):
     """Run one scope (or ``all``); returns the ordered list of checks."""
     if scope == "all":
         checks = []
         for name in SCOPES:
-            checks.extend(SCOPES[name](ctx, tol_scale))
+            checks.extend(SCOPES[name](ctx))
         return checks
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}; choose from {available_scopes()}")
-    return SCOPES[scope](ctx, tol_scale)
+    return SCOPES[scope](ctx)

@@ -335,7 +335,7 @@ def test_criterion_8_bounds_dominate_and_saturate(fast_ctx):
     ):
         for n in range(21):
             res = shannon_numeric(fam, n, ctx)
-            bound, _ = optimize_bound(fam, n, None, ctx)
+            bound, _ = optimize_bound(fam, n, ctx)
             with mp.workprec(ctx.bits):  # the slack is below 2^-53 at n = 0
                 ok = res.length <= bound + res.est_error * res.length
             if not ok:

@@ -1,5 +1,7 @@
+import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 from mpmath import mp
 import pytest
@@ -9,7 +11,6 @@ from spreadpoly.context import (
     PrecisionContext,
     PrecisionError,
     agrees,
-    default_context,
     with_escalation,
 )
 
@@ -54,20 +55,21 @@ def test_with_escalation_checks_every_tuple_element():
         with_escalation(f, PrecisionContext(bits=64), 1e-15)
 
 
-def test_default_context_env_override(monkeypatch):
-    # SPREADPOLY_BITS is the one setting read from the environment
-    monkeypatch.setenv("SPREADPOLY_BITS", "128")
-    monkeypatch.setenv("SPREADPOLY_RTOL", "1e-12")
-    assert default_context() == PrecisionContext(bits=128)
-    monkeypatch.delenv("SPREADPOLY_BITS")
-    assert default_context() == PrecisionContext() == PrecisionContext(bits=256)
+SRC = Path(__file__).resolve().parents[1] / "src" / "spreadpoly"
 
 
-@pytest.mark.parametrize("value", ["abc", "", "12.5"])
-def test_malformed_env_bits_is_a_parameter_error(monkeypatch, value):
-    monkeypatch.setenv("SPREADPOLY_BITS", value)
-    with pytest.raises(ParameterError, match=f"SPREADPOLY_BITS must be an integer; got {value!r}"):
-        default_context()
+def test_no_module_reads_the_environment():
+    # a value depends on its arguments alone: no os.environ, os.getenv or
+    # os.putenv anywhere in the package, however it is imported
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in {"environ", "getenv", "putenv"}:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {a.name}" for a in node.names]
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert not found
 
 
 def test_context_has_bits_alone():

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from oracles import explicit_ratios, jacobi_power_moment, naive_power, raw_recurrence
-from spreadpoly.bell import polynomial_power_coeffs
+from spreadpoly.bell import polynomial_power_coeffs, renyi_power_integral_bell
 from spreadpoly.context import PrecisionContext
 from spreadpoly.families import (
     HERMITE,
@@ -33,6 +33,7 @@ from spreadpoly.families import (
     Family,
     RenyiOrder,
     norm_constant,
+    power_integrable,
 )
 from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.orthopoly import (
@@ -335,7 +336,7 @@ def test_coefficients_and_powers_are_bit_identical(family, bits):
             assert polynomial_power_coeffs(R, p) == naive_power(R, p), (n, p)
         got = orthonormal_coeffs(family, n, PrecisionContext(bits=bits)).coeffs
         with mp.workprec(4 * bits):
-            k = _coeff_scale(family, n)
+            k = _coeff_scale(family, n, 4 * bits)
             fine = [k * r / L for r in R]
         with mp.workprec(bits):
             assert got == tuple(+c for c in fine), n
@@ -380,6 +381,27 @@ def test_coefficient_memo_serves_a_whole_measures_row():
     measures_table(fam, [6], orders=[3])
     assert _explicit_coeffs.cache_info().misses == 1
     assert _explicit_coeffs.cache_info().hits == 1
+
+
+def test_coefficient_scale_is_formed_once_per_renyi_grid_cell():
+    # criterion 3's grid walked order by order, so a cell's K is asked for
+    # again only after every other cell's: the memo still holds them all
+    grid = (-0.5, 0.0, 0.5, 2.0, 5.0)
+    families = [Family.hermite()] + [Family.laguerre(a) for a in grid]
+    families += [Family.jacobi(a, b) for a in grid for b in grid]
+    _coeff_scale.cache_clear()
+    calls = 0
+    for two_q in (2, 3, 4, 6):
+        order = RenyiOrder(two_q)
+        for fam in families:
+            if not power_integrable(order.q, fam.alpha, fam.beta):
+                continue
+            for n in range(9):
+                renyi_power_integral_bell(fam, n, order, PrecisionContext())
+                calls += 1
+    info = _coeff_scale.cache_info()
+    assert info.misses == len(families) * 9
+    assert info.hits == calls - info.misses
 
 
 def test_rule_cache_is_bounded():

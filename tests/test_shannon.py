@@ -171,6 +171,34 @@ def test_float64_estimate_bounds_the_error(fam, n, ref):
         assert abs(S - want) <= est
 
 
+#: Cells with a closed-form entropy at n >= 1: Hermite n = 1 and the four
+#: Chebyshev weights of Jacobi.
+ANCHOR_CELLS = [(Family.hermite(), 1)] + [
+    (Family.jacobi(a, b), n)
+    for n in (1, 2, 3, 7, 40)
+    for a, b in ((-0.5, -0.5), (0.5, 0.5), (-0.5, 0.5), (0.5, -0.5))
+]
+
+
+@pytest.mark.parametrize(
+    "fam,n", ANCHOR_CELLS, ids=[f"{fam.describe()}-n{n}" for fam, n in ANCHOR_CELLS]
+)
+def test_float64_path_meets_closed_forms_at_positive_degree(fam, n):
+    # x = cos t makes rho_n dx (2/pi) cos^2 or sin^2 of a multiple of t on a
+    # Chebyshev weight; (1/pi) int_0^pi cos^2 u ln cos^2 u du = 1/2 - ln 2
+    # and int_0^pi cos(2mt) ln sin t dt = -pi/(2m) (0 for odd 2m) give S_n.
+    # Under rho_1 of Hermite, x^2 is Gamma(3/2)-distributed.
+    res = shannon_numeric(fam, n, CTX)
+    assert res.path == "float64"
+    with mp.workprec(CTX.bits):
+        if fam.kind == "hermite":
+            want = mp.log(mp.sqrt(mp.pi) / 2) - mp.digamma(mp.mpf(3) / 2) + mp.mpf(3) / 2
+        else:
+            shift = {(-0.5, -0.5): -mp.mpf(1) / (2 * n), (0.5, 0.5): mp.mpf(1) / (2 * n + 2)}
+            want = mp.log(mp.pi) - 1 + shift.get((fam.alpha, fam.beta), 0)
+        assert abs(res.entropy - want) <= res.est_error
+
+
 def test_log_scale_error_is_within_its_counted_share():
     # poly_scaled counts the rescalings by 1/_RESCALE (a double) and returns
     # the scale count * _LN_RESCALE_HI, exact, with the low part of
@@ -392,7 +420,7 @@ def test_hermite_bound_saturated_by_gaussian():
     with mp.workprec(CTX.bits):
         bound = shannon_bound_hermite(0, 2, CTX)
         assert abs(bound - mp.sqrt(mp.pi * mp.e)) < mp.mpf(1e-30)
-    val, k = optimize_bound(Family.hermite(), 0, None, CTX)
+    val, k = optimize_bound(Family.hermite(), 0, CTX)
     assert k == 2
     assert abs(val - bound) == 0
 
@@ -420,7 +448,7 @@ def test_bounds_dominate_numeric_length():
         (Family.laguerre(5.0), 7),
     ]:
         N = shannon_numeric(fam, n, FAST).length
-        val, _ = optimize_bound(fam, n, None, FAST)
+        val, _ = optimize_bound(fam, n, FAST)
         assert N <= val
     assert shannon_numeric(Family.jacobi(0.5, 2.0), 9, FAST).length <= jacobi_trivial_bound()
 

@@ -28,6 +28,9 @@ def test_shannon_scope_all_pass():
     checks = run_scope("shannon", FAST)
     closed = [c for c in checks if c.name.startswith("shannon/mean-log-weight/")]
     assert len(closed) == 6
+    anchors = [c for c in checks if c.name.startswith("shannon/anchor/")]
+    assert len(anchors) == 3 + 21
+    assert all(c.detail == "path float64" for c in anchors if not c.name.endswith("/n=0"))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
@@ -68,13 +71,6 @@ def test_check_as_dict_keys():
     d = checks[0].as_dict()
     assert set(d) == {"name", "ok", "measured", "tolerance", "detail"}
     assert isinstance(d["ok"], bool)
-
-
-def test_tol_scale_can_force_failures():
-    # the stddev residuals are exactly zero, so scale down a scope whose
-    # checks carry real numeric-integration error
-    checks = run_scope("fisher", FAST, tol_scale=1e-30)
-    assert any(not c.ok for c in checks)
 
 
 def test_unknown_scope_rejected():
