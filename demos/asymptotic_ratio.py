@@ -14,7 +14,9 @@ limit at n=100 and only enters a 0.10-band near n~2000-2250 (Hermite)
 and n~950-1200 (Laguerre(5)); at n=800 the deviations are
 still 0.139 and 0.111, as that law predicts.  The bounded-
 interval story is different: there N itself converges (to pi/e for the
-symmetric Jacobi weight) and is already within 2% at n=80.
+symmetric Jacobi weight) and is already within 2% at n=80.  Every value
+printed is a cell of ``report.asymptotics_table`` (``spreadpoly
+asymptotics``): ratio, ratio_dev, and N_num against N_asym = pi/e.
 
 Run:  python3 demos/asymptotic_ratio.py   (about 6 s on a 2-core x86
 machine; n=800 takes about 1 s for Hermite and 3 s for Laguerre(5))
@@ -24,13 +26,8 @@ import math
 
 from mpmath import mp
 
-from spreadpoly import (
-    Family,
-    PrecisionContext,
-    ratio_constant,
-    shannon_numeric,
-    stddev,
-)
+from spreadpoly import Family, PrecisionContext, ratio_constant
+from spreadpoly.report import asymptotics_table
 
 CTX = PrecisionContext(bits=128)
 
@@ -38,15 +35,12 @@ CTX = PrecisionContext(bits=128)
 def track(family, label, degrees):
     print(f"\n=== {label} ===")
     print(f"{'n':>5} {'N/stddev':>12} {'dev from limit':>15} {'decay exp':>10}")
-    c = ratio_constant()
     prev = None
-    for n in degrees:
-        N = shannon_numeric(family, n, CTX).length
-        r = N / stddev(family, n, CTX)
-        dev = abs(r - c)
+    for row in asymptotics_table(family, degrees, CTX)[1]:
+        dev = row["ratio_dev"]
         expo = "" if prev is None else f"{math.log2(float(prev / dev)):>10.3f}"
         prev = dev
-        print(f"{n:>5} {mp.nstr(r, 8):>12} {mp.nstr(dev, 4):>15} {expo}")
+        print(f"{row['n']:>5} {mp.nstr(row['ratio'], 8):>12} {mp.nstr(dev, 4):>15} {expo}")
 
 
 def main():
@@ -55,11 +49,10 @@ def main():
     track(Family.hermite(), "hermite", degrees)
     track(Family.laguerre(5.0), "laguerre alpha=5", degrees)
 
-    print("\n=== jacobi alpha=beta=2: N itself converges (limit pi/e) ===")
-    target = mp.pi / mp.e
-    for n in (10, 20, 40, 80):
-        N = shannon_numeric(Family.jacobi(2.0, 2.0), n, CTX).length
-        print(f"{n:>5} N = {mp.nstr(N, 8)}   rel dev from pi/e = {mp.nstr(abs(N - target) / target, 3)}")
+    print("\n=== jacobi alpha=beta=2: N itself converges (N_asym = pi/e) ===")
+    print(f"{'n':>5} {'N':>12} {'N_asym':>12}")
+    for row in asymptotics_table(Family.jacobi(2.0, 2.0), (10, 20, 40, 80), CTX)[1]:
+        print(f"{row['n']:>5} {mp.nstr(row['N_num'], 8):>12} {mp.nstr(row['N_asym'], 8):>12}")
 
 
 if __name__ == "__main__":

@@ -11,21 +11,18 @@ the exponential ground state gives N = e = bound at b=1.  On a bounded
 interval no optimization is needed — any density on [-1, 1] has N <= 2.
 
 The last block audits the variance-based inequality
-N <= sqrt(2*pi*e) * stddev, again saturated by the Gaussian.
+N <= sqrt(2*pi*e) * stddev, again saturated by the Gaussian.  The bound
+tables are rows of ``report.bounds_table`` (``spreadpoly bounds``): a
+margin within N's error estimate and the bound's rounding reads 0, and the
+audit reads its margin by the same rule.
 
 Run:  python3 demos/entropy_bounds.py
 """
 
 from mpmath import mp
 
-from spreadpoly import (
-    Family,
-    PrecisionContext,
-    jacobi_trivial_bound,
-    optimize_bound,
-    shannon_inequality_check,
-    shannon_numeric,
-)
+from spreadpoly import Family, PrecisionContext, shannon_inequality_check
+from spreadpoly.report import bounds_table
 
 CTX = PrecisionContext(bits=128)
 
@@ -33,16 +30,15 @@ CTX = PrecisionContext(bits=128)
 def table(family, label, degrees):
     print(f"\n=== {label} ===")
     print(f"{'n':>3} {'N (numeric)':>14} {'bound':>14} {'param':>8} {'margin':>12}")
-    for n in degrees:
-        N = shannon_numeric(family, n, CTX).length
+    for row in bounds_table(family, degrees, CTX)[1]:
+        par = row["bound_param"]
         if family.kind == "jacobi":
-            bound, par = jacobi_trivial_bound(), "-"
-        else:
-            bound, par = optimize_bound(family, n, CTX)
-            par = f"{par:.3g}" if family.kind == "laguerre" else str(par)
+            par = "-"
+        elif family.kind == "laguerre":
+            par = f"{par:.3g}"
         print(
-            f"{n:>3} {mp.nstr(N, 10):>14} {mp.nstr(bound, 10):>14} {par:>8} "
-            f"{mp.nstr(bound - N, 3):>12}"
+            f"{row['n']:>3} {mp.nstr(row['shannon_N'], 10):>14} {mp.nstr(row['bound'], 10):>14} "
+            f"{par!s:>8} {mp.nstr(row['margin'], 3):>12}"
         )
 
 
@@ -57,16 +53,15 @@ def main():
     print(f"  e          = {mp.nstr(mp.e, 12)}  (laguerre n=0 bound at b=1)")
 
     print("\nVariance inequality N <= sqrt(2*pi*e)*stddev:")
-    for fam, label in (
-        (Family.hermite(), "hermite n=0 (saturated)"),
-        (Family.laguerre(3.0), "laguerre(3) n=4"),
-        (Family.jacobi(0.5, 2.0), "jacobi(0.5,2) n=6"),
+    for fam, n, label in (
+        (Family.hermite(), 0, "hermite n=0 (saturated)"),
+        (Family.laguerre(3.0), 4, "laguerre(3) n=4"),
+        (Family.jacobi(0.5, 2.0), 6, "jacobi(0.5,2) n=6"),
     ):
-        n = 0 if "n=0" in label else (4 if "n=4" in label else 6)
         audit = shannon_inequality_check(fam, n, CTX)
         print(
             f"  {label:<26} lhs {mp.nstr(audit.lhs, 8):>12}  rhs "
-            f"{mp.nstr(audit.rhs, 8):>12}  ok={bool(audit)}"
+            f"{mp.nstr(audit.rhs, 8):>12}  margin {mp.nstr(audit.margin, 3):>9}  ok={audit.ok}"
         )
 
 

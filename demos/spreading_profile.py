@@ -14,21 +14,15 @@ orthonormal polynomial density rho_n = p_n^2 w:
 Two structural facts show up directly in the table: the measures order as
 delta x < ... and Delta x < L2 < N for every excited state, and for
 Hermite the product delta x * Delta x is exactly 1/2 at every degree.
+Each line is a row of ``report.measures_table``, the table behind
+``spreadpoly measures``.
 
 Run:  python3 demos/spreading_profile.py
 """
 
 from mpmath import mp
 
-from spreadpoly import (
-    Family,
-    PrecisionContext,
-    cramer_rao_product,
-    fisher_length,
-    renyi_length_bell,
-    shannon_numeric,
-    stddev,
-)
+from spreadpoly import Family, PrecisionContext, measures_table
 
 CTX = PrecisionContext(bits=128)
 
@@ -36,16 +30,12 @@ CTX = PrecisionContext(bits=128)
 def profile(family, label, degrees):
     print(f"\n=== {label} ===")
     print(f"{'n':>3} {'stddev':>12} {'fisher_len':>12} {'L2':>12} {'N':>12} {'dx*Dx':>10}")
-    for n in degrees:
-        dx = stddev(family, n, CTX)
-        fl = fisher_length(family, n, CTX)
-        L2 = renyi_length_bell(family, n, 2, CTX)
-        N = shannon_numeric(family, n, CTX).length
-        cr = cramer_rao_product(family, n, CTX)
-        ordered = "" if n == 0 or fl < dx < L2 < N else "  <-- ordering?"
+    for row in measures_table(family, degrees, ctx=CTX)[1]:
+        dx, fl, L2, N = (row[c] for c in ("stddev", "fisher_length", "L2", "shannon_N"))
+        ordered = "" if row["n"] == 0 or fl < dx < L2 < N else "  <-- ordering?"
         print(
-            f"{n:>3} {mp.nstr(dx, 8):>12} {mp.nstr(fl, 8):>12} "
-            f"{mp.nstr(L2, 8):>12} {mp.nstr(N, 8):>12} {mp.nstr(cr, 6):>10}{ordered}"
+            f"{row['n']:>3} {mp.nstr(dx, 8):>12} {mp.nstr(fl, 8):>12} "
+            f"{mp.nstr(L2, 8):>12} {mp.nstr(N, 8):>12} {mp.nstr(fl * dx, 6):>10}{ordered}"
         )
 
 

@@ -143,10 +143,6 @@ def _fisher_integrand(family: Family, n: int):
     return fpanel
 
 
-def _float_zeros(family: Family, n: int):
-    return zeros_raw(family.kind, family.alpha, family.beta, n)
-
-
 def fisher_information_numeric(family: Family, n: int):
     """Adaptive-quadrature Fisher functional (independent check route).
 
@@ -157,7 +153,7 @@ def fisher_information_numeric(family: Family, n: int):
     """
     tol = 1e-10
     lo, hi = family.interval
-    pts = [lo] + _float_zeros(family, n) + [hi]
+    pts = [lo] + zeros_raw(family.kind, family.alpha, family.beta, n) + [hi]
     edges = tuple(e - 2.0 if e != 0 else 0.0 for e in family.edge_exponents)
     val, err = tanh_sinh_panels(
         _fisher_integrand(family, n), pts, tol=tol, edge_exponents=edges
@@ -182,7 +178,7 @@ def fisher_truncated(family: Family, n: int, eps: float):
     """
     if family.kind == HERMITE:
         raise ParameterError("no truncation points on the real line")
-    zs = _float_zeros(family, n)
+    zs = zeros_raw(family.kind, family.alpha, family.beta, n)
     fpanel = _fisher_integrand(family, n)
     if family.kind == LAGUERRE:
         edges = [(0.0, 1.0)] if family.alpha != 0 else []

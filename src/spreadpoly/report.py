@@ -36,6 +36,7 @@ from .closed_form import (
 )
 from .bell import renyi_length_bell
 from .shannon import (
+    _bound_margin,
     jacobi_trivial_bound,
     optimize_bound,
     ratio_constant,
@@ -198,7 +199,8 @@ def bounds_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_CTX):
     """The tightest entropy upper bound on N, its free parameter (absent for
     Jacobi's N <= 2), its margin bound - N, and whether it dominates the
     numeric N (``dominates`` is 1 exactly when ``margin`` >= 0).  A margin
-    within N's error estimate plus a few ulps of the bound reads 0."""
+    within N's error estimate plus a few ulps of the bound reads 0
+    (``shannon._bound_margin``, the rule ``verify``'s margin checks share)."""
     header = _LEAD + ["shannon_N", "bound", "bound_param", "dominates", "margin"]
     provenance = {"shannon_N": TAG_ORACLE, "bound": TAG_CLOSED,
                   "bound_param": TAG_CLOSED, "dominates": TAG_CLOSED,
@@ -218,9 +220,7 @@ def bounds_table(family: Family, degrees, ctx: PrecisionContext = _DEFAULT_CTX):
                     lambda: optimize_bound(family, n, ctx),
                     required=True,
                 )
-            margin = bound - sh.length
-            if abs(margin) <= sh.est_error * sh.length + mp.ldexp(abs(bound), 3 - ctx.bits):
-                margin = mp.mpf(0)
+            margin = _bound_margin(bound, sh, ctx.bits)
             rows.append(_row(
                 family, n,
                 shannon_N=sh.length,

@@ -34,7 +34,8 @@ from mpmath import mp
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
 from .quadrature import _split_integral, tanh_sinh_panels
-from .closed_form import _float_zeros, laguerre_real_moment, moment, stddev
+from .closed_form import laguerre_real_moment, moment, stddev
+from .orthopoly import zeros_raw
 from ._vec import log_weight, poly_scaled
 
 __all__ = [
@@ -84,11 +85,13 @@ class ShannonResult:
 
 @dataclass(frozen=True)
 class InequalityAudit:
-    """One checked inequality lhs <= rhs, with the compared values kept."""
+    """One checked inequality lhs <= rhs: the compared values, the margin
+    rhs - lhs (0 where it is rounding, as :func:`_bound_margin` reads it)
+    and whether the margin is >= 0."""
 
     lhs: object
     rhs: object
-    slack: object
+    margin: object
     ok: bool
 
     def __bool__(self) -> bool:
@@ -195,7 +198,7 @@ def _entropy_fast(family: Family, n: int, tol: float):
     quadrature.
     """
     lo, hi = family.interval
-    pts = [lo] + _float_zeros(family, n) + [hi]
+    pts = [lo] + zeros_raw(family.kind, family.alpha, family.beta, n) + [hi]
     log_p2, est = tanh_sinh_panels(
         _log_poly_panel(family, n), pts, tol=tol, edge_exponents=family.edge_exponents
     )
@@ -321,28 +324,39 @@ def shannon_bound_laguerre(
         )
 
 
-#: The even k and the bracket of b that :func:`optimize_bound` searches.
-_HERMITE_KS = range(2, 13, 2)
-_LAGUERRE_B = (0.05, 20.0)
-
-
 def optimize_bound(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """Tightest bound over the free parameter: (best value, best k or b).
 
-    Hermite scans the even k of ``_HERMITE_KS`` (2 to 12); Laguerre
-    minimizes over b in the bracket ``_LAGUERRE_B`` (0.05 to 20).
+    Both bounds grow without limit at either end of their parameter range,
+    so the search walks out until the bound rises.  Hermite steps the even
+    k up from 2 and keeps the last k before the bound rises.  Laguerre
+    brackets ln b by doubling or halving b from 1 until the bound rises on
+    both sides, then minimizes over ln b in that bracket to ``xatol`` 1e-8,
+    the resolution of the float64 objective.
     """
     if family.kind == HERMITE:
-        return min(((shannon_bound_hermite(n, k, ctx), k) for k in _HERMITE_KS),
-                   key=lambda pair: pair[0])
+        best, k = shannon_bound_hermite(n, 2, ctx), 2
+        while (nxt := shannon_bound_hermite(n, k + 2, ctx)) < best:
+            best, k = nxt, k + 2
+        return best, k
     if family.kind == LAGUERRE:
         from scipy.optimize import minimize_scalar  # loaded by this route alone
 
-        def objective(b):
-            return float(shannon_bound_laguerre(n, family.alpha, b, ctx))
+        def objective(log_b):
+            return float(shannon_bound_laguerre(n, family.alpha, math.exp(log_b), ctx))
 
-        res = minimize_scalar(objective, bounds=_LAGUERRE_B, method="bounded")
-        b_best = float(res.x)
+        step, t, f = math.log(2.0), 0.0, objective(0.0)
+        if (up := objective(step)) < f:
+            t, f = step, up
+        else:
+            step = -step
+        while (nxt := objective(t + step)) < f:
+            t, f = t + step, nxt
+        res = minimize_scalar(
+            objective, bounds=sorted((t - step, t + step)), method="bounded",
+            options={"xatol": 1e-8},
+        )
+        b_best = math.exp(res.x)
         return shannon_bound_laguerre(n, family.alpha, b_best, ctx), b_best
     raise ParameterError("parametrized bounds exist for hermite and laguerre only")
 
@@ -352,13 +366,24 @@ def jacobi_trivial_bound():
     return mp.mpf(2)
 
 
+def _bound_margin(bound, sh: ShannonResult, bits: int):
+    """bound - N for the length N of ``sh``, at ``bits``; 0 where it is
+    within N's error plus the bound's rounding:
+    |bound - N| <= est N + 2^(3-bits) |bound|, est being the entropy's
+    estimate, so a relative error of N."""
+    with mp.workprec(bits):
+        margin = bound - sh.length
+        if abs(margin) <= sh.est_error * sh.length + mp.ldexp(abs(bound), 3 - bits):
+            return mp.mpf(0)
+        return margin
+
+
 def shannon_inequality_check(
     family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX
 ) -> InequalityAudit:
-    """Audit N <= sqrt(2 pi e) * stddev (with the numeric error as slack)."""
+    """Audit N <= sqrt(2 pi e) * stddev by the margin of :func:`_bound_margin`."""
     res = shannon_numeric(family, n, ctx)
     with mp.workprec(ctx.bits):
-        rhs = mp.sqrt(2 * mp.pi * mp.e) * stddev(family, n, ctx)
-        lhs = res.length
-        slack = res.est_error * lhs  # entropy error -> relative length error
-        return InequalityAudit(+lhs, +rhs, +slack, bool(lhs <= rhs + slack))
+        rhs = +(mp.sqrt(2 * mp.pi * mp.e) * stddev(family, n, ctx))
+        margin = _bound_margin(rhs, res, ctx.bits)
+        return InequalityAudit(res.length, rhs, margin, bool(margin >= 0))

@@ -1,10 +1,19 @@
 """Desk-scale self-checks behind the ``verify`` command.
 
-Every check compares two independent routes to the same quantity (or a
-route against a frozen reference value) and records the measured
-deviation next to its tolerance, so the emitted report is useful even
-when everything passes.  Scopes group the checks by module; ``all`` runs
-the full registry in a fixed order.
+Every check records a measured value next to its tolerance, so the
+emitted report is useful even when everything passes.  Most compare two
+independent routes to the same quantity (or a route against an exact or
+frozen value) and pass when the deviation is at most the tolerance, a
+fixed one except for the float64 Shannon anchors at n >= 1, whose
+tolerance is the value's own error estimate.  The margin checks
+(``bounds/dominance``, ``bounds/jacobi-trivial``, ``shannon/inequality``)
+record bound - N, read as 0 within N's error estimate and the bound's
+rounding (``shannon._bound_margin``, as in ``report.bounds_table``), and
+pass when it is at least 0.  The Fisher divergence checks pass when a
+growth factor reaches 10, and ``shannon/ratio-deviation-shrinks`` when
+``report.asymptotics_table``'s ``ratio_dev`` at n = 40 is below that at
+n = 10.  Scopes group the checks by module; ``all`` runs the full
+registry in a fixed order.
 """
 
 from __future__ import annotations
@@ -29,12 +38,10 @@ from .closed_form import (
 )
 from .bell import length_from_power_integral, renyi_power_integral_bell
 from .lauricella import laguerre_power_integral_lauricella
+from .report import asymptotics_table, bounds_table
 from .shannon import (
     PATH_FLOAT64,
     _mean_log_weight,
-    jacobi_trivial_bound,
-    optimize_bound,
-    ratio_constant,
     shannon_bound_hermite,
     shannon_bound_laguerre,
     shannon_inequality_check,
@@ -78,6 +85,11 @@ def _rel(a, b) -> float:
 def _deviation_check(name, a, b, tol, detail="") -> Check:
     d = _rel(a, b)
     return Check(name, d <= tol, d, tol, detail)
+
+
+def _margin_check(name, row, detail="") -> Check:
+    """A ``report.bounds_table`` row as a check: its margin against 0."""
+    return Check(name, row["dominates"] == 1, float(row["margin"]), 0.0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -325,28 +337,24 @@ def _scope_shannon(ctx):
             Check("shannon/reflection-invariance/jacobi(2,5)/n=6", d <= 1e-12, d, 1e-12)
         )
         # the deviation from the universal ratio shrinks with n
-        c = ratio_constant()
-        devs = {}
-        for n in (10, 40):
-            r = shannon_numeric(Family.hermite(), n, ctx)
-            devs[n] = float(abs(r.length / stddev(Family.hermite(), n, ctx) - c))
+        _, rows, _ = asymptotics_table(Family.hermite(), (10, 40), ctx)
+        devs = {row["n"]: float(row["ratio_dev"]) for row in rows}
         out.append(
             Check(
                 "shannon/ratio-deviation-shrinks/hermite",
                 devs[40] < devs[10],
                 devs[40],
                 devs[10],
-                detail=f"|N/stddev - pi*sqrt(2)/e| at n=40 vs n=10",
+                detail="|N/stddev - pi*sqrt(2)/e| at n=40 vs n=10",
             )
         )
         for fam, n in ((Family.hermite(), 5), (Family.laguerre(2.0), 5), (Family.jacobi(2.0, 2.0), 5)):
             chk = shannon_inequality_check(fam, n, ctx)
-            margin = float(chk.rhs - chk.lhs)
             out.append(
                 Check(
                     f"shannon/inequality/{fam.describe()}/n={n}",
-                    bool(chk),
-                    margin,
+                    chk.ok,
+                    float(chk.margin),
                     0.0,
                     detail=f"N={mp.nstr(chk.lhs, 12)} bound={mp.nstr(chk.rhs, 12)}",
                 )
@@ -399,30 +407,13 @@ def _scope_bounds(ctx):
         )
         out.append(Check("bounds/laguerre-saturation/n=0/b=1", d <= sat_tol, d, sat_tol))
         for fam in (Family.hermite(), Family.laguerre(0.0), Family.laguerre(5.0)):
-            for n in (0, 3, 10):
-                N = shannon_numeric(fam, n, ctx).length
-                val, par = optimize_bound(fam, n, ctx)
-                margin = float(val - N)
-                out.append(
-                    Check(
-                        f"bounds/dominance/{fam.describe()}/n={n}",
-                        N <= val + mp.mpf(1e-12),
-                        margin,
-                        0.0,
-                        detail=f"best parameter {par}",
-                    )
-                )
-        for n in (0, 10, 40):
-            N = shannon_numeric(Family.jacobi(2.0, 2.0), n, ctx).length
-            margin = float(jacobi_trivial_bound() - N)
-            out.append(
-                Check(
-                    f"bounds/jacobi-trivial/n={n}",
-                    N <= jacobi_trivial_bound(),
-                    margin,
-                    0.0,
-                )
-            )
+            for row in bounds_table(fam, (0, 3, 10), ctx)[1]:
+                out.append(_margin_check(
+                    f"bounds/dominance/{fam.describe()}/n={row['n']}", row,
+                    f"best parameter {row['bound_param']}",
+                ))
+        for row in bounds_table(Family.jacobi(2.0, 2.0), (0, 10, 40), ctx)[1]:
+            out.append(_margin_check(f"bounds/jacobi-trivial/n={row['n']}", row))
     return out
 
 

@@ -11,11 +11,10 @@ from mpmath import mp
 
 import oracles
 from spreadpoly import shannon
-from spreadpoly.closed_form import _float_zeros
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, norm_constant
 from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, poly_scaled
-from spreadpoly.orthopoly import evaluate_recurrence, zeros
+from spreadpoly.orthopoly import evaluate_recurrence, zeros, zeros_raw
 from spreadpoly.quadrature import tanh_sinh_panels
 from spreadpoly.shannon import (
     InequalityAudit,
@@ -245,7 +244,7 @@ def test_converged_panels_stop_refining():
             nodes[k] = nodes.get(k, 0) + x.size // len(i)
         return f(i, a, b, x, dl, dr)
 
-    pts = [0.0] + _float_zeros(fam, n) + [np.inf]
+    pts = [0.0] + zeros_raw(fam.kind, fam.alpha, fam.beta, n) + [np.inf]
     val, est = tanh_sinh_panels(counted, pts, tol=tol, edge_exponents=fam.edge_exponents)
     # levels 0..L hold 2^(L+3) + 1 nodes
     assert [nodes[k] for k in range(n)] == [2**7 + 1] * n
@@ -451,6 +450,45 @@ def test_bounds_dominate_numeric_length():
         val, _ = optimize_bound(fam, n, FAST)
         assert N <= val
     assert shannon_numeric(Family.jacobi(0.5, 2.0), 9, FAST).length <= jacobi_trivial_bound()
+
+
+@pytest.mark.parametrize("n", [5, 10, 20])
+def test_hermite_bound_is_minimal_over_the_even_k(n):
+    # the search used to stop at the end of a fixed range, k = 12, where
+    # n = 10 reads 10.4759 against 10.2738 at k = 22
+    value, k = optimize_bound(Family.hermite(), n, FAST)
+    assert value == shannon_bound_hermite(n, k, FAST)
+    assert value <= shannon_bound_hermite(n, k + 2, FAST)
+    assert k == 2 or value <= shannon_bound_hermite(n, k - 2, FAST)
+    assert value <= min(shannon_bound_hermite(n, j, FAST) for j in range(2, 81, 2))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5.0, -0.9])
+@pytest.mark.parametrize("n", [0, 20, 40])
+def test_laguerre_bound_is_minimal_over_b(alpha, n):
+    # the search used to stop at the ends of the fixed bracket (0.05, 20),
+    # short of b = 0.011 at alpha = -0.9, n = 0 and of b = 37 at alpha = 0,
+    # n = 40; a float64 objective resolves the bound to about 1e-16
+    # relative, hence the 1e-15 allowance against the scan
+    value, b = optimize_bound(Family.laguerre(alpha), n, FAST)
+
+    def bound(b):
+        return shannon_bound_laguerre(n, alpha, b, FAST)
+
+    assert value == bound(b)
+    assert value <= bound(b * 0.95) and value <= bound(b * 1.05)
+    scan = min(bound(10.0 ** (j / 10)) for j in range(-30, 31))
+    with mp.workprec(FAST.bits):
+        assert value <= scan * (1 + mp.mpf(1e-15))
+
+
+def test_laguerre_ground_state_bound_meets_e():
+    # the bound is e exactly at b = 1; a search stopped at xatol 1e-5 read
+    # 7.4e-13 relative above it
+    value, b = optimize_bound(Family.laguerre(0.0), 0, FAST)
+    with mp.workprec(FAST.bits):
+        assert abs(value / mp.e - 1) < 1e-15
+    assert abs(b - 1) < 1e-7
 
 
 def test_jacobi_trivial_bound_value():

@@ -34,6 +34,23 @@ def test_shannon_scope_all_pass():
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
+MARGIN_CHECKS = ("bounds/dominance/", "bounds/jacobi-trivial/", "shannon/inequality/")
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_margin_checks_pass_exactly_when_the_margin_is_nonnegative(bits):
+    # a margin check records bound - N under report.bounds_table's rule,
+    # so it passes exactly when what it records is >= its tolerance 0; at
+    # the saturated Hermite ground state bound - N is rounding and reads 0
+    checks = run_scope("bounds", PrecisionContext(bits=bits))
+    checks += run_scope("shannon", PrecisionContext(bits=bits))
+    margins = [c for c in checks if c.name.startswith(MARGIN_CHECKS)]
+    assert len(margins) == 9 + 3 + 3
+    assert all(c.tolerance == 0 and c.ok == (c.measured >= c.tolerance) for c in margins)
+    (ground,) = [c for c in margins if c.name == "bounds/dominance/hermite/n=0"]
+    assert ground.measured == 0 and ground.ok
+
+
 def test_renyi_scope_all_pass():
     checks = run_scope("renyi", FAST)
     assert len(checks) == 165
