@@ -30,19 +30,14 @@ _LN_RESCALE_LO = -3.849750070998963e-08
 
 
 @functools.lru_cache(maxsize=64)
-def _p0(kind, alpha, beta) -> float:
+def _p0(kind, alpha, beta):
     """p_0 = 1/sqrt(mu_0) of the weight, from the 64-bit mpf mu_0 rounded to
-    a float.  PrecisionError unless it is a normal double: the recurrence
-    starts from it, so a p_0 that underflows or overflows would carry no
-    digits into p_n."""
+    a float; None unless it is a normal double (Laguerre alpha above 300.33):
+    the recurrence starts from it, so a p_0 that underflows or overflows
+    would carry no digits into p_n."""
     with mp.workprec(64):
-        p0 = float(1 / mp.sqrt(norm_constant(kind, alpha, beta)))
-    if not sys.float_info.min <= p0 <= sys.float_info.max:
-        raise PrecisionError(
-            f"p_0 = 1/sqrt(mu_0) of {kind}(alpha={alpha:g}, beta={beta:g}) is {p0!r}, "
-            "not a normal double"
-        )
-    return p0
+        p0 = float(1 / mp.sqrt(norm_constant(kind, alpha, beta, 64)))
+    return p0 if sys.float_info.min <= p0 <= sys.float_info.max else None
 
 
 def poly_scaled(kind, alpha, beta, n, x, derivative=False):
@@ -60,6 +55,8 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
     x = np.asarray(x, dtype=float)
     diag, off = raw_recurrence(kind, alpha, beta, n + 1)
     p0 = _p0(kind, alpha, beta)
+    if p0 is None:
+        raise PrecisionError(f"p_0 of {kind}(alpha={alpha:g}, beta={beta:g}) is not a normal double")
     count = np.zeros(x.shape, dtype=np.int64)
     pkm1 = np.zeros_like(x)
     pk = np.full_like(x, p0)

@@ -10,17 +10,18 @@ of the weight gives the signed power integral
 and the Rényi length is W_q^{-1/(q-1)}.
 
 alpha and beta are doubles, so exact dyadic rationals, and the whole sum is
-exact: p_n = K/L sum_t R_t x^t with integers R_t, L
-(``orthopoly._explicit_coeffs``) and one positive constant K
-(``orthopoly._coeff_scale``), and the moments of w^q are m_k = m_0 M_k / M
-with integers M_k, M.  Hence
+exact: p_n = sum_t R_t x^t / (R_n sqrt(h_n)) with integers R_t
+(``orthopoly._explicit_coeffs``) and the squared norm h_n of the recurrence
+table (``orthopoly._squared_norm``), and the moments of w^q are
+m_k = m_0 M_k / M with integers M_k, M.  Hence
 
-    W_q = K^{2q} m_0 S / (L^{2q} M),   S = sum_k D_k M_k,
+    W_q = m_0 S / (M R_n^{2q} h_n^q),   S = sum_k D_k M_k,
 
 where D_k are the integer coefficients of (sum_t R_t x^t)^{2q}.  S is one
 Python integer: nothing cancels, so W_q is exactly 0 iff S is (parity, or
 the coincidence alpha = (q-3)/(2q) at odd 2q), and otherwise rounding
-enters only through the closed-form constant K^{2q} m_0 and one division.
+enters only through the constants m_0 and h_n and one division.  m_0 is
+written here, apart from the mu_0 of h_n, so W_1 = 1 checks h_n.
 No precision escalation is needed: the context sets only the bits at
 which W is returned.
 
@@ -39,7 +40,7 @@ from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational, power_integrable
-from .orthopoly import _coeff_scale, _explicit_coeffs
+from .orthopoly import _explicit_coeffs, _squared_norm
 
 __all__ = [
     "partial_bell",
@@ -51,7 +52,7 @@ __all__ = [
 
 _DEFAULT_CTX = PrecisionContext()
 
-#: Extra bits at which the constant K^{2q} m_0 S / (L^{2q} M) is formed;
+#: Extra bits at which m_0 S / (M R_n^{2q} h_n^q) is formed;
 #: W is returned at twice the context's bits.
 _GUARD_BITS = 32
 
@@ -128,7 +129,8 @@ def _jacobi_moment_prefactor(a, b):
 
 
 def _weight_power_mass(family: Family, two_q: int):
-    """m_0 = integral w(x)^q, q = two_q/2, at the active precision."""
+    """m_0 = integral w(x)^q, q = two_q/2, at the active precision.  At q = 1
+    it restates mu_0 on purpose: W_1 = 1 then checks the h_n of the table."""
     q = mp.mpf(two_q) / 2
     if family.kind == HERMITE:
         return mp.sqrt(mp.pi / q)
@@ -201,7 +203,7 @@ def renyi_power_integral_bell(
 ):
     """W_q by the Bell-expansion route; equals 1 at q=1 (normalization).
 
-    Exactly 0 iff the integer sum S is; otherwise K^{2q} m_0 S / (L^{2q} M)
+    Exactly 0 iff the integer sum S is; otherwise m_0 S / (M R_n^{2q} h_n^q)
     is formed at twice ``ctx.bits`` plus guard bits and returned at twice
     ``ctx.bits``.
     """
@@ -209,14 +211,14 @@ def renyi_power_integral_bell(
     if not power_integrable(order.q, family.alpha, family.beta):
         raise ParameterError(f"w^q is not integrable for {family.describe()} at q={order}")
     p = order.two_q
-    coeffs, den = _explicit_coeffs(family, n)
-    d = polynomial_power_coeffs(coeffs, p)
+    R = _explicit_coeffs(family, n)
+    d = polynomial_power_coeffs(R, p)
     moments, mden = _weight_power_moments(family, p, len(d))
     total = sum(dk * mk for dk, mk in zip(d, moments))
     bits = 2 * ctx.bits
     with mp.workprec(bits + _GUARD_BITS):
-        K = _coeff_scale(family, n, bits + _GUARD_BITS)
-        W = K**p * _weight_power_mass(family, p) * total / (den**p * mden)
+        h = _squared_norm(family.kind, family.alpha, family.beta, n, bits + _GUARD_BITS)
+        W = _weight_power_mass(family, p) * total / (mden * R[-1] ** p * mp.sqrt(h) ** p)
     with mp.workprec(bits):
         return +W
 

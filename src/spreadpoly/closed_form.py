@@ -43,7 +43,9 @@ _DEFAULT_CTX = PrecisionContext()
 
 
 def _jacobi_bsq(k: int, a, b):
-    """Squared off-diagonal recurrence coefficient b_k^2 for Jacobi."""
+    """Squared off-diagonal recurrence coefficient b_k^2 for Jacobi, written
+    apart from ``families.exact_recurrence`` on purpose: it is the closed side
+    of the ``verify --scope stddev`` check of that table."""
     if k == 0:
         return mp.mpf(0)
     if k == 1:

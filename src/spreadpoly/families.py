@@ -17,7 +17,7 @@ or exact mpf values, hence dyadic rationals (:func:`_rational`), so every
 a_k and b_k^2 is an exact rational, written as one integer over another.
 The mpf routes read those pairs; the float64 paths read them rounded once
 (:func:`raw_recurrence`).  The weight's zeroth moment mu_0 is
-:func:`norm_constant`, in mpf.
+:func:`norm_constant`, in mpf at the precision its caller names.
 """
 
 from __future__ import annotations
@@ -198,16 +198,20 @@ def _check_exponents(kind: str, alpha, beta) -> None:
         raise ParameterError("beta must exceed -1")
 
 
-def norm_constant(kind: str, alpha, beta):
+@functools.lru_cache(maxsize=256)
+def norm_constant(kind: str, alpha, beta, prec: int):
     """mu_0, the integral of the bare weight over its interval, as an mpf
-    at the active precision."""
-    a = mp.mpf(alpha)
-    b = mp.mpf(beta)
-    if kind == HERMITE:
-        return mp.sqrt(mp.pi)
-    if kind == LAGUERRE:
-        return mp.gamma(a + 1)
-    return 2 ** (a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma((a + 1) + (b + 1))
+    at ``prec`` bits whatever the caller's ``mp.prec``: the one mu_0 of the
+    squared norms h_n, of p_0 and of the ground-state entropy.  Memoised;
+    256 entries hold the 126 of the Rényi cross-check grid."""
+    with mp.workprec(prec):
+        a = mp.mpf(alpha)
+        b = mp.mpf(beta)
+        if kind == HERMITE:
+            return mp.sqrt(mp.pi)
+        if kind == LAGUERRE:
+            return mp.gamma(a + 1)
+        return 2 ** (a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma((a + 1) + (b + 1))
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,15 +16,17 @@ seeds of the Gauss rules read them rounded once to floats
 (:func:`spreadpoly.families.raw_recurrence`); every mpf route reads them
 rounded once to the fixed-point format of :func:`monic_fixed`, integers
 v 2^P with P the working precision plus ``_FIXED_GUARD`` bits
-(:func:`_fixed_table`), and the squared norms h_n = mu_0 b_1^2 ... b_n^2
-are mu_0 times the exact product of the b_k^2, rounded once.
+(:func:`_fixed_table`).  The squared norms h_n = mu_0 b_1^2 ... b_n^2 are
+written once too, in :func:`_squared_norm`: mu_0 times the exact product of
+the b_k^2, rounded once.  Every mpf route normalises p_n by them.
 
 Two descriptions of p_n are kept, so each can audit the other: explicit
 monomial coefficients and the recurrence.  The coefficients are exact:
-:func:`_explicit_coeffs` gives integers R_t over one integer L, and
-:func:`_coeff_scale` the one constant K with c_t = K R_t / L, so the Bell
-route runs on integers and :func:`orthonormal_coeffs` rounds each c_t once,
-with no precision escalation.  The mpf values of p_n at points, for
+:func:`_explicit_coeffs` gives the integers R_t proportional to them, and
+the leading coefficient of the orthonormal p_n is 1/sqrt(h_n), so
+c_t = R_t / (R_n sqrt(h_n)).  The Bell route runs on the integers and
+:func:`orthonormal_coeffs` rounds each c_t once, with no precision
+escalation.  The mpf values of p_n at points, for
 :func:`evaluate_recurrence` and the Gauss oracles of ``quadrature`` and
 ``closed_form``, come from one evaluator, :func:`_recurrence_values`:
 p_n = pi_n / sqrt(h_n), with the monic pi_n from :func:`monic_fixed` and
@@ -97,13 +99,12 @@ class PolyCoeffs:
 
 @functools.lru_cache(maxsize=4)
 def _explicit_coeffs(family: Family, n: int) -> tuple:
-    """Exact monomial coefficients of p_n: ``(R, L)`` with p_n = K/L *
-    sum_t R_t x^t, the integers R_t and L > 0 free of a common factor and
-    R_n > 0; K is :func:`_coeff_scale`.
+    """Exact monomial coefficients of p_n up to one positive factor: the
+    integers R_t, free of a common factor, with R_n > 0, so that
+    p_n = sum_t R_t x^t / (R_n sqrt(h_n)) (:func:`_squared_norm`).
 
-    alpha and beta are doubles, hence dyadic rationals, so every ratio in
-    the explicit displays is rational once the Gamma values and the norm
-    are gathered into K:
+    alpha and beta are doubles, hence dyadic rationals, so every ratio
+    between the terms of the explicit displays is rational:
 
     * Hermite: r_t = (-1)^((n-t)/2) n! 2^t / (((n-t)/2)! t!) for n - t even;
     * Laguerre: r_t = (-1)^t C(n, t) / (alpha+1)_t;
@@ -121,7 +122,7 @@ def _explicit_coeffs(family: Family, n: int) -> tuple:
         for t in range(n % 2, n + 1, 2):
             m = (n - t) // 2
             R[t] = (-1) ** m * math.factorial(n) * 2**t // (math.factorial(m) * math.factorial(t))
-        return _reduced(R, 1)
+        return _primitive(R)
     num, den = family.alpha.as_integer_ratio()
     # (alpha+1)_i = P_i / den^i with P_i = prod_{j<i} (num + den (j+1)) > 0;
     # tail[i] = P_n / P_i
@@ -130,11 +131,10 @@ def _explicit_coeffs(family: Family, n: int) -> tuple:
         tail[i] = tail[i + 1] * (num + den * (i + 1))
     if family.kind == LAGUERRE:
         R = [(-1) ** t * math.comb(n, t) * den**t * tail[t] for t in range(n + 1)]
-        L = tail[0]
     else:
         s0 = Fraction(family.alpha) + Fraction(family.beta) + n + 1
         snum, sden = s0.numerator, s0.denominator
-        # common denominator L = (2 sden)^n P_n; g_i is the i-th term over it
+        # over the common denominator (2 sden)^n P_n, g_i is the i-th term
         # less its C(i, t), with (s0)_i = prod_{j<i} (snum + sden j) / sden^i
         g, poch = [], 1
         for i in range(n + 1):
@@ -146,57 +146,47 @@ def _explicit_coeffs(family: Family, n: int) -> tuple:
         for i in range(n):
             for j in range(n - 1, i - 1, -1):
                 R[j] -= R[j + 1]
-        L = (2 * sden) ** n * tail[0]
-    return _reduced(R, L)
+    return _primitive(R)
 
 
-def _reduced(R: list, L: int) -> tuple:
-    """``(R, L)`` with the leading R positive and no common factor."""
-    if R[-1] < 0:
-        R = [-r for r in R]
-    common = math.gcd(L, *R)
-    return tuple(r // common for r in R), L // common
+def _primitive(R: list) -> tuple:
+    """R over the gcd of its entries, signed so the leading entry is positive."""
+    common = math.gcd(*R) * (1 if R[-1] > 0 else -1)
+    return tuple(r // common for r in R)
 
 
-@functools.lru_cache(maxsize=512)
-def _coeff_scale(family: Family, n: int, prec: int):
-    """K of :func:`_explicit_coeffs` at ``prec`` bits: the norm of p_n and
-    the Gamma values of the displays.  Memoised on (family, n, prec); 512
-    entries hold the 279 cells of the Rényi cross-check grid (31 weights,
-    n = 0..8), so its Rényi orders form each K once."""
-    with mp.workprec(prec):
-        a = mp.mpf(family.alpha)
-        b = mp.mpf(family.beta)
-        if family.kind == HERMITE:
-            return 1 / mp.sqrt(mp.power(2, n) * mp.factorial(n) * mp.sqrt(mp.pi))
-        if family.kind == LAGUERRE:
-            return mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n)) / mp.gamma(a + 1)
-        # At n=0 the display's (2n+a+b+1) Gamma(a+b+n+1) collapses exactly to
-        # Gamma(a+b+2), so the Chebyshev cell a+b = -1 never evaluates a pole.
-        if n == 0:
-            front = mp.gamma(a + b + 2)
-        else:
-            front = (2 * n + a + b + 1) * mp.gamma(a + b + n + 1)
-        norm = mp.sqrt(
-            mp.gamma(a + n + 1)
-            * front
-            / (mp.factorial(n) * mp.power(2, a + b + 1) * mp.gamma(n + b + 1))
-        )
-        return norm / mp.gamma(a + 1)
+@functools.lru_cache(maxsize=2048)
+def _squared_norm(kind: str, alpha, beta, n: int, prec: int):
+    """h_n = mu_0 b_1^2 ... b_n^2 at ``prec`` bits: the squared norm of the
+    monic pi_n, so 1/sqrt(h_n) is the leading coefficient of p_n.  mu_0 at
+    ``prec`` bits (:func:`spreadpoly.families.norm_constant`) times the
+    exact product of the b_k^2 of
+    :func:`spreadpoly.families.exact_recurrence`, rounded once.  Memoised
+    on (weight, n, prec); 2048 entries hold the 1161 norms of the Rényi
+    cross-check grid (279 for Bell, 882 for the Gauss rules of w^q), so each
+    is formed once."""
+    offsq = exact_recurrence(kind, alpha, beta, n + 1)[1]
+    _, man, exp, _ = norm_constant(kind, alpha, beta, prec)._mpf_
+    num = math.prod(v for v, _ in offsq[1:])
+    den = math.prod(v for _, v in offsq[1:])
+    return mp.make_mpf(mpf_shift(from_rational(man * num, den, prec, round_nearest), exp))
 
 
-#: Extra bits at which K R_t / L is formed before its one rounding.
+#: Extra bits at which R_t / (R_n sqrt(h_n)) is formed before its one rounding.
 _COEFF_GUARD = 64
 
 
 def orthonormal_coeffs(
     family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX
 ) -> PolyCoeffs:
-    """Explicit coefficients c_t = K R_t / L, rounded once to ``ctx.bits``."""
-    R, L = _explicit_coeffs(family, n)
-    with mp.workprec(ctx.bits + _COEFF_GUARD):
-        k = _coeff_scale(family, n, ctx.bits + _COEFF_GUARD)
-        coeffs = [k * r / L for r in R]
+    """Explicit coefficients c_t = R_t / (R_n sqrt(h_n)), each rounded once
+    to ``ctx.bits``."""
+    R = _explicit_coeffs(family, n)
+    prec = ctx.bits + _COEFF_GUARD
+    with mp.workprec(prec):
+        h = _squared_norm(family.kind, family.alpha, family.beta, n, prec)
+        scale = 1 / (R[-1] * mp.sqrt(h))
+        coeffs = [scale * r for r in R]
     with mp.workprec(ctx.bits):
         return PolyCoeffs(family, n, tuple(+c for c in coeffs))
 
@@ -284,16 +274,8 @@ def _nearest(num: int, den: int, prec: int) -> int:
     return ((num << (prec + 1)) + den) // (2 * den)
 
 
-#: Bits over ``prec`` at which :func:`_fixed_table` forms mu_0 and h.
+#: Bits over ``prec`` at which :func:`_fixed_table` forms h.
 _NORM_GUARD = 10
-
-
-@functools.lru_cache(maxsize=64)
-def _norm_constant(kind: str, alpha, beta, prec: int):
-    """mu_0 (:func:`spreadpoly.families.norm_constant`) at ``prec`` bits,
-    memoised: the rules of one weight at many sizes form it once."""
-    with mp.workprec(prec):
-        return norm_constant(kind, alpha, beta)
 
 
 @functools.lru_cache(maxsize=64)
@@ -303,21 +285,14 @@ def _fixed_table(kind: str, alpha, beta, count: int, prec: int):
     Returns ``(diag, offsq, h)``: a_k and b_k^2 for k < ``count``, each
     exact entry of :func:`spreadpoly.families.exact_recurrence` rounded once
     to the integer nearest v 2^(prec + ``_FIXED_GUARD``), and
-    h = mu_0 b_1^2 ... b_{count-1}^2, the squared norm of pi_{count-1}:
-    mu_0 at ``prec + _NORM_GUARD`` bits times the exact product of the
-    b_k^2, rounded once to that precision.
+    h = h_{count-1} of :func:`_squared_norm` at ``prec + _NORM_GUARD`` bits.
     """
     diag, offsq = exact_recurrence(kind, alpha, beta, count)
     fixed = prec + _FIXED_GUARD
-    hprec = prec + _NORM_GUARD
-    _, man, exp, _ = _norm_constant(kind, alpha, beta, hprec)._mpf_
-    num = math.prod(v for v, _ in offsq[1:])
-    den = math.prod(v for _, v in offsq[1:])
-    h = mp.make_mpf(mpf_shift(from_rational(man * num, den, hprec, round_nearest), exp))
     return (
         tuple(_nearest(num, den, fixed) for num, den in diag),
         tuple(_nearest(num, den, fixed) for num, den in offsq),
-        h,
+        _squared_norm(kind, alpha, beta, count - 1, prec + _NORM_GUARD),
     )
 
 
@@ -456,8 +431,8 @@ def _gauss_polish(kind: str, alpha, beta, m: int, bits: int):
       counts at 113 bits, and near an end where A is small so does u^3:
       S'''/S grows like (B/A)^3 there, C_3 only like (B/A)^2 (a second-order
       step leaves Jacobi(-0.9999, 60) weights 2^-113 off at 113 bits).
-      h_{m-1} is mu_0 times the exact product of the b_k^2
-      (:func:`_fixed_table`), and the weight h_{m-1} / S is one division.
+      h_{m-1} is :func:`_squared_norm` (through :func:`_fixed_table`), and
+      the weight h_{m-1} / S is one division.
     * Symmetric weights (Hermite, Jacobi with alpha = beta): only the
       nonpositive half is polished, the middle node of an odd rule is
       exactly 0, and nodes and weights are mirrored exactly.

@@ -52,6 +52,7 @@ Two adaptive integrators serve the Shannon integrals:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,12 @@ class NonIntegrableError(ParameterError):
 
 class QuadratureError(ArithmeticError):
     """Adaptive integration failed to reach the requested tolerance."""
+
+
+def _check_tol(tol) -> None:
+    """ParameterError unless ``tol`` is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -234,11 +241,13 @@ def integrate_log_singular(f, interval, split_points, ctx: PrecisionContext, *, 
 
     The panels are ``[lo, *split_points, hi]`` as given, not sorted, merged
     or rounded; ParameterError unless strictly increasing.  Returns
-    ``(value, est_error)``.  Acceptance: est_error <= ``tol``, an absolute
-    tolerance, retried at doubled precision ``_ESCALATIONS`` times before
-    raising :class:`QuadratureError`.  Infinite endpoints are handled by
-    the double-exponential variable transform of the underlying integrator.
+    ``(value, est_error)``.  Acceptance: est_error <= ``tol``, a finite
+    positive absolute tolerance, retried at doubled precision
+    ``_ESCALATIONS`` times before raising :class:`QuadratureError`.
+    Infinite endpoints are handled by the double-exponential variable
+    transform of the underlying integrator.
     """
+    _check_tol(tol)
     lo, hi = interval
     pts = [lo, *split_points, hi]
     if not all(a < b for a, b in zip(pts, pts[1:])):
@@ -432,8 +441,10 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     refinement level reaches; it is inf for gamma <= -1.  Nonnegative
     exponents add nothing.
 
-    Returns ``(value, est_error)`` as floats.
+    Returns ``(value, est_error)`` as floats; ParameterError unless ``tol``
+    is finite and positive.
     """
+    _check_tol(tol)
     pts = [float(p) for p in points]
     for gamma, end in zip(edge_exponents, (pts[0], pts[-1])):
         if gamma < 0 and not np.isfinite(end):

@@ -14,9 +14,9 @@ with panel splits at those zeros by a vectorized float64 tanh-sinh engine,
 first for every family.  Its error estimate counts the mass it leaves out
 beside an endpoint where a negative weight exponent makes the density blow
 up; when the estimate exceeds the tolerance (exponents near -1, or
-tolerances below 1e-12) an adaptive arbitrary-precision integrator takes
-over.  ``ShannonResult.path`` says which of the two ran, or ``"exact"`` at
-n = 0.
+tolerances below 1e-12), or the engine's start p_0 is no normal double, an
+adaptive arbitrary-precision integrator takes over.  ``ShannonResult.path``
+says which of the two ran, or ``"exact"`` at n = 0.
 
 Also here: the large-n entropy formulas, the universal linear relation
 between the Shannon length N = exp(S) and the standard deviation, and
@@ -33,10 +33,10 @@ from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
-from .quadrature import _split_integral, tanh_sinh_panels
+from .quadrature import _check_tol, _split_integral, tanh_sinh_panels
 from .closed_form import laguerre_real_moment, moment, stddev
 from .orthopoly import zeros_raw
-from ._vec import log_weight, poly_scaled
+from ._vec import _p0, log_weight, poly_scaled
 
 __all__ = [
     "ShannonResult",
@@ -227,7 +227,7 @@ def _entropy_ground_state(family: Family, ctx: PrecisionContext):
     of the size of its terms (:func:`_mean_log_weight`), so at p bits S_0 is
     within 2^(4-p) (2 + |ln mu_0| + that size + |S_0|)."""
     with mp.workprec(ctx.bits):
-        log_mu0 = mp.log(norm_constant(family.kind, family.alpha, family.beta))
+        log_mu0 = mp.log(norm_constant(family.kind, family.alpha, family.beta, ctx.bits))
         mean_log_w, size = _mean_log_weight(family, 0)
         S = log_mu0 - mean_log_w
         return S, mp.ldexp(2 + abs(log_mu0) + size + abs(S), 4 - ctx.bits)
@@ -240,17 +240,20 @@ def shannon_numeric(
 
     At n = 0 S is the closed form of :func:`_entropy_ground_state`, at
     ``ctx.bits`` whatever ``tol``.  Otherwise the float64 engine runs first
-    when ``tol >= 1e-12``; the mpf integrator takes over when its estimate
-    exceeds ``tol``.  The result does not depend on the caller's ``mp.prec``.
+    when ``tol >= 1e-12`` and its start p_0 is a normal double (not so for
+    Laguerre alpha above 300.33); the mpf integrator takes over when its
+    estimate exceeds ``tol``.  ParameterError unless ``tol`` is finite and
+    positive.  The result does not depend on the caller's ``mp.prec``.
     """
     if n < 0:
         raise ParameterError("degree must be nonnegative")
+    _check_tol(tol)
     if n == 0:
         S, est = _entropy_ground_state(family, ctx)
         path = PATH_EXACT
     else:
         est = mp.inf
-        if tol >= 1e-12:
+        if tol >= 1e-12 and _p0(family.kind, family.alpha, family.beta) is not None:
             S, est = _entropy_fast(family, n, tol)
             path = PATH_FLOAT64
         if not est <= tol:

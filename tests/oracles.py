@@ -162,8 +162,9 @@ def _rising(x: Fraction, k: int) -> Fraction:
 
 
 def explicit_ratios(family, n: int) -> list:
-    """r_t = c_t / K of p_n, summed term by term in Fraction from the
-    classical displays, up to the sign that makes r_n positive."""
+    """r_t of the classical displays of p_n, proportional to its monomial
+    coefficients, summed term by term in Fraction, up to the sign that makes
+    r_n positive."""
     if family.kind == HERMITE:
         r = [Fraction(0)] * (n + 1)
         for t in range(n % 2, n + 1, 2):

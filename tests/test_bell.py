@@ -16,6 +16,7 @@ from oracles import (
     partial_bell_layered,
     schoolbook_product,
 )
+from spreadpoly import orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import (
@@ -247,17 +248,19 @@ EXPONENT = st.floats(min_value=-0.45, max_value=6.0, exclude_min=True)
     n=st.integers(min_value=0, max_value=10),
 )
 def test_bell_route_properties(kind, alpha, beta, n):
-    # W_1 = 1 (normalization), and the Bell and Gauss routes agree on the
-    # signed power integral to 1e-30 at 128 bits; the weight moments of the
-    # one and the Gauss rules of the other share no code.  Both carry alpha q
-    # and beta q exactly (rounded to doubles, they put the routes 1e-14 apart).
+    # W_1 = 1 (normalization) to the rounding of W at twice the bits: its
+    # constant m_0 / (R_n^2 h_n) is formed with guard bits, so nothing else
+    # shows.  The Bell and Gauss routes agree on the signed power integral to
+    # 1e-30 at 128 bits; the weight moments of the one and the Gauss rules of
+    # the other share no code.  Both carry alpha q and beta q exactly
+    # (rounded to doubles, they put the routes 1e-14 apart).
     family = Family(
         kind,
         0.0 if kind == "hermite" else alpha,
         beta if kind == "jacobi" else 0.0,
     )
     one = renyi_power_integral_bell(family, n, RenyiOrder(2), FAST)
-    assert abs(one - 1) <= mp.mpf(1e-30)
+    assert abs(one - 1) <= mp.ldexp(1, -2 * FAST.bits)
     for two_q in (3, 4):
         order = RenyiOrder(two_q)
         bell = renyi_power_integral_bell(family, n, order, FAST)
@@ -267,6 +270,47 @@ def test_bell_route_properties(kind, alpha, beta, n):
         # -4.3e-415, Gauss 7.0e-46), so the floor is absolute
         bound = mp.mpf(1e-30) * max(abs(bell), abs(gauss)) + mp.mpf(2) ** -FAST.bits
         assert abs(bell - gauss) <= bound, two_q
+
+
+def _clear_norm_memos():
+    for memo in (orthopoly._squared_norm, orthopoly._fixed_table, quadrature._standard_rule):
+        memo.cache_clear()
+
+
+#: Relative error put into the table's mu_0 by :func:`_perturbed_mu0`.
+MU0_ERROR = mp.ldexp(1, -60)
+
+
+@pytest.fixture
+def _perturbed_mu0(monkeypatch):
+    """The recurrence table's mu_0 times (1 + 2^-60), with the memos that
+    hold it cleared before and after."""
+    true_mu0 = orthopoly.norm_constant
+
+    def mu0(kind, alpha, beta, prec):
+        with mp.workprec(prec):
+            return true_mu0(kind, alpha, beta, prec) * (1 + MU0_ERROR)
+
+    monkeypatch.setattr(orthopoly, "norm_constant", mu0)
+    _clear_norm_memos()
+    yield
+    monkeypatch.undo()
+    _clear_norm_memos()
+
+
+@pytest.mark.parametrize(
+    "family", [Family.hermite(), Family.laguerre(2.5), Family.jacobi(0.5, -0.25)], ids=Family.describe
+)
+def test_bell_unit_integral_checks_the_table_norm(family, _perturbed_mu0):
+    # Bell's m_0 restates mu_0 apart from the table, so its W_1 = 1 sees an
+    # error in h_n; the Gauss route divides h_n out of p_n^2 and multiplies
+    # it back into its weights, so its W_1 stays 1 and cannot
+    for n in (0, 4):
+        bell = renyi_power_integral_bell(family, n, RenyiOrder(2), FAST)
+        gauss = integrate_density_power(family, n, RenyiOrder(2), FAST)
+        with mp.workprec(4 * FAST.bits):
+            assert abs(bell * (1 + MU0_ERROR) - 1) <= mp.ldexp(1, 1 - 2 * FAST.bits), n
+            assert abs(gauss - 1) <= mp.ldexp(1, 8 - FAST.bits), n
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ former Newton loop and Christoffel sum (``_ref_zeros_raw``,
 ``_ref_christoffel_weights``) serve as an oracle at twice the precision.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,12 +38,12 @@ from spreadpoly.families import (
 )
 from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.orthopoly import (
-    _coeff_scale,
     _eigen_seeds,
     _explicit_coeffs,
     _gauss_polish,
     _is_symmetric,
     _mirrored_increasing,
+    _squared_norm,
     evaluate_recurrence,
     monic_fixed,
     orthonormal_coeffs,
@@ -76,7 +77,7 @@ def _ids(fam):
 def _ref_evaluate(family, n, x):
     x = mp.mpf(x)
     diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
-    pk = 1 / mp.sqrt(norm_constant(family.kind, family.alpha, family.beta))
+    pk = 1 / mp.sqrt(norm_constant(family.kind, family.alpha, family.beta, mp.prec))
     pkm1 = mp.mpf(0)
     for k in range(n):
         pk, pkm1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1], pk
@@ -157,7 +158,7 @@ def _ref_zeros_raw(kind, alpha, beta, n, bits):
 def _ref_christoffel_weights(kind, alpha, beta, m, bits, nodes):
     with mp.workprec(bits + 20):
         diag, off = raw_recurrence(kind, alpha, beta, m + 1)
-        c0 = 1 / mp.sqrt(norm_constant(kind, alpha, beta))
+        c0 = 1 / mp.sqrt(norm_constant(kind, alpha, beta, mp.prec))
         weights = []
         for x in nodes:
             pkm1 = mp.mpf(0)
@@ -209,7 +210,7 @@ def test_recurrence_evaluation_is_bit_identical(family, bits):
         with mp.workprec(2 * bits + 64):
             diag, off = raw_recurrence(kind, alpha, beta, n + 1)
             offsq = [b * b for b in off]
-            c = 1 / mp.sqrt(norm_constant(kind, alpha, beta) * mp.fprod(offsq[1:]))
+            c = 1 / mp.sqrt(norm_constant(kind, alpha, beta, mp.prec) * mp.fprod(offsq[1:]))
         zs = zeros(family, n, PrecisionContext(bits=bits)) if n else []
         for xs in XS + tuple(zs[n // 2 : n // 2 + 1]):
             with mp.workprec(bits):
@@ -322,22 +323,25 @@ def test_gauss_polish_matches_the_oracle(kind, alpha, beta, two_q, m, bits):
             assert weights == weights[::-1]
 
 
-#: The coefficients are exact integers: R_t / L equals the display summed in
-#: Fraction, the powers equal schoolbook products, and the mpf coefficients
-#: at ``bits`` are K R_t / L rounded once (equal to the value formed at
-#: 4 bits and rounded to ``bits``).
+#: The coefficients are exact integers: R_t / R_n equals the display's ratio
+#: summed in Fraction, the powers equal schoolbook products, and the mpf
+#: coefficients at ``bits`` are R_t / (R_n sqrt(h_n)) rounded once (equal to
+#: the value formed at 4 bits and rounded to ``bits``).
 @pytest.mark.parametrize("bits", BITS)
 @pytest.mark.parametrize("family", FAMILIES, ids=_ids)
 def test_coefficients_and_powers_are_bit_identical(family, bits):
+    kind, alpha, beta = family.kind, family.alpha, family.beta
     for n in DEGREES:
-        R, L = _explicit_coeffs(family, n)
-        assert [Fraction(r, L) for r in R] == explicit_ratios(family, n), n
+        R = _explicit_coeffs(family, n)
+        display = explicit_ratios(family, n)
+        assert R[-1] > 0 and math.gcd(*R) == 1, n
+        assert [Fraction(r, R[-1]) for r in R] == [c / display[-1] for c in display], n
         for p in (1, 2, 3) if n == 40 else (1, 2, 3, 6):
             assert polynomial_power_coeffs(R, p) == naive_power(R, p), (n, p)
         got = orthonormal_coeffs(family, n, PrecisionContext(bits=bits)).coeffs
         with mp.workprec(4 * bits):
-            k = _coeff_scale(family, n, 4 * bits)
-            fine = [k * r / L for r in R]
+            h = _squared_norm(kind, alpha, beta, n, 4 * bits)
+            fine = [r / (R[-1] * mp.sqrt(h)) for r in R]
         with mp.workprec(bits):
             assert got == tuple(+c for c in fine), n
 
@@ -383,13 +387,13 @@ def test_coefficient_memo_serves_a_whole_measures_row():
     assert _explicit_coeffs.cache_info().hits == 1
 
 
-def test_coefficient_scale_is_formed_once_per_renyi_grid_cell():
-    # criterion 3's grid walked order by order, so a cell's K is asked for
+def test_squared_norm_is_formed_once_per_renyi_grid_cell():
+    # criterion 3's grid walked order by order, so a cell's h_n is asked for
     # again only after every other cell's: the memo still holds them all
     grid = (-0.5, 0.0, 0.5, 2.0, 5.0)
     families = [Family.hermite()] + [Family.laguerre(a) for a in grid]
     families += [Family.jacobi(a, b) for a in grid for b in grid]
-    _coeff_scale.cache_clear()
+    _squared_norm.cache_clear()
     calls = 0
     for two_q in (2, 3, 4, 6):
         order = RenyiOrder(two_q)
@@ -399,7 +403,7 @@ def test_coefficient_scale_is_formed_once_per_renyi_grid_cell():
             for n in range(9):
                 renyi_power_integral_bell(fam, n, order, PrecisionContext())
                 calls += 1
-    info = _coeff_scale.cache_info()
+    info = _squared_norm.cache_info()
     assert info.misses == len(families) * 9
     assert info.hits == calls - info.misses
 

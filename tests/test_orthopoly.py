@@ -183,7 +183,7 @@ def test_float_table_is_the_exact_table_rounded_once(kind, alpha, beta, count):
         mdiag, moff = oracles.raw_recurrence(kind, alpha, beta, count)
         assert all(_within_ulp(got, ref) for got, ref in zip(diag + off, mdiag + moff))
     with mp.workprec(200):
-        assert _within_ulp(p0, 1 / mp.sqrt(norm_constant(kind, alpha, beta)))
+        assert _within_ulp(p0, 1 / mp.sqrt(norm_constant(kind, alpha, beta, mp.prec)))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -220,7 +220,7 @@ def test_exact_table_is_the_recurrence(kind, alpha, beta, two_q, count):
             assert abs(mp.mpf(num) / den - ref) <= tol * abs(ref)
         for (num, den), ref in zip(offsq, moff):
             assert abs(mp.mpf(num) / den - ref**2) <= tol * ref**2
-        h_ref = norm_constant(kind, a, b) * mp.fprod(v**2 for v in moff[1:])
+        h_ref = norm_constant(kind, a, b, mp.prec) * mp.fprod(v**2 for v in moff[1:])
     prec = 200
     fixed = prec + _FIXED_GUARD
     fdiag, foffsq, h = _fixed_table(kind, a, b, count, prec)

@@ -1,6 +1,8 @@
 """Gauss rules, weight moments, density-power integrals, and the two
 adaptive integrators, checked against scipy nodes and closed integrals."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -408,6 +410,18 @@ def test_integrate_log_singular():
         assert err <= 4e-20
     with pytest.raises(TypeError):
         integrate_log_singular(lambda x: x, (0, 1), [], ctx)  # no default tolerance
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_integrators_reject_bad_tolerances(tol):
+    # a nan tolerance used to double mp.quad's precision without end, and
+    # tanh_sinh_panels returned a value that no tolerance backed
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="tolerance"):
+        tanh_sinh_panels(lambda i, a, b, x, dl, dr: np.ones_like(x), [0.0, 1.0], tol=tol)
+    with pytest.raises(ParameterError, match="tolerance"):
+        integrate_log_singular(lambda x: x, (mp.mpf(0), mp.mpf(1)), [], CTX, tol=tol)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 against exactly known ground states, large-n displays, and entropy bounds."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mpmath import mp
 
 import oracles
 from spreadpoly import shannon
-from spreadpoly.context import ParameterError, PrecisionContext
+from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant
 from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, poly_scaled
 from spreadpoly.orthopoly import evaluate_recurrence, zeros, zeros_raw
@@ -163,7 +164,7 @@ def test_float64_estimate_bounds_the_error(fam, n, ref):
     assert est <= 1e-9
     with mp.workprec(256):
         if ref is None:
-            mu0 = norm_constant(fam.kind, fam.alpha, fam.beta)
+            mu0 = norm_constant(fam.kind, fam.alpha, fam.beta, mp.prec)
             want = mp.log(mu0) - _mean_log_weight(fam, 0)[0]
         else:
             want = mp.mpf(ref)
@@ -230,6 +231,29 @@ def test_large_degree_laguerre_stays_on_float64():
     # past tol the cell goes to the mpf route, which takes minutes at this n
     S, est = _entropy_fast(Family.laguerre(5.0), 1200, 1e-9)
     assert est <= 1e-9
+
+
+def test_p0_outside_the_doubles_takes_the_mpf_path():
+    # p_0 = 1/sqrt(Gamma(302)) is about 1e-311, not a normal double, so the
+    # float64 engine cannot start and the mpf integrator runs in its place;
+    # at alpha = 300 p_0 is normal and the cell stays on float64
+    with pytest.raises(PrecisionError, match="p_0"):
+        poly_scaled("laguerre", 301.0, 0.0, 2, np.array([300.0]))
+    res = shannon_numeric(Family.laguerre(301.0), 2)
+    assert res.path == "mpf" and res.est_error <= 1e-9
+    assert abs(res.entropy - mp.mpf("4.70226912383446")) <= 1e-13
+    assert shannon_numeric(Family.laguerre(300.0), 2).path == "float64"
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("n", [0, 1])
+def test_bad_tolerance_is_rejected(tol, n):
+    # a nan tolerance used to send the cell to the mpf route, which doubled
+    # its precision without end
+    start = time.perf_counter()
+    with pytest.raises(ParameterError, match="tolerance"):
+        shannon_numeric(Family.hermite(), n, tol=tol)
+    assert time.perf_counter() - start < 1
 
 
 def test_converged_panels_stop_refining():
