@@ -112,8 +112,11 @@ def _family_from_args(args) -> Family:
 
 def _write(args, text):
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.output!r}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

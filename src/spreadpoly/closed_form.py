@@ -1,6 +1,6 @@
 """Closed-form spreading measures: standard deviation, Fisher information
 and length, Cramér-Rao products with their large-degree rates, and
-ordinary moments.
+ordinary moments from one exact Laguerre sum, with a Gauss-rule oracle.
 
 Branch structure is implemented *exactly as the closed forms state it*:
 parameter comparisons are exact (alpha = 0 means exactly zero), and the
@@ -36,7 +36,6 @@ __all__ = [
     "asymptotic_cramer_rao",
     "moment",
     "moment_quadrature",
-    "laguerre_real_moment",
 ]
 
 _DEFAULT_CTX = PrecisionContext()
@@ -250,37 +249,52 @@ def asymptotic_cramer_rao(family: Family, ctx: PrecisionContext = _DEFAULT_CTX) 
         return AsymptoticRate(mp.mpf(0), Fraction(0))
 
 
-def moment(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Ordinary moment <x^k> in closed form (Hermite and Laguerre only).
+def moment(family: Family, n: int, k, ctx: PrecisionContext = _DEFAULT_CTX):
+    """Ordinary moment <x^k> (Hermite and Laguerre only) from one exact sum.
 
-    alpha is a double, so the closed form is an exact rational, rounded
-    once at ``ctx.bits``: for Hermite (k = 2h) (k-1)!!/2^h times the integer
-    2F1(-n, -h; 1; 2) = sum_j C(n,j) C(h,j) 2^j, for Laguerre
-    n! Gamma(k+alpha+1)/Gamma(n+alpha+1) sum_r C(k,n-r)^2 C(k+alpha+r, r).
+    Laguerre(a), real k with a + k > -1 (DLMF 18.18.18 and orthogonality):
+    n! Gamma(a+k+1)/Gamma(a+n+1) sum_r C(k,n-r)^2 C(a+k+r,r), terms >= 0.
+    Hermite, integer k >= 0: 0 for odd k, else the Laguerre(e-1/2) moment of
+    order k/2 at degree m, where n = 2m + e (DLMF 18.7.19-20).  The sum is
+    one integer ratio.  For integer k the Gamma ratio is a Pochhammer product
+    and the moment one exact rational rounded once at ``ctx.bits``; else the
+    Gamma ratio takes 32 guard bits and the product is rounded once.
     """
-    if k < 0:
-        raise ParameterError("moment order must be nonnegative")
+    if n < 0:
+        raise ParameterError("degree must be nonnegative")
+    k = _rational(k)
     if family.kind == HERMITE:
-        if k % 2:
+        if k.denominator != 1 or k < 0:
+            raise ParameterError("hermite moments need an integer order k >= 0")
+        if k.numerator % 2:
             return mp.mpf(0)
-        half = k // 2
-        fa = sum((math.comb(n, j) * math.comb(half, j)) << j for j in range(min(n, half) + 1))
-        exact = Fraction(fa * math.prod(range(1, k, 2)), 2**half)
+        a, k, n = Fraction(n % 2 * 2 - 1, 2), k / 2, n // 2
     elif family.kind == LAGUERRE:
         a = _rational(family.alpha)
-        ratio = Fraction(1)  # the Gamma ratio, a Pochhammer product
-        for j in range(min(k, n) + 1, max(k, n) + 1):
-            ratio *= j + a
-        acc, binom = Fraction(0), Fraction(1)  # binom = C(k+a+r, r)
-        for r in range(n + 1):
-            acc += math.comb(k, n - r) ** 2 * binom
-            binom = binom * (k + a + r + 1) / (r + 1)
-        exact = math.factorial(n) * (ratio if k >= n else 1 / ratio) * acc
+        if not a + k > -1:
+            raise ParameterError("laguerre moments need alpha + k > -1")
     else:
         raise ParameterError("closed-form moments cover hermite and laguerre only")
-    return mp.make_mpf(
-        libmp.from_rational(exact.numerator, exact.denominator, ctx.bits, libmp.round_nearest)
-    )
+    d = math.lcm(a.denominator, k.denominator)
+    A, K = a.numerator * (d // a.denominator), k.numerator * (d // k.denominator)
+    P = [1]  # P[j] = d^j j! C(k, j)
+    for i in range(n):
+        P.append(P[-1] * (K - i * d))
+    num, q = 0, 1  # q = (d^r r!)^2 C(a+k+r, r)
+    for r in range(n + 1):
+        num += P[n - r] ** 2 * q * math.comb(n, r) ** 2
+        q *= (K + A + (r + 1) * d) * d * (r + 1)
+    den = d ** (2 * n) * math.factorial(n)  # num/den = n! sum_r ...
+    if k.denominator == 1:  # the Gamma ratio is a product of (A + j d)/d
+        lo, hi = sorted((k.numerator, n))
+        poch, scale = math.prod(A + j * d for j in range(lo + 1, hi + 1)), d ** (hi - lo)
+        num, den = (num * poch, den * scale) if k >= n else (num * scale, den * poch)
+        return mp.make_mpf(libmp.from_rational(num, den, ctx.bits, libmp.round_nearest))
+    with mp.workprec(ctx.bits + 32):
+        value = mp.gamma(mp.mpf(K + A + d) / d) / mp.gamma(mp.mpf(A + (n + 1) * d) / d)
+        value *= mp.make_mpf(libmp.from_rational(num, den, mp.prec, libmp.round_nearest))
+    with mp.workprec(ctx.bits):
+        return +value
 
 
 def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
@@ -288,19 +302,4 @@ def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _D
     return _rule_sum(
         family, n, WeightSpec.from_family(family), (2 * n + k) // 2 + 1, ctx,
         lambda x, w, v: w * v * v * mp.power(x, k),
-    )
-
-
-def laguerre_real_moment(n: int, alpha: float, b, ctx: PrecisionContext = _DEFAULT_CTX):
-    """<x^b> for real b > -1-alpha, via the exponent-shifted Gauss rule.
-
-    The shifted exponent alpha + b is the exact mpf sum, as
-    :meth:`WeightSpec.power` forms alpha q.
-    """
-    shifted = mp.fadd(alpha, b, exact=True)
-    if not shifted > -1:
-        raise ParameterError("shifted exponent alpha+b must exceed -1")
-    return _rule_sum(
-        Family.laguerre(alpha), n, WeightSpec(LAGUERRE, shifted), n + 1, ctx,
-        lambda x, w, v: w * v * v,
     )

@@ -180,7 +180,10 @@ def _rational(x) -> Fraction:
         sign, man, exp, _ = x._mpf_
         value = Fraction(-man if sign else man)
         return value * 2**exp if exp >= 0 else value / 2**-exp
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (OverflowError, ValueError) as exc:
+        raise ParameterError("parameters must be finite") from exc
 
 
 def power_integrable(q, *exponents) -> bool:

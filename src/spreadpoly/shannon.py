@@ -34,7 +34,7 @@ from mpmath import mp
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
 from .quadrature import _check_tol, _split_integral, tanh_sinh_panels
-from .closed_form import laguerre_real_moment, moment, stddev
+from .closed_form import moment, stddev
 from .orthopoly import zeros_raw
 from ._vec import _p0, log_weight, poly_scaled
 
@@ -319,7 +319,7 @@ def shannon_bound_laguerre(
     if not b > 0:
         raise ParameterError("the bound requires b > 0")
     with mp.workprec(ctx.bits):
-        mb = laguerre_real_moment(n, alpha, b, ctx)
+        mb = moment(Family.laguerre(alpha), n, b, ctx)
         bf = mp.mpf(b)
         return +(
             mp.gamma(1 / bf) * mp.power(bf * mp.e, 1 / bf) / bf

@@ -5,7 +5,8 @@ and the layered recurrence for partial Bell polynomials, schoolbook
 polynomial products and powers, the terminating 2F1 closed form of a
 Jacobi moment of w^q, the textbook recurrence formulas in mpf, the
 explicit coefficient displays and the Hermite and Laguerre moment displays
-summed in ``Fraction``, the closed Laguerre Rényi lengths at n = 0 and
+summed in ``Fraction``, a real-order Laguerre moment by the Gauss rule of
+the exponent-shifted weight, the closed Laguerre Rényi lengths at n = 0 and
 n = 1, the Gamma closed forms of the weights' moments with a rule's sum
 to check them on, and the float64 tanh-sinh loop that refines every panel
 to the same level.  The n = 1 length needs a terminating 2F0; it is summed
@@ -22,14 +23,16 @@ from mpmath import libmp, mp
 
 from spreadpoly.bell import _jacobi_moment_prefactor, length_from_power_integral
 from spreadpoly.context import ParameterError
-from spreadpoly.families import HERMITE, LAGUERRE, RenyiOrder, _rational
+from spreadpoly.families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational
 from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.quadrature import (
     _BATCH_NODES,
     _MAX_LEVEL,
     QuadratureError,
+    WeightSpec,
     _edge_tail,
     _panel_nodes,
+    _rule_sum,
 )
 
 
@@ -204,6 +207,17 @@ def moment_display(family, n: int, k: int) -> Fraction:
         for r in range(n + 1)
     )
     return math.factorial(n) * _rising(a + 1, k) / _rising(a + 1, n) * acc
+
+
+def laguerre_real_moment_rule(n: int, alpha, b, ctx):
+    """<x^b> of the degree-n Laguerre(alpha) density for real b > -1-alpha:
+    the (n+1)-node Gauss rule of x^(alpha+b) e^-x summed over p_n^2, which
+    is exact because p_n^2 has degree 2n.  alpha + b is the exact mpf sum."""
+    spec = WeightSpec(LAGUERRE, mp.fadd(alpha, b, exact=True))
+    return _rule_sum(
+        Family.laguerre(alpha), n, spec, n + 1, ctx,
+        lambda x, w, v: w * v * v,
+    )
 
 
 def renyi_length_laguerre_n0(alpha, q, ctx):

@@ -161,6 +161,22 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == HEADER
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measures", "--family", "hermite", "--n", "0", "--bits", "128"),
+        ("verify", "--scope", "moments", "--bits", "128"),
+    ],
+    ids=["measures", "verify"],
+)
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "no" / "such" / "dir" / "x.csv"
+    rc, out, err = run(capsys, *argv, "--output", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("spreadpoly: error:") and len(err.splitlines()) == 1
+    assert str(target) in err
+
+
 def test_family_parameter_validation(capsys):
     rc, _, err = run(capsys, "measures", "--family", "hermite", "--alpha", "1", "--n", "0")
     assert rc == 2 and "spreadpoly: error:" in err

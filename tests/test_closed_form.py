@@ -1,13 +1,16 @@
 """Closed-form stddev, Fisher information/length, Cramer-Rao products,
 and moments, against hand-derived values and the numeric routes."""
 
+import math
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import libmp, mp
 
-from oracles import moment_display
+from oracles import laguerre_real_moment_rule, moment_display
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
 from spreadpoly.quadrature import QuadratureError
@@ -18,7 +21,6 @@ from spreadpoly.closed_form import (
     fisher_information_numeric,
     fisher_length,
     fisher_truncated,
-    laguerre_real_moment,
     moment,
     moment_quadrature,
     stddev,
@@ -199,12 +201,13 @@ def test_moments_match_quadrature(k):
 
 def test_laguerre_real_moment_interpolates_integer_orders():
     with mp.workprec(CTX.bits):
+        # a real order 1e-70 off an integer takes the Gamma-ratio path
         for b in (0, 1, 2):
-            got = laguerre_real_moment(3, 0.5, b, CTX)
+            got = moment(Family.laguerre(0.5), 3, b + mp.mpf("1e-70"), CTX)
             want = moment(Family.laguerre(0.5), 3, b, CTX)
             assert abs(got - want) <= mp.mpf(1e-60) * max(1, abs(want))
         # non-integer order against direct adaptive integration
-        got = laguerre_real_moment(2, 0.0, mp.mpf("0.5"), CTX)
+        got = moment(Family.laguerre(0.0), 2, mp.mpf("0.5"), CTX)
         fam = Family.laguerre(0.0)
         from spreadpoly.orthopoly import evaluate_recurrence
 
@@ -218,14 +221,67 @@ def test_laguerre_real_moment_interpolates_integer_orders():
 @pytest.mark.parametrize("alpha,b", [(5.0, 1 / 3), (2.0, 0.7), (-0.5, 0.25), (0.0, mp.mpf(2) / 3)])
 def test_laguerre_real_moment_ground_state_is_a_gamma_ratio(alpha, b):
     # n = 0: <x^b> = Gamma(alpha+b+1)/Gamma(alpha+1), with alpha + b exact
-    got = laguerre_real_moment(0, alpha, b, CTX)
+    got = moment(Family.laguerre(alpha), 0, b, CTX)
     with mp.workprec(2 * CTX.bits):
         want = mp.gamma(mp.fadd(alpha, b, exact=True) + 1) / mp.gamma(mp.mpf(alpha) + 1)
         assert abs(got - want) <= mp.mpf(2) ** (8 - CTX.bits) * want
 
 
-def test_moment_rejects_bad_orders():
+@pytest.mark.parametrize("bits", [128, 256])
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(
+    alpha=st.floats(-1.0, 6.0, exclude_min=True),
+    b=st.floats(0.0, 40.0, exclude_min=True),
+    n=st.integers(0, 40),
+)
+@example(alpha=5.0, b=1.2345678901234, n=40)
+def test_real_order_moment_matches_the_shifted_gauss_rule(bits, alpha, b, n):
+    ctx = PrecisionContext(bits=bits)
+    got = moment(Family.laguerre(alpha), n, b, ctx)
+    want = laguerre_real_moment_rule(n, alpha, b, ctx)
+    with mp.workprec(2 * bits):
+        assert abs(got - want) <= mp.mpf(2) ** (8 - bits) * want, (got, want)
+
+
+def test_hermite_moment_is_the_display_rounded_once_to_degree_40():
+    for n in range(41):
+        for k in range(0, 41, 2):
+            exact = moment_display(Family.hermite(), n, k)
+            want = libmp.from_rational(
+                exact.numerator, exact.denominator, CTX.bits, libmp.round_nearest)
+            assert moment(Family.hermite(), n, k, CTX)._mpf_ == want, (n, k)
+
+
+def test_moment_reads_the_order_as_a_number():
+    # an integer-valued float takes the exact integer path
+    for k in (0, 2, 3):
+        want = moment(Family.laguerre(1.0), 2, k, CTX)
+        assert moment(Family.laguerre(1.0), 2, float(k), CTX)._mpf_ == want._mpf_
+        assert moment(Family.laguerre(1.0), 2, mp.mpf(k), CTX)._mpf_ == want._mpf_
+    assert moment(Family.hermite(), 3, 4.0, CTX)._mpf_ == moment(Family.hermite(), 3, 4, CTX)._mpf_
+    # a negative order with alpha + k > -1: n = 0 gives Gamma(alpha)/Gamma(alpha+1)
+    got = moment(Family.laguerre(2.5), 0, -1, CTX)
+    assert got._mpf_ == libmp.from_rational(2, 5, CTX.bits, libmp.round_nearest)
+    with mp.workprec(CTX.bits):
+        got = moment(Family.laguerre(2.5), 0, -0.5, CTX)
+        want = mp.gamma(3) / mp.gamma(mp.mpf(3.5))
+        assert abs(got - want) <= mp.mpf(2) ** (8 - CTX.bits) * want
+
+
+@pytest.mark.parametrize(
+    "family,n,k",
+    [
+        (Family.hermite(), 2, -1),
+        (Family.hermite(), 2, 2.5),
+        (Family.hermite(), 2, mp.mpf("0.5")),
+        (Family.hermite(), 2, math.inf),
+        (Family.laguerre(0.5), 2, -1.5),
+        (Family.laguerre(-0.5), 2, -0.5),
+        (Family.laguerre(0.0), 2, math.nan),
+        (Family.laguerre(0.0), -1, 2),
+        (Family.jacobi(0.0, 0.0), 2, 2),
+    ],
+)
+def test_moment_rejects_bad_orders(family, n, k):
     with pytest.raises(ParameterError):
-        moment(Family.hermite(), 2, -1, CTX)
-    with pytest.raises(ParameterError):
-        moment(Family.jacobi(0.0, 0.0), 2, 2, CTX)
+        moment(family, n, k, CTX)

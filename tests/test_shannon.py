@@ -16,7 +16,7 @@ from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant
 from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, poly_scaled
 from spreadpoly.orthopoly import evaluate_recurrence, zeros, zeros_raw
-from spreadpoly.quadrature import tanh_sinh_panels
+from spreadpoly.quadrature import _standard_rule, tanh_sinh_panels
 from spreadpoly.shannon import (
     InequalityAudit,
     ShannonResult,
@@ -504,6 +504,12 @@ def test_laguerre_bound_is_minimal_over_b(alpha, n):
     scan = min(bound(10.0 ** (j / 10)) for j in range(-30, 31))
     with mp.workprec(FAST.bits):
         assert value <= scan * (1 + mp.mpf(1e-15))
+
+
+def test_laguerre_bound_search_builds_no_gauss_rule():
+    misses = _standard_rule.cache_info().misses
+    optimize_bound(Family.laguerre(5.0), 40, FAST)
+    assert _standard_rule.cache_info().misses == misses
 
 
 def test_laguerre_ground_state_bound_meets_e():
