@@ -110,10 +110,10 @@ def _family_from_args(args) -> Family:
     return Family.jacobi(args.alpha, args.beta)
 
 
-def _write(args, text):
+def _write(args, text, mode="w"):
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+            with open(args.output, mode, encoding="utf-8", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ParameterError(f"cannot write {args.output!r}: {exc.strerror}") from None
@@ -248,6 +248,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _write(args, "", "a")  # an unwritable --output fails before any work
         return args.func(args)
     except ParameterError as exc:
         print(f"spreadpoly: error: {exc}", file=sys.stderr)

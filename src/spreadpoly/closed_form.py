@@ -2,11 +2,11 @@
 and length, Cramér-Rao products with their large-degree rates, and
 ordinary moments from one exact Laguerre sum, with a Gauss-rule oracle.
 
-Branch structure is implemented *exactly as the closed forms state it*:
-parameter comparisons are exact (alpha = 0 means exactly zero), and the
-branch tables are not symmetrized or extended beyond what they say, even
-where a limit argument would suggest more.  The numerical Fisher
-functional (an independent oracle) is also provided, plus truncated
+Parameter comparisons are exact (alpha = 0 means exactly zero).  One end
+rule (:func:`_finite_ends`) decides the Fisher table, the Cramér-Rao rate
+and the truncated windows; x -> -x, which swaps the Jacobi exponents, is
+an identity of the density, not an extension of the table.  The numerical
+Fisher functional (an independent oracle) is also provided, plus truncated
 integrals for exhibiting the divergent branches.
 """
 
@@ -21,7 +21,7 @@ from mpmath import libmp, mp
 
 from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, JACOBI, LAGUERRE, Family, _rational
+from .families import HERMITE, LAGUERRE, Family, _rational
 from .orthopoly import zeros_raw
 from .quadrature import QuadratureError, WeightSpec, _rule_sum, tanh_sinh_panels
 
@@ -39,6 +39,18 @@ __all__ = [
 ]
 
 _DEFAULT_CTX = PrecisionContext()
+
+
+def _finite_ends(family: Family):
+    """(end, inward, e, regular) for each finite end, left to right, with e
+    from ``Family.edge_exponents``.  F is finite exactly when every end is
+    regular: e is 0 or e > 1, compared exactly (J. Sánchez-Ruiz and
+    J. S. Dehesa, J. Comput. Appl. Math. 182 (2005))."""
+    return [
+        (float(end), inward, e, e == 0 or e > 1)
+        for end, inward, e in zip(family.interval, (1.0, -1.0), family.edge_exponents)
+        if mp.isfinite(end)
+    ]
 
 
 def _jacobi_bsq(k: int, a, b):
@@ -69,9 +81,11 @@ def stddev(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
 
 
 def fisher_information(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Fisher information of the density; +inf on the divergent branches."""
+    """Fisher information of the density; +inf when an end is irregular."""
     if n < 0:
         raise ParameterError("degree must be nonnegative")
+    if not all(regular for *_, regular in _finite_ends(family)):
+        return mp.inf
     with mp.workprec(ctx.bits):
         al = family.alpha
         be = family.beta
@@ -81,16 +95,14 @@ def fisher_information(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_
         if family.kind == LAGUERRE:
             if al == 0:
                 return 4 * nn + 1
-            if al > 1:
-                a = mp.mpf(al)
-                return ((2 * nn + 1) * a + 1) / (a * a - 1)
-            return mp.inf
+            a = mp.mpf(al)
+            return ((2 * nn + 1) * a + 1) / (a * a - 1)
         if al == 0 and be == 0:
             return 2 * nn * (nn + 1) * (2 * nn + 1)
-        if al > 1 and be == 0:
+        if be == 0:
             # reflection x -> -x swaps the exponents and preserves F
             al, be = be, al
-        if al == 0 and be > 1:
+        if al == 0:
             b = mp.mpf(be)
             return (
                 (2 * nn + b + 1)
@@ -102,18 +114,16 @@ def fisher_information(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_
                     + (nn + 1) ** 2 / (b - 1)
                 )
             )
-        if al > 1 and be > 1:
-            a = mp.mpf(al)
-            b = mp.mpf(be)
-            return +(
-                (2 * nn + a + b + 1)
-                / (4 * (nn + a + b - 1))
-                * (
-                    nn * (nn + a + b - 1) * ((nn + a) / (b + 1) + 2 + (nn + b) / (a + 1))
-                    + (nn + 1) * (nn + a + b) * ((nn + a) / (b - 1) + 2 + (nn + b) / (a - 1))
-                )
+        a = mp.mpf(al)
+        b = mp.mpf(be)
+        return +(
+            (2 * nn + a + b + 1)
+            / (4 * (nn + a + b - 1))
+            * (
+                nn * (nn + a + b - 1) * ((nn + a) / (b + 1) + 2 + (nn + b) / (a + 1))
+                + (nn + 1) * (nn + a + b) * ((nn + a) / (b - 1) + 2 + (nn + b) / (a - 1))
             )
-        return mp.inf
+        )
 
 
 def fisher_length(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
@@ -168,29 +178,20 @@ def fisher_information_numeric(family: Family, n: int):
 
 
 def fisher_truncated(family: Family, n: int, eps: float):
-    """Fisher mass in a window [eps, c] beside each divergent endpoint.
+    """Fisher mass in a window [eps, c] beside each irregular end.
 
     Used to exhibit divergence: the window isolates the singular part of
     the integrand, so on the infinite-F branches the value grows without
     bound as eps -> 0 (the bounded interior never enters and cannot mask
     the growth).  The outer edge c is the nearer of the first zero and a
-    fixed offset 0.5.  Endpoints whose exponent is 0 contribute nothing
-    singular and are skipped.
+    fixed offset 0.5.  Regular ends add a finite amount and are skipped;
+    ParameterError when no end is irregular, since F is then finite.
     """
-    if family.kind == HERMITE:
-        raise ParameterError("no truncation points on the real line")
-    zs = zeros_raw(family.kind, family.alpha, family.beta, n)
-    fpanel = _fisher_integrand(family, n)
-    if family.kind == LAGUERRE:
-        edges = [(0.0, 1.0)] if family.alpha != 0 else []
-    else:
-        edges = []
-        if family.beta != 0:
-            edges.append((-1.0, 1.0))
-        if family.alpha != 0:
-            edges.append((1.0, -1.0))
+    edges = [(end, inward) for end, inward, _, regular in _finite_ends(family) if not regular]
     if not edges:
         raise ParameterError("no divergent endpoint for these exponents")
+    zs = zeros_raw(family.kind, family.alpha, family.beta, n)
+    fpanel = _fisher_integrand(family, n)
     total = mp.mpf(0)
     for end, inward in edges:
         dist = min([0.5] + [abs(z - end) for z in zs])
@@ -220,33 +221,21 @@ class AsymptoticRate:
 
 
 def asymptotic_cramer_rao(family: Family, ctx: PrecisionContext = _DEFAULT_CTX) -> AsymptoticRate:
-    """Large-n rate of the product delta_x * Delta_x, branch-exact."""
+    """Large-n rate of delta_x * Delta_x: with s the sum over the finite ends
+    of c(0) = 4, c(e) = 1/(e+1) + 1/(e-1), Hermite 1/2, Laguerre
+    n^(1/2)/sqrt(s/2), Jacobi n^(-3/2)/sqrt(s); 0 when an end is irregular."""
+    ends = _finite_ends(family)
+    if not all(regular for *_, regular in ends):
+        return AsymptoticRate(mp.mpf(0), Fraction(0))
     with mp.workprec(ctx.bits):
-        al, be = family.alpha, family.beta
         if family.kind == HERMITE:
             return AsymptoticRate(mp.mpf(1) / 2, Fraction(0))
+        s = 0
+        for _, _, e, _ in ends:
+            s += 4 if e == 0 else 1 / (mp.mpf(e) + 1) + 1 / (mp.mpf(e) - 1)
         if family.kind == LAGUERRE:
-            if al == 0:
-                return AsymptoticRate(1 / mp.sqrt(2), Fraction(1, 2))
-            if al > 1:
-                a = mp.mpf(al)
-                return AsymptoticRate(mp.sqrt((a * a - 1) / a), Fraction(1, 2))
-            return AsymptoticRate(mp.mpf(0), Fraction(0))
-        if al == 0 and be == 0:
-            return AsymptoticRate(mp.power(2, mp.mpf(-3) / 2), Fraction(-3, 2))
-        if al == 0 and be > 1:
-            b = mp.mpf(be)
-            return AsymptoticRate(
-                1 / mp.sqrt(1 / (b + 1) + 1 / (b - 1) + 4), Fraction(-3, 2)
-            )
-        if al > 1 and be > 1:
-            a = mp.mpf(al)
-            b = mp.mpf(be)
-            return AsymptoticRate(
-                1 / mp.sqrt(1 / (b + 1) + 1 / (b - 1) + 1 / (a + 1) + 1 / (a - 1)),
-                Fraction(-3, 2),
-            )
-        return AsymptoticRate(mp.mpf(0), Fraction(0))
+            return AsymptoticRate(1 / mp.sqrt(s / 2), Fraction(1, 2))
+        return AsymptoticRate(1 / mp.sqrt(s), Fraction(-3, 2))
 
 
 def moment(family: Family, n: int, k, ctx: PrecisionContext = _DEFAULT_CTX):
@@ -298,7 +287,11 @@ def moment(family: Family, n: int, k, ctx: PrecisionContext = _DEFAULT_CTX):
 
 
 def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Oracle moment: exact Gauss rule applied to x^k p_n^2 w."""
+    """Oracle moment: exact Gauss rule applied to x^k p_n^2 w, integer k >= 0."""
+    k = _rational(k)
+    if k.denominator != 1 or k < 0:
+        raise ParameterError("quadrature moments need an integer order k >= 0")
+    k = int(k)
     return _rule_sum(
         family, n, WeightSpec.from_family(family), (2 * n + k) // 2 + 1, ctx,
         lambda x, w, v: w * v * v * mp.power(x, k),

@@ -28,6 +28,7 @@ from .context import PrecisionContext
 from .families import Family, RenyiOrder, power_integrable
 from .quadrature import _split_integral, integrate_density_power
 from .closed_form import (
+    asymptotic_cramer_rao,
     cramer_rao_product,
     fisher_information,
     fisher_information_numeric,
@@ -169,6 +170,10 @@ def _scope_fisher(ctx):
                 "x -> -x swaps the exponents and preserves F",
             )
         )
+    r, m = (asymptotic_cramer_rao(Family.jacobi(a, b), ctx) for a, b in ((2.0, 0.0), (0.0, 2.0)))
+    d = max(_rel(r.coefficient, m.coefficient), float(abs(r.exponent - m.exponent)))
+    out.append(Check("fisher/reflection/jacobi(2,0)-vs-(0,2)/rate", d <= 0.0, d, 0.0,
+                     "the large-n Cramer-Rao rate, coefficient and exponent"))
     return out
 
 

@@ -5,7 +5,8 @@ and the layered recurrence for partial Bell polynomials, schoolbook
 polynomial products and powers, the terminating 2F1 closed form of a
 Jacobi moment of w^q, the textbook recurrence formulas in mpf, the
 explicit coefficient displays and the Hermite and Laguerre moment displays
-summed in ``Fraction``, a real-order Laguerre moment by the Gauss rule of
+summed in ``Fraction``, the large-n Cramér-Rao rates displayed branch by
+branch, a real-order Laguerre moment by the Gauss rule of
 the exponent-shifted weight, the closed Laguerre Rényi lengths at n = 0 and
 n = 1, the Gamma closed forms of the weights' moments with a rule's sum
 to check them on, and the float64 tanh-sinh loop that refines every panel
@@ -207,6 +208,29 @@ def moment_display(family, n: int, k: int) -> Fraction:
         for r in range(n + 1)
     )
     return math.factorial(n) * _rising(a + 1, k) / _rising(a + 1, n) * acc
+
+
+def cramer_rao_rate_display(family, bits: int):
+    """(coefficient, exponent) of the large-n Cramér-Rao rate as the six
+    closed displays state it: Hermite, Laguerre alpha = 0 and alpha > 1,
+    Jacobi (0, 0), (0, beta > 1) and (alpha > 1, beta > 1); None on any
+    other branch."""
+    with mp.workprec(bits):
+        a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+        if family.kind == HERMITE:
+            return mp.mpf(1) / 2, Fraction(0)
+        if family.kind == LAGUERRE:
+            if a == 0:
+                return 1 / mp.sqrt(2), Fraction(1, 2)
+            return (mp.sqrt((a * a - 1) / a), Fraction(1, 2)) if a > 1 else None
+        if a == 0 and b == 0:
+            return mp.power(2, mp.mpf(-3) / 2), Fraction(-3, 2)
+        if a == 0 and b > 1:
+            return 1 / mp.sqrt(1 / (b + 1) + 1 / (b - 1) + 4), Fraction(-3, 2)
+        if a > 1 and b > 1:
+            s = 1 / (b + 1) + 1 / (b - 1) + 1 / (a + 1) + 1 / (a - 1)
+            return 1 / mp.sqrt(s), Fraction(-3, 2)
+        return None
 
 
 def laguerre_real_moment_rule(n: int, alpha, b, ctx):

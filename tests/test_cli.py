@@ -165,11 +165,19 @@ def test_output_file(tmp_path, capsys):
     "argv",
     [
         ("measures", "--family", "hermite", "--n", "0", "--bits", "128"),
-        ("verify", "--scope", "moments", "--bits", "128"),
+        ("verify", "--scope", "all", "--bits", "128"),
+        ("asymptotics", "--family", "hermite", "--n", "1", "--bits", "128"),
+        ("bounds", "--family", "hermite", "--n", "1", "--bits", "128"),
     ],
-    ids=["measures", "verify"],
+    ids=["measures", "verify", "asymptotics", "bounds"],
 )
-def test_unwritable_output_is_a_usage_error(capsys, tmp_path, argv):
+def test_unwritable_output_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
+    # found before any work: no table or check is computed
+    def never(*_):
+        raise AssertionError("computed before the output was checked")
+
+    for name in ("run_scope", "measures_table", "asymptotics_table", "bounds_table"):
+        monkeypatch.setattr(f"spreadpoly.cli.{name}", never)
     target = tmp_path / "no" / "such" / "dir" / "x.csv"
     rc, out, err = run(capsys, *argv, "--output", str(target))
     assert rc == 2 and out == ""

@@ -10,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 
-from oracles import laguerre_real_moment_rule, moment_display
+from oracles import cramer_rao_rate_display, laguerre_real_moment_rule, moment_display
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family
-from spreadpoly.quadrature import QuadratureError
+from spreadpoly.orthopoly import zeros_raw
+from spreadpoly.quadrature import QuadratureError, tanh_sinh_panels
 from spreadpoly.closed_form import (
+    _fisher_integrand,
     asymptotic_cramer_rao,
     cramer_rao_product,
     fisher_information,
@@ -120,31 +122,60 @@ def test_cramer_rao_product_hermite_is_half():
             assert abs(cramer_rao_product(Family.hermite(), n, CTX) - mp.mpf(1) / 2) < TIGHT
 
 
+#: Every finite-F branch of the rate: both ends of exponent 0 or > 1.
+FINITE_RATES = [Family.hermite()] + [Family.laguerre(a) for a in (0.0, 2.0, 5.0)] + [
+    Family.jacobi(a, b) for a, b in ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (5.0, 0.0),
+                                     (2.0, 5.0), (5.0, 2.0))
+]
+
+
 def test_asymptotic_cramer_rao_branches():
-    r = asymptotic_cramer_rao(Family.hermite(), CTX)
-    assert (float(r.coefficient), r.exponent) == (0.5, Fraction(0))
-    r = asymptotic_cramer_rao(Family.laguerre(0.0), CTX)
-    assert r.exponent == Fraction(1, 2)
-    with mp.workprec(CTX.bits):
-        assert abs(r.coefficient - 1 / mp.sqrt(2)) < TIGHT
-    r = asymptotic_cramer_rao(Family.jacobi(0.0, 0.0), CTX)
-    assert r.exponent == Fraction(-3, 2)
-    with mp.workprec(CTX.bits):
-        assert abs(r.coefficient - mp.power(2, mp.mpf(-3) / 2)) < TIGHT
+    # the product approaches its rate on every finite branch, the relative
+    # gap shrinking like 1/n at least, Jacobi(alpha > 1, 0) included
+    for fam in FINITE_RATES:
+        rate = asymptotic_cramer_rao(fam, CTX)
+        assert rate.coefficient > 0, fam.describe()
+        with mp.workprec(CTX.bits):
+            gap = [abs(cramer_rao_product(fam, n, CTX) / rate.at(n) - 1) for n in (10**3, 10**5)]
+        assert gap[1] <= gap[0] / 50, (fam.describe(), gap)
     # divergent-F branch records a zero rate
     r = asymptotic_cramer_rao(Family.laguerre(0.5), CTX)
-    assert r.coefficient == 0
+    assert (r.coefficient, r.exponent) == (0, Fraction(0))
     assert float(r.at(100)) == 0.0
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_asymptotic_cramer_rao_matches_the_displays(bits):
+    # the one sum over the ends against the six closed displays; a Jacobi
+    # branch the displays leave out is read through its mirror (beta, alpha)
+    ctx = PrecisionContext(bits=bits)
+    for fam in FINITE_RATES:
+        want = cramer_rao_rate_display(fam, bits)
+        if want is None:
+            want = cramer_rao_rate_display(Family.jacobi(fam.beta, fam.alpha), bits)
+        rate = asymptotic_cramer_rao(fam, ctx)
+        assert rate.exponent == want[1], fam.describe()
+        assert abs(rate.coefficient - want[0]) <= mp.mpf(2) ** (8 - bits), fam.describe()
 
 
 def test_fisher_truncated_divergence_exhibit():
     lo = fisher_truncated(Family.laguerre(-0.5), 0, 1e-4)
     hi = fisher_truncated(Family.laguerre(-0.5), 0, 1e-6)
     assert hi / lo > 100
-    with pytest.raises(ParameterError):
-        fisher_truncated(Family.hermite(), 2, 1e-4)
-    with pytest.raises(ParameterError):
-        fisher_truncated(Family.laguerre(0.0), 2, 1e-4)
+    # no irregular end, so no divergence to exhibit
+    for fam in (Family.hermite(), Family.laguerre(0.0), Family.jacobi(2.0, 2.0),
+                Family.jacobi(0.0, 2.0)):
+        with pytest.raises(ParameterError, match="no divergent endpoint"):
+            fisher_truncated(fam, 2, 1e-4)
+
+
+def test_fisher_truncated_skips_a_regular_end():
+    # Jacobi(0.5, 2): only the alpha end x = 1 is irregular, so the value is
+    # its one window [1 - c, 1 - eps], c the nearer of the last zero and 0.5
+    fam, n, eps = Family.jacobi(0.5, 2.0), 3, 1e-4
+    dist = min([0.5] + [1.0 - z for z in zeros_raw(fam.kind, fam.alpha, fam.beta, n)])
+    window, _ = tanh_sinh_panels(_fisher_integrand(fam, n), [1.0 - dist, 1.0 - eps], tol=1e-8)
+    assert fisher_truncated(fam, n, eps) == mp.mpf(window)
 
 
 def test_hermite_moments_closed():
@@ -186,6 +217,17 @@ def test_moment_is_the_exact_display_rounded_once(family):
                 with mp.workprec(prec):
                     got = moment(family, n, k, CTX)
                 assert got._mpf_ == want._mpf_, (n, k, prec)
+
+
+@pytest.mark.parametrize(
+    "family, k",
+    [(Family.hermite(), -2), (Family.hermite(), 1.5), (Family.laguerre(1.0), 2.5),
+     (Family.laguerre(1.0), -1), (Family.jacobi(0.0, 0.0), 0.5)],
+)
+def test_moment_quadrature_takes_integer_orders_only(family, k):
+    # a Gauss rule sums x^k p_n^2 exactly only for integer k >= 0
+    with pytest.raises(ParameterError, match="integer order k >= 0"):
+        moment_quadrature(family, 2, k, CTX)
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])

@@ -5,12 +5,12 @@ each route must give the two densities the same value within its own
 rounding or error estimate.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from spreadpoly.bell import renyi_length_bell
-from spreadpoly.closed_form import fisher_length, stddev
+from spreadpoly.closed_form import asymptotic_cramer_rao, fisher_length, stddev
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.shannon import _entropy_fast
@@ -44,11 +44,14 @@ def _rel(a, b):
     n=st.integers(min_value=0, max_value=12),
     two_q=st.sampled_from([4, 6]),
 )
+@example(alpha=2.0, beta=0.0, n=3, two_q=4)
 def test_jacobi_measures_are_reflection_invariant(alpha, beta, n, two_q):
     fam, ref = Family.jacobi(alpha, beta), Family.jacobi(beta, alpha)
     with mp.workprec(CTX.bits):
         assert _rel(stddev(fam, n, CTX), stddev(ref, n, CTX)) <= MPF_TOL
         assert _rel(fisher_length(fam, n, CTX), fisher_length(ref, n, CTX)) <= MPF_TOL
+        # the rate sums the same two ends in the other order, which is exact
+        assert asymptotic_cramer_rao(fam, CTX) == asymptotic_cramer_rao(ref, CTX)
         order = RenyiOrder(two_q)
         try:
             lq = renyi_length_bell(fam, n, order, CTX)

@@ -24,6 +24,14 @@ def test_stddev_scope_all_pass():
     assert all(isinstance(c, Check) for c in checks)
 
 
+def test_fisher_scope_all_pass():
+    checks = {c.name: c for c in run_scope("fisher", FAST)}
+    assert all(c.ok for c in checks.values()), [n for n, c in checks.items() if not c.ok]
+    # reflection keeps the large-n rate bit for bit, as it keeps F
+    rate = checks["fisher/reflection/jacobi(2,0)-vs-(0,2)/rate"]
+    assert (rate.measured, rate.tolerance) == (0.0, 0.0)
+
+
 def test_shannon_scope_all_pass():
     checks = run_scope("shannon", FAST)
     closed = [c for c in checks if c.name.startswith("shannon/mean-log-weight/")]
