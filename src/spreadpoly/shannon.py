@@ -9,14 +9,13 @@ family (digamma values; see ``_mean_log_weight``), so each value takes one
 numeric integral: the polynomial-log term, which carries all the
 logarithmic singularities, located at the zeros of p_n.  At n = 0 there is
 none: p_0^2 = 1/mu_0, so S_0 = ln mu_0 - <ln w>_0 takes no integral.  At
-n >= 1 the term is integrated
-with panel splits at those zeros by a vectorized float64 tanh-sinh engine,
-first for every family.  Its error estimate counts the mass it leaves out
-beside an endpoint where a negative weight exponent makes the density blow
-up; when the estimate exceeds the tolerance (exponents near -1, or
-tolerances below 1e-12), or the engine's start p_0 is no normal double, an
-adaptive arbitrary-precision integrator takes over.  ``ShannonResult.path``
-says which of the two ran, or ``"exact"`` at n = 0.
+n >= 1 the term is integrated with panel splits at those zeros by a
+vectorized float64 tanh-sinh engine, first for every family.  Its error
+estimate counts the mass it leaves out beside an endpoint where a negative
+weight exponent makes the density blow up; when the estimate exceeds the
+tolerance (exponents near -1, or tolerances below 1e-12), an adaptive
+arbitrary-precision integrator takes over.  ``ShannonResult.path`` says
+which of the two ran, or ``"exact"`` at n = 0.
 
 Also here: the large-n entropy formulas, the universal linear relation
 between the Shannon length N = exp(S) and the standard deviation, and
@@ -33,10 +32,10 @@ from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
-from .quadrature import _check_tol, _split_integral, tanh_sinh_panels
+from .quadrature import QuadratureError, _check_tol, _split_integral, tanh_sinh_panels
 from .closed_form import moment, stddev
 from .orthopoly import zeros_raw
-from ._vec import _p0, log_weight, poly_scaled
+from ._vec import log_weight, poly_scaled
 
 __all__ = [
     "ShannonResult",
@@ -208,14 +207,18 @@ def _entropy_fast(family: Family, n: int, tol: float):
 
 
 def _entropy_mpf(family: Family, n: int, ctx: PrecisionContext, tol: float):
-    """Arbitrary-precision route; handles singular (negative-exponent) densities."""
+    """Arbitrary-precision route; handles singular (negative-exponent) densities.
+    QuadratureError, naming the family and n, where the integral fails."""
 
     def log_p2_term(p, w):
         if p == 0:
             return mp.mpf(0)
         return p * p * w * mp.log(p * p)
 
-    val, est = _split_integral(family, n, log_p2_term, ctx, tol=tol / 4)
+    try:
+        val, est = _split_integral(family, n, log_p2_term, ctx, tol=tol / 4)
+    except QuadratureError as exc:
+        raise QuadratureError(f"Shannon integral of {family.describe()} at n={n}: {exc}") from exc
     with mp.workprec(ctx.bits):
         return -val - _mean_log_weight(family, n)[0], +est
 
@@ -240,9 +243,8 @@ def shannon_numeric(
 
     At n = 0 S is the closed form of :func:`_entropy_ground_state`, at
     ``ctx.bits`` whatever ``tol``.  Otherwise the float64 engine runs first
-    when ``tol >= 1e-12`` and its start p_0 is a normal double (not so for
-    Laguerre alpha above 300.33); the mpf integrator takes over when its
-    estimate exceeds ``tol``.  ParameterError unless ``tol`` is finite and
+    when ``tol >= 1e-12``; the mpf integrator takes over when its estimate
+    exceeds ``tol``.  ParameterError unless ``tol`` is finite and
     positive.  The result does not depend on the caller's ``mp.prec``.
     """
     if n < 0:
@@ -253,7 +255,7 @@ def shannon_numeric(
         path = PATH_EXACT
     else:
         est = mp.inf
-        if tol >= 1e-12 and _p0(family.kind, family.alpha, family.beta) is not None:
+        if tol >= 1e-12:
             S, est = _entropy_fast(family, n, tol)
             path = PATH_FLOAT64
         if not est <= tol:

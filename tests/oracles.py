@@ -9,11 +9,12 @@ summed in ``Fraction``, the large-n Cramér-Rao rates displayed branch by
 branch, a real-order Laguerre moment by the Gauss rule of
 the exponent-shifted weight, the closed Laguerre Rényi lengths at n = 0 and
 n = 1, the Gamma closed forms of the weights' moments with a rule's sum
-to check them on, and the float64 tanh-sinh loop that refines every panel
-to the same level.  The n = 1 length needs a terminating 2F0; it is summed
-exactly in ``Fraction`` from the exact rationals its parameters hold, so it
-is exactly 0 iff the sum is (the Laguerre(-1/2), q = 3/2 cell), and
-otherwise rounded once.
+to check them on, the float64 recurrence with fresh arrays and an
+elementwise rescaling test at every step, and the float64 tanh-sinh loop
+that refines every panel to the same level.  The n = 1 length needs a
+terminating 2F0; it is summed exactly in ``Fraction`` from the exact
+rationals its parameters hold, so it is exactly 0 iff the sum is (the
+Laguerre(-1/2), q = 3/2 cell), and otherwise rounded once.
 """
 
 import math
@@ -22,9 +23,11 @@ from fractions import Fraction
 import numpy as np
 from mpmath import libmp, mp
 
+from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, _p0
 from spreadpoly.bell import _jacobi_moment_prefactor, length_from_power_integral
 from spreadpoly.context import ParameterError
 from spreadpoly.families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational
+from spreadpoly.families import raw_recurrence as raw_recurrence_float
 from spreadpoly.hypergeom import hyp2f1_terminating
 from spreadpoly.quadrature import (
     _BATCH_NODES,
@@ -332,6 +335,37 @@ def weight_moment(spec, j: int, ctx):
 def rule_sum(rule, f):
     """sum_i w_i f(x_i) over a ``quadrature.QuadratureRule``."""
     return mp.fsum(w * f(x) for x, w in zip(rule.nodes, rule.weights))
+
+
+def poly_scaled_plain(kind, alpha, beta, n, x, derivative=False):
+    """The float64 recurrence of ``_vec.poly_scaled`` written plainly: new
+    arrays every step, and every step tests each node for rescaling.  Same
+    table, start (p_0 and its rescaling count from ``_vec._p0``), operations
+    and returns, so the two agree bit for bit."""
+    x = np.asarray(x, dtype=float)
+    diag, off = raw_recurrence_float(kind, alpha, beta, n + 1)
+    p0, count0 = _p0(kind, alpha, beta)
+    count = np.full(x.shape, count0, dtype=np.int64)
+    pkm1 = np.zeros_like(x)
+    pk = np.full_like(x, p0)
+    dkm1 = np.zeros_like(x)
+    dk = np.zeros_like(x)
+    for k in range(n):
+        pk1 = ((x - diag[k]) * pk - off[k] * pkm1) / off[k + 1]
+        dk1 = ((x - diag[k]) * dk + pk - off[k] * dkm1) / off[k + 1]
+        dk, dkm1 = dk1, dk
+        pk, pkm1 = pk1, pk
+        big = np.abs(pk) > _RESCALE
+        if big.any():
+            factor = np.where(big, 1.0 / _RESCALE, 1.0)
+            pk, pkm1 = pk * factor, pkm1 * factor
+            dk, dkm1 = dk * factor, dkm1 * factor
+            count += big
+    logscale = count * _LN_RESCALE_HI
+    if count.any():
+        low = np.exp(count * _LN_RESCALE_LO)
+        pk, dk = pk * low, dk * low
+    return (pk, dk, logscale) if derivative else (pk, logscale)
 
 
 def _panel_batches(finite, per_batch: int):

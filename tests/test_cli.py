@@ -303,13 +303,28 @@ def test_large_exponent_rows_compute(capsys, params):
 
 
 def test_p0_outside_the_doubles_row_computes(capsys):
-    # p_0 = 1/sqrt(Gamma(302)) is about 1e-311, not a normal double: the
-    # float64 Shannon engine cannot start, so the mpf integrator takes the cell
+    # p_0 = 1/sqrt(Gamma(302)) is about 3e-309, below the normal doubles; the
+    # float64 Shannon engine starts from it scaled into range, and its S is
+    # within the default tol 1e-9 of the mpf route's
     rc, out, err = run(capsys, "measures", "--family", "laguerre", "--alpha", "301", "--n", "2")
     assert rc == 0 and err == ""
     assert float(out.splitlines()[1].split(",")[-1]) == pytest.approx(
-        math.exp(4.70226912383446), rel=1e-13
+        math.exp(4.70226912383446), rel=1e-9
     )
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,bits", [(-0.9, 0, None), (0, -0.9, 128), (-0.9, -0.5, 128), (-0.9, -0.9, 128)]
+)
+def test_infinite_mpf_shannon_integral_exits_3(capsys, alpha, beta, bits):
+    # past the float64 estimate the mpf integrator runs; a node of its end
+    # panel rounds onto the end, where w is infinite, and the integral comes
+    # out -inf with a tiny estimate: that is a numeric failure, not a length
+    argv = ["--family", "jacobi", "--alpha", str(alpha), "--beta", str(beta), "--n", "40"]
+    rc, out, err = run(capsys, "measures", *argv, *(["--bits", str(bits)] if bits else []))
+    assert rc == 3 and out == ""
+    assert "numeric failure: shannon_N" in err and "not finite" in err
+    assert f"jacobi(alpha={alpha:g}, beta={beta:g}) at n=40" in err
 
 
 def test_bell_row_ignores_rtol_and_matches_gauss_l2(capsys):

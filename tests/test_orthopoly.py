@@ -16,7 +16,8 @@ from mpmath import mp
 from scipy import special
 
 import oracles
-from spreadpoly._vec import _p0
+from spreadpoly import orthopoly
+from spreadpoly._vec import _p0, poly_scaled
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import (
     Family,
@@ -176,7 +177,8 @@ def test_float_table_is_the_exact_table_rounded_once(kind, alpha, beta, count):
     assert len(diag) == len(off) == count
     assert all(type(v) is float for v in diag + off)
     assert all(got == num / den for got, (num, den) in zip(diag, ediag))
-    p0 = _p0(kind, alpha, beta)
+    p0, count = _p0(kind, alpha, beta)
+    assert count == 0  # p_0 is a normal double here
     with mp.workprec(1024):
         roots = [mp.sqrt(mp.mpf(num) / den) for num, den in eoffsq]
         assert all(_within_ulp(got, ref) for got, ref in zip(off, roots))
@@ -286,13 +288,35 @@ def test_float_zeros_match_mpf_zeros(kind, alpha, beta):
             assert got == [-z for z in reversed(got)]
 
 
+@pytest.mark.parametrize("kind,alpha,beta", BOUNDED)
+def test_float_zeros_take_one_newton_step(monkeypatch, kind, alpha, beta):
+    # from eigenvalue seeds the ODE's bound on the next error settles every
+    # zero after the first step: one poly_scaled call, no confirming pass
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return poly_scaled(*args, **kwargs)
+
+    monkeypatch.setattr("spreadpoly.orthopoly.poly_scaled", counted)
+    for n in (24, 64, 112):
+        zeros_raw(kind, alpha, beta, n)
+    assert calls == [24, 64, 112]
+
+
 def test_float_zeros_fail_loudly(monkeypatch):
     with pytest.raises(ParameterError):
         zeros_raw("laguerre", -1.0, 0.0, 3)
     with pytest.raises(ParameterError):
         zeros_raw("jacobi", 0.0, -1.5, 3)
-    # the first step from the eigenvalue seeds is above the stopping test
-    monkeypatch.setattr("spreadpoly.orthopoly._NEWTON_MAX_ITER", 1)
+    # seeds 1e-4 off: one step leaves about c 1e-8 of error, far above the
+    # stopping test, so a single allowed step fails and the default settles
+    ref = np.array(zeros_raw("hermite", 0.0, 0.0, 24))
+    seeds = orthopoly._eigen_seeds
+    monkeypatch.setattr(orthopoly, "_eigen_seeds", lambda d, e: seeds(d, e) * (1 + 1e-4))
+    got = np.array(zeros_raw("hermite", 0.0, 0.0, 24))
+    assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+    monkeypatch.setattr(orthopoly, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(PrecisionError, match="did not settle"):
         zeros_raw("hermite", 0.0, 0.0, 24)
 

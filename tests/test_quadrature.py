@@ -412,6 +412,17 @@ def test_integrate_log_singular():
         integrate_log_singular(lambda x: x, (0, 1), [], ctx)  # no default tolerance
 
 
+@pytest.mark.parametrize("value", [-mp.inf, mp.inf, mp.nan])
+def test_integrate_log_singular_refuses_a_non_finite_integral(value):
+    # mp.quad returns an infinite or nan value with a small estimate when one
+    # node is infinite; that is no integral, at any precision
+    ctx = PrecisionContext(bits=128)
+    with pytest.raises(QuadratureError, match="not finite at 128 bits"):
+        integrate_log_singular(
+            lambda x: value if x > mp.mpf(3) / 4 else x, (mp.mpf(0), mp.mpf(1)), [], ctx, tol=1e-20
+        )
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
 def test_integrators_reject_bad_tolerances(tol):
     # a nan tolerance used to double mp.quad's precision without end, and

@@ -14,7 +14,7 @@ import oracles
 from spreadpoly import shannon
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant
-from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, poly_scaled
+from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, _p0, poly_scaled
 from spreadpoly.orthopoly import evaluate_recurrence, zeros, zeros_raw
 from spreadpoly.quadrature import _standard_rule, tanh_sinh_panels
 from spreadpoly.shannon import (
@@ -233,16 +233,61 @@ def test_large_degree_laguerre_stays_on_float64():
     assert est <= 1e-9
 
 
-def test_p0_outside_the_doubles_takes_the_mpf_path():
-    # p_0 = 1/sqrt(Gamma(302)) is about 1e-311, not a normal double, so the
-    # float64 engine cannot start and the mpf integrator runs in its place;
-    # at alpha = 300 p_0 is normal and the cell stays on float64
-    with pytest.raises(PrecisionError, match="p_0"):
-        poly_scaled("laguerre", 301.0, 0.0, 2, np.array([300.0]))
-    res = shannon_numeric(Family.laguerre(301.0), 2)
-    assert res.path == "mpf" and res.est_error <= 1e-9
-    assert abs(res.entropy - mp.mpf("4.70226912383446")) <= 1e-13
-    assert shannon_numeric(Family.laguerre(300.0), 2).path == "float64"
+#: Cells of the bit-identity check of poly_scaled.  Hermite |x| <= 30 and
+#: Laguerre exp-sinh nodes past the last zero, out to about 4e18, rescale.
+POLY_SCALED_CELLS = (
+    [(Family.hermite(), n) for n in (1, 24, 112, 400)]
+    + [(Family.laguerre(a), n) for a in (-0.9, 0.0, 5.0, 301.0) for n in (2, 48, 1200)]
+    + [(Family.jacobi(a, b), n) for a, b in [(-0.9, 0.5), (2.0, 2.0)] for n in (7, 112)]
+)
+
+
+@pytest.mark.parametrize(
+    "fam,n", POLY_SCALED_CELLS, ids=[f"{f.describe()}-{n}" for f, n in POLY_SCALED_CELLS]
+)
+def test_poly_scaled_is_bit_identical_to_the_plain_recurrence(fam, n):
+    # the in-place recurrence, which tests for rescaling only when a bound
+    # on max|p_k| passes _RESCALE, makes the plain recurrence's values
+    if fam.kind == "hermite":
+        x = np.linspace(-30.0, 30.0, 601)
+    elif fam.kind == "laguerre":
+        t = np.linspace(-4.0, 4.0, 257)
+        x = max(zeros_raw(fam.kind, fam.alpha, 0.0, n)) + np.exp(0.5 * np.pi * np.sinh(t))
+    else:
+        x = np.linspace(-1.0, 1.0, 401)
+    for derivative in (False, True):
+        got = poly_scaled(fam.kind, fam.alpha, fam.beta, n, x, derivative=derivative)
+        want = oracles.poly_scaled_plain(fam.kind, fam.alpha, fam.beta, n, x, derivative)
+        assert len(got) == len(want) == 2 + derivative
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    # some nodes rescale more often than others
+    rescales = (fam.kind, n) in [("hermite", 400)] or (fam.kind == "laguerre" and n >= 48)
+    assert (np.ptp(got[-1]) > 0) == rescales
+
+
+def test_p0_outside_the_doubles_stays_on_float64():
+    # p_0 = 1/sqrt(Gamma(302)) is about 3e-309, below the normal doubles:
+    # _p0 returns it scaled into range with a negative rescaling count, which
+    # poly_scaled starts from, so the float64 engine runs; the mpf values
+    # are those of the mpf route at this tol
+    p0, count = _p0("laguerre", 301.0, 0.0)
+    assert count == -3 and 1e-50 < p0 < 1e50
+    with mp.workprec(200):
+        want = mp.power(mp.mpf(1.0 / _RESCALE), count) / mp.sqrt(
+            norm_constant("laguerre", 301.0, 0.0, mp.prec)
+        )
+        assert abs(p0 - want) <= abs(want) * 2.0**-53
+    assert _p0("laguerre", 300.0, 0.0)[1] == 0
+    for n, ref in [(2, "4.70226912383446"), (80, "6.17456190525526")]:
+        start = time.perf_counter()
+        res = shannon_numeric(Family.laguerre(301.0), n)
+        assert time.perf_counter() - start < 1
+        assert res.path == "float64" and res.est_error <= 1e-9
+        assert abs(res.entropy - mp.mpf(ref)) <= 1e-9
+    # a start count past what the scale holds is refused, not wrapped
+    with pytest.raises(PrecisionError, match="rescalings"):
+        poly_scaled("laguerre", 1e8, 0.0, 2, np.array([1e8]))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
