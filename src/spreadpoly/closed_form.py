@@ -23,7 +23,7 @@ from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, LAGUERRE, Family, _rational
 from .orthopoly import zeros_raw
-from .quadrature import QuadratureError, WeightSpec, _rule_sum, tanh_sinh_panels
+from .quadrature import QuadratureError, _rule_sum, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -293,6 +293,6 @@ def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _D
         raise ParameterError("quadrature moments need an integer order k >= 0")
     k = int(k)
     return _rule_sum(
-        family, n, WeightSpec.from_family(family), (2 * n + k) // 2 + 1, ctx,
+        family, n, 1, (2 * n + k) // 2 + 1, ctx,
         lambda x, w, v: w * v * v * mp.power(x, k),
     )

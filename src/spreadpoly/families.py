@@ -102,16 +102,14 @@ class Family:
         return (self.beta, self.alpha)
 
     def weight(self, x):
-        """Pointwise weight value at x (mpf arithmetic)."""
+        """Pointwise weight value at x (mpf); +inf at an end of negative exponent."""
         x = mp.mpf(x)
         if self.kind == HERMITE:
             return mp.exp(-x * x)
         if self.kind == LAGUERRE:
-            if x == 0:
-                return mp.mpf(0) ** mp.mpf(self.alpha) if self.alpha != 0 else mp.mpf(1)
-            return x ** mp.mpf(self.alpha) * mp.exp(-x)
+            return _end_power(x, self.alpha) * mp.exp(-x)
         one = mp.mpf(1)
-        return (one - x) ** mp.mpf(self.alpha) * (one + x) ** mp.mpf(self.beta)
+        return _end_power(one - x, self.alpha) * _end_power(one + x, self.beta)
 
     def describe(self) -> str:
         if self.kind == HERMITE:
@@ -119,6 +117,13 @@ class Family:
         if self.kind == LAGUERRE:
             return f"laguerre(alpha={self.alpha:g})"
         return f"jacobi(alpha={self.alpha:g}, beta={self.beta:g})"
+
+
+def _end_power(d, e):
+    """d^e, d >= 0; +inf at d = 0 for e < 0, where mpmath's 0^(-1/2) divides by 0."""
+    if d == 0 and e < 0:
+        return mp.inf
+    return d ** mp.mpf(e)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -74,27 +73,11 @@ from .families import (
 )
 
 __all__ = [
-    "PolyCoeffs",
     "orthonormal_coeffs",
     "zeros",
 ]
 
 _DEFAULT_CTX = PrecisionContext()
-
-
-@dataclass(frozen=True)
-class PolyCoeffs:
-    """Monomial coefficients c_0..c_n of the orthonormal polynomial p_n."""
-
-    family: Family
-    degree: int
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.degree + 1:
-            raise ParameterError("coefficient vector must have length degree+1")
-        if self.coeffs[-1] == 0:
-            raise ParameterError("leading coefficient must be nonzero")
 
 
 @functools.lru_cache(maxsize=4)
@@ -176,11 +159,9 @@ def _squared_norm(kind: str, alpha, beta, n: int, prec: int):
 _COEFF_GUARD = 64
 
 
-def orthonormal_coeffs(
-    family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX
-) -> PolyCoeffs:
-    """Explicit coefficients c_t = R_t / (R_n sqrt(h_n)), each rounded once
-    to ``ctx.bits``."""
+def orthonormal_coeffs(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX) -> tuple:
+    """Monomial coefficients (c_0, ..., c_n) of p_n, c_t = R_t / (R_n
+    sqrt(h_n)), each rounded once to ``ctx.bits``."""
     R = _explicit_coeffs(family, n)
     prec = ctx.bits + _COEFF_GUARD
     with mp.workprec(prec):
@@ -188,7 +169,7 @@ def orthonormal_coeffs(
         scale = 1 / (R[-1] * mp.sqrt(h))
         coeffs = [scale * r for r in R]
     with mp.workprec(ctx.bits):
-        return PolyCoeffs(family, n, tuple(+c for c in coeffs))
+        return tuple(+c for c in coeffs)
 
 
 # ---------------------------------------------------------------------------

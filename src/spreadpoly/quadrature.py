@@ -21,8 +21,10 @@ exact product of its b_k^2, rounded once.  Each node and each weight is
 rounded once; symmetric rules polish half their nodes and mirror them
 exactly.  Nodes and weights agree with an mpf oracle at twice the
 precision to within 2^-bits.  Built rules are kept in
-a bounded LRU cache keyed by weight, size and precision; the shifted
-exponents of w^q are exact mpf values (:meth:`WeightSpec.power`).
+a bounded LRU cache keyed by weight, size and precision.  :func:`gauss_rule`
+gives the rule of w^q for a family and q: exact mpf exponents alpha q and
+beta q, rate q for Hermite and Laguerre, and a refusal where
+``families.power_integrable``, the test of every route, fails.
 
 The mpf oracles against rho_n = p_n^2 w live here, each written once:
 the Gauss sum :func:`_rule_sum` (W_q and the moment oracles of
@@ -59,14 +61,11 @@ import numpy as np
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext, PrecisionError
-from .families import HERMITE, JACOBI, LAGUERRE, Family, RenyiOrder
+from .families import HERMITE, JACOBI, Family, RenyiOrder, power_integrable
 from .orthopoly import _RULE_GUARD, _gauss_polish, _is_symmetric, _mirror, _recurrence_values
 from .orthopoly import evaluate_recurrence, zeros
 
 __all__ = [
-    "WeightSpec",
-    "QuadratureRule",
-    "NonIntegrableError",
     "QuadratureError",
     "gauss_rule",
     "integrate_density_power",
@@ -77,10 +76,6 @@ __all__ = [
 _DEFAULT_CTX = PrecisionContext()
 
 
-class NonIntegrableError(ParameterError):
-    """Requested power integral diverges (shifted exponent <= -1)."""
-
-
 class QuadratureError(ArithmeticError):
     """Adaptive integration failed to reach the requested tolerance."""
 
@@ -89,65 +84,6 @@ def _check_tol(tol) -> None:
     """ParameterError unless ``tol`` is finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """A classical weight, possibly with shifted exponents and a rate.
-
-    hermite:  exp(-scale x^2)            on (-inf, inf)
-    laguerre: x^alpha exp(-scale x)      on [0, inf),  alpha > -1
-    jacobi:   (1-x)^alpha (1+x)^beta     on [-1, 1],   alpha, beta > -1
-    """
-
-    kind: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (HERMITE, LAGUERRE, JACOBI):
-            raise ParameterError(f"unknown weight kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ParameterError("scale must be positive")
-        if self.kind == JACOBI and self.scale != 1.0:
-            raise ParameterError("jacobi weight takes no scale")
-        if self.kind in (LAGUERRE, JACOBI) and not self.alpha > -1:
-            raise NonIntegrableError(f"exponent alpha={self.alpha} not integrable")
-        if self.kind == JACOBI and not self.beta > -1:
-            raise NonIntegrableError(f"exponent beta={self.beta} not integrable")
-
-    @classmethod
-    def from_family(cls, family: Family) -> "WeightSpec":
-        return cls(family.kind, family.alpha, family.beta)
-
-    @classmethod
-    def power(cls, family: Family, q) -> "WeightSpec":
-        """Spec for w^q, 2q a positive integer: Gaussian scale q / Laguerre
-        (alpha q, rate q) / Jacobi (alpha q, beta q).
-
-        The shifted exponents are exact mpf values: a double times 2q fits
-        in 53 + bit_length(2q) bits, and halving it is exact.  They compare
-        and hash by value, so they key the rule cache like floats do.
-        """
-        two_q = RenyiOrder.from_q(q).two_q
-        qf = two_q / 2
-        if family.kind == HERMITE:
-            return cls(HERMITE, scale=qf)
-        with mp.workprec(53 + two_q.bit_length()):
-            alpha = mp.mpf(family.alpha) * two_q / 2
-            beta = mp.mpf(family.beta) * two_q / 2
-        if family.kind == LAGUERRE:
-            return cls(LAGUERRE, alpha=alpha, scale=qf)
-        return cls(JACOBI, alpha=alpha, beta=beta)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    spec: WeightSpec
-    nodes: tuple
-    weights: tuple
-    exact_degree: int
 
 
 #: Rules kept by ``_standard_rule``.  The criterion 3 grid looks up fewer
@@ -166,46 +102,57 @@ def _standard_rule(kind: str, alpha, beta, m: int, bits: int):
     return tuple(nodes), tuple(weights)
 
 
-def gauss_rule(
-    spec: WeightSpec, m: int, ctx: PrecisionContext = _DEFAULT_CTX
-) -> QuadratureRule:
-    """m-node Gauss rule for the given weight, exact to degree 2m-1 (the
-    checked unit-scale rule; a positive rate keeps its properties)."""
+def _power_exponents(family: Family, q):
+    """(alpha q, beta q) of w^q, 2q a positive integer, as exact mpf values
+    (a double times 2q fits in 53 + bit_length(2q) bits), which key the rule
+    cache like floats; ParameterError unless ``power_integrable``."""
+    order = RenyiOrder.from_q(q)
+    if not power_integrable(order.q, family.alpha, family.beta):
+        raise ParameterError(f"w^q is not integrable for {family.describe()} at q={order}")
+    two_q = order.two_q
+    with mp.workprec(53 + two_q.bit_length()):
+        return mp.mpf(family.alpha) * two_q / 2, mp.mpf(family.beta) * two_q / 2
+
+
+def gauss_rule(family: Family, m: int, ctx: PrecisionContext = _DEFAULT_CTX, q=1):
+    """``(nodes, weights)`` of the m-node Gauss rule of w^q, exact to degree
+    2m-1: the checked unit-rate rule of :func:`_power_exponents` (which
+    refuses a w^q that is not integrable), rescaled to rate q for Hermite
+    and Laguerre."""
     if m < 1:
         raise ParameterError("rule needs at least one node")
-    nodes, weights = _standard_rule(spec.kind, spec.alpha, spec.beta, m, ctx.bits)
-    if spec.scale != 1.0:
+    order = RenyiOrder.from_q(q)
+    alpha, beta = _power_exponents(family, order)
+    nodes, weights = _standard_rule(family.kind, alpha, beta, m, ctx.bits)
+    if family.kind != JACOBI and not order.is_unit:
         with mp.workprec(ctx.bits + _RULE_GUARD):
-            s = mp.mpf(spec.scale)
-            if spec.kind == HERMITE:
+            s = mp.mpf(order.two_q) / 2
+            if family.kind == HERMITE:
                 r = mp.sqrt(s)
                 nodes = tuple(x / r for x in nodes)
                 weights = tuple(w / r for w in weights)
             else:
-                factor = mp.power(s, -(mp.mpf(spec.alpha) + 1))
+                factor = mp.power(s, -(mp.mpf(alpha) + 1))
                 nodes = tuple(x / s for x in nodes)
                 weights = tuple(w * factor for w in weights)
-    return QuadratureRule(spec, nodes, weights, 2 * m - 1)
+    return nodes, weights
 
 
-def _rule_sum(family: Family, n: int, spec: WeightSpec, m: int, ctx: PrecisionContext, term):
-    """sum_i term(x_i, lambda_i, p_n(x_i)) over the m-node rule of ``spec``,
-    by ``fsum`` at ``ctx.bits + _RULE_GUARD``, with p_n from
-    :func:`spreadpoly.orthopoly._recurrence_values`.  When the family and
-    the rule's weight are both symmetric, the nodes mirror exactly: p_n is
+def _rule_sum(family: Family, n: int, q, m: int, ctx: PrecisionContext, term):
+    """sum_i term(x_i, lambda_i, p_n(x_i)) over the m-node rule of w^q
+    (:func:`gauss_rule`), by ``fsum`` at ``ctx.bits + _RULE_GUARD``, with
+    p_n from :func:`spreadpoly.orthopoly._recurrence_values`.  When the
+    weight is symmetric, so is w^q, and the nodes mirror exactly: p_n is
     evaluated on the nonpositive half and mirrored with the sign (-1)^n, so
     a sum that vanishes by parity is exactly 0.
     """
-    rule = gauss_rule(spec, m, ctx)
-    nodes = rule.nodes
-    mirrored = _is_symmetric(family.kind, family.alpha, family.beta) and _is_symmetric(
-        spec.kind, spec.alpha, spec.beta
-    )
+    nodes, weights = gauss_rule(family, m, ctx, q)
+    mirrored = _is_symmetric(family.kind, family.alpha, family.beta)
     with mp.workprec(ctx.bits + _RULE_GUARD):
         values = _recurrence_values(family, n, nodes[: (m + 1) // 2] if mirrored else nodes)
         if mirrored:
             values = _mirror(values, m, -1 if n % 2 else 1)
-        return +mp.fsum(term(x, w, v) for x, w, v in zip(nodes, rule.weights, values))
+        return +mp.fsum(term(x, w, v) for x, w, v in zip(nodes, weights, values))
 
 
 def integrate_density_power(
@@ -220,13 +167,12 @@ def integrate_density_power(
     alpha = beta, n 2q odd) is exactly 0: the node values mirror exactly
     (:func:`_rule_sum`), so the terms cancel in pairs.  Any other sum
     is returned as rounded, so a zero without parity (Laguerre(-1/2) n=1,
-    q=3/2) comes out at the rounding floor of the terms, not as 0.
+    q=3/2) comes out at the rounding floor of the terms, not as 0, and
+    a w^q that is not integrable is refused (ParameterError).
     """
-    order = RenyiOrder.from_q(q)
-    two_q = order.two_q
-    spec = WeightSpec.power(family, order)
+    two_q = RenyiOrder.from_q(q).two_q
     return _rule_sum(
-        family, n, spec, n * two_q // 2 + 1, ctx, lambda x, w, v: w * mp.power(v, two_q)
+        family, n, q, n * two_q // 2 + 1, ctx, lambda x, w, v: w * mp.power(v, two_q)
     )
 
 
@@ -430,7 +376,9 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     ``(values, rounding)`` instead: ``rounding`` bounds, value by value,
     the rounding error that the difference between refinement levels does
     not show (an error common to many nodes, say), and the estimate adds
-    its quadrature sum over each panel's final grid.
+    its quadrature sum over each panel's final grid.  In a triple
+    ``(values, rounding, scatter)``, ``scatter`` bounds errors independent
+    from node to node, and the estimate adds the root-sum-square of that sum.
 
     Each panel's sum at a level is the previous level's halved plus h
     times the new nodes' weighted values, and its difference is the
@@ -468,6 +416,7 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     diffs = np.full(panels, np.inf)
     last_h = np.ones(panels)
     carried = np.zeros(panels)
+    scattered = np.zeros(panels)
     magnitude = 0.0
     tail = 0.0
     active = np.arange(panels)
@@ -482,8 +431,11 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
             ends = (np.repeat(lo[idx], size), np.repeat(hi[idx], size))
             vals = fpanel(tuple(idx.tolist()), *ends, x.ravel(), dl.ravel(), dr.ravel())
             if isinstance(vals, tuple):
-                vals, rounding = vals
+                vals, rounding, *scatter = vals
                 carried[idx] += np.einsum("ij,ij->i", w, np.reshape(rounding, w.shape))
+                if scatter:
+                    s2 = np.reshape(scatter[0], w.shape) ** 2
+                    scattered[idx] += np.einsum("ij,ij->i", w * w, s2)
             vals = np.asarray(vals, dtype=float).reshape(w.shape)
             bad = ~np.isfinite(vals)
             if bad.any():
@@ -523,4 +475,5 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
         active = active[~(diffs[active] <= tol / (8.0 * panels))]
         levels = (level + 1,)
     floor = 5e-16 * magnitude
-    return float(np.sum(totals)), max(est, floor) + tail + float(np.dot(last_h, carried))
+    rounding = float(np.dot(last_h, carried)) + math.sqrt(float(np.dot(last_h**2, scattered)))
+    return float(np.sum(totals)), max(est, floor) + tail + rounding

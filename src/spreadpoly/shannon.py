@@ -123,9 +123,16 @@ def _log_poly_panel(family: Family, n: int):
       most 2u of its size, is common to all of them;
     * the recurrence carries p to a relative error that grows like the
       square root of its steps, counted as 16 sqrt(n+1) u.
+
+    At a Laguerre node, ln w = alpha ln x - x carries the roundings of ln x
+    and of the product, within 3u |alpha ln x| = 3u |ln w + x|.  They differ
+    from node to node, but at large alpha they meet |ln p^2| ~ |ln w| >> 1
+    and the level differences show too little of them (Laguerre(350), n = 2,
+    was 2.2 estimates off), so a third element returns them as ``scatter``.
     """
     kind, al, be = family.kind, family.alpha, family.beta
     recurrence = 32.0 * math.sqrt(n + 1) * _U
+    log_power = kind == LAGUERRE and al != 0.0
 
     def fpanel(i, a, b, x, dl, dr):
         p, logscale = poly_scaled(kind, al, be, n, x)
@@ -141,7 +148,10 @@ def _log_poly_panel(family: Family, n: int):
         if logscale.any():
             shared = shared + 2.0 * _U
         # rho |ln p^2 + 1| is |vals + rho|, which is 0, not nan, at a zero of p
-        return vals, np.abs(vals + rho) * shared
+        rounding = np.abs(vals + rho) * shared
+        if log_power:
+            return vals, rounding, 3.0 * _U * np.abs(vals * (logw + x))
+        return vals, rounding
 
     return fpanel
 

@@ -29,14 +29,14 @@ from spreadpoly.context import ParameterError
 from spreadpoly.families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational
 from spreadpoly.families import raw_recurrence as raw_recurrence_float
 from spreadpoly.hypergeom import hyp2f1_terminating
+from spreadpoly.orthopoly import _RULE_GUARD, _recurrence_values
 from spreadpoly.quadrature import (
     _BATCH_NODES,
     _MAX_LEVEL,
     QuadratureError,
-    WeightSpec,
     _edge_tail,
     _panel_nodes,
-    _rule_sum,
+    _standard_rule,
 )
 
 
@@ -239,12 +239,13 @@ def cramer_rao_rate_display(family, bits: int):
 def laguerre_real_moment_rule(n: int, alpha, b, ctx):
     """<x^b> of the degree-n Laguerre(alpha) density for real b > -1-alpha:
     the (n+1)-node Gauss rule of x^(alpha+b) e^-x summed over p_n^2, which
-    is exact because p_n^2 has degree 2n.  alpha + b is the exact mpf sum."""
-    spec = WeightSpec(LAGUERRE, mp.fadd(alpha, b, exact=True))
-    return _rule_sum(
-        Family.laguerre(alpha), n, spec, n + 1, ctx,
-        lambda x, w, v: w * v * v,
-    )
+    is exact because p_n^2 has degree 2n.  alpha + b is the exact mpf sum.
+    The weight is no power of the family's, so the rule comes from
+    ``quadrature._standard_rule`` and p_n from ``orthopoly._recurrence_values``."""
+    nodes, weights = _standard_rule(LAGUERRE, mp.fadd(alpha, b, exact=True), 0.0, n + 1, ctx.bits)
+    with mp.workprec(ctx.bits + _RULE_GUARD):
+        values = _recurrence_values(Family.laguerre(alpha), n, nodes)
+        return +mp.fsum(w * v * v for w, v in zip(weights, values))
 
 
 def renyi_length_laguerre_n0(alpha, q, ctx):
@@ -305,21 +306,20 @@ def terminating_2f0(neg_int_a, b, z):
     )
 
 
-def weight_moment(spec, j: int, ctx):
-    """Integral of x^j against the weight of a ``quadrature.WeightSpec``,
-    from Gamma closed forms at ``ctx.bits``."""
+def weight_moment(family, j: int, ctx):
+    """Integral of x^j against the weight of a ``Family``, from Gamma
+    closed forms at ``ctx.bits``."""
     if j < 0:
         raise ParameterError("moment order must be nonnegative")
     with mp.workprec(ctx.bits):
-        a = mp.mpf(spec.alpha)
-        b = mp.mpf(spec.beta)
-        s = mp.mpf(spec.scale)
-        if spec.kind == HERMITE:
+        a = mp.mpf(family.alpha)
+        b = mp.mpf(family.beta)
+        if family.kind == HERMITE:
             if j % 2:
                 return mp.mpf(0)
-            return +(mp.gamma((j + 1) / mp.mpf(2)) / mp.power(s, (j + 1) / mp.mpf(2)))
-        if spec.kind == LAGUERRE:
-            return +(mp.gamma(a + j + 1) / mp.power(s, a + j + 1))
+            return +mp.gamma((j + 1) / mp.mpf(2))
+        if family.kind == LAGUERRE:
+            return +mp.gamma(a + j + 1)
         acc = mp.mpf(0)
         for i in range(j + 1):
             acc += (
@@ -333,8 +333,9 @@ def weight_moment(spec, j: int, ctx):
 
 
 def rule_sum(rule, f):
-    """sum_i w_i f(x_i) over a ``quadrature.QuadratureRule``."""
-    return mp.fsum(w * f(x) for x, w in zip(rule.nodes, rule.weights))
+    """sum_i w_i f(x_i) over a rule ``(nodes, weights)``."""
+    nodes, weights = rule
+    return mp.fsum(w * f(x) for x, w in zip(nodes, weights))
 
 
 def poly_scaled_plain(kind, alpha, beta, n, x, derivative=False):

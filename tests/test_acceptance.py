@@ -15,7 +15,7 @@ from mpmath import mp
 from oracles import raw_recurrence
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
-from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
+from spreadpoly.quadrature import gauss_rule, integrate_density_power
 from spreadpoly.closed_form import (
     cramer_rao_product,
     fisher_information,
@@ -61,10 +61,11 @@ def _poly_sq_sums(fam, rule, nmax, powers, ctx):
     """
     with mp.workprec(ctx.bits):
         diag, off = raw_recurrence(fam.kind, fam.alpha, fam.beta, nmax + 2)
-        p0 = 1 / mp.sqrt(mp.fsum(rule.weights))
+        nodes, weights = rule
+        p0 = 1 / mp.sqrt(mp.fsum(weights))
         sums = {j: [mp.mpf(0)] * (nmax + 1) for j in powers}
         absums = {j: [mp.mpf(0)] * (nmax + 1) for j in powers}
-        for x, w in zip(rule.nodes, rule.weights):
+        for x, w in zip(nodes, weights):
             xp = {j: x**j for j in powers}
             pkm1, pk = mp.mpf(0), p0
             for k in range(nmax + 1):
@@ -82,7 +83,7 @@ def test_criterion_1_stddev_closed_vs_quadrature(ctx):
     nmax = 30
     worst = mp.mpf(0)
     for fam in _families():
-        rule = gauss_rule(WeightSpec.from_family(fam), nmax + 3, ctx)
+        rule = gauss_rule(fam, nmax + 3, ctx)
         sums, _ = _poly_sq_sums(fam, rule, nmax, (1, 2), ctx)
         with mp.workprec(ctx.bits):
             for n in range(nmax + 1):
@@ -369,7 +370,7 @@ def test_criterion_9_moments_closed_vs_quadrature(ctx):
     worst = mp.mpf(0)
     odd_exact = True
     for fam in fams:
-        rule = gauss_rule(WeightSpec.from_family(fam), nmax + kmax // 2 + 1, ctx)
+        rule = gauss_rule(fam, nmax + kmax // 2 + 1, ctx)
         sums, absums = _poly_sq_sums(fam, rule, nmax, tuple(range(1, kmax + 1)), ctx)
         with mp.workprec(ctx.bits):
             for n in range(nmax + 1):

@@ -29,9 +29,12 @@ from spreadpoly.bell import (
     renyi_length_bell,
     renyi_power_integral_bell,
 )
-from spreadpoly.lauricella import laguerre_power_integral_lauricella
+from spreadpoly.lauricella import (
+    laguerre_power_integral_lauricella,
+    renyi_length_laguerre_lauricella,
+)
 from spreadpoly.orthopoly import evaluate_recurrence
-from spreadpoly.quadrature import WeightSpec, gauss_rule, integrate_density_power
+from spreadpoly.quadrature import gauss_rule, integrate_density_power
 
 CTX = PrecisionContext()
 FAST = PrecisionContext(bits=128)
@@ -421,11 +424,16 @@ def test_length_from_power_integral_contract():
 
 
 def test_divergent_parameters_rejected():
-    # w^q is not integrable, so the power integral is refused, while the
-    # integral of rho^q diverges and the length is 0
+    # w^q is not integrable, so every route refuses the power integral,
+    # while the integral of rho^q diverges and the length is 0
     for family, n, q in ((Family.laguerre(-0.5), 2, 2), (Family.jacobi(-0.5, 0.0), 1, 3)):
-        with pytest.raises(ParameterError):
-            renyi_power_integral_bell(family, n, q, CTX)
+        routes = [renyi_power_integral_bell, integrate_density_power]
+        if family.kind == "laguerre":
+            routes.append(lambda f, n, q, ctx: laguerre_power_integral_lauricella(n, f.alpha, q, ctx))
+            assert renyi_length_laguerre_lauricella(n, family.alpha, q, CTX) == 0
+        for route in routes:
+            with pytest.raises(ParameterError):
+                route(family, n, q, CTX)
         assert renyi_length_bell(family, n, q, CTX) == 0
 
 
@@ -472,11 +480,11 @@ def test_large_degree_needs_no_escalation_budget():
 
 def _gauss_abs_scale(family, n, order, ctx):
     """Sum of |terms| of the Gauss route's rule for W_q."""
-    rule = gauss_rule(WeightSpec.power(family, order.q), n * order.two_q // 2 + 1, ctx)
+    nodes, weights = gauss_rule(family, n * order.two_q // 2 + 1, ctx, order)
     with mp.workprec(ctx.bits + 20):
         return mp.fsum(
             w * abs(evaluate_recurrence(family, n, x)) ** order.two_q
-            for x, w in zip(rule.nodes, rule.weights)
+            for x, w in zip(nodes, weights)
         )
 
 

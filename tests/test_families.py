@@ -25,6 +25,21 @@ def test_laguerre_rejects_bad_alpha(alpha):
         Family.laguerre(alpha)
 
 
+@pytest.mark.parametrize("e", [-0.9, -0.5, -0.25])
+@pytest.mark.parametrize(
+    "make,end",
+    [
+        (Family.laguerre, 0),
+        (lambda e: Family.jacobi(e, 0.0), 1),
+        (lambda e: Family.jacobi(0.0, e), -1),
+    ],
+    ids=["laguerre-0", "jacobi-alpha-1", "jacobi-beta--1"],
+)
+def test_weight_is_infinite_at_a_singular_end(make, end, e):
+    # mpmath's 0^(-1/2) takes its square-root path and divides by zero
+    assert make(e).weight(end) == mp.inf
+
+
 def test_jacobi_rejects_bad_exponents():
     with pytest.raises(ParameterError):
         Family.jacobi(-1.0, 0.0)

@@ -50,7 +50,7 @@ from spreadpoly.orthopoly import (
     to_fixed,
     zeros,
 )
-from spreadpoly.quadrature import _RULE_CACHE_SIZE, WeightSpec, _standard_rule
+from spreadpoly.quadrature import _RULE_CACHE_SIZE, _power_exponents, _standard_rule
 from spreadpoly.report import measures_table
 
 FAMILIES = [
@@ -306,8 +306,7 @@ def test_gauss_polish_matches_the_oracle(kind, alpha, beta, two_q, m, bits):
     alpha = 0.0 if kind == "hermite" else alpha
     beta = beta if kind == "jacobi" else 0.0
     assume(alpha * two_q > -2 and beta * two_q > -2)
-    spec = WeightSpec.power(Family(kind, alpha, beta), RenyiOrder(two_q).q)
-    a, b = spec.alpha, spec.beta
+    a, b = _power_exponents(Family(kind, alpha, beta), RenyiOrder(two_q).q)
     nodes, weights = _gauss_polish(kind, a, b, m, bits)
     oracle_bits = 2 * bits + 64
     ref_nodes = _ref_zeros_raw(kind, a, b, m, oracle_bits)
@@ -338,7 +337,7 @@ def test_coefficients_and_powers_are_bit_identical(family, bits):
         assert [Fraction(r, R[-1]) for r in R] == [c / display[-1] for c in display], n
         for p in (1, 2, 3) if n == 40 else (1, 2, 3, 6):
             assert polynomial_power_coeffs(R, p) == naive_power(R, p), (n, p)
-        got = orthonormal_coeffs(family, n, PrecisionContext(bits=bits)).coeffs
+        got = orthonormal_coeffs(family, n, PrecisionContext(bits=bits))
         with mp.workprec(4 * bits):
             h = _squared_norm(kind, alpha, beta, n, 4 * bits)
             fine = [r / (R[-1] * mp.sqrt(h)) for r in R]
@@ -369,12 +368,12 @@ def test_coefficient_memo_is_kept_per_precision():
     # each precision's rounding is the same with the memo warm or cold
     fam = Family.jacobi(-0.25, 0.5)
     _explicit_coeffs.cache_clear()
-    low = orthonormal_coeffs(fam, 9, PrecisionContext(bits=64)).coeffs
-    high = orthonormal_coeffs(fam, 9, PrecisionContext(bits=512)).coeffs
+    low = orthonormal_coeffs(fam, 9, PrecisionContext(bits=64))
+    high = orthonormal_coeffs(fam, 9, PrecisionContext(bits=512))
     assert _explicit_coeffs.cache_info().misses == 1
     _explicit_coeffs.cache_clear()
-    assert orthonormal_coeffs(fam, 9, PrecisionContext(bits=512)).coeffs == high
-    assert orthonormal_coeffs(fam, 9, PrecisionContext(bits=64)).coeffs == low
+    assert orthonormal_coeffs(fam, 9, PrecisionContext(bits=512)) == high
+    assert orthonormal_coeffs(fam, 9, PrecisionContext(bits=64)) == low
     assert low != high
 
 

@@ -15,10 +15,9 @@ from spreadpoly import orthopoly
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder, exact_recurrence
 from spreadpoly.quadrature import (
-    NonIntegrableError,
     QuadratureError,
-    WeightSpec,
     _BATCH_NODES,
+    _power_exponents,
     _rule_sum,
     _standard_rule,
     gauss_rule,
@@ -58,76 +57,79 @@ def test_gauss_polish_takes_at_most_two_passes_per_node(monkeypatch):
     for fam in fams:
         for two_q in (2, 3, 4, 6):
             try:
-                spec = WeightSpec.power(fam, RenyiOrder(two_q).q)
-            except NonIntegrableError:
+                alpha, beta = _power_exponents(fam, RenyiOrder(two_q).q)
+            except ParameterError:
                 continue
             m = 4 * two_q // 2 + 1  # the n = 4 cells
-            _standard_rule.__wrapped__(spec.kind, spec.alpha, spec.beta, m, CTX.bits)
-            symmetric = orthopoly._is_symmetric(spec.kind, spec.alpha, spec.beta)
+            _standard_rule.__wrapped__(fam.kind, alpha, beta, m, CTX.bits)
+            symmetric = orthopoly._is_symmetric(fam.kind, alpha, beta)
             polished += (m + 1) // 2 if symmetric else m
     assert len(passes) <= 2.0 * polished, len(passes) / polished
 
 
 def test_gauss_nodes_match_scipy():
-    rule = gauss_rule(WeightSpec("hermite"), 12, CTX)
+    nodes, weights = gauss_rule(Family.hermite(), 12, CTX)
     ref_x, ref_w = special.roots_hermite(12)
-    assert np.allclose([float(x) for x in rule.nodes], ref_x, atol=1e-12)
-    assert np.allclose([float(w) for w in rule.weights], ref_w, rtol=1e-12)
+    assert np.allclose([float(x) for x in nodes], ref_x, atol=1e-12)
+    assert np.allclose([float(w) for w in weights], ref_w, rtol=1e-12)
 
-    rule = gauss_rule(WeightSpec("laguerre", alpha=0.5), 9, CTX)
+    nodes, weights = gauss_rule(Family.laguerre(0.5), 9, CTX)
     ref_x, ref_w = special.roots_genlaguerre(9, 0.5)
-    assert np.allclose([float(x) for x in rule.nodes], ref_x, rtol=1e-12)
+    assert np.allclose([float(x) for x in nodes], ref_x, rtol=1e-12)
 
-    rule = gauss_rule(WeightSpec("jacobi", alpha=2.0, beta=-0.5), 10, CTX)
+    nodes, weights = gauss_rule(Family.jacobi(2.0, -0.5), 10, CTX)
     ref_x, ref_w = special.roots_jacobi(10, 2.0, -0.5)
-    assert np.allclose([float(x) for x in rule.nodes], ref_x, atol=1e-12)
-    assert np.allclose([float(w) for w in rule.weights], ref_w, rtol=1e-11)
+    assert np.allclose([float(x) for x in nodes], ref_x, atol=1e-12)
+    assert np.allclose([float(w) for w in weights], ref_w, rtol=1e-11)
 
 
 def test_weights_sum_to_weight_mass():
     with mp.workprec(CTX.bits):
-        rule = gauss_rule(WeightSpec("hermite"), 8, CTX)
-        assert abs(mp.fsum(rule.weights) - mp.sqrt(mp.pi)) < mp.mpf(1e-70)
-        rule = gauss_rule(WeightSpec("laguerre", alpha=2.5), 8, CTX)
-        assert abs(mp.fsum(rule.weights) - mp.gamma(3.5)) < mp.mpf(1e-70)
+        _, weights = gauss_rule(Family.hermite(), 8, CTX)
+        assert abs(mp.fsum(weights) - mp.sqrt(mp.pi)) < mp.mpf(1e-70)
+        _, weights = gauss_rule(Family.laguerre(2.5), 8, CTX)
+        assert abs(mp.fsum(weights) - mp.gamma(3.5)) < mp.mpf(1e-70)
         a, b = mp.mpf(2), mp.mpf(5)
         mass = mp.power(2, a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
-        rule = gauss_rule(WeightSpec("jacobi", alpha=2.0, beta=5.0), 8, CTX)
-        assert abs(mp.fsum(rule.weights) - mass) < mp.mpf(1e-70)
+        _, weights = gauss_rule(Family.jacobi(2.0, 5.0), 8, CTX)
+        assert abs(mp.fsum(weights) - mass) < mp.mpf(1e-70)
 
 
 def test_rule_polynomial_exactness():
-    spec = WeightSpec("laguerre", alpha=1.5)
-    rule = gauss_rule(spec, 6, CTX)
-    assert rule.exact_degree == 11
+    # a 6-node rule is exact to degree 11
+    family = Family.laguerre(1.5)
+    rule = gauss_rule(family, 6, CTX)
     with mp.workprec(CTX.bits):
         for j in range(0, 12):
             direct = rule_sum(rule, lambda x, j=j: mp.power(x, j))
-            closed = weight_moment(spec, j, CTX)
+            closed = weight_moment(family, j, CTX)
             assert abs(direct - closed) <= mp.mpf(1e-65) * max(1, abs(closed))
 
 
 def test_weight_moment_closed_forms():
     with mp.workprec(CTX.bits):
         # hermite: integral x^4 e^-x^2 = 3 sqrt(pi)/4
-        got = weight_moment(WeightSpec("hermite"), 4, CTX)
+        got = weight_moment(Family.hermite(), 4, CTX)
         assert abs(got - 3 * mp.sqrt(mp.pi) / 4) < mp.mpf(1e-70)
         # laguerre alpha=0: integral x^3 e^-x = 6
-        got = weight_moment(WeightSpec("laguerre"), 3, CTX)
+        got = weight_moment(Family.laguerre(0.0), 3, CTX)
         assert abs(got - 6) < mp.mpf(1e-70)
         # hermite odd moments vanish
-        assert weight_moment(WeightSpec("hermite"), 3, CTX) == 0
+        assert weight_moment(Family.hermite(), 3, CTX) == 0
 
 
 def test_non_integrable_exponents_rejected():
-    with pytest.raises(NonIntegrableError):
-        WeightSpec("laguerre", alpha=-1.0)
-    with pytest.raises(NonIntegrableError):
-        WeightSpec("jacobi", alpha=0.0, beta=-1.5)
     with pytest.raises(ParameterError):
-        WeightSpec("jacobi", alpha=0.0, beta=0.0, scale=2.0)
+        Family.laguerre(-1.0)
     with pytest.raises(ParameterError):
-        WeightSpec("circular")
+        Family.jacobi(0.0, -1.5)
+    with pytest.raises(ParameterError):
+        Family("circular")
+    # w^q with alpha q <= -1: Laguerre(-1/2) at q = 2, Jacobi beta q = -1.5
+    with pytest.raises(ParameterError):
+        gauss_rule(Family.laguerre(-0.5), 4, CTX, q=2)
+    with pytest.raises(ParameterError):
+        gauss_rule(Family.jacobi(0.0, -0.5), 4, CTX, q=3)
 
 
 @pytest.mark.parametrize(
@@ -172,7 +174,7 @@ def test_parity_zero_needs_no_clamp(family, n):
         values.append(v)
         return w * v**3
 
-    assert _rule_sum(family, n, WeightSpec.power(family, order.q), 3 * n // 2 + 1, CTX, term) == 0
+    assert _rule_sum(family, n, order, 3 * n // 2 + 1, CTX, term) == 0
     with mp.workprec(CTX.bits + orthopoly._RULE_GUARD):
         assert values == [-v for v in reversed(values)]
 

@@ -171,6 +171,26 @@ def test_float64_estimate_bounds_the_error(fam, n, ref):
         assert abs(S - want) <= est
 
 
+#: S by the mpf route at tol=1e-30 and 256 bits, frozen.  At large alpha
+#: the rounding of alpha ln x in ln w meets |ln p^2| ~ |ln w| ~ 10^3-10^4;
+#: before the estimate counted it, the error here was 1.13, 1.14, 2.19,
+#: 1.18 and 1.21 times the estimate.
+LARGE_ALPHA_CELLS = [
+    (130.5, 1, "4.12964935960969017124066980330"),
+    (280.0, 2, "4.66637259581091507187817069013"),
+    (350.0, 2, "4.77718775214586830852249668418"),
+    (1000.0, 3, "5.41168861413988844911596941382"),
+    (5000.0, 3, "6.21518752375701688710630405676"),
+]
+
+
+@pytest.mark.parametrize("alpha,n,ref", LARGE_ALPHA_CELLS)
+def test_float64_estimate_counts_the_weight_log_rounding(alpha, n, ref):
+    S, est = _entropy_fast(Family.laguerre(alpha), n, 1e-9)
+    with mp.workprec(256):
+        assert abs(S - mp.mpf(ref)) <= est
+
+
 #: Cells with a closed-form entropy at n >= 1: Hermite n = 1 and the four
 #: Chebyshev weights of Jacobi.
 ANCHOR_CELLS = [(Family.hermite(), 1)] + [
