@@ -23,7 +23,7 @@ from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, LAGUERRE, Family, _rational
 from .orthopoly import zeros_raw
-from .quadrature import QuadratureError, _rule_sum, tanh_sinh_panels
+from .quadrature import QuadratureError, _engine_panels, _rule_sum, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -144,7 +144,7 @@ def _fisher_integrand(family: Family, n: int):
 
     def fpanel(i, a, b, x, dl, dr):
         p, dp, logscale = poly_scaled(kind, al, be, n, x, derivative=True)
-        logw, u = log_weight(kind, al, be, a, b, x, dl, dr, derivative=True)
+        logw, _, u = log_weight(kind, al, be, a, b, x, dl, dr, derivative=True)
         core = 2.0 * dp + p * u
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mag = 2.0 * np.log(np.abs(core)) + 2.0 * logscale + logw
@@ -161,14 +161,17 @@ def fisher_information_numeric(family: Family, n: int):
     behaves like |x - end|^(e-2), so the engine's estimate counts the mass
     beyond its outermost node there, which is infinite for e <= 1 (the
     divergent branches).  QuadratureError when the estimate exceeds 1e-10.
+    A symmetric weight makes the integrand even, so it is integrated over
+    [0, hi] only, at half that tolerance, and the value and estimate are
+    doubled (``quadrature._engine_panels``, as for the Shannon integral).
     """
     tol = 1e-10
-    lo, hi = family.interval
-    pts = [lo] + zeros_raw(family.kind, family.alpha, family.beta, n) + [hi]
-    edges = tuple(e - 2.0 if e != 0 else 0.0 for e in family.edge_exponents)
+    pts, edges, factor = _engine_panels(family, n)
+    edges = tuple(e - 2.0 if e != 0 else 0.0 for e in edges)
     val, err = tanh_sinh_panels(
-        _fisher_integrand(family, n), pts, tol=tol, edge_exponents=edges
+        _fisher_integrand(family, n), pts, tol=tol / factor, edge_exponents=edges
     )
+    val, err = factor * val, factor * err
     if not err <= tol:
         raise QuadratureError(
             f"numeric Fisher information of {family.describe()} at n={n}: "

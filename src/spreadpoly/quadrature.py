@@ -48,7 +48,9 @@ Two adaptive integrators serve the Shannon integrals:
   endpoint where the integrand blows up like |x - e|^gamma (gamma < 0) the
   error estimate also counts the mass beyond the outermost node.  When that
   makes the estimate too large, the Shannon route falls back to
-  :func:`integrate_log_singular` and the Fisher route raises.
+  :func:`integrate_log_singular` and the Fisher route raises.  Both take
+  their panels from :func:`_engine_panels`: split at the zeros of p_n, and
+  over the half line [0, hi] only, doubled, for a symmetric weight.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from mpmath import mp
 from .context import ParameterError, PrecisionContext, PrecisionError
 from .families import HERMITE, JACOBI, Family, RenyiOrder, power_integrable
 from .orthopoly import _RULE_GUARD, _gauss_polish, _is_symmetric, _mirror, _recurrence_values
-from .orthopoly import evaluate_recurrence, zeros
+from .orthopoly import evaluate_recurrence, zeros, zeros_raw
 
 __all__ = [
     "QuadratureError",
@@ -477,3 +479,22 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     floor = 5e-16 * magnitude
     rounding = float(np.dot(last_h, carried)) + math.sqrt(float(np.dot(last_h**2, scattered)))
     return float(np.sum(totals)), max(est, floor) + tail + rounding
+
+
+def _engine_panels(family: Family, n: int):
+    """``(points, edge_exponents, factor)`` of a float64 integral against
+    rho_n: the interval split at the zeros of p_n (``zeros_raw``) with the
+    weight's exponents at its ends, and factor 1; for a symmetric weight,
+    the half [0, hi] split at the positive zeros, exponent 0 at 0 (an
+    interior point) and factor 2.  The integral of an integrand that is
+    even with the weight is ``factor`` times that over the points; both
+    Shannon's rho ln p_n^2 and Fisher's (rho')^2 / rho are.  The zeros
+    mirror exactly and p_n(-x) = (-1)^n p_n(x) bit for bit in the float
+    recurrence when every a_k = 0, so the two halves of the integrand are
+    mirror images to the bit; at odd n the zero at 0 is the first end.
+    """
+    lo, hi = family.interval
+    zs = zeros_raw(family.kind, family.alpha, family.beta, n)
+    if _is_symmetric(family.kind, family.alpha, family.beta):
+        return [0.0] + zs[(n + 1) // 2 :] + [hi], (0.0, family.edge_exponents[1]), 2
+    return [lo] + zs + [hi], family.edge_exponents, 1

@@ -32,9 +32,9 @@ from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
-from .quadrature import QuadratureError, _check_tol, _split_integral, tanh_sinh_panels
+from .quadrature import QuadratureError, _check_tol, _engine_panels, _split_integral
+from .quadrature import tanh_sinh_panels
 from .closed_form import moment, stddev
-from .orthopoly import zeros_raw
 from ._vec import log_weight, poly_scaled
 
 __all__ = [
@@ -124,19 +124,21 @@ def _log_poly_panel(family: Family, n: int):
     * the recurrence carries p to a relative error that grows like the
       square root of its steps, counted as 16 sqrt(n+1) u.
 
-    At a Laguerre node, ln w = alpha ln x - x carries the roundings of ln x
-    and of the product, within 3u |alpha ln x| = 3u |ln w + x|.  They differ
-    from node to node, but at large alpha they meet |ln p^2| ~ |ln w| >> 1
-    and the level differences show too little of them (Laguerre(350), n = 2,
-    was 2.2 estimates off), so a third element returns them as ``scatter``.
+    The logarithm terms of ln w (alpha ln x - x for Laguerre, alpha ln(1-x)
+    + beta ln(1+x) for Jacobi) carry the roundings of the logarithms, of
+    the products and of the sum, within 3u of the size of the terms that
+    ``log_weight`` returns.  They differ from node to node, but at a large
+    exponent they meet |ln p^2| ~ |ln w| >> 1 and the level differences
+    show too little of them (Laguerre(350), n = 2, was 2.2 estimates off;
+    Jacobi(1000, 0), n = 2, 1.5), so a third element returns them, 3u
+    |rho ln p^2| times that size, as ``scatter``.
     """
     kind, al, be = family.kind, family.alpha, family.beta
     recurrence = 32.0 * math.sqrt(n + 1) * _U
-    log_power = kind == LAGUERRE and al != 0.0
 
     def fpanel(i, a, b, x, dl, dr):
         p, logscale = poly_scaled(kind, al, be, n, x)
-        logw = log_weight(kind, al, be, a, b, x, dl, dr)
+        logw, size = log_weight(kind, al, be, a, b, x, dl, dr)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             logp = np.log(np.abs(p))
             logp2 = 2.0 * (logp + logscale)
@@ -149,9 +151,9 @@ def _log_poly_panel(family: Family, n: int):
             shared = shared + 2.0 * _U
         # rho |ln p^2 + 1| is |vals + rho|, which is 0, not nan, at a zero of p
         rounding = np.abs(vals + rho) * shared
-        if log_power:
-            return vals, rounding, 3.0 * _U * np.abs(vals * (logw + x))
-        return vals, rounding
+        if size is None:
+            return vals, rounding
+        return vals, rounding, 3.0 * _U * np.abs(vals) * size
 
     return fpanel
 
@@ -204,13 +206,16 @@ def _entropy_fast(family: Family, n: int, tol: float):
     without bound as an exponent approaches -1.  It also counts the
     rounding of the integrand (:func:`_log_poly_panel`), of the 53-bit
     <ln w> and of S, so it bounds the error of S, not only that of the
-    quadrature.
+    quadrature.  A symmetric weight (Hermite, Jacobi with alpha = beta)
+    makes rho ln p^2 even, so the integral runs over [0, hi] only, at
+    tol/2, and its value and estimate are doubled
+    (``quadrature._engine_panels``).
     """
-    lo, hi = family.interval
-    pts = [lo] + zeros_raw(family.kind, family.alpha, family.beta, n) + [hi]
+    pts, edges, factor = _engine_panels(family, n)
     log_p2, est = tanh_sinh_panels(
-        _log_poly_panel(family, n), pts, tol=tol, edge_exponents=family.edge_exponents
+        _log_poly_panel(family, n), pts, tol=tol / factor, edge_exponents=edges
     )
+    log_p2, est = factor * log_p2, factor * est
     mean_log_w, size = _mean_log_weight(family, n)
     S = -mp.mpf(log_p2) - mean_log_w
     return S, est + 8 * _U * float(size) + _U * abs(float(S))

@@ -340,9 +340,12 @@ def rule_sum(rule, f):
 
 def poly_scaled_plain(kind, alpha, beta, n, x, derivative=False):
     """The float64 recurrence of ``_vec.poly_scaled`` written plainly: new
-    arrays every step, and every step tests each node for rescaling.  Same
-    table, start (p_0 and its rescaling count from ``_vec._p0``), operations
-    and returns, so the two agree bit for bit."""
+    arrays every step, and every step scales each node above 2^332 by
+    exactly 2^-332.  Same table, start (p_0 and its rescaling count from
+    ``_vec._p0``), operations and returns, and the same renormalisation of
+    the counts at the end, node by node: up while |p| >= 2^332, down while
+    the count is above the start and |p| < 1 (p' in place of p where p = 0;
+    an exact zero keeps the start count), so the two agree bit for bit."""
     x = np.asarray(x, dtype=float)
     diag, off = raw_recurrence_float(kind, alpha, beta, n + 1)
     p0, count0 = _p0(kind, alpha, beta)
@@ -362,6 +365,17 @@ def poly_scaled_plain(kind, alpha, beta, n, x, derivative=False):
             pk, pkm1 = pk * factor, pkm1 * factor
             dk, dkm1 = dk * factor, dkm1 * factor
             count += big
+    for i in range(x.size):
+        lead = pk[i] if pk[i] != 0.0 or not derivative else dk[i]
+        if lead == 0.0:
+            count[i] = count0
+            continue
+        while abs(lead) >= _RESCALE:
+            lead, pk[i], dk[i] = lead / _RESCALE, pk[i] / _RESCALE, dk[i] / _RESCALE
+            count[i] += 1
+        while count[i] > count0 and abs(lead) < 1.0:
+            lead, pk[i], dk[i] = lead * _RESCALE, pk[i] * _RESCALE, dk[i] * _RESCALE
+            count[i] -= 1
     logscale = count * _LN_RESCALE_HI
     if count.any():
         low = np.exp(count * _LN_RESCALE_LO)
@@ -399,6 +413,7 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
     totals = np.zeros(lo.size)
     magnitude = 0.0
     carried = 0.0
+    scattered = 0.0
     est = np.inf
     tail = 0.0
     for level in range(0, _MAX_LEVEL + 1):
@@ -433,8 +448,10 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
             ends = (np.repeat(lo[span], t.size), np.repeat(hi[span], t.size))
             vals = fpanel(batch, *ends, x.ravel(), dl.ravel(), dr.ravel())
             if isinstance(vals, tuple):
-                vals, rounding = vals
+                vals, rounding, *scatter = vals
                 carried += float(np.vdot(np.broadcast_to(w, x.shape), rounding))
+                if scatter:
+                    scattered += float(np.vdot(np.broadcast_to(w, x.shape) ** 2, scatter[0] ** 2))
             vals = np.asarray(vals, dtype=float).reshape(x.shape)
             bad = np.count_nonzero(~np.isfinite(vals), axis=1)
             for j, i in enumerate(batch):
@@ -458,4 +475,4 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
             if level >= 3 and est <= tol / 8.0:
                 break
     floor = 5e-16 * magnitude
-    return float(np.sum(totals)), max(est, floor) + tail + h * carried
+    return float(np.sum(totals)), max(est, floor) + tail + h * carried + h * math.sqrt(scattered)

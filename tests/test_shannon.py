@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from spreadpoly import shannon
+from spreadpoly import closed_form, shannon
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant
 from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, _p0, poly_scaled
@@ -220,9 +220,9 @@ def test_float64_path_meets_closed_forms_at_positive_degree(fam, n):
 
 
 def test_log_scale_error_is_within_its_counted_share():
-    # poly_scaled counts the rescalings by 1/_RESCALE (a double) and returns
+    # poly_scaled counts the rescalings by 1/_RESCALE = 2^-332 and returns
     # the scale count * _LN_RESCALE_HI, exact, with the low part of
-    # count * ln(1/fl(1e-100)) folded into p as a factor within u
+    # count * ln 2^332 folded into p as a factor within u
     with mp.workprec(200):
         step = -mp.log(mp.mpf(1.0 / _RESCALE))
         assert abs(mp.mpf(_LN_RESCALE_HI) + _LN_RESCALE_LO - step) < 3e-24
@@ -266,8 +266,8 @@ POLY_SCALED_CELLS = (
     "fam,n", POLY_SCALED_CELLS, ids=[f"{f.describe()}-{n}" for f, n in POLY_SCALED_CELLS]
 )
 def test_poly_scaled_is_bit_identical_to_the_plain_recurrence(fam, n):
-    # the in-place recurrence, which tests for rescaling only when a bound
-    # on max|p_k| passes _RESCALE, makes the plain recurrence's values
+    # the in-place recurrence, which tests for rescaling only near overflow,
+    # makes the values of the plain one, which rescales at every step
     if fam.kind == "hermite":
         x = np.linspace(-30.0, 30.0, 601)
     elif fam.kind == "laguerre":
@@ -284,6 +284,83 @@ def test_poly_scaled_is_bit_identical_to_the_plain_recurrence(fam, n):
     # some nodes rescale more often than others
     rescales = (fam.kind, n) in [("hermite", 400)] or (fam.kind == "laguerre" and n >= 48)
     assert (np.ptp(got[-1]) > 0) == rescales
+
+
+@pytest.mark.parametrize(
+    "fam,n", [(Family.laguerre(5.0), 1200), (Family.hermite(), 400)], ids=["laguerre5-1200", "hermite-400"]
+)
+def test_poly_scaled_values_do_not_depend_on_the_batch(fam, n):
+    # exp-sinh nodes out to about 4e18 make the batch's bound pass the
+    # near-overflow test early and often, and rescale the far nodes by many
+    # factors 2^332 at a time; the finite nodes come out with the same bits
+    zs = zeros_raw(fam.kind, fam.alpha, fam.beta, n)
+    finite = np.linspace(fam.interval[0] if fam.kind == "laguerre" else -zs[-1], zs[-1], 2001)
+    far = zs[-1] + np.exp(0.5 * np.pi * np.sinh(np.linspace(-4.0, 4.0, 257)))
+    assert far.max() > 1e18
+    mixed = np.concatenate([far[::2], finite, far[1::2]])
+    inside = slice(129, 129 + finite.size)
+    for derivative in (False, True):
+        alone = poly_scaled(fam.kind, fam.alpha, fam.beta, n, finite, derivative=derivative)
+        together = poly_scaled(fam.kind, fam.alpha, fam.beta, n, mixed, derivative=derivative)
+        assert alone[-1].max() > 0  # the finite nodes rescale too
+        for a, t in zip(alone, together):
+            assert a.tobytes() == t[inside].tobytes()
+
+
+SYMMETRIC = [Family.hermite()] + [Family.jacobi(a, a) for a in (-0.5, 0.0, 0.5, 2.0)]
+
+
+def _recording(seen):
+    """tanh_sinh_panels that keeps its points and the abscissas it hands out."""
+
+    def run(fpanel, points, **kwargs):
+        seen["points"] = list(points)
+
+        def recorded(i, a, b, x, dl, dr):
+            seen["x_min"] = min(seen.get("x_min", np.inf), float(x.min()))
+            return fpanel(i, a, b, x, dl, dr)
+
+        return tanh_sinh_panels(recorded, points, **kwargs)
+
+    return run
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40])
+@pytest.mark.parametrize("fam", SYMMETRIC, ids=[f.describe() for f in SYMMETRIC])
+def test_symmetric_weight_integrates_the_half_line(fam, n, monkeypatch):
+    # an even weight and rho ln p^2: twice the integral over [0, hi], at
+    # tol/2, agrees with the integral over the whole line split at all zeros
+    seen = {}
+    monkeypatch.setattr(shannon, "tanh_sinh_panels", _recording(seen))
+    S, est = _entropy_fast(fam, n, 1e-9)
+    assert seen["x_min"] >= 0.0
+    zs = zeros_raw(fam.kind, fam.alpha, fam.beta, n)
+    assert seen["points"][0] == 0.0 and seen["points"][1:-1] == [z for z in zs if z > 0]
+    if n % 2:
+        assert zs[n // 2] == 0.0  # the exact zero at 0 is the first panel end
+    lo, hi = fam.interval
+    full, full_est = tanh_sinh_panels(
+        _log_poly_panel(fam, n), [lo] + zs + [hi], tol=1e-9, edge_exponents=fam.edge_exponents
+    )
+    with mp.workprec(53):
+        S_full = -mp.mpf(full) - _mean_log_weight(fam, n)[0]
+        assert abs(S - S_full) <= est + full_est
+    assert est <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+@pytest.mark.parametrize(
+    "fam", [Family.hermite(), Family.jacobi(0.0, 0.0), Family.jacobi(2.0, 2.0)],
+    ids=["hermite", "legendre", "jacobi2-2"],
+)
+def test_symmetric_fisher_integrates_the_half_line(fam, n, monkeypatch):
+    # (rho')^2 / rho is even with the weight: the half line, doubled, meets
+    # the closed form within the 1e-10 the numeric route accepts
+    seen = {}
+    monkeypatch.setattr(closed_form, "tanh_sinh_panels", _recording(seen))
+    F = closed_form.fisher_information_numeric(fam, n)
+    assert seen["x_min"] >= 0.0 and seen["points"][0] == 0.0
+    assert abs(F - closed_form.fisher_information(fam, n, CTX)) <= 1e-10
 
 
 def test_p0_outside_the_doubles_stays_on_float64():
