@@ -11,7 +11,7 @@ nodes share the call.  The coefficients come from
 ``families.raw_recurrence``, the exact table rounded once to float64, and
 the start p_0 = 1/sqrt(mu_0) from :func:`_p0`, a normal double and a
 starting rescaling count.  :func:`log_weight` gives
-ln w (and (ln w)') at the nodes of the float64 tanh-sinh engine, with the
+ln w (and (ln w)') at the nodes of the float64 panel engine, with the
 size of its logarithm terms, which bounds their rounding.
 """
 
@@ -181,7 +181,7 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
 
 
 def log_weight(kind, alpha, beta, a, b, x, dl, dr, derivative=False):
-    """``(ln w, size)`` at tanh-sinh nodes, or ``(ln w, size, (ln w)')``
+    """``(ln w, size)`` at the panel engine's nodes, or ``(ln w, size, (ln w)')``
     with ``derivative``.
 
     Takes the node arguments of a ``quadrature.tanh_sinh_panels``

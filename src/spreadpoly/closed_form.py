@@ -160,22 +160,28 @@ def fisher_information_numeric(family: Family, n: int):
     Beside an end where the weight exponent e is nonzero the integrand
     behaves like |x - end|^(e-2), so the engine's estimate counts the mass
     beyond its outermost node there, which is infinite for e <= 1 (the
-    divergent branches).  QuadratureError when the estimate exceeds 1e-10.
-    A symmetric weight makes the integrand even, so it is integrated over
-    [0, hi] only, at half that tolerance, and the value and estimate are
-    doubled (``quadrature._engine_panels``, as for the Shannon integral).
+    divergent branches).  The integrand is analytic across the zeros of
+    p_n, so the panels between them take the engine's Gauss-Legendre pair
+    without a logarithmic split (``quadrature._engine_panels``).
+    The engine aims at, and QuadratureError is raised when the estimate
+    exceeds, 1e-10 max(1, |F|): the engine's floor is 5e-16 of the
+    integral's magnitude, so an absolute 1e-10 would refuse F ~ 1e5
+    (Legendre, n = 40).  A symmetric weight makes the integrand even, so
+    it is integrated over [0, hi] only, at half the absolute tolerance,
+    and the value and estimate are doubled, as for the Shannon integral.
     """
     tol = 1e-10
-    pts, edges, factor = _engine_panels(family, n)
+    pts, edges, factor, zero_panels = _engine_panels(family, n)
     edges = tuple(e - 2.0 if e != 0 else 0.0 for e in edges)
     val, err = tanh_sinh_panels(
-        _fisher_integrand(family, n), pts, tol=tol / factor, edge_exponents=edges
+        _fisher_integrand(family, n), pts, tol=tol / factor, rel_tol=tol,
+        edge_exponents=edges, zero_panels=zero_panels,
     )
     val, err = factor * val, factor * err
-    if not err <= tol:
+    if not err <= tol * max(1.0, abs(val)):
         raise QuadratureError(
             f"numeric Fisher information of {family.describe()} at n={n}: "
-            f"error estimate {err:.3g} exceeds tol {tol:g}"
+            f"error estimate {err:.3g} exceeds tol {tol:g} max(1, |F|)"
         )
     return mp.mpf(val)
 

@@ -37,20 +37,25 @@ Two adaptive integrators serve the Shannon integrals:
 * :func:`integrate_log_singular` — arbitrary-precision tanh-sinh panels
   (mpmath), the contract-level routine, split at strictly increasing
   points that it takes as given;
-* :func:`tanh_sinh_panels` — a vectorized float64 tanh-sinh engine, the
-  throughput path of the Shannon and Fisher integrals.  It hands the nodes
-  of many panels, finite and infinite, to the integrand in one call (levels
-  0 to 3 together, then one level per round), so a recurrence-based
-  integrand runs its n-step loop once per batch of panels rather than once
-  per panel and level; a panel whose own level difference has converged
-  stops refining, and a non-finite integrand value raises
-  :class:`QuadratureError`.  Its node map stops at t = +-_TMAX, so at an
-  endpoint where the integrand blows up like |x - e|^gamma (gamma < 0) the
-  error estimate also counts the mass beyond the outermost node.  When that
-  makes the estimate too large, the Shannon route falls back to
-  :func:`integrate_log_singular` and the Fisher route raises.  Both take
-  their panels from :func:`_engine_panels`: split at the zeros of p_n, and
-  over the half line [0, hi] only, doubled, for a symmetric weight.
+* :func:`tanh_sinh_panels` — a vectorized float64 panel engine, the
+  throughput path of the Shannon and Fisher integrals.  Both split the
+  interval at the zeros of p_n (:func:`_engine_panels`; over the half
+  line [0, hi] only, doubled, for a symmetric weight).  A panel between
+  two zeros takes a 16/20-node Gauss-Legendre pair: the logarithm of the
+  zeros at its ends is split off the Shannon integrand and integrated by
+  product weights on the same nodes (Gautschi, *Orthogonal Polynomials*,
+  2004); the Fisher integrand, analytic across the zeros, takes the pair
+  without the split.  The end panels, and a zero panel beside a finite end where w
+  has a branch point, run tanh-sinh levels (exp-sinh on an infinite one).
+  Every panel's first nodes go to the integrand in one call, so a
+  recurrence-based integrand runs its n-step loop once for them; a panel
+  that has not converged refines in further tanh-sinh rounds, and a
+  non-finite integrand value raises :class:`QuadratureError`.  The
+  tanh-sinh node map stops at t = +-_TMAX, so at an endpoint where the
+  integrand blows up like |x - e|^gamma (gamma < 0) the error estimate
+  also counts the mass beyond the outermost node.  When that makes the
+  estimate too large, the Shannon route falls back to
+  :func:`integrate_log_singular` and the Fisher route raises.
 """
 
 from __future__ import annotations
@@ -234,16 +239,27 @@ def _split_integral(family: Family, n: int, f, ctx: PrecisionContext, *, tol):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized float64 tanh-sinh engine
+# Vectorized float64 panel engine
 # ---------------------------------------------------------------------------
 
 _TMAX = 4.0
 
 #: Most abscissas one ``fpanel`` call receives: the panels of a round are
-#: laid out side by side in batches of at most this many nodes (a batch
+#: laid out one after another in calls of at most this many nodes (a call
 #: holds at least one panel).  The cap bounds the memory of the integrand's
-#: temporaries, which grow with the batch.
+#: temporaries, which grow with the call.
 _BATCH_NODES = 2**15
+
+#: Node counts of the Gauss-Legendre pair of a zero panel: the value is the
+#: larger rule's, the difference of the two its estimate.
+_GAUSS_PAIR = (16, 20)
+
+#: Fraction bits of the fixed-point arithmetic that builds a Gauss-Legendre
+#: rule; each of its constants is then rounded once to a double.
+_RULE_BITS = 96
+
+#: Unit roundoff of float64 and of 53-bit mpf.
+_U = 2.0**-53
 
 
 def _panel_nodes(level: int):
@@ -259,23 +275,39 @@ def _panel_nodes(level: int):
 
 @dataclass(frozen=True)
 class _Round:
-    """Node quantities of the levels of one round, side by side: ``parts``
-    lists (level, slice of the nodes, h); the arrays are the node map's
-    factors (read-only, the rounds are cached)."""
+    """The nodes of a round's rules on a standard panel, side by side
+    (read-only; the rounds are cached).  ``parts`` lists a (level, slice of
+    the nodes, h) per tanh-sinh level, or an (m, slice, None) per rule of
+    the Gauss-Legendre pair.  On a finite panel [a, b] of half-width r, a
+    node lies r sel_l from a and r sel_r from b, nearer a where ``left``,
+    and weighs r ``weight``; ``split`` holds the log-split weights of a
+    Gauss round the same way.  ``d`` and ``weight_inf`` are the exp-sinh
+    map and weights of an infinite panel (tanh-sinh only)."""
 
     parts: tuple
-    u: np.ndarray
+    left: np.ndarray
     sel_l: np.ndarray
     sel_r: np.ndarray
-    cosh_t: np.ndarray
-    sech2: np.ndarray
-    d: np.ndarray
-    w_exp: np.ndarray
+    weight: np.ndarray
+    split: np.ndarray | None = None
+    d: np.ndarray | None = None
+    weight_inf: np.ndarray | None = None
+
+    @property
+    def gauss(self) -> bool:
+        return self.split is not None
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @functools.lru_cache(maxsize=None)
 def _round(levels: tuple) -> _Round:
-    """The round of ``levels``; seven occur (levels 0-3, then 4 to 9)."""
+    """The tanh-sinh round of ``levels``: levels 0-4 (finite panels) or 0-6
+    (infinite ones) first, then one level at a time, up to 9."""
     ts, parts, start = [], [], 0
     for level in levels:
         t, h = _panel_nodes(level)
@@ -290,42 +322,125 @@ def _round(levels: tuple) -> _Round:
     near = 2.0 * e2u / (1.0 + e2u)      # 1 - |tanh u|
     far = 2.0 / (1.0 + e2u)             # 1 + |tanh u|
     d = np.exp(u)
-    arrays = (
-        u,
+    return _Round(tuple(parts), *_read_only(
+        u < 0,
         np.where(u < 0, near, far),
         np.where(u < 0, far, near),
-        cosh_t,
-        np.cosh(u) ** 2,
-        d,
-        0.5 * np.pi * cosh_t * d,
-    )
-    for a in arrays:
-        a.setflags(write=False)
-    return _Round(tuple(parts), *arrays)
+        0.5 * np.pi * cosh_t / np.cosh(u) ** 2,
+    ), None, *_read_only(d, 0.5 * np.pi * cosh_t * d))
+
+
+@dataclass(frozen=True)
+class _GaussLegendre:
+    """The m-node Gauss-Legendre rule on [0, 1]: increasing nodes ``t``,
+    ``one_minus_t`` = 1 - t, weights ``w``, the product weights ``w_log`` of
+    ln t (those of ln(1 - t) are their mirror image, ``w_log[::-1]``), and
+    the log-split weights ``split`` = w_log + w_log[::-1] - w ln(t (1 - t)).
+    The rule integrates polynomials of degree 2m - 1 on [0, 1], and
+    sum_i (w_i f(t_i) + split_i c(t_i)) integrates f = s + c ln(t (1 - t))
+    for polynomials s of degree 2m - 1 and c of degree m - 1."""
+
+    t: np.ndarray
+    one_minus_t: np.ndarray
+    w: np.ndarray
+    w_log: np.ndarray
+    split: np.ndarray
+
+
+def _legendre_fixed(m: int, x: int) -> list:
+    """[P_0(x), ..., P_m(x)] by the three-term recurrence in fixed point:
+    x and the values are integers scaled by 2^_RULE_BITS, each step
+    rounded down once, which the recurrence does not amplify on [-1, 1]."""
+    values = [1 << _RULE_BITS, x]
+    for k in range(1, m):
+        values.append((((2 * k + 1) * x * values[k] >> _RULE_BITS) - k * values[k - 1]) // (k + 1))
+    return values
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(m: int) -> _GaussLegendre:
+    """The rule of :class:`_GaussLegendre`, built on first use.
+
+    The nodes of ``numpy.polynomial.legendre.leggauss`` seed a Newton step
+    on P_m (a seed within 1e-15 lands within 1e-29); x = 2t - 1 then gives
+    the weight w = 1 / sum_{k<m} (2k+1) P_k(x)^2 on [0, 1] and the product
+    weight w_log = w sum_{k<m} (2k+1) mu_k P_k(x), mu_0 = -1 and
+    mu_k = (-1)^(k+1) / (k (k+1)) being the Legendre moments of ln t on
+    [0, 1]; ln(t (1 - t)) is an mpf logarithm.  All of it runs in fixed
+    point with ``_RULE_BITS`` fraction bits, within 2^-90 of the exact
+    values, and every constant is then rounded once to a double, so each
+    is within half an ulp of its value at the node it is stored with.
+    The nonpositive half of the nodes is computed, the rest mirrors it.
+    """
+    one = 1 << _RULE_BITS
+    seeds = np.polynomial.legendre.leggauss(m)[0]
+    # (2k+1) mu_k as (numerator, denominator)
+    coef = [(-1, 1)] + [((-1) ** (k + 1) * (2 * k + 1), k * (k + 1)) for k in range(1, m)]
+    rows = []
+    for seed in seeds[: (m + 1) // 2]:
+        x = round(float(seed) * one)
+        p = _legendre_fixed(m, x)
+        step = p[m] * (one - (x * x >> _RULE_BITS)) >> _RULE_BITS
+        x -= (step << _RULE_BITS) // (m * (p[m - 1] - (x * p[m] >> _RULE_BITS)))
+        p = _legendre_fixed(m, x)[:m]
+        w = (one << _RULE_BITS) // (sum((2 * k + 1) * v * v for k, v in enumerate(p)) >> _RULE_BITS)
+        even, odd = (sum(a * v // b for (a, b), v in zip(coef[j::2], p[j::2])) for j in (0, 1))
+        log_l, log_r = (w * (even + odd)) >> _RULE_BITS, (w * (even - odd)) >> _RULE_BITS
+        t = (one + x) >> 1
+        with mp.workprec(_RULE_BITS + 16):
+            log_t = int(mp.ldexp(mp.log(mp.ldexp(t * (one - t), -2 * _RULE_BITS)), _RULE_BITS))
+        split = log_l + log_r - (w * log_t >> _RULE_BITS)
+        rows.append([v / one for v in (t, one - t, w, log_l, log_r, split)])
+    t, s, w, log_l, log_r, split = map(np.array, zip(*rows))
+
+    def mirrored(lower, upper):
+        # the positive half, from the middle out
+        return np.concatenate([lower, upper[: m // 2][::-1]])
+
+    return _GaussLegendre(*_read_only(
+        mirrored(t, s), mirrored(s, t), mirrored(w, w), mirrored(log_l, log_r),
+        mirrored(split, split),
+    ))
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_round(pair: tuple) -> _Round:
+    """The round of a zero panel: the rules of ``pair`` side by side, the
+    nodes at their distances from the nearer end (t or 1 - t, each rounded
+    once), so they mirror exactly and meet the contract of ``dl`` and ``dr``."""
+    rules = [_gauss_legendre(m) for m in pair]
+    parts, start = [], 0
+    for m in pair:
+        parts.append((m, slice(start, start + m), None))
+        start += m
+    t = np.concatenate([r.t for r in rules])
+    s = np.concatenate([r.one_minus_t for r in rules])
+    return _Round(tuple(parts), *_read_only(
+        t < 0.5, 2.0 * t, 2.0 * s,
+        2.0 * np.concatenate([r.w for r in rules]),
+        2.0 * np.concatenate([r.split for r in rules]),
+    ))
 
 
 def _round_nodes(rnd: _Round, a, b):
-    """Abscissas, distances to the panel ends and weights of the panels
-    [a_j, b_j] at the nodes of a round, as (panels, nodes) arrays: the
-    tanh-sinh map on a finite panel, the exp-sinh map from the finite end
-    of an infinite one."""
-    shape = (a.size, rnd.u.size)
-    x, dl, dr, w = (np.empty(shape) for _ in range(4))
-    fin = np.isfinite(a) & np.isfinite(b)
-    lo, hi = a[fin, None], b[fin, None]
-    half = 0.5 * (hi - lo)
-    dl_fin = half * rnd.sel_l
-    dr_fin = half * rnd.sel_r
-    x[fin] = np.where(rnd.u < 0, lo + dl_fin, hi - dr_fin)
-    dl[fin], dr[fin] = dl_fin, dr_fin
-    w[fin] = half * 0.5 * np.pi * rnd.cosh_t / rnd.sech2
-    for j in np.flatnonzero(~fin):
-        w[j] = rnd.w_exp
+    """Abscissas and distances to the panel ends of the panels [a_j, b_j]
+    at the nodes of a round, as (panels, nodes) arrays: the rule mapped
+    onto a finite panel, the exp-sinh map from the finite end of an
+    infinite one."""
+    if np.isfinite(a[0]) and np.isfinite(b[0]):
+        lo, hi = a[:, None], b[:, None]
+        half = 0.5 * (hi - lo)
+        dl = half * rnd.sel_l
+        dr = half * rnd.sel_r
+        return np.where(rnd.left, lo + dl, hi - dr), dl, dr
+    shape = (a.size, rnd.left.size)
+    x, dl, dr = (np.empty(shape) for _ in range(3))
+    for j in range(a.size):
         if np.isinf(b[j]):
             x[j], dl[j], dr[j] = a[j] + rnd.d, rnd.d, np.inf
         else:
             x[j], dl[j], dr[j] = b[j] - rnd.d, np.inf, rnd.d
-    return x, dl, dr, w
+    return x, dl, dr
 
 
 #: The tail term is doubled: it is the leading term of the mass beyond the
@@ -350,61 +465,190 @@ def _edge_tail(f_edge: float, dist: float, gamma: float) -> float:
     return _TAIL_SAFETY * abs(f_edge) * dist / g1 * log_factor
 
 
-#: Levels 0 to _FIRST_LEVEL form the first round, one integrand call per
-#: batch: the stop rules need a level >= 3, so every panel reaches it.
-_FIRST_LEVEL = 3
+#: The first tanh-sinh round gives a finite panel levels 0 to _FIRST_LEVEL
+#: and an infinite one levels 0 to _FIRST_LEVEL_INFINITE: the end panels of
+#: the Shannon and Fisher integrals converge there, so that they need no
+#: second round (with levels 0-4 only, the Laguerre tails were 8.6e-3 off).
+_FIRST_LEVEL = 4
+_FIRST_LEVEL_INFINITE = 6
 
 #: Deepest refinement level of :func:`tanh_sinh_panels` (spacing 2^-9).
 _MAX_LEVEL = 9
 
+#: Panel states of :func:`tanh_sinh_panels` before any tanh-sinh level:
+#: a zero panel's Gauss pair is still to run, or the first round is.
+_GAUSS_FIRST = -2
+_TANH_SINH_FIRST = -1
 
-def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
+
+def _calls(groups):
+    """Split a round's ``(round, panels)`` groups into the lists of
+    ``(round, panels)`` chunks that one call each takes: at most
+    ``_BATCH_NODES`` nodes a call, a panel's nodes never split."""
+    calls, chunks, room = [], [], _BATCH_NODES
+    for rnd, idx in groups:
+        size, start = rnd.left.size, 0
+        while start < idx.size:
+            # a round holds at most 2^11 nodes a panel, far below the cap
+            take = room // size
+            if take == 0:
+                calls.append(chunks)
+                chunks, room = [], _BATCH_NODES
+                continue
+            chunk = idx[start : start + take]
+            chunks.append((rnd, chunk))
+            room -= chunk.size * size
+            start += chunk.size
+    if chunks:
+        calls.append(chunks)
+    return calls
+
+
+def _part_sums(w, vals, parts):
+    """Per panel and part of a round, the sum of w vals and that of
+    |w vals|: a batched ``np.matmul`` per part, row by row, to the same
+    bits as a ``np.dot`` per panel."""
+    sums = np.empty((w.shape[0], len(parts)))
+    size = np.empty_like(sums)
+    for k, (_, part, _) in enumerate(parts):
+        wp = w[:, None, part]
+        sums[:, k] = np.matmul(wp, vals[:, part, None])[:, 0, 0]
+        size[:, k] = np.matmul(np.abs(wp), np.abs(vals[:, part, None]))[:, 0, 0]
+    return sums, size
+
+
+def _groups(state, active, finite):
+    """The ``(round, panels)`` groups of the next round of the active
+    panels: one per rule, finite and infinite panels apart."""
+    groups = []
+    codes = state[active]
+    for code in sorted(set(codes.tolist())):
+        for fin in (True, False):
+            idx = active[(codes == code) & (finite[active] == fin)]
+            if not idx.size:
+                continue
+            if code == _GAUSS_FIRST:
+                rnd = _gauss_round(_GAUSS_PAIR)
+            elif code == _TANH_SINH_FIRST:
+                rnd = _round(tuple(range((_FIRST_LEVEL if fin else _FIRST_LEVEL_INFINITE) + 1)))
+            else:
+                rnd = _round((code + 1,))
+            groups.append((rnd, idx))
+    return groups
+
+
+def _tails(rnd: _Round, idx, vals, dl, dr, panels: int, edge_exponents) -> float:
+    """The :func:`_edge_tail` terms of the end panels among ``idx`` on
+    their first tanh-sinh round, whose outermost nodes are the level-0
+    nodes t = +-_TMAX."""
+    tail = 0.0
+    part = rnd.parts[0][1]
+    for i, dist, gamma in ((0, dl, edge_exponents[0]), (panels - 1, dr, edge_exponents[1])):
+        row = np.flatnonzero(idx == i)
+        if gamma < 0 and row.size:
+            d = dist[row[0], part]
+            k = int(np.argmin(d))
+            tail += _edge_tail(vals[row[0], part][k], d[k], gamma)
+    return tail
+
+
+def _parse(out):
+    """``(values, rounding, scatter, log_coef)`` of an integrand's return as
+    float arrays, None for each one it leaves out."""
+    if not isinstance(out, tuple):
+        out = (out,)
+    out = out + (None,) * (4 - len(out))
+    return [None if v is None else np.asarray(v, dtype=float) for v in out]
+
+
+def _check_finite(rnd: _Round, idx, vals, lo, hi) -> None:
+    """QuadratureError naming the lowest level (or the smaller Gauss rule)
+    with a non-finite value, and on it the first panel."""
+    bad = ~np.isfinite(vals)
+    if not bad.any():
+        return
+    level, part, _ = next(p for p in rnd.parts if bad[:, p[1]].any())
+    j = int(np.argmax(bad[:, part].any(axis=1)))
+    i = int(idx[j])
+    rule = f"in the {level}-node Gauss rule" if rnd.gauss else f"at level {level}"
+    raise QuadratureError(
+        f"integrand returned {np.count_nonzero(bad[j, part])} non-finite values "
+        f"on panel {i} [{float(lo[i])!r}, {float(hi[i])!r}] {rule}"
+    )
+
+
+def tanh_sinh_panels(
+    fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0), zero_panels=(), rel_tol=0.0
+):
     """Integrate a panel-aware vectorized integrand over [points[0], points[-1]].
 
     ``fpanel(i, a, b, x, dl, dr)`` receives ``i``, the tuple of panel
-    indices the call covers (in increasing order), and float64 arrays of
-    equal length: the abscissas ``x``, the endpoints ``a`` and ``b`` of
-    each node's panel, and the distances ``dl``/``dr`` to those endpoints
-    (computed in a cancellation-free way, so ``a + dl == x == b - dr``
-    holds to full relative accuracy even within 1e-300 of an endpoint).
-    The nodes of the panels in ``i`` come one panel after another, the same
-    number for each.  Refinement runs in rounds: the first gives every
-    panel the nodes of levels 0 to 3 (65 nodes), each later round gives
-    the panels still refining the nodes of the next level.  The panels of
-    a round, finite and infinite alike, share calls of at most
-    ``_BATCH_NODES`` nodes.  ``fpanel`` must return the integrand values
-    as a float64 array; a non-finite value raises :class:`QuadratureError`
-    naming the panel and the level.  It may return a pair
-    ``(values, rounding)`` instead: ``rounding`` bounds, value by value,
-    the rounding error that the difference between refinement levels does
-    not show (an error common to many nodes, say), and the estimate adds
-    its quadrature sum over each panel's final grid.  In a triple
-    ``(values, rounding, scatter)``, ``scatter`` bounds errors independent
-    from node to node, and the estimate adds the root-sum-square of that sum.
+    indices the call covers, and float64 arrays of equal length: the
+    abscissas ``x``, the endpoints ``a`` and ``b`` of each node's panel, and
+    the distances ``dl``/``dr`` to those endpoints (computed in a
+    cancellation-free way, so ``a + dl == x == b - dr`` holds to full
+    relative accuracy even within 1e-300 of an endpoint).  The nodes come
+    one panel after another, in the order of ``i``.  ``fpanel`` must return
+    the integrand values as a float64 array; a non-finite value raises
+    :class:`QuadratureError` naming the panel and the level.  It may return
+    a tuple ``(values, rounding, scatter, log_coef)`` instead, cut short
+    after any element, or with None for one it leaves out: ``rounding``
+    bounds, value by value, the rounding error that the difference between
+    rules does not show (an error common to many nodes, say), and the
+    estimate adds its quadrature sum over each panel's final rule;
+    ``scatter`` bounds errors independent from node to node, and the
+    estimate adds the root-sum-square of that sum; ``log_coef`` is the
+    coefficient c of the logarithmic singularities of a zero panel (below).
 
-    Each panel's sum at a level is the previous level's halved plus h
-    times the new nodes' weighted values, and its difference is the
-    change.  The weighted values of all the panels of a call are summed in
-    one batched ``np.matmul``, row by row, to the same bits as a ``np.dot``
-    per panel.  From level 3 on the loop stops when the differences sum to at
-    most tol/8, and a panel whose own difference is at most tol/(8P), with
-    P panels, stops refining: it keeps its sum, and its last difference
-    counts in that sum.  The estimate is that sum of differences, at least
-    5e-16 times the weighted sum of |values| over the levels run.
+    Each panel takes the rules of one round after another; the panels of
+    a round, whatever their rules, share calls of at most ``_BATCH_NODES``
+    nodes, so the first round, which holds every panel, takes one call
+    unless the cap splits it.
+
+    * A zero panel (its index in ``zero_panels``, both ends finite) is one
+      between two consecutive zeros of a function whose logarithm the
+      integrand carries: f = s + c ln((x - a)(b - x)) there, s and c smooth
+      on [a, b] (c = 0 without ``log_coef``).  Its first round is the
+      Gauss-Legendre pair of ``_GAUSS_PAIR`` (16 and 20 nodes): each rule
+      integrates s and the two logarithms with the product weights of its
+      nodes, folded into one log-split weight per node, so that the
+      integral is L sum_i (w_i f_i + split_i c_i) on a panel of width L.
+      The 20-node value is the panel's, |Q16 - Q20| its difference.  As
+      every log-split weight is within w_i / 2 in size, ``rounding`` and
+      ``scatter`` must bound the errors of f + kappa c for |kappa| <= 1/2.
+      Summing a panel's terms is within 2m u of the sum of their
+      magnitudes, each constant rounded once included, and the estimate
+      adds that for the 20-node rule.
+    * Any other panel runs tanh-sinh levels: levels 0 to 4 in its first
+      round on a finite panel, 0 to 6 on an infinite one (exp-sinh from its
+      finite end), then one more level each round, down to level 9.  Its
+      sum at a level is the previous level's halved plus h times the new
+      nodes' weighted values, and its difference is the change.
+
+    After each round the loop stops when the differences sum to at most
+    T/8, T being ``tol``, or ``rel_tol`` times the magnitude of the value
+    so far where that is larger.  Otherwise a panel whose own difference
+    is at most T/(8P), with P panels, stops refining: it keeps its sum,
+    and its last difference counts in that sum.  A zero panel whose pair
+    differs by more goes on with tanh-sinh levels, from a first round of
+    its own.  The estimate is that sum of differences, at least 5e-16
+    times the weighted sum of |values| over the rules run.
 
     ``edge_exponents`` = (gamma_lo, gamma_hi) declares that the integrand
     behaves like |x - e|^gamma, up to a log factor, at the ends
     ``points[0]`` and ``points[-1]``.  For each negative gamma, which needs
-    a finite end, the estimate adds the mass between that end and the
-    outermost node (about 1e-37 half-panels away on a finite panel,
-    exp(-pi/2 sinh _TMAX) ~ 2.4e-19 on an infinite one), which no
-    refinement level reaches; it is inf for gamma <= -1.  Nonnegative
-    exponents add nothing.
+    a finite end that no zero panel touches, the estimate adds the mass
+    between that end and the outermost node (about 1e-37 half-panels away
+    on a finite panel, exp(-pi/2 sinh _TMAX) ~ 2.4e-19 on an infinite one),
+    which no refinement level reaches; it is inf for gamma <= -1.
+    Nonnegative exponents add nothing.
 
     Returns ``(value, est_error)`` as floats; ParameterError unless ``tol``
-    is finite and positive.
+    is finite and positive and ``rel_tol`` nonnegative.
     """
     _check_tol(tol)
+    if not rel_tol >= 0:
+        raise ParameterError(f"relative tolerance must be nonnegative, got {rel_tol!r}")
     pts = [float(p) for p in points]
     for gamma, end in zip(edge_exponents, (pts[0], pts[-1])):
         if gamma < 0 and not np.isfinite(end):
@@ -414,6 +658,14 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     lo = np.array(pts[:-1])
     hi = np.array(pts[1:])
     panels = lo.size
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    state = np.full(panels, _TANH_SINH_FIRST)
+    zero = sorted({int(j) for j in zero_panels})
+    if zero:
+        blown = [j for j, g in ((0, edge_exponents[0]), (panels - 1, edge_exponents[1])) if g < 0]
+        if zero[0] < 0 or zero[-1] >= panels or not finite[zero].all() or set(blown) & set(zero):
+            raise ParameterError(f"zero panels {zero} are not finite panels clear of a singular end")
+        state[zero] = _GAUSS_FIRST
     totals = np.zeros(panels)
     diffs = np.full(panels, np.inf)
     last_h = np.ones(panels)
@@ -422,79 +674,101 @@ def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0)):
     magnitude = 0.0
     tail = 0.0
     active = np.arange(panels)
-    levels = tuple(range(_FIRST_LEVEL + 1))
     while True:
-        rnd = _round(levels)
-        size = rnd.u.size
-        per_call = max(1, _BATCH_NODES // size)
-        for start in range(0, active.size, per_call):
-            idx = active[start : start + per_call]
-            x, dl, dr, w = _round_nodes(rnd, lo[idx], hi[idx])
-            ends = (np.repeat(lo[idx], size), np.repeat(hi[idx], size))
-            vals = fpanel(tuple(idx.tolist()), *ends, x.ravel(), dl.ravel(), dr.ravel())
-            if isinstance(vals, tuple):
-                vals, rounding, *scatter = vals
-                carried[idx] += np.einsum("ij,ij->i", w, np.reshape(rounding, w.shape))
-                if scatter:
-                    s2 = np.reshape(scatter[0], w.shape) ** 2
-                    scattered[idx] += np.einsum("ij,ij->i", w * w, s2)
-            vals = np.asarray(vals, dtype=float).reshape(w.shape)
-            bad = ~np.isfinite(vals)
-            if bad.any():
-                # name the lowest level, and on it the first panel
-                level, part, _ = next(p for p in rnd.parts if bad[:, p[1]].any())
-                j = int(np.argmax(bad[:, part].any(axis=1)))
-                i = int(idx[j])
-                raise QuadratureError(
-                    f"integrand returned {np.count_nonzero(bad[j, part])} non-finite values "
-                    f"on panel {i} [{float(lo[i])!r}, {float(hi[i])!r}] at level {level}"
+        for chunks in _calls(_groups(state, active, finite)):
+            nodes = [(rnd, idx, *_round_nodes(rnd, lo[idx], hi[idx])) for rnd, idx in chunks]
+            x, dl, dr = (np.concatenate([v[k].ravel() for v in nodes]) for k in (2, 3, 4))
+            a, b = (np.concatenate([np.repeat(e[idx], rnd.left.size) for rnd, idx, *_ in nodes])
+                    for e in (lo, hi))
+            order = tuple(np.concatenate([idx for _, idx, *_ in nodes]).tolist())
+            out = _parse(fpanel(order, a, b, x, dl, dr))
+            start = 0
+            for rnd, idx, _, dl, dr in nodes:
+                own = slice(start, start + dl.size)
+                start = own.stop
+                vals, rounding, scatter, coef = (
+                    None if v is None else v[own].reshape(dl.shape) for v in out
                 )
-            for level, part, h in rnd.parts:
-                wp, vp = w[:, part], vals[:, part]
-                contrib = np.matmul(wp[:, None, :], vp[:, :, None])[:, 0, 0]
-                magnitude += h * float(np.einsum("ij,ij->", wp, np.abs(vp)))
-                if level == 0:
-                    totals[idx] = contrib
+                _check_finite(rnd, idx, vals, lo, hi)
+                fin = finite[idx[0]]
+                scale = (0.5 * (hi[idx] - lo[idx]) if fin else np.ones(idx.size))[:, None]
+                w = scale * (rnd.weight if fin else rnd.weight_inf)
+                sums, size = _part_sums(w, vals, rnd.parts)
+                if rnd.gauss and coef is not None:
+                    log_sums, log_size = _part_sums(scale * rnd.split, coef, rnd.parts)
+                    sums += log_sums
+                    size += log_size
+                if rnd.gauss:
+                    # the larger rule's value; its sum is within 2m u of its size
+                    m, final, _ = rnd.parts[-1]
+                    totals[idx], diffs[idx] = sums[:, -1], np.abs(sums[:, 0] - sums[:, -1])
+                    magnitude += float(size.sum())
+                    last_h[idx] = 1.0
+                    carried[idx] = 2 * m * _U * size[:, -1]
+                    scattered[idx] = 0.0
+                    state[idx] = _TANH_SINH_FIRST
                 else:
-                    new = totals[idx] / 2.0 + h * contrib
-                    diffs[idx] = np.abs(new - totals[idx])
-                    totals[idx] = new
-                last_h[idx] = h
-            if levels[0] == 0:
-                # the outermost nodes are level-0 nodes (t = +-_TMAX); the
-                # first round holds every panel, in order
-                part = rnd.parts[0][1]
-                gamma_lo, gamma_hi = edge_exponents
-                for i, dist, gamma in ((0, dl, gamma_lo), (panels - 1, dr, gamma_hi)):
-                    if gamma < 0 and idx[0] <= i <= idx[-1]:
-                        row = dist[i - idx[0], part]
-                        k = int(np.argmin(row))
-                        tail += _edge_tail(vals[i - idx[0], part][k], row[k], gamma)
-        level = levels[-1]
+                    final = slice(None)
+                    first = rnd.parts[0][0] == 0
+                    if first:
+                        carried[idx] = scattered[idx] = 0.0
+                    total = totals[idx]
+                    for k, (level, _, h) in enumerate(rnd.parts):
+                        magnitude += h * float(size[:, k].sum())
+                        if level == 0:
+                            total = sums[:, 0]
+                        else:
+                            new = total / 2.0 + h * sums[:, k]
+                            diffs[idx] = np.abs(new - total)
+                            total = new
+                    totals[idx], last_h[idx], state[idx] = total, h, level
+                    if first:
+                        tail += _tails(rnd, idx, vals, dl, dr, panels, edge_exponents)
+                # the rounding bounds, summed over the rule that gives the value
+                if rounding is not None:
+                    carried[idx] += np.einsum("ij,ij->i", w[:, final], rounding[:, final])
+                if scatter is not None:
+                    scattered[idx] += np.einsum("ij,ij->i", w[:, final] ** 2, scatter[:, final] ** 2)
         est = float(np.sum(diffs))
-        if est <= tol / 8.0 or level == _MAX_LEVEL:
+        target = max(tol, rel_tol * abs(float(np.sum(totals))))
+        if est <= target / 8.0:
             break
-        active = active[~(diffs[active] <= tol / (8.0 * panels))]
-        levels = (level + 1,)
+        active = active[~(diffs[active] <= target / (8.0 * panels)) & (state[active] < _MAX_LEVEL)]
+        if not active.size:
+            break
     floor = 5e-16 * magnitude
     rounding = float(np.dot(last_h, carried)) + math.sqrt(float(np.dot(last_h**2, scattered)))
     return float(np.sum(totals)), max(est, floor) + tail + rounding
 
 
 def _engine_panels(family: Family, n: int):
-    """``(points, edge_exponents, factor)`` of a float64 integral against
-    rho_n: the interval split at the zeros of p_n (``zeros_raw``) with the
-    weight's exponents at its ends, and factor 1; for a symmetric weight,
-    the half [0, hi] split at the positive zeros, exponent 0 at 0 (an
-    interior point) and factor 2.  The integral of an integrand that is
-    even with the weight is ``factor`` times that over the points; both
-    Shannon's rho ln p_n^2 and Fisher's (rho')^2 / rho are.  The zeros
-    mirror exactly and p_n(-x) = (-1)^n p_n(x) bit for bit in the float
-    recurrence when every a_k = 0, so the two halves of the integrand are
-    mirror images to the bit; at odd n the zero at 0 is the first end.
+    """``(points, edge_exponents, factor, zero_panels)`` of a float64
+    integral against rho_n: the interval split at the zeros of p_n
+    (``zeros_raw``) with the weight's exponents at its ends, and factor 1;
+    for a symmetric weight, the half [0, hi] split at the positive zeros,
+    exponent 0 at 0 (an interior point) and factor 2.  The integral of an
+    integrand that is even with the weight is ``factor`` times that over
+    the points; both Shannon's rho ln p_n^2 and Fisher's (rho')^2 / rho are.
+    The zeros mirror exactly and p_n(-x) = (-1)^n p_n(x) bit for bit in the
+    float recurrence when every a_k = 0, so the two halves of the integrand
+    are mirror images to the bit; at odd n the zero at 0 is the first end.
+
+    ``zero_panels`` are the panels between two consecutive zeros, which
+    :func:`tanh_sinh_panels` integrates by its Gauss-Legendre pair, less
+    one beside a finite end of nonzero exponent: w has a branch point there,
+    one panel width away, and the pair converges too slowly (Laguerre(-1/4)
+    n = 5 reached 7.6e-9).
     """
     lo, hi = family.interval
     zs = zeros_raw(family.kind, family.alpha, family.beta, n)
     if _is_symmetric(family.kind, family.alpha, family.beta):
-        return [0.0] + zs[(n + 1) // 2 :] + [hi], (0.0, family.edge_exponents[1]), 2
-    return [lo] + zs + [hi], family.edge_exponents, 1
+        pts, edges, factor = [0.0] + zs[(n + 1) // 2 :] + [hi], (0.0, family.edge_exponents[1]), 2
+    else:
+        pts, edges, factor = [lo] + zs + [hi], family.edge_exponents, 1
+    # panel j is [pts[j], pts[j + 1]]: the first and the last end at an end
+    # of the points, and the first is a zero panel too when that end, 0 on
+    # a half line at odd n, is a zero
+    first = 0 if factor == 2 and n % 2 else 1
+    first += edges[0] != 0
+    stop = len(pts) - 2 - (edges[1] != 0)
+    return pts, edges, factor, range(first, max(first, stop))

@@ -10,7 +10,9 @@ numeric integral: the polynomial-log term, which carries all the
 logarithmic singularities, located at the zeros of p_n.  At n = 0 there is
 none: p_0^2 = 1/mu_0, so S_0 = ln mu_0 - <ln w>_0 takes no integral.  At
 n >= 1 the term is integrated with panel splits at those zeros by a
-vectorized float64 tanh-sinh engine, first for every family.  Its error
+vectorized float64 engine, first for every family: Gauss-Legendre panels
+with the logarithm of the zeros split off between them, tanh-sinh at the
+ends of the interval (``quadrature.tanh_sinh_panels``).  Its error
 estimate counts the mass it leaves out beside an endpoint where a negative
 weight exponent makes the density blow up; when the estimate exceeds the
 tolerance (exponents near -1, or tolerances below 1e-12), an adaptive
@@ -32,7 +34,7 @@ from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
-from .quadrature import QuadratureError, _check_tol, _engine_panels, _split_integral
+from .quadrature import QuadratureError, _U, _check_tol, _engine_panels, _split_integral
 from .quadrature import tanh_sinh_panels
 from .closed_form import moment, stddev
 from ._vec import log_weight, poly_scaled
@@ -62,7 +64,7 @@ class ShannonResult:
     """Entropy S (nats), length N = exp(S), and how they were obtained.
 
     ``path`` names the integrator of a numeric result: ``"float64"`` (the
-    tanh-sinh engine) or ``"mpf"`` (the arbitrary-precision fallback), or
+    float64 panel engine) or ``"mpf"`` (the arbitrary-precision fallback), or
     ``"exact"`` for the ground state, which takes no integral.
     """
 
@@ -102,19 +104,19 @@ class InequalityAudit:
 # ---------------------------------------------------------------------------
 
 
-#: Unit roundoff of float64 and of 53-bit mpf.
-_U = 2.0**-53
-
-
 def _log_poly_panel(family: Family, n: int):
     """rho * ln p^2, overflow-safe; zero exactly at the zeros of p.
 
-    Returns the values with a bound on their rounding error (the
-    ``(values, rounding)`` pair of ``tanh_sinh_panels``).  An error d in
-    ln p^2 moves rho ln p^2 by rho |ln p^2 + 1| d.  Rounding that differs
-    from node to node (that of ln w, and of ln|p| at n >= 1) shows in the
-    difference between refinement levels, which is the engine's estimate.
-    The bound counts what does not average out that way:
+    Returns the values with bounds on their rounding error and the
+    coefficient 2 rho of the logarithms that the zeros of p put in ln p^2
+    (the ``(values, rounding, scatter, log_coef)`` of
+    ``tanh_sinh_panels``).  An error d in ln p^2 moves rho ln p^2 by
+    rho |ln p^2 + 1| d, and the value a zero panel's log-split weights
+    form, rho (ln p^2 + 2 kappa) with |kappa| <= 1/2, by at most
+    (rho |ln p^2 + 1| + rho) d, which the bounds count.  Rounding that
+    differs from node to node (that of ln w, and of ln|p| at n >= 1) shows
+    in the difference between rules, which is the engine's estimate.  The
+    bound counts what does not average out that way:
 
     * the log-scale of ``poly_scaled`` is exact, but the low part of the
       scale that it folds into p, shared by every node with the same
@@ -128,10 +130,10 @@ def _log_poly_panel(family: Family, n: int):
     + beta ln(1+x) for Jacobi) carry the roundings of the logarithms, of
     the products and of the sum, within 3u of the size of the terms that
     ``log_weight`` returns.  They differ from node to node, but at a large
-    exponent they meet |ln p^2| ~ |ln w| >> 1 and the level differences
+    exponent they meet |ln p^2| ~ |ln w| >> 1 and the rule differences
     show too little of them (Laguerre(350), n = 2, was 2.2 estimates off;
     Jacobi(1000, 0), n = 2, 1.5), so a third element returns them, 3u
-    |rho ln p^2| times that size, as ``scatter``.
+    (|rho ln p^2| + rho) times that size, as ``scatter`` (None for Hermite).
     """
     kind, al, be = family.kind, family.alpha, family.beta
     recurrence = 32.0 * math.sqrt(n + 1) * _U
@@ -150,10 +152,9 @@ def _log_poly_panel(family: Family, n: int):
         if logscale.any():
             shared = shared + 2.0 * _U
         # rho |ln p^2 + 1| is |vals + rho|, which is 0, not nan, at a zero of p
-        rounding = np.abs(vals + rho) * shared
-        if size is None:
-            return vals, rounding
-        return vals, rounding, 3.0 * _U * np.abs(vals) * size
+        rounding = (np.abs(vals + rho) + rho) * shared
+        scatter = None if size is None else 3.0 * _U * (np.abs(vals) + rho) * size
+        return vals, rounding, scatter, 2.0 * rho
 
     return fpanel
 
@@ -198,22 +199,35 @@ def _mean_log_weight(family: Family, n: int):
 def _entropy_fast(family: Family, n: int, tol: float):
     """Float64 engine for any exponents > -1: one integral, <ln p^2>.
 
+    The integral is split at the zeros of p_n.  Each panel between two
+    zeros is a zero panel of ``tanh_sinh_panels``: ln p^2 = ln g^2 +
+    2 ln(x - a) + 2 ln(b - x) there, with g = p / ((x - a)(b - x)) analytic
+    and free of zeros on [a, b], so a 20-node Gauss-Legendre rule
+    integrates rho ln g^2 and product weights on the same nodes the two
+    logarithms; a 16-node rule on other nodes gives the panel's estimate.
+    The panels at the ends of the interval, and the one beside a finite
+    end of nonzero exponent, run tanh-sinh levels, and so does a zero
+    panel whose pair differs by more than its share of the tolerance.
+    Every panel's first nodes go to the integrand in one call, so in the
+    common case p_n is evaluated in one sweep of the recurrence.
+
     S = -<ln p^2> - <ln w> is assembled in 53-bit mpf whatever the
     caller's ``mp.prec``, so the value does not depend on it; <ln w> is
     the closed form.  The estimate includes the engine's endpoint-tail
     term wherever a weight exponent is negative (the density is unbounded
     there), so it is compared with ``tol`` like any other; it grows
     without bound as an exponent approaches -1.  It also counts the
-    rounding of the integrand (:func:`_log_poly_panel`), of the 53-bit
-    <ln w> and of S, so it bounds the error of S, not only that of the
-    quadrature.  A symmetric weight (Hermite, Jacobi with alpha = beta)
-    makes rho ln p^2 even, so the integral runs over [0, hi] only, at
-    tol/2, and its value and estimate are doubled
-    (``quadrature._engine_panels``).
+    rounding of the integrand (:func:`_log_poly_panel`), of the rule
+    constants and sums, of the 53-bit <ln w> and of S, so it bounds the
+    error of S, not only that of the quadrature.  A symmetric weight
+    (Hermite, Jacobi with alpha = beta) makes rho ln p^2 even, so the
+    integral runs over [0, hi] only, at tol/2, and its value and estimate
+    are doubled (``quadrature._engine_panels``).
     """
-    pts, edges, factor = _engine_panels(family, n)
+    pts, edges, factor, zero_panels = _engine_panels(family, n)
     log_p2, est = tanh_sinh_panels(
-        _log_poly_panel(family, n), pts, tol=tol / factor, edge_exponents=edges
+        _log_poly_panel(family, n), pts, tol=tol / factor, edge_exponents=edges,
+        zero_panels=zero_panels,
     )
     log_p2, est = factor * log_p2, factor * est
     mean_log_w, size = _mean_log_weight(family, n)

@@ -400,10 +400,11 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
     """The float64 tanh-sinh loop with one refinement level for all panels:
     every panel is evaluated at every level, one integrand call per level
     for each infinite panel and per batch of finite ones, until the level
-    differences of all panels sum to at most tol/8 (from level 3 on).
-    Same call contract, node maps, estimate terms and errors as
-    ``quadrature.tanh_sinh_panels``, whose per-panel stops leave every
-    panel's sums up to its stop level unchanged."""
+    differences of all panels sum to at most tol/8 (from level 4 on, where
+    a finite panel's first round ends).  Same call contract, node maps,
+    estimate terms and errors as ``quadrature.tanh_sinh_panels`` without
+    zero panels, whose per-panel stops leave every panel's sums up to its
+    stop level unchanged; an integrand's ``log_coef`` goes unused."""
     pts = [float(p) for p in points]
     if len(pts) == 2 and np.isinf(pts[0]) and np.isinf(pts[1]):
         pts = [pts[0], 0.0, pts[1]]
@@ -437,7 +438,7 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
                 dl = half * sel_l
                 dr = half * sel_r
                 x = np.where(u < 0, a + dl, b - dr)
-                w = half * 0.5 * np.pi * cosh_t / sech2
+                w = half * (0.5 * np.pi * cosh_t / sech2)
             else:
                 w = (0.5 * np.pi * cosh_t * d)[None, :]
                 far_end = np.full_like(w, np.inf)
@@ -448,10 +449,11 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
             ends = (np.repeat(lo[span], t.size), np.repeat(hi[span], t.size))
             vals = fpanel(batch, *ends, x.ravel(), dl.ravel(), dr.ravel())
             if isinstance(vals, tuple):
-                vals, rounding, *scatter = vals
-                carried += float(np.vdot(np.broadcast_to(w, x.shape), rounding))
-                if scatter:
-                    scattered += float(np.vdot(np.broadcast_to(w, x.shape) ** 2, scatter[0] ** 2))
+                vals, rounding, scatter = (vals + (None, None))[:3]
+                if rounding is not None:
+                    carried += float(np.vdot(np.broadcast_to(w, x.shape), rounding))
+                if scatter is not None:
+                    scattered += float(np.vdot(np.broadcast_to(w, x.shape) ** 2, scatter**2))
             vals = np.asarray(vals, dtype=float).reshape(x.shape)
             bad = np.count_nonzero(~np.isfinite(vals), axis=1)
             for j, i in enumerate(batch):
@@ -472,7 +474,7 @@ def tanh_sinh_panels_global(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0
             prev_totals = totals.copy()
             totals = totals / 2.0 + h * contrib
             est = float(np.sum(np.abs(totals - prev_totals)))
-            if level >= 3 and est <= tol / 8.0:
+            if level >= 4 and est <= tol / 8.0:
                 break
     floor = 5e-16 * magnitude
     return float(np.sum(totals)), max(est, floor) + tail + h * carried + h * math.sqrt(scattered)

@@ -457,7 +457,7 @@ def test_saturated_bound_margin_reads_zero(capsys, bits):
     assert rc == 0
     header, *rows = (line.split(",") for line in out.splitlines())
     di, mi = header.index("dominates"), header.index("margin")
-    assert [row[mi] for row in rows] == ["0", "0.70859040972454435", "1.0946905140078012"]
+    assert [row[mi] for row in rows] == ["0", "0.70859040972454435", "1.0946905140078"]
     assert all(row[di] == str(int(float(row[mi]) >= 0)) for row in rows)
 
 

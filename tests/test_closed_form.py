@@ -102,6 +102,17 @@ def test_fisher_closed_matches_numeric(fam):
 
 
 @pytest.mark.parametrize(
+    "fam", [Family.jacobi(0.0, 0.0), Family.jacobi(2.0, 2.0)], ids=["legendre", "jacobi2-2"]
+)
+def test_fisher_numeric_serves_moderate_degree(fam):
+    # F = 2.7e5 and 1.0e5: the estimate is relative to F, not an absolute
+    # 1e-10 below the engine's floor of 5e-16 of the integral
+    F = fisher_information(fam, 40, CTX)
+    assert F > 1e5
+    assert abs(fisher_information_numeric(fam, 40) - F) / F < 1e-9
+
+
+@pytest.mark.parametrize(
     "fam, n",
     [
         (Family.laguerre(0.5), 0),  # F = inf: the integrand is x^-1.5 at 0

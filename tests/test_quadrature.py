@@ -17,6 +17,8 @@ from spreadpoly.families import Family, RenyiOrder, exact_recurrence
 from spreadpoly.quadrature import (
     QuadratureError,
     _BATCH_NODES,
+    _GAUSS_PAIR,
+    _gauss_legendre,
     _power_exponents,
     _rule_sum,
     _standard_rule,
@@ -259,24 +261,38 @@ def test_tanh_sinh_split_invariance():
     assert abs(v4 - v5) < 5e-13
 
 
+def _first_levels(per: int) -> list:
+    """The tanh-sinh levels a panel with ``per`` nodes in one call gets:
+    levels 0-4 on a finite panel's first round (9 + 8 + 16 + 32 + 64
+    nodes), 0-6 on an infinite one's (+ 128 + 256), level L >= 5 alone
+    (2^(L+2))."""
+    if per in (129, 513):
+        return list(range(5 if per == 129 else 7))
+    level = int(np.log2(per)) - 2
+    assert per == 2 ** (level + 2) and level >= 5
+    return [level]
+
+
 def _recording(f, pts, calls, levels):
     """Integrand f(x) on the panels of ``pts`` that checks the call contract
-    and records each call's panels and the levels each panel receives."""
+    and records each call's panels with their levels, and the levels each
+    panel receives."""
 
     def g(i, a, b, x, dl, dr):
         hash(i)
-        assert list(i) == sorted(set(i))
+        assert len(set(i)) == len(i)
         assert a.shape == b.shape == x.shape == dl.shape == dr.shape
-        per = x.size // len(i)
-        assert x.size == per * len(i) <= _BATCH_NODES
-        assert np.array_equal(a, np.repeat([pts[k] for k in i], per))
-        assert np.array_equal(b, np.repeat([pts[k + 1] for k in i], per))
-        # levels 0-3 come together (9 + 8 + 16 + 32 nodes), level L >= 4 alone (2^(L+2))
-        got = list(range(4)) if per == 65 else [int(np.log2(per)) - 2]
-        assert per == 65 or per == 2 ** (got[0] + 2)
+        # the nodes come one panel after another, in the order of i
+        cuts = np.flatnonzero(a[1:] != a[:-1]) + 1
+        runs = np.split(np.arange(a.size), cuts)
+        assert len(runs) == len(i)
+        assert x.size <= _BATCH_NODES or len(i) == 1
+        got = []
+        for k, run in zip(i, runs):
+            assert np.all(a[run] == pts[k]) and np.all(b[run] == pts[k + 1])
+            got.append(_first_levels(run.size))
+            levels.setdefault(k, []).extend(got[-1])
         calls.append((i, got))
-        for k in i:
-            levels.setdefault(k, []).extend(got)
         return f(x)
 
     return g
@@ -288,9 +304,9 @@ LEGENDRE_600 = list(special.roots_legendre(600)[0])
 def test_tanh_sinh_batches_panels_per_level():
     cases = [
         ([-1.0] + LEGENDRE_112 + [1.0], np.cos, 2 * np.sin(1.0)),
-        # 601 panels of 65 nodes: the first round takes two calls
+        # 601 panels of 129 nodes: the first round takes three calls
         ([-1.0] + LEGENDRE_600 + [1.0], np.cos, 2 * np.sin(1.0)),
-        # the infinite panels refine past the first round
+        # the infinite panels share the first call with the finite ones
         ([-np.inf] + LEGENDRE_112 + [np.inf], lambda x: np.exp(-x * x), np.sqrt(np.pi)),
     ]
     for pts, f, exact in cases:
@@ -300,16 +316,15 @@ def test_tanh_sinh_batches_panels_per_level():
         # every panel gets levels 0 up to its own stop level, none missing or repeated
         assert sorted(levels) == list(range(len(pts) - 1))
         for got in levels.values():
-            assert got == list(range(len(got))) and len(got) >= 4
-        # a round takes the fewest calls the cap allows, finite and infinite panels together
-        for got in {tuple(got) for _, got in calls}:
-            rnd = [i for i, g in calls if tuple(g) == got]
-            per = 65 if len(got) == 4 else 2 ** (got[0] + 2)
-            assert len(rnd) == -(-sum(map(len, rnd)) // max(1, _BATCH_NODES // per))
-        first = [i for i, got in calls if got == [0, 1, 2, 3]]
-        assert [k for i in first for k in i] == list(range(len(pts) - 1))
+            assert got == list(range(len(got))) and len(got) >= 5
+        # the first round holds every panel once, in the fewest calls the cap allows
+        first = [(i, got) for i, got in calls if got[0][0] == 0]
+        assert sorted(k for i, _ in first for k in i) == list(range(len(pts) - 1))
+        nodes = sum(2 ** (len(lv) + 2) + 1 for _, got in first for lv in got)
+        assert len(first) == -(-nodes // _BATCH_NODES)
         if np.isinf(pts[0]):
-            assert len(levels[0]) > 4 and set(first[0]) >= {0, len(pts) - 2}
+            assert len(levels[0]) == len(levels[len(pts) - 2]) == 7
+            assert {0, len(pts) - 2} <= set(first[0][0])
 
 
 GAUSS_COS = lambda x: np.exp(-x * x) * np.cos(3 * x)
@@ -318,31 +333,89 @@ GAUSS_COS = lambda x: np.exp(-x * x) * np.cos(3 * x)
 @pytest.mark.parametrize(
     "pts, tol",
     [
-        ([-np.inf] + list(special.roots_legendre(24)[0]) + [np.inf], 1e-12),
-        ([-np.inf, -1.0, 0.0, 1.0, np.inf], 1e-8),
         # the global stop comes before some panel's own
+        ([-np.inf] + list(special.roots_legendre(24)[0]) + [np.inf], 1e-15),
+        # the outer panels stop after their first round, the middle one refines
+        ([-np.inf, -6.0, 6.0, np.inf], 1e-12),
         ([-np.inf, -3.0, -1.0, 0.0, 1.0, 3.0, np.inf], 1e-13),
     ],
 )
 def test_tanh_sinh_panel_stops_at_its_own_difference(pts, tol):
     # A panel's sums do not depend on the other panels, so alone, at
-    # tol/P, it stops where its own difference first is <= tol/(8P).  With
-    # the others it stops there too, unless the sum of all differences
-    # stops the loop first: none refines past its own stop, and none whose
-    # difference is above tol/(8P) is stopped before the loop ends.
+    # tol/P, it stops after the round where its own difference first is
+    # <= tol/(8P).  With the others it stops there too, unless the sum of
+    # all differences stops the loop first: none refines past its own stop,
+    # and none whose difference is above tol/(8P) is stopped before the
+    # loop ends.  Each round is one call here, and a panel refines one
+    # level a round from levels 0-4 (finite) or 0-6 (infinite).
     panels = len(pts) - 1
 
-    def stop_levels(pts, tol):
-        levels = {}
-        tanh_sinh_panels(_recording(GAUSS_COS, pts, [], levels), pts, tol=tol)
-        return [levels[k][-1] for k in range(len(pts) - 1)]
+    def stop_rounds(pts, tol):
+        calls = []
+        tanh_sinh_panels(_recording(GAUSS_COS, pts, calls, {}), pts, tol=tol)
+        return [sum(k in i for i, _ in calls) for k in range(len(pts) - 1)]
 
-    together = stop_levels(pts, tol)
-    alone = [stop_levels(pts[k : k + 2], tol / panels)[0] for k in range(panels)]
+    together = stop_rounds(pts, tol)
+    alone = [stop_rounds(pts[k : k + 2], tol / panels)[0] for k in range(panels)]
     last = max(together)
     assert together == [min(s, last) for s in alone]
     # each case has a panel that stops early or one that the loop cuts
     assert min(together) < last or max(alone) > last
+
+
+@pytest.mark.parametrize("m", _GAUSS_PAIR)
+def test_gauss_legendre_product_weights(m):
+    # the product weights of ln t integrate t^k ln t exactly for k < m, and
+    # their mirror image t^k ln(1 - t); the Gauss weights t^k for k < 2m
+    rule = _gauss_legendre(m)
+    t = rule.t
+    # the nodes mirror exactly; t and 1 - t are each rounded once
+    assert np.all(np.diff(t) > 0) and np.array_equal(t, rule.one_minus_t[::-1])
+    assert np.all(np.abs(t + rule.one_minus_t - 1.0) <= 2.0**-53)
+    with mp.workprec(113):
+        for k in range(2 * m):
+            got = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(rule.w, t))
+            assert abs(got - mp.mpf(1) / (k + 1)) <= 1e-14 / (k + 1)
+        for k in range(m):
+            log_t = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(rule.w_log, t))
+            log_1mt = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(rule.w_log[::-1], t))
+            want_t = -mp.mpf(1) / (k + 1) ** 2
+            want_1mt = -mp.harmonic(k + 1) / (k + 1)
+            assert abs(log_t - want_t) <= 1e-14 * abs(want_t)
+            assert abs(log_1mt - want_1mt) <= 1e-14 * abs(want_1mt)
+            # the log-split weights: sum w f + split c integrates
+            # f = c ln(t (1 - t)) for c = t^k
+            split = mp.fsum(
+                mp.mpf(w) * mp.mpf(x) ** k * mp.log(mp.mpf(x) * mp.mpf(s)) + mp.mpf(c) * mp.mpf(x) ** k
+                for w, c, x, s in zip(rule.w, rule.split, t, rule.one_minus_t)
+            )
+            assert abs(split - want_t - want_1mt) <= 1e-14 * abs(want_t + want_1mt)
+    # the integrand rounding of a zero panel is counted for |kappa| <= 1/2
+    assert np.all(np.abs(rule.split) <= rule.w / 2)
+
+
+def test_zero_panels_take_the_gauss_pair():
+    # rho ln rho for rho = sin^2(3 pi x) on [0, 1], split at its zeros:
+    # near a zero e, ln rho = 2 ln|x - e| + a smooth part, so log_coef is
+    # 2 rho.  The inner panel takes the pair, the end panels levels 0-4,
+    # all in one call; the integral over whole periods is 1/2 - ln 2
+    pts = [0.0, 1 / 3, 2 / 3, 1.0]
+    calls = []
+
+    def f(i, a, b, x, dl, dr):
+        calls.append({k: np.count_nonzero(a == pts[k]) for k in i})
+        rho = np.sin(3 * np.pi * x) ** 2
+        with np.errstate(divide="ignore"):
+            vals = np.where(rho == 0.0, 0.0, rho * np.log(rho))
+        return vals, None, None, 2.0 * rho
+
+    val, est = tanh_sinh_panels(f, pts, tol=1e-10, zero_panels=[1])
+    assert calls == [{0: 129, 1: sum(_GAUSS_PAIR), 2: 129}]
+    assert abs(val - (0.5 - np.log(2.0))) <= est <= 1e-10
+    # a zero panel is finite and clear of an end where the integrand blows up
+    for zero, edges in (([2], (0.0, 0.0)), ([3], (0.0, 0.0)), ([0], (-0.5, 0.0))):
+        with pytest.raises(ParameterError, match="zero panels"):
+            tanh_sinh_panels(f, [0.0, 1 / 3, 2 / 3, np.inf], zero_panels=zero, edge_exponents=edges)
 
 
 def test_tanh_sinh_rejects_non_finite_values():

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from spreadpoly import closed_form, shannon
+from spreadpoly import closed_form, quadrature, shannon
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant
 from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, _p0, poly_scaled
 from spreadpoly.orthopoly import evaluate_recurrence, zeros, zeros_raw
-from spreadpoly.quadrature import _standard_rule, tanh_sinh_panels
+from spreadpoly.quadrature import _engine_panels, _standard_rule, tanh_sinh_panels
 from spreadpoly.shannon import (
     InequalityAudit,
     ShannonResult,
@@ -406,8 +406,9 @@ def test_converged_panels_stop_refining():
     nodes = {}
 
     def counted(i, a, b, x, dl, dr):
+        # the nodes come one panel after another, in the order of i
         for k in i:
-            nodes[k] = nodes.get(k, 0) + x.size // len(i)
+            nodes[k] = nodes.get(k, 0) + np.count_nonzero(a == pts[k])
         return f(i, a, b, x, dl, dr)
 
     pts = [0.0] + zeros_raw(fam.kind, fam.alpha, fam.beta, n) + [np.inf]
@@ -427,16 +428,74 @@ LARGE_N_JACOBI = [
 ]
 
 
-def test_per_panel_stop_keeps_jacobi_cells_bit_identical(monkeypatch):
-    # every panel of these cells stops at level 4, where the loop does, and
-    # the sums up to a level do not change, so S is the one that the loop
+def test_per_panel_stop_keeps_jacobi_cells_bit_identical():
+    # on tanh-sinh levels alone (no zero panels), every panel of these
+    # cells stops at level 4, where the loop does, and the sums up to a
+    # level do not change, so the integral is the one that the loop
     # refining all panels to the same level gives, bit for bit
-    cells = [(Family.jacobi(a, b), n) for a, b, n in LARGE_N_JACOBI]
-    new = [_entropy_fast(fam, n, 1e-9) for fam, n in cells]
-    monkeypatch.setattr(shannon, "tanh_sinh_panels", oracles.tanh_sinh_panels_global)
-    old = [_entropy_fast(fam, n, 1e-9) for fam, n in cells]
-    assert [S for S, _ in new] == [S for S, _ in old]
-    assert all(est <= 1e-9 for _, est in new)
+    for a, b, n in LARGE_N_JACOBI:
+        fam = Family.jacobi(a, b)
+        pts, edges, factor, _ = _engine_panels(fam, n)
+        args = (_log_poly_panel(fam, n), pts)
+        kwargs = {"tol": 1e-9 / factor, "edge_exponents": edges}
+        value, est = tanh_sinh_panels(*args, **kwargs)
+        assert value == oracles.tanh_sinh_panels_global(*args, **kwargs)[0]
+        assert est <= 1e-9 / factor
+
+
+def _counting(monkeypatch, module):
+    """Patch ``module.poly_scaled`` to count its calls; zeros_raw's Newton
+    step reads its own binding, so it is not counted."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[4]))
+        return poly_scaled(*args, **kwargs)
+
+    monkeypatch.setattr(module, "poly_scaled", counted)
+    return calls
+
+
+SINGLE_SWEEP = [
+    (fam, n)
+    for fam in (Family.hermite(), Family.laguerre(5.0), Family.jacobi(2.0, 0.5),
+                Family.jacobi(-0.25, 0.5))
+    for n in (24, 112)
+]
+
+
+@pytest.mark.parametrize(
+    "fam,n", SINGLE_SWEEP, ids=[f"{f.describe()}-{n}" for f, n in SINGLE_SWEEP]
+)
+def test_float64_integrals_take_one_sweep(fam, n, monkeypatch):
+    # every panel's first nodes, Gauss pairs and tanh-sinh levels alike, go
+    # to the integrand in one call, and every panel converges there
+    calls = _counting(monkeypatch, shannon)
+    S, est = _entropy_fast(fam, n, 1e-9)
+    assert len(calls) == 1 and est <= 1e-9
+    if fam.kind != "jacobi":
+        # F is finite here (the Jacobi exponents below 1 make it diverge)
+        calls = _counting(monkeypatch, closed_form)
+        F = closed_form.fisher_information_numeric(fam, n)
+        assert len(calls) == 1
+        assert abs(F - closed_form.fisher_information(fam, n, CTX)) <= 1e-10 * F
+
+
+@pytest.mark.parametrize(
+    "fam,n",
+    [(Family.hermite(), 6), (Family.laguerre(2.0), 7), (Family.jacobi(2.0, 0.5), 8)],
+    ids=lambda v: v.describe() if isinstance(v, Family) else str(v),
+)
+def test_zero_panel_fallback_stays_within_its_estimate(fam, n, monkeypatch):
+    # a 4/8-node pair differs by far more than a panel's share of tol, so
+    # the zero panels go on with tanh-sinh levels, in further sweeps, and
+    # the value is still within its estimate of the mpf route
+    monkeypatch.setattr(quadrature, "_GAUSS_PAIR", (4, 8))
+    calls = _counting(monkeypatch, shannon)
+    fast = shannon_numeric(fam, n, CTX, tol=1e-9)
+    assert len(calls) >= 2 and fast.path == "float64"
+    slow = shannon_numeric(fam, n, CTX, tol=1e-13)
+    assert abs(fast.entropy - slow.entropy) <= fast.est_error
 
 
 def test_negative_exponent_takes_float64_path():

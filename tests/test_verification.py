@@ -37,7 +37,7 @@ def test_shannon_scope_all_pass():
     closed = [c for c in checks if c.name.startswith("shannon/mean-log-weight/")]
     assert len(closed) == 6
     anchors = [c for c in checks if c.name.startswith("shannon/anchor/")]
-    assert len(anchors) == 3 + 21
+    assert len(anchors) == 3 + 25
     assert all(c.detail == "path float64" for c in anchors if not c.name.endswith("/n=0"))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
