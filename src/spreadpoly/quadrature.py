@@ -41,7 +41,7 @@ Two adaptive integrators serve the Shannon integrals:
   throughput path of the Shannon and Fisher integrals.  Both split the
   interval at the zeros of p_n (:func:`_engine_panels`; over the half
   line [0, hi] only, doubled, for a symmetric weight).  A panel between
-  two zeros takes a 16/20-node Gauss-Legendre pair: the logarithm of the
+  two zeros takes an 18/22-node Gauss-Legendre pair: the logarithm of the
   zeros at its ends is split off the Shannon integrand and integrated by
   product weights on the same nodes (Gautschi, *Orthogonal Polynomials*,
   2004); the Fisher integrand, analytic across the zeros, takes the pair
@@ -251,11 +251,17 @@ _TMAX = 4.0
 _BATCH_NODES = 2**15
 
 #: Node counts of the Gauss-Legendre pair of a zero panel: the value is the
-#: larger rule's, the difference of the two its estimate.
-_GAUSS_PAIR = (16, 20)
+#: larger rule's, the difference of the two its estimate, which measures
+#: the smaller rule's error.  The product weights integrate the log
+#: coefficient exactly only to degree m - 1, so the smaller rule must
+#: already be converged there: with 16/20 the Shannon estimates of the
+#: benchmark grids were a median 21 (up to 134) times those of tanh-sinh
+#: alone, with 18/22 at most 3.2 times, for about 5% more time.
+_GAUSS_PAIR = (18, 22)
 
-#: Fraction bits of the fixed-point arithmetic that builds a Gauss-Legendre
-#: rule; each of its constants is then rounded once to a double.
+#: Precision of the Gauss-Legendre rules of the zero panels, built in mpf
+#: with ``_RULE_GUARD`` bits more; each constant is then rounded once to a
+#: double.
 _RULE_BITS = 96
 
 #: Unit roundoff of float64 and of 53-bit mpf.
@@ -347,50 +353,39 @@ class _GaussLegendre:
     split: np.ndarray
 
 
-def _legendre_fixed(m: int, x: int) -> list:
-    """[P_0(x), ..., P_m(x)] by the three-term recurrence in fixed point:
-    x and the values are integers scaled by 2^_RULE_BITS, each step
-    rounded down once, which the recurrence does not amplify on [-1, 1]."""
-    values = [1 << _RULE_BITS, x]
-    for k in range(1, m):
-        values.append((((2 * k + 1) * x * values[k] >> _RULE_BITS) - k * values[k - 1]) // (k + 1))
-    return values
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(m: int) -> _GaussLegendre:
     """The rule of :class:`_GaussLegendre`, built on first use.
 
-    The nodes of ``numpy.polynomial.legendre.leggauss`` seed a Newton step
-    on P_m (a seed within 1e-15 lands within 1e-29); x = 2t - 1 then gives
-    the weight w = 1 / sum_{k<m} (2k+1) P_k(x)^2 on [0, 1] and the product
-    weight w_log = w sum_{k<m} (2k+1) mu_k P_k(x), mu_0 = -1 and
-    mu_k = (-1)^(k+1) / (k (k+1)) being the Legendre moments of ln t on
-    [0, 1]; ln(t (1 - t)) is an mpf logarithm.  All of it runs in fixed
-    point with ``_RULE_BITS`` fraction bits, within 2^-90 of the exact
-    values, and every constant is then rounded once to a double, so each
-    is within half an ulp of its value at the node it is stored with.
-    The nonpositive half of the nodes is computed, the rest mirrors it.
+    The nodes x_i and weights W_i of the Legendre weight on [-1, 1] come
+    from :func:`_gauss_polish` at ``_RULE_BITS`` (called directly, so the
+    bounded rule cache keeps its entries), the orthonormal p_k from the
+    recurrence (:func:`_recurrence_values`) at the same precision.  With
+    t = (1 + x) / 2, w = W / 2, and P_k = p_k / p_k(1), the product weight
+    of ln t is w sum_{k<m} (2k+1) mu_k P_k(x) = W sum_{k<m} mu_k p_k(1) p_k(x),
+    mu_0 = -1 and mu_k = (-1)^(k+1) / (k (k+1)) being the Legendre moments
+    of ln t on [0, 1]; that of ln(1 - t) takes (-1)^k mu_k.  Every
+    constant is rounded once to a double, so each is within half an ulp of
+    its value at the node it is stored with.  The nonpositive half of the
+    nodes is computed, the rest mirrors it.
     """
-    one = 1 << _RULE_BITS
-    seeds = np.polynomial.legendre.leggauss(m)[0]
-    # (2k+1) mu_k as (numerator, denominator)
-    coef = [(-1, 1)] + [((-1) ** (k + 1) * (2 * k + 1), k * (k + 1)) for k in range(1, m)]
-    rows = []
-    for seed in seeds[: (m + 1) // 2]:
-        x = round(float(seed) * one)
-        p = _legendre_fixed(m, x)
-        step = p[m] * (one - (x * x >> _RULE_BITS)) >> _RULE_BITS
-        x -= (step << _RULE_BITS) // (m * (p[m - 1] - (x * p[m] >> _RULE_BITS)))
-        p = _legendre_fixed(m, x)[:m]
-        w = (one << _RULE_BITS) // (sum((2 * k + 1) * v * v for k, v in enumerate(p)) >> _RULE_BITS)
-        even, odd = (sum(a * v // b for (a, b), v in zip(coef[j::2], p[j::2])) for j in (0, 1))
-        log_l, log_r = (w * (even + odd)) >> _RULE_BITS, (w * (even - odd)) >> _RULE_BITS
-        t = (one + x) >> 1
-        with mp.workprec(_RULE_BITS + 16):
-            log_t = int(mp.ldexp(mp.log(mp.ldexp(t * (one - t), -2 * _RULE_BITS)), _RULE_BITS))
-        split = log_l + log_r - (w * log_t >> _RULE_BITS)
-        rows.append([v / one for v in (t, one - t, w, log_l, log_r, split)])
+    legendre = Family.jacobi(0.0, 0.0)
+    with mp.workprec(_RULE_BITS + _RULE_GUARD):
+        nodes, weights = _gauss_polish(JACOBI, 0.0, 0.0, m, _RULE_BITS)
+        half = (m + 1) // 2
+        xs = list(nodes[:half]) + [mp.mpf(1)]
+        mu = [mp.mpf(-1)] + [mp.mpf((-1) ** (k + 1)) / (k * (k + 1)) for k in range(1, m)]
+        terms = []
+        for k in range(m):
+            *p, p_one = _recurrence_values(legendre, k, xs)
+            terms.append([mu[k] * p_one * v for v in p])
+        rows = []
+        for i, (x, big_w) in enumerate(zip(xs[:half], weights)):
+            even, odd = (mp.fsum(row[i] for row in terms[j::2]) for j in (0, 1))
+            log_l, log_r = big_w * (even + odd), big_w * (even - odd)
+            t, s = (1 + x) / 2, (1 - x) / 2
+            split = log_l + log_r - big_w / 2 * mp.log(t * s)
+            rows.append([float(v) for v in (t, s, big_w / 2, log_l, log_r, split)])
     t, s, w, log_l, log_r, split = map(np.array, zip(*rows))
 
     def mirrored(lower, upper):
@@ -609,16 +604,16 @@ def tanh_sinh_panels(
       between two consecutive zeros of a function whose logarithm the
       integrand carries: f = s + c ln((x - a)(b - x)) there, s and c smooth
       on [a, b] (c = 0 without ``log_coef``).  Its first round is the
-      Gauss-Legendre pair of ``_GAUSS_PAIR`` (16 and 20 nodes): each rule
+      Gauss-Legendre pair of ``_GAUSS_PAIR`` (18 and 22 nodes): each rule
       integrates s and the two logarithms with the product weights of its
       nodes, folded into one log-split weight per node, so that the
       integral is L sum_i (w_i f_i + split_i c_i) on a panel of width L.
-      The 20-node value is the panel's, |Q16 - Q20| its difference.  As
+      The 22-node value is the panel's, |Q18 - Q22| its difference.  As
       every log-split weight is within w_i / 2 in size, ``rounding`` and
       ``scatter`` must bound the errors of f + kappa c for |kappa| <= 1/2.
       Summing a panel's terms is within 2m u of the sum of their
       magnitudes, each constant rounded once included, and the estimate
-      adds that for the 20-node rule.
+      adds that for the 22-node rule.
     * Any other panel runs tanh-sinh levels: levels 0 to 4 in its first
       round on a finite panel, 0 to 6 on an infinite one (exp-sinh from its
       finite end), then one more level each round, down to level 9.  Its
@@ -757,7 +752,7 @@ def _engine_panels(family: Family, n: int):
     :func:`tanh_sinh_panels` integrates by its Gauss-Legendre pair, less
     one beside a finite end of nonzero exponent: w has a branch point there,
     one panel width away, and the pair converges too slowly (Laguerre(-1/4)
-    n = 5 reached 7.6e-9).
+    n = 5 reached 1.1e-9).
     """
     lo, hi = family.interval
     zs = zeros_raw(family.kind, family.alpha, family.beta, n)

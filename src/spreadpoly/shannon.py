@@ -202,9 +202,9 @@ def _entropy_fast(family: Family, n: int, tol: float):
     The integral is split at the zeros of p_n.  Each panel between two
     zeros is a zero panel of ``tanh_sinh_panels``: ln p^2 = ln g^2 +
     2 ln(x - a) + 2 ln(b - x) there, with g = p / ((x - a)(b - x)) analytic
-    and free of zeros on [a, b], so a 20-node Gauss-Legendre rule
+    and free of zeros on [a, b], so a 22-node Gauss-Legendre rule
     integrates rho ln g^2 and product weights on the same nodes the two
-    logarithms; a 16-node rule on other nodes gives the panel's estimate.
+    logarithms; an 18-node rule on other nodes gives the panel's estimate.
     The panels at the ends of the interval, and the one beside a finite
     end of nonzero exponent, run tanh-sinh levels, and so does a zero
     panel whose pair differs by more than its share of the tolerance.

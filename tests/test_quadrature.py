@@ -11,7 +11,7 @@ from mpmath import mp
 from scipy import special
 
 from oracles import rule_sum, weight_moment
-from spreadpoly import orthopoly
+from spreadpoly import orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder, exact_recurrence
 from spreadpoly.quadrature import (
@@ -262,10 +262,12 @@ def test_tanh_sinh_split_invariance():
 
 
 def _first_levels(per: int) -> list:
-    """The tanh-sinh levels a panel with ``per`` nodes in one call gets:
-    levels 0-4 on a finite panel's first round (9 + 8 + 16 + 32 + 64
-    nodes), 0-6 on an infinite one's (+ 128 + 256), level L >= 5 alone
-    (2^(L+2))."""
+    """The rules a panel with ``per`` nodes in one call gets: ["pair"] for
+    a zero panel's Gauss pair, levels 0-4 on a finite panel's first
+    tanh-sinh round (9 + 8 + 16 + 32 + 64 nodes), 0-6 on an infinite one's
+    (+ 128 + 256), level L >= 5 alone (2^(L+2))."""
+    if per == sum(quadrature._GAUSS_PAIR):
+        return ["pair"]
     if per in (129, 513):
         return list(range(5 if per == 129 else 7))
     level = int(np.log2(per)) - 2
@@ -275,8 +277,8 @@ def _first_levels(per: int) -> list:
 
 def _recording(f, pts, calls, levels):
     """Integrand f(x) on the panels of ``pts`` that checks the call contract
-    and records each call's panels with their levels, and the levels each
-    panel receives."""
+    and records each call's panels with their rules and node counts, and
+    the rules each panel receives."""
 
     def g(i, a, b, x, dl, dr):
         hash(i)
@@ -292,7 +294,7 @@ def _recording(f, pts, calls, levels):
             assert np.all(a[run] == pts[k]) and np.all(b[run] == pts[k + 1])
             got.append(_first_levels(run.size))
             levels.setdefault(k, []).extend(got[-1])
-        calls.append((i, got))
+        calls.append((i, got, [run.size for run in runs]))
         return f(x)
 
     return g
@@ -301,33 +303,73 @@ def _recording(f, pts, calls, levels):
 LEGENDRE_600 = list(special.roots_legendre(600)[0])
 
 
-def test_tanh_sinh_batches_panels_per_level():
-    cases = [
-        ([-1.0] + LEGENDRE_112 + [1.0], np.cos, 2 * np.sin(1.0)),
-        # 601 panels of 129 nodes: the first round takes three calls
-        ([-1.0] + LEGENDRE_600 + [1.0], np.cos, 2 * np.sin(1.0)),
-        # the infinite panels share the first call with the finite ones
-        ([-np.inf] + LEGENDRE_112 + [np.inf], lambda x: np.exp(-x * x), np.sqrt(np.pi)),
-    ]
-    for pts, f, exact in cases:
-        calls, levels = [], {}
-        val, _ = tanh_sinh_panels(_recording(f, pts, calls, levels), pts)
-        assert abs(val - exact) < 5e-13
-        # every panel gets levels 0 up to its own stop level, none missing or repeated
-        assert sorted(levels) == list(range(len(pts) - 1))
-        for got in levels.values():
-            assert got == list(range(len(got))) and len(got) >= 5
-        # the first round holds every panel once, in the fewest calls the cap allows
-        first = [(i, got) for i, got in calls if got[0][0] == 0]
-        assert sorted(k for i, _ in first for k in i) == list(range(len(pts) - 1))
-        nodes = sum(2 ** (len(lv) + 2) + 1 for _, got in first for lv in got)
-        assert len(first) == -(-nodes // _BATCH_NODES)
-        if np.isinf(pts[0]):
-            assert len(levels[0]) == len(levels[len(pts) - 2]) == 7
-            assert {0, len(pts) - 2} <= set(first[0][0])
-
-
 GAUSS_COS = lambda x: np.exp(-x * x) * np.cos(3 * x)
+
+
+def _sin_log(periods: int):
+    """rho ln rho for rho = sin^2(periods pi x) on [0, 1], with log_coef
+    2 rho for the zero panels (near a zero e, ln rho = 2 ln|x - e| plus a
+    smooth part); the integral over whole periods is 1/2 - ln 2."""
+
+    def f(x):
+        rho = np.sin(periods * np.pi * x) ** 2
+        with np.errstate(divide="ignore"):
+            vals = np.where(rho == 0.0, 0.0, rho * np.log(rho))
+        return vals, None, None, 2.0 * rho
+
+    return f
+
+
+def test_tanh_sinh_batches_panels_per_level(monkeypatch):
+    # a 4/8-node pair is far from converged on the zero panels of the last
+    # case, so they go on with tanh-sinh rounds beside the end panels
+    monkeypatch.setattr(quadrature, "_GAUSS_PAIR", (4, 8))
+    sin_pts = list(np.arange(301) / 300)
+    cases = [
+        ([-1.0] + LEGENDRE_112 + [1.0], np.cos, 2 * np.sin(1.0), 1e-10, ()),
+        # 601 panels of 129 nodes: the first round takes three calls
+        ([-1.0] + LEGENDRE_600 + [1.0], np.cos, 2 * np.sin(1.0), 1e-10, ()),
+        # the infinite panels share the first call with the finite ones, and
+        # at this tol both refine past it, levels 7 and 5 in one call
+        ([-np.inf] + LEGENDRE_112 + [np.inf], GAUSS_COS, np.sqrt(np.pi) * np.exp(-2.25), 1e-16, ()),
+        # 298 zero panels fall back to tanh-sinh: levels 0-4 in two calls
+        (sin_pts, _sin_log(300), 0.5 - np.log(2.0), 1e-10, range(1, 299)),
+    ]
+    for pts, f, exact, tol, zero in cases:
+        calls, levels = [], {}
+        val, est = tanh_sinh_panels(_recording(f, pts, calls, levels), pts, tol=tol, zero_panels=zero)
+        assert abs(val - exact) <= max(est, 5e-13)
+        # every panel gets levels 0 up to its own stop level, none missing or
+        # repeated, after its Gauss pair if it is a zero panel
+        assert sorted(levels) == list(range(len(pts) - 1))
+        for k, got in levels.items():
+            if k in zero:
+                assert got[0] == "pair"
+                got = got[1:]
+            assert got == list(range(len(got))) and (k in zero or len(got) >= 5)
+        # a panel takes one rule a round, so a call's round is the number of
+        # calls its panels took before; round 0 holds every panel once
+        rounds, seen = {}, np.zeros(len(pts) - 1, dtype=int)
+        for i, _, sizes in calls:
+            r = seen[i[0]]
+            assert np.all(seen[list(i)] == r)
+            seen[list(i)] += 1
+            rounds.setdefault(r, []).append((i, sizes))
+        assert sorted(k for i, _ in rounds[0] for k in i) == list(range(len(pts) - 1))
+        # each round, whatever its rules, takes the fewest calls the cap
+        # allows its nodes: a call ends only where the next panel does not fit
+        for rnd in rounds.values():
+            for (_, this), (_, after) in zip(rnd, rnd[1:]):
+                assert sum(this) + after[0] > _BATCH_NODES
+        later = {k for r in range(1, len(rounds)) for i, _ in rounds[r] for k in i}
+        if np.isinf(pts[0]):
+            assert {0, len(pts) - 2} <= set(calls[0][0])
+            # round 1 holds both infinite panels and finite ones, in one call
+            assert len(rounds[1]) == 1 and {0, len(pts) - 2} < set(rounds[1][0][0])
+            assert len(levels[0]) == 8 and len(rounds) > 2
+        if zero:
+            # every zero panel fell back, round 1 took two calls
+            assert set(zero) <= later and len(rounds[1]) == 2
 
 
 @pytest.mark.parametrize(
@@ -353,7 +395,7 @@ def test_tanh_sinh_panel_stops_at_its_own_difference(pts, tol):
     def stop_rounds(pts, tol):
         calls = []
         tanh_sinh_panels(_recording(GAUSS_COS, pts, calls, {}), pts, tol=tol)
-        return [sum(k in i for i, _ in calls) for k in range(len(pts) - 1)]
+        return [sum(k in i for i, *_ in calls) for k in range(len(pts) - 1)]
 
     together = stop_rounds(pts, tol)
     alone = [stop_rounds(pts[k : k + 2], tol / panels)[0] for k in range(panels)]
@@ -363,7 +405,7 @@ def test_tanh_sinh_panel_stops_at_its_own_difference(pts, tol):
     assert min(together) < last or max(alone) > last
 
 
-@pytest.mark.parametrize("m", _GAUSS_PAIR)
+@pytest.mark.parametrize("m", sorted({16, 20, *_GAUSS_PAIR}))
 def test_gauss_legendre_product_weights(m):
     # the product weights of ln t integrate t^k ln t exactly for k < m, and
     # their mirror image t^k ln(1 - t); the Gauss weights t^k for k < 2m

@@ -443,6 +443,19 @@ def test_per_panel_stop_keeps_jacobi_cells_bit_identical():
         assert est <= 1e-9 / factor
 
 
+def test_jacobi_cells_are_within_their_estimate():
+    # the shipped engine, zero panels on their Gauss pair, meets tol on
+    # every cell, and it is within its estimate of the mpf route at the
+    # smallest degree and, on two of the weights, at the largest
+    ctx = PrecisionContext(bits=64)
+    for a, b, n in LARGE_N_JACOBI:
+        fam = Family.jacobi(a, b)
+        S, est = _entropy_fast(fam, n, 1e-9)
+        assert est <= 1e-9
+        if n == 24 or (n == 112 and (a, b) in ((0.0, 0.0), (2.0, 0.5))):
+            assert abs(S - _entropy_mpf(fam, n, ctx, 1e-13)[0]) <= est
+
+
 def _counting(monkeypatch, module):
     """Patch ``module.poly_scaled`` to count its calls; zeros_raw's Newton
     step reads its own binding, so it is not counted."""
