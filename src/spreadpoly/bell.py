@@ -25,10 +25,13 @@ written here, apart from the mu_0 of h_n, so W_1 = 1 checks h_n.
 No precision escalation is needed: the context sets only the bits at
 which W is returned.
 
-D_k is the partial Bell value (2q)!/(k+2q)! B_{k+2q,2q}(1! R_0, 2! R_1, ...);
-it and B_{m,l} itself come from one integer polynomial product by
-Kronecker substitution (``_kronecker_product``), which the Lauricella
-route uses too.
+D_k is the partial Bell value (2q)!/(k+2q)! B_{k+2q,2q}(1! R_0, 2! R_1, ...),
+read off one integer polynomial power by Kronecker substitution
+(``_kronecker_product``), which the Lauricella route uses too.
+
+The length map is written once, in :func:`_renyi_length`, for this route
+and the Lauricella route: 0 where w^q is not integrable, the refusal of
+an odd-2q length at n >= 1, and W -> W^{-1/(q-1)} at the context's bits.
 """
 
 from __future__ import annotations
@@ -39,11 +42,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational, power_integrable
+from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _integrable_order, power_integrable
 from .orthopoly import _explicit_coeffs, _squared_norm
 
 __all__ = [
-    "partial_bell",
     "polynomial_power_coeffs",
     "renyi_power_integral_bell",
     "renyi_length_bell",
@@ -87,29 +89,6 @@ def _kronecker_product(factors) -> list:
     offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
     raw = (packed + offset).to_bytes(width * length, "little")
     return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
-
-
-def partial_bell(m: int, l: int, args):
-    """Partial Bell polynomial B_{m,l}(x_1, ..., x_{m-l+1}), exactly.
-
-    B_{m,l} = m!/l! [t^m] (sum_i x_i t^i / i!)^l.  Each argument is read as
-    the exact rational it holds (int, float, Fraction or mpf); the value is
-    an int when it is an integer and a Fraction otherwise.
-    """
-    if m < 0 or l < 0:
-        raise ParameterError("indices must be nonnegative")
-    if l == 0 or l > m:
-        return int(m == l)  # B_{0,0} = 1; B_{m,0} = 0 for m > 0, and B_{m,l} = 0 for l > m
-    width = m - l + 1  # x_i with i > width cannot reach t^m; missing ones are 0
-    args = tuple(args)[:width]
-    ys = [_rational(x) / math.factorial(i) for i, x in enumerate(args, 1)]
-    ys += [0] * (width - len(ys))
-    # (sum_i y_i t^i)^l = t^l (sum_j y_{j+1} t^j)^l, over one denominator
-    den = math.lcm(*(y.denominator for y in ys))
-    coeffs = [y.numerator * (den // y.denominator) for y in ys]
-    top = _kronecker_product([(coeffs, l)])[m - l]
-    value = Fraction(math.factorial(m) * top, math.factorial(l) * den**l)
-    return value.numerator if value.denominator == 1 else value
 
 
 def polynomial_power_coeffs(coeffs, p: int) -> list:
@@ -205,12 +184,10 @@ def renyi_power_integral_bell(
 
     Exactly 0 iff the integer sum S is; otherwise m_0 S / (M R_n^{2q} h_n^q)
     is formed at twice ``ctx.bits`` plus guard bits and returned at twice
-    ``ctx.bits``.
+    ``ctx.bits``.  ParameterError where w^q is not integrable
+    (``families._integrable_order``).
     """
-    order = RenyiOrder.from_q(q)
-    if not power_integrable(order.q, family.alpha, family.beta):
-        raise ParameterError(f"w^q is not integrable for {family.describe()} at q={order}")
-    p = order.two_q
+    p = _integrable_order(family, q).two_q
     R = _explicit_coeffs(family, n)
     d = polynomial_power_coeffs(R, p)
     moments, mden = _weight_power_moments(family, p, len(d))
@@ -223,10 +200,11 @@ def renyi_power_integral_bell(
         return +W
 
 
-def length_from_power_integral(W, order: RenyiOrder):
+def length_from_power_integral(W, q):
     """Map a positive power integral W = integral rho^q to the Rényi length
     W^{-1/(q-1)}; ParameterError at q=1 and for W <= 0, which is no such
     integral."""
+    order = RenyiOrder.from_q(q)
     if order.is_unit:
         raise ParameterError("Renyi length undefined at q=1")
     if not W > 0:
@@ -235,28 +213,32 @@ def length_from_power_integral(W, order: RenyiOrder):
     return mp.power(W, mp.mpf(expo.numerator) / expo.denominator)
 
 
-def _refuse_signed_length(n: int, order: RenyiOrder) -> None:
-    """ParameterError for an odd-2q length at n >= 1.
+def _renyi_length(family: Family, n: int, q, ctx: PrecisionContext, power_integral):
+    """L_q of the exact routes from W = ``power_integral(order)``, at ``ctx.bits``.
 
-    For odd 2q the exact routes compute the signed W = integral p_n^{2q}
-    w^q, which equals integral rho^q only where p_n keeps one sign, i.e.
-    at n = 0; elsewhere W^{-1/(q-1)} is not the Rényi length.
+    0 where w^q is not integrable, so that the integral of rho^q diverges.
+    ParameterError for odd 2q at n >= 1: the exact routes then give the
+    signed W = integral p_n^{2q} w^q, which equals integral rho^q only
+    where p_n keeps one sign, i.e. at n = 0, so W^{-1/(q-1)} is not the
+    Rényi length.
     """
-    if order.two_q % 2 and n:
+    order = RenyiOrder.from_q(q)
+    if not power_integrable(order.q, family.alpha, family.beta):
+        return mp.mpf(0)
+    if order.two_q % 2 and n > 0:
         raise ParameterError(
             f"L_{order.q} at n={n} is not computed: for odd 2q the exact routes give "
             "the signed integral of p_n^(2q) w^q, not the integral of rho^q"
         )
+    W = power_integral(order)
+    with mp.workprec(ctx.bits):
+        return +length_from_power_integral(W, order)
 
 
 def renyi_length_bell(family: Family, n: int, q, ctx: PrecisionContext = _DEFAULT_CTX):
     """Rényi length L_q via the Bell route (2q a positive integer, q != 1);
-    0 where w^q is not integrable, so that the integral of rho^q diverges.
-    ParameterError for odd 2q at n >= 1 (:func:`_refuse_signed_length`)."""
-    order = RenyiOrder.from_q(q)
-    if not power_integrable(order.q, family.alpha, family.beta):
-        return mp.mpf(0)
-    _refuse_signed_length(n, order)
-    W = renyi_power_integral_bell(family, n, order, ctx)
-    with mp.workprec(ctx.bits):
-        return +length_from_power_integral(W, order)
+    0 where w^q is not integrable, ParameterError for odd 2q at n >= 1
+    (:func:`_renyi_length`)."""
+    return _renyi_length(
+        family, n, q, ctx, lambda order: renyi_power_integral_bell(family, n, order, ctx)
+    )

@@ -23,12 +23,11 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
-from .families import Family, RenyiOrder
+from .families import Family
 from .shannon import ratio_constant
 from .report import (
     asymptotics_table,
@@ -74,23 +73,9 @@ def _parse_n_range(text: str):
 
 
 def _parse_q_list(values):
-    """Renyi orders from repeated/comma-joined ``--q`` flags ('2', '3/2')."""
-    orders = []
-    for value in values or []:
-        for token in str(value).split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                orders.append(RenyiOrder.from_q(Fraction(token)))
-            except (ValueError, ZeroDivisionError):
-                raise ParameterError(f"bad Renyi order {token!r}") from None
-    seen, unique = set(), []
-    for o in orders:
-        if o.two_q not in seen:
-            seen.add(o.two_q)
-            unique.append(o)
-    return unique
+    """Renyi order tokens from repeated/comma-joined ``--q`` flags ('2',
+    '3/2'); ``measures_table`` parses them and drops repeats."""
+    return [t.strip() for value in values or [] for t in str(value).split(",") if t.strip()]
 
 
 def _family_from_args(args) -> Family:

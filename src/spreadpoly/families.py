@@ -142,13 +142,17 @@ class RenyiOrder:
 
     @classmethod
     def from_q(cls, q) -> "RenyiOrder":
-        """Accept q as int, Fraction, float or string ('2', '3/2', '1.5')."""
+        """The one parser of Rényi orders: q as int, Fraction, float, mpf or
+        string ('2', '3/2', '1.5'); ParameterError unless q is a positive
+        half-integer."""
         if isinstance(q, RenyiOrder):
             return q
-        frac = Fraction(q)
-        two_q = 2 * frac
-        if two_q.denominator != 1:
-            raise ParameterError(f"2q must be an integer; got q={q}")
+        try:
+            two_q = 2 * _rational(q)
+        except (ArithmeticError, TypeError, ValueError):
+            two_q = Fraction(0)
+        if two_q.denominator != 1 or two_q < 1:
+            raise ParameterError(f"bad Renyi order {str(q)!r}: q must be a positive half-integer")
         return cls(int(two_q))
 
     @property
@@ -199,6 +203,21 @@ def power_integrable(q, *exponents) -> bool:
     return all(_rational(e) * q > -1 for e in exponents)
 
 
+def _integrable_order(family: Family, q) -> RenyiOrder:
+    """q as a :class:`RenyiOrder`; ParameterError unless w^q is integrable
+    (:func:`power_integrable`): the refusal of every power-integral route."""
+    order = RenyiOrder.from_q(q)
+    if not power_integrable(order.q, family.alpha, family.beta):
+        raise ParameterError(f"w^q is not integrable for {family.describe()} at q={order}")
+    return order
+
+
+def _check_degree(n: int) -> None:
+    """ParameterError for a negative degree n."""
+    if n < 0:
+        raise ParameterError("degree must be nonnegative")
+
+
 def _check_exponents(kind: str, alpha, beta) -> None:
     if kind != HERMITE and not alpha > -1:
         raise ParameterError("alpha must exceed -1")
@@ -234,8 +253,9 @@ def exact_recurrence(kind: str, alpha, beta, count: int):
 
     are ratios of integer polynomials in k, A, B and D; they are left
     unreduced.  b_1^2 takes the limit form, so alpha + beta = -1 needs no
-    0/0.
+    0/0.  ParameterError for count < 1: the table of a negative degree.
     """
+    _check_degree(count - 1)
     ra, rb = _rational(alpha), _rational(beta)
     _check_exponents(kind, ra, rb)
     d = math.lcm(ra.denominator, rb.denominator)

@@ -25,6 +25,10 @@ Sign convention: the linearization is native to polynomials with leading
 coefficient of sign (-1)^n; this package normalizes leading-positive, so
 for odd 2q the general route multiplies by (-1)^(n*2q) to land in the
 package convention (even 2q is unaffected).
+
+alpha names the weight ``Family.laguerre(alpha)``, so this route refuses
+what the Bell and Gauss routes refuse (``families._integrable_order``),
+and its length is mapped from W by the Bell route's ``_renyi_length``.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from fractions import Fraction
 from mpmath import libmp, mp
 
 from .context import ParameterError, PrecisionContext
-from .families import RenyiOrder, _rational, power_integrable
-from .bell import _kronecker_product, _refuse_signed_length, length_from_power_integral
+from .families import Family, _check_degree, _integrable_order, _rational
+from .bell import _kronecker_product, _renyi_length
 
 __all__ = [
     "lauricella_fa_terminating",
@@ -135,14 +139,16 @@ def laguerre_power_integral_lauricella(
                      1/q,...,1/q, 1).
     The F_A sum is exact (exactly 0 iff W is); it and the prefactor are
     formed at ``ctx.bits`` plus guard bits, and W is returned at
-    ``ctx.bits``.
+    ``ctx.bits``.  The weight is ``Family.laguerre(alpha)``, so alpha <= -1,
+    a w^q that is not integrable (``families._integrable_order``, the
+    refusal of every route) and n < 0 raise ParameterError.
     """
-    order = RenyiOrder.from_q(q)
+    family = Family.laguerre(alpha)
+    order = _integrable_order(family, q)
+    _check_degree(n)
     two_q = order.two_q
-    if not power_integrable(order.q, alpha):
-        raise ParameterError(f"alpha*q must exceed -1 (alpha={alpha}, q={order})")
     with mp.workprec(ctx.bits + _GUARD_BITS):
-        am = mp.mpf(alpha)
+        am = mp.mpf(family.alpha)
         a = _rational(am)
         fa = lauricella_fa_terminating(
             a * order.q + 1,
@@ -164,13 +170,11 @@ def laguerre_power_integral_lauricella(
 def renyi_length_laguerre_lauricella(
     n: int, alpha, q, ctx: PrecisionContext = _DEFAULT_CTX
 ):
-    """Rényi length of the Laguerre density via the linearization route;
-    0 where alpha q <= -1, so that the integral of rho^q diverges.
-    ParameterError for odd 2q at n >= 1, as on the Bell route."""
-    order = RenyiOrder.from_q(q)
-    if not power_integrable(order.q, alpha):
-        return mp.mpf(0)
-    _refuse_signed_length(n, order)
-    W = laguerre_power_integral_lauricella(n, alpha, order, ctx)
-    with mp.workprec(ctx.bits):
-        return +length_from_power_integral(W, order)
+    """Rényi length of the Laguerre density via the linearization route,
+    mapped from W as on the Bell route (``bell._renyi_length``): 0 where
+    alpha q <= -1, so that the integral of rho^q diverges, and
+    ParameterError for odd 2q at n >= 1."""
+    return _renyi_length(
+        Family.laguerre(alpha), n, q, ctx,
+        lambda order: laguerre_power_integral_lauricella(n, alpha, order, ctx),
+    )

@@ -66,6 +66,7 @@ from .families import (
     JACOBI,
     LAGUERRE,
     Family,
+    _check_degree,
     _rational,
     exact_recurrence,
     norm_constant,
@@ -98,8 +99,7 @@ def _explicit_coeffs(family: Family, n: int) -> tuple:
     of Jacobi with alpha = beta are exact zeros.  Memoised on (family, n),
     so the L2 and L_q of one ``measures`` row build one set.
     """
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
+    _check_degree(n)
     if family.kind == HERMITE:
         R = [0] * (n + 1)
         for t in range(n % 2, n + 1, 2):

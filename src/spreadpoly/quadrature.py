@@ -23,8 +23,8 @@ exactly.  Nodes and weights agree with an mpf oracle at twice the
 precision to within 2^-bits.  Built rules are kept in
 a bounded LRU cache keyed by weight, size and precision.  :func:`gauss_rule`
 gives the rule of w^q for a family and q: exact mpf exponents alpha q and
-beta q, rate q for Hermite and Laguerre, and a refusal where
-``families.power_integrable``, the test of every route, fails.
+beta q, rate q for Hermite and Laguerre, and the refusal of a w^q that
+is not integrable, shared by every route (``families._integrable_order``).
 
 The mpf oracles against rho_n = p_n^2 w live here, each written once:
 the Gauss sum :func:`_rule_sum` (W_q and the moment oracles of
@@ -68,7 +68,7 @@ import numpy as np
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext, PrecisionError
-from .families import HERMITE, JACOBI, Family, RenyiOrder, power_integrable
+from .families import HERMITE, JACOBI, Family, RenyiOrder, _check_degree, _integrable_order
 from .orthopoly import _RULE_GUARD, _gauss_polish, _is_symmetric, _mirror, _recurrence_values
 from .orthopoly import evaluate_recurrence, zeros, zeros_raw
 
@@ -112,11 +112,9 @@ def _standard_rule(kind: str, alpha, beta, m: int, bits: int):
 def _power_exponents(family: Family, q):
     """(alpha q, beta q) of w^q, 2q a positive integer, as exact mpf values
     (a double times 2q fits in 53 + bit_length(2q) bits), which key the rule
-    cache like floats; ParameterError unless ``power_integrable``."""
-    order = RenyiOrder.from_q(q)
-    if not power_integrable(order.q, family.alpha, family.beta):
-        raise ParameterError(f"w^q is not integrable for {family.describe()} at q={order}")
-    two_q = order.two_q
+    cache like floats; ParameterError unless w^q is integrable
+    (``families._integrable_order``)."""
+    two_q = _integrable_order(family, q).two_q
     with mp.workprec(53 + two_q.bit_length()):
         return mp.mpf(family.alpha) * two_q / 2, mp.mpf(family.beta) * two_q / 2
 
@@ -151,8 +149,9 @@ def _rule_sum(family: Family, n: int, q, m: int, ctx: PrecisionContext, term):
     p_n from :func:`spreadpoly.orthopoly._recurrence_values`.  When the
     weight is symmetric, so is w^q, and the nodes mirror exactly: p_n is
     evaluated on the nonpositive half and mirrored with the sign (-1)^n, so
-    a sum that vanishes by parity is exactly 0.
+    a sum that vanishes by parity is exactly 0.  ParameterError for n < 0.
     """
+    _check_degree(n)
     nodes, weights = gauss_rule(family, m, ctx, q)
     mirrored = _is_symmetric(family.kind, family.alpha, family.beta)
     with mp.workprec(ctx.bits + _RULE_GUARD):

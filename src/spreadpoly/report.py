@@ -102,13 +102,13 @@ def _row(family: Family, n: int, **cells) -> dict:
 def measures_table(family: Family, degrees, orders=(), ctx: PrecisionContext = _DEFAULT_CTX):
     """stddev, Fisher length, L2 and the Shannon length N for each degree.
 
-    ``orders`` adds one Renyi-length column ``L_<q>`` per order (a
-    :class:`RenyiOrder` or anything ``RenyiOrder.from_q`` takes) other
+    ``orders`` adds one Renyi-length column ``L_<q>`` per distinct order
+    (a :class:`RenyiOrder` or anything ``RenyiOrder.from_q`` takes) other
     than q = 2, which is always present as ``L2``.  q = 1 has no Renyi
     length and is rejected, and so is an odd 2q at any degree n >= 1: the
     ParameterError names the column and the degree.
     """
-    orders = [RenyiOrder.from_q(q) for q in orders]
+    orders = dict.fromkeys(map(RenyiOrder.from_q, orders))
     if any(o.is_unit for o in orders):
         raise ParameterError("q=1 has no Renyi length (Shannon limit); drop it")
     extra = [o for o in orders if o.two_q != 4]

@@ -1,7 +1,6 @@
 """Independent oracles the tests check the package against.
 
-None of these is on a computing path of the package: the partition sum
-and the layered recurrence for partial Bell polynomials, schoolbook
+None of these is on a computing path of the package: schoolbook
 polynomial products and powers, the terminating 2F1 closed form of a
 Jacobi moment of w^q, the textbook recurrence formulas in mpf, the
 explicit coefficient displays and the Hermite and Laguerre moment displays
@@ -40,37 +39,6 @@ from spreadpoly.quadrature import (
 )
 
 
-def _partitions(m: int, l: int, max_part: int):
-    """Yield part-multiplicity tuples (j_1..j_max) with sum j = l, sum i*j = m."""
-    def rec(i, rem_l, rem_m, acc):
-        if i == max_part:
-            if rem_m == rem_l * max_part and 0 <= rem_l:
-                yield acc + (rem_l,)
-            return
-        for j in range(min(rem_l, rem_m // i) + 1):
-            yield from rec(i + 1, rem_l - j, rem_m - i * j, acc + (j,))
-
-    if max_part >= 1:
-        yield from rec(1, l, m, ())
-
-
-def partial_bell_enumerated(m: int, l: int, args) -> Fraction:
-    """B_{m,l} by explicit summation over partitions, exactly in Fraction."""
-    if l > m:
-        return Fraction(0)
-    if m == 0:
-        return Fraction(1 if l == 0 else 0)
-    width = m - l + 1
-    args = tuple(Fraction(a) for a in args) + (Fraction(0),) * width
-    total = Fraction(0)
-    for js in _partitions(m, l, width):
-        term = Fraction(math.factorial(m))
-        for i, j in enumerate(js, start=1):
-            term *= (args[i - 1] / math.factorial(i)) ** j / math.factorial(j)
-        total += term
-    return total
-
-
 def jacobi_power_moment(k: int, q, alpha, beta):
     """Integral of x^k against (1-x)^{alpha q} (1+x)^{beta q} on [-1, 1].
 
@@ -100,25 +68,6 @@ def naive_power(coeffs, p: int) -> list:
     for _ in range(p):
         out = schoolbook_product(out, coeffs)
     return out
-
-
-def partial_bell_layered(m: int, l: int, args):
-    """B_{m,l} by the layered recurrence
-    B_{m,l} = sum_i C(m-1, i-1) x_i B_{m-i, l-1}, in the arguments' own
-    arithmetic (exact for int and Fraction)."""
-    if l > m:
-        return 0
-    args = tuple(args)
-    prev = [1] + [0] * m  # l = 0 layer
-    for layer in range(1, l + 1):
-        prev = [0] * layer + [
-            sum(
-                math.comb(k - 1, i - 1) * args[i - 1] * prev[k - i]
-                for i in range(1, min(k - layer + 1, len(args)) + 1)
-            )
-            for k in range(layer, m + 1)
-        ]
-    return prev[m]
 
 
 def raw_recurrence(kind: str, alpha, beta, count: int):

@@ -1,8 +1,7 @@
-"""Bell-route power integrals and Renyi lengths: partition identities,
-exact polynomial powers and weight moments, frozen point values, signs,
-exact zeros, and large degrees that need no precision escalation."""
-
-from fractions import Fraction
+"""Bell-route power integrals and Renyi lengths: exact polynomial powers
+and weight moments, frozen point values, signs, exact zeros, the refusals
+the Bell, Gauss and Lauricella routes share, and large degrees that need
+no precision escalation."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +11,6 @@ from mpmath import mp
 from oracles import (
     jacobi_power_moment,
     naive_power,
-    partial_bell_enumerated,
-    partial_bell_layered,
     schoolbook_product,
 )
 from spreadpoly import orthopoly, quadrature
@@ -24,7 +21,6 @@ from spreadpoly.bell import (
     _weight_power_mass,
     _weight_power_moments,
     length_from_power_integral,
-    partial_bell,
     polynomial_power_coeffs,
     renyi_length_bell,
     renyi_power_integral_bell,
@@ -42,66 +38,6 @@ TIGHT = mp.mpf(1e-65)
 #: Exponent grid and orders of acceptance criterion 3.
 GRID = (-0.5, 0.0, 0.5, 2.0, 5.0)
 QS = (1, 1.5, 2, 3)
-
-
-def test_partial_bell_frozen_values():
-    # B_{3,2}(x1,x2) = 3 x1 x2 ; B_{4,2}(x1,x2,x3) = 4 x1 x3 + 3 x2^2
-    assert partial_bell(3, 2, [1, 1, 1]) == 3
-    assert partial_bell(4, 2, [1, 1, 1]) == 7
-    assert partial_bell(4, 2, [2, 5, 1]) == 4 * 2 * 1 + 3 * 25
-    assert partial_bell(5, 1, [0, 0, 0, 0, 9]) == 9
-    assert partial_bell(4, 4, [3]) == 81  # x1^4
-
-
-#: Arguments of each type the package accepts; the floats are read exactly.
-BELL_ARGS = {
-    "int": [3, -2, 0, 5, -1, 4, 7],
-    "fraction": [Fraction(3, 7), Fraction(-5, 2), 0, Fraction(1, 3), 2, Fraction(-9, 4), 1],
-    "float": [1.5, -0.25, 2.0, 0.1, -1.0, 3.0, 0.75],
-}
-
-
-@pytest.mark.parametrize("m,l", [(4, 2), (6, 3), (7, 2), (8, 5), (9, 1), (7, 7)])
-def test_partial_bell_matches_enumeration(m, l):
-    # exact on both sides: an int for int arguments, else the exact rational
-    for kind, args in BELL_ARGS.items():
-        got = partial_bell(m, l, args)
-        assert got == partial_bell_enumerated(m, l, args), kind
-        if kind == "int":
-            assert type(got) is int
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        [(-1) ** i * (i % 5) * 7**i for i in range(40)],
-        [Fraction((-1) ** i * (i % 4), i + 3) for i in range(40)],
-    ],
-    ids=["int", "fraction"],
-)
-def test_partial_bell_matches_layered_recurrence(args):
-    for m in range(41):
-        for l in {1, 2, 3, m // 2, max(m - 1, 0), m}:
-            assert partial_bell(m, l, args) == partial_bell_layered(m, l, args), (m, l)
-
-
-def test_partial_bell_edge_cases():
-    assert partial_bell(0, 0, []) == 1
-    assert partial_bell(3, 0, [1, 2, 3]) == 0
-    assert partial_bell(2, 3, [1, 2, 3]) == 0  # l > m
-    assert partial_bell(4, 2, []) == 0
-    assert partial_bell(4, 2, [0, 0, 0]) == 0
-    # only x_1 .. x_{m-l+1} enter; missing ones are 0
-    assert partial_bell(4, 2, [2]) == 0
-    assert partial_bell(4, 2, [2, 5]) == 3 * 25
-    assert partial_bell(4, 2, [2, 5, 1, 99, 99]) == 4 * 2 * 1 + 3 * 25
-    # a non-integer value comes back as a Fraction
-    assert partial_bell(2, 1, [0, Fraction(1, 3)]) == Fraction(1, 3)
-    assert partial_bell(2, 2, [0.5]) == Fraction(1, 4)
-    with pytest.raises(ParameterError):
-        partial_bell(-1, 0, [1])
-    with pytest.raises(ParameterError):
-        partial_bell(2, -1, [1])
 
 
 def test_polynomial_power_coeffs():
@@ -421,19 +357,32 @@ def test_length_from_power_integral_contract():
             length_from_power_integral(mp.mpf(W), RenyiOrder(two_q))
     got = length_from_power_integral(mp.mpf(0.5), RenyiOrder(3))
     assert abs(got - 4) < TIGHT
+    # q as every other Renyi entry takes it (RenyiOrder.from_q)
+    assert length_from_power_integral(mp.mpf(0.5), "3/2") == got
+    assert length_from_power_integral(mp.mpf(0.5), 2) == 2
+    for q in (1, "abc", 0):
+        with pytest.raises(ParameterError):
+            length_from_power_integral(mp.mpf(0.5), q)
 
 
 def test_divergent_parameters_rejected():
-    # w^q is not integrable, so every route refuses the power integral,
-    # while the integral of rho^q diverges and the length is 0
-    for family, n, q in ((Family.laguerre(-0.5), 2, 2), (Family.jacobi(-0.5, 0.0), 1, 3)):
+    # w^q is not integrable, so every route refuses the power integral, in
+    # the same words (one gate, families._integrable_order), while the
+    # integral of rho^q diverges and the length is 0
+    cells = (
+        (Family.laguerre(-0.5), 2, 2),
+        (Family.laguerre(-0.75), 1, "3/2"),
+        (Family.jacobi(-0.5, 0.0), 1, 3),
+    )
+    for family, n, q in cells:
         routes = [renyi_power_integral_bell, integrate_density_power]
         if family.kind == "laguerre":
             routes.append(lambda f, n, q, ctx: laguerre_power_integral_lauricella(n, f.alpha, q, ctx))
             assert renyi_length_laguerre_lauricella(n, family.alpha, q, CTX) == 0
         for route in routes:
-            with pytest.raises(ParameterError):
+            with pytest.raises(ParameterError) as info:
                 route(family, n, q, CTX)
+            assert str(info.value) == f"w^q is not integrable for {family.describe()} at q={q}"
         assert renyi_length_bell(family, n, q, CTX) == 0
 
 

@@ -204,6 +204,21 @@ def test_unit_order_rejected(capsys):
     assert "q=1" in err
 
 
+def test_bad_and_repeated_orders(capsys):
+    for token in ("abc", "1/0", "inf", "0.3"):
+        rc, out, err = run(
+            capsys, "measures", "--family", "hermite", "--n", "0", "--q", token
+        )
+        assert rc == 2 and out == ""
+        assert f"bad Renyi order '{token}'" in err
+    rc, out, _ = run(
+        capsys, "measures", "--family", "hermite", "--n", "0", "--bits", "128",
+        "--q", "3,3", "--q", "3/1",
+    )
+    assert rc == 0
+    assert out.splitlines()[0] == HEADER + ",L_3"
+
+
 def test_bad_range_rejected(capsys):
     rc, _, err = run(capsys, "measures", "--family", "hermite", "--n", "5..2")
     assert rc == 2

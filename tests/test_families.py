@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -82,9 +83,13 @@ def test_renyi_order_q_and_unit():
     assert not RenyiOrder(4).is_unit
 
 
+@pytest.mark.parametrize("q", ["abc", math.inf, math.nan, "1/0", 0, 0.3, "-1/2", None])
+def test_renyi_order_parser_refuses_anything_but_positive_half_integers(q):
+    with pytest.raises(ParameterError, match="bad Renyi order"):
+        RenyiOrder.from_q(q)
+
+
 def test_renyi_order_rejects_non_half_integers():
-    with pytest.raises(ParameterError):
-        RenyiOrder.from_q(0.3)
     with pytest.raises(ParameterError):
         RenyiOrder(0)
     with pytest.raises(ParameterError):

@@ -152,6 +152,16 @@ def test_divergent_alpha_q_rejected():
     assert renyi_length_laguerre_lauricella(2, -0.5, RenyiOrder(4), CTX) == 0
 
 
+def test_laguerre_weight_is_checked_as_on_the_other_routes():
+    # alpha = -1.5 is no Laguerre weight: refused, as Family.laguerre(-1.5)
+    # is, at every q
+    for q in (RenyiOrder(1), RenyiOrder(2), "1/2"):
+        with pytest.raises(ParameterError, match="alpha must exceed -1"):
+            laguerre_power_integral_lauricella(2, -1.5, q, CTX)
+        with pytest.raises(ParameterError, match="alpha must exceed -1"):
+            renyi_length_laguerre_lauricella(0, -1.5, q, CTX)
+
+
 @pytest.mark.parametrize("alpha", [2.0, 5.0])
 def test_large_degree_matches_bell_route(alpha):
     # a series of 41^6 multi-index terms, summed exactly in milliseconds

@@ -35,7 +35,10 @@ from spreadpoly.orthopoly import (
     zeros,
     zeros_raw,
 )
-from spreadpoly.quadrature import _power_exponents
+from spreadpoly.bell import renyi_length_bell
+from spreadpoly.closed_form import fisher_information_numeric, moment_quadrature
+from spreadpoly.lauricella import laguerre_power_integral_lauricella
+from spreadpoly.quadrature import _power_exponents, integrate_density_power
 
 CTX = PrecisionContext()
 
@@ -358,3 +361,28 @@ def test_coefficients_round_once_to_context_bits():
             high = orthonormal_coeffs(family, n, PrecisionContext(bits=512))
             with mp.workprec(53):
                 assert low == tuple(+c for c in high), (family, n)
+
+
+@pytest.mark.parametrize(
+    "family", [Family.hermite(), Family.laguerre(0.5), Family.jacobi(0.5, -0.25)],
+    ids=lambda f: f.describe(),
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda f: evaluate_recurrence(f, -1, 0.3),
+        lambda f: moment_quadrature(f, -1, 4),
+        lambda f: fisher_information_numeric(f, -1),
+        lambda f: integrate_density_power(f, -1, 2),
+        # the Laguerre weight of the family's alpha
+        lambda f: laguerre_power_integral_lauricella(-1, f.alpha, 2),
+        lambda f: renyi_length_bell(f, -1, "3/2"),
+    ],
+    ids=[
+        "evaluate_recurrence", "moment_quadrature", "fisher_numeric", "gauss_power", "lauricella",
+        "odd_length",
+    ],
+)
+def test_negative_degree_is_refused(family, entry):
+    with pytest.raises(ParameterError, match="degree must be nonnegative"):
+        entry(family)

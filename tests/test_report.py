@@ -45,6 +45,15 @@ def test_measures_table_refuses_odd_order_lengths_past_degree_zero():
         measures_table(Family.hermite(), [0, 2], [Fraction(3, 2)], FAST)
 
 
+def test_measures_table_gives_each_order_one_column():
+    # repeats of one order, in any spelling, and q = 2 beside L2 add nothing
+    header, rows, _ = measures_table(
+        Family.hermite(), [0], ["3", "3", 3, Fraction(6, 2), "2", 2.0], FAST
+    )
+    assert header[4:] == ["stddev", "fisher_length", "L2", "shannon_N", "L_3"]
+    assert list(rows[0])[4:] == header[4:]
+
+
 def test_measures_table_rejects_unit_order():
     with pytest.raises(ParameterError, match="q=1"):
         measures_table(Family.hermite(), [0], [1], FAST)
