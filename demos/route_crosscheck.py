@@ -6,8 +6,9 @@ W_q = integral p_n(x)^{2q} w(x)^q dx is computed here three ways:
 
   series      expand p_n^{2q} through partial Bell polynomials, then
               contract against closed-form weight moments
-  quadrature  a Gauss rule for the power-shifted weight w^q, sized so the
-              polynomial integrand is captured exactly
+  quadrature  the Gauss rule of the power-shifted weight w^q, sized so the
+              polynomial integrand is captured exactly, in its node-free
+              form mu_0' e_1^T F(J') e_1 on the Jacobi matrix J' of w^q
   laguerre    (half line only) the terminating hypergeometric-sum form
 
 The routes share no code beyond the recurrence coefficients, so agreement
@@ -15,7 +16,8 @@ to ~70 digits at 256-bit precision is a genuine cross-check.  Two kinds
 of zeros also surface: parity zeros (odd n, odd 2q on a symmetric
 weight), exactly 0 on every route, and a parameter coincidence at
 alpha=-1/2, q=3/2, n=1, exactly 0 on the series and Laguerre routes and
-at the rounding floor of its terms on the quadrature route.
+at the rounding floor of its fixed-point table on the quadrature route
+(where, at the 256 bits used here, the rounded entries cancel to 0 too).
 
 Run:  python3 demos/route_crosscheck.py
 """

@@ -36,6 +36,7 @@ an odd-2q length at n >= 1, and W -> W^{-1/(q-1)} at the context's bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -110,13 +111,23 @@ def _jacobi_moment_prefactor(a, b):
 def _weight_power_mass(family: Family, two_q: int):
     """m_0 = integral w(x)^q, q = two_q/2, at the active precision.  At q = 1
     it restates mu_0 on purpose: W_1 = 1 then checks the h_n of the table."""
-    q = mp.mpf(two_q) / 2
-    if family.kind == HERMITE:
-        return mp.sqrt(mp.pi / q)
-    a = mp.mpf(family.alpha) * q
-    if family.kind == LAGUERRE:
-        return mp.gamma(a + 1) / mp.power(q, a + 1)
-    return _jacobi_moment_prefactor(a, mp.mpf(family.beta) * q)
+    return _power_mass(family.kind, family.alpha, family.beta, two_q, mp.prec)
+
+
+@functools.lru_cache(maxsize=256)
+def _power_mass(kind: str, alpha, beta, two_q: int, prec: int):
+    """m_0 of :func:`_weight_power_mass` at ``prec`` bits, memoised on
+    (weight, 2q, prec): the criterion 3 grid asks for 104 of them, each
+    with a Gamma function, 936 times.  Kept apart from
+    ``families.norm_constant``, whose mu_0 is the one in h_n."""
+    with mp.workprec(prec):
+        q = mp.mpf(two_q) / 2
+        if kind == HERMITE:
+            return mp.sqrt(mp.pi / q)
+        a = mp.mpf(alpha) * q
+        if kind == LAGUERRE:
+            return mp.gamma(a + 1) / mp.power(q, a + 1)
+        return _jacobi_moment_prefactor(a, mp.mpf(beta) * q)
 
 
 def _weight_power_moments(family: Family, two_q: int, count: int) -> tuple:

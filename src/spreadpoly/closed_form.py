@@ -21,9 +21,9 @@ from mpmath import libmp, mp
 
 from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, LAGUERRE, Family, _rational
+from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational
 from .orthopoly import zeros_raw
-from .quadrature import QuadratureError, _engine_panels, _rule_sum, tanh_sinh_panels
+from .quadrature import QuadratureError, _engine_panels, _gauss_sum, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -296,12 +296,10 @@ def moment(family: Family, n: int, k, ctx: PrecisionContext = _DEFAULT_CTX):
 
 
 def moment_quadrature(family: Family, n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
-    """Oracle moment: exact Gauss rule applied to x^k p_n^2 w, integer k >= 0."""
+    """Oracle moment: the exact Gauss rule of w applied to x^k p_n^2 w,
+    integer k >= 0, in its node-free form mu_0 v^T J^k v / h_n with
+    v = pi_n(J) e_1 (``quadrature._gauss_sum``)."""
     k = _rational(k)
     if k.denominator != 1 or k < 0:
         raise ParameterError("quadrature moments need an integer order k >= 0")
-    k = int(k)
-    return _rule_sum(
-        family, n, 1, (2 * n + k) // 2 + 1, ctx,
-        lambda x, w, v: w * v * v * mp.power(x, k),
-    )
+    return _gauss_sum(family, n, RenyiOrder(2), int(k), ctx)

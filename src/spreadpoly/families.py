@@ -230,7 +230,7 @@ def norm_constant(kind: str, alpha, beta, prec: int):
     """mu_0, the integral of the bare weight over its interval, as an mpf
     at ``prec`` bits whatever the caller's ``mp.prec``: the one mu_0 of the
     squared norms h_n, of p_0 and of the ground-state entropy.  Memoised;
-    256 entries hold the 126 of the Rényi cross-check grid."""
+    256 entries hold the 157 of the Rényi cross-check grid."""
     with mp.workprec(prec):
         a = mp.mpf(alpha)
         b = mp.mpf(beta)

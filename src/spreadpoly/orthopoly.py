@@ -27,11 +27,17 @@ the leading coefficient of the orthonormal p_n is 1/sqrt(h_n), so
 c_t = R_t / (R_n sqrt(h_n)).  The Bell route runs on the integers and
 :func:`orthonormal_coeffs` rounds each c_t once, with no precision
 escalation.  The mpf values of p_n at points, for
-:func:`evaluate_recurrence` and the Gauss oracles of ``quadrature`` and
-``closed_form``, come from one evaluator, :func:`_recurrence_values`:
+:func:`evaluate_recurrence` and the product weights of ``quadrature``'s
+Gauss-Legendre pair, come from one evaluator, :func:`_recurrence_values`:
 p_n = pi_n / sqrt(h_n), with the monic pi_n from :func:`monic_fixed` and
 h_n = mu_0 b_1^2 ... b_n^2.  Its float64 counterpart is
 ``_vec.poly_scaled``, which reads the float table and also returns p_n'.
+
+The same recurrence runs on a matrix too: :func:`monic_apply` takes its
+steps on an integer vector, giving pi_n(J) v for a symmetric tridiagonal J
+in the same fixed point, and :func:`_jacobi_fixed` rounds the Jacobi
+matrix of w^q once to it.  Together they give the Gauss oracles of
+``quadrature`` and ``closed_form`` as mu_0' e_1^T F(J) e_1, with no node.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Halley passes on
@@ -145,9 +151,9 @@ def _squared_norm(kind: str, alpha, beta, n: int, prec: int):
     ``prec`` bits (:func:`spreadpoly.families.norm_constant`) times the
     exact product of the b_k^2 of
     :func:`spreadpoly.families.exact_recurrence`, rounded once.  Memoised
-    on (weight, n, prec); 2048 entries hold the 1161 norms of the Rényi
-    cross-check grid (279 for Bell, 882 for the Gauss rules of w^q), so each
-    is formed once."""
+    on (weight, n, prec); 2048 entries hold the 653 norms of the Rényi
+    cross-check grid (279 for Bell, and 279 h_n and 95 masses of w^q for
+    the Gauss sums), so each is formed once."""
     offsq = exact_recurrence(kind, alpha, beta, n + 1)[1]
     _, man, exp, _ = norm_constant(kind, alpha, beta, prec)._mpf_
     num = math.prod(v for v, _ in offsq[1:])
@@ -250,9 +256,67 @@ def monic_fixed(x, diag, offsq, steps: int, prec: int, derivative: bool = True):
     return pk, e
 
 
+def monic_apply(v: list, e: int, jdiag, joff, diag, offsq, steps: int, prec: int):
+    """pi_steps(J) v: ``steps`` steps of the monic recurrence of
+    :func:`monic_fixed` taken on a vector instead of a point,
+
+        v_{k+1} = (J - a_k) v_k - b_k^2 v_{k-1},   v_{-1} = 0, v_0 = v,
+
+    with J the symmetric tridiagonal m x m matrix of diagonal ``jdiag`` and
+    off-diagonal ``joff`` (``joff[i]`` couples entries i - 1 and i, and
+    ``joff[0]`` = ``joff[m]`` = 0), and (a_k, b_k^2) the ``diag``/``offsq``
+    entries; every entry is an integer v 2^prec.  ``v`` holds the leading
+    entries of the vector, those past it being zero, as integers times 2^e,
+    one exponent for the whole vector.  Returns ``(v_steps, e)`` the same
+    way: each step fills one more entry, up to m, so a vector that starts
+    at e_1 has only k + 1 entries after k steps.  As in
+    :func:`monic_fixed`, the largest entry of v_k and v_{k-1} keeps between
+    prec and prec + ``_SLACK`` bits, so an entry is good to about 2^-prec
+    of it per step.  When J and the table have a zero diagonal, each v_k
+    lies on one parity, and its entries of the other parity are exact
+    integer zeros.
+    """
+    m = len(jdiag)
+    lo, mid, hi = prec, prec + _SLACK // 2, prec + _SLACK
+    upper = joff[1:]
+    cur, prev = list(v), [0] * len(v)
+    for k in range(steps):
+        if len(cur) < m:
+            cur.append(0)
+            prev.append(0)
+        t, bsq = diag[k], offsq[k]
+        new = [
+            (ol * left + (d - t) * c + oh * right - bsq * p) >> prec
+            for ol, left, d, c, oh, right, p in zip(
+                joff, [0] + cur, jdiag, cur, upper, cur[1:] + [0], prev
+            )
+        ]
+        cur, prev = new, cur
+        bl = max(map(int.bit_length, cur))
+        if lo <= bl <= hi:
+            continue
+        bl = max(bl, *map(int.bit_length, prev))
+        if lo <= bl <= hi:
+            continue
+        s = bl - mid
+        if s > 0:
+            cur = [x >> s for x in cur]
+            prev = [x >> s for x in prev]
+        else:
+            cur = [x << -s for x in cur]
+            prev = [x << -s for x in prev]
+        e += s
+    return cur, e
+
+
 def _nearest(num: int, den: int, prec: int) -> int:
     """The integer nearest num / den 2^prec, for den > 0."""
     return ((num << (prec + 1)) + den) // (2 * den)
+
+
+def _nearest_sqrt(num: int, den: int, prec: int) -> int:
+    """The integer nearest sqrt(num / den) 2^prec, for num >= 0, den > 0."""
+    return (math.isqrt((num << (2 * prec + 2)) // den) + 1) >> 1
 
 
 #: Bits over ``prec`` at which :func:`_fixed_table` forms h.
@@ -275,6 +339,44 @@ def _fixed_table(kind: str, alpha, beta, count: int, prec: int):
         tuple(_nearest(num, den, fixed) for num, den in offsq),
         _squared_norm(kind, alpha, beta, count - 1, prec + _NORM_GUARD),
     )
+
+
+def _jacobi_fixed(kind: str, alpha, beta, m: int, two_q: int, prec: int):
+    """``(jdiag, joff)``: the m x m symmetric Jacobi matrix J of the raw
+    weight with exponents (alpha, beta) at rate q = two_q / 2, the matrix of
+    :func:`monic_apply`, whose eigenvalues are the nodes of its m-point Gauss
+    rule.  The rate puts x -> q x into the Laguerre weight and x^2 -> q x^2
+    into Hermite's, so the exact entries of
+    :func:`spreadpoly.families.exact_recurrence` become a_k / q and
+    b_k^2 / q^2 for Laguerre and b_k^2 / q for Hermite; each a_k is then
+    rounded once to the integer nearest a_k 2^prec, and each b_k once to
+    the integer nearest the square root of its exact b_k^2, times 2^prec.
+    ``joff`` holds b_0 = 0, b_1, ..., b_{m-1} and a closing 0."""
+    diag, offsq = exact_recurrence(kind, alpha, beta, m)
+    if kind == LAGUERRE:
+        diag = [(2 * num, den * two_q) for num, den in diag]
+        offsq = [(4 * num, den * two_q * two_q) for num, den in offsq]
+    elif kind == HERMITE:
+        offsq = [(2 * num, den * two_q) for num, den in offsq]
+    return (
+        tuple(_nearest(num, den, prec) for num, den in diag),
+        tuple(_nearest_sqrt(num, den, prec) for num, den in offsq) + (0,),
+    )
+
+
+def _rate(kind: str, alpha, two_q: int):
+    """``(c, f)`` at the active precision, or None for Jacobi and q = 1: the
+    Gauss rule of the unit-rate weight with exponents (alpha q, beta q)
+    becomes that of w^q once its nodes are divided by c and its weights
+    multiplied by f, and its mass mu_0 becomes f mu_0.  Hermite takes
+    c = sqrt(q) and f = 1/c, Laguerre c = q and f = q^-(alpha q + 1)."""
+    if kind == JACOBI or two_q == 2:
+        return None
+    s = mp.mpf(two_q) / 2
+    if kind == HERMITE:
+        r = mp.sqrt(s)
+        return r, 1 / r
+    return s, mp.power(s, -(mp.mpf(alpha) + 1))
 
 
 def _recurrence_values(family: Family, n: int, xs) -> list:

@@ -6,31 +6,35 @@ integral (density normalization, moments, Rényi power integrals) is
 evaluated with a rule whose exactness degree covers the integrand, so the
 oracle carries no truncation error — only rounding at working precision.
 
-Construction follows Golub–Welsch: nodes are the eigenvalues of the
-symmetric tridiagonal recurrence matrix.  Double-precision eigenvalues
-serve only as seeds; each node is polished by Halley passes on the monic
-recurrence (``orthopoly._gauss_polish``), run on block-scaled Python
-integers with 32 guard bits over the rule's precision
+The oracles against rho_n = p_n^2 w, W_q (:func:`integrate_density_power`)
+and the moments of ``closed_form``, take the rule without its nodes or
+weights: :func:`_gauss_sum` forms mu_0' e_1^T F(J') e_1 on the Jacobi
+matrix J' of w^q as one exact integer sum, builds no rule and runs no
+eigenvalue solve, and gives a parity zero as an exact integer 0.
+
+The rules themselves, for :func:`gauss_rule`, ``orthopoly.zeros`` and the
+float64 Gauss-Legendre pair below, follow Golub–Welsch: nodes are the
+eigenvalues of the symmetric tridiagonal recurrence matrix.
+Double-precision eigenvalues serve only as seeds; each node is polished by
+Halley passes on the monic recurrence (``orthopoly._gauss_polish``), run on
+block-scaled Python integers with 32 guard bits over the rule's precision
 (``orthopoly.monic_fixed``), with p'' and p''' from the classical ODE, and
 its weight ``w_i = 1 / sum_k p_k(x_i)^2`` comes from the last pass by the
 Christoffel–Darboux formula, ``h_{m-1} / (pi_m' pi_{m-1} - pi_{m-1}' pi_m)``,
 carried to the node by a Taylor step in the same integers.
-One exact recurrence table (``families.exact_recurrence``) is built per
-rule and rounded once to that fixed point, and h_{m-1} is mu_0 times the
-exact product of its b_k^2, rounded once.  Each node and each weight is
-rounded once; symmetric rules polish half their nodes and mirror them
-exactly.  Nodes and weights agree with an mpf oracle at twice the
-precision to within 2^-bits.  Built rules are kept in
-a bounded LRU cache keyed by weight, size and precision.  :func:`gauss_rule`
-gives the rule of w^q for a family and q: exact mpf exponents alpha q and
-beta q, rate q for Hermite and Laguerre, and the refusal of a w^q that
-is not integrable, shared by every route (``families._integrable_order``).
+One exact recurrence table is built per rule and rounded once to that
+fixed point, and h_{m-1} is mu_0 times the exact product of its b_k^2,
+rounded once.  Each node and each weight is rounded once; symmetric rules
+polish half their nodes and mirror them exactly.  Nodes and weights agree
+with an mpf oracle at twice the precision to within 2^-bits.  Built rules
+are kept in a bounded LRU cache keyed by weight, size and precision.
+:func:`gauss_rule` gives the rule of w^q for a family and q: exact mpf
+exponents alpha q and beta q, rate q for Hermite and Laguerre
+(``orthopoly._rate``), and the refusal of a w^q that is not integrable,
+shared by every route (``families._integrable_order``).
 
-The mpf oracles against rho_n = p_n^2 w live here, each written once:
-the Gauss sum :func:`_rule_sum` (W_q and the moment oracles of
-``closed_form``), with p_n at the nodes from the same integer kernel, and
-the integral :func:`_split_integral` split at the zeros of p_n (the Shannon
-fallback and the ``<ln w>`` check of ``verification``).
+The integral :func:`_split_integral`, split at the zeros of p_n, serves the
+Shannon fallback and the ``<ln w>`` check of ``verification``.
 
 Two adaptive integrators serve the Shannon integrals:
 
@@ -62,15 +66,18 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from .context import ParameterError, PrecisionContext, PrecisionError
-from .families import HERMITE, JACOBI, Family, RenyiOrder, _check_degree, _integrable_order
-from .orthopoly import _RULE_GUARD, _gauss_polish, _is_symmetric, _mirror, _recurrence_values
-from .orthopoly import evaluate_recurrence, zeros, zeros_raw
+from .families import JACOBI, Family, RenyiOrder, _check_degree, _integrable_order
+from .orthopoly import _FIXED_GUARD, _RULE_GUARD, _fixed_table, _gauss_polish, _is_symmetric
+from .orthopoly import _jacobi_fixed, _rate, _recurrence_values, _squared_norm
+from .orthopoly import evaluate_recurrence, monic_apply, zeros, zeros_raw
 
 __all__ = [
     "QuadratureError",
@@ -93,9 +100,10 @@ def _check_tol(tol) -> None:
         raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
 
 
-#: Rules kept by ``_standard_rule``.  The criterion 3 grid looks up fewer
-#: than 2% of its rules a second time, so the bound caps the memory of a
-#: long sweep at the cost of very few rebuilds.
+#: Rules kept by ``_standard_rule``.  The oracles against rho_n build no
+#: rule (:func:`_gauss_sum`); the callers of :func:`gauss_rule` and
+#: :func:`~spreadpoly.orthopoly.zeros` look up few rules a second time, so
+#: the bound caps the memory of a long sweep at the cost of few rebuilds.
 _RULE_CACHE_SIZE = 128
 
 
@@ -109,11 +117,13 @@ def _standard_rule(kind: str, alpha, beta, m: int, bits: int):
     return tuple(nodes), tuple(weights)
 
 
+@functools.lru_cache(maxsize=256)
 def _power_exponents(family: Family, q):
     """(alpha q, beta q) of w^q, 2q a positive integer, as exact mpf values
     (a double times 2q fits in 53 + bit_length(2q) bits), which key the rule
     cache like floats; ParameterError unless w^q is integrable
-    (``families._integrable_order``)."""
+    (``families._integrable_order``).  Memoised on (family, q): the
+    criterion 3 grid has 104 such pairs."""
     two_q = _integrable_order(family, q).two_q
     with mp.workprec(53 + two_q.bit_length()):
         return mp.mpf(family.alpha) * two_q / 2, mp.mpf(family.beta) * two_q / 2
@@ -123,42 +133,69 @@ def gauss_rule(family: Family, m: int, ctx: PrecisionContext = _DEFAULT_CTX, q=1
     """``(nodes, weights)`` of the m-node Gauss rule of w^q, exact to degree
     2m-1: the checked unit-rate rule of :func:`_power_exponents` (which
     refuses a w^q that is not integrable), rescaled to rate q for Hermite
-    and Laguerre."""
+    and Laguerre (``orthopoly._rate``)."""
     if m < 1:
         raise ParameterError("rule needs at least one node")
     order = RenyiOrder.from_q(q)
     alpha, beta = _power_exponents(family, order)
     nodes, weights = _standard_rule(family.kind, alpha, beta, m, ctx.bits)
-    if family.kind != JACOBI and not order.is_unit:
-        with mp.workprec(ctx.bits + _RULE_GUARD):
-            s = mp.mpf(order.two_q) / 2
-            if family.kind == HERMITE:
-                r = mp.sqrt(s)
-                nodes = tuple(x / r for x in nodes)
-                weights = tuple(w / r for w in weights)
-            else:
-                factor = mp.power(s, -(mp.mpf(alpha) + 1))
-                nodes = tuple(x / s for x in nodes)
-                weights = tuple(w * factor for w in weights)
+    with mp.workprec(ctx.bits + _RULE_GUARD):
+        rate = _rate(family.kind, alpha, order.two_q)
+        if rate is not None:
+            c, f = rate
+            nodes = tuple(x / c for x in nodes)
+            weights = tuple(w * f for w in weights)
     return nodes, weights
 
 
-def _rule_sum(family: Family, n: int, q, m: int, ctx: PrecisionContext, term):
-    """sum_i term(x_i, lambda_i, p_n(x_i)) over the m-node rule of w^q
-    (:func:`gauss_rule`), by ``fsum`` at ``ctx.bits + _RULE_GUARD``, with
-    p_n from :func:`spreadpoly.orthopoly._recurrence_values`.  When the
-    weight is symmetric, so is w^q, and the nodes mirror exactly: p_n is
-    evaluated on the nonpositive half and mirrored with the sign (-1)^n, so
-    a sum that vanishes by parity is exactly 0.  ParameterError for n < 0.
+def _gauss_sum(family: Family, n: int, order: RenyiOrder, k: int, ctx: PrecisionContext):
+    """integral x^k p_n^{2q} w^q by the m-point Gauss rule of w^q, with
+    m = (2nq + k) // 2 + 1 so that the rule is exact, formed without its
+    nodes or weights (Golub and Meurant, *Matrices, Moments and
+    Quadrature*, 2010): for deg F <= 2m - 1, integral F w^q =
+    mu_0' e_1^T F(J') e_1, with J' the m x m Jacobi matrix of w^q
+    (:func:`spreadpoly.orthopoly._jacobi_fixed`) and mu_0' the mass of w^q.
+
+    F = x^k pi_n^{2q} splits as H^2 M, H = x^(k//2) pi_n^(2q//2) and
+    M = x^(k%2) pi_n^(2q%2), so e_1^T F(J') e_1 = v^T M(J') v with
+    v = H(J') e_1.  Every factor pi_n(J') and x(J') is the monic recurrence
+    of w (:func:`spreadpoly.orthopoly._fixed_table`), or that of a zero
+    table, applied to an integer vector by
+    :func:`spreadpoly.orthopoly.monic_apply`, so S = v^T M(J') v is one exact
+    integer sum.  The result mu_0' S / h_n^q is formed at
+    ``ctx.bits + _RULE_GUARD``.  A symmetric weight has a zero diagonal in
+    both tables, so every vector lies on one parity, and S is exactly 0
+    where F is odd.  ParameterError for n < 0 or a w^q that is not
+    integrable (:func:`_power_exponents`).
     """
     _check_degree(n)
-    nodes, weights = gauss_rule(family, m, ctx, q)
-    mirrored = _is_symmetric(family.kind, family.alpha, family.beta)
-    with mp.workprec(ctx.bits + _RULE_GUARD):
-        values = _recurrence_values(family, n, nodes[: (m + 1) // 2] if mirrored else nodes)
-        if mirrored:
-            values = _mirror(values, m, -1 if n % 2 else 1)
-        return +mp.fsum(term(x, w, v) for x, w, v in zip(nodes, weights, values))
+    kind, two_q = family.kind, order.two_q
+    alpha, beta = _power_exponents(family, order)
+    prec = ctx.bits + _RULE_GUARD
+    fixed = prec + _FIXED_GUARD
+    diag, offsq, h = _fixed_table(kind, family.alpha, family.beta, n + 1, prec)
+    jdiag, joff = _jacobi_fixed(kind, alpha, beta, (n * two_q + k) // 2 + 1, two_q, fixed)
+    # (a_k, b_k^2, steps) of each factor; x^j is the recurrence of a zero table
+    zero = (0,) * (k // 2 + 1)
+    pi = (diag, offsq, n)
+    half = [pi] * (two_q // 2) + [(zero, zero, k // 2)]
+    middle = [pi] * (two_q % 2) + [(zero, zero, k % 2)]
+    v, e = [1 << fixed], -fixed
+    for table in half:
+        v, e = monic_apply(v, e, jdiag, joff, *table, fixed)
+    mv, me = v, e
+    for table in middle:
+        mv, me = monic_apply(mv, me, jdiag, joff, *table, fixed)
+    total = sum(map(operator.mul, v, mv))
+    with mp.workprec(prec):
+        mu0 = _squared_norm(kind, alpha, beta, 0, prec)
+        rate = _rate(kind, alpha, two_q)
+        if rate is not None:
+            mu0 *= rate[1]
+        norm = h ** (two_q // 2)
+        if two_q % 2:
+            norm *= mp.sqrt(h)
+        return mu0 * mp.make_mpf(from_man_exp(total, e + me)) / norm
 
 
 def integrate_density_power(
@@ -168,18 +205,16 @@ def integrate_density_power(
 
     2q must be a positive integer; the integrand p^{2q} w^q is then a
     polynomial of degree 2nq against the shifted weight w^q, integrated
-    with a rule of covering exactness.  Equals integral rho^q whenever 2q
-    is even, and returns 1 at q=1.  A parity zero (Hermite or Jacobi with
-    alpha = beta, n 2q odd) is exactly 0: the node values mirror exactly
-    (:func:`_rule_sum`), so the terms cancel in pairs.  Any other sum
-    is returned as rounded, so a zero without parity (Laguerre(-1/2) n=1,
-    q=3/2) comes out at the rounding floor of the terms, not as 0, and
-    a w^q that is not integrable is refused (ParameterError).
+    by the Gauss rule of covering exactness, in its node-free form
+    (:func:`_gauss_sum`).  Equals integral rho^q whenever 2q is even, and
+    returns 1 at q=1.  A parity zero (Hermite or Jacobi with alpha = beta,
+    n 2q odd) is exactly 0: the integer sum vanishes entry by entry.  Any
+    other sum is returned as rounded, so a zero without parity
+    (Laguerre(-1/2) n=1, q=3/2) comes out at the rounding floor of the
+    sum, not as 0, and a w^q that is not integrable is refused
+    (ParameterError).
     """
-    two_q = RenyiOrder.from_q(q).two_q
-    return _rule_sum(
-        family, n, q, n * two_q // 2 + 1, ctx, lambda x, w, v: w * mp.power(v, two_q)
-    )
+    return _gauss_sum(family, n, RenyiOrder.from_q(q), 0, ctx)
 
 
 #: Precision doublings :func:`integrate_log_singular` tries past the

@@ -33,7 +33,7 @@ import numpy as np
 from mpmath import mp
 
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, JACOBI, LAGUERRE, Family, norm_constant
+from .families import HERMITE, JACOBI, LAGUERRE, Family, _check_degree, norm_constant
 from .quadrature import QuadratureError, _U, _check_tol, _engine_panels, _split_integral
 from .quadrature import tanh_sinh_panels
 from .closed_form import moment, stddev
@@ -301,7 +301,9 @@ def shannon_numeric(
 
 
 def shannon_asymptotic(family: Family, n: int) -> ShannonResult:
-    """Large-n entropy displays; the o(1) remainder is not quantified."""
+    """Large-n entropy displays; the o(1) remainder is not quantified.
+    ParameterError for n < 0, and for n = 0 but on Jacobi."""
+    _check_degree(n)
     if family.kind == JACOBI:
         S = mp.log(mp.pi) - 1
     else:

@@ -36,6 +36,7 @@ from spreadpoly.quadrature import (
     _edge_tail,
     _panel_nodes,
     _standard_rule,
+    gauss_rule,
 )
 
 
@@ -285,6 +286,21 @@ def rule_sum(rule, f):
     """sum_i w_i f(x_i) over a rule ``(nodes, weights)``."""
     nodes, weights = rule
     return mp.fsum(w * f(x) for x, w in zip(nodes, weights))
+
+
+def rule_density_sum(family, n: int, two_q: int, k: int, ctx):
+    """integral x^k p_n^(2q) w^q, q = two_q / 2, as the Gauss sum
+    sum_i lambda_i x_i^k p_n(x_i)^(2q) over the m-node rule of w^q,
+    m = (n two_q + k) // 2 + 1, which is exact for it: the nodes and weights
+    of ``quadrature.gauss_rule`` (built by ``_standard_rule``), p_n at the
+    nodes from ``orthopoly._recurrence_values``, summed by ``fsum`` at
+    ``ctx.bits + _RULE_GUARD``."""
+    nodes, weights = gauss_rule(family, (n * two_q + k) // 2 + 1, ctx, RenyiOrder(two_q))
+    with mp.workprec(ctx.bits + _RULE_GUARD):
+        values = _recurrence_values(family, n, nodes)
+        return +mp.fsum(
+            w * mp.power(x, k) * mp.power(v, two_q) for x, w, v in zip(nodes, weights, values)
+        )
 
 
 def poly_scaled_plain(kind, alpha, beta, n, x, derivative=False):

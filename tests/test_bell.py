@@ -17,6 +17,7 @@ from spreadpoly import orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
 from spreadpoly.bell import (
+    _jacobi_moment_prefactor,
     _kronecker_product,
     _weight_power_mass,
     _weight_power_moments,
@@ -119,6 +120,27 @@ def test_jacobi_moment_recurrence_matches_closed_form(q):
                 for k in range(count):
                     want = jacobi_power_moment(k, q, a, b)
                     assert abs(m[k] - want) <= mp.mpf(2) ** -1200 * m[0], (a, b, k)
+
+
+@pytest.mark.parametrize(
+    "family", [Family.hermite(), Family.laguerre(0.5), Family.jacobi(2.0, -0.5)],
+    ids=lambda f: f.describe(),
+)
+def test_weight_power_mass_memo_follows_the_active_precision(family):
+    # memoised on the precision too: each value has the bits of the
+    # precision active at the call, the same bits as the formula run there
+    for prec in (100, 300, 100):
+        with mp.workprec(prec):
+            got = _weight_power_mass(family, 3)
+            q = mp.mpf(3) / 2
+            a, b = mp.mpf(family.alpha) * q, mp.mpf(family.beta) * q
+            if family.kind == "hermite":
+                want = mp.sqrt(mp.pi / q)
+            elif family.kind == "laguerre":
+                want = mp.gamma(a + 1) / mp.power(q, a + 1)
+            else:
+                want = _jacobi_moment_prefactor(a, b)
+            assert got._mpf_ == want._mpf_, prec
 
 
 def test_symmetric_jacobi_odd_moments_are_exact_zeros():
@@ -242,8 +264,8 @@ def _perturbed_mu0(monkeypatch):
 )
 def test_bell_unit_integral_checks_the_table_norm(family, _perturbed_mu0):
     # Bell's m_0 restates mu_0 apart from the table, so its W_1 = 1 sees an
-    # error in h_n; the Gauss route divides h_n out of p_n^2 and multiplies
-    # it back into its weights, so its W_1 stays 1 and cannot
+    # error in h_n; the Gauss route's mass mu_0' and its h_n both carry the
+    # table's mu_0, which cancels, so its W_1 stays 1 and cannot
     for n in (0, 4):
         bell = renyi_power_integral_bell(family, n, RenyiOrder(2), FAST)
         gauss = integrate_density_power(family, n, RenyiOrder(2), FAST)

@@ -39,6 +39,7 @@ from spreadpoly.bell import renyi_length_bell
 from spreadpoly.closed_form import fisher_information_numeric, moment_quadrature
 from spreadpoly.lauricella import laguerre_power_integral_lauricella
 from spreadpoly.quadrature import _power_exponents, integrate_density_power
+from spreadpoly.shannon import shannon_asymptotic
 
 CTX = PrecisionContext()
 
@@ -377,10 +378,11 @@ def test_coefficients_round_once_to_context_bits():
         # the Laguerre weight of the family's alpha
         lambda f: laguerre_power_integral_lauricella(-1, f.alpha, 2),
         lambda f: renyi_length_bell(f, -1, "3/2"),
+        lambda f: shannon_asymptotic(f, -1),
     ],
     ids=[
         "evaluate_recurrence", "moment_quadrature", "fisher_numeric", "gauss_power", "lauricella",
-        "odd_length",
+        "odd_length", "shannon_asymptotic",
     ],
 )
 def test_negative_degree_is_refused(family, entry):

@@ -10,17 +10,17 @@ from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
 
-from oracles import rule_sum, weight_moment
+from oracles import rule_density_sum, rule_sum, weight_moment
 from spreadpoly import orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, RenyiOrder, exact_recurrence
+from spreadpoly.closed_form import moment_quadrature
+from spreadpoly.families import Family, RenyiOrder, exact_recurrence, power_integrable
 from spreadpoly.quadrature import (
     QuadratureError,
     _BATCH_NODES,
     _GAUSS_PAIR,
     _gauss_legendre,
     _power_exponents,
-    _rule_sum,
     _standard_rule,
     gauss_rule,
     integrate_density_power,
@@ -164,21 +164,70 @@ def test_density_power_parity_zero_is_exact():
     [(Family.hermite(), 3), (Family.jacobi(0.5, 0.5), 3), (Family.jacobi(2.0, 2.0), 1)],
     ids=lambda v: v.describe() if isinstance(v, Family) else str(v),
 )
-def test_parity_zero_needs_no_clamp(family, n):
-    # a symmetric rule's nodes mirror exactly, and p_n is evaluated on the
-    # nonpositive half and mirrored with (-1)^n, so at n 2q odd the terms
-    # cancel in pairs to exactly 0 in the plain sum
+def test_parity_zero_needs_no_clamp(family, n, monkeypatch):
+    # a symmetric weight has a zero diagonal in the tables of w and w^q, so
+    # every vector of the node-free sum lies on one parity, its entries of
+    # the other parity exact integer zeros; at n 2q odd v = pi_n(J') e_1 and
+    # pi_n(J') v lie on opposite parities, and the plain sum v^T pi_n(J') v
+    # is exactly 0 with no mirroring and no clamp
     order = RenyiOrder(3)
+    kernel = orthopoly.monic_apply
+    parities = []
+
+    def spy(*args):
+        vec, e = kernel(*args)
+        assert not any(vec[0::2]) or not any(vec[1::2])
+        parities.append(0 if any(vec[0::2]) else 1)
+        return vec, e
+
+    monkeypatch.setattr(quadrature, "monic_apply", spy)
     assert integrate_density_power(family, n, order, CTX) == 0
-    values = []
+    assert parities[0] == n % 2 == 1 and parities[-1] == 0
 
-    def term(x, w, v):
-        values.append(v)
-        return w * v**3
 
-    assert _rule_sum(family, n, order, 3 * n // 2 + 1, CTX, term) == 0
-    with mp.workprec(CTX.bits + orthopoly._RULE_GUARD):
-        assert values == [-v for v in reversed(values)]
+#: Criterion 3's weights.
+CRITERION_3 = [Family.hermite()] + [Family.laguerre(a) for a in GRID]
+CRITERION_3 += [Family.jacobi(a, b) for a in GRID for b in GRID]
+
+
+def _within_rule_sum(got, want, bits):
+    """|got - want| <= 2^(8 - bits) |want|, or 2^-bits where the sum nearly
+    vanishes: a parity zero is exactly 0 without nodes, but the rule sum
+    keeps the rounding of its terms."""
+    with mp.workprec(2 * bits):
+        return abs(got - want) <= max(mp.ldexp(abs(want), 8 - bits), mp.ldexp(1, -bits))
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+@pytest.mark.parametrize("family", CRITERION_3, ids=lambda f: f.describe())
+def test_node_free_sums_match_the_rule_sums(family, bits):
+    # W_q and the moment oracle without nodes, against the sum over the
+    # nodes and weights of the same Gauss rule
+    ctx = PrecisionContext(bits=bits)
+    for n in range(9):
+        for two_q in range(1, 7):
+            if power_integrable(RenyiOrder(two_q).q, family.alpha, family.beta):
+                got = integrate_density_power(family, n, RenyiOrder(two_q), ctx)
+                assert _within_rule_sum(got, rule_density_sum(family, n, two_q, 0, ctx), bits), (
+                    n, two_q
+                )
+        for k in range(5):
+            got = moment_quadrature(family, n, k, ctx)
+            assert _within_rule_sum(got, rule_density_sum(family, n, 2, k, ctx), bits), (n, k)
+
+
+def test_node_free_sums_build_no_gauss_rule(monkeypatch):
+    # neither caller polishes a node or runs an eigenvalue solve
+    def no_eigen_solve(*args):
+        raise AssertionError("eigenvalue solve")
+
+    monkeypatch.setattr(orthopoly, "_eigen_seeds", no_eigen_solve)
+    before = _standard_rule.cache_info()
+    for family in (Family.hermite(), Family.laguerre(0.5), Family.jacobi(2.0, -0.5)):
+        integrate_density_power(family, 5, RenyiOrder(3), CTX)
+        moment_quadrature(family, 5, 3, CTX)
+    after = _standard_rule.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits)
 
 
 #: 128 bits keep the properties quick; the Gauss route runs at bits + 20.

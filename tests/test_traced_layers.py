@@ -72,7 +72,7 @@ REACHED = {
     "renyi-crosscheck": (
         "bell.polynomial_power_coeffs",
         "lauricella.lauricella_fa_terminating",
-        "orthopoly.raw_recurrence",
+        "quadrature.integrate_density_power",
     ),
     "shannon-large-n": ("orthopoly.raw_recurrence",),
     "measures-rows": ("bell.polynomial_power_coeffs", "orthopoly.raw_recurrence"),

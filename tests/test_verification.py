@@ -69,8 +69,9 @@ def test_renyi_scope_all_pass():
 
 def test_renyi_cell_compares_power_integrals_not_lengths():
     # the coincidence cell: Bell and Lauricella give W = 0 exactly, the Gauss
-    # sum keeps its rounding (1.2e-83 at 256 bits); both lie below criterion
-    # 3's 1e-30 floor, so they agree, although their lengths are inf and 6.6e165
+    # sum keeps the rounding of its table (8.5e-55 at 128 bits, 0 at 256);
+    # any such floor lies below criterion 3's 1e-30, so the routes agree,
+    # although lengths read from W would not (W^-2 of a 1e-83 floor is 1e165)
     checks = _renyi_cell_checks(Family.laguerre(-0.5), 1, RenyiOrder(3), PrecisionContext(), 1e-10)
     assert [c.name.rsplit("/", 1)[1] for c in checks] == [
         "bell-vs-lauricella", "bell-vs-oracle", "lauricella-vs-oracle"
