@@ -21,7 +21,7 @@ from mpmath import libmp, mp
 
 from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
-from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _rational
+from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _check_degree, _rational
 from .orthopoly import zeros_raw
 from .quadrature import QuadratureError, _engine_panels, _gauss_sum, tanh_sinh_panels
 
@@ -68,8 +68,7 @@ def _jacobi_bsq(k: int, a, b):
 
 def stddev(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """Standard deviation of the degree-n density."""
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
+    _check_degree(n)
     with mp.workprec(ctx.bits):
         a = mp.mpf(family.alpha)
         b = mp.mpf(family.beta)
@@ -82,8 +81,7 @@ def stddev(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
 
 def fisher_information(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """Fisher information of the density; +inf when an end is irregular."""
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
+    _check_degree(n)
     if not all(regular for *_, regular in _finite_ends(family)):
         return mp.inf
     with mp.workprec(ctx.bits):
@@ -194,8 +192,11 @@ def fisher_truncated(family: Family, n: int, eps: float):
     bound as eps -> 0 (the bounded interior never enters and cannot mask
     the growth).  The outer edge c is the nearer of the first zero and a
     fixed offset 0.5.  Regular ends add a finite amount and are skipped;
-    ParameterError when no end is irregular, since F is then finite.
+    ParameterError when no end is irregular, since F is then finite, and
+    unless ``eps`` is finite and positive: at 0 the window diverges.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ParameterError(f"cutoff must be finite and positive, got {eps!r}")
     edges = [(end, inward) for end, inward, _, regular in _finite_ends(family) if not regular]
     if not edges:
         raise ParameterError("no divergent endpoint for these exponents")
@@ -258,8 +259,7 @@ def moment(family: Family, n: int, k, ctx: PrecisionContext = _DEFAULT_CTX):
     and the moment one exact rational rounded once at ``ctx.bits``; else the
     Gamma ratio takes 32 guard bits and the product is rounded once.
     """
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
+    _check_degree(n)
     k = _rational(k)
     if family.kind == HERMITE:
         if k.denominator != 1 or k < 0:

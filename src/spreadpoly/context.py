@@ -15,7 +15,7 @@ still wraps it by name.
 
 No routine rounds a small value to zero: an exact zero comes only from
 the Bell and Lauricella integer sums and, at a parity zero, from the
-Gauss route's mirrored nodes.
+Gauss route's node-free integer sum, which is exactly 0.
 """
 
 from __future__ import annotations

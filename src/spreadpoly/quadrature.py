@@ -1,16 +1,16 @@
 """Gauss quadrature for (power-shifted) classical weights, plus adaptive
 integration for logarithmically singular integrands.
 
-Gauss rules are the *exact oracle* of the package: every polynomial-power
-integral (density normalization, moments, Rényi power integrals) is
-evaluated with a rule whose exactness degree covers the integrand, so the
-oracle carries no truncation error — only rounding at working precision.
-
-The oracles against rho_n = p_n^2 w, W_q (:func:`integrate_density_power`)
-and the moments of ``closed_form``, take the rule without its nodes or
-weights: :func:`_gauss_sum` forms mu_0' e_1^T F(J') e_1 on the Jacobi
-matrix J' of w^q as one exact integer sum, builds no rule and runs no
-eigenvalue solve, and gives a parity zero as an exact integer 0.
+Gauss quadrature is the *exact oracle* of the package: every
+polynomial-power integral (density normalization, moments, Rényi power
+integrals) equals the sum of a Gauss rule whose exactness degree covers the
+integrand, so the oracle carries no truncation error — only rounding at
+working precision.  The oracles against rho_n = p_n^2 w, W_q
+(:func:`integrate_density_power`) and the moments of ``closed_form``, form
+that sum without the rule's nodes or weights: :func:`_gauss_sum` takes
+mu_0' e_1^T F(J') e_1 on the Jacobi matrix J' of w^q as one exact integer
+sum, builds no rule and runs no eigenvalue solve, and gives a parity zero
+as an exact integer 0.
 
 The rules themselves, for :func:`gauss_rule`, ``orthopoly.zeros`` and the
 float64 Gauss-Legendre pair below, follow Golub–Welsch: nodes are the
@@ -39,18 +39,23 @@ Shannon fallback and the ``<ln w>`` check of ``verification``.
 Two adaptive integrators serve the Shannon integrals:
 
 * :func:`integrate_log_singular` — arbitrary-precision tanh-sinh panels
-  (mpmath), the contract-level routine, split at strictly increasing
-  points that it takes as given;
+  (mpmath), the contract-level routine;
 * :func:`tanh_sinh_panels` — a vectorized float64 panel engine, the
-  throughput path of the Shannon and Fisher integrals.  Both split the
-  interval at the zeros of p_n (:func:`_engine_panels`; over the half
-  line [0, hi] only, doubled, for a symmetric weight).  A panel between
+  throughput path of the Shannon and Fisher integrals.  Both take their
+  panel points as given, and refuse them unless strictly increasing
+  (:func:`_check_points`).  Both split the interval at the zeros of p_n
+  (:func:`_engine_panels`; over the half line [0, hi] only, doubled, for a
+  symmetric weight).  A panel between
   two zeros takes an 18/22-node Gauss-Legendre pair: the logarithm of the
   zeros at its ends is split off the Shannon integrand and integrated by
   product weights on the same nodes (Gautschi, *Orthogonal Polynomials*,
   2004); the Fisher integrand, analytic across the zeros, takes the pair
-  without the split.  The end panels, and a zero panel beside a finite end where w
-  has a branch point, run tanh-sinh levels (exp-sinh on an infinite one).
+  without the split.  One builder, :func:`_gauss_round`, makes the pair's
+  round once per process from the polished Legendre rules, whose nodes
+  mirror exactly, with every node, weight and log-split weight rounded
+  once to a double.  The end panels, and a zero panel beside a finite end
+  where w has a branch point, run tanh-sinh levels (exp-sinh on an
+  infinite one).
   Every panel's first nodes go to the integrand in one call, so a
   recurrence-based integrand runs its n-step loop once for them; a panel
   that has not converged refines in further tanh-sinh rounds, and a
@@ -98,6 +103,13 @@ def _check_tol(tol) -> None:
     """ParameterError unless ``tol`` is finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
+
+
+def _check_points(pts) -> None:
+    """ParameterError unless ``pts``, the panel ends of an integral, are at
+    least two and strictly increasing (infinite ends allowed, NaN not)."""
+    if len(pts) < 2 or not all(a < b for a, b in zip(pts, pts[1:])):
+        raise ParameterError(f"panel points are not two or more, strictly increasing: {pts}")
 
 
 #: Rules kept by ``_standard_rule``.  The oracles against rho_n build no
@@ -240,8 +252,7 @@ def integrate_log_singular(f, interval, split_points, ctx: PrecisionContext, *, 
     _check_tol(tol)
     lo, hi = interval
     pts = [lo, *split_points, hi]
-    if not all(a < b for a, b in zip(pts, pts[1:])):
-        raise ParameterError(f"panel points are not strictly increasing: {pts}")
+    _check_points(pts)
     bits = ctx.bits
     for _ in range(_ESCALATIONS + 1):
         with mp.workprec(bits):
@@ -370,106 +381,62 @@ def _round(levels: tuple) -> _Round:
     ), None, *_read_only(d, 0.5 * np.pi * cosh_t * d))
 
 
-@dataclass(frozen=True)
-class _GaussLegendre:
-    """The m-node Gauss-Legendre rule on [0, 1]: increasing nodes ``t``,
-    ``one_minus_t`` = 1 - t, weights ``w``, the product weights ``w_log`` of
-    ln t (those of ln(1 - t) are their mirror image, ``w_log[::-1]``), and
-    the log-split weights ``split`` = w_log + w_log[::-1] - w ln(t (1 - t)).
-    The rule integrates polynomials of degree 2m - 1 on [0, 1], and
-    sum_i (w_i f(t_i) + split_i c(t_i)) integrates f = s + c ln(t (1 - t))
-    for polynomials s of degree 2m - 1 and c of degree m - 1."""
-
-    t: np.ndarray
-    one_minus_t: np.ndarray
-    w: np.ndarray
-    w_log: np.ndarray
-    split: np.ndarray
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(m: int) -> _GaussLegendre:
-    """The rule of :class:`_GaussLegendre`, built on first use.
-
-    The nodes x_i and weights W_i of the Legendre weight on [-1, 1] come
-    from :func:`_gauss_polish` at ``_RULE_BITS`` (called directly, so the
-    bounded rule cache keeps its entries), the orthonormal p_k from the
-    recurrence (:func:`_recurrence_values`) at the same precision.  With
-    t = (1 + x) / 2, w = W / 2, and P_k = p_k / p_k(1), the product weight
-    of ln t is w sum_{k<m} (2k+1) mu_k P_k(x) = W sum_{k<m} mu_k p_k(1) p_k(x),
-    mu_0 = -1 and mu_k = (-1)^(k+1) / (k (k+1)) being the Legendre moments
-    of ln t on [0, 1]; that of ln(1 - t) takes (-1)^k mu_k.  Every
-    constant is rounded once to a double, so each is within half an ulp of
-    its value at the node it is stored with.  The nonpositive half of the
-    nodes is computed, the rest mirrors it.
-    """
-    legendre = Family.jacobi(0.0, 0.0)
-    with mp.workprec(_RULE_BITS + _RULE_GUARD):
-        nodes, weights = _gauss_polish(JACOBI, 0.0, 0.0, m, _RULE_BITS)
-        half = (m + 1) // 2
-        xs = list(nodes[:half]) + [mp.mpf(1)]
-        mu = [mp.mpf(-1)] + [mp.mpf((-1) ** (k + 1)) / (k * (k + 1)) for k in range(1, m)]
-        terms = []
-        for k in range(m):
-            *p, p_one = _recurrence_values(legendre, k, xs)
-            terms.append([mu[k] * p_one * v for v in p])
-        rows = []
-        for i, (x, big_w) in enumerate(zip(xs[:half], weights)):
-            even, odd = (mp.fsum(row[i] for row in terms[j::2]) for j in (0, 1))
-            log_l, log_r = big_w * (even + odd), big_w * (even - odd)
-            t, s = (1 + x) / 2, (1 - x) / 2
-            split = log_l + log_r - big_w / 2 * mp.log(t * s)
-            rows.append([float(v) for v in (t, s, big_w / 2, log_l, log_r, split)])
-    t, s, w, log_l, log_r, split = map(np.array, zip(*rows))
-
-    def mirrored(lower, upper):
-        # the positive half, from the middle out
-        return np.concatenate([lower, upper[: m // 2][::-1]])
-
-    return _GaussLegendre(*_read_only(
-        mirrored(t, s), mirrored(s, t), mirrored(w, w), mirrored(log_l, log_r),
-        mirrored(split, split),
-    ))
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_round(pair: tuple) -> _Round:
-    """The round of a zero panel: the rules of ``pair`` side by side, the
-    nodes at their distances from the nearer end (t or 1 - t, each rounded
-    once), so they mirror exactly and meet the contract of ``dl`` and ``dr``."""
-    rules = [_gauss_legendre(m) for m in pair]
-    parts, start = [], 0
-    for m in pair:
-        parts.append((m, slice(start, start + m), None))
-        start += m
-    t = np.concatenate([r.t for r in rules])
-    s = np.concatenate([r.one_minus_t for r in rules])
-    return _Round(tuple(parts), *_read_only(
-        t < 0.5, 2.0 * t, 2.0 * s,
-        2.0 * np.concatenate([r.w for r in rules]),
-        2.0 * np.concatenate([r.split for r in rules]),
-    ))
+    """The round of a zero panel: the Gauss-Legendre rules of ``pair`` side
+    by side, built on first use.
+
+    For each m, the nodes x_i and weights W_i of the Legendre weight on
+    [-1, 1] come from :func:`_gauss_polish` at ``_RULE_BITS`` (called
+    directly, so the bounded rule cache keeps its entries), exact mirror
+    images, and the orthonormal p_k from the recurrence
+    (:func:`_recurrence_values`) at the same precision.  With t = (1 + x) / 2,
+    s = (1 - x) / 2 and P_k = p_k / p_k(1), the product weight of ln t is
+    log_l = (W / 2) sum_{k<m} (2k+1) mu_k P_k(x) = W sum_{k<m} mu_k p_k(1) p_k(x),
+    mu_0 = -1 and mu_k = (-1)^(k+1) / (k (k+1)) being the Legendre moments of
+    ln t on [0, 1]; that of ln s, log_r, takes (-1)^k mu_k.  The log-split
+    weight is split = log_l + log_r - (W / 2) ln(t s), so that
+    sum_i (W_i f(t_i) / 2 + split_i c(t_i)) integrates f = g + c ln(t s)
+    over [0, 1] for polynomials g of degree 2m - 1 and c of degree m - 1.
+    Every node takes its terms in mpf, and each constant is rounded once to
+    a double, the node at its distance from the nearer end (t or s), so the
+    nodes mirror exactly and meet the contract of ``dl`` and ``dr``.
+    """
+    legendre = Family.jacobi(0.0, 0.0)
+    rows, parts = [], []
+    with mp.workprec(_RULE_BITS + _RULE_GUARD):
+        for m in pair:
+            nodes, weights = _gauss_polish(JACOBI, 0.0, 0.0, m, _RULE_BITS)
+            mu = [mp.mpf(-1)] + [mp.mpf((-1) ** (k + 1)) / (k * (k + 1)) for k in range(1, m)]
+            terms = []
+            for k in range(m):
+                *p, p_one = _recurrence_values(legendre, k, [*nodes, mp.mpf(1)])
+                c = mu[k] * p_one
+                terms.append([c * v for v in p])
+            for i, (x, big_w) in enumerate(zip(nodes, weights)):
+                even, odd = (mp.fsum(row[i] for row in terms[j::2]) for j in (0, 1))
+                log_l, log_r = big_w * (even + odd), big_w * (even - odd)
+                t, s = (1 + x) / 2, (1 - x) / 2
+                split = log_l + log_r - big_w / 2 * mp.log(t * s)
+                rows.append([float(v) for v in (t, s, big_w / 2, split)])
+            parts.append((m, slice(len(rows) - m, len(rows)), None))
+    t, s, w, split = map(np.array, zip(*rows))
+    return _Round(tuple(parts), *_read_only(t < 0.5, 2.0 * t, 2.0 * s, 2.0 * w, 2.0 * split))
 
 
 def _round_nodes(rnd: _Round, a, b):
     """Abscissas and distances to the panel ends of the panels [a_j, b_j]
     at the nodes of a round, as (panels, nodes) arrays: the rule mapped
-    onto a finite panel, the exp-sinh map from the finite end of an
-    infinite one."""
+    onto a finite panel; on an infinite one the exp-sinh map from its
+    finite end, a when it is infinite above, b when infinite below."""
     if np.isfinite(a[0]) and np.isfinite(b[0]):
         lo, hi = a[:, None], b[:, None]
         half = 0.5 * (hi - lo)
         dl = half * rnd.sel_l
         dr = half * rnd.sel_r
         return np.where(rnd.left, lo + dl, hi - dr), dl, dr
-    shape = (a.size, rnd.left.size)
-    x, dl, dr = (np.empty(shape) for _ in range(3))
-    for j in range(a.size):
-        if np.isinf(b[j]):
-            x[j], dl[j], dr[j] = a[j] + rnd.d, rnd.d, np.inf
-        else:
-            x[j], dl[j], dr[j] = b[j] - rnd.d, np.inf, rnd.d
-    return x, dl, dr
+    up, d = np.isinf(b)[:, None], rnd.d
+    return np.where(up, a[:, None] + d, b[:, None] - d), np.where(up, d, np.inf), np.where(up, np.inf, d)
 
 
 #: The tail term is doubled: it is the leading term of the mass beyond the
@@ -673,12 +640,14 @@ def tanh_sinh_panels(
     Nonnegative exponents add nothing.
 
     Returns ``(value, est_error)`` as floats; ParameterError unless ``tol``
-    is finite and positive and ``rel_tol`` nonnegative.
+    is finite and positive, ``rel_tol`` nonnegative, and ``points`` two or
+    more, strictly increasing.
     """
     _check_tol(tol)
     if not rel_tol >= 0:
         raise ParameterError(f"relative tolerance must be nonnegative, got {rel_tol!r}")
     pts = [float(p) for p in points]
+    _check_points(pts)
     for gamma, end in zip(edge_exponents, (pts[0], pts[-1])):
         if gamma < 0 and not np.isfinite(end):
             raise ParameterError(f"edge exponent {gamma} at the infinite end {end}")

@@ -276,8 +276,7 @@ def shannon_numeric(
     exceeds ``tol``.  ParameterError unless ``tol`` is finite and
     positive.  The result does not depend on the caller's ``mp.prec``.
     """
-    if n < 0:
-        raise ParameterError("degree must be nonnegative")
+    _check_degree(n)
     _check_tol(tol)
     if n == 0:
         S, est = _entropy_ground_state(family, ctx)

@@ -180,6 +180,14 @@ def test_fisher_truncated_divergence_exhibit():
             fisher_truncated(fam, 2, 1e-4)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-3, float("nan"), float("inf")], ids=["zero", "negative", "nan", "inf"])
+def test_fisher_truncated_refuses_a_cutoff_that_is_not_finite_and_positive(eps):
+    # the window diverges at eps = 0, and a bad cutoff is a usage error
+    # (exit 2), not a numeric failure (QuadratureError, exit 3)
+    with pytest.raises(ParameterError, match="cutoff must be finite and positive"):
+        fisher_truncated(Family.laguerre(-0.5), 1, eps)
+
+
 def test_fisher_truncated_skips_a_regular_end():
     # Jacobi(0.5, 2): only the alpha end x = 1 is irregular, so the value is
     # its one window [1 - c, 1 - eps], c the nearer of the last zero and 0.5

@@ -36,10 +36,16 @@ from spreadpoly.orthopoly import (
     zeros_raw,
 )
 from spreadpoly.bell import renyi_length_bell
-from spreadpoly.closed_form import fisher_information_numeric, moment_quadrature
+from spreadpoly.closed_form import (
+    fisher_information,
+    fisher_information_numeric,
+    moment,
+    moment_quadrature,
+    stddev,
+)
 from spreadpoly.lauricella import laguerre_power_integral_lauricella
 from spreadpoly.quadrature import _power_exponents, integrate_density_power
-from spreadpoly.shannon import shannon_asymptotic
+from spreadpoly.shannon import shannon_asymptotic, shannon_numeric
 
 CTX = PrecisionContext()
 
@@ -379,10 +385,14 @@ def test_coefficients_round_once_to_context_bits():
         lambda f: laguerre_power_integral_lauricella(-1, f.alpha, 2),
         lambda f: renyi_length_bell(f, -1, "3/2"),
         lambda f: shannon_asymptotic(f, -1),
+        lambda f: stddev(f, -1),
+        lambda f: fisher_information(f, -1),
+        lambda f: moment(f, -1, 2),
+        lambda f: shannon_numeric(f, -1),
     ],
     ids=[
         "evaluate_recurrence", "moment_quadrature", "fisher_numeric", "gauss_power", "lauricella",
-        "odd_length", "shannon_asymptotic",
+        "odd_length", "shannon_asymptotic", "stddev", "fisher", "moment", "shannon_numeric",
     ],
 )
 def test_negative_degree_is_refused(family, entry):

@@ -19,7 +19,7 @@ from spreadpoly.quadrature import (
     QuadratureError,
     _BATCH_NODES,
     _GAUSS_PAIR,
-    _gauss_legendre,
+    _gauss_round,
     _power_exponents,
     _standard_rule,
     gauss_rule,
@@ -456,33 +456,30 @@ def test_tanh_sinh_panel_stops_at_its_own_difference(pts, tol):
 
 @pytest.mark.parametrize("m", sorted({16, 20, *_GAUSS_PAIR}))
 def test_gauss_legendre_product_weights(m):
-    # the product weights of ln t integrate t^k ln t exactly for k < m, and
-    # their mirror image t^k ln(1 - t); the Gauss weights t^k for k < 2m
-    rule = _gauss_legendre(m)
-    t = rule.t
+    # the one-rule round of m nodes, on [0, 1]: the Gauss weights integrate
+    # t^k for k < 2m, and the log-split weights t^k ln(t (1 - t)) for k < m
+    rnd = _gauss_round((m,))
+    assert rnd.parts == ((m, slice(0, m), None),)
+    t, s, w, split = rnd.sel_l / 2, rnd.sel_r / 2, rnd.weight / 2, rnd.split / 2
     # the nodes mirror exactly; t and 1 - t are each rounded once
-    assert np.all(np.diff(t) > 0) and np.array_equal(t, rule.one_minus_t[::-1])
-    assert np.all(np.abs(t + rule.one_minus_t - 1.0) <= 2.0**-53)
+    assert np.all(np.diff(t) > 0) and np.array_equal(t, s[::-1])
+    assert np.all(np.abs(t + s - 1.0) <= 2.0**-53)
+    assert np.array_equal(rnd.left, t < 0.5)
     with mp.workprec(113):
         for k in range(2 * m):
-            got = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(rule.w, t))
+            got = mp.fsum(mp.mpf(c) * mp.mpf(x) ** k for c, x in zip(w, t))
             assert abs(got - mp.mpf(1) / (k + 1)) <= 1e-14 / (k + 1)
         for k in range(m):
-            log_t = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(rule.w_log, t))
-            log_1mt = mp.fsum(mp.mpf(w) * mp.mpf(x) ** k for w, x in zip(rule.w_log[::-1], t))
-            want_t = -mp.mpf(1) / (k + 1) ** 2
-            want_1mt = -mp.harmonic(k + 1) / (k + 1)
-            assert abs(log_t - want_t) <= 1e-14 * abs(want_t)
-            assert abs(log_1mt - want_1mt) <= 1e-14 * abs(want_1mt)
-            # the log-split weights: sum w f + split c integrates
-            # f = c ln(t (1 - t)) for c = t^k
-            split = mp.fsum(
-                mp.mpf(w) * mp.mpf(x) ** k * mp.log(mp.mpf(x) * mp.mpf(s)) + mp.mpf(c) * mp.mpf(x) ** k
-                for w, c, x, s in zip(rule.w, rule.split, t, rule.one_minus_t)
+            # sum w f + split c integrates f = c ln(t (1 - t)) for c = t^k:
+            # int t^k ln t = -1/(k+1)^2 and int t^k ln(1 - t) = -H_{k+1}/(k+1)
+            want = -mp.mpf(1) / (k + 1) ** 2 - mp.harmonic(k + 1) / (k + 1)
+            got = mp.fsum(
+                mp.mpf(c) * mp.mpf(x) ** k * mp.log(mp.mpf(x) * mp.mpf(y)) + mp.mpf(d) * mp.mpf(x) ** k
+                for c, d, x, y in zip(w, split, t, s)
             )
-            assert abs(split - want_t - want_1mt) <= 1e-14 * abs(want_t + want_1mt)
+            assert abs(got - want) <= 1e-14 * abs(want)
     # the integrand rounding of a zero panel is counted for |kappa| <= 1/2
-    assert np.all(np.abs(rule.split) <= rule.w / 2)
+    assert np.all(np.abs(split) <= w / 2)
 
 
 def test_zero_panels_take_the_gauss_pair():
@@ -609,3 +606,17 @@ def test_integrate_log_singular_rejects_bad_split_points(points):
     # the panels are [lo, *points, hi] as given: nothing is sorted or merged
     with pytest.raises(ParameterError, match="strictly increasing"):
         integrate_log_singular(lambda x: x, (mp.mpf(0), mp.mpf(1)), points, CTX, tol=1e-20)
+
+
+@pytest.mark.parametrize(
+    "points", [[1.0, 0.0], [0.0, 0.5, 0.3, 1.0], [0.0], [0.0, float("nan"), 1.0]],
+    ids=["reversed", "negative-width", "one-point", "nan"],
+)
+def test_both_integrators_refuse_bad_panel_points(points):
+    # one check for both integrators; unchecked, the float64 engine gave -1
+    # for the integral of 1 over [1, 0], and 8.6e18 across a NaN
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        tanh_sinh_panels(lambda i, a, b, x, dl, dr: np.ones_like(x), points)
+    ends = (mp.mpf(points[0]), mp.mpf(points[-1]))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        integrate_log_singular(lambda x: x, ends, [mp.mpf(p) for p in points[1:-1]], CTX, tol=1e-20)
