@@ -32,12 +32,23 @@ Gauss-Legendre pair, come from one evaluator, :func:`_recurrence_values`:
 p_n = pi_n / sqrt(h_n), with the monic pi_n from :func:`monic_fixed` and
 h_n = mu_0 b_1^2 ... b_n^2.  Its float64 counterpart is
 ``_vec.poly_scaled``, which reads the float table and also returns p_n'.
+With ``every``, one sweep of the evaluator gives p_0, ..., p_n at each
+point, as the product weights of the pair need them.
 
 The same recurrence runs on a matrix too: :func:`monic_apply` takes its
 steps on an integer vector, giving pi_n(J) v for a symmetric tridiagonal J
 in the same fixed point, and :func:`_jacobi_fixed` rounds the Jacobi
 matrix of w^q once to it.  Together they give the Gauss oracles of
 ``quadrature`` and ``closed_form`` as mu_0' e_1^T F(J) e_1, with no node.
+
+The float64 seeds of every zero and every Gauss rule are the eigenvalues
+of the symmetric tridiagonal matrix of the float table (Golub–Welsch), from
+numpy's LAPACK (:func:`_eigen_seeds`): ``np.linalg.eigvalsh`` on the dense
+matrix that holds only the diagonal and the subdiagonal.  LAPACK's
+reduction ``dsytrd`` leaves a matrix that is already tridiagonal as it is,
+and ``dsterf`` then solves it as it does behind scipy's tridiagonal solver,
+so the seeds are the same bits as ``scipy.linalg.eigh_tridiagonal``'s, and
+the package imports no scipy.
 
 The mpf Gauss rules (:func:`_gauss_polish`, behind :func:`zeros` and the
 rules of ``quadrature``) polish float64 eigenvalue seeds by Halley passes on
@@ -63,7 +74,6 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 from mpmath.libmp import from_man_exp, from_rational, mpf_div, mpf_shift, round_nearest
-from scipy.linalg import eigh_tridiagonal
 
 from .context import ParameterError, PrecisionContext, PrecisionError
 from ._vec import poly_scaled
@@ -209,14 +219,18 @@ def _from_fixed(v: int, e: int, prec: int):
     return mp.make_mpf(from_man_exp(v, e, prec, round_nearest))
 
 
-def monic_fixed(x, diag, offsq, steps: int, prec: int, derivative: bool = True):
+def monic_fixed(
+    x, diag, offsq, steps: int, prec: int, derivative: bool = True, history: list | None = None
+):
     """``steps`` steps of the monic three-term recurrence at ``x``.
 
     pi_{k+1} = (x - a_k) pi_k - b_k^2 pi_{k-1} from pi_{-1} = 0 and
     pi_0 = 1, with x and the ``diag``/``offsq`` entries (a_k, b_k^2) given
     as integers v 2^prec.  Returns ``(pi_m, pi_m', pi_{m-1}, pi_{m-1}', e)``
     for m = ``steps``, each value the integer times 2^e; with
-    ``derivative=False``, ``(pi_m, e)``.  The larger of |pi_k| and
+    ``derivative=False``, ``(pi_m, e)``.  A list passed as ``history`` gets
+    ``(pi_k, e)`` for each k < m appended, the very values a run of k steps
+    returns, so one sweep gives every degree.  The larger of |pi_k| and
     |pi_{k-1}| keeps between prec and prec + ``_SLACK`` bits, and each step
     rounds down by one shift, so a value is good to about 2^-prec of the
     larger of pi_k and pi_{k-1} per step, not bit for bit.  No step
@@ -228,6 +242,8 @@ def monic_fixed(x, diag, offsq, steps: int, prec: int, derivative: bool = True):
     pk = 1 << prec
     pkm1 = dk = dkm1 = 0
     for k in range(steps):
+        if history is not None:
+            history.append((pk, e))
         t = x - diag[k]
         bsq = offsq[k]
         if derivative:
@@ -379,19 +395,33 @@ def _rate(kind: str, alpha, two_q: int):
     return s, mp.power(s, -(mp.mpf(alpha) + 1))
 
 
-def _recurrence_values(family: Family, n: int, xs) -> list:
+def _recurrence_values(family: Family, n: int, xs, every: bool = False) -> list:
     """p_n = pi_n / sqrt(h_n) at each mpf point of ``xs``, as mpf at the
     active precision: the monic pi_n from :func:`monic_fixed` on the table
     of :func:`_fixed_table`, good to about 2^-prec of the larger of
-    pi_n and pi_{n-1} at each point."""
+    pi_n and pi_{n-1} at each point.  With ``every``, the list
+    (p_0, ..., p_n) at each point instead, from the same one sweep, each
+    p_k bit for bit the value at n = k."""
     prec = mp.prec
     fixed = prec + _FIXED_GUARD
-    diag, offsq, h = _fixed_table(family.kind, family.alpha, family.beta, n + 1, prec)
+    kind, alpha, beta = family.kind, family.alpha, family.beta
+    diag, offsq, h = _fixed_table(kind, alpha, beta, n + 1, prec)
     c = 1 / mp.sqrt(h)
+    if every:
+        # h_k as the table of count k + 1 holds it
+        norms = (_squared_norm(kind, alpha, beta, k, prec + _NORM_GUARD) for k in range(n))
+        scales = [*(1 / mp.sqrt(v) for v in norms), c]
     out = []
     for x in xs:
-        v, e = monic_fixed(to_fixed(x._mpf_, fixed), diag, offsq, n, fixed, derivative=False)
-        out.append(c * _from_fixed(v, e, prec))
+        history = [] if every else None
+        v, e = monic_fixed(
+            to_fixed(x._mpf_, fixed), diag, offsq, n, fixed, derivative=False, history=history
+        )
+        if every:
+            history.append((v, e))
+            out.append([s * _from_fixed(v, e, prec) for s, (v, e) in zip(scales, history)])
+        else:
+            out.append(c * _from_fixed(v, e, prec))
     return out
 
 
@@ -413,10 +443,27 @@ _NEWTON_MAX_ITER = 8
 
 
 def _eigen_seeds(diag64, off64):
-    """Eigenvalues of the symmetric tridiagonal recurrence matrix."""
+    """Eigenvalues, ascending, of the symmetric tridiagonal matrix with
+    diagonal ``diag64`` and off-diagonal ``off64``: the float64 seeds of the
+    zeros and of the Gauss rules.
+
+    numpy's LAPACK solves the dense n x n matrix that holds only the
+    diagonal and the subdiagonal (``np.linalg.eigvalsh``, ``dsyevd`` without
+    vectors).  Its reduction ``dsytrd`` finds every Householder vector of a
+    matrix that is already tridiagonal zero, so it hands the same diagonal
+    and subdiagonal to ``dsterf`` that ``scipy.linalg.eigh_tridiagonal(...,
+    eigvals_only=True)`` does through ``dstevd``, and the seeds are the same
+    bits.  The dense matrix costs O(n^2) memory and O(n^3) time against the
+    tridiagonal solver's O(n^2) time, and keeps scipy out of the package's
+    imports.  PrecisionError if LAPACK does not converge.
+    """
+    n = len(diag64)
+    a = np.zeros((n, n))
+    a.flat[:: n + 1] = diag64
+    a.flat[n :: n + 1] = off64
     try:
-        return eigh_tridiagonal(diag64, off64, eigvals_only=True)
-    except Exception as exc:  # pragma: no cover - LAPACK failure surface
+        return np.linalg.eigvalsh(a, UPLO="L")
+    except np.linalg.LinAlgError as exc:
         raise PrecisionError(f"eigenvalue solve failed: {exc}") from exc
 
 

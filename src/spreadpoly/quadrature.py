@@ -389,9 +389,10 @@ def _gauss_round(pair: tuple) -> _Round:
     For each m, the nodes x_i and weights W_i of the Legendre weight on
     [-1, 1] come from :func:`_gauss_polish` at ``_RULE_BITS`` (called
     directly, so the bounded rule cache keeps its entries), exact mirror
-    images, and the orthonormal p_k from the recurrence
-    (:func:`_recurrence_values`) at the same precision.  With t = (1 + x) / 2,
-    s = (1 - x) / 2 and P_k = p_k / p_k(1), the product weight of ln t is
+    images, and the orthonormal p_k, k < m, from one sweep of the
+    recurrence per node (:func:`_recurrence_values`) at the same
+    precision.  With t = (1 + x) / 2, s = (1 - x) / 2 and
+    P_k = p_k / p_k(1), the product weight of ln t is
     log_l = (W / 2) sum_{k<m} (2k+1) mu_k P_k(x) = W sum_{k<m} mu_k p_k(1) p_k(x),
     mu_0 = -1 and mu_k = (-1)^(k+1) / (k (k+1)) being the Legendre moments of
     ln t on [0, 1]; that of ln s, log_r, takes (-1)^k mu_k.  The log-split
@@ -408,13 +409,11 @@ def _gauss_round(pair: tuple) -> _Round:
         for m in pair:
             nodes, weights = _gauss_polish(JACOBI, 0.0, 0.0, m, _RULE_BITS)
             mu = [mp.mpf(-1)] + [mp.mpf((-1) ** (k + 1)) / (k * (k + 1)) for k in range(1, m)]
-            terms = []
-            for k in range(m):
-                *p, p_one = _recurrence_values(legendre, k, [*nodes, mp.mpf(1)])
-                c = mu[k] * p_one
-                terms.append([c * v for v in p])
-            for i, (x, big_w) in enumerate(zip(nodes, weights)):
-                even, odd = (mp.fsum(row[i] for row in terms[j::2]) for j in (0, 1))
+            *values, at_one = _recurrence_values(legendre, m - 1, [*nodes, mp.mpf(1)], every=True)
+            c = [mu_k * v for mu_k, v in zip(mu, at_one)]
+            for x, big_w, p in zip(nodes, weights, values):
+                terms = [c_k * v for c_k, v in zip(c, p)]
+                even, odd = mp.fsum(terms[0::2]), mp.fsum(terms[1::2])
                 log_l, log_r = big_w * (even + odd), big_w * (even - odd)
                 t, s = (1 + x) / 2, (1 - x) / 2
                 split = log_l + log_r - big_w / 2 * mp.log(t * s)

@@ -1,0 +1,37 @@
+"""A fresh interpreter computes Shannon lengths and a ``measures`` row
+without importing scipy: the eigenvalue seeds of the zeros come from
+numpy's LAPACK, and scipy stays behind ``optimize_bound``'s lazy import."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Both seed routes run: the float64 zeros of each Shannon cell, and the
+#: mpf Gauss-Legendre rules of the zero-panel round, built by the first.
+SCRIPT = """
+import sys
+import spreadpoly
+import spreadpoly.cli
+from spreadpoly import Family, shannon_numeric
+
+assert shannon_numeric(Family.laguerre(2.0), 8).path == "float64"
+argv = ["measures", "--family", "laguerre", "--alpha", "-0.25", "--n", "3", "--q", "3"]
+assert spreadpoly.cli.main(argv) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_shannon_and_a_measures_row_import_no_scipy():
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("laguerre,-0.25,,3,"), lines
+    assert lines[-1] == "[]"

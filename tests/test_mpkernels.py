@@ -43,6 +43,7 @@ from spreadpoly.orthopoly import (
     _gauss_polish,
     _is_symmetric,
     _mirrored_increasing,
+    _recurrence_values,
     _squared_norm,
     evaluate_recurrence,
     monic_fixed,
@@ -256,6 +257,29 @@ def test_monic_recurrence_is_bit_identical(family, bits):
                 bound = _ref_abs_monic_recurrence(*args, n)
                 for g, w, b in zip(got, want, bound):
                     assert abs(mp.ldexp(g, e) - w) <= n * mp.ldexp(b, 2 - bits), (n, x)
+
+
+#: One sweep gives every degree: the ``history`` of a run of n steps holds
+#: the (pi_k, e) that each run of k < n steps returns, and
+#: ``_recurrence_values`` with ``every`` gives p_k at each point as the call
+#: at degree k does.
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("family", FAMILIES, ids=_ids)
+def test_one_sweep_gives_every_degree_bit_for_bit(family, bits):
+    n = DEGREES[-1]
+    with mp.workprec(bits):
+        diag, off = raw_recurrence(family.kind, family.alpha, family.beta, n + 1)
+        fdiag = [to_fixed(v._mpf_, bits) for v in diag]
+        foffsq = [to_fixed((v * v)._mpf_, bits) for v in off]
+        xs = [mp.mpf(x) for x in XS]
+        for x in xs:
+            fx, history = to_fixed(x._mpf_, bits), []
+            last = monic_fixed(fx, fdiag, foffsq, n, bits, derivative=False, history=history)
+            want = [monic_fixed(fx, fdiag, foffsq, k, bits, derivative=False) for k in range(n + 1)]
+            assert history + [last] == want
+        rows = _recurrence_values(family, n, xs, every=True)
+        for k in range(n + 1):
+            assert [row[k] for row in rows] == _recurrence_values(family, k, xs), k
 
 
 #: The zeros are the rule's nodes bit for bit; nodes and weights are checked

@@ -3,7 +3,8 @@
 The recurrence route is cross-checked against scipy's classical
 evaluations (normalized by the textbook norm constants) and against the
 explicit coefficient route; zeros against scipy's Gauss nodes and the
-closed Chebyshev form.
+closed Chebyshev form; the eigenvalue seeds of the zeros against scipy's
+tridiagonal solver, bit for bit.
 """
 
 import math
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 from scipy import special
+from scipy.linalg import eigh_tridiagonal
 
 import oracles
 from spreadpoly import orthopoly
@@ -326,6 +328,36 @@ def test_float_zeros_fail_loudly(monkeypatch):
     monkeypatch.setattr(orthopoly, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(PrecisionError, match="did not settle"):
         zeros_raw("hermite", 0.0, 0.0, 24)
+
+
+#: The weights of the seed oracle: Hermite, six Laguerre and 25 Jacobi.
+SEED_EXPONENTS = (-0.9, -0.25, 0.0, 0.5, 2.0)
+SEED_WEIGHTS = (
+    [("hermite", 0.0, 0.0)]
+    + [("laguerre", a, 0.0) for a in (0.0, 0.5, 2.0, 5.0, -0.25, -0.9)]
+    + [("jacobi", a, b) for a in SEED_EXPONENTS for b in SEED_EXPONENTS]
+)
+
+
+@pytest.mark.parametrize("kind,alpha,beta", SEED_WEIGHTS)
+def test_eigen_seeds_match_the_tridiagonal_solver_bit_for_bit(kind, alpha, beta):
+    # the dense LAPACK route reduces nothing and ends in the dsterf of
+    # scipy's route, so the float table gives the same bits
+    diag, off = raw_recurrence(kind, alpha, beta, 400)
+    for n in [*range(1, 41), 64, 112, 400]:
+        d, e = np.array(diag[:n]), np.array(off[1:n])
+        got = orthopoly._eigen_seeds(d, e)
+        want = eigh_tridiagonal(d, e, eigvals_only=True)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+
+def test_eigen_seeds_fail_as_precision_errors(monkeypatch):
+    def no_convergence(a, UPLO):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(PrecisionError, match="eigenvalue solve failed: Eigenvalues did not"):
+        zeros_raw("hermite", 0.0, 0.0, 3)
 
 
 #: Symmetric weights, one of them with exponents shifted to exact mpf values
