@@ -96,8 +96,10 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
     share carries no rounding, and the factor they share in p is within an
     ulp, u relative, of its exact value (it is near 1).
 
-    The recurrence runs in place on three rotating buffers per value.  A
-    scalar bound on the products of each step, grown by the triangle
+    The recurrence runs in place on three rotating buffers, each holding p
+    (and p') of one step as the rows of one array, so a step takes five
+    ufunc calls (six with p'), four where a_k = 0 and x is used as it is.
+    A scalar bound on the products of each step, grown by the triangle
     inequality, skips any test for nodes to rescale until it passes
     ``_NEAR_OVERFLOW``; then every node whose p_k, p_{k-1} (or p'_k,
     p'_{k-1}) reaches 2^332 is scaled down by 2^(-332 c) with ``ldexp``, c
@@ -114,10 +116,11 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
     diag, off = raw_recurrence(kind, alpha, beta, n + 1)
     p0, count0 = _p0(kind, alpha, beta)
     count = np.full(x.shape, count0, dtype=np.int64)
-    pkm1, pk, pk1 = np.zeros_like(x), np.full_like(x, p0), np.empty_like(x)
-    if derivative:
-        dkm1, dk, dk1 = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    t, tmp = np.empty_like(x), np.empty_like(x)
+    # rows p and p' (p alone without the derivative) at steps k - 1, k, k + 1
+    shape = (2 if derivative else 1,) + x.shape
+    prev, cur, new = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    cur[0] = p0
+    t, tmp = np.empty_like(x), np.empty(shape)
     # bounds on the values of step k and of step k - 1 (p and p'); no node,
     # nothing to bound
     reach = float(np.max(np.abs(x), initial=0.0))
@@ -129,55 +132,40 @@ def poly_scaled(kind, alpha, beta, n, x, derivative=False):
         growth = spread * bound + off[k] * bound_m1 + (bound if derivative else 0.0)
         # a nan value makes the bound nan, which fails this test from then on
         if growth > limit:
-            values = (pk, pkm1, dk, dkm1) if derivative else (pk, pkm1)
-            mag = np.abs(pk)
-            for v in values[1:]:
-                np.maximum(mag, np.abs(v), out=mag)
+            mag = np.maximum(np.abs(cur), np.abs(prev)).max(axis=0)
             bound = float(mag.max())
             if bound >= _RESCALE:
                 big = np.flatnonzero(mag >= _RESCALE)
                 c = _factors(mag[big])
-                for v in values:
-                    v[big] = np.ldexp(v[big], -_RESCALE_BITS * c)
+                for v in (cur, prev):
+                    v[:, big] = np.ldexp(v[:, big], -_RESCALE_BITS * c)
                 count[big] += c
                 bound, rescaled = _RESCALE, True
             bound_m1 = bound
             growth = (spread + off[k] + (1.0 if derivative else 0.0)) * bound
-        # p_{k+1} = ((x - a_k) p_k - b_k p_{k-1}) / b_{k+1}
-        np.subtract(x, diag[k], out=t)
+        # p_{k+1} = ((x - a_k) p_k - b_k p_{k-1}) / b_{k+1} and
+        # p'_{k+1} = ((x - a_k) p'_k + p_k - b_k p'_{k-1}) / b_{k+1}
+        shifted = np.subtract(x, diag[k], out=t) if diag[k] else x
+        np.multiply(shifted, cur, out=new)
         if derivative:
-            # p'_{k+1} = ((x - a_k) p'_k + p_k - b_k p'_{k-1}) / b_{k+1}
-            np.multiply(t, dk, out=dk1)
-            np.add(dk1, pk, out=dk1)
-            np.multiply(dkm1, off[k], out=tmp)
-            np.subtract(dk1, tmp, out=dk1)
-            np.divide(dk1, off[k + 1], out=dk1)
-            dkm1, dk, dk1 = dk, dk1, dkm1
-        np.multiply(t, pk, out=pk1)
-        np.multiply(pkm1, off[k], out=tmp)
-        np.subtract(pk1, tmp, out=pk1)
-        np.divide(pk1, off[k + 1], out=pk1)
-        pkm1, pk, pk1 = pk, pk1, pkm1
+            np.add(new[1], cur[0], out=new[1])
+        np.multiply(prev, off[k], out=tmp)
+        np.subtract(new, tmp, out=new)
+        np.divide(new, off[k + 1], out=new)
+        prev, cur, new = cur, new, prev
         bound, bound_m1 = _BOUND_MARGIN * growth / off[k + 1], bound
     if rescaled or bound >= _RESCALE:
-        lead = np.abs(np.where(pk == 0.0, dk, pk) if derivative else pk)
+        pk = cur[0]
+        lead = np.abs(np.where(pk == 0.0, cur[1], pk) if derivative else pk)
         rel = count - count0
         final = np.maximum(rel + _factors(lead), 0)
         final[lead == 0.0] = 0
-        shift = _RESCALE_BITS * (rel - final)
-        pk = np.ldexp(pk, shift)
-        if derivative:
-            dk = np.ldexp(dk, shift)
+        cur = np.ldexp(cur, _RESCALE_BITS * (rel - final))
         count = count0 + final
     logscale = count * _LN_RESCALE_HI
     if count.any():
-        low = np.exp(count * _LN_RESCALE_LO)
-        pk = pk * low
-        if derivative:
-            dk = dk * low
-    if derivative:
-        return pk, dk, logscale
-    return pk, logscale
+        cur = cur * np.exp(count * _LN_RESCALE_LO)
+    return (*cur, logscale)
 
 
 def log_weight(kind, alpha, beta, a, b, x, dl, dr, derivative=False):

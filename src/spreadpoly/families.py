@@ -16,8 +16,12 @@ written here once, in :func:`exact_recurrence`: the exponents are doubles
 or exact mpf values, hence dyadic rationals (:func:`_rational`), so every
 a_k and b_k^2 is an exact rational, written as one integer over another.
 The mpf routes read those pairs; the float64 paths read them rounded once
-(:func:`raw_recurrence`).  The weight's zeroth moment mu_0 is
-:func:`norm_constant`, in mpf at the precision its caller names.
+(:func:`raw_recurrence`).  No entry depends on how many are asked for, so
+each weight has one table (:func:`_weight_table`) that holds both forms and
+grows when a caller asks for more entries than it holds
+(:class:`_GrowingTable`); both functions return its head.  The weight's
+zeroth moment mu_0 is :func:`norm_constant`, in mpf at the precision its
+caller names.
 """
 
 from __future__ import annotations
@@ -195,10 +199,12 @@ def _rational(x) -> Fraction:
         raise ParameterError("parameters must be finite") from exc
 
 
+@functools.lru_cache(maxsize=256)
 def power_integrable(q, *exponents) -> bool:
     """True when e q > -1 for every weight exponent e, compared exactly
     (through :func:`_rational`): then w^q is integrable at the ends where
-    w behaves like |x - end|^e."""
+    w behaves like |x - end|^e.  Memoised on its arguments: the Rényi
+    cross-check grid asks 82 questions."""
     q = _rational(q)
     return all(_rational(e) * q > -1 for e in exponents)
 
@@ -229,8 +235,9 @@ def _check_exponents(kind: str, alpha, beta) -> None:
 def norm_constant(kind: str, alpha, beta, prec: int):
     """mu_0, the integral of the bare weight over its interval, as an mpf
     at ``prec`` bits whatever the caller's ``mp.prec``: the one mu_0 of the
-    squared norms h_n, of p_0 and of the ground-state entropy.  Memoised;
-    256 entries hold the 157 of the Rényi cross-check grid."""
+    squared norms h_n, of p_0 and of the ground-state entropy.  Memoised
+    on (weight, prec): the Rényi cross-check grid asks for 157 of them,
+    within the 256 entries kept."""
     with mp.workprec(prec):
         a = mp.mpf(alpha)
         b = mp.mpf(beta)
@@ -241,7 +248,78 @@ def norm_constant(kind: str, alpha, beta, prec: int):
         return 2 ** (a + b + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma((a + 1) + (b + 1))
 
 
-@functools.lru_cache(maxsize=64)
+class _GrowingTable:
+    """Columns of a recurrence table whose entries do not depend on how many
+    are asked for, kept and extended on demand: ``make(start, stop)`` gives
+    the columns of entries start <= k < stop, and :meth:`head` appends them
+    when asked for more than it holds."""
+
+    __slots__ = ("_make", "columns")
+
+    def __init__(self, make, width: int):
+        self._make = make
+        self.columns = ((),) * width
+
+    def head(self, count: int) -> tuple:
+        """Every column's first ``count`` entries, as tuples."""
+        have = len(self.columns[0])
+        if count > have:
+            new = self._make(have, count)
+            self.columns = tuple(old + tuple(add) for old, add in zip(self.columns, new))
+        return tuple(column[:count] for column in self.columns)
+
+
+def _exact_entries(kind: str, a: int, b: int, d: int, start: int, stop: int):
+    """(a_k, b_k^2) of :func:`exact_recurrence` for start <= k < stop, with
+    alpha = a/d and beta = b/d."""
+    for k in range(start, stop):
+        if kind == HERMITE:
+            yield (0, 1), (k, 2)
+        elif kind == LAGUERRE:
+            yield ((2 * k + 1) * d + a, d), (k * (k * d + a), d)
+        else:
+            c = 2 * d + a + b  # D (alpha + beta + 2)
+            if k == 0:
+                yield (b - a, c), (0, 1)
+                continue
+            s = 2 * (k - 1) * d + c  # D (2k + alpha + beta)
+            diag = ((b - a) * (b + a), s * (s + 2 * d))
+            if k == 1:
+                yield diag, (4 * d * (d + a) * (d + b), (3 * d + a + b) * c * c)
+            else:
+                kd = k * d
+                yield diag, (4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s * s - d * d))
+
+
+#: Weights whose recurrence table :func:`_weight_table` keeps.
+_TABLE_WEIGHTS = 128
+
+
+@functools.lru_cache(maxsize=_TABLE_WEIGHTS)
+def _weight_table(kind: str, alpha, beta) -> _GrowingTable:
+    """The one recurrence table of the weight (kind, alpha, beta): the
+    columns (a_k), (b_k^2) as exact ``(num, den)`` pairs and (a_k), (b_k)
+    rounded once to floats, grown on demand.  Kept for the last
+    ``_TABLE_WEIGHTS`` weights; the Rényi cross-check grid reads 95 (its
+    weights and those of w^q)."""
+    ra, rb = _rational(alpha), _rational(beta)
+    _check_exponents(kind, ra, rb)
+    d = math.lcm(ra.denominator, rb.denominator)
+    a = ra.numerator * (d // ra.denominator)
+    b = rb.numerator * (d // rb.denominator)
+
+    def make(start, stop):
+        diag, offsq = zip(*_exact_entries(kind, a, b, d, start, stop))
+        return (
+            diag,
+            offsq,
+            [num / den for num, den in diag],
+            [math.sqrt(num / den) for num, den in offsq],
+        )
+
+    return _GrowingTable(make, 4)
+
+
 def exact_recurrence(kind: str, alpha, beta, count: int):
     """((a_k), (b_k^2)) for k < count as exact ``(num, den)`` integer pairs,
     den > 0, with b_0^2 = 0.
@@ -253,37 +331,18 @@ def exact_recurrence(kind: str, alpha, beta, count: int):
 
     are ratios of integer polynomials in k, A, B and D; they are left
     unreduced.  b_1^2 takes the limit form, so alpha + beta = -1 needs no
-    0/0.  ParameterError for count < 1: the table of a negative degree.
+    0/0.  The entries are the head of the weight's one table
+    (:func:`_weight_table`).  ParameterError for count < 1: the table of a
+    negative degree.
     """
     _check_degree(count - 1)
-    ra, rb = _rational(alpha), _rational(beta)
-    _check_exponents(kind, ra, rb)
-    d = math.lcm(ra.denominator, rb.denominator)
-    a = ra.numerator * (d // ra.denominator)
-    b = rb.numerator * (d // rb.denominator)
-    if kind == HERMITE:
-        return ((0, 1),) * count, tuple((k, 2) for k in range(count))
-    if kind == LAGUERRE:
-        diag = tuple(((2 * k + 1) * d + a, d) for k in range(count))
-        return diag, tuple((k * (k * d + a), d) for k in range(count))
-    c = 2 * d + a + b  # D (alpha + beta + 2)
-    diag, offsq = [(b - a, c)], [(0, 1)]
-    for k in range(1, count):
-        s = 2 * (k - 1) * d + c  # D (2k + alpha + beta)
-        diag.append(((b - a) * (b + a), s * (s + 2 * d)))
-        if k == 1:
-            offsq.append((4 * d * (d + a) * (d + b), (3 * d + a + b) * c * c))
-        else:
-            kd = k * d
-            offsq.append((4 * kd * (kd + a) * (kd + b) * (kd + a + b), s * s * (s * s - d * d)))
-    return tuple(diag[:count]), tuple(offsq[:count])
+    return _weight_table(kind, alpha, beta).head(count)[:2]
 
 
-@functools.lru_cache(maxsize=64)
 def raw_recurrence(kind: str, alpha, beta, count: int):
     """((a_k), (b_k)) for k < count as Python floats, b_0 = 0: the float64
     table.  Each a_k is the exact entry of :func:`exact_recurrence` rounded
     once (int / int is correctly rounded), and each b_k the square root of
     b_k^2 so rounded."""
-    diag, offsq = exact_recurrence(kind, alpha, beta, count)
-    return tuple(num / den for num, den in diag), tuple(math.sqrt(num / den) for num, den in offsq)
+    _check_degree(count - 1)
+    return _weight_table(kind, alpha, beta).head(count)[2:]

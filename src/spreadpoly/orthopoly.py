@@ -16,7 +16,9 @@ seeds of the Gauss rules read them rounded once to floats
 (:func:`spreadpoly.families.raw_recurrence`); every mpf route reads them
 rounded once to the fixed-point format of :func:`monic_fixed`, integers
 v 2^P with P the working precision plus ``_FIXED_GUARD`` bits
-(:func:`_fixed_table`).  The squared norms h_n = mu_0 b_1^2 ... b_n^2 are
+(:func:`_fixed_table`).  Like the exact table, the fixed-point rows of each
+(weight, P) and the Jacobi matrices of :func:`_jacobi_fixed` are built once
+and grown on demand.  The squared norms h_n = mu_0 b_1^2 ... b_n^2 are
 written once too, in :func:`_squared_norm`: mu_0 times the exact product of
 the b_k^2, rounded once.  Every mpf route normalises p_n by them.
 
@@ -82,6 +84,7 @@ from .families import (
     JACOBI,
     LAGUERRE,
     Family,
+    _GrowingTable,
     _check_degree,
     _rational,
     exact_recurrence,
@@ -161,9 +164,10 @@ def _squared_norm(kind: str, alpha, beta, n: int, prec: int):
     ``prec`` bits (:func:`spreadpoly.families.norm_constant`) times the
     exact product of the b_k^2 of
     :func:`spreadpoly.families.exact_recurrence`, rounded once.  Memoised
-    on (weight, n, prec); 2048 entries hold the 653 norms of the Rényi
-    cross-check grid (279 for Bell, and 279 h_n and 95 masses of w^q for
-    the Gauss sums), so each is formed once."""
+    on (weight, n, prec), since each value depends on n: the Rényi
+    cross-check grid asks for 653 (279 for Bell, and 279 h_n and 95 masses
+    of w^q for the Gauss sums), within the 2048 entries kept, so each is
+    formed once."""
     offsq = exact_recurrence(kind, alpha, beta, n + 1)[1]
     _, man, exp, _ = norm_constant(kind, alpha, beta, prec)._mpf_
     num = math.prod(v for v, _ in offsq[1:])
@@ -340,21 +344,55 @@ _NORM_GUARD = 10
 
 
 @functools.lru_cache(maxsize=64)
+def _fixed_rows(kind: str, alpha, beta, prec: int) -> _GrowingTable:
+    """The fixed-point rows (a_k), (b_k^2) of :func:`_fixed_table` at
+    ``prec`` bits, grown on demand: one table per weight and precision, 31
+    on the Rényi cross-check grid."""
+    fixed = prec + _FIXED_GUARD
+
+    def make(start, stop):
+        diag, offsq = exact_recurrence(kind, alpha, beta, stop)
+        return (
+            [_nearest(num, den, fixed) for num, den in diag[start:]],
+            [_nearest(num, den, fixed) for num, den in offsq[start:]],
+        )
+
+    return _GrowingTable(make, 2)
+
+
 def _fixed_table(kind: str, alpha, beta, count: int, prec: int):
     """The recurrence table of the mpf routes at ``prec`` bits.
 
     Returns ``(diag, offsq, h)``: a_k and b_k^2 for k < ``count``, each
     exact entry of :func:`spreadpoly.families.exact_recurrence` rounded once
-    to the integer nearest v 2^(prec + ``_FIXED_GUARD``), and
-    h = h_{count-1} of :func:`_squared_norm` at ``prec + _NORM_GUARD`` bits.
+    to the integer nearest v 2^(prec + ``_FIXED_GUARD``) (the head of
+    :func:`_fixed_rows`), and h = h_{count-1} of :func:`_squared_norm` at
+    ``prec + _NORM_GUARD`` bits.
     """
-    diag, offsq = exact_recurrence(kind, alpha, beta, count)
-    fixed = prec + _FIXED_GUARD
-    return (
-        tuple(_nearest(num, den, fixed) for num, den in diag),
-        tuple(_nearest(num, den, fixed) for num, den in offsq),
-        _squared_norm(kind, alpha, beta, count - 1, prec + _NORM_GUARD),
-    )
+    diag, offsq = _fixed_rows(kind, alpha, beta, prec).head(count)
+    return diag, offsq, _squared_norm(kind, alpha, beta, count - 1, prec + _NORM_GUARD)
+
+
+@functools.lru_cache(maxsize=256)
+def _jacobi_rows(kind: str, alpha, beta, two_q: int, prec: int) -> _GrowingTable:
+    """The rows (a_k), (b_k) of :func:`_jacobi_fixed` for the weight with
+    exponents (alpha, beta) at rate two_q / 2 and ``prec`` bits, grown on
+    demand: one table per key, 104 on the Rényi cross-check grid."""
+
+    def make(start, stop):
+        diag, offsq = exact_recurrence(kind, alpha, beta, stop)
+        diag, offsq = diag[start:], offsq[start:]
+        if kind == LAGUERRE:
+            diag = [(2 * num, den * two_q) for num, den in diag]
+            offsq = [(4 * num, den * two_q * two_q) for num, den in offsq]
+        elif kind == HERMITE:
+            offsq = [(2 * num, den * two_q) for num, den in offsq]
+        return (
+            [_nearest(num, den, prec) for num, den in diag],
+            [_nearest_sqrt(num, den, prec) for num, den in offsq],
+        )
+
+    return _GrowingTable(make, 2)
 
 
 def _jacobi_fixed(kind: str, alpha, beta, m: int, two_q: int, prec: int):
@@ -366,33 +404,29 @@ def _jacobi_fixed(kind: str, alpha, beta, m: int, two_q: int, prec: int):
     :func:`spreadpoly.families.exact_recurrence` become a_k / q and
     b_k^2 / q^2 for Laguerre and b_k^2 / q for Hermite; each a_k is then
     rounded once to the integer nearest a_k 2^prec, and each b_k once to
-    the integer nearest the square root of its exact b_k^2, times 2^prec.
-    ``joff`` holds b_0 = 0, b_1, ..., b_{m-1} and a closing 0."""
-    diag, offsq = exact_recurrence(kind, alpha, beta, m)
-    if kind == LAGUERRE:
-        diag = [(2 * num, den * two_q) for num, den in diag]
-        offsq = [(4 * num, den * two_q * two_q) for num, den in offsq]
-    elif kind == HERMITE:
-        offsq = [(2 * num, den * two_q) for num, den in offsq]
-    return (
-        tuple(_nearest(num, den, prec) for num, den in diag),
-        tuple(_nearest_sqrt(num, den, prec) for num, den in offsq) + (0,),
-    )
+    the integer nearest the square root of its exact b_k^2, times 2^prec
+    (the head of :func:`_jacobi_rows`).  ``joff`` holds b_0 = 0, b_1, ...,
+    b_{m-1} and a closing 0."""
+    jdiag, joff = _jacobi_rows(kind, alpha, beta, two_q, prec).head(m)
+    return jdiag, joff + (0,)
 
 
-def _rate(kind: str, alpha, two_q: int):
-    """``(c, f)`` at the active precision, or None for Jacobi and q = 1: the
+@functools.lru_cache(maxsize=128)
+def _rate(kind: str, alpha, two_q: int, prec: int):
+    """``(c, f)`` at ``prec`` bits, or None for Jacobi and q = 1: the
     Gauss rule of the unit-rate weight with exponents (alpha q, beta q)
     becomes that of w^q once its nodes are divided by c and its weights
     multiplied by f, and its mass mu_0 becomes f mu_0.  Hermite takes
-    c = sqrt(q) and f = 1/c, Laguerre c = q and f = q^-(alpha q + 1)."""
+    c = sqrt(q) and f = 1/c, Laguerre c = q and f = q^-(alpha q + 1).
+    Memoised: the Rényi cross-check grid asks for 40."""
     if kind == JACOBI or two_q == 2:
         return None
-    s = mp.mpf(two_q) / 2
-    if kind == HERMITE:
-        r = mp.sqrt(s)
-        return r, 1 / r
-    return s, mp.power(s, -(mp.mpf(alpha) + 1))
+    with mp.workprec(prec):
+        s = mp.mpf(two_q) / 2
+        if kind == HERMITE:
+            r = mp.sqrt(s)
+            return r, 1 / r
+        return s, mp.power(s, -(mp.mpf(alpha) + 1))
 
 
 def _recurrence_values(family: Family, n: int, xs, every: bool = False) -> list:

@@ -152,7 +152,7 @@ def gauss_rule(family: Family, m: int, ctx: PrecisionContext = _DEFAULT_CTX, q=1
     alpha, beta = _power_exponents(family, order)
     nodes, weights = _standard_rule(family.kind, alpha, beta, m, ctx.bits)
     with mp.workprec(ctx.bits + _RULE_GUARD):
-        rate = _rate(family.kind, alpha, order.two_q)
+        rate = _rate(family.kind, alpha, order.two_q, ctx.bits + _RULE_GUARD)
         if rate is not None:
             c, f = rate
             nodes = tuple(x / c for x in nodes)
@@ -201,7 +201,7 @@ def _gauss_sum(family: Family, n: int, order: RenyiOrder, k: int, ctx: Precision
     total = sum(map(operator.mul, v, mv))
     with mp.workprec(prec):
         mu0 = _squared_norm(kind, alpha, beta, 0, prec)
-        rate = _rate(kind, alpha, two_q)
+        rate = _rate(kind, alpha, two_q, prec)
         if rate is not None:
             mu0 *= rate[1]
         norm = h ** (two_q // 2)

@@ -170,29 +170,41 @@ def _mean_log_weight(family: Family, n: int):
         = ln 2 + psi(n+a+1) + psi(n+a+b+1) - 2 psi(s) - 1/s,  s = 2n+a+b+1,
     and ln 2 + psi(a+1) - psi(a+b+2) at n = 0, where the general form has
     a removable 0/0 at a+b = -1 (Dehesa, Martinez-Finkelshtein and
-    Sanchez-Ruiz, J. Comput. Appl. Math. 133, 2001).
+    Sanchez-Ruiz, J. Comput. Appl. Math. 133, 2001).  The terms that E(a, b)
+    and E(b, a) share are formed once, from sums taken with a before b, and
+    the term of a zero exponent is left out: it is an exact 0 in the value
+    and the size.
     """
     if family.kind == HERMITE:
         value = -mp.mpf(2 * n + 1) / 2
         return value, abs(value)
     a, b = mp.mpf(family.alpha), mp.mpf(family.beta)
+    zero = mp.mpf(0)
     if family.kind == LAGUERRE:
-        term = a * mp.digamma(n + a + 1)
+        term = a * mp.digamma(n + a + 1) if a else zero
         return term - (2 * n + a + 1), abs(term) + 2 * n + abs(a) + 1
-
-    def mean_log_one_minus_x(a, b):
-        if n == 0:
-            t = (mp.digamma(a + 1), mp.digamma(a + b + 2))
-            value = mp.log(2) + t[0] - t[1]
-        else:
-            s = 2 * n + a + b + 1
-            t = (mp.digamma(n + a + 1), mp.digamma(n + a + b + 1), 2 * mp.digamma(s), 1 / s)
-            value = mp.log(2) + t[0] + t[1] - t[2] - t[3]
-        return value, mp.log(2) + sum(abs(v) for v in t)
-
-    ea, size_a = mean_log_one_minus_x(a, b)
-    eb, size_b = mean_log_one_minus_x(b, a)
-    return a * ea + b * eb, abs(a) * size_a + abs(b) * size_b
+    value = size = zero
+    if not (a or b):
+        return value, size
+    # the terms of E added and subtracted after ln 2 + psi(n+e+1), the same
+    # for e = a and e = b
+    if n == 0:
+        plus, minus = (), (mp.digamma(a + b + 2),)
+    else:
+        s = 2 * n + a + b + 1
+        plus, minus = (mp.digamma(n + a + b + 1),), (2 * mp.digamma(s), 1 / s)
+    ln2 = mp.log(2)
+    for e in (a, b):
+        if e:
+            own = mp.digamma(n + e + 1)
+            mean = ln2 + own
+            for t in plus:
+                mean += t
+            for t in minus:
+                mean -= t
+            value += e * mean
+            size += abs(e) * (ln2 + sum(abs(t) for t in (own, *plus, *minus)))
+    return value, size
 
 
 @mp.workprec(53)

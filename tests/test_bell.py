@@ -234,7 +234,7 @@ def test_bell_route_properties(kind, alpha, beta, n):
 
 
 def _clear_norm_memos():
-    for memo in (orthopoly._squared_norm, orthopoly._fixed_table, quadrature._standard_rule):
+    for memo in (orthopoly._squared_norm, quadrature._standard_rule):
         memo.cache_clear()
 
 

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp
 
 from spreadpoly.context import ParameterError
+from spreadpoly import families
 from spreadpoly.families import Family, RenyiOrder
 
 
@@ -94,3 +95,54 @@ def test_renyi_order_rejects_non_half_integers():
         RenyiOrder(0)
     with pytest.raises(ParameterError):
         RenyiOrder(-2)
+
+
+def _power_exponent(e, two_q):
+    """e q for q = two_q / 2 as the exact mpf the w^q routes key on."""
+    with mp.workprec(53 + two_q.bit_length()):
+        return mp.mpf(e) * two_q / 2
+
+
+#: Weights of the growth checks: Hermite, Laguerre, Jacobi with
+#: alpha + beta = -1 (the limit form of b_1^2), and exponents alpha q of w^q.
+GROWN = [
+    ("hermite", 0.0, 0.0),
+    ("laguerre", -0.5, 0.0),
+    ("laguerre", 2.5, 0.0),
+    ("jacobi", -0.25, -0.75),
+    ("jacobi", -0.5, -0.5),
+    ("jacobi", 0.5, 2.0),
+    ("laguerre", _power_exponent(0.1, 3), 0.0),
+    ("jacobi", _power_exponent(0.1, 5), _power_exponent(-0.3, 3)),
+]
+
+
+@pytest.mark.parametrize("weight", GROWN, ids=lambda w: f"{w[0]}({w[1]},{w[2]})")
+def test_a_grown_table_equals_a_fresh_one(weight):
+    # entries do not depend on the count, so a table grown 5 -> 40 -> 41
+    # holds the very entries of one built at 41 in one sweep
+    fresh = families._weight_table.__wrapped__(*weight).head(41)
+    families._weight_table.cache_clear()
+    for count in (5, 40, 41):
+        exact = families.exact_recurrence(*weight, count)
+        floats = families.raw_recurrence(*weight, count)
+        assert exact + floats == tuple(column[:count] for column in fresh)
+    assert families._weight_table.cache_info().misses == 1
+    assert all(len(column) == 41 for column in families._weight_table(*weight).columns)
+    if weight[0] == "jacobi":
+        # b_1^2 = 4 (1 + a)(1 + b) / ((3 + a + b)(2 + a + b)^2), finite at a + b = -1
+        a, b = map(families._rational, weight[1:])
+        num, den = fresh[1][1]
+        assert Fraction(num, den) == 4 * (1 + a) * (1 + b) / ((3 + a + b) * (2 + a + b) ** 2)
+
+
+def test_the_number_of_weights_kept_is_bounded():
+    families._weight_table.cache_clear()
+    first = families.exact_recurrence("laguerre", 0.0, 0.0, 3)
+    for i in range(families._TABLE_WEIGHTS + 10):
+        families.exact_recurrence("laguerre", i / 8, 0.0, 3)
+    info = families._weight_table.cache_info()
+    assert info.maxsize == families._TABLE_WEIGHTS
+    assert info.currsize == families._TABLE_WEIGHTS
+    # the weight that fell out is rebuilt with the same entries
+    assert families.exact_recurrence("laguerre", 0.0, 0.0, 3) == first

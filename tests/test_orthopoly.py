@@ -30,6 +30,7 @@ from spreadpoly.families import (
 )
 from spreadpoly.orthopoly import (
     _FIXED_GUARD,
+    _fixed_rows,
     _fixed_table,
     _gauss_polish,
     evaluate_recurrence,
@@ -146,16 +147,51 @@ def test_chebyshev_case_has_no_pole():
 
 def test_recurrence_tables_are_kept_per_precision():
     fam = Family.jacobi(-0.25, 0.5)
-    _fixed_table.cache_clear()
+    _fixed_rows.cache_clear()
     with mp.workprec(64):
         low = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
     with mp.workprec(512):
         high = evaluate_recurrence(fam, 9, mp.mpf(1) / 3)
-    assert _fixed_table.cache_info().misses == 2
-    _fixed_table.cache_clear()
+    assert _fixed_rows.cache_info().misses == 2
+    _fixed_rows.cache_clear()
     with mp.workprec(512):
         assert evaluate_recurrence(fam, 9, mp.mpf(1) / 3) == high
     assert abs(high - low) > 0
+
+
+#: (family, 2q, bits) of the growth check of the J' rows: w^q of Hermite,
+#: Laguerre and Jacobi, whose exponents alpha q are exact mpf values.
+GROWN_ROWS = [
+    (Family.hermite(), 3, 180),
+    (Family.laguerre(0.1), 6, 180),
+    (Family.laguerre(-0.5), 3, 300),
+    (Family.jacobi(-0.25, 0.5), 3, 180),
+    (Family.jacobi(-0.5, -0.5), 2, 180),
+]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    cell=st.sampled_from(GROWN_ROWS),
+    counts=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=6),
+)
+def test_rows_grown_in_any_order_equal_a_fresh_build(cell, counts):
+    # J' of w^q and the fixed-point table of w: asked for counts in any
+    # order, each read is the head of the rows one build at 30 writes
+    fam, two_q, prec = cell
+    alpha, beta = _power_exponents(fam, RenyiOrder(two_q))
+    jkey = (fam.kind, alpha, beta, two_q, prec)
+    fkey = (fam.kind, fam.alpha, fam.beta, prec)
+    jfresh = orthopoly._jacobi_rows.__wrapped__(*jkey).head(30)
+    ffresh = orthopoly._fixed_rows.__wrapped__(*fkey).head(30)
+    orthopoly._jacobi_rows.cache_clear()
+    orthopoly._fixed_rows.cache_clear()
+    for m in counts + [30]:
+        jdiag, joff = orthopoly._jacobi_fixed(fam.kind, alpha, beta, m, two_q, prec)
+        assert jdiag == jfresh[0][:m] and joff == jfresh[1][:m] + (0,)
+        assert _fixed_table(*fkey[:3], m, prec)[:2] == tuple(c[:m] for c in ffresh)
+    assert orthopoly._jacobi_rows.cache_info().misses == 1
+    assert orthopoly._fixed_rows.cache_info().misses == 1
 
 
 EXPONENT = st.floats(min_value=-1.0, max_value=6.0, exclude_min=True)

@@ -11,10 +11,10 @@ from mpmath import mp
 from scipy import special
 
 from oracles import rule_density_sum, rule_sum, weight_moment
-from spreadpoly import orthopoly, quadrature
+from spreadpoly import families, orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
 from spreadpoly.closed_form import moment_quadrature
-from spreadpoly.families import Family, RenyiOrder, exact_recurrence, power_integrable
+from spreadpoly.families import Family, RenyiOrder, power_integrable
 from spreadpoly.quadrature import (
     QuadratureError,
     _BATCH_NODES,
@@ -31,14 +31,18 @@ from spreadpoly.quadrature import (
 CTX = PrecisionContext()
 
 
-def test_gauss_rule_builds_its_recurrence_table_once():
+def test_gauss_rule_builds_its_recurrence_table_once(monkeypatch):
     # the seeds, the fixed-point table and the Christoffel weights' h all
-    # read one exact table
-    exact_recurrence.cache_clear()
-    orthopoly._fixed_table.cache_clear()
+    # read one exact table, written in one sweep of its entries
+    sweeps = []
+    entries = families._exact_entries
+    monkeypatch.setattr(families, "_exact_entries", lambda *a: sweeps.append(a) or entries(*a))
+    families._weight_table.cache_clear()
+    orthopoly._fixed_rows.cache_clear()
     _standard_rule.__wrapped__("jacobi", 2.0, 0.5, 9, 113)
-    assert exact_recurrence.cache_info().misses == 1
-    assert orthopoly._fixed_table.cache_info().misses == 1
+    assert families._weight_table.cache_info().misses == 1
+    assert [a[-2:] for a in sweeps] == [(0, 9)]
+    assert orthopoly._fixed_rows.cache_info().misses == 1
 
 
 #: Exponents of the acceptance criterion 3 grid.
