@@ -5,9 +5,9 @@ ordinary moments from one exact Laguerre sum, with a Gauss-rule oracle.
 Parameter comparisons are exact (alpha = 0 means exactly zero).  One end
 rule (:func:`_finite_ends`) decides the Fisher table, the Cramér-Rao rate
 and the truncated windows; x -> -x, which swaps the Jacobi exponents, is
-an identity of the density, not an extension of the table.  The numerical
-Fisher functional (an independent oracle) is also provided, plus truncated
-integrals for exhibiting the divergent branches.
+an identity of the density, not an extension of the table.  Fisher's
+independent check is one exact Gauss sum (:func:`fisher_information_numeric`),
+and float64 windows beside the irregular ends exhibit the divergent branches.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from mpmath import libmp, mp
 from ._vec import log_weight, poly_scaled
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _check_degree, _rational
+from .orthopoly import _FIXED_GUARD, _RULE_GUARD, _fixed_table, _from_fixed, monic_fixed, to_fixed
 from .orthopoly import zeros_raw
-from .quadrature import QuadratureError, _engine_panels, _gauss_sum, tanh_sinh_panels
+from .quadrature import _gauss_sum, gauss_rule, tanh_sinh_panels
 
 __all__ = [
     "stddev",
@@ -152,36 +153,42 @@ def _fisher_integrand(family: Family, n: int):
     return fpanel
 
 
-def fisher_information_numeric(family: Family, n: int):
-    """Adaptive-quadrature Fisher functional (independent check route).
+def fisher_information_numeric(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
+    """Fisher information by an exact Gauss sum (independent check route).
 
-    Beside an end where the weight exponent e is nonzero the integrand
-    behaves like |x - end|^(e-2), so the engine's estimate counts the mass
-    beyond its outermost node there, which is infinite for e <= 1 (the
-    divergent branches).  The integrand is analytic across the zeros of
-    p_n, so the panels between them take the engine's Gauss-Legendre pair
-    without a logarithmic split (``quadrature._engine_panels``).
-    The engine aims at, and QuadratureError is raised when the estimate
-    exceeds, 1e-10 max(1, |F|): the engine's floor is 5e-16 of the
-    integral's magnitude, so an absolute 1e-10 would refuse F ~ 1e5
-    (Legendre, n = 40).  A symmetric weight makes the integrand even, so
-    it is integrated over [0, hi] only, at half the absolute tolerance,
-    and the value and estimate are doubled, as for the Shannon integral.
+    (rho')^2 / rho = w (2 p' + p (ln w)')^2, and (ln w)' has a pole
+    e / (x - end) at each finite end of nonzero exponent e.  Times
+    (x - end) at each such end, 2 p' + p (ln w)' is a polynomial Q of
+    degree at most n + 1, so F is the sum of Q^2 over the (n + 2)-node
+    Gauss rule (:func:`~spreadpoly.quadrature.gauss_rule`) of w with each
+    nonzero exponent lowered by 2, divided by h_n: Q is formed for the
+    monic pi_n, whose value and derivative at each node come from
+    ``orthopoly.monic_fixed`` on the table of ``orthopoly._fixed_table``,
+    at the rule's precision.  Where a lowered exponent is -1 or less,
+    ``Family`` refuses the weight: F diverges, and the route returns +inf.
     """
-    tol = 1e-10
-    pts, edges, factor, zero_panels = _engine_panels(family, n)
-    edges = tuple(e - 2.0 if e != 0 else 0.0 for e in edges)
-    val, err = tanh_sinh_panels(
-        _fisher_integrand(family, n), pts, tol=tol / factor, rel_tol=tol,
-        edge_exponents=edges, zero_panels=zero_panels,
-    )
-    val, err = factor * val, factor * err
-    if not err <= tol * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"numeric Fisher information of {family.describe()} at n={n}: "
-            f"error estimate {err:.3g} exceeds tol {tol:g} max(1, |F|)"
-        )
-    return mp.mpf(val)
+    _check_degree(n)
+    try:
+        lowered = Family(family.kind, *(e - 2 if e else e for e in (family.alpha, family.beta)))
+    except ParameterError:
+        return mp.inf
+    nodes, weights = gauss_rule(lowered, n + 2, ctx)
+    prec = ctx.bits + _RULE_GUARD
+    fixed = prec + _FIXED_GUARD
+    diag, offsq, h = _fixed_table(family.kind, family.alpha, family.beta, n + 1, prec)
+    # (ln w)' = c0 + c1 x + the poles
+    c0, c1 = {HERMITE: (0, -2), LAGUERRE: (-1, 0)}.get(family.kind, (0, 0))
+    poles = [(end, e) for end, _, e, _ in _finite_ends(family) if e != 0]
+    with mp.workprec(prec):
+        total = 0
+        for x, weight in zip(nodes, weights):
+            p, dp, _, _, scale = monic_fixed(to_fixed(x._mpf_, fixed), diag, offsq, n, fixed)
+            p, dp = _from_fixed(p, scale, prec), _from_fixed(dp, scale, prec)
+            q, span = 2 * dp + p * (c0 + c1 * x), 1
+            for end, e in poles:
+                q, span = q * (x - end) + e * p * span, span * (x - end)
+            total += weight * q * q
+        return total / h
 
 
 def fisher_truncated(family: Family, n: int, eps: float):

@@ -41,16 +41,16 @@ Two adaptive integrators serve the Shannon integrals:
 * :func:`integrate_log_singular` — arbitrary-precision tanh-sinh panels
   (mpmath), the contract-level routine;
 * :func:`tanh_sinh_panels` — a vectorized float64 panel engine, the
-  throughput path of the Shannon and Fisher integrals.  Both take their
+  throughput path of the Shannon integral, which also sums the windows of
+  ``closed_form.fisher_truncated``.  Both take their
   panel points as given, and refuse them unless strictly increasing
-  (:func:`_check_points`).  Both split the interval at the zeros of p_n
-  (:func:`_engine_panels`; over the half line [0, hi] only, doubled, for a
-  symmetric weight).  A panel between
+  (:func:`_check_points`).  Both split the Shannon integral at the zeros
+  of p_n (:func:`_engine_panels`; over the half line [0, hi] only,
+  doubled, for a symmetric weight).  A panel between
   two zeros takes an 18/22-node Gauss-Legendre pair: the logarithm of the
-  zeros at its ends is split off the Shannon integrand and integrated by
+  zeros at its ends is split off the integrand and integrated by
   product weights on the same nodes (Gautschi, *Orthogonal Polynomials*,
-  2004); the Fisher integrand, analytic across the zeros, takes the pair
-  without the split.  One builder, :func:`_gauss_round`, makes the pair's
+  2004).  One builder, :func:`_gauss_round`, makes the pair's
   round once per process from the polished Legendre rules, whose nodes
   mirror exactly, with every node, weight and log-split weight rounded
   once to a double.  The end panels, and a zero panel beside a finite end
@@ -64,7 +64,7 @@ Two adaptive integrators serve the Shannon integrals:
   integrand blows up like |x - e|^gamma (gamma < 0) the error estimate
   also counts the mass beyond the outermost node.  When that makes the
   estimate too large, the Shannon route falls back to
-  :func:`integrate_log_singular` and the Fisher route raises.
+  :func:`integrate_log_singular`.
 """
 
 from __future__ import annotations
@@ -462,7 +462,7 @@ def _edge_tail(f_edge: float, dist: float, gamma: float) -> float:
 
 #: The first tanh-sinh round gives a finite panel levels 0 to _FIRST_LEVEL
 #: and an infinite one levels 0 to _FIRST_LEVEL_INFINITE: the end panels of
-#: the Shannon and Fisher integrals converge there, so that they need no
+#: the Shannon integral converge there, so that they need no
 #: second round (with levels 0-4 only, the Laguerre tails were 8.6e-3 off).
 _FIRST_LEVEL = 4
 _FIRST_LEVEL_INFINITE = 6
@@ -572,9 +572,7 @@ def _check_finite(rnd: _Round, idx, vals, lo, hi) -> None:
     )
 
 
-def tanh_sinh_panels(
-    fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0), zero_panels=(), rel_tol=0.0
-):
+def tanh_sinh_panels(fpanel, points, *, tol=1e-10, edge_exponents=(0.0, 0.0), zero_panels=()):
     """Integrate a panel-aware vectorized integrand over [points[0], points[-1]].
 
     ``fpanel(i, a, b, x, dl, dr)`` receives ``i``, the tuple of panel
@@ -621,9 +619,8 @@ def tanh_sinh_panels(
       nodes' weighted values, and its difference is the change.
 
     After each round the loop stops when the differences sum to at most
-    T/8, T being ``tol``, or ``rel_tol`` times the magnitude of the value
-    so far where that is larger.  Otherwise a panel whose own difference
-    is at most T/(8P), with P panels, stops refining: it keeps its sum,
+    T/8, T being ``tol``.  Otherwise a panel whose own difference is at
+    most T/(8P), with P panels, stops refining: it keeps its sum,
     and its last difference counts in that sum.  A zero panel whose pair
     differs by more goes on with tanh-sinh levels, from a first round of
     its own.  The estimate is that sum of differences, at least 5e-16
@@ -639,12 +636,9 @@ def tanh_sinh_panels(
     Nonnegative exponents add nothing.
 
     Returns ``(value, est_error)`` as floats; ParameterError unless ``tol``
-    is finite and positive, ``rel_tol`` nonnegative, and ``points`` two or
-    more, strictly increasing.
+    is finite and positive and ``points`` two or more, strictly increasing.
     """
     _check_tol(tol)
-    if not rel_tol >= 0:
-        raise ParameterError(f"relative tolerance must be nonnegative, got {rel_tol!r}")
     pts = [float(p) for p in points]
     _check_points(pts)
     for gamma, end in zip(edge_exponents, (pts[0], pts[-1])):
@@ -727,10 +721,9 @@ def tanh_sinh_panels(
                 if scatter is not None:
                     scattered[idx] += np.einsum("ij,ij->i", w[:, final] ** 2, scatter[:, final] ** 2)
         est = float(np.sum(diffs))
-        target = max(tol, rel_tol * abs(float(np.sum(totals))))
-        if est <= target / 8.0:
+        if est <= tol / 8.0:
             break
-        active = active[~(diffs[active] <= target / (8.0 * panels)) & (state[active] < _MAX_LEVEL)]
+        active = active[~(diffs[active] <= tol / (8.0 * panels)) & (state[active] < _MAX_LEVEL)]
         if not active.size:
             break
     floor = 5e-16 * magnitude
@@ -744,8 +737,8 @@ def _engine_panels(family: Family, n: int):
     (``zeros_raw``) with the weight's exponents at its ends, and factor 1;
     for a symmetric weight, the half [0, hi] split at the positive zeros,
     exponent 0 at 0 (an interior point) and factor 2.  The integral of an
-    integrand that is even with the weight is ``factor`` times that over
-    the points; both Shannon's rho ln p_n^2 and Fisher's (rho')^2 / rho are.
+    integrand that is even with the weight, as Shannon's rho ln p_n^2 is, is
+    ``factor`` times that over the points.
     The zeros mirror exactly and p_n(-x) = (-1)^n p_n(x) bit for bit in the
     float recurrence when every a_k = 0, so the two halves of the integrand
     are mirror images to the bit; at odd n the zero at 0 is the first end.

@@ -227,6 +227,23 @@ def test_bad_range_rejected(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--family", "hermite", "--n", "1,,2"), "empty degree token in '1,,2'"),
+        (("--family", "hermite", "--n", "a..3"), "bad degree range 'a..3'"),
+        (("--family", "hermite", "--n", "x"), "bad degree 'x'"),
+        (("--family", "laguerre", "--alpha", "1", "--beta", "2", "--n", "0"),
+         "laguerre takes no --beta"),
+    ],
+    ids=["empty-token", "bad-range", "bad-degree", "laguerre-beta"],
+)
+def test_malformed_arguments_are_usage_errors(capsys, argv, message):
+    rc, out, err = run(capsys, "measures", *argv)
+    assert rc == 2 and out == ""
+    assert f"spreadpoly: error: {message}" in err
+
+
+@pytest.mark.parametrize(
     "argv,name",
     [
         (("--family", "laguerre", "--alpha", "inf"), "alpha"),
@@ -424,6 +441,22 @@ def test_asymptotics_columns(capsys):
     ratio_col = lines[0].split(",").index("ratio_dev")
     devs = [float(r.split(",")[ratio_col]) for r in lines[1:]]
     assert devs[1] < devs[0]  # approach to the universal ratio
+
+
+def test_undefined_asymptotic_cells_follow_the_null_style(capsys):
+    # the large-n entropy has no value at n = 0: an undefined cell, not an error
+    argv = ("asymptotics", "--family", "hermite", "--n", "0,1", "--bits", "128")
+    for style, want in (("inf", "inf"), ("empty", "")):
+        rc, out, err = run(capsys, *argv, "--null-style", style)
+        assert rc == 0 and err == ""
+        header, first, second = (line.split(",") for line in out.splitlines())
+        for col in ("S_asym", "N_asym"):
+            assert first[header.index(col)] == want
+            assert float(second[header.index(col)]) > 0
+    rc, out, _ = run(capsys, *argv, "--format", "json", "--null-style", "empty")
+    rows = json.loads(out)
+    assert rc == 0 and rows[0]["S_asym"] is None and rows[0]["N_asym"] is None
+    assert rows[1]["S_asym"] > 0
 
 
 def test_asymptotics_derived_columns_run_at_bits(capsys):

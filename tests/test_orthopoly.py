@@ -38,17 +38,18 @@ from spreadpoly.orthopoly import (
     zeros,
     zeros_raw,
 )
-from spreadpoly.bell import renyi_length_bell
+from spreadpoly.bell import polynomial_power_coeffs, renyi_length_bell
 from spreadpoly.closed_form import (
     fisher_information,
     fisher_information_numeric,
+    fisher_truncated,
     moment,
     moment_quadrature,
     stddev,
 )
 from spreadpoly.lauricella import laguerre_power_integral_lauricella
-from spreadpoly.quadrature import _power_exponents, integrate_density_power
-from spreadpoly.shannon import shannon_asymptotic, shannon_numeric
+from spreadpoly.quadrature import _power_exponents, gauss_rule, integrate_density_power
+from spreadpoly.shannon import optimize_bound, shannon_asymptotic, shannon_numeric
 
 CTX = PrecisionContext()
 
@@ -466,3 +467,23 @@ def test_coefficients_round_once_to_context_bits():
 def test_negative_degree_is_refused(family, entry):
     with pytest.raises(ParameterError, match="degree must be nonnegative"):
         entry(family)
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        (lambda: Family("hermite", 1.0), "hermite takes no parameters"),
+        (lambda: Family("laguerre", 1.0, 2.0), "laguerre takes a single parameter alpha"),
+        (lambda: zeros(Family.hermite(), 0), "zeros need degree >= 1"),
+        (lambda: gauss_rule(Family.hermite(), 0), "rule needs at least one node"),
+        (lambda: polynomial_power_coeffs((1, 2), -1), "power must be nonnegative"),
+        # the first zero of L_40^(1/2) lies within 0.1 of the end
+        (lambda: fisher_truncated(Family.laguerre(0.5), 40, 0.1), "reaches past the first zero"),
+        (lambda: optimize_bound(Family.jacobi(2.0, 2.0), 3), "hermite and laguerre only"),
+    ],
+    ids=["hermite-alpha", "laguerre-beta", "zeros", "gauss_rule", "power", "fisher_truncated",
+         "optimize_bound"],
+)
+def test_arguments_out_of_domain_are_refused(entry, message):
+    with pytest.raises(ParameterError, match=message):
+        entry()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from spreadpoly import closed_form, quadrature, shannon
+from spreadpoly import quadrature, shannon
 from spreadpoly.context import ParameterError, PrecisionContext, PrecisionError
 from spreadpoly.families import Family, norm_constant
 from spreadpoly._vec import _LN_RESCALE_HI, _LN_RESCALE_LO, _RESCALE, _p0, poly_scaled
@@ -348,21 +348,6 @@ def test_symmetric_weight_integrates_the_half_line(fam, n, monkeypatch):
     assert est <= 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 12])
-@pytest.mark.parametrize(
-    "fam", [Family.hermite(), Family.jacobi(0.0, 0.0), Family.jacobi(2.0, 2.0)],
-    ids=["hermite", "legendre", "jacobi2-2"],
-)
-def test_symmetric_fisher_integrates_the_half_line(fam, n, monkeypatch):
-    # (rho')^2 / rho is even with the weight: the half line, doubled, meets
-    # the closed form within the 1e-10 the numeric route accepts
-    seen = {}
-    monkeypatch.setattr(closed_form, "tanh_sinh_panels", _recording(seen))
-    F = closed_form.fisher_information_numeric(fam, n)
-    assert seen["x_min"] >= 0.0 and seen["points"][0] == 0.0
-    assert abs(F - closed_form.fisher_information(fam, n, CTX)) <= 1e-10
-
-
 def test_p0_outside_the_doubles_stays_on_float64():
     # p_0 = 1/sqrt(Gamma(302)) is about 3e-309, below the normal doubles:
     # _p0 returns it scaled into range with a negative rescaling count, which
@@ -486,12 +471,6 @@ def test_float64_integrals_take_one_sweep(fam, n, monkeypatch):
     calls = _counting(monkeypatch, shannon)
     S, est = _entropy_fast(fam, n, 1e-9)
     assert len(calls) == 1 and est <= 1e-9
-    if fam.kind != "jacobi":
-        # F is finite here (the Jacobi exponents below 1 make it diverge)
-        calls = _counting(monkeypatch, closed_form)
-        F = closed_form.fisher_information_numeric(fam, n)
-        assert len(calls) == 1
-        assert abs(F - closed_form.fisher_information(fam, n, CTX)) <= 1e-10 * F
 
 
 @pytest.mark.parametrize(

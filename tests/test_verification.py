@@ -5,7 +5,7 @@ import pytest
 
 from spreadpoly.context import PrecisionContext
 from spreadpoly.families import Family, RenyiOrder
-from spreadpoly.verification import Check, _renyi_cell_checks, available_scopes, run_scope
+from spreadpoly.verification import SCOPES, Check, _renyi_cell_checks, available_scopes, run_scope
 
 FAST = PrecisionContext(bits=128)
 
@@ -30,6 +30,15 @@ def test_fisher_scope_all_pass():
     # reflection keeps the large-n rate bit for bit, as it keeps F
     rate = checks["fisher/reflection/jacobi(2,0)-vs-(0,2)/rate"]
     assert (rate.measured, rate.tolerance) == (0.0, 0.0)
+    # F = 2 at Laguerre(1.5), n = 0; inf against inf at Laguerre(0.5)
+    assert checks["fisher/laguerre(alpha=1.5)/n=0"].measured < 1e-30
+    assert [checks[f"fisher/laguerre(alpha=0.5)/n={n}"].measured for n in (0, 1, 4)] == [0.0] * 3
+
+
+def test_all_runs_every_scope_in_order():
+    checks = run_scope("all", FAST)
+    assert checks == [c for name in SCOPES for c in run_scope(name, FAST)]
+    assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
 def test_shannon_scope_all_pass():
