@@ -11,17 +11,22 @@ and the Rényi length is W_q^{-1/(q-1)}.
 
 alpha and beta are doubles, so exact dyadic rationals, and the whole sum is
 exact: p_n = sum_t R_t x^t / (R_n sqrt(h_n)) with integers R_t
-(``orthopoly._explicit_coeffs``) and the squared norm h_n of the recurrence
-table (``orthopoly._squared_norm``), and the moments of w^q are
-m_k = m_0 M_k / M with integers M_k, M.  Hence
+(``orthopoly._explicit_coeffs``) and the squared norm h_n = mu_0 P_n of the
+recurrence table, P_n = b_1^2 ... b_n^2 = num / den the exact product of
+``orthopoly._norm_product``, and the moments of w^q are m_k = m_0 M_k / M
+with integers M_k, M.  Hence
 
-    W_q = m_0 S / (M R_n^{2q} h_n^q),   S = sum_k D_k M_k,
+    W_q = C X,   C = m_0 / mu_0^q,   X = S / (M R_n^{2q} P_n^q),
 
-where D_k are the integer coefficients of (sum_t R_t x^t)^{2q}.  S is one
-Python integer: nothing cancels, so W_q is exactly 0 iff S is (parity, or
-the coincidence alpha = (q-3)/(2q) at odd 2q), and otherwise rounding
-enters only through the constants m_0 and h_n and one division.  m_0 is
-written here, apart from the mu_0 of h_n, so W_1 = 1 checks h_n.
+where S = sum_k D_k M_k and D_k are the integer coefficients of
+(sum_t R_t x^t)^{2q}.  S is one Python integer: nothing cancels, so W_q
+is exactly 0 iff S is (parity, or the coincidence alpha = (q-3)/(2q) at
+odd 2q), and otherwise rounding enters only through the constant C, the
+one rounding of the rational S den^[q] / (M R_n^{2q} num^[q]) (with
+[q] the integer part of q), one division by sqrt(P_n) at odd 2q, and
+the product C X.  C depends on the weight and 2q alone and is formed
+once per precision (:func:`_bell_constant`); its m_0 is written here,
+apart from the table's mu_0 = h_0, so W_1 = 1 checks the table's norm.
 No precision escalation is needed: the context sets only the bits at
 which W is returned.
 
@@ -41,10 +46,11 @@ import math
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import from_rational, mpf_div, mpf_mul, mpf_pow_int, mpf_sqrt, round_nearest
 
 from .context import ParameterError, PrecisionContext
 from .families import HERMITE, LAGUERRE, Family, RenyiOrder, _integrable_order, power_integrable
-from .orthopoly import _explicit_coeffs, _squared_norm
+from .orthopoly import _explicit_coeffs, _norm_product, _squared_norm
 
 __all__ = [
     "polynomial_power_coeffs",
@@ -55,7 +61,7 @@ __all__ = [
 
 _DEFAULT_CTX = PrecisionContext()
 
-#: Extra bits at which m_0 S / (M R_n^{2q} h_n^q) is formed;
+#: Extra bits at which C and X of W = C X are formed;
 #: W is returned at twice the context's bits.
 _GUARD_BITS = 32
 
@@ -108,18 +114,11 @@ def _jacobi_moment_prefactor(a, b):
     return mp.power(2, 1 + a + b) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(a + b + 2)
 
 
-def _weight_power_mass(family: Family, two_q: int):
-    """m_0 = integral w(x)^q, q = two_q/2, at the active precision.  At q = 1
-    it restates mu_0 on purpose: W_1 = 1 then checks the h_n of the table."""
-    return _power_mass(family.kind, family.alpha, family.beta, two_q, mp.prec)
-
-
-@functools.lru_cache(maxsize=256)
 def _power_mass(kind: str, alpha, beta, two_q: int, prec: int):
-    """m_0 of :func:`_weight_power_mass` at ``prec`` bits, memoised on
-    (weight, 2q, prec): the criterion 3 grid asks for 104 of them, each
-    with a Gamma function, 936 times.  Kept apart from
-    ``families.norm_constant``, whose mu_0 is the one in h_n."""
+    """m_0 = integral w(x)^q, q = two_q/2, at ``prec`` bits, read once per
+    (weight, 2q, prec) by the memo of :func:`_bell_constant`.  At q = 1
+    it restates mu_0 on purpose, apart from ``families.norm_constant``,
+    whose mu_0 is the one in h_n: W_1 = 1 then checks the table's norm."""
     with mp.workprec(prec):
         q = mp.mpf(two_q) / 2
         if kind == HERMITE:
@@ -128,6 +127,34 @@ def _power_mass(kind: str, alpha, beta, two_q: int, prec: int):
         if kind == LAGUERRE:
             return mp.gamma(a + 1) / mp.power(q, a + 1)
         return _jacobi_moment_prefactor(a, mp.mpf(beta) * q)
+
+
+@functools.lru_cache(maxsize=256)
+def _bell_constant(kind: str, alpha, beta, two_q: int, prec: int) -> tuple:
+    """C = m_0 / h_0^q of W = C X, q = two_q/2, as a raw mpf at ``prec``
+    bits, memoised on (weight, 2q, prec): the criterion 3 grid asks for
+    104.  m_0 is :func:`_power_mass` and h_0 the table's mu_0
+    (``orthopoly._squared_norm`` at n = 0); h_0^q is an integer power of
+    h_0, times sqrt(h_0) at odd 2q."""
+    m0 = _power_mass(kind, alpha, beta, two_q, prec)._mpf_
+    h0 = _squared_norm(kind, alpha, beta, 0, prec)._mpf_
+    hq = mpf_pow_int(h0, two_q // 2, prec, round_nearest)
+    if two_q % 2:
+        hq = mpf_mul(hq, mpf_sqrt(h0, prec, round_nearest), prec, round_nearest)
+    return mpf_div(m0, hq, prec, round_nearest)
+
+
+@functools.lru_cache(maxsize=256)
+def _moment_constants(kind: str, alpha, beta, two_q: int) -> tuple:
+    """The integers of :func:`_weight_power_moments`' recurrence for w^q,
+    memoised on (weight, 2q): ``(anum, aden)`` with 2A = anum/aden for
+    Laguerre, ``(d, s, slope)`` for Jacobi."""
+    if kind == LAGUERRE:
+        return (Fraction(alpha) * two_q).as_integer_ratio()
+    a = Fraction(alpha) * two_q / 2
+    b = Fraction(beta) * two_q / 2
+    d = max(a.denominator, b.denominator)  # both powers of 2
+    return d, int((a + b + 2) * d), int((b - a) * d)
 
 
 def _weight_power_moments(family: Family, two_q: int, count: int) -> tuple:
@@ -155,9 +182,10 @@ def _weight_power_moments(family: Family, two_q: int, count: int) -> tuple:
             M[k] = num * two_q ** ((top - k) // 2)
             num *= k + 1
         return M, two_q ** (top // 2)
+    consts = _moment_constants(family.kind, family.alpha, family.beta, two_q)
     if family.kind == LAGUERRE:
         # m_k/m_0 = prod_{j<k} (2A + 2(j+1)) / two_q^k, 2A = anum/aden
-        anum, aden = (Fraction(family.alpha) * two_q).as_integer_ratio()
+        anum, aden = consts
         step = aden * two_q
         M = []
         num = 1
@@ -166,13 +194,9 @@ def _weight_power_moments(family: Family, two_q: int, count: int) -> tuple:
             num *= anum + 2 * aden * (k + 1)
         return M, step**top
     # m_k/m_0 = N_k / Q_k with Q_k = prod_{j<k} (j d + s), s = d (A+B+2) and
-    # d the common denominator of A and B:
-    # N_{k+1} = k d ((k-1) d + s) N_{k-1} + d (B-A) N_k
-    a = Fraction(family.alpha) * two_q / 2
-    b = Fraction(family.beta) * two_q / 2
-    d = max(a.denominator, b.denominator)  # both powers of 2
-    s = int((a + b + 2) * d)
-    slope = int((b - a) * d)
+    # d the common denominator of A and B and slope = d (B-A):
+    # N_{k+1} = k d ((k-1) d + s) N_{k-1} + slope N_k
+    d, s, slope = consts
     N = [1]
     prev = 0
     for k in range(top):
@@ -193,10 +217,12 @@ def renyi_power_integral_bell(
 ):
     """W_q by the Bell-expansion route; equals 1 at q=1 (normalization).
 
-    Exactly 0 iff the integer sum S is; otherwise m_0 S / (M R_n^{2q} h_n^q)
-    is formed at twice ``ctx.bits`` plus guard bits and returned at twice
-    ``ctx.bits``.  ParameterError where w^q is not integrable
-    (``families._integrable_order``).
+    Exactly 0 iff the integer sum S is; otherwise W = C X with the
+    constant C = m_0 / mu_0^q of the weight and 2q (:func:`_bell_constant`)
+    and X = S den^[q] / (M R_n^{2q} num^[q]) rounded once, divided by
+    sqrt(num / den) at odd 2q, both at twice ``ctx.bits`` plus guard bits;
+    the product C X is rounded to twice ``ctx.bits``.  ParameterError
+    where w^q is not integrable (``families._integrable_order``).
     """
     p = _integrable_order(family, q).two_q
     R = _explicit_coeffs(family, n)
@@ -204,11 +230,16 @@ def renyi_power_integral_bell(
     moments, mden = _weight_power_moments(family, p, len(d))
     total = sum(dk * mk for dk, mk in zip(d, moments))
     bits = 2 * ctx.bits
-    with mp.workprec(bits + _GUARD_BITS):
-        h = _squared_norm(family.kind, family.alpha, family.beta, n, bits + _GUARD_BITS)
-        W = _weight_power_mass(family, p) * total / (mden * R[-1] ** p * mp.sqrt(h) ** p)
-    with mp.workprec(bits):
-        return +W
+    prec = bits + _GUARD_BITS
+    kind, alpha, beta = family.kind, family.alpha, family.beta
+    num, den = _norm_product(kind, alpha, beta, n)
+    whole = p // 2  # [q]
+    X = from_rational(total * den**whole, mden * R[-1] ** p * num**whole, prec, round_nearest)
+    if p % 2:
+        root = mpf_sqrt(from_rational(num, den, prec, round_nearest), prec, round_nearest)
+        X = mpf_div(X, root, prec, round_nearest)
+    C = _bell_constant(kind, alpha, beta, p, prec)
+    return mp.make_mpf(mpf_mul(C, X, bits, round_nearest))
 
 
 def length_from_power_integral(W, q):

@@ -19,7 +19,9 @@ The mpf routes read those pairs; the float64 paths read them rounded once
 (:func:`raw_recurrence`).  No entry depends on how many are asked for, so
 each weight has one table (:func:`_weight_table`) that holds both forms and
 grows when a caller asks for more entries than it holds
-(:class:`_GrowingTable`); both functions return its head.  The weight's
+(:class:`_GrowingTable`); both functions return its head.  The float
+columns are rounded from the exact ones on the first float call, so a
+weight only the mpf routes read holds none.  The weight's
 zeroth moment mu_0 is :func:`norm_constant`, in mpf at the precision its
 caller names.
 """
@@ -296,28 +298,26 @@ _TABLE_WEIGHTS = 128
 
 
 @functools.lru_cache(maxsize=_TABLE_WEIGHTS)
-def _weight_table(kind: str, alpha, beta) -> _GrowingTable:
-    """The one recurrence table of the weight (kind, alpha, beta): the
-    columns (a_k), (b_k^2) as exact ``(num, den)`` pairs and (a_k), (b_k)
-    rounded once to floats, grown on demand.  Kept for the last
-    ``_TABLE_WEIGHTS`` weights; the Rényi cross-check grid reads 95 (its
-    weights and those of w^q)."""
+def _weight_table(kind: str, alpha, beta) -> tuple:
+    """The one recurrence table of the weight (kind, alpha, beta), as two
+    column sets grown on demand: ``(exact, floats)``, the columns (a_k),
+    (b_k^2) as exact ``(num, den)`` pairs and the columns (a_k), (b_k)
+    rounded once to floats.  The float columns are rounded from the exact
+    ones when :func:`raw_recurrence` first asks for them.  Kept for the
+    last ``_TABLE_WEIGHTS`` weights; the Rényi cross-check grid reads 95
+    (its weights and those of w^q)."""
     ra, rb = _rational(alpha), _rational(beta)
     _check_exponents(kind, ra, rb)
     d = math.lcm(ra.denominator, rb.denominator)
     a = ra.numerator * (d // ra.denominator)
     b = rb.numerator * (d // rb.denominator)
+    exact = _GrowingTable(lambda start, stop: zip(*_exact_entries(kind, a, b, d, start, stop)), 2)
 
-    def make(start, stop):
-        diag, offsq = zip(*_exact_entries(kind, a, b, d, start, stop))
-        return (
-            diag,
-            offsq,
-            [num / den for num, den in diag],
-            [math.sqrt(num / den) for num, den in offsq],
-        )
+    def rounded(start, stop):
+        diag, offsq = (column[start:] for column in exact.head(stop))
+        return [num / den for num, den in diag], [math.sqrt(num / den) for num, den in offsq]
 
-    return _GrowingTable(make, 4)
+    return exact, _GrowingTable(rounded, 2)
 
 
 def exact_recurrence(kind: str, alpha, beta, count: int):
@@ -336,7 +336,7 @@ def exact_recurrence(kind: str, alpha, beta, count: int):
     negative degree.
     """
     _check_degree(count - 1)
-    return _weight_table(kind, alpha, beta).head(count)[:2]
+    return _weight_table(kind, alpha, beta)[0].head(count)
 
 
 def raw_recurrence(kind: str, alpha, beta, count: int):
@@ -345,4 +345,4 @@ def raw_recurrence(kind: str, alpha, beta, count: int):
     once (int / int is correctly rounded), and each b_k the square root of
     b_k^2 so rounded."""
     _check_degree(count - 1)
-    return _weight_table(kind, alpha, beta).head(count)[2:]
+    return _weight_table(kind, alpha, beta)[1].head(count)

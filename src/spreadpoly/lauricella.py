@@ -21,6 +21,14 @@ iff the F_A sum is, and otherwise it is rounded once.  Nothing cancels at
 a working precision, so this route needs no precision escalation: the
 context sets only the bits at which W is returned.
 
+The transcendental part of Theta_0 and of the normalisation does not
+depend on n: with r = C(n + alpha, n) = (alpha + 1)_n / n!, an exact
+rational, W = +-K r^q F_A, where K = Gamma(alpha q + 1) /
+(Gamma(alpha + 1)^q q^(alpha q + 1)) is formed once per (alpha, 2q,
+precision) (:func:`_fa_constant`).  A cell rounds the F_A sum, then
+r^[q] F_A ([q] the integer part of q), multiplies by sqrt(r) at odd 2q
+and by K, and rounds W.
+
 Sign convention: the linearization is native to polynomials with leading
 coefficient of sign (-1)^n; this package normalizes leading-positive, so
 for odd 2q the general route multiplies by (-1)^(n*2q) to land in the
@@ -33,11 +41,13 @@ and its length is mapped from W by the Bell route's ``_renyi_length``.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
 
-from mpmath import libmp, mp
+from mpmath import mp
+from mpmath.libmp import from_rational, mpf_mul, mpf_neg, mpf_shift, mpf_sqrt, round_nearest
 
 from .context import ParameterError, PrecisionContext
 from .families import Family, _check_degree, _integrable_order, _rational
@@ -51,7 +61,7 @@ __all__ = [
 
 _DEFAULT_CTX = PrecisionContext()
 
-#: Extra bits at which the Gamma/binomial prefactor is formed; W is
+#: Extra bits at which K, the F_A sum and r^q F_A are formed; W is
 #: returned at the context's bits.
 _GUARD_BITS = 32
 
@@ -122,9 +132,25 @@ def lauricella_fa_terminating(a, upper, lower, z):
     for s in range(smax, -1, -1):
         total = prod[s] * scale + (an + s * ad) * total
         scale *= ad
-    return mp.make_mpf(
-        libmp.from_rational(total, den * ad**smax, mp.prec, libmp.round_nearest)
-    )
+    return mp.make_mpf(from_rational(total, den * ad**smax, mp.prec, round_nearest))
+
+
+@functools.lru_cache(maxsize=256)
+def _fa_constant(alpha, two_q: int, prec: int) -> tuple:
+    """K = Gamma(alpha q + 1) / (Gamma(alpha + 1)^q q^(alpha q + 1)),
+    q = two_q/2, as a raw mpf at ``prec`` bits, memoised on (alpha, 2q,
+    prec): the n-free factor of W.  Gamma(alpha + 1)^q is an integer
+    power, times one square root at odd 2q.  It equals the Bell route's
+    constant C of the same weight but is formed apart from it, so the
+    two routes share no rounded value."""
+    with mp.workprec(prec):
+        a = mp.mpf(alpha)
+        q = mp.mpf(two_q) / 2
+        g = mp.gamma(a + 1)
+        gq = g ** (two_q // 2)
+        if two_q % 2:
+            gq *= mp.sqrt(g)
+        return (mp.gamma(a * q + 1) / (gq * mp.power(q, a * q + 1)))._mpf_
 
 
 def laguerre_power_integral_lauricella(
@@ -136,8 +162,11 @@ def laguerre_power_integral_lauricella(
     power,
         Theta_0 = Gamma(alpha q + 1) * C(n+alpha, n)^{2q} *
         F_A^{(2q+1)}(alpha q + 1; -n,...,-n, 0; alpha+1,...,alpha+1, 1;
-                     1/q,...,1/q, 1).
-    The F_A sum is exact (exactly 0 iff W is); it and the prefactor are
+                     1/q,...,1/q, 1),
+    and the normalisation (n! / Gamma(alpha + n + 1))^q / q^(alpha q + 1)
+    turns it into W = +-K r^q F_A, with r = C(n+alpha, n) exact and the
+    n-free constant K of :func:`_fa_constant`.  The F_A sum is exact
+    (exactly 0 iff W is); it, r^[q] F_A, sqrt(r) at odd 2q and K are
     formed at ``ctx.bits`` plus guard bits, and W is returned at
     ``ctx.bits``.  The weight is ``Family.laguerre(alpha)``, so alpha <= -1,
     a w^q that is not integrable (``families._integrable_order``, the
@@ -147,24 +176,27 @@ def laguerre_power_integral_lauricella(
     order = _integrable_order(family, q)
     _check_degree(n)
     two_q = order.two_q
-    with mp.workprec(ctx.bits + _GUARD_BITS):
-        am = mp.mpf(family.alpha)
-        a = _rational(am)
+    prec = ctx.bits + _GUARD_BITS
+    a = _rational(family.alpha)
+    with mp.workprec(prec):
         fa = lauricella_fa_terminating(
             a * order.q + 1,
             [-n] * two_q + [0],
             [a + 1] * two_q + [1],
             [Fraction(2, two_q)] * two_q + [1],
         )
-        qf = order.q_mpf()
-        theta0 = mp.gamma(am * qf + 1) * mp.binomial(n + am, n) ** two_q * fa
-        pref = mp.power(
-            mp.factorial(n) / mp.gamma(am + n + 1), qf
-        ) / mp.power(qf, am * qf + 1)
-        sign = -1 if (n * two_q) % 2 else 1
-        W = sign * pref * theta0
-    with mp.workprec(ctx.bits):
-        return +W
+    # r = (alpha + 1)_n / n! = rnum / rden, alpha = an / ad
+    an, ad = a.as_integer_ratio()
+    rnum = math.prod(an + ad * (j + 1) for j in range(n))
+    rden = ad**n * math.factorial(n)
+    sign, man, exp, _ = fa._mpf_
+    whole = two_q // 2  # [q]
+    X = mpf_shift(from_rational(man * rnum**whole, rden**whole, prec, round_nearest), exp)
+    if two_q % 2:
+        root = mpf_sqrt(from_rational(rnum, rden, prec, round_nearest), prec, round_nearest)
+        X = mpf_mul(X, root, prec, round_nearest)
+    W = mpf_mul(_fa_constant(family.alpha, two_q, prec), X, ctx.bits, round_nearest)
+    return mp.make_mpf(mpf_neg(W) if sign ^ (n * two_q) % 2 else W)
 
 
 def renyi_length_laguerre_lauricella(

@@ -157,21 +157,26 @@ def _primitive(R: list) -> tuple:
     return tuple(r // common for r in R)
 
 
+def _norm_product(kind: str, alpha, beta, n: int) -> tuple:
+    """``(num, den)``: the exact product b_1^2 ... b_n^2 = num / den of the
+    entries of :func:`spreadpoly.families.exact_recurrence`, unreduced, with
+    num, den > 0; ``(1, 1)`` at n = 0.  So h_n = mu_0 num / den."""
+    offsq = exact_recurrence(kind, alpha, beta, n + 1)[1]
+    return math.prod(v for v, _ in offsq[1:]), math.prod(v for _, v in offsq[1:])
+
+
 @functools.lru_cache(maxsize=2048)
 def _squared_norm(kind: str, alpha, beta, n: int, prec: int):
     """h_n = mu_0 b_1^2 ... b_n^2 at ``prec`` bits: the squared norm of the
     monic pi_n, so 1/sqrt(h_n) is the leading coefficient of p_n.  mu_0 at
     ``prec`` bits (:func:`spreadpoly.families.norm_constant`) times the
-    exact product of the b_k^2 of
-    :func:`spreadpoly.families.exact_recurrence`, rounded once.  Memoised
-    on (weight, n, prec), since each value depends on n: the Rényi
-    cross-check grid asks for 653 (279 for Bell, and 279 h_n and 95 masses
-    of w^q for the Gauss sums), within the 2048 entries kept, so each is
-    formed once."""
-    offsq = exact_recurrence(kind, alpha, beta, n + 1)[1]
+    exact product :func:`_norm_product`, rounded once.  Memoised on
+    (weight, n, prec), since each value depends on n: the Rényi
+    cross-check grid asks for 405 (279 h_n and 95 masses of w^q for the
+    Gauss sums, and the h_0 = mu_0 of Bell's constants for its 31
+    weights), within the 2048 entries kept, so each is formed once."""
+    num, den = _norm_product(kind, alpha, beta, n)
     _, man, exp, _ = norm_constant(kind, alpha, beta, prec)._mpf_
-    num = math.prod(v for v, _ in offsq[1:])
-    den = math.prod(v for _, v in offsq[1:])
     return mp.make_mpf(mpf_shift(from_rational(man * num, den, prec, round_nearest), exp))
 
 

@@ -13,13 +13,14 @@ from oracles import (
     naive_power,
     schoolbook_product,
 )
-from spreadpoly import orthopoly, quadrature
+from spreadpoly import bell, orthopoly, quadrature
 from spreadpoly.context import ParameterError, PrecisionContext
-from spreadpoly.families import Family, RenyiOrder
+from spreadpoly.families import Family, RenyiOrder, norm_constant
 from spreadpoly.bell import (
+    _bell_constant,
     _jacobi_moment_prefactor,
     _kronecker_product,
-    _weight_power_mass,
+    _power_mass,
     _weight_power_moments,
     length_from_power_integral,
     polynomial_power_coeffs,
@@ -101,7 +102,7 @@ def _moments(family, q, count):
     """m_k = m_0 M_k / M at the active precision."""
     two_q = int(2 * q)
     M, den = _weight_power_moments(family, two_q, count)
-    m0 = _weight_power_mass(family, two_q)
+    m0 = _power_mass(family.kind, family.alpha, family.beta, two_q, mp.prec)
     return [m0 * v / den for v in M]
 
 
@@ -127,11 +128,12 @@ def test_jacobi_moment_recurrence_matches_closed_form(q):
     ids=lambda f: f.describe(),
 )
 def test_weight_power_mass_memo_follows_the_active_precision(family):
-    # memoised on the precision too: each value has the bits of the
-    # precision active at the call, the same bits as the formula run there
+    # m_0 and the memoised constant C = m_0 / h_0^q have the bits of the
+    # precision they are asked at, the same bits as the formulas run there
+    kind, alpha, beta = family.kind, family.alpha, family.beta
     for prec in (100, 300, 100):
         with mp.workprec(prec):
-            got = _weight_power_mass(family, 3)
+            got = _power_mass(kind, alpha, beta, 3, prec)
             q = mp.mpf(3) / 2
             a, b = mp.mpf(family.alpha) * q, mp.mpf(family.beta) * q
             if family.kind == "hermite":
@@ -141,6 +143,9 @@ def test_weight_power_mass_memo_follows_the_active_precision(family):
             else:
                 want = _jacobi_moment_prefactor(a, b)
             assert got._mpf_ == want._mpf_, prec
+            h0 = norm_constant(kind, alpha, beta, prec)
+            C = _bell_constant(kind, alpha, beta, 3, prec)
+            assert C == (want / (h0 * mp.sqrt(h0)))._mpf_, prec
 
 
 def test_symmetric_jacobi_odd_moments_are_exact_zeros():
@@ -234,7 +239,7 @@ def test_bell_route_properties(kind, alpha, beta, n):
 
 
 def _clear_norm_memos():
-    for memo in (orthopoly._squared_norm, quadrature._standard_rule):
+    for memo in (orthopoly._squared_norm, bell._bell_constant, quadrature._standard_rule):
         memo.cache_clear()
 
 

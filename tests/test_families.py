@@ -121,19 +121,36 @@ GROWN = [
 def test_a_grown_table_equals_a_fresh_one(weight):
     # entries do not depend on the count, so a table grown 5 -> 40 -> 41
     # holds the very entries of one built at 41 in one sweep
-    fresh = families._weight_table.__wrapped__(*weight).head(41)
+    exact, floats = families._weight_table.__wrapped__(*weight)
+    fresh = exact.head(41) + floats.head(41)
     families._weight_table.cache_clear()
     for count in (5, 40, 41):
         exact = families.exact_recurrence(*weight, count)
         floats = families.raw_recurrence(*weight, count)
         assert exact + floats == tuple(column[:count] for column in fresh)
     assert families._weight_table.cache_info().misses == 1
-    assert all(len(column) == 41 for column in families._weight_table(*weight).columns)
+    tables = families._weight_table(*weight)
+    assert all(len(column) == 41 for table in tables for column in table.columns)
     if weight[0] == "jacobi":
         # b_1^2 = 4 (1 + a)(1 + b) / ((3 + a + b)(2 + a + b)^2), finite at a + b = -1
         a, b = map(families._rational, weight[1:])
         num, den = fresh[1][1]
         assert Fraction(num, den) == 4 * (1 + a) * (1 + b) / ((3 + a + b) * (2 + a + b) ** 2)
+
+
+def test_float_columns_are_grown_on_the_first_float_call():
+    # the mpf routes read only the exact columns, so a weight they alone
+    # read holds no floats; the first raw_recurrence call rounds them
+    weight = ("jacobi", 0.5, -0.25)
+    families._weight_table.cache_clear()
+    families.exact_recurrence(*weight, 12)
+    exact, floats = families._weight_table(*weight)
+    assert [len(column) for column in exact.columns + floats.columns] == [12, 12, 0, 0]
+    diag, off = families.raw_recurrence(*weight, 7)
+    assert [len(column) for column in exact.columns + floats.columns] == [12, 12, 7, 7]
+    assert families._weight_table.cache_info().misses == 1
+    assert diag == tuple(num / den for num, den in exact.columns[0][:7])
+    assert off == tuple(math.sqrt(num / den) for num, den in exact.columns[1][:7])
 
 
 def test_the_number_of_weights_kept_is_bounded():

@@ -14,6 +14,11 @@ form at 2 bits + 64 within stated bounds.  The Gauss rules' polish stops
 on an ODE bound and takes its weights from Christoffel–Darboux, so the
 former Newton loop and Christoffel sum (``_ref_zeros_raw``,
 ``_ref_christoffel_weights``) serve as an oracle at twice the precision.
+
+The exact Rényi routes form W as one rounded exact ratio times a constant
+of the weight and order; the former tails, which rebuilt every factor in
+mpf (``_ref_bell_power_integral``, ``_ref_lauricella_power_integral``),
+are checked ``_mpf_``-equal to them.
 """
 
 import math
@@ -26,7 +31,13 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from oracles import explicit_ratios, jacobi_power_moment, naive_power, raw_recurrence
-from spreadpoly.bell import polynomial_power_coeffs, renyi_power_integral_bell
+from spreadpoly.bell import (
+    _bell_constant,
+    _power_mass,
+    _weight_power_moments,
+    polynomial_power_coeffs,
+    renyi_power_integral_bell,
+)
 from spreadpoly.context import PrecisionContext
 from spreadpoly.families import (
     HERMITE,
@@ -37,6 +48,7 @@ from spreadpoly.families import (
     power_integrable,
 )
 from spreadpoly.hypergeom import hyp2f1_terminating
+from spreadpoly.lauricella import laguerre_power_integral_lauricella, lauricella_fa_terminating
 from spreadpoly.orthopoly import (
     _eigen_seeds,
     _explicit_coeffs,
@@ -188,9 +200,79 @@ def _ref_jacobi_power_moment(k, q, alpha, beta):
     )
 
 
+def _ref_bell_power_integral(family, n, two_q, bits):
+    """Bell's W = m_0 S / (M R_n^{2q} sqrt(h_n)^{2q}) in mpf operators at
+    2 bits + 32, rounded to 2 bits."""
+    kind, alpha, beta = family.kind, family.alpha, family.beta
+    R = _explicit_coeffs(family, n)
+    d = polynomial_power_coeffs(R, two_q)
+    moments, mden = _weight_power_moments(family, two_q, len(d))
+    total = sum(dk * mk for dk, mk in zip(d, moments))
+    prec = 2 * bits + 32
+    with mp.workprec(prec):
+        h = _squared_norm(kind, alpha, beta, n, prec)
+        m0 = _power_mass(kind, alpha, beta, two_q, prec)
+        W = m0 * total / (mden * R[-1] ** two_q * mp.sqrt(h) ** two_q)
+    with mp.workprec(2 * bits):
+        return +W
+
+
+def _ref_lauricella_power_integral(n, alpha, two_q, bits):
+    """The Laguerre W = +-pref Gamma(alpha q + 1) C(n + alpha, n)^{2q} F_A,
+    pref = (n! / Gamma(alpha + n + 1))^q / q^(alpha q + 1), in mpf
+    operators at bits + 32, rounded to bits."""
+    with mp.workprec(bits + 32):
+        am = mp.mpf(alpha)
+        a = Fraction(alpha)
+        qf = mp.mpf(two_q) / 2
+        fa = lauricella_fa_terminating(
+            a * Fraction(two_q, 2) + 1,
+            [-n] * two_q + [0],
+            [a + 1] * two_q + [1],
+            [Fraction(2, two_q)] * two_q + [1],
+        )
+        theta0 = mp.gamma(am * qf + 1) * mp.binomial(n + am, n) ** two_q * fa
+        pref = mp.power(mp.factorial(n) / mp.gamma(am + n + 1), qf) / mp.power(qf, am * qf + 1)
+        W = (-1 if (n * two_q) % 2 else 1) * pref * theta0
+    with mp.workprec(bits):
+        return +W
+
+
 # ---------------------------------------------------------------------------
 # Bit-identity
 # ---------------------------------------------------------------------------
+
+
+#: Weights of the exact-route identity check: ends at exponent -0.5 and
+#: -0.25 and -0.2 (w^q singular), exponents with long and short binary
+#: expansions (-0.2, 1e-3), and symmetric Jacobi weights, whose odd parity
+#: gives exact zeros.
+EXACT_ROUTE_FAMILIES = (
+    [Family.hermite()]
+    + [Family.laguerre(a) for a in (-0.5, -0.2, 0.0, 0.5, 2.0, 5.0, 1e-3)]
+    + [Family.jacobi(a, b) for a in (-0.5, 0.0, 0.5, 2.0, 5.0, -0.25) for b in (-0.5, 0.0, 2.0, -0.2)]
+)
+
+
+#: W = C X with a constant C (K on the Lauricella route) of the weight and
+#: 2q and one rounded exact ratio X per cell, against the former tails;
+#: the two meet bit for bit, for every order 1/2 <= q <= 3 whose w^q is
+#: integrable.  Holding C or K to 64 bits fails this at every precision.
+@pytest.mark.parametrize("bits", (53, 128, 256, 512))
+@pytest.mark.parametrize("family", EXACT_ROUTE_FAMILIES, ids=_ids)
+def test_exact_routes_round_one_ratio_bit_for_bit(family, bits):
+    ctx = PrecisionContext(bits=bits)
+    for two_q in (1, 2, 3, 4, 6):
+        order = RenyiOrder(two_q)
+        if not power_integrable(order.q, family.alpha, family.beta):
+            continue
+        for n in (0, 1, 2, 5, 7, 12):
+            got = renyi_power_integral_bell(family, n, order, ctx)
+            assert got._mpf_ == _ref_bell_power_integral(family, n, two_q, bits)._mpf_, (two_q, n)
+            if family.kind == "laguerre":
+                got = laguerre_power_integral_lauricella(n, family.alpha, order, ctx)
+                want = _ref_lauricella_power_integral(n, family.alpha, two_q, bits)
+                assert got._mpf_ == want._mpf_, (two_q, n)
 
 
 #: ``evaluate_recurrence`` runs the fixed-point kernel at P = bits + 32 on
@@ -411,13 +493,14 @@ def test_coefficient_memo_serves_a_whole_measures_row():
 
 
 def test_squared_norm_is_formed_once_per_renyi_grid_cell():
-    # criterion 3's grid walked order by order, so a cell's h_n is asked for
-    # again only after every other cell's: the memo still holds them all
+    # Bell reads only h_0 = mu_0 of the table, once per (weight, 2q) for its
+    # constant C: criterion 3's grid asks for it 104 times, of 31 weights
     grid = (-0.5, 0.0, 0.5, 2.0, 5.0)
     families = [Family.hermite()] + [Family.laguerre(a) for a in grid]
     families += [Family.jacobi(a, b) for a in grid for b in grid]
     _squared_norm.cache_clear()
-    calls = 0
+    _bell_constant.cache_clear()
+    pairs = 0
     for two_q in (2, 3, 4, 6):
         order = RenyiOrder(two_q)
         for fam in families:
@@ -425,10 +508,10 @@ def test_squared_norm_is_formed_once_per_renyi_grid_cell():
                 continue
             for n in range(9):
                 renyi_power_integral_bell(fam, n, order, PrecisionContext())
-                calls += 1
+            pairs += 1
     info = _squared_norm.cache_info()
-    assert info.misses == len(families) * 9
-    assert info.hits == calls - info.misses
+    assert (pairs, info.misses, info.hits) == (104, 31, 73)
+    assert _bell_constant.cache_info().misses == 104
 
 
 def test_rule_cache_is_bounded():
