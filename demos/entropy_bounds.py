@@ -35,7 +35,7 @@ def table(family, label, degrees):
         if family.kind == "jacobi":
             par = "-"
         elif family.kind == "laguerre":
-            par = f"{par:.3g}"
+            par = mp.nstr(par, 3)
         print(
             f"{row['n']:>3} {mp.nstr(row['shannon_N'], 10):>14} {mp.nstr(row['bound'], 10):>14} "
             f"{par!s:>8} {mp.nstr(row['margin'], 3):>12}"

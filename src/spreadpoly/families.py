@@ -170,9 +170,6 @@ class RenyiOrder:
         """True for q=1, where the length exponent is undefined."""
         return self.two_q == 2
 
-    def q_mpf(self):
-        return mp.mpf(self.two_q) / 2
-
     def __str__(self) -> str:
         q = self.q
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"

@@ -4,13 +4,15 @@ integration for logarithmically singular integrands.
 Gauss quadrature is the *exact oracle* of the package: every
 polynomial-power integral (density normalization, moments, Rényi power
 integrals) equals the sum of a Gauss rule whose exactness degree covers the
-integrand, so the oracle carries no truncation error — only rounding at
-working precision.  The oracles against rho_n = p_n^2 w, W_q
-(:func:`integrate_density_power`) and the moments of ``closed_form``, form
-that sum without the rule's nodes or weights: :func:`_gauss_sum` takes
-mu_0' e_1^T F(J') e_1 on the Jacobi matrix J' of w^q as one exact integer
-sum, builds no rule and runs no eigenvalue solve, and gives a parity zero
-as an exact integer 0.
+integrand, so the oracle carries no truncation error.  Its rounding is at
+working precision except on Hermite and Laguerre with 2q >= 3, where the
+node-free sum silently loses bits as n grows (:func:`_gauss_sum`; no
+check raises on it yet, see ROADMAP.md, item 1).  The oracles against
+rho_n = p_n^2 w, W_q (:func:`integrate_density_power`) and the moments of
+``closed_form``, form that sum without the rule's nodes or weights:
+:func:`_gauss_sum` takes mu_0' e_1^T F(J') e_1 on the Jacobi matrix J' of
+w^q as one exact integer sum, builds no rule and runs no eigenvalue solve,
+and gives a parity zero as an exact integer 0.
 
 The rules themselves, for :func:`gauss_rule`, ``orthopoly.zeros`` and the
 float64 Gauss-Legendre pair below, follow Golub–Welsch: nodes are the
@@ -175,10 +177,13 @@ def _gauss_sum(family: Family, n: int, order: RenyiOrder, k: int, ctx: Precision
     table, applied to an integer vector by
     :func:`spreadpoly.orthopoly.monic_apply`, so S = v^T M(J') v is one exact
     integer sum.  The result mu_0' S / h_n^q is formed at
-    ``ctx.bits + _RULE_GUARD``.  A symmetric weight has a zero diagonal in
-    both tables, so every vector lies on one parity, and S is exactly 0
-    where F is odd.  ParameterError for n < 0 or a w^q that is not
-    integrable (:func:`_power_exponents`).
+    ``ctx.bits + _RULE_GUARD``; on Hermite and Laguerre with 2q >= 3 it
+    loses bits as n grows, and no check raises on it yet (ROADMAP.md,
+    item 1).  At 256 bits with 2q = 4, Laguerre(2) is 9.2e-67 off Bell at
+    n = 100 and 2.6e-47 at n = 150, Hermite 3.2e-76 at n = 150.  A
+    symmetric weight has a zero diagonal in both tables, so every vector
+    lies on one parity, and S is exactly 0 where F is odd.  ParameterError
+    for n < 0 or a w^q that is not integrable (:func:`_power_exponents`).
     """
     _check_degree(n)
     kind, two_q = family.kind, order.two_q
@@ -218,13 +223,14 @@ def integrate_density_power(
     2q must be a positive integer; the integrand p^{2q} w^q is then a
     polynomial of degree 2nq against the shifted weight w^q, integrated
     by the Gauss rule of covering exactness, in its node-free form
-    (:func:`_gauss_sum`).  Equals integral rho^q whenever 2q is even, and
-    returns 1 at q=1.  A parity zero (Hermite or Jacobi with alpha = beta,
-    n 2q odd) is exactly 0: the integer sum vanishes entry by entry.  Any
-    other sum is returned as rounded, so a zero without parity
-    (Laguerre(-1/2) n=1, q=3/2) comes out at the rounding floor of the
-    sum, not as 0, and a w^q that is not integrable is refused
-    (ParameterError).
+    (:func:`_gauss_sum`, which on Hermite and Laguerre with 2q >= 3 loses
+    bits as n grows, and no check raises on it yet: ROADMAP.md, item 1).
+    Equals integral rho^q whenever 2q is even, and returns 1 at q=1.  A
+    parity zero (Hermite or Jacobi with alpha = beta, n 2q odd) is exactly
+    0: the integer sum vanishes entry by entry.  Any other sum is returned
+    as rounded, so a zero without parity (Laguerre(-1/2) n=1, q=3/2) comes
+    out at the rounding floor of the sum, not as 0.  ParameterError for a
+    w^q that is not integrable.
     """
     return _gauss_sum(family, n, RenyiOrder.from_q(q), 0, ctx)
 

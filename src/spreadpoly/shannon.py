@@ -343,32 +343,36 @@ def ratio_constant():
 # ---------------------------------------------------------------------------
 
 
+def _moment_bound(b, m):
+    """Gamma(1/b) (b e)^{1/b} m^{1/b} / b: the length of the maximum-entropy
+    density e^(-c x^b) on the half line with <x^b> = m, which bounds N for
+    every density there with that moment (Dehesa, Martinez-Finkelshtein and
+    Sanchez-Ruiz, J. Comput. Appl. Math. 133, 2001)."""
+    b = mp.mpf(b)
+    return mp.power(mp.e * b, 1 / b) / b * mp.gamma(1 / b) * mp.power(m, 1 / b)
+
+
 def shannon_bound_hermite(n: int, k: int, ctx: PrecisionContext = _DEFAULT_CTX):
     """N <= 2 (e k)^{1/k} Gamma(1/k) <x^k>^{1/k} / k for even k >= 2."""
     if k < 2 or k % 2:
         raise ParameterError("the bound requires an even k >= 2")
     with mp.workprec(ctx.bits):
-        mk = moment(Family.hermite(), n, k, ctx)
-        kf = mp.mpf(k)
-        return +(
-            2 * mp.power(mp.e * kf, 1 / kf) / kf * mp.gamma(1 / kf)
-            * mp.power(mk, 1 / kf)
-        )
+        return 2 * _moment_bound(k, moment(Family.hermite(), n, k, ctx))
 
 
-def shannon_bound_laguerre(
-    n: int, alpha, b, ctx: PrecisionContext = _DEFAULT_CTX
-):
+def shannon_bound_laguerre(n: int, alpha, b, ctx: PrecisionContext = _DEFAULT_CTX):
     """N <= Gamma(1/b) (b e)^{1/b} <x^b>^{1/b} / b for any real b > 0."""
     if not b > 0:
         raise ParameterError("the bound requires b > 0")
     with mp.workprec(ctx.bits):
-        mb = moment(Family.laguerre(alpha), n, b, ctx)
-        bf = mp.mpf(b)
-        return +(
-            mp.gamma(1 / bf) * mp.power(bf * mp.e, 1 / bf) / bf
-            * mp.power(mb, 1 / bf)
-        )
+        return _moment_bound(b, moment(Family.laguerre(alpha), n, b, ctx))
+
+
+#: b lies on a 64-bit grid, since ``moment`` at a full-precision b takes ten
+#: times longer.  There mpmath's default ``diff`` step reads a difference of
+#: 0, and the slope stops near 2^-64, which ``findroot``'s verify rejects.
+_B_BITS = 64
+_STEP = mp.ldexp(1, -40)
 
 
 def optimize_bound(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX):
@@ -377,35 +381,40 @@ def optimize_bound(family: Family, n: int, ctx: PrecisionContext = _DEFAULT_CTX)
     Both bounds grow without limit at either end of their parameter range,
     so the search walks out until the bound rises.  Hermite steps the even
     k up from 2 and keeps the last k before the bound rises.  Laguerre
-    brackets ln b by doubling or halving b from 1 until the bound rises on
-    both sides, then minimizes over ln b in that bracket to ``xatol`` 1e-8,
-    the resolution of the float64 objective.
+    doubles or halves b from 1 until the bound rises, then runs a secant
+    on the central difference of ln B in t = ln b from the best t of that
+    walk.  Its b lies on a 64-bit grid, and the bound is within about
+    2^-128 relative of its minimum over b.  The search runs at
+    ``ctx.bits`` whatever the caller's ``mp.prec``.
     """
     if family.kind == HERMITE:
         best, k = shannon_bound_hermite(n, 2, ctx), 2
         while (nxt := shannon_bound_hermite(n, k + 2, ctx)) < best:
             best, k = nxt, k + 2
         return best, k
-    if family.kind == LAGUERRE:
-        from scipy.optimize import minimize_scalar  # loaded by this route alone
+    if family.kind != LAGUERRE:
+        raise ParameterError("parametrized bounds exist for hermite and laguerre only")
 
-        def objective(log_b):
-            return float(shannon_bound_laguerre(n, family.alpha, math.exp(log_b), ctx))
+    def grid(t):  # b = e^t, rounded once
+        with mp.workprec(_B_BITS):
+            return mp.exp(t)
 
-        step, t, f = math.log(2.0), 0.0, objective(0.0)
-        if (up := objective(step)) < f:
+    def log_bound(t):
+        return mp.log(shannon_bound_laguerre(n, family.alpha, grid(t), ctx))
+
+    def slope(t):
+        return (log_bound(t + _STEP) - log_bound(t - _STEP)) / (2 * _STEP)
+
+    with mp.workprec(ctx.bits):
+        step, t, f = +mp.ln2, mp.mpf(0), log_bound(0)
+        if (up := log_bound(step)) < f:
             t, f = step, up
         else:
             step = -step
-        while (nxt := objective(t + step)) < f:
+        while (nxt := log_bound(t + step)) < f:
             t, f = t + step, nxt
-        res = minimize_scalar(
-            objective, bounds=sorted((t - step, t + step)), method="bounded",
-            options={"xatol": 1e-8},
-        )
-        b_best = math.exp(res.x)
-        return shannon_bound_laguerre(n, family.alpha, b_best, ctx), b_best
-    raise ParameterError("parametrized bounds exist for hermite and laguerre only")
+        b = grid(mp.findroot(slope, t, solver="secant", verify=False))
+        return shannon_bound_laguerre(n, family.alpha, b, ctx), b
 
 
 def jacobi_trivial_bound():

@@ -5,15 +5,17 @@ emitted report is useful even when everything passes.  Most compare two
 independent routes to the same quantity (or a route against an exact or
 frozen value) and pass when the deviation is at most the tolerance, a
 fixed one except for the float64 Shannon anchors at n >= 1, whose
-tolerance is the value's own error estimate.  The margin checks
-(``bounds/dominance``, ``bounds/jacobi-trivial``, ``shannon/inequality``)
-record bound - N, read as 0 within N's error estimate and the bound's
-rounding (``shannon._bound_margin``, as in ``report.bounds_table``), and
-pass when it is at least 0.  The Fisher divergence checks pass when a
-growth factor reaches 10, and ``shannon/ratio-deviation-shrinks`` when
-``report.asymptotics_table``'s ``ratio_dev`` at n = 40 is below that at
-n = 10.  Scopes group the checks by module; ``all`` runs the full
-registry in a fixed order.
+tolerance is the value's own error estimate, and for the
+``.../working-precision`` companions of routes exact to rounding and the
+optimized Laguerre ground-state bound, whose tolerance is 2^(8 - bits).
+The margin checks (``bounds/dominance``, ``bounds/jacobi-trivial``,
+``shannon/inequality``) record bound - N, read as 0 within N's error
+estimate and the bound's rounding (``shannon._bound_margin``, as in
+``report.bounds_table``), and pass when it is at least 0.  The Fisher
+divergence checks pass when a growth factor reaches 10, and
+``shannon/ratio-deviation-shrinks`` when ``report.asymptotics_table``'s
+``ratio_dev`` at n = 40 is below that at n = 10.  Scopes group the checks
+by module; ``all`` runs the full registry in a fixed order.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from .closed_form import (
 )
 from .bell import length_from_power_integral, renyi_power_integral_bell
 from .lauricella import laguerre_power_integral_lauricella
-from .report import asymptotics_table, bounds_table
+from .report import asymptotics_table, bounds_table, format_value
 from .shannon import (
     PATH_FLOAT64,
     _mean_log_weight,
+    optimize_bound,
     shannon_bound_hermite,
     shannon_bound_laguerre,
     shannon_inequality_check,
@@ -124,7 +127,7 @@ def _scope_stddev(ctx):
 
 
 def _scope_fisher(ctx):
-    out = []
+    out, wp_tol = [], math.ldexp(1.0, 8 - ctx.bits)
     fams = [
         Family.hermite(),
         Family.laguerre(0.0),
@@ -139,9 +142,9 @@ def _scope_fisher(ctx):
         for n in (0, 1, 4):
             F = fisher_information(fam, n, ctx)
             Fn = fisher_information_numeric(fam, n, ctx)
-            out.append(
-                _deviation_check(f"fisher/{fam.describe()}/n={n}", F, Fn, 1e-8)
-            )
+            name = f"fisher/{fam.describe()}/n={n}"
+            out.append(_deviation_check(name, F, Fn, 1e-8))
+            out.append(_deviation_check(f"{name}/working-precision", F, Fn, wp_tol))
     for n in (0, 3, 10):
         cr = cramer_rao_product(Family.hermite(), n, ctx)
         out.append(
@@ -392,25 +395,20 @@ def _scope_bounds(ctx):
     out = []
     sat_tol = 1e-9
     with mp.workprec(ctx.bits):
-        d = float(
-            abs(
-                shannon_bound_hermite(0, 2, ctx)
-                - shannon_numeric(Family.hermite(), 0, ctx).length
-            )
-        )
+        gauss_N = shannon_numeric(Family.hermite(), 0, ctx).length
+        exp_N = shannon_numeric(Family.laguerre(0.0), 0, ctx).length
+        d = float(abs(shannon_bound_hermite(0, 2, ctx) - gauss_N))
         out.append(Check("bounds/hermite-saturation/n=0/k=2", d <= sat_tol, d, sat_tol))
-        d = float(
-            abs(
-                shannon_bound_laguerre(0, 0.0, 1.0, ctx)
-                - shannon_numeric(Family.laguerre(0.0), 0, ctx).length
-            )
-        )
+        d = float(abs(shannon_bound_laguerre(0, 0.0, 1.0, ctx) - exp_N))
         out.append(Check("bounds/laguerre-saturation/n=0/b=1", d <= sat_tol, d, sat_tol))
+        bound, _ = optimize_bound(Family.laguerre(0.0), 0, ctx)
+        out.append(_deviation_check("bounds/laguerre-saturation/n=0/optimized", bound, exp_N,
+                                    math.ldexp(1.0, 8 - ctx.bits), "the optimized bound, N = e"))
         for fam in (Family.hermite(), Family.laguerre(0.0), Family.laguerre(5.0)):
             for row in bounds_table(fam, (0, 3, 10), ctx)[1]:
                 out.append(_margin_check(
                     f"bounds/dominance/{fam.describe()}/n={row['n']}", row,
-                    f"best parameter {row['bound_param']}",
+                    f"best parameter {format_value(row['bound_param'])}",
                 ))
         for row in bounds_table(Family.jacobi(2.0, 2.0), (0, 10, 40), ctx)[1]:
             out.append(_margin_check(f"bounds/jacobi-trivial/n={row['n']}", row))

@@ -202,7 +202,7 @@ def renyi_length_laguerre_n0(alpha, q, ctx):
     """Closed form at n=0: [Gamma(alpha q+1) / (Gamma(alpha+1)^q q^{alpha q+1})]^(-1/(q-1))."""
     order = RenyiOrder.from_q(q)
     with mp.workprec(ctx.bits):
-        qf = order.q_mpf()
+        qf = mp.mpf(order.two_q) / 2
         a = mp.mpf(alpha)
         W = mp.gamma(a * qf + 1) / (
             mp.power(mp.gamma(a + 1), qf) * mp.power(qf, a * qf + 1)
@@ -222,7 +222,7 @@ def renyi_length_laguerre_n1(alpha, q, ctx):
     order = RenyiOrder.from_q(q)
     ra = _rational(alpha)
     with mp.workprec(ctx.bits):
-        qf = order.q_mpf()
+        qf = mp.mpf(order.two_q) / 2
         a = mp.mpf(alpha)
         W = (
             mp.gamma(a * qf + 1)

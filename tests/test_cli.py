@@ -509,6 +509,18 @@ def test_saturated_bound_margin_reads_zero(capsys, bits):
     assert all(row[di] == str(int(float(row[mi]) >= 0)) for row in rows)
 
 
+@pytest.mark.parametrize("bits", [128, 256, 512])
+def test_optimized_laguerre_ground_state_is_saturated(capsys, bits):
+    # the optimum is b = 1 exactly, where the bound is N = e; a float64
+    # search printed b = 0.9999999931 and margin 1.87e-17
+    rc, out, _ = run(capsys, "bounds", "--family", "laguerre", "--alpha", "0", "--n", "0",
+                     "--bits", str(bits))
+    assert rc == 0
+    header, row = (line.split(",") for line in out.splitlines())
+    assert row[header.index("bound_param")] == "1"
+    assert row[header.index("margin")] == "0"
+
+
 ENV_ARGV = [
     ["measures", "--family", "hermite", "--n", "0..2", "--meta"],
     ["asymptotics", "--family", "laguerre", "--alpha", "2", "--n", "1,10"],

@@ -1,6 +1,7 @@
-"""A fresh interpreter computes Shannon lengths and a ``measures`` row
-without importing scipy: the eigenvalue seeds of the zeros come from
-numpy's LAPACK, and scipy stays behind ``optimize_bound``'s lazy import."""
+"""A fresh interpreter computes Shannon lengths, a ``measures`` row, the
+optimized Laguerre bounds and ``verify --scope bounds`` without importing
+scipy: the eigenvalue seeds of the zeros come from numpy's LAPACK, and
+``optimize_bound`` finds the Laguerre optimum by mpmath's secant."""
 
 import os
 import subprocess
@@ -20,6 +21,9 @@ from spreadpoly import Family, shannon_numeric
 assert shannon_numeric(Family.laguerre(2.0), 8).path == "float64"
 argv = ["measures", "--family", "laguerre", "--alpha", "-0.25", "--n", "3", "--q", "3"]
 assert spreadpoly.cli.main(argv) == 0
+argv = ["bounds", "--family", "laguerre", "--alpha", "5", "--n", "0..3"]
+assert spreadpoly.cli.main(argv) == 0
+assert spreadpoly.cli.main(["verify", "--scope", "bounds"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
@@ -34,4 +38,5 @@ def test_shannon_and_a_measures_row_import_no_scipy():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[1].startswith("laguerre,-0.25,,3,"), lines
+    assert lines[3].startswith("laguerre,5,,0,"), lines
     assert lines[-1] == "[]"

@@ -685,8 +685,8 @@ def test_hermite_bound_is_minimal_over_the_even_k(n):
 def test_laguerre_bound_is_minimal_over_b(alpha, n):
     # the search used to stop at the ends of the fixed bracket (0.05, 20),
     # short of b = 0.011 at alpha = -0.9, n = 0 and of b = 37 at alpha = 0,
-    # n = 40; a float64 objective resolves the bound to about 1e-16
-    # relative, hence the 1e-15 allowance against the scan
+    # n = 40; the secant resolves the bound to about 2^-128 relative, so no
+    # point of the scan lies below it by more than 2^(8-bits)
     value, b = optimize_bound(Family.laguerre(alpha), n, FAST)
 
     def bound(b):
@@ -696,7 +696,7 @@ def test_laguerre_bound_is_minimal_over_b(alpha, n):
     assert value <= bound(b * 0.95) and value <= bound(b * 1.05)
     scan = min(bound(10.0 ** (j / 10)) for j in range(-30, 31))
     with mp.workprec(FAST.bits):
-        assert value <= scan * (1 + mp.mpf(1e-15))
+        assert value <= scan * (1 + mp.ldexp(1, 8 - FAST.bits))
 
 
 def test_laguerre_bound_search_builds_no_gauss_rule():
@@ -706,12 +706,27 @@ def test_laguerre_bound_search_builds_no_gauss_rule():
 
 
 def test_laguerre_ground_state_bound_meets_e():
-    # the bound is e exactly at b = 1; a search stopped at xatol 1e-5 read
-    # 7.4e-13 relative above it
+    # the bound is e exactly at b = 1; a float64 objective minimized to
+    # xatol 1e-8 stopped at b = 0.9999999931, 1.9e-17 relative above e
     value, b = optimize_bound(Family.laguerre(0.0), 0, FAST)
+    assert b == 1
     with mp.workprec(FAST.bits):
-        assert abs(value / mp.e - 1) < 1e-15
-    assert abs(b - 1) < 1e-7
+        assert abs(value - mp.e) <= mp.ldexp(mp.e, 8 - FAST.bits)
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [(Family.hermite(), 6), (Family.laguerre(0.0), 0), (Family.laguerre(5.0), 7),
+     (Family.laguerre(-0.9), 20)],
+    ids=["hermite-6", "laguerre(0)-0", "laguerre(5)-7", "laguerre(-0.9)-20"],
+)
+def test_optimize_bound_ignores_the_ambient_precision(family, n):
+    found = []
+    for prec in (53, 1000):
+        with mp.workprec(prec):
+            value, param = optimize_bound(family, n, FAST)
+        found.append((value._mpf_, param))
+    assert found[0] == found[1]
 
 
 def test_jacobi_trivial_bound_value():

@@ -35,6 +35,29 @@ def test_fisher_scope_all_pass():
     assert [checks[f"fisher/laguerre(alpha=0.5)/n={n}"].measured for n in (0, 1, 4)] == [0.0] * 3
 
 
+@pytest.mark.parametrize("bits", [128, 512])
+def test_fisher_working_precision_companions_pass(bits):
+    # both routes are exact to rounding (worst 2^-128.6 and 2^-512.6 when
+    # measured), so each 1e-8 check has a companion at 2^(8-bits); a route
+    # off by a factor 1 + 2^-100 passes the first and fails the second
+    checks = run_scope("fisher", PrecisionContext(bits=bits))
+    assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+    gates = {c.name: c for c in checks if c.tolerance == 1e-8}
+    companions = [c for c in checks if c.name.endswith("/working-precision")]
+    assert len(gates) == len(companions) == 24
+    for c in companions:
+        gate = gates[c.name.removesuffix("/working-precision")]
+        assert c.tolerance == 2.0 ** (8 - bits) and c.measured == gate.measured
+
+
+@pytest.mark.parametrize("bits", [128, 512])
+def test_optimized_laguerre_ground_state_meets_e_at_working_precision(bits):
+    # a float64 search stopped 1.9e-17 relative above e
+    checks = {c.name: c for c in run_scope("bounds", PrecisionContext(bits=bits))}
+    check = checks["bounds/laguerre-saturation/n=0/optimized"]
+    assert check.ok and check.tolerance == 2.0 ** (8 - bits)
+
+
 def test_all_runs_every_scope_in_order():
     checks = run_scope("all", FAST)
     assert checks == [c for name in SCOPES for c in run_scope(name, FAST)]
